@@ -56,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -69,6 +69,7 @@ from repro.api.engine import (
 from repro.api.store import (
     ShardSpec,
     StoreConfig,
+    VersionEvent,
     VersionStore,
     distinct_key_run_end,
 )
@@ -325,6 +326,18 @@ class ShardedEngine(VersionedEngine):
         self._shard_keys[index].add(key)
         self._dirty.add(index)
         self._now = max(self._now, timestamp)
+
+    def written_keys(self, index: int) -> Set[Key]:
+        """A copy of every key ever written to shard ``index`` (logically
+        deleted ones included) — what a resumed store must be handed back."""
+        return set(self._shard_keys[index])
+
+    def note_replayed(self, index: int, keys: Iterable[Key], watermark: int) -> None:
+        """A log replayer applied commits touching ``keys``, the newest at
+        ``watermark``, straight onto shard ``index``'s tree: catch the
+        engine's own bookkeeping (key tracking, clock) up with it."""
+        self._shard_keys[index].update(keys)
+        self._now = max(self._now, watermark)
 
     # ------------------------------------------------------------------
     # Writes
@@ -737,12 +750,9 @@ class ShardedEngine(VersionedEngine):
         old = self.stores[index]
         left = VersionStore.open(self.inner_config)
         right = VersionStore.open(self.inner_config)
-        for timestamp, key, is_tombstone, value in self._raw_events(old, keys):
-            target = left if key < median else right
-            if is_tombstone:
-                target.engine.delete(key, timestamp=timestamp)
-            else:
-                target.engine.insert(key, value, timestamp=timestamp)
+        events = self.export_events(index)
+        left.import_events([event for event in events if event[1] < median])
+        right.import_events([event for event in events if not event[1] < median])
         if self.inner_config.wal:
             left.checkpoint()
             right.checkpoint()
@@ -754,27 +764,37 @@ class ShardedEngine(VersionedEngine):
         self.splits_performed += 1
         return True
 
-    @staticmethod
-    def _raw_events(
-        store: VersionStore, keys: Iterable[Key]
-    ) -> List[Tuple[int, Key, bool, bytes]]:
-        """Every committed write in the shard, globally time-ordered.
+    def export_events(
+        self, index: int, low: Optional[Key] = None, high: Optional[Key] = None
+    ) -> List[VersionEvent]:
+        """Every committed version shard ``index`` holds of the keys in
+        ``[low, high)``, as time-ordered ``(timestamp, key, tombstone, value)``.
 
-        Replaying a shard into its split halves must preserve tombstones
-        (which normalized reads hide) and must apply writes in timestamp
-        order, because every engine rejects backdated commits.
+        The one way a key range's history leaves a store (a shard split, an
+        online migration); :meth:`VersionStore.import_events` is the one way
+        it arrives.  Tombstones are kept (normalized reads hide them),
+        provisional versions are not (``key_history`` is committed history),
+        and the order is by timestamp because every engine rejects backdated
+        commits.  The caller holds the store's latch.
         """
+        store = self.stores[index]
         backend = store.backend
-        events: List[Tuple[int, Key, bool, bytes]] = []
-        for key in keys:
+        events: List[VersionEvent] = []
+        for key in sorted(
+            key
+            for key in self._shard_keys[index]
+            if (low is None or not key < low) and (high is None or key < high)
+        ):
             if isinstance(backend, TSBTree):
-                for version in backend.key_history(key):
-                    events.append(
-                        (version.timestamp, key, version.is_tombstone, version.value)
-                    )
+                events.extend(
+                    (version.timestamp, key, version.is_tombstone, version.value)
+                    for version in backend.key_history(key)
+                )
             else:
-                for record in store.engine.key_history(key):
-                    events.append((record.timestamp, key, False, record.value))
+                events.extend(
+                    (record.timestamp, key, False, record.value)
+                    for record in store.engine.key_history(key)
+                )
         events.sort(key=lambda event: event[0])
         return events
 
@@ -1052,6 +1072,13 @@ class ShardedVersionStore(VersionStore):
             if self._inline_splits:
                 self.sharded_engine.maybe_split()
         return stamped
+
+    def import_events(self, events: Sequence[VersionEvent]) -> int:
+        with self._latch.write():
+            imported = super().import_events(events)
+            if self._inline_splits:
+                self.sharded_engine.maybe_split()
+        return imported
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
         return self.put_many_detailed(items).timestamps

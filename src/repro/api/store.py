@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.adapters import (
     ENGINE_NAMES,
@@ -64,8 +64,16 @@ from repro.storage.optical_library import OpticalLibrary
 from repro.storage.serialization import ByteReader, Key
 from repro.storage.worm import WormDisk
 from repro.wobt.wobt_tree import WOBT
+from repro.txn.clock import TimestampOracle
 from repro.txn.manager import Transaction, TransactionManager
 from repro.txn.readonly import ReadOnlyTransaction
+
+if TYPE_CHECKING:  # pragma: no cover - recovery.system imports this module
+    from repro.recovery.replay import LogReplayer
+
+
+#: One committed version on the move: ``(timestamp, key, is_tombstone, value)``.
+VersionEvent = Tuple[int, Key, bool, bytes]
 
 
 class StoreClosedError(VersionStoreError):
@@ -418,6 +426,9 @@ class VersionStore:
         self._log = log_manager
         self._log_device = log_device
         self._closed = False
+        #: What restart recovery found and did, when :meth:`open` was handed
+        #: a log device to recover from; ``None`` otherwise.
+        self.recovery_report = None
         #: Per-store metrics registry: every façade operation times itself
         #: into an ``op.<name>`` histogram here, and the latch / lock / WAL
         #: layers below record their contention into the same registry.
@@ -439,6 +450,7 @@ class VersionStore:
         *,
         magnetic: Optional[MagneticDisk] = None,
         historical: Optional[object] = None,
+        log_device: Optional[LogDevice] = None,
         **overrides,
     ) -> "VersionStore":
         """Open a store described by ``config`` (or keyword overrides).
@@ -447,7 +459,11 @@ class VersionStore:
         ``VersionStore.open(StoreConfig(engine="wobt"))``.  For the TSB-tree,
         passing the ``magnetic`` and ``historical`` devices of a previously
         closed store resumes from its last checkpoint instead of formatting
-        a fresh database.
+        a fresh database.  A ``wal=True`` store handed back its
+        ``log_device`` as well — closed *or crashed* — runs restart recovery
+        first (:attr:`recovery_report` says what it did) and goes on writing
+        that very log: LSNs, commit timestamps and transaction ids continue
+        from what the durable log says.
         """
         if config is None:
             config = StoreConfig(**overrides)
@@ -457,14 +473,16 @@ class VersionStore:
         if config.shards is not None:
             from repro.api.sharded import ShardedVersionStore
 
-            if magnetic is not None or historical is not None:
+            if magnetic is not None or historical is not None or log_device is not None:
                 raise VersionStoreError(
-                    "a sharded store owns one device pair per shard and "
-                    "cannot be reopened from a single device pair"
+                    "a sharded store owns one device pair (and log) per shard "
+                    "and cannot be reopened from a single one"
                 )
             return ShardedVersionStore.open_sharded(config)
+        if log_device is not None and not config.wal:
+            raise VersionStoreError("a log device needs wal=True to be written to")
         if config.engine == "tsb":
-            return cls._open_tsb(config, magnetic, historical)
+            return cls._open_tsb(config, magnetic, historical, log_device)
         if magnetic is not None or historical is not None:
             raise VersionStoreError(
                 f"engine {config.engine!r} cannot be reopened from devices; "
@@ -487,6 +505,7 @@ class VersionStore:
         config: StoreConfig,
         magnetic: Optional[MagneticDisk],
         historical: Optional[object],
+        log_device: Optional[LogDevice],
     ) -> "VersionStore":
         policy = resolve_policy(config.split_policy)
         resuming = magnetic is not None and cls._has_superblock(magnetic)
@@ -507,7 +526,15 @@ class VersionStore:
                 if config.historical == "jukebox"
                 else WormDisk(sector_size=min(1024, config.page_size))
             )
-        if resuming:
+        recovered = None
+        if resuming and log_device is not None:
+            from repro.recovery.recovery_manager import RecoveryManager
+
+            recovered = RecoveryManager(
+                magnetic, historical, log_device, policy=policy, cache_pages=config.cache_pages
+            ).recover()
+            tree = recovered.tree
+        elif resuming:
             tree = TSBTree.open(
                 magnetic, historical, policy=policy, cache_pages=config.cache_pages
             )
@@ -518,6 +545,11 @@ class VersionStore:
                 "magnetic device holds data but no TSB-tree superblock on "
                 "page 0; refusing to format over it"
             )
+        elif log_device is not None and log_device.appended_bytes:
+            raise VersionStoreError(
+                "log device holds records but no checkpointed tree came with "
+                "it; refusing to start a second history on the same log"
+            )
         else:
             tree = TSBTree(
                 page_size=config.page_size,
@@ -526,24 +558,50 @@ class VersionStore:
                 historical=historical,
                 cache_pages=config.cache_pages,
             )
-        metrics = MetricsRegistry(name="tsb")
-        log_manager = None
-        log_device = None
-        if config.wal:
-            from repro.recovery.log_manager import LogManager
+        store = cls.over_tree(
+            config, tree, log_device, replayed=recovered and recovered.replayer
+        )
+        store.recovery_report = recovered and recovered.report
+        return store
 
-            log_device = LogDevice()
+    @classmethod
+    def over_tree(
+        cls,
+        config: StoreConfig,
+        tree: TSBTree,
+        log_device: Optional[LogDevice] = None,
+        *,
+        replayed: Optional["LogReplayer"] = None,
+        latch: Optional[ReadWriteLatch] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> "VersionStore":
+        """Wire a live TSB-tree to its WAL and transaction manager.
+
+        The one composition root of the transactional stack: a freshly
+        formatted tree, one restart recovery just rebuilt, and a follower
+        tree a promoting replica has finished applying all become a store
+        here.  ``replayed`` is the log replayer that brought the tree to its
+        state, if one did: LSNs, commit timestamps and transaction ids then
+        continue from where that log stopped.  Without one, LSNs continue
+        after the tree's last checkpoint (the superblock anchor; 0 on a fresh
+        tree) so they stay monotone across a close and a reopen on a fresh
+        log — restarting at 1 would hand out LSNs the previous incarnation
+        already made durable, and a replication subscriber resuming at
+        ``from_lsn`` would silently skip the reopened store's records.  With
+        ``config.wal`` the store's first act is a full checkpoint on
+        ``log_device`` (a fresh one by default).
+        """
+        from repro.recovery.log_manager import LogManager
+
+        metrics = metrics or MetricsRegistry(name="tsb")
+        latch = latch or ReadWriteLatch(metrics=metrics)
+        log_manager = None
+        if config.wal:
+            log_device = log_device or LogDevice()
             log_manager = LogManager(
                 log_device,
                 group_commit_size=config.group_commit_size,
-                # A resumed tree carries the LSN of its last checkpoint in
-                # the superblock anchor; the fresh log continues *after* it
-                # so LSNs stay monotone across close/reopen.  Restarting at
-                # 1 (the old behaviour) would hand out LSNs the previous
-                # incarnation already made durable — a replication
-                # subscriber resuming at ``from_lsn`` would silently skip
-                # the reopened store's new records.
-                next_lsn=tree.log_anchor + 1 if resuming else 1,
+                next_lsn=(replayed.applied_lsn if replayed else tree.log_anchor) + 1,
                 flush_interval=(
                     config.group_commit_interval
                     if config.group_commit_interval > 0
@@ -551,8 +609,16 @@ class VersionStore:
                 ),
                 metrics=metrics,
             )
-        latch = ReadWriteLatch(metrics=metrics)
-        txns = TransactionManager(tree, log=log_manager, latch=latch, metrics=metrics)
+        txns = TransactionManager(
+            tree,
+            clock=TimestampOracle(
+                start=max(replayed.high_water if replayed else 0, tree.now)
+            ),
+            log=log_manager,
+            next_txn_id=replayed.next_txn_id if replayed else 1,
+            latch=latch,
+            metrics=metrics,
+        )
         if log_manager is not None:
             log_manager.checkpoint(tree, txns)
         return cls(
@@ -751,6 +817,33 @@ class VersionStore:
                 timestamps[position] = commit_timestamp
             start = end
         return timestamps  # type: ignore[return-value]
+
+    def import_events(self, events: Sequence[VersionEvent]) -> int:
+        """Re-insert exported versions at their original timestamps.
+
+        The receiving end of :meth:`ShardedEngine.export_events
+        <repro.api.sharded.ShardedEngine.export_events>`: a shard split fills
+        its halves and a migration target takes delivery through here.  An
+        event whose version is already present (a retried chunk, a range
+        coming home to a node that kept its history) is skipped, and *only*
+        that: one the engine refuses for any other reason — above all, one
+        backdated against this store's commit clock — raises, so a range is
+        never reported moved while its history fell on the floor.  Returns
+        how many events were written.
+        """
+        imported = 0
+        with self._latch.write():
+            self._ensure_open()
+            engine = self._engine
+            for timestamp, key, is_tombstone, value in events:
+                if timestamp <= engine.now and engine.has_version_at(key, timestamp):
+                    continue
+                if is_tombstone:
+                    engine.delete(key, timestamp=timestamp)
+                else:
+                    engine.insert(key, value, timestamp=timestamp)
+                imported += 1
+        return imported
 
     def _reject_timestamp_conflict(self, key: Key, timestamp: Optional[int]) -> None:
         if timestamp is not None and timestamp <= self._engine.now:

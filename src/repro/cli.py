@@ -722,9 +722,7 @@ def command_failover(args: argparse.Namespace) -> int:
     Exit status 0 only if the digests match and the write succeeds.
     """
     from repro.analysis.experiment import answers_digest
-    from repro.api.adapters import TSBEngine
-    from repro.api.sharded import ShardedEngine
-    from repro.replication import ReplicationPrimary, Replica, elect, replay_device
+    from repro.replication import ReplicationPrimary, Replica, elect
 
     shard_count = max(1, args.shards)
     spec = _shard_spec(shard_count, args.ops * 2) if shard_count > 1 else None
@@ -767,29 +765,8 @@ def command_failover(args: argparse.Namespace) -> int:
     print(f"  durable prefixes: {lsns}; electing {winner.name}")
     promoted = winner.promote()
 
-    # The oracle: replay the winner's mirrored bytes from scratch into
-    # fresh trees and rebuild an equivalent store over them.
-    oracle_inner: List[VersionStore] = []
-    oracle_keys: List[set] = []
-    inner_config = StoreConfig(engine="tsb", page_size=config.page_size)
-    for state in winner._states:
-        replayer = replay_device(state.mirror)
-        oracle_inner.append(VersionStore(TSBEngine(replayer.tree), inner_config))
-        oracle_keys.append(set(replayer.keys_applied))
-    if spec is None:
-        oracle: VersionStore = oracle_inner[0]
-    else:
-        boundaries = list(winner._boundaries)
-        oracle = ShardedVersionStore(
-            ShardedEngine(
-                oracle_inner,
-                boundaries,
-                ShardSpec(boundaries=tuple(boundaries)),
-                inner_config,
-                shard_keys=oracle_keys,
-            ),
-            config,
-        )
+    # The oracle: the winner's mirrored bytes replayed from scratch.
+    oracle = winner.mirror_replay()
 
     probe_keys = sorted(set(keys))
     probe_times = sorted(set(written))[:: max(1, len(written) // 64)]

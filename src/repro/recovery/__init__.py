@@ -9,11 +9,15 @@ contract for the reproduction:
 * :class:`LogManager` — LSN assignment, the write-ahead disciplines, group
   commit and (full or fuzzy) checkpoints over a
   :class:`~repro.storage.logdevice.LogDevice`.
-* :class:`RecoveryManager` — analysis / redo / undo restart recovery that
-  rebuilds exactly the durably committed state, verified against the
-  structural checker.
-* :class:`RecoverableSystem` — the assembled durable stack with an honest
-  ``crash()`` for tests, benchmarks and the CLI demos.
+* :mod:`repro.recovery.replay` — :class:`~repro.recovery.replay.LogReplayer`,
+  the one way a log is applied to a tree: restart recovery, a replica's
+  follower apply and promotion all run it.
+* :class:`RecoveryManager` — restart recovery: reopen the tree at its last
+  checkpoint, replay the durable log from there, verify the result against
+  the structural checker.
+* :class:`RecoverableSystem` — the crash-test fixture: a WAL store over
+  devices it keeps, with an honest ``crash()`` that reopens it through
+  ``VersionStore.open(..., log_device=)``.
 * :mod:`repro.recovery.scripts` — deterministic transactional scripts and
   the durable-prefix oracle used by crash-injection testing.
 """

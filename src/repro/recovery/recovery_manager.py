@@ -4,33 +4,28 @@ Recovery has to reconstruct the *one* serialization the timestamp oracle
 chose before the crash — committed transactions with their original commit
 timestamps, and nothing else.  Given the surviving devices (magnetic disk
 holding the last full checkpoint's image, historical WORM disk, and the
-durable prefix of the log), :class:`RecoveryManager` runs the classic
-three-pass restart:
+durable prefix of the log), :class:`RecoveryManager` does what a follower
+does with a shipped log, from a different starting tree: it reopens the tree
+from the superblock and streams the durable log, from the checkpoint the
+superblock anchors to the end, through one
+:class:`~repro.recovery.replay.LogReplayer`.
 
-1. **Analysis** — reopen the tree from the superblock, read its log anchor,
-   and scan the durable log from that anchor: the anchored CHECKPOINT record
-   supplies the active-transaction table (in-flight transactions whose
-   provisional versions are inside the checkpoint image); the scan then
-   classifies every transaction as a durable winner (COMMIT record forced),
-   an aborter, or a loser (in flight at the crash).
+The replayer seeds itself from the anchored CHECKPOINT record (whose
+active-transaction table names the provisional versions inside the image),
+stamps each transaction's write set at its COMMIT with the logged timestamp
+and erases it at its ABORT — through the ordinary ``insert_provisional`` /
+stamp path, so splits, migration and all tree invariants are maintained by
+the same code that maintained them before the crash.  Nothing is applied
+before a COMMIT arrives, so there is no undo pass; when the log ends, the
+transactions still in flight are the losers, and the only trace they can
+have left is what the checkpoint image carried, which is erased then.
 
-2. **Redo** — replay each winner in commit order: re-apply its post-anchor
-   operations as provisional versions and stamp its full write set with the
-   logged commit timestamp.  Replaying through the ordinary
-   ``insert_provisional`` / ``commit_provisional`` path means splits,
-   migration and all tree invariants are maintained by the same code that
-   maintained them before the crash.
-
-3. **Undo** — erase the provisional versions of losers and aborters (those
-   present in the checkpoint image; post-anchor writes never reached a
-   durable page and need no undo).
-
-Two housekeeping steps bracket the passes: magnetic pages that were
+Two housekeeping steps bracket the replay: magnetic pages that were
 allocated after the checkpoint but never linked into the anchored tree are
-swept back to the free list before redo (so replay can reuse them — vital
-when the crash was caused by device exhaustion), and the rebuilt tree is
-verified against every structural invariant in :mod:`repro.core.checker`
-before it is handed back.
+swept back to the free list before anything is replayed (so replay can reuse
+them — vital when the crash was caused by device exhaustion), and the
+rebuilt tree is verified against every structural invariant in
+:mod:`repro.core.checker` before it is handed back.
 
 The recovered timestamp-oracle high-water mark is the maximum of the
 checkpointed high water and every replayed commit timestamp, so new commits
@@ -39,18 +34,17 @@ continue the original timestamp sequence with no gaps in ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional
 
 from repro.core.checker import check_tree
 from repro.core.policy import SplitPolicy
 from repro.core.tsb_tree import TSBTree
-from repro.recovery.log_records import LogRecord, LogRecordType, decode_stream
+from repro.recovery.log_records import decode_stream
+from repro.recovery.replay import LogReplayer
 from repro.storage.device import Address
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
-from repro.storage.serialization import Key
-from repro.txn.clock import TimestampOracle
 
 
 class RecoveryError(Exception):
@@ -74,19 +68,9 @@ class RecoveryReport:
     violations: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "last_durable_lsn": self.last_durable_lsn,
-            "records_scanned": self.records_scanned,
-            "winners_replayed": self.winners_replayed,
-            "operations_replayed": self.operations_replayed,
-            "losers_discarded": self.losers_discarded,
-            "aborts_discarded": self.aborts_discarded,
-            "orphan_pages_reclaimed": self.orphan_pages_reclaimed,
-            "high_water": self.high_water,
-            "next_txn_id": self.next_txn_id,
-            "invariant_violations": len(self.violations),
-        }
+        fields = asdict(self)
+        fields["invariant_violations"] = len(fields.pop("violations"))
+        return fields
 
     def summary(self) -> str:
         return (
@@ -105,27 +89,10 @@ class RecoveryResult:
     """The rebuilt tree plus everything needed to resume transactions."""
 
     tree: TSBTree
-    clock: TimestampOracle
+    #: The replayer that applied the log: where its LSNs, commit timestamps
+    #: and transaction ids stopped is where the reopened store continues.
+    replayer: LogReplayer
     report: RecoveryReport
-
-
-@dataclass
-class _TxnImage:
-    """Analysis-pass state for one transaction seen in the log."""
-
-    txn_id: int
-    #: keys written before the anchor (provisional versions are inside the
-    #: checkpoint image)
-    checkpointed_keys: Tuple[Key, ...] = ()
-    #: post-anchor operations, in log order: (is_delete, key, value)
-    operations: List[Tuple[bool, Key, bytes]] = field(default_factory=list)
-    commit_timestamp: Optional[int] = None
-    aborted: bool = False
-
-    def all_keys(self) -> List[Key]:
-        keys: Set[Key] = set(self.checkpointed_keys)
-        keys.update(key for _, key, _ in self.operations)
-        return sorted(keys)
 
 
 class RecoveryManager:
@@ -148,14 +115,13 @@ class RecoveryManager:
         self.superblock_page = superblock_page
 
     def recover(self, verify: bool = True) -> RecoveryResult:
-        """Run analysis, redo and undo; return the rebuilt system state.
+        """Replay the log from the anchored checkpoint; return the rebuilt state.
 
         With ``verify=True`` the rebuilt tree must pass every invariant of
         :func:`repro.core.checker.check_tree`; violations raise
         :class:`RecoveryError`.  With ``verify=False`` the violations are
         only reported (useful for forensics on deliberately damaged logs).
         """
-        report = RecoveryReport()
         tree = TSBTree.open(
             self.magnetic,
             self.historical,
@@ -163,129 +129,40 @@ class RecoveryManager:
             cache_pages=self.cache_pages,
             superblock_page=self.superblock_page,
         )
-        # Scan from the anchor's byte offset, not byte 0: restart cost
-        # tracks the post-checkpoint log, not total history.
-        records = list(
-            decode_stream(self.log_device.durable_suffix(tree.log_anchor_offset))
+        replayer = LogReplayer(tree)
+        # Stream from the anchor's byte offset, not byte 0: restart cost
+        # (time and memory) tracks the post-checkpoint log, not total history.
+        records = decode_stream(self.log_device.durable_suffix(tree.log_anchor_offset))
+        while not replayer.anchored:
+            record = next(records, None)
+            if record is None:
+                raise RecoveryError(
+                    f"superblock anchors checkpoint LSN {tree.log_anchor} but the "
+                    "durable log holds no such record; log and tree are from "
+                    "different histories"
+                )
+            replayer.apply(record)
+        reclaimed = self._reclaim_orphan_pages(tree)
+        for record in records:
+            replayer.apply(record)
+        report = RecoveryReport(
+            checkpoint_lsn=tree.log_anchor,
+            last_durable_lsn=replayer.applied_lsn,
+            records_scanned=replayer.records_applied,
+            losers_discarded=replayer.discard_in_flight(),
+            winners_replayed=replayer.commits_applied,
+            operations_replayed=replayer.operations_applied,
+            aborts_discarded=replayer.aborts_applied,
+            orphan_pages_reclaimed=reclaimed,
+            high_water=max(replayer.high_water, tree.now),
+            next_txn_id=replayer.next_txn_id,
         )
-        report.records_scanned = len(records)
-        report.last_durable_lsn = records[-1].lsn if records else 0
-        report.checkpoint_lsn = tree.log_anchor
-
-        table, winners = self._analyze(tree, records, report)
-        report.orphan_pages_reclaimed = self._reclaim_orphan_pages(tree)
-        self._redo(tree, table, winners, report)
-        self._undo(tree, table, winners, report)
-
-        report.high_water = max(report.high_water, tree.now)
-        clock = TimestampOracle(start=report.high_water)
 
         report.violations = [str(v) for v in check_tree(tree)]
         if verify and report.violations:
             details = "\n".join(report.violations)
             raise RecoveryError(f"recovered tree violates invariants:\n{details}")
-        return RecoveryResult(tree=tree, clock=clock, report=report)
-
-    # ------------------------------------------------------------------
-    # Pass 1: analysis
-    # ------------------------------------------------------------------
-    def _analyze(
-        self, tree: TSBTree, records: List[LogRecord], report: RecoveryReport
-    ) -> Tuple[Dict[int, _TxnImage], List[Tuple[int, int]]]:
-        """Build the transaction table and the ordered winner list."""
-        anchor = tree.log_anchor
-        table: Dict[int, _TxnImage] = {}
-        winners: List[Tuple[int, int]] = []  # (commit_timestamp, txn_id) in log order
-        anchor_seen = anchor == 0
-
-        for record in records:
-            if record.lsn == anchor and record.kind is LogRecordType.CHECKPOINT:
-                anchor_seen = True
-                report.high_water = max(report.high_water, record.high_water)
-                report.next_txn_id = max(report.next_txn_id, record.next_txn_id)
-                for entry in record.active:
-                    table[entry.txn_id] = _TxnImage(
-                        txn_id=entry.txn_id, checkpointed_keys=entry.keys
-                    )
-                continue
-            if record.lsn <= anchor or not anchor_seen:
-                continue  # pre-anchor history: already inside the checkpoint image
-            kind = record.kind
-            if kind is LogRecordType.CHECKPOINT:
-                # A later fuzzy checkpoint: its table is redundant for redo
-                # (the anchor image did not move), but its scalars still
-                # tighten the recovered bounds.
-                report.high_water = max(report.high_water, record.high_water)
-                report.next_txn_id = max(report.next_txn_id, record.next_txn_id)
-                continue
-            image = table.setdefault(record.txn_id, _TxnImage(txn_id=record.txn_id))
-            report.next_txn_id = max(report.next_txn_id, record.txn_id + 1)
-            if kind is LogRecordType.BEGIN:
-                continue
-            if kind is LogRecordType.INSERT:
-                image.operations.append((False, record.key, record.value))
-            elif kind is LogRecordType.DELETE:
-                image.operations.append((True, record.key, b""))
-            elif kind is LogRecordType.COMMIT:
-                image.commit_timestamp = record.commit_timestamp
-                winners.append((record.commit_timestamp, record.txn_id))
-                report.high_water = max(report.high_water, record.commit_timestamp)
-            elif kind is LogRecordType.ABORT:
-                image.aborted = True
-
-        if anchor != 0 and not anchor_seen:
-            raise RecoveryError(
-                f"superblock anchors checkpoint LSN {anchor} but the durable log "
-                "holds no such record; log and tree are from different histories"
-            )
-        return table, winners
-
-    # ------------------------------------------------------------------
-    # Pass 2: redo
-    # ------------------------------------------------------------------
-    def _redo(
-        self,
-        tree: TSBTree,
-        table: Dict[int, _TxnImage],
-        winners: List[Tuple[int, int]],
-        report: RecoveryReport,
-    ) -> None:
-        """Replay durable winners in commit order with their original stamps."""
-        for commit_timestamp, txn_id in winners:
-            image = table[txn_id]
-            for is_delete, key, value in image.operations:
-                if is_delete:
-                    tree.delete_provisional(key, txn_id)
-                else:
-                    tree.insert_provisional(key, value, txn_id)
-                report.operations_replayed += 1
-            keys = image.all_keys()
-            if keys:
-                tree.commit_provisional(txn_id, keys, commit_timestamp)
-            report.winners_replayed += 1
-
-    # ------------------------------------------------------------------
-    # Pass 3: undo
-    # ------------------------------------------------------------------
-    def _undo(
-        self,
-        tree: TSBTree,
-        table: Dict[int, _TxnImage],
-        winners: List[Tuple[int, int]],
-        report: RecoveryReport,
-    ) -> None:
-        """Erase the provisional versions of losers and (durable) aborters."""
-        winner_ids = {txn_id for _, txn_id in winners}
-        for txn_id, image in table.items():
-            if txn_id in winner_ids:
-                continue
-            keys = image.all_keys()
-            if keys:
-                tree.abort_provisional(txn_id, keys)
-            if image.aborted:
-                report.aborts_discarded += 1
-            else:
-                report.losers_discarded += 1
+        return RecoveryResult(tree=tree, replayer=replayer, report=report)
 
     # ------------------------------------------------------------------
     # Orphan-page reclamation
@@ -296,7 +173,7 @@ class RecoveryManager:
         Splits allocate pages before linking them into the tree; a crash
         between the two (or any allocation after the checkpoint) leaves
         pages that no index entry references.  They must return to the free
-        list *before* redo so replay can use the space — without this, a
+        list *before* replay so it can use the space — without this, a
         crash caused by a full disk could never be recovered on that disk.
         """
         reachable = {self.superblock_page}

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.recovery.replay import replay_device
 from repro.recovery.system import RecoverableSystem
 from repro.storage.logdevice import LogDevice
 from repro.storage.serialization import Key
@@ -284,8 +285,6 @@ class ReplicatedCrashHarness:
 
     def replayer(self, replica: int):
         """Replay ``replica``'s mirror into a fresh tree (ground truth)."""
-        from repro.replication.apply import replay_device
-
         return replay_device(self.mirrors[replica])
 
     def durable_lsns(self) -> Dict[int, int]:

@@ -1,38 +1,36 @@
-"""A TSB-tree wired for durability: WAL + transactions + crash/restart.
+"""A crashable durable store: the fixture the crash harnesses drive.
 
-:class:`RecoverableSystem` assembles the full stack the recovery subsystem
-needs — magnetic disk, historical device, log device, tree, log manager and
-transaction manager — with the disciplines the WAL protocol requires:
+:class:`RecoverableSystem` is a ``wal=True`` :class:`~repro.api.store.VersionStore`
+over devices it keeps hold of, opened — the first time and after every
+crash — through the façade's own front door, so what the crash tests
+exercise is the restart path a user gets.  It adds the disciplines a crash
+test needs:
 
 * the tree's buffer pool is sized **no-steal** (dirty pages never reach the
   magnetic device between checkpoints), so the device always holds exactly
   the last full checkpoint's image — the durable base recovery starts from;
-* every checkpoint goes through the log manager, so the superblock anchor
-  and the log stay in lockstep;
 * :meth:`crash` models the failure honestly: the in-memory tree, cache,
   lock table and transaction state vanish wholesale, the log loses its
-  unforced tail, and a fresh :class:`~repro.recovery.recovery_manager.RecoveryManager`
-  rebuilds everything from the surviving devices.
+  unforced tail, and the store is reopened from the surviving devices —
+  restart recovery, then a fresh full checkpoint so the next crash replays
+  only post-recovery work.
 
-After a crash the system object is live again — recovered tree, a
-timestamp oracle restored to the pre-crash high-water mark, a log manager
-continuing the LSN sequence, and a fresh full checkpoint so the next crash
-replays only post-recovery work.
+After a crash the system object is live again: ``tree``, ``log`` and
+``txns`` are the reopened store's, with LSNs, commit timestamps and
+transaction ids continuing from what the durable log says.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.api.store import StoreConfig, VersionStore
 from repro.core.policy import SplitPolicy
-from repro.core.tsb_tree import TSBTree
-from repro.recovery.log_manager import LogManager
-from repro.recovery.recovery_manager import RecoveryManager, RecoveryReport
+from repro.recovery.recovery_manager import RecoveryReport
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.worm import WormDisk
-from repro.txn.manager import Transaction, TransactionManager, TransactionState
-from repro.txn.readonly import ReadOnlyTransaction
+from repro.txn.manager import Transaction, TransactionState
 
 #: Effectively-unbounded buffer pool: the no-steal discipline in page counts.
 _NO_STEAL_CACHE_PAGES = 1_000_000
@@ -71,26 +69,35 @@ class RecoverableSystem:
         self.magnetic = magnetic or MagneticDisk(page_size=page_size)
         self.historical = historical or WormDisk(sector_size=min(1024, page_size))
         self.log_device = log_device or LogDevice()
-        self.tree = TSBTree(
+        self._config = StoreConfig(
+            engine="tsb",
             page_size=page_size,
-            policy=policy,
+            split_policy=policy,
+            cache_pages=_NO_STEAL_CACHE_PAGES,
+            wal=True,
+            group_commit_size=group_commit_size,
+        )
+        self._open()
+
+    def _open(self) -> None:
+        """(Re)open the store from the devices: fresh ones format a new
+        database, used ones run restart recovery."""
+        self.store = VersionStore.open(
+            self._config,
             magnetic=self.magnetic,
             historical=self.historical,
-            cache_pages=_NO_STEAL_CACHE_PAGES,
+            log_device=self.log_device,
         )
-        self.log = LogManager(self.log_device, group_commit_size=group_commit_size)
-        self.txns = TransactionManager(self.tree, log=self.log)
-        self.log.checkpoint(self.tree, self.txns)
-        self.last_report: Optional[RecoveryReport] = None
+        self.tree = self.store.backend
+        self.log = self.store.log
+        self.txns = self.store.txns
+        self.last_report: Optional[RecoveryReport] = self.store.recovery_report
 
     # ------------------------------------------------------------------
     # Transactional surface (delegates)
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
         return self.txns.begin()
-
-    def begin_readonly(self) -> ReadOnlyTransaction:
-        return self.txns.begin_readonly()
 
     def checkpoint(self, fuzzy: bool = False) -> int:
         """Take a checkpoint through the log manager; return its LSN."""
@@ -103,15 +110,18 @@ class RecoverableSystem:
     # ------------------------------------------------------------------
     # Crash and restart
     # ------------------------------------------------------------------
-    def crash(self, verify: bool = True) -> RecoveryReport:
+    def crash(self) -> RecoveryReport:
         """Crash the system and restart it from the surviving devices.
 
         Everything volatile dies: the buffer pool's dirty pages, the lock
         table, in-flight transactions, and the unforced log tail.  What
         survives is what real hardware keeps — the magnetic pages as of the
         last full checkpoint (no-steal), the write-once historical regions,
-        and the forced log prefix.  Returns the recovery report; the system
-        is ready for new transactions afterwards.
+        and the forced log prefix.  The reopen verifies the rebuilt tree
+        against every structural invariant and raises
+        :class:`~repro.recovery.recovery_manager.RecoveryError` on any
+        violation.  Returns the recovery report; the system is ready for new
+        transactions afterwards.
 
         Transaction handles from before the crash are dead: their
         transactions are marked aborted and their manager is detached from
@@ -122,29 +132,8 @@ class RecoverableSystem:
             txn.state = TransactionState.ABORTED
         self.txns.log = None
         self.log_device.lose_volatile_tail()
-        result = RecoveryManager(
-            self.magnetic,
-            self.historical,
-            self.log_device,
-            policy=self.policy,
-            cache_pages=_NO_STEAL_CACHE_PAGES,
-        ).recover(verify=verify)
-
-        self.tree = result.tree
-        self.log = LogManager(
-            self.log_device,
-            group_commit_size=self.group_commit_size,
-            next_lsn=max(result.report.last_durable_lsn, self.log.last_lsn) + 1,
-        )
-        self.txns = TransactionManager(
-            self.tree,
-            clock=result.clock,
-            log=self.log,
-            next_txn_id=result.report.next_txn_id,
-        )
-        self.log.checkpoint(self.tree, self.txns)
-        self.last_report = result.report
-        return result.report
+        self._open()
+        return self.last_report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

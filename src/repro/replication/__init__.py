@@ -2,8 +2,9 @@
 
 Layers:
 
-* :mod:`repro.replication.apply` — incremental redo (:class:`LogReplayer`):
-  replays shipped WAL records into a follower TSB-tree in commit order.
+* :mod:`repro.replication.apply` — :class:`LogReplayer`, re-exported from
+  :mod:`repro.recovery.replay`: follower apply and restart recovery are the
+  same replayer, started from an empty tree or from a checkpoint image.
 * :mod:`repro.replication.primary` — :class:`ReplicationPrimary`: tails a
   WAL-enabled store's log devices and streams durable bytes to subscribers.
 * :mod:`repro.replication.replica` — :class:`Replica`: mirrors the log,

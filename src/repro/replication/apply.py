@@ -1,38 +1,19 @@
-"""Incremental redo: replay shipped WAL records into a follower tree.
+"""Follower apply: the replication tier's view of the one log replayer.
 
-Restart recovery (:class:`~repro.recovery.recovery_manager.RecoveryManager`)
-replays a *finished* log in three passes; a replica replays a log that never
-finishes.  :class:`LogReplayer` is the incremental form of the same redo
-machinery: it consumes records one at a time, in log order, buffering each
-transaction's operations until its ``COMMIT`` arrives and then applying them
-through the tree's provisional-write path — ``insert_provisional`` /
-``delete_provisional`` followed by ``commit_provisional`` at the logged
-commit timestamp.  Because the primary logs every record under its write
-latch, log order *is* the primary's serialization order, and replaying
-commits in log order reproduces the primary's state deterministically: the
-many serial orders concurrent transactions admit collapse to the one the
-log wrote down.
-
-Key properties:
-
-* **Prefix consistency.**  After applying any record prefix, the tree holds
-  exactly the transactions whose ``COMMIT`` lies in that prefix — aborted
-  and in-flight transactions leave no trace (their buffered operations are
-  simply dropped or still pending).  No undo pass ever runs.
-* **Idempotence.**  Records at or below :attr:`applied_lsn` are skipped, so
-  re-delivery after a resubscribe cannot double-apply.
-* **Watermark.**  :attr:`watermark` is the largest commit timestamp applied;
-  a follower read at or below the watermark sees a committed prefix of the
-  primary's history.
+A replica replays a log that never finishes; restart recovery replays one
+that has.  Both are :class:`~repro.recovery.replay.LogReplayer` — the body
+lives under :mod:`repro.recovery` so recovery does not import the wire
+protocol — and this module re-exports the very same class, plus the one
+helper that is about shipping rather than applying: finding where in a raw
+WAL byte range a subscriber's resume LSN falls.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-from repro.recovery.log_records import LogRecord, LogRecordType, decode_stream
+from repro.recovery.replay import LogReplayer, replay_device
 from repro.server.protocol import iter_wal_records
-from repro.storage.serialization import Key
+
+__all__ = ["LogReplayer", "replay_device", "scan_offset"]
 
 
 def scan_offset(data: bytes, from_lsn: int) -> int:
@@ -48,117 +29,3 @@ def scan_offset(data: bytes, from_lsn: int) -> int:
             return start
         offset = end
     return offset
-
-
-class LogReplayer:
-    """Apply a shard's WAL records incrementally to a follower TSB-tree.
-
-    The caller owns ordering and latching: records must arrive in LSN order
-    (the wire protocol guarantees it per shard) and :meth:`apply` must run
-    under the follower store's write latch when reads are concurrently
-    served from the same tree.
-    """
-
-    def __init__(self, tree, metrics=None, shard: int = 0) -> None:
-        self.tree = tree
-        self.shard = shard
-        self._metrics = metrics
-        #: Buffered per-transaction operations: ``txn_id -> [(is_delete, key, value)]``.
-        self._images: Dict[int, List[Tuple[bool, Key, bytes]]] = {}
-        #: Highest LSN applied (records at or below it are skipped).
-        self.applied_lsn = 0
-        #: Largest commit timestamp applied — the follower-read watermark.
-        self.watermark = 0
-        #: Every key any applied commit touched (feeds shard-key tracking).
-        self.keys_applied: Set[Key] = set()
-        self.commits_applied = 0
-        self.records_applied = 0
-
-    def apply(self, record: LogRecord) -> None:
-        """Consume one record; commits become visible atomically."""
-        if record.lsn <= self.applied_lsn:
-            return  # duplicate delivery (resubscribe overlap): already applied
-        kind = record.kind
-        if kind is LogRecordType.BEGIN:
-            self._images[record.txn_id] = []
-        elif kind is LogRecordType.INSERT:
-            self._images.setdefault(record.txn_id, []).append(
-                (False, record.key, record.value)
-            )
-        elif kind is LogRecordType.DELETE:
-            self._images.setdefault(record.txn_id, []).append(
-                (True, record.key, b"")
-            )
-        elif kind is LogRecordType.COMMIT:
-            self._apply_commit(
-                record.txn_id, record.commit_timestamp, self._images.pop(record.txn_id, [])
-            )
-        elif kind is LogRecordType.ABORT:
-            self._images.pop(record.txn_id, None)
-        # CHECKPOINT records carry recovery anchors, not data: nothing to do.
-        self.applied_lsn = record.lsn
-        self.records_applied += 1
-
-    def _apply_commit(
-        self,
-        txn_id: int,
-        commit_timestamp: int,
-        operations: List[Tuple[bool, Key, bytes]],
-    ) -> None:
-        if not operations:
-            return  # empty transaction: committed but wrote nothing
-        keys: List[Key] = []
-        seen: Set[Key] = set()
-        for is_delete, key, value in operations:
-            if is_delete:
-                self.tree.delete_provisional(key, txn_id)
-            else:
-                self.tree.insert_provisional(key, value, txn_id)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        self.tree.commit_provisional(txn_id, keys, commit_timestamp)
-        self.watermark = max(self.watermark, commit_timestamp)
-        self.keys_applied.update(keys)
-        self.commits_applied += 1
-        if self._metrics is not None:
-            self._metrics.inc(f"repl.shard{self.shard}.commits_applied")
-            self._metrics.observe(
-                f"repl.shard{self.shard}.commit_keys", len(keys)
-            )
-
-    def replay(self, data: bytes) -> int:
-        """Apply every intact record in ``data``; return the count applied."""
-        before = self.records_applied
-        for record in decode_stream(data):
-            self.apply(record)
-        return self.records_applied - before
-
-    def visible_state(self) -> Dict[Key, bytes]:
-        """Latest non-tombstone value per applied key — the oracle surface
-        crash-convergence tests compare against ``expected_visible``."""
-        state: Dict[Key, bytes] = {}
-        for key in self.keys_applied:
-            history = self.tree.key_history(key)
-            if not history:
-                continue
-            last = history[-1]
-            if not last.is_tombstone:
-                state[key] = last.value
-        return state
-
-
-def replay_device(device, tree=None, metrics=None, shard: int = 0) -> LogReplayer:
-    """Replay a log device's durable contents into ``tree`` (fresh by default).
-
-    The promotion digest check and the crash harness both use this: the
-    durable bytes of a mirror device, replayed through a fresh
-    :class:`LogReplayer`, are the ground truth a promoted store must match.
-    """
-    if tree is None:
-        from repro.core.tsb_tree import TSBTree
-
-        tree = TSBTree(cache_pages=1_000_000)
-    replayer = LogReplayer(tree, metrics=metrics, shard=shard)
-    replayer.replay(device.durable_contents())
-    return replayer

@@ -44,11 +44,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engine import VersionStoreError
 from repro.api.sharded import ShardedVersionStore
 from repro.api.store import StoreConfig, VersionStore
 from repro.client import ReproClient, WrongShardError as ClientWrongShardError
-from repro.recovery.log_records import LogRecordType, decode_stream
+from repro.recovery.log_records import decode_stream
+from repro.recovery.replay import TransactionBuffer
 from repro.server import protocol
 from repro.server.protocol import (
     ByteReader,
@@ -159,90 +159,47 @@ class NodeRole:
             raise protocol.ProtocolError(
                 "online migration requires a sharded WAL store"
             )
-        if offsets:
-            events, new_offsets = self._delta_events(store, low, high, offsets)
-        else:
-            events, new_offsets = self._snapshot_events(store, low, high)
-        chunks = protocol.chunk_events(events)
-        chunks.append(protocol.pack_copy_state(new_offsets))
-        return chunks
-
-    @staticmethod
-    def _snapshot_events(
-        store: ShardedVersionStore, low: Optional[Key], high: Optional[Key]
-    ) -> Tuple[List[Event], List[Tuple[int, int]]]:
-        engine = store.sharded_engine
-        events: List[Event] = []
-        offsets: List[Tuple[int, int]] = []
-        # Exclusive hold: the façade latch is not reentrant, so histories
-        # are read at the engine level; exclusivity also pins every shard's
-        # WAL append position to the same instant as the events.
-        with store.write_latched():
-            for index, inner in enumerate(engine.stores):
-                device = inner.log_device
-                if device is None:
-                    raise protocol.ProtocolError(
-                        f"shard {index} has no WAL; migration needs wal=True"
-                    )
-                offsets.append((index, device.appended_bytes))
-                for key in engine._shard_keys[index]:
-                    if not _contains(low, high, key):
-                        continue
-                    for version in inner.engine.tree.key_history(key):
-                        if version.timestamp is None:
-                            continue  # provisional: not committed, not copied
-                        events.append(
-                            (
-                                version.timestamp,
-                                key,
-                                version.is_tombstone,
-                                version.value,
-                            )
-                        )
-        events.sort(key=lambda event: event[0])
-        return events, offsets
-
-    @staticmethod
-    def _delta_events(
-        store: ShardedVersionStore,
-        low: Optional[Key],
-        high: Optional[Key],
-        offsets: Sequence[Tuple[int, int]],
-    ) -> Tuple[List[Event], List[Tuple[int, int]]]:
         engine = store.sharded_engine
         events: List[Event] = []
         new_offsets: List[Tuple[int, int]] = []
+        copying = not offsets
+        if copying:
+            offsets = [(shard, 0) for shard in range(len(engine.stores))]
+        # Exclusive hold: it pins every shard's WAL position to the same
+        # instant as the events read beside it.
         with store.write_latched():
             for shard, offset in offsets:
-                inner = engine.stores[shard]
-                device = inner.log_device
-                # Push any group-commit tail out so the delta covers every
+                device = engine.stores[shard].log_device
+                if device is None:
+                    raise protocol.ProtocolError(
+                        f"shard {shard} has no WAL; migration needs wal=True"
+                    )
+                if copying:  # every version the shard holds, as of right now
+                    new_offsets.append((shard, device.appended_bytes))
+                    events.extend(engine.export_events(shard, low, high))
+                    continue
+                # A delta: push any group-commit tail out so it covers every
                 # committed transaction up to this instant.
                 device.force()
                 data = device.durable_suffix(offset)
                 new_offsets.append((shard, offset + len(data)))
                 events.extend(_committed_events(data, low, high))
         events.sort(key=lambda event: event[0])
-        return events, new_offsets
+        chunks = protocol.chunk_events(events)
+        chunks.append(protocol.pack_copy_state(new_offsets))
+        return chunks
 
     # -- migration: target side ----------------------------------------
     def apply_chunk(self, store, payload: ByteReader) -> bytes:
         """Apply one batch of migration events at their original timestamps.
 
-        Replay is idempotent: an event whose version already exists on the
-        target (a retried chunk, or a range migrating back to a node that
-        once owned it and still holds its history) is a no-op, not an
-        error.
+        Delivery is :meth:`VersionStore.import_events`: a version already
+        on the target is skipped, and an event the target cannot take (its
+        commit clock is already past the event's timestamp) fails the chunk
+        — and with it the migration, before any cutover — instead of
+        vanishing.
         """
-        events = protocol.unpack_events(payload)
-        for timestamp, key, tombstone, value in events:
-            try:
-                if tombstone:
-                    store.delete(key, timestamp=timestamp)
-                else:
-                    store.insert(key, value, timestamp=timestamp)
-            except VersionStoreError:
-                continue  # version already present at this timestamp
+        store.import_events(protocol.unpack_events(payload))
         return b""
 
     # -- cutover -------------------------------------------------------
@@ -272,26 +229,12 @@ def _committed_events(
     transaction under one latch hold, and the cut is taken under the same
     latch).
     """
-    images: Dict[int, List[Tuple[bool, Key, bytes]]] = {}
+    buffer = TransactionBuffer()
     events: List[Event] = []
     for record in decode_stream(data):
-        kind = record.kind
-        if kind is LogRecordType.BEGIN:
-            images[record.txn_id] = []
-        elif kind is LogRecordType.INSERT:
-            images.setdefault(record.txn_id, []).append(
-                (False, record.key, record.value)
-            )
-        elif kind is LogRecordType.DELETE:
-            images.setdefault(record.txn_id, []).append((True, record.key, b""))
-        elif kind is LogRecordType.COMMIT:
-            for is_delete, key, value in images.pop(record.txn_id, []):
-                if _contains(low, high, key):
-                    events.append(
-                        (record.commit_timestamp, key, is_delete, value)
-                    )
-        elif kind is LogRecordType.ABORT:
-            images.pop(record.txn_id, None)
+        for is_delete, key, value in buffer.feed(record) or ():
+            if _contains(low, high, key):
+                events.append((record.commit_timestamp, key, is_delete, value))
     return events
 
 

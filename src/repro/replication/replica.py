@@ -31,11 +31,12 @@ same prefix (they may miss the newest commits) — clients needing
 read-your-writes poll :meth:`ReproClient.wait_for_watermark` first.
 
 Failover: :meth:`promote` stops the tailers, replays any mirrored-but-
-unapplied records, then rebuilds the store *writable* — a fresh
-:class:`~repro.recovery.log_manager.LogManager` continues LSNs on the very
-mirror device (``next_lsn = applied + 1``) and a fresh transaction manager
-resumes the commit clock at the replayed high-water mark, so post-failover
-commits extend the same log and the same timeline.
+unapplied records, then hands each follower tree and its mirror device to
+:meth:`VersionStore.over_tree <repro.api.store.VersionStore.over_tree>` —
+the same composition root a fresh or restarted store goes through — which
+continues LSNs on the very mirror device (``next_lsn = applied + 1``) and
+resumes the commit clock and transaction ids where the replayed log left
+them, so post-failover commits extend the same log and the same timeline.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.api.sharded import ShardedEngine, ShardedVersionStore
 from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.core.tsb_tree import TSBTree
 from repro.obs.registry import MetricsRegistry
-from repro.recovery.log_manager import LogManager
 from repro.server.protocol import (
     Opcode,
     ProtocolError,
@@ -69,9 +69,8 @@ from repro.server.protocol import (
 from repro.server.registry import StoreRegistry
 from repro.server.service import ReproServer
 from repro.storage.logdevice import LogDevice
-from repro.replication.apply import LogReplayer
+from repro.replication.apply import LogReplayer, replay_device
 from repro.replication.primary import ReplicationError
-from repro.txn.manager import TransactionManager
 
 #: Follower buffer pools are sized no-steal, like restart recovery's: the
 #: follower tree never checkpoints mid-stream, so dirty pages must never
@@ -200,24 +199,25 @@ class Replica:
 
     def _build_follower_store(self) -> VersionStore:
         inner_config = StoreConfig(engine="tsb", page_size=self._page_size)
-        if not self._sharded:
-            state = self._states[0]
-            store = VersionStore(
-                TSBEngine(state.tree), inner_config, metrics=self.metrics
-            )
-            state.store = store
-            return store
-        inner_stores: List[VersionStore] = []
         for state in self._states:
-            store = VersionStore(TSBEngine(state.tree), inner_config)
-            state.store = store
-            inner_stores.append(store)
+            state.store = VersionStore(
+                TSBEngine(state.tree),
+                inner_config,
+                metrics=None if self._sharded else self.metrics,
+            )
+        return self._assemble([state.store for state in self._states], inner_config)
+
+    def _assemble(
+        self, inner: List[VersionStore], inner_config: StoreConfig, shard_keys=None
+    ) -> VersionStore:
+        """One store over the per-shard stores, laid out like the primary's."""
+        if not self._sharded:
+            return inner[0]
         spec = ShardSpec(boundaries=tuple(self._boundaries))
         engine = ShardedEngine(
-            inner_stores, list(self._boundaries), spec, inner_config
+            inner, list(self._boundaries), spec, inner_config, shard_keys=shard_keys
         )
-        config = replace(inner_config, shards=spec)
-        return ShardedVersionStore(engine, config)
+        return ShardedVersionStore(engine, replace(inner_config, shards=spec))
 
     @property
     def store(self) -> VersionStore:
@@ -230,10 +230,14 @@ class Replica:
         """Graceful stop: close subscriptions, join the tailers."""
         self._running = False
         for state in self._states:
-            if state.sock is not None:
+            sock = state.sock  # the tailer clears the attribute as it exits
+            if sock is not None:
                 try:
-                    state.sock.close()
-                except OSError:  # pragma: no cover - defensive
+                    # close() alone does not interrupt a read another thread
+                    # is blocked in; shutdown() does, so the join is prompt.
+                    sock.shutdown(socket.SHUT_RDWR)
+                    sock.close()
+                except OSError:  # already closed by the tailer
                     pass
         for state in self._states:
             if state.thread is not None:
@@ -326,13 +330,16 @@ class Replica:
         assert store is not None
         started = time.perf_counter()
         with store.write_latched():
-            before_keys = len(state.replayer.keys_applied)
-            applied = state.replayer.replay(records)
-            if self._sharded and isinstance(store, ShardedVersionStore):
-                engine = store.sharded_engine
-                if len(state.replayer.keys_applied) != before_keys:
-                    engine._shard_keys[state.shard] |= state.replayer.keys_applied
-                engine._now = max(engine._now, state.replayer.watermark)
+            replayer = state.replayer
+            before_keys = len(replayer.keys_applied)
+            applied = replayer.replay(records)
+            if isinstance(store, ShardedVersionStore):
+                grew = len(replayer.keys_applied) != before_keys
+                store.sharded_engine.note_replayed(
+                    state.shard,
+                    replayer.keys_applied if grew else (),
+                    replayer.watermark,
+                )
         self.metrics.observe("repl.apply_batch_records", applied)
         self.metrics.observe("repl.apply_seconds", time.perf_counter() - started)
         self.metrics.set_gauge(
@@ -397,12 +404,12 @@ class Replica:
     def promote(self) -> VersionStore:
         """Become the primary: stop tailing, finish applying, go writable.
 
-        Returns a store over the *same* trees and mirror devices, now with
-        a log manager continuing each shard's LSN sequence and a
-        transaction manager whose commit clock resumes past the replayed
-        high-water mark.  The promoted store's answers over the whole read
-        surface equal a fresh replay of the mirrors' durable bytes — the
-        digest check ``repro failover`` enforces.
+        Returns a store over the *same* trees and mirror devices, now
+        writable: each shard's log continues its LSN sequence and its commit
+        clock and transaction ids resume past what the replayed log used.
+        The promoted store's answers over the whole read surface equal a
+        fresh replay of the mirrors' durable bytes — the digest check
+        ``repro failover`` enforces.
         """
         if self.promoted is not None:
             return self.promoted
@@ -412,57 +419,42 @@ class Replica:
             # and apply) replay here; the replayer skips what it already
             # has, so this is idempotent.
             state.replayer.replay(state.mirror.durable_contents())
-        inner_wal = replace(
-            StoreConfig(engine="tsb", page_size=self._page_size),
+        inner_wal = StoreConfig(
+            engine="tsb",
+            page_size=self._page_size,
             wal=True,
             group_commit_size=self._group_commit_size,
         )
         promoted_inner: List[VersionStore] = []
         for state in self._states:
-            metrics = (
-                self.metrics if not self._sharded else MetricsRegistry(name="tsb")
-            )
-            log_manager = LogManager(
-                state.mirror,
-                group_commit_size=self._group_commit_size,
-                next_lsn=state.replayer.applied_lsn + 1,
-                metrics=metrics,
-            )
             assert state.store is not None
-            latch = state.store.latch
-            txns = TransactionManager(
-                state.tree, log=log_manager, latch=latch, metrics=metrics
-            )
-            log_manager.checkpoint(state.tree, txns)
             promoted_inner.append(
-                VersionStore(
-                    TSBEngine(state.tree),
+                VersionStore.over_tree(
                     inner_wal,
-                    txns=txns,
-                    log_manager=log_manager,
-                    log_device=state.mirror,
-                    latch=latch,
-                    metrics=metrics,
+                    state.tree,
+                    state.mirror,
+                    replayed=state.replayer,
+                    latch=state.store.latch,
+                    metrics=None if self._sharded else self.metrics,
                 )
             )
-        if not self._sharded:
-            self.promoted = promoted_inner[0]
-        else:
-            spec = ShardSpec(boundaries=tuple(self._boundaries))
-            shard_keys = [
-                set(state.replayer.keys_applied) for state in self._states
-            ]
-            engine = ShardedEngine(
-                promoted_inner,
-                list(self._boundaries),
-                spec,
-                inner_wal,
-                shard_keys=shard_keys,
-            )
-            self.promoted = ShardedVersionStore(
-                engine, replace(inner_wal, shards=spec)
-            )
+        self.promoted = self._assemble(
+            promoted_inner,
+            inner_wal,
+            [set(state.replayer.keys_applied) for state in self._states],
+        )
         return self.promoted
+
+    def mirror_replay(self) -> VersionStore:
+        """A store replayed from nothing but the mirrors' durable bytes, into
+        fresh trees — the oracle a promoted store's answers must equal."""
+        inner_config = StoreConfig(engine="tsb", page_size=self._page_size)
+        replayers = [replay_device(state.mirror) for state in self._states]
+        return self._assemble(
+            [VersionStore(TSBEngine(r.tree), inner_config) for r in replayers],
+            inner_config,
+            [set(r.keys_applied) for r in replayers],
+        )
 
 
 def elect(replicas: Sequence[Replica]) -> Replica:

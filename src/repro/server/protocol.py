@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import RecordView
+from repro.api.store import VersionEvent
 from repro.storage.serialization import (
     ByteReader,
     ByteWriter,
@@ -865,8 +866,8 @@ def unpack_topology(reader: ByteReader) -> Tuple[bool, List[Key], int, int]:
 # inserts and deletes land at their original commit timestamps, so every
 # as-of answer over the moved range is byte-identical on the target.
 # ----------------------------------------------------------------------
-#: One migration event: ``(timestamp, key, is_tombstone, value)``.
-Event = Tuple[int, Key, bool, bytes]
+#: One migration event: the store's ``(timestamp, key, is_tombstone, value)``.
+Event = VersionEvent
 
 #: Cutover phases.
 CUTOVER_PREPARE = 1

@@ -222,7 +222,9 @@ class StoreRegistry:
             return _ResumeState(
                 shard_devices=pairs,
                 boundaries=list(engine.boundaries),
-                shard_keys=[set(keys) for keys in engine._shard_keys],
+                shard_keys=[
+                    engine.written_keys(index) for index in range(len(pairs))
+                ],
                 sharded=True,
             )
         devices = store.devices

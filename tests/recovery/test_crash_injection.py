@@ -11,36 +11,116 @@ violation).
 import pytest
 
 from repro.recovery import RecoverableSystem, ScriptRunner, generate_script
+from repro.replication import replay_device
+from repro.storage.logdevice import LogDevice
+
+KEY_SPACE = 8
+
+#: Checkpoint-heavy script shape: a (full or fuzzy) checkpoint is on offer
+#: at every step and a third of the closes are aborts, so transactions
+#: routinely straddle the recovery anchor and then commit, abort, or are
+#: still in flight at the crash — the state a checkpoint image *carries*.
+CHECKPOINTED = {"steps": 80, "checkpoint_every": 1.0, "abort_fraction": 1.0}
 
 
 def visible_state(system):
     return {version.key: version.value for version in system.tree.range_search()}
 
 
+def histories(tree):
+    """Every key's full committed history, tombstones included."""
+    return {
+        key: [(v.timestamp, v.is_tombstone, v.value) for v in tree.key_history(key)]
+        for key in range(KEY_SPACE)
+    }
+
+
+def provisional_versions(tree):
+    return [v for node in tree.data_nodes() for v in node.versions if v.is_provisional]
+
+
+def expected_histories(runner):
+    """The oracle's histories: durably committed writes, in commit order."""
+    expected = {key: [] for key in range(KEY_SPACE)}
+    for lsn, timestamp, writes in runner.commit_events:
+        if lsn <= runner.system.log.flushed_lsn:
+            for key, value in writes.items():
+                expected[key].append((timestamp, value is None, value or b""))
+    return expected
+
+
 @pytest.mark.parametrize(
-    "seed,group_commit_size",
-    [(1989, 1), (1989, 3), (7, 1), (7, 4), (23, 2)],
+    "seed,group_commit_size,shape",
+    [
+        pytest.param(1989, 1, {}, id="1989-1"),
+        pytest.param(1989, 3, {}, id="1989-3"),
+        pytest.param(7, 1, {}, id="7-1"),
+        pytest.param(7, 4, {}, id="7-4"),
+        pytest.param(23, 2, {}, id="23-2"),
+        pytest.param(22, 1, CHECKPOINTED, id="22-1-checkpointed"),
+        pytest.param(22, 3, CHECKPOINTED, id="22-3-checkpointed"),
+        pytest.param(34, 2, CHECKPOINTED, id="34-2-checkpointed"),
+    ],
 )
-def test_crash_at_every_point_recovers_the_committed_prefix(seed, group_commit_size):
-    script = generate_script(steps=60, key_space=8, seed=seed)
+def test_crash_at_every_point_recovers_the_committed_prefix(
+    seed, group_commit_size, shape
+):
+    """Three derivations of the post-crash state must agree at every crash
+    point: restart recovery (checkpoint image + seeded replay), the same
+    durable log replayed from its first byte into an empty tree, and the
+    script oracle — on the visible state and on every key's history."""
+    script = generate_script(**{"steps": 60, "key_space": KEY_SPACE, "seed": seed, **shape})
     for crash_at in range(len(script) + 1):
         runner = ScriptRunner(
             RecoverableSystem(page_size=384, group_commit_size=group_commit_size)
         )
         runner.run(script[:crash_at])
+        where = f"seed={seed} batch={group_commit_size} crash_at={crash_at}"
         expected = runner.expected_visible()
+        expected_history = expected_histories(runner)
         expected_high_water = runner.durable_high_water()
-        report = runner.system.crash()  # verify=True: checker runs inside
+        durable_log = LogDevice()
+        durable_log.append(runner.system.log_device.durable_contents())
+        durable_log.force()
+        report = runner.system.crash()  # the reopen verifies the tree
         observed = visible_state(runner.system)
         assert observed == expected, (
-            f"seed={seed} batch={group_commit_size} crash_at={crash_at}: "
-            f"recovered state diverged from the durable committed prefix"
+            f"{where}: recovered state diverged from the durable committed prefix"
         )
+        assert histories(runner.system.tree) == expected_history, where
+        assert not provisional_versions(runner.system.tree), where
+        from_empty = replay_device(durable_log)
+        assert from_empty.visible_state() == expected, where
+        assert histories(from_empty.tree) == expected_history, where
         # tree.now can trail the oracle (empty-write-set commits advance the
         # clock without stamping anything); the restored clock must not.
         assert runner.system.tree.now <= expected_high_water
         assert report.high_water >= expected_high_water
         assert runner.system.txns.clock.latest >= expected_high_water
+
+
+def test_checkpointed_scripts_carry_state_across_the_anchor():
+    """The checkpointed shapes above are only worth their runtime if their
+    scripts really do leave provisional versions inside checkpoint images
+    and then decide those transactions both ways."""
+    for seed in (22, 34):
+        script = generate_script(**{"key_space": KEY_SPACE, "seed": seed, **CHECKPOINTED})
+        kinds = [step.kind for step in script]
+        assert "checkpoint" in kinds and "fuzzy-checkpoint" in kinds
+        writes, carried, decided = {}, set(), set()
+        for step in script:
+            if step.kind == "begin":
+                writes[step.slot] = 0
+            elif step.kind in ("write", "delete"):
+                writes[step.slot] += 1
+            elif step.kind == "checkpoint":
+                carried.update(slot for slot, count in writes.items() if count)
+            elif step.kind in ("commit", "abort"):
+                if step.slot in carried:
+                    decided.add(step.kind)
+                    carried.discard(step.slot)
+                del writes[step.slot]
+        assert decided == {"commit", "abort"}
 
 
 def test_system_remains_usable_after_every_mid_script_crash():

@@ -288,3 +288,119 @@ class TestDamagedInputs:
         result = RecoveryManager(magnetic, historical, log.device).recover()
         assert result.tree.log_anchor == 0
         assert result.tree.search_current("k").value == b"v"
+
+
+class TestFacadeReopen:
+    """``VersionStore.open(config, magnetic=, historical=, log_device=)`` is
+    the restart path: recovery, then the same log goes on."""
+
+    CONFIG = dict(engine="tsb", page_size=512, wal=True, cache_pages=1_000_000)
+
+    @staticmethod
+    def _devices():
+        return MagneticDisk(page_size=512), WormDisk(sector_size=512), LogDevice()
+
+    @staticmethod
+    def _reopen(store):
+        """Crash ``store`` (volatile state and unforced log tail are lost)
+        and hand its three devices back to the front door."""
+        from repro.api import VersionStore
+
+        store.log_device.lose_volatile_tail()
+        magnetic, historical = store.devices
+        return VersionStore.open(
+            store.config,
+            magnetic=magnetic,
+            historical=historical,
+            log_device=store.log_device,
+        )
+
+    def test_crashed_store_reopens_and_continues_every_sequence(self):
+        from repro.api import StoreConfig, VersionStore
+        from repro.recovery import LogRecordType, decode_stream
+
+        magnetic, historical, log_device = self._devices()
+        store = VersionStore.open(
+            StoreConfig(group_commit_size=2, **self.CONFIG),
+            magnetic=magnetic,
+            historical=historical,
+            log_device=log_device,
+        )
+        assert store.recovery_report is None  # formatted fresh: nothing to recover
+        assert store.log_device is log_device
+        stamps = store.put_many([("a", b"1"), ("b", b"1")])  # commit 1 of a batch of 2
+        in_flight = store.begin()
+        in_flight.write("c", b"never")
+        with store.begin() as txn:
+            txn.write("a", b"2")  # commit 2: fills the batch, forces the log
+        durable_stamp = txn.commit_timestamp
+        with store.begin() as tail:
+            tail.write("b", b"lost")  # commit 3: sits in the unforced tail
+        assert store.commit_is_durable(txn) and not store.commit_is_durable(tail)
+
+        reopened = self._reopen(store)
+        report = reopened.recovery_report
+        assert report.winners_replayed == 2 and report.losers_discarded == 1
+        assert reopened.get("a").value == b"2"
+        assert reopened.get("b").value == b"1"  # the tail commit is gone
+        assert reopened.get("c") is None
+        assert [r.timestamp for r in reopened.key_history("a")] == [
+            stamps[0],
+            durable_stamp,
+        ]
+        # The same log goes on: LSNs follow the durable log's last record.
+        assert reopened.log_device is log_device
+        assert reopened.durable_lsn() == report.last_durable_lsn + 1  # the reopen's checkpoint
+
+        with reopened.begin() as txn:
+            txn.write("d", b"after")
+        assert txn.txn_id == report.next_txn_id > in_flight.txn_id
+        assert txn.commit_timestamp > durable_stamp
+        reopened.log.force()
+
+        again = self._reopen(reopened)
+        assert again.recovery_report.checkpoint_lsn == report.last_durable_lsn + 1
+        assert again.get("d").value == b"after"
+        assert again.get("a").value == b"2"
+        records = list(decode_stream(log_device.durable_contents()))
+        lsns = [record.lsn for record in records]
+        assert lsns == sorted(set(lsns)), "LSNs repeat or go backwards in the durable log"
+        begun = [r.txn_id for r in records if r.kind is LogRecordType.BEGIN]
+        assert len(begun) == len(set(begun)), "a transaction id was reused"
+        commits = [r.commit_timestamp for r in records if r.kind is LogRecordType.COMMIT]
+        assert commits == sorted(set(commits)), "commit timestamps repeat or go backwards"
+        assert_tree_valid(again.backend)
+
+    def test_cleanly_closed_store_reopens_on_its_log_with_nothing_to_redo(self):
+        from repro.api import StoreConfig, VersionStore
+
+        store = VersionStore.open(StoreConfig(**self.CONFIG))
+        store.put_many([(key, b"v") for key in range(20)])
+        store.close()
+        magnetic, historical = store.devices
+        reopened = VersionStore.open(
+            store.config,
+            magnetic=magnetic,
+            historical=historical,
+            log_device=store.log_device,
+        )
+        assert reopened.recovery_report.winners_replayed == 0
+        assert len(reopened.snapshot(reopened.now)) == 20
+
+    def test_a_log_device_needs_a_wal_and_its_own_tree(self):
+        from repro.api import StoreConfig, VersionStore, VersionStoreError
+
+        with pytest.raises(VersionStoreError, match="wal=True"):
+            VersionStore.open(StoreConfig(engine="tsb"), log_device=LogDevice())
+        store = VersionStore.open(StoreConfig(**self.CONFIG))
+        store.put_many([("k", b"v")])
+        with pytest.raises(VersionStoreError, match="second history"):
+            VersionStore.open(StoreConfig(**self.CONFIG), log_device=store.log_device)
+        magnetic, historical = store.devices
+        with pytest.raises(RecoveryError):  # somebody else's (empty) log
+            VersionStore.open(
+                store.config,
+                magnetic=magnetic,
+                historical=historical,
+                log_device=LogDevice(),
+            )

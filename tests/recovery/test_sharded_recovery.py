@@ -4,9 +4,9 @@ A :class:`~repro.api.ShardedVersionStore` over WAL-enabled TSB-tree shards
 gives each shard its own log device, log manager and group-commit batch.
 These tests kill the store mid-``put_many`` (and with unforced group-commit
 tails) using the recovery subsystem's crash model — the volatile log tail
-vanishes, the buffer pool dies, and a fresh
-:class:`~repro.recovery.RecoveryManager` restarts each shard from its own
-surviving devices — and assert that every shard independently recovers to a
+vanishes, the buffer pool dies, and each shard is reopened through the
+façade from its own surviving devices (``VersionStore.open(config,
+magnetic=, historical=, log_device=)`` runs restart recovery) — and assert that every shard independently recovers to a
 *prefix-consistent* state: exactly the durably committed prefix of the
 per-shard transaction sequence, never a partial transaction and never a
 state that mixes a later commit with a missing earlier one.
@@ -19,7 +19,6 @@ from typing import Dict, List
 import pytest
 
 from repro.api import ShardSpec, StoreConfig, VersionStore
-from repro.recovery import RecoveryManager
 
 #: The no-steal discipline in page counts: dirty pages never reach the
 #: magnetic device between checkpoints (same constant idea as
@@ -51,18 +50,20 @@ def crash_and_recover(inner: VersionStore) -> Dict[object, bytes]:
 
     The unforced log tail is lost, the in-memory tree is abandoned, and the
     shard restarts from its magnetic/historical/log devices alone.  The
-    recovered tree must pass every structural invariant (``verify=True``
-    raises otherwise).
+    reopen verifies the recovered tree against every structural invariant
+    (it raises otherwise).
     """
-    inner._log_device.lose_volatile_tail()
-    result = RecoveryManager(
-        inner.backend.magnetic,
-        inner.backend.historical,
-        inner._log_device,
-        cache_pages=NO_STEAL_CACHE_PAGES,
-    ).recover(verify=True)
+    inner.log_device.lose_volatile_tail()
+    magnetic, historical = inner.devices
+    reopened = VersionStore.open(
+        inner.config,
+        magnetic=magnetic,
+        historical=historical,
+        log_device=inner.log_device,
+    )
+    assert reopened.recovery_report is not None
     return {
-        version.key: version.value for version in result.tree.range_search()
+        version.key: version.value for version in reopened.backend.range_search()
     }
 
 

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.api.store import ShardSpec, StoreConfig
-from repro.client import ReproClient, WrongShardError
+from repro.client import ReproClient, ServerError, WrongShardError
 from repro.replication import ClusterClient, ClusterNode, migrate_range
 
 
@@ -161,3 +161,27 @@ class TestMigration:
         assert second.epoch > first.epoch
         assert client.table.owner("k0030") == "A"
         assert client.get("k0030").value == b"seed30"
+
+    def test_range_the_target_cannot_take_fails_before_cutover(self, cluster):
+        """A target whose commit clock has run ahead rejects the range's
+        (older) history as backdated.  That must fail the migration before
+        PREPARE — it used to "succeed" with every event silently dropped,
+        cut the range over, and read ``None`` for all of it."""
+        node_a, node_b, client = cluster
+        keys = _seed(client, 100)
+        migrate_range(client, "k0050", None, "A", "B")
+        for round_ in range(5):  # B's clock runs ahead of A's history
+            client.put_many([(k, f"b{round_}".encode()) for k in keys[50:60]])
+        assert node_b.store.now > node_a.store.now
+
+        with pytest.raises(ServerError, match="precedes"):
+            migrate_range(client, "k0020", "k0050", "A", "B")
+
+        # No cutover happened: A still owns the range, nothing is frozen,
+        # and every key of it is still readable (and writable) there.
+        assert client.table.owner("k0030") == "A"
+        assert node_b.role.table.owner("k0030") == "A"
+        for index in range(20, 50):
+            assert client.get(keys[index]).value == f"seed{index}".encode()
+        client.put_many([("k0030", b"still-on-a")])
+        assert node_a.store.get("k0030").value == b"still-on-a"

@@ -10,6 +10,14 @@ returns, so the differential oracles (and
 :func:`repro.workload.concurrent.run_concurrent`) compare served and
 in-process runs record-for-record.
 
+The surface is stated once: each operation method of :class:`ReproClient`
+is one line naming its row of the operation table
+(:data:`repro.server.protocol.OPS`), and :func:`attach_surface` gives
+:class:`Pipeline` and :class:`~repro.replication.cluster.ClusterClient` the
+same one-liners.  What a call does is the class's ``_call`` — here: route,
+send, wait, decode; on a pipeline: send now, decode at ``result()`` — which
+reads the codecs, follower eligibility and the watermark wait off the row.
+
 Concurrency model: **request pipelining over demultiplexed channels**.
 The client keeps up to ``pool_size`` sockets; each socket (a
 :class:`_Channel`) carries *many* requests in flight at once, with a
@@ -47,11 +55,18 @@ import json
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import RecordView
 from repro.server import protocol
-from repro.server.protocol import FRAME_HEADER, Opcode, ProtocolError, Status
+from repro.server.protocol import (
+    FRAME_HEADER,
+    OPS,
+    Op,
+    Opcode,
+    ProtocolError,
+    Status,
+)
 from repro.storage.serialization import ByteReader, Key
 
 
@@ -240,45 +255,6 @@ class _Channel:
         return True
 
 
-# ----------------------------------------------------------------------
-# Response decoders: (streamed chunks, final frame) -> façade answer
-# ----------------------------------------------------------------------
-def _decode_timestamp(chunks: List[ByteReader], final: ByteReader) -> int:
-    return protocol.unpack_timestamp_u64(final)
-
-
-def _decode_timestamps(chunks: List[ByteReader], final: ByteReader) -> List[int]:
-    return protocol.unpack_timestamps(final)
-
-
-def _decode_optional_record(
-    chunks: List[ByteReader], final: ByteReader
-) -> Optional[RecordView]:
-    return protocol.unpack_optional_record(final)
-
-
-def _decode_records(chunks: List[ByteReader], final: ByteReader) -> List[RecordView]:
-    return protocol.merge_record_chunks(chunks + [final])
-
-
-def _decode_record_map(
-    chunks: List[ByteReader], final: ByteReader
-) -> Dict[Key, RecordView]:
-    return {
-        record.key: record for record in protocol.merge_record_chunks(chunks + [final])
-    }
-
-
-def _decode_history_map(
-    chunks: List[ByteReader], final: ByteReader
-) -> Dict[Key, List[RecordView]]:
-    return protocol.merge_history_chunks(chunks + [final])
-
-
-def _decode_none(chunks: List[ByteReader], final: ByteReader) -> None:
-    return None
-
-
 class PipelinedResult:
     """A pipelined request's pending answer; :meth:`result` gathers it.
 
@@ -289,20 +265,18 @@ class PipelinedResult:
     more than once; the outcome is cached.
     """
 
-    __slots__ = ("_client", "_opcode", "_payload", "_decode", "_issued", "_outcome")
+    __slots__ = ("_client", "_op", "_payload", "_issued", "_outcome")
 
     def __init__(
         self,
         client: "ReproClient",
-        opcode: Opcode,
+        op: Op,
         payload: bytes,
-        decode: Callable,
         issued: Tuple[_Channel, int, _Waiter],
     ) -> None:
         self._client = client
-        self._opcode = opcode
+        self._op = op
         self._payload = payload
-        self._decode = decode
         self._issued = issued
         self._outcome: Optional[Tuple[bool, object]] = None
 
@@ -310,9 +284,10 @@ class PipelinedResult:
         if self._outcome is None:
             try:
                 chunks, final = self._client._resolve(
-                    self._opcode, self._payload, self._issued
+                    self._op.opcode, self._payload, self._issued
                 )
-                self._outcome = (True, self._decode(chunks, final))
+                answer = protocol.decode_answer(self._op, chunks, final)
+                self._outcome = (True, answer)
             except Exception as exc:  # noqa: BLE001 - cached and re-raised
                 self._outcome = (False, exc)
         succeeded, value = self._outcome
@@ -331,8 +306,9 @@ class PipelinedResult:
 class Pipeline:
     """An explicit request batch: send a burst, gather the results.
 
-    Every façade call on the pipeline fires its request immediately and
-    returns a :class:`PipelinedResult`; nothing blocks until ``result()``.
+    Every façade call on the pipeline (the same methods, same parameters, as
+    :class:`ReproClient`) fires its request immediately and returns a
+    :class:`PipelinedResult`; nothing blocks until ``result()``.
     Leaving the ``with`` block waits for every outstanding response, so no
     request is silently abandoned; an error nobody gathered re-raises at
     exit (errors already observed via ``result()`` do not re-raise).
@@ -342,76 +318,20 @@ class Pipeline:
         self._client = client
         self._pending: List[PipelinedResult] = []
 
-    # -- the pipelined façade surface ----------------------------------
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None):
-        return self._submit(
-            Opcode.INSERT, protocol.pack_insert(key, value, timestamp), _decode_timestamp
-        )
-
-    def put_many(self, items: Sequence[Tuple[Key, bytes]]):
-        return self._submit(
-            Opcode.PUT_MANY, protocol.pack_items(list(items)), _decode_timestamps
-        )
-
-    def delete(self, key: Key, timestamp: Optional[int] = None):
-        return self._submit(
-            Opcode.DELETE, protocol.pack_delete(key, timestamp), _decode_timestamp
-        )
-
-    def get(self, key: Key):
-        return self._submit(Opcode.GET, protocol.pack_key(key), _decode_optional_record)
-
-    def get_as_of(self, key: Key, timestamp: int):
-        return self._submit(
-            Opcode.GET_AS_OF, protocol.pack_key_at(key, timestamp), _decode_optional_record
-        )
-
-    def range_search(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        as_of: Optional[int] = None,
-    ):
-        return self._submit(
-            Opcode.RANGE, protocol.pack_range(low, high, as_of), _decode_records
-        )
-
-    def snapshot(self, timestamp: int):
-        return self._submit(
-            Opcode.SNAPSHOT, protocol.pack_timestamp_u64(timestamp), _decode_record_map
-        )
-
-    def key_history(self, key: Key):
-        return self._submit(Opcode.KEY_HISTORY, protocol.pack_key(key), _decode_records)
-
-    def history_between(self, key: Key, start: int, end: int):
-        return self._submit(
-            Opcode.HISTORY_BETWEEN, protocol.pack_window(key, start, end), _decode_records
-        )
-
-    def time_slice(
-        self,
-        start: int,
-        end: int,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-    ):
-        return self._submit(
-            Opcode.TIME_SLICE,
-            protocol.pack_time_slice(start, end, low, high),
-            _decode_history_map,
-        )
-
+    # -- the pipelined façade surface: ``insert`` … ``time_slice`` are
+    # attached below (``attach_surface``); here each returns a PipelinedResult
     def now(self):
-        return self._submit(Opcode.NOW, b"", _decode_timestamp)
+        return self._call(OPS[Opcode.NOW])
 
     def ping(self):
-        return self._submit(Opcode.PING, b"", _decode_none)
+        return self._call(OPS[Opcode.PING])
 
     # -- mechanics ------------------------------------------------------
-    def _submit(self, opcode: Opcode, payload: bytes, decode: Callable) -> PipelinedResult:
-        issued = self._client._issue(opcode, payload)
-        pending = PipelinedResult(self._client, opcode, payload, decode, issued)
+    def _call(self, op: Op, *args) -> PipelinedResult:
+        """Send the request now; its answer is decoded at ``result()``."""
+        payload = protocol.encode_args(op, args)
+        issued = self._client._issue(op.opcode, payload)
+        pending = PipelinedResult(self._client, op, payload, issued)
         self._pending.append(pending)
         return pending
 
@@ -679,15 +599,22 @@ class ReproClient:
                 raise ClientError(f"server rejected the request: {message}")
             raise ServerError(message)
 
-    def _exchange(
-        self, opcode: Opcode, payload: bytes = b""
-    ) -> Tuple[List[ByteReader], ByteReader]:
-        return self._resolve(opcode, payload, self._issue(opcode, payload))
+    def _exchange(self, op: Op, payload: bytes):
+        """Send one already-encoded request of ``op``; wait; decode its answer."""
+        opcode = op.opcode
+        chunks, final = self._resolve(opcode, payload, self._issue(opcode, payload))
+        return protocol.decode_answer(op, chunks, final)
 
-    def _request(self, opcode: Opcode, payload: bytes = b"") -> ByteReader:
-        """One unstreamed exchange; returns the final payload reader."""
-        _, reader = self._exchange(opcode, payload)
-        return reader
+    def _call(self, op: Op, *args):
+        """One synchronous operation, straight from its table row: a
+        ``read`` goes wherever :meth:`_reader` says (a follower under
+        ``read_preference="follower"``, once its watermark reaches the row's
+        ``wait_on`` argument); the addressed server answers everything else."""
+        target = self
+        if op.kind == protocol.READ:
+            wait_index = op.wait_index
+            target = self._reader(None if wait_index is None else args[wait_index])
+        return target._exchange(op, protocol.encode_args(op, args))
 
     # ------------------------------------------------------------------
     # Pipelining
@@ -729,8 +656,7 @@ class ReproClient:
         On a primary both track its own WAL; on a follower they are the
         replication watermark — the prefix its reads are served from.
         """
-        reader = self._request(Opcode.WATERMARK)
-        return protocol.unpack_watermark(reader)
+        return self._call(OPS[Opcode.WATERMARK])
 
     def wait_for_watermark(self, timestamp: int, timeout: float = 10.0) -> bool:
         """Block until this server's watermark reaches ``timestamp``."""
@@ -743,35 +669,29 @@ class ReproClient:
             time.sleep(0.001)
 
     # ------------------------------------------------------------------
-    # The façade surface, over the wire
+    # The façade surface, over the wire: one table row each (``insert`` …
+    # ``time_slice`` are shared with Pipeline and ClusterClient)
     # ------------------------------------------------------------------
     def ping(self) -> bool:
-        self._request(Opcode.PING)
+        self._call(OPS[Opcode.PING])
         return True
 
     def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
         """Write one version; returns the (server-)stamped commit time."""
-        reader = self._request(Opcode.INSERT, protocol.pack_insert(key, value, timestamp))
-        return protocol.unpack_timestamp_u64(reader)
+        return self._call(OPS[Opcode.INSERT], key, value, timestamp)
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
         """Batch write; returns one commit timestamp per item, in order."""
-        reader = self._request(Opcode.PUT_MANY, protocol.pack_items(list(items)))
-        return protocol.unpack_timestamps(reader)
+        return self._call(OPS[Opcode.PUT_MANY], list(items))
 
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
-        reader = self._request(Opcode.DELETE, protocol.pack_delete(key, timestamp))
-        return protocol.unpack_timestamp_u64(reader)
+        return self._call(OPS[Opcode.DELETE], key, timestamp)
 
     def get(self, key: Key) -> Optional[RecordView]:
-        target = self._reader()
-        reader = target._request(Opcode.GET, protocol.pack_key(key))
-        return protocol.unpack_optional_record(reader)
+        return self._call(OPS[Opcode.GET], key)
 
     def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
-        target = self._reader(timestamp)
-        reader = target._request(Opcode.GET_AS_OF, protocol.pack_key_at(key, timestamp))
-        return protocol.unpack_optional_record(reader)
+        return self._call(OPS[Opcode.GET_AS_OF], key, timestamp)
 
     def range_search(
         self,
@@ -779,32 +699,16 @@ class ReproClient:
         high: Optional[Key] = None,
         as_of: Optional[int] = None,
     ) -> List[RecordView]:
-        target = self._reader(as_of)
-        chunks, final = target._exchange(
-            Opcode.RANGE, protocol.pack_range(low, high, as_of)
-        )
-        return _decode_records(chunks, final)
+        return self._call(OPS[Opcode.RANGE], low, high, as_of)
 
     def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        target = self._reader(timestamp)
-        chunks, final = target._exchange(
-            Opcode.SNAPSHOT, protocol.pack_timestamp_u64(timestamp)
-        )
-        return _decode_record_map(chunks, final)
+        return self._call(OPS[Opcode.SNAPSHOT], timestamp)
 
     def key_history(self, key: Key) -> List[RecordView]:
-        target = self._reader()
-        chunks, final = target._exchange(Opcode.KEY_HISTORY, protocol.pack_key(key))
-        return _decode_records(chunks, final)
+        return self._call(OPS[Opcode.KEY_HISTORY], key)
 
     def history_between(self, key: Key, start: int, end: int) -> List[RecordView]:
-        # No watermark wait: ``end`` is routinely an open upper bound (now+1),
-        # which a follower's watermark may never reach while writes are idle.
-        target = self._reader()
-        chunks, final = target._exchange(
-            Opcode.HISTORY_BETWEEN, protocol.pack_window(key, start, end)
-        )
-        return _decode_records(chunks, final)
+        return self._call(OPS[Opcode.HISTORY_BETWEEN], key, start, end)
 
     def time_slice(
         self,
@@ -813,25 +717,19 @@ class ReproClient:
         low: Optional[Key] = None,
         high: Optional[Key] = None,
     ) -> Dict[Key, List[RecordView]]:
-        target = self._reader()  # ``end`` may be an open upper bound; no wait
-        chunks, final = target._exchange(
-            Opcode.TIME_SLICE, protocol.pack_time_slice(start, end, low, high)
-        )
-        return _decode_history_map(chunks, final)
+        return self._call(OPS[Opcode.TIME_SLICE], start, end, low, high)
 
     @property
     def now(self) -> int:
         """The tenant store's current logical clock."""
-        reader = self._request(Opcode.NOW)
-        return protocol.unpack_timestamp_u64(reader)
+        return self._call(OPS[Opcode.NOW])
 
     # ------------------------------------------------------------------
     # Cluster / migration verbs (servers with a cluster node attached)
     # ------------------------------------------------------------------
     def route(self):
         """The addressed node's routing table: ``[(low, high, owner, epoch)]``."""
-        reader = self._request(Opcode.ROUTE)
-        return protocol.unpack_routing(reader)
+        return self._call(OPS[Opcode.ROUTE])
 
     def migrate_read(
         self,
@@ -846,15 +744,14 @@ class ReproClient:
         offsets: the *delta* — events committed at or past each position.
         Returns ``(events, new_offsets)``.
         """
-        chunks, final = self._exchange(
-            Opcode.SNAPSHOT_READ, protocol.pack_migrate_read(low, high, offsets)
-        )
-        events = protocol.merge_event_chunks(chunks)
-        return events, protocol.unpack_copy_state(final)
+        return self._call(OPS[Opcode.SNAPSHOT_READ], low, high, offsets)
 
-    def migrate_apply(self, events_payload: bytes) -> None:
-        """Push one ``pack_events`` payload into the target node."""
-        self._request(Opcode.SNAPSHOT_CHUNK, events_payload)
+    def migrate_apply(self, events: Sequence[protocol.Event]) -> None:
+        """Push migration events into the target node, one bounded
+        ``SNAPSHOT_CHUNK`` request per chunk (each chunk is a whole
+        ``events`` argument payload, so no frame outgrows the body bound)."""
+        for payload in protocol.chunk_events(events):
+            self._exchange(OPS[Opcode.SNAPSHOT_CHUNK], payload)
 
     def cutover(
         self,
@@ -865,25 +762,36 @@ class ReproClient:
         target: str,
     ):
         """Drive one cutover phase; returns the node's updated routes."""
-        reader = self._request(
-            Opcode.CUTOVER, protocol.pack_cutover(phase, low, high, epoch, target)
-        )
-        return protocol.unpack_routing(reader)
+        return self._call(OPS[Opcode.CUTOVER], phase, low, high, epoch, target)
 
     def stats(self, fmt: str = "json"):
         """Server-side observability — a dict (``json``) or text
         (``prometheus``) — with this client's own counters folded in under
         the ``"client"`` key of the JSON rendering."""
-        reader = self._request(Opcode.STATS, protocol.pack_stats_request(fmt))
-        blob = protocol.unpack_blob(reader)
-        if fmt == "json":
-            snapshot = json.loads(bytes(blob).decode("utf-8"))
-            snapshot["client"] = self.counters
-            return snapshot
-        return bytes(blob).decode("utf-8")
+        text = bytes(self._call(OPS[Opcode.STATS], fmt)).decode("utf-8")
+        if fmt != "json":
+            return text
+        snapshot = json.loads(text)
+        snapshot["client"] = self.counters
+        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ReproClient({self.host}:{self.port}, tenant={self.tenant!r}, "
             f"pool={self.pool_size})"
         )
+
+
+def attach_surface(cls):
+    """Give ``cls`` the façade surface: every ``read`` / ``write`` one-liner
+    of :class:`ReproClient`, as ``cls``'s own attribute (what a call does is
+    ``cls._call``).  A mixin would say the same, but the benchmark's tracer
+    looks methods up in ``vars(cls)``, so each class holds its own
+    reference.  A method ``cls`` defines itself is left alone."""
+    for op in OPS.values():
+        if op.kind != protocol.ADMIN and op.method not in vars(cls):
+            setattr(cls, op.method, vars(ReproClient)[op.method])
+    return cls
+
+
+attach_surface(Pipeline)

@@ -31,10 +31,13 @@ Online migration of ``[low, high)`` from ``source`` to ``target``
    write ever *fails*; writes to the range merely stall for the freeze
    window (which :mod:`benchmarks.bench_replication` measures).
 
-:class:`ClusterClient` is the matching client: it routes each key to its
-owner, fans scatter reads out to every node (each node clips to the
-ranges it owns, so the union is exact), and turns ``WRONG_SHARD`` into
-install-routes-and-retry.
+:class:`ClusterClient` is the matching client, driven by the operation
+table (:data:`repro.server.protocol.OPS`): a *keyed* row goes to the owner
+of its first argument, a row that *spans keys* fans out to every node (each
+clips to the ranges it owns, so the union is exact) and is merged by the
+row's answer shape; either path turns ``WRONG_SHARD`` into
+install-routes-and-retry.  :class:`NodeRole`'s migration methods take and
+return plain values — the row names the codec.
 """
 
 from __future__ import annotations
@@ -46,21 +49,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.sharded import ShardedVersionStore
 from repro.api.store import StoreConfig, VersionStore
-from repro.client import ReproClient, WrongShardError as ClientWrongShardError
+from repro.client import (
+    ReproClient,
+    WrongShardError as ClientWrongShardError,
+    attach_surface,
+)
 from repro.recovery.log_records import decode_stream
 from repro.recovery.replay import TransactionBuffer
 from repro.server import protocol
-from repro.server.protocol import (
-    ByteReader,
-    CUTOVER_COMMIT,
-    CUTOVER_PREPARE,
-    Event,
-)
+from repro.server.protocol import CUTOVER_COMMIT, CUTOVER_PREPARE, Event, Op
 from repro.server.registry import StoreRegistry
 from repro.server.service import ReproServer
 from repro.storage.serialization import Key
 
-Route = Tuple[Optional[Key], Optional[Key], str, int]
+Route = protocol.Route
+#: Per-shard WAL copy positions: ``[(shard, byte_offset), ...]``.
+Offsets = List[Tuple[int, int]]
 
 
 def _contains(low: Optional[Key], high: Optional[Key], key: Key) -> bool:
@@ -115,8 +119,10 @@ class NodeRole:
 
     This is the object :class:`~repro.server.service.ReproServer` consults
     (its ``node`` hook) — keyed requests go through :meth:`check_key`,
-    scatter reads clip with :meth:`owns`, and the migration opcodes land
-    on :meth:`snapshot_read` / :meth:`apply_chunk` / :meth:`cutover`.
+    scatter reads through :meth:`check_unfrozen` and clip with :meth:`owns`,
+    and the table's node-target rows call :meth:`routes` /
+    :meth:`snapshot_read` / :meth:`apply_chunk` / :meth:`cutover` with the
+    tenant's store and the decoded arguments.
     """
 
     def __init__(self, name: str, table: RoutingTable) -> None:
@@ -128,23 +134,35 @@ class NodeRole:
         self._lock = threading.Lock()
 
     # -- ownership -----------------------------------------------------
-    def owns(self, tenant: str, key: Key) -> bool:
+    def owns(self, key: Key) -> bool:
         with self._lock:
             for low, high in self._frozen:
                 if _contains(low, high, key):
                     return False
         return self.table.owner(key) == self.name
 
-    def check_key(self, tenant: str, key: Key) -> None:
-        if not self.owns(tenant, key):
+    def check_key(self, key: Key) -> None:
+        if not self.owns(key):
             raise protocol.WrongShardError(self.table.routes())
 
-    def routes(self, tenant: str) -> List[Route]:
+    def check_unfrozen(self) -> None:
+        """Deflect an answer that spans keys while a cutover is in flight:
+        the source clips the frozen range out and the target does not own it
+        yet, so a scatter read would silently lose it.  The window is
+        milliseconds; the client retries the whole fan-out."""
+        with self._lock:
+            frozen = bool(self._frozen)
+        if frozen:
+            raise protocol.WrongShardError(self.table.routes())
+
+    def routes(self, store) -> List[Route]:
         return self.table.routes()
 
     # -- migration: source side ----------------------------------------
-    def snapshot_read(self, store, reader: ByteReader) -> List[bytes]:
-        """Serve one SNAPSHOT_READ: event chunks + a final copy-state payload.
+    def snapshot_read(
+        self, store, low: Optional[Key], high: Optional[Key], offsets: Offsets
+    ) -> Tuple[List[Event], Offsets]:
+        """Serve one SNAPSHOT_READ: ``(events, new_offsets)``.
 
         Empty ``offsets`` → the full consistent snapshot of the range (all
         versions, tombstones included) plus each shard's WAL position at
@@ -154,14 +172,13 @@ class NodeRole:
         atomic cut: every committed transaction is either in the events or
         past the returned positions, never both, never neither.
         """
-        low, high, offsets = protocol.unpack_migrate_read(reader)
         if not isinstance(store, ShardedVersionStore):
             raise protocol.ProtocolError(
                 "online migration requires a sharded WAL store"
             )
         engine = store.sharded_engine
         events: List[Event] = []
-        new_offsets: List[Tuple[int, int]] = []
+        new_offsets: Offsets = []
         copying = not offsets
         if copying:
             offsets = [(shard, 0) for shard in range(len(engine.stores))]
@@ -185,12 +202,10 @@ class NodeRole:
                 new_offsets.append((shard, offset + len(data)))
                 events.extend(_committed_events(data, low, high))
         events.sort(key=lambda event: event[0])
-        chunks = protocol.chunk_events(events)
-        chunks.append(protocol.pack_copy_state(new_offsets))
-        return chunks
+        return events, new_offsets
 
     # -- migration: target side ----------------------------------------
-    def apply_chunk(self, store, payload: ByteReader) -> bytes:
+    def apply_chunk(self, store, events: Sequence[Event]) -> None:
         """Apply one batch of migration events at their original timestamps.
 
         Delivery is :meth:`VersionStore.import_events`: a version already
@@ -199,12 +214,13 @@ class NodeRole:
         — and with it the migration, before any cutover — instead of
         vanishing.
         """
-        store.import_events(protocol.unpack_events(payload))
-        return b""
+        store.import_events(events)
 
     # -- cutover -------------------------------------------------------
-    def cutover(self, tenant: str, payload: ByteReader) -> bytes:
-        phase, low, high, epoch, target = protocol.unpack_cutover(payload)
+    def cutover(
+        self, store, phase: int, low: Optional[Key], high: Optional[Key], epoch: int, target: str
+    ) -> List[Route]:
+        """One cutover phase; returns this node's (updated) routes."""
         if phase == CUTOVER_PREPARE:
             with self._lock:
                 self._frozen.append((low, high))
@@ -216,7 +232,7 @@ class NodeRole:
                 ]
         else:
             raise protocol.ProtocolError(f"unknown cutover phase {phase}")
-        return protocol.pack_routing(self.table.routes())
+        return self.table.routes()
 
 
 def _committed_events(
@@ -281,14 +297,18 @@ class ClusterNode:
         self.stop()
 
 
+@attach_surface
 class ClusterClient:
-    """Route-aware client over a set of cluster nodes.
+    """Route-aware client over a set of cluster nodes, with the surface of
+    :class:`~repro.client.ReproClient` (``attach_surface``); only
+    ``put_many``, which groups its items by owner, is written out.
 
-    Writes go to each key's owner; a ``WRONG_SHARD`` answer installs the
-    fresh routes and retries, so a write outlasts any cutover (it stalls
-    through the freeze window, it never fails).  Scatter reads fan out to
-    every node and union the answers — each node clips to the ranges it
-    owns, so the union is exact and duplicate-free.
+    Keyed operations go to the key's owner; a ``WRONG_SHARD`` answer
+    installs the fresh routes and retries, so a write outlasts any cutover
+    (it stalls through the freeze window, it never fails).  Operations that
+    span keys fan out to every node and union the answers — each node clips
+    to the ranges it owns, so the union is exact and duplicate-free — and
+    retry the whole fan-out the same way while a range is frozen.
     """
 
     def __init__(
@@ -339,70 +359,34 @@ class ClusterClient:
         stamps: List[Optional[int]] = [None] * len(items)
         pending = list(enumerate(items))
         while pending:
-            groups: Dict[str, List[Tuple[int, Key, bytes]]] = {}
-            for index, (key, value) in pending:
-                owner = self.table.owner(key)
-                if owner is None or owner not in self.clients:
-                    raise ClientWrongShardError(
-                        f"no live node owns key {key!r}", self.table.routes()
-                    )
-                groups.setdefault(owner, []).append((index, key, value))
+            groups: Dict[ReproClient, List[Tuple[int, Tuple[Key, bytes]]]] = {}
+            for index, item in pending:
+                groups.setdefault(self._client_for(item[0]), []).append((index, item))
             pending = []
             for owner, group in groups.items():
                 try:
-                    batch_stamps = self.clients[owner].put_many(
-                        [(key, value) for _, key, value in group]
-                    )
+                    batch_stamps = owner.put_many([item for _, item in group])
                 except ClientWrongShardError as error:
                     self._note_wrong_shard(error)
-                    pending.extend(
-                        (index, (key, value)) for index, key, value in group
-                    )
+                    pending.extend(group)
                     continue
-                for (index, _, _), stamp in zip(group, batch_stamps):
+                for (index, _), stamp in zip(group, batch_stamps):
                     stamps[index] = stamp
         return stamps  # type: ignore[return-value]
 
-    def insert(self, key: Key, value: bytes) -> int:
-        return self.put_many([(key, value)])[0]
-
-    # -- keyed reads ---------------------------------------------------
-    def _keyed_read(self, key: Key, operation):
+    # -- everything else: routed by its table row -----------------------
+    def _call(self, op: Op, *args):
+        """A keyed row → the owner of ``args[0]``; a row that spans keys →
+        every node, merged by its answer shape.  ``WRONG_SHARD`` from any
+        node installs the routes it carries and retries the whole call."""
         while True:
+            nodes = [self._client_for(args[0])] if op.keyed else self.clients.values()
             try:
-                return operation(self._client_for(key))
+                answers = [getattr(node, op.method)(*args) for node in nodes]
             except ClientWrongShardError as error:
                 self._note_wrong_shard(error)
-
-    def get(self, key: Key):
-        return self._keyed_read(key, lambda client: client.get(key))
-
-    def get_as_of(self, key: Key, timestamp: int):
-        return self._keyed_read(
-            key, lambda client: client.get_as_of(key, timestamp)
-        )
-
-    def key_history(self, key: Key):
-        return self._keyed_read(key, lambda client: client.key_history(key))
-
-    # -- scatter reads -------------------------------------------------
-    def snapshot(self, timestamp: int):
-        merged: Dict[Key, object] = {}
-        for client in self.clients.values():
-            merged.update(client.snapshot(timestamp))
-        return merged
-
-    def range_search(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        as_of: Optional[int] = None,
-    ):
-        records = []
-        for client in self.clients.values():
-            records.extend(client.range_search(low, high, as_of))
-        records.sort(key=lambda record: record.key)
-        return records
+                continue
+            return answers[0] if op.keyed else op.answer.merge(answers)
 
     @property
     def now(self) -> int:
@@ -445,32 +429,36 @@ def migrate_range(
     source_client = cluster.clients[source]
     target_client = cluster.clients[target]
 
-    events, offsets = source_client.migrate_read(low, high)
-    for payload in protocol.chunk_events(events):
-        target_client.migrate_apply(payload)
-    snapshot_events = len(events)
+    def ship(offsets: Offsets) -> Tuple[int, Offsets]:
+        """Read what the source has past ``offsets``; deliver it to the target."""
+        events, offsets = source_client.migrate_read(low, high, offsets)
+        target_client.migrate_apply(events)
+        return len(events), offsets
+
+    snapshot_events, offsets = ship([])
 
     catchup_rounds = 0
     catchup_events = 0
     for _ in range(max_catchup_rounds):
-        events, offsets = source_client.migrate_read(low, high, offsets)
-        if events:
+        shipped, offsets = ship(offsets)
+        if shipped:
             catchup_rounds += 1
-            catchup_events += len(events)
-            for payload in protocol.chunk_events(events):
-                target_client.migrate_apply(payload)
-        if len(events) <= settle_events:
+            catchup_events += shipped
+        if shipped <= settle_events:
             break
 
     epoch = cluster.table.max_epoch() + 1
     stall_started = time.perf_counter()
     source_client.cutover(CUTOVER_PREPARE, low, high, epoch, target)
     # The range is frozen: this delta is the last word on it.
-    events, offsets = source_client.migrate_read(low, high, offsets)
-    for payload in protocol.chunk_events(events):
-        target_client.migrate_apply(payload)
-    for client in cluster.clients.values():
-        client.cutover(CUTOVER_COMMIT, low, high, epoch, target)
+    final_delta_events, offsets = ship(offsets)
+    # The target commits first: from then until the source's own COMMIT the
+    # source is still frozen and deflects scatter reads, so no reader ever
+    # sees a moment in which neither node answers for the range.
+    target_client.cutover(CUTOVER_COMMIT, low, high, epoch, target)
+    for name, client in cluster.clients.items():
+        if name != target:
+            client.cutover(CUTOVER_COMMIT, low, high, epoch, target)
     stall_seconds = time.perf_counter() - stall_started
 
     cluster.table.install([(low, high, target, epoch)])
@@ -483,6 +471,6 @@ def migrate_range(
         snapshot_events=snapshot_events,
         catchup_rounds=catchup_rounds,
         catchup_events=catchup_events,
-        final_delta_events=len(events),
+        final_delta_events=final_delta_events,
         stall_seconds=stall_seconds,
     )

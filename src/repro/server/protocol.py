@@ -17,10 +17,18 @@ silently (:exc:`ChecksumError`).  A body length above
 malformed (or hostile) length prefix cannot make either side buffer
 gigabytes (:exc:`FrameTooLargeError`).
 
-Payload codecs are symmetric pack/unpack pairs shared by
-:class:`~repro.server.service.ReproServer` and
-:class:`~repro.client.ReproClient`, reusing the key/value/timestamp codecs
-of :mod:`repro.storage.serialization` — so a key that round-trips through a
+The request/response surface is stated **once**, as the operation table
+:data:`OPS` at the bottom of this module: one :class:`Op` row per opcode
+(façade method, argument fields, answer shape, write/read/admin, keyed or
+spans-keys, the timestamp a follower read waits on, store or cluster node).
+The codecs enter through :func:`encode_args` / :func:`decode_args` /
+:func:`encode_answer` / :func:`decode_answer`; server dispatch and the
+three clients' routing, retry and merge are derived from the same rows.
+The replication listener's four :data:`STREAM_OPCODES` are not
+request/response and keep hand-written codecs.
+
+Every value codec reuses the key/value/timestamp codecs of
+:mod:`repro.storage.serialization` — so a key that round-trips through a
 page image round-trips through the wire identically, and the differential
 oracles compare byte-equal answers across the in-process and served paths.
 """
@@ -32,7 +40,17 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.api.engine import RecordView
 from repro.api.store import VersionEvent
@@ -73,6 +91,9 @@ _REQUEST_HEAD = struct.Struct(">QBI")
 #: ``[u64 request id][u8 status]`` — the response envelope prefix.
 _RESPONSE_HEAD = struct.Struct(">QB")
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+#: ``[u32 shard][u64 lsn]`` — the SUBSCRIBE / ACK payload and LOG_BATCH prefix.
+_SHARD_LSN = struct.Struct(">IQ")
 
 
 class ProtocolError(Exception):
@@ -104,6 +125,10 @@ class UnknownOpcodeError(ProtocolError):
         self.request_id = request_id
 
 
+#: One routing-table entry: ``(low, high, owner_node, epoch)``.
+Route = Tuple[Optional[Key], Optional[Key], str, int]
+
+
 class WrongShardError(Exception):
     """A keyed operation reached a node that does not own the key's range.
 
@@ -117,7 +142,7 @@ class WrongShardError(Exception):
     shape :func:`pack_routing` / :func:`unpack_routing` speak.
     """
 
-    def __init__(self, routes: Sequence[Tuple[Optional[Key], Optional[Key], str, int]]) -> None:
+    def __init__(self, routes: Sequence[Route]) -> None:
         super().__init__("key range is owned by another node")
         self.routes = list(routes)
 
@@ -209,20 +234,11 @@ def decode_frame(buffer: bytes) -> Tuple[bytes, int]:
     bytes and retries (the stream analogue of the WAL's clean torn-tail
     stop).
     """
-    if len(buffer) < FRAME_HEADER.size:
-        raise TruncatedFrameError("incomplete frame header")
-    length, crc = FRAME_HEADER.unpack_from(buffer)
-    if length > MAX_BODY_BYTES:
-        raise FrameTooLargeError(
-            f"frame header announces {length} bytes; the bound is {MAX_BODY_BYTES}"
-        )
+    length, crc = check_frame_header(buffer[: FRAME_HEADER.size])
     end = FRAME_HEADER.size + length
     if len(buffer) < end:
         raise TruncatedFrameError("incomplete frame body")
-    body = bytes(buffer[FRAME_HEADER.size : end])
-    if zlib.crc32(body) != crc:
-        raise ChecksumError("frame CRC mismatch")
-    return body, end
+    return check_frame_body(bytes(buffer[FRAME_HEADER.size : end]), crc), end
 
 
 def check_frame_header(header: bytes) -> Tuple[int, int]:
@@ -280,12 +296,9 @@ def encode_request(
     then frame) — no intermediate writer objects on the client hot path.
     """
     tenant_raw = _encode_tenant(tenant)
-    body = _REQUEST_HEAD.pack(request_id, int(opcode), len(tenant_raw)) + tenant_raw + payload
-    if len(body) > MAX_BODY_BYTES:
-        raise FrameTooLargeError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_BODY_BYTES}-byte bound"
-        )
-    return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+    return encode_frame(
+        _REQUEST_HEAD.pack(request_id, int(opcode), len(tenant_raw)) + tenant_raw + payload
+    )
 
 
 def decode_request(body: bytes) -> Request:
@@ -321,12 +334,7 @@ def decode_request(body: bytes) -> Request:
 
 def encode_response(request_id: int, status: Status, payload: bytes = b"") -> bytes:
     """One response frame, ready to write to the socket."""
-    body = _RESPONSE_HEAD.pack(request_id, int(status)) + payload
-    if len(body) > MAX_BODY_BYTES:
-        raise FrameTooLargeError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_BODY_BYTES}-byte bound"
-        )
-    return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+    return encode_frame(_RESPONSE_HEAD.pack(request_id, int(status)) + payload)
 
 
 def decode_response(body: bytes) -> Tuple[int, Status, ByteReader]:
@@ -342,31 +350,81 @@ def decode_response(body: bytes) -> Tuple[int, Status, ByteReader]:
 
 def pack_error(message: str) -> bytes:
     """ERROR / BAD_REQUEST payload: the error text."""
-    writer = ByteWriter()
-    writer.put_bytes(message.encode("utf-8"))
-    return writer.getvalue()
+    return _pack(_write_text, message)
 
 
 def unpack_error(reader: ByteReader) -> str:
     try:
-        return reader.get_bytes().decode("utf-8")
-    except (SerializationError, UnicodeDecodeError):  # pragma: no cover - defensive
+        return _read_text(reader)
+    except (SerializationError, ProtocolError):  # pragma: no cover - defensive
         return "<unreadable error payload>"
 
 
 # ----------------------------------------------------------------------
-# Shared value codecs
+# Value codecs: how one value travels.  The operation table names one per
+# argument; the ``pack_*`` / ``unpack_*`` payload codecs wrap the same pairs.
 # ----------------------------------------------------------------------
-def _write_optional_key(writer: ByteWriter, key: Optional[Key]) -> None:
-    if key is None:
-        writer.put_u8(0)
-    else:
-        writer.put_u8(1)
+class Codec(NamedTuple):
+    write: Callable[[ByteWriter, Any], None]
+    read: Callable[[ByteReader], Any]
+
+
+def _pack(write: Callable[[ByteWriter, Any], None], value) -> bytes:
+    writer = ByteWriter()
+    write(writer, value)
+    return writer.getvalue()
+
+
+def _list_of(write_item: Callable, read_item: Callable) -> Codec:
+    """A ``u32``-counted list of items."""
+
+    def write(writer: ByteWriter, items: Sequence) -> None:
+        writer.put_u32(len(items))
+        for item in items:
+            write_item(writer, item)
+
+    def read(reader: ByteReader) -> list:
+        return [read_item(reader) for _ in range(reader.get_u32())]
+
+    return Codec(write, read)
+
+
+def _optional(write_value_: Callable, read_value_: Callable) -> Codec:
+    """A presence byte, then the value unless it is ``None``."""
+
+    def write(writer: ByteWriter, value) -> None:
+        if value is None:
+            writer.put_u8(0)
+        else:
+            writer.put_u8(1)
+            write_value_(writer, value)
+
+    def read(reader: ByteReader):
+        return read_value_(reader) if reader.get_u8() else None
+
+    return Codec(write, read)
+
+
+def _write_text(writer: ByteWriter, text: str) -> None:
+    writer.put_bytes(text.encode("utf-8"))
+
+
+def _read_text(reader: ByteReader) -> str:
+    try:
+        return reader.get_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"malformed UTF-8 text: {exc}") from exc
+
+
+def _write_items(writer: ByteWriter, items: Sequence[Tuple[Key, bytes]]) -> None:
+    writer.put_u32(len(items))
+    for key, value in items:
         write_key(writer, key)
+        write_value(writer, value)
 
 
-def _read_optional_key(reader: ByteReader) -> Optional[Key]:
-    return read_key(reader) if reader.get_u8() else None
+def _read_items(reader: ByteReader) -> List[Tuple[Key, bytes]]:
+    return [(read_key(reader), read_value(reader)) for _ in range(reader.get_u32())]
 
 
 def _write_record(writer: ByteWriter, record: RecordView) -> None:
@@ -382,237 +440,125 @@ def _read_record(reader: ByteReader) -> RecordView:
     return RecordView(key=key, timestamp=timestamp, value=value)
 
 
-def pack_records(records: Sequence[RecordView]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(len(records))
-    for record in records:
-        _write_record(writer, record)
-    return writer.getvalue()
+#: One migration event: the store's ``(timestamp, key, is_tombstone, value)``.
+#: A migration snapshot travels as raw version *events* in global timestamp
+#: order because events replay identically into an empty target shard:
+#: inserts and deletes land at their original commit timestamps, so every
+#: as-of answer over the moved range is byte-identical on the target.
+Event = VersionEvent
 
 
-def unpack_records(reader: ByteReader) -> List[RecordView]:
-    return [_read_record(reader) for _ in range(reader.get_u32())]
-
-
-def pack_optional_record(record: Optional[RecordView]) -> bytes:
-    writer = ByteWriter()
-    if record is None:
-        writer.put_u8(0)
-    else:
-        writer.put_u8(1)
-        _write_record(writer, record)
-    return writer.getvalue()
-
-
-def unpack_optional_record(reader: ByteReader) -> Optional[RecordView]:
-    return _read_record(reader) if reader.get_u8() else None
-
-
-# ----------------------------------------------------------------------
-# Per-opcode payload codecs (request side)
-# ----------------------------------------------------------------------
-def pack_insert(key: Key, value: bytes, timestamp: Optional[int]) -> bytes:
-    writer = ByteWriter()
+def _write_event(writer: ByteWriter, event: Event) -> None:
+    timestamp, key, tombstone, value = event
+    writer.put_u64(timestamp)
     write_key(writer, key)
+    writer.put_u8(1 if tombstone else 0)
     write_value(writer, value)
-    write_timestamp(writer, timestamp)
-    return writer.getvalue()
 
 
-def unpack_insert(reader: ByteReader) -> Tuple[Key, bytes, Optional[int]]:
-    return read_key(reader), read_value(reader), read_timestamp(reader)
+def _read_event(reader: ByteReader) -> Event:
+    timestamp = reader.get_u64()
+    key = read_key(reader)
+    tombstone = bool(reader.get_u8())
+    return timestamp, key, tombstone, read_value(reader)
 
 
-def pack_delete(key: Key, timestamp: Optional[int]) -> bytes:
-    writer = ByteWriter()
-    write_key(writer, key)
-    write_timestamp(writer, timestamp)
-    return writer.getvalue()
+def _write_offset(writer: ByteWriter, position: Tuple[int, int]) -> None:
+    writer.put_raw(_SHARD_LSN.pack(*position))
 
 
-def unpack_delete(reader: ByteReader) -> Tuple[Key, Optional[int]]:
-    return read_key(reader), read_timestamp(reader)
+def _read_offset(reader: ByteReader) -> Tuple[int, int]:
+    return reader.get_u32(), reader.get_u64()
 
 
-def pack_items(items: Sequence[Tuple[Key, bytes]]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(len(items))
-    for key, value in items:
-        write_key(writer, key)
-        write_value(writer, value)
-    return writer.getvalue()
+def _write_route(writer: ByteWriter, route: Route) -> None:
+    low, high, node, epoch = route
+    OPT_KEY.write(writer, low)
+    OPT_KEY.write(writer, high)
+    _write_text(writer, node)
+    writer.put_u32(epoch)
 
 
-def unpack_items(reader: ByteReader) -> List[Tuple[Key, bytes]]:
-    return [
-        (read_key(reader), read_value(reader)) for _ in range(reader.get_u32())
-    ]
+def _read_route(reader: ByteReader) -> Route:
+    return OPT_KEY.read(reader), OPT_KEY.read(reader), _read_text(reader), reader.get_u32()
 
 
-def pack_key(key: Key) -> bytes:
-    writer = ByteWriter()
-    write_key(writer, key)
-    return writer.getvalue()
+KEY = Codec(write_key, read_key)
+OPT_KEY = _optional(write_key, read_key)
+VALUE = Codec(write_value, read_value)
+#: An optional commit timestamp (``None`` = let the store stamp it / current).
+OPT_TS = Codec(write_timestamp, read_timestamp)
+U8 = Codec(ByteWriter.put_u8, ByteReader.get_u8)
+U32 = Codec(ByteWriter.put_u32, ByteReader.get_u32)
+U64 = Codec(ByteWriter.put_u64, ByteReader.get_u64)
+TEXT = Codec(_write_text, _read_text)
+ITEMS = Codec(_write_items, _read_items)
+#: Per-shard WAL copy positions: ``[(shard, byte_offset), ...]``.
+OFFSETS = _list_of(_write_offset, _read_offset)
+EVENTS = _list_of(_write_event, _read_event)
+_RECORDS = _list_of(_write_record, _read_record)
+_MAYBE_RECORD = _optional(_write_record, _read_record)
+_STAMPS = _list_of(ByteWriter.put_u64, ByteReader.get_u64)
+#: Routing table: ``[(low, high, owner_node, epoch), ...]``.
+_ROUTES = _list_of(_write_route, _read_route)
 
 
-def unpack_key(reader: ByteReader) -> Key:
-    return read_key(reader)
+# ----------------------------------------------------------------------
+# Whole-payload codecs (one per answer shape, shared by server and client)
+# ----------------------------------------------------------------------
+def _payload(codec: Codec) -> Tuple[Callable[[Any], bytes], Callable[[ByteReader], Any]]:
+    """``(pack, unpack)``: one value of ``codec`` to and from a payload."""
+
+    def pack(value) -> bytes:
+        return _pack(codec.write, value)
+
+    return pack, codec.read
 
 
-def pack_key_at(key: Key, timestamp: int) -> bytes:
-    writer = ByteWriter()
-    write_key(writer, key)
-    writer.put_u64(timestamp)
-    return writer.getvalue()
+pack_records, unpack_records = _payload(_RECORDS)
+pack_optional_record, unpack_optional_record = _payload(_MAYBE_RECORD)
+pack_timestamp_u64, unpack_timestamp_u64 = _payload(U64)
+pack_timestamps, unpack_timestamps = _payload(_STAMPS)
+pack_blob, unpack_blob = _payload(Codec(ByteWriter.put_bytes, ByteReader.get_bytes))
+pack_routing, unpack_routing = _payload(_ROUTES)
+pack_events, unpack_events = _payload(EVENTS)
+pack_copy_state, unpack_copy_state = _payload(OFFSETS)
 
 
-def unpack_key_at(reader: ByteReader) -> Tuple[Key, int]:
-    return read_key(reader), reader.get_u64()
+def pack_watermark(durable_lsn: int, watermark: int) -> bytes:
+    return _U64.pack(durable_lsn) + _U64.pack(watermark)
 
 
-def pack_range(
-    low: Optional[Key], high: Optional[Key], as_of: Optional[int]
-) -> bytes:
-    writer = ByteWriter()
-    _write_optional_key(writer, low)
-    _write_optional_key(writer, high)
-    write_timestamp(writer, as_of)
-    return writer.getvalue()
-
-
-def unpack_range(reader: ByteReader) -> Tuple[Optional[Key], Optional[Key], Optional[int]]:
-    return (
-        _read_optional_key(reader),
-        _read_optional_key(reader),
-        read_timestamp(reader),
-    )
-
-
-def pack_window(key: Key, start: int, end: int) -> bytes:
-    writer = ByteWriter()
-    write_key(writer, key)
-    writer.put_u64(start)
-    writer.put_u64(end)
-    return writer.getvalue()
-
-
-def unpack_window(reader: ByteReader) -> Tuple[Key, int, int]:
-    return read_key(reader), reader.get_u64(), reader.get_u64()
-
-
-def pack_time_slice(
-    start: int, end: int, low: Optional[Key], high: Optional[Key]
-) -> bytes:
-    writer = ByteWriter()
-    writer.put_u64(start)
-    writer.put_u64(end)
-    _write_optional_key(writer, low)
-    _write_optional_key(writer, high)
-    return writer.getvalue()
-
-
-def unpack_time_slice(
-    reader: ByteReader,
-) -> Tuple[int, int, Optional[Key], Optional[Key]]:
-    return (
-        reader.get_u64(),
-        reader.get_u64(),
-        _read_optional_key(reader),
-        _read_optional_key(reader),
-    )
-
-
-def pack_timestamp_u64(timestamp: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u64(timestamp)
-    return writer.getvalue()
-
-
-def unpack_timestamp_u64(reader: ByteReader) -> int:
-    return reader.get_u64()
-
-
-def pack_timestamps(timestamps: Sequence[int]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(len(timestamps))
-    for timestamp in timestamps:
-        writer.put_u64(timestamp)
-    return writer.getvalue()
-
-
-def unpack_timestamps(reader: ByteReader) -> List[int]:
-    return [reader.get_u64() for _ in range(reader.get_u32())]
-
-
-def _sorted_keys(keys) -> list:
-    """Deterministic key order even when int and str keys coexist."""
-    return sorted(keys, key=lambda key: (isinstance(key, str), key))
-
-
-def pack_record_map(snapshot: Dict[Key, RecordView]) -> bytes:
-    """SNAPSHOT answer: the records, key order (keys ride inside records)."""
-    writer = ByteWriter()
-    records = [snapshot[key] for key in _sorted_keys(snapshot)]
-    writer.put_u32(len(records))
-    for record in records:
-        _write_record(writer, record)
-    return writer.getvalue()
-
-
-def unpack_record_map(reader: ByteReader) -> Dict[Key, RecordView]:
-    return {record.key: record for record in unpack_records(reader)}
-
-
-def pack_history_map(histories: Dict[Key, List[RecordView]]) -> bytes:
-    """TIME_SLICE answer: per-key version lists, key order."""
-    writer = ByteWriter()
-    writer.put_u32(len(histories))
-    for key in _sorted_keys(histories):
-        write_key(writer, key)
-        records = histories[key]
-        writer.put_u32(len(records))
-        for record in records:
-            _write_record(writer, record)
-    return writer.getvalue()
-
-
-def unpack_history_map(reader: ByteReader) -> Dict[Key, List[RecordView]]:
-    result: Dict[Key, List[RecordView]] = {}
-    for _ in range(reader.get_u32()):
-        key = read_key(reader)
-        result[key] = [_read_record(reader) for _ in range(reader.get_u32())]
-    return result
+def unpack_watermark(reader: ByteReader) -> Tuple[int, int]:
+    return reader.get_u64(), reader.get_u64()
 
 
 # ----------------------------------------------------------------------
 # Streamed-response chunking
 #
 # Each chunk is a *self-contained* payload in the op's own list format
-# (``pack_records`` / ``pack_history_map`` shape), so a one-chunk answer is
+# (``pack_records`` / history-map shape), so a one-chunk answer is
 # byte-identical to the unstreamed response and the client merges chunks by
 # simple concatenation.  A history-map key may span chunks; the merge
 # extends that key's version list, preserving order.
 # ----------------------------------------------------------------------
-def _encode_record(record: RecordView) -> bytes:
-    writer = ByteWriter()
-    _write_record(writer, record)
-    return writer.getvalue()
+def _sorted_keys(keys) -> list:
+    """Deterministic key order even when int and str keys coexist."""
+    return sorted(keys, key=lambda key: (isinstance(key, str), key))
 
 
-def chunk_records(
-    records: Sequence[RecordView], chunk_bytes: int = STREAM_CHUNK_BYTES
-) -> List[bytes]:
-    """Cut ``records`` into one or more ``pack_records``-format payloads.
+def _chunk_list(items: Sequence, write_item: Callable, chunk_bytes: int) -> List[bytes]:
+    """Cut ``items`` into one or more ``u32``-counted list payloads.
 
     Always returns at least one chunk (an empty answer is one empty-list
-    chunk); every chunk except possibly a single-record one stays at or
+    chunk); every chunk except possibly a single-item one stays at or
     under ``chunk_bytes``.
     """
     chunks: List[bytes] = []
     parts: List[bytes] = []
     size = 0
-    for record in records:
-        encoded = _encode_record(record)
+    for item in items:
+        encoded = _pack(write_item, item)
         if parts and size + len(encoded) > chunk_bytes:
             chunks.append(_U32.pack(len(parts)) + b"".join(parts))
             parts, size = [], 0
@@ -620,6 +566,13 @@ def chunk_records(
         size += len(encoded)
     chunks.append(_U32.pack(len(parts)) + b"".join(parts))
     return chunks
+
+
+def chunk_records(
+    records: Sequence[RecordView], chunk_bytes: int = STREAM_CHUNK_BYTES
+) -> List[bytes]:
+    """Cut ``records`` into one or more ``pack_records``-format payloads."""
+    return _chunk_list(records, _write_record, chunk_bytes)
 
 
 def chunk_record_map(
@@ -631,64 +584,58 @@ def chunk_record_map(
     )
 
 
+def chunk_events(
+    events: Sequence[Event], chunk_bytes: int = STREAM_CHUNK_BYTES
+) -> List[bytes]:
+    """Cut ``events`` into one or more ``pack_events``-format payloads."""
+    return _chunk_list(events, _write_event, chunk_bytes)
+
+
 def chunk_history_map(
     histories: Dict[Key, List[RecordView]], chunk_bytes: int = STREAM_CHUNK_BYTES
 ) -> List[bytes]:
-    """TIME_SLICE chunks: ``pack_history_map``-format payloads in key order.
+    """TIME_SLICE chunks: ``[u32 keys]([key][u32 n][record]*n)*`` in key order.
 
     A key whose version list does not fit one chunk is continued in the
     next chunk under the same key; :func:`merge_history_chunks` extends the
     list, so the reassembled map is identical to the unstreamed answer.
     """
-    flat: List[Tuple[Key, Optional[RecordView]]] = []
-    for key in _sorted_keys(histories):
-        records = histories[key]
-        if records:
-            flat.extend((key, record) for record in records)
-        else:
-            flat.append((key, None))
-    if not flat:
-        return [pack_history_map({})]
     chunks: List[bytes] = []
-    index = 0
-    while index < len(flat):
-        entries: List[Tuple[Key, bytes, List[bytes]]] = []  # (key, key_enc, records)
-        size = 4  # the entry-count prefix
-        while index < len(flat):
-            key, record = flat[index]
-            encoded = _encode_record(record) if record is not None else b""
-            opens_entry = not entries or entries[-1][0] != key
-            cost = len(encoded)
-            if opens_entry:
-                key_writer = ByteWriter()
-                write_key(key_writer, key)
-                key_enc = key_writer.getvalue()
-                cost += len(key_enc) + 4  # the per-key record-count prefix
-            if entries and size + cost > chunk_bytes:
-                break
-            if opens_entry:
-                entries.append((key, key_enc, []))
+    entries: List[Tuple[bytes, List[bytes]]] = []  # (encoded key, its records)
+    size = 4  # the entry-count prefix
+
+    def cut() -> None:
+        chunks.append(
+            _U32.pack(len(entries))
+            + b"".join(
+                key_enc + _U32.pack(len(records)) + b"".join(records)
+                for key_enc, records in entries
+            )
+        )
+
+    for key in _sorted_keys(histories):
+        key_enc = _pack(write_key, key)
+        opened = False  # does the current chunk already hold an entry for key?
+        for record in histories[key] or [None]:
+            encoded = b"" if record is None else _pack(_write_record, record)
+            opening = len(key_enc) + 4  # the key and its record-count prefix
+            if entries and size + len(encoded) + (0 if opened else opening) > chunk_bytes:
+                cut()
+                entries, size, opened = [], 4, False
+            if not opened:
+                entries.append((key_enc, []))
+                size += opening
+                opened = True
             if record is not None:
-                entries[-1][2].append(encoded)
-            size += cost
-            index += 1
-        writer = ByteWriter()
-        writer.put_u32(len(entries))
-        for _, key_enc, encoded_records in entries:
-            writer.put_raw(key_enc)
-            writer.put_u32(len(encoded_records))
-            for encoded in encoded_records:
-                writer.put_raw(encoded)
-        chunks.append(writer.getvalue())
+                entries[-1][1].append(encoded)
+                size += len(encoded)
+    cut()
     return chunks
 
 
 def merge_record_chunks(readers: Sequence[ByteReader]) -> List[RecordView]:
     """Reassemble a streamed record list (one reader per chunk, in order)."""
-    records: List[RecordView] = []
-    for reader in readers:
-        records.extend(unpack_records(reader))
-    return records
+    return [record for reader in readers for record in unpack_records(reader)]
 
 
 def merge_history_chunks(
@@ -699,33 +646,19 @@ def merge_history_chunks(
     for reader in readers:
         for _ in range(reader.get_u32()):
             key = read_key(reader)
-            records = [_read_record(reader) for _ in range(reader.get_u32())]
-            result.setdefault(key, []).extend(records)
+            result.setdefault(key, []).extend(_RECORDS.read(reader))
     return result
 
 
-def pack_stats_request(fmt: str) -> bytes:
-    writer = ByteWriter()
-    writer.put_bytes(fmt.encode("utf-8"))
-    return writer.getvalue()
-
-
-def unpack_stats_request(reader: ByteReader) -> str:
-    return reader.get_bytes().decode("utf-8")
-
-
-def pack_blob(data: bytes) -> bytes:
-    writer = ByteWriter()
-    writer.put_bytes(data)
-    return writer.getvalue()
-
-
-def unpack_blob(reader: ByteReader) -> bytes:
-    return reader.get_bytes()
+def merge_event_chunks(readers: Sequence[ByteReader]) -> List[Event]:
+    return [event for reader in readers for event in unpack_events(reader)]
 
 
 # ----------------------------------------------------------------------
-# Replication codecs (SUBSCRIBE / LOG_BATCH / ACK / WATERMARK / TOPOLOGY)
+# Replication stream codecs (SUBSCRIBE / LOG_BATCH / ACK / TOPOLOGY)
+#
+# Not request/response, so not rows of the operation table: dispatched in
+# :mod:`repro.replication.primary` / :mod:`repro.replication.replica`.
 #
 # LOG_BATCH payloads carry a raw slice of a shard's WAL — whole
 # ``[len][crc][body]`` record frames, byte-identical to what the primary's
@@ -735,7 +668,9 @@ def unpack_blob(reader: ByteReader) -> bytes:
 # and the final record's LSN must equal the declared ``last_lsn``; a torn
 # or corrupted batch raises before any byte reaches the mirror.
 # ----------------------------------------------------------------------
-_U64 = struct.Struct(">Q")
+STREAM_OPCODES = frozenset(
+    {Opcode.SUBSCRIBE, Opcode.LOG_BATCH, Opcode.ACK, Opcode.TOPOLOGY}
+)
 
 
 def iter_wal_records(data: bytes, base: int = 0):
@@ -770,10 +705,7 @@ def wal_batch_end(data: bytes) -> Tuple[int, int]:
 
 
 def pack_subscribe(shard: int, from_lsn: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(shard)
-    writer.put_u64(from_lsn)
-    return writer.getvalue()
+    return _SHARD_LSN.pack(shard, from_lsn)
 
 
 def unpack_subscribe(reader: ByteReader) -> Tuple[int, int]:
@@ -781,11 +713,7 @@ def unpack_subscribe(reader: ByteReader) -> Tuple[int, int]:
 
 
 def pack_log_batch(shard: int, last_lsn: int, records: bytes) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(shard)
-    writer.put_u64(last_lsn)
-    writer.put_bytes(records)
-    return writer.getvalue()
+    return _SHARD_LSN.pack(shard, last_lsn) + _U32.pack(len(records)) + records
 
 
 def unpack_log_batch(reader: ByteReader) -> Tuple[int, int, bytes]:
@@ -813,26 +741,8 @@ def unpack_log_batch(reader: ByteReader) -> Tuple[int, int, bytes]:
     return shard, last_lsn, records
 
 
-def pack_ack(shard: int, lsn: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(shard)
-    writer.put_u64(lsn)
-    return writer.getvalue()
-
-
-def unpack_ack(reader: ByteReader) -> Tuple[int, int]:
-    return reader.get_u32(), reader.get_u64()
-
-
-def pack_watermark(durable_lsn: int, watermark: int) -> bytes:
-    writer = ByteWriter()
-    writer.put_u64(durable_lsn)
-    writer.put_u64(watermark)
-    return writer.getvalue()
-
-
-def unpack_watermark(reader: ByteReader) -> Tuple[int, int]:
-    return reader.get_u64(), reader.get_u64()
+#: An ACK is ``(shard, lsn)`` — the SUBSCRIBE payload shape.
+pack_ack, unpack_ack = pack_subscribe, unpack_subscribe
 
 
 def pack_topology(
@@ -858,170 +768,201 @@ def unpack_topology(reader: ByteReader) -> Tuple[bool, List[Key], int, int]:
 
 
 # ----------------------------------------------------------------------
-# Migration codecs (SNAPSHOT_READ / SNAPSHOT_CHUNK / CUTOVER / ROUTE)
-#
-# A migration snapshot travels as raw version *events* — ``(timestamp,
-# key, tombstone, value)`` in global timestamp order — because events are
-# the representation that replays identically into an empty target shard:
-# inserts and deletes land at their original commit timestamps, so every
-# as-of answer over the moved range is byte-identical on the target.
+# The operation table: one row per request/response operation.  The module
+# docstring lists what is derived from it.
 # ----------------------------------------------------------------------
-#: One migration event: the store's ``(timestamp, key, is_tombstone, value)``.
-Event = VersionEvent
+class Answer(NamedTuple):
+    """One answer shape: its codec, and how a cluster treats it.
 
+    Unstreamed: ``pack(value) -> bytes``, ``unpack(reader) -> value``.
+    Streamed: ``pack(value)`` returns the self-contained chunks that travel
+    as ``[PARTIAL]* [OK]`` and ``unpack(readers)`` reassembles them.
+    ``clip(value, owns)`` keeps the part of a spans-keys answer this node
+    owns; ``merge(answers)`` unions the per-node clipped answers.
+    """
+
+    pack: Callable[[Any], Union[bytes, List[bytes]]]
+    unpack: Callable[[Any], Any]
+    streamed: bool = False
+    clip: Optional[Callable[[Any, Callable[[Key], bool]], Any]] = None
+    merge: Optional[Callable[[Sequence], Any]] = None
+
+
+def _merge_record_map(readers: Sequence[ByteReader]) -> Dict[Key, RecordView]:
+    return {record.key: record for record in merge_record_chunks(readers)}
+
+
+def _chunk_migration(answer: Tuple[Sequence[Event], Sequence]) -> List[bytes]:
+    """SNAPSHOT_READ: event chunks, then the copy state as the final frame."""
+    return chunk_events(answer[0]) + [pack_copy_state(answer[1])]
+
+
+def _merge_migration(readers: Sequence[ByteReader]):
+    return merge_event_chunks(readers[:-1]), unpack_copy_state(readers[-1])
+
+
+def _clip_records(records: Sequence[RecordView], owns) -> List[RecordView]:
+    return [record for record in records if owns(record.key)]
+
+
+def _clip_map(mapping: Dict[Key, Any], owns) -> Dict[Key, Any]:
+    return {key: value for key, value in mapping.items() if owns(key)}
+
+
+def _union_records(answers: Sequence[Sequence[RecordView]]) -> List[RecordView]:
+    return sorted(
+        (record for records in answers for record in records),
+        key=lambda record: record.key,
+    )
+
+
+def _union_maps(answers: Sequence[Dict[Key, Any]]) -> Dict[Key, Any]:
+    return {key: value for answer in answers for key, value in answer.items()}
+
+
+NOTHING = Answer(lambda value: b"", lambda reader: None)
+STAMP = Answer(pack_timestamp_u64, unpack_timestamp_u64)
+STAMPS = Answer(pack_timestamps, unpack_timestamps)
+MAYBE_RECORD = Answer(pack_optional_record, unpack_optional_record)
+RECORD_LIST = Answer(chunk_records, merge_record_chunks, True, _clip_records, _union_records)
+RECORD_MAP = Answer(chunk_record_map, _merge_record_map, True, _clip_map, _union_maps)
+HISTORY_MAP = Answer(chunk_history_map, merge_history_chunks, True, _clip_map, _union_maps)
+BLOB = Answer(pack_blob, unpack_blob)
+LSN_AND_STAMP = Answer(lambda pair: pack_watermark(*pair), unpack_watermark)
+ROUTES = Answer(pack_routing, unpack_routing)
+EVENTS_AND_OFFSETS = Answer(_chunk_migration, _merge_migration, True)
+
+#: Kinds: ``write`` needs a writable tenant; ``read`` may be answered by a
+#: follower; ``admin`` asks the addressed server about itself.
+WRITE, READ, ADMIN = "write", "read", "admin"
+#: Targets: the tenant's store (``method`` is a façade method), the cluster
+#: ``NodeRole`` (a method taking the store first), or the server itself.
+STORE, NODE, SERVER = "store", "node", "server"
 #: Cutover phases.
 CUTOVER_PREPARE = 1
 CUTOVER_COMMIT = 2
 
 
-def _write_event(writer: ByteWriter, event: Event) -> None:
-    timestamp, key, tombstone, value = event
-    writer.put_u64(timestamp)
-    write_key(writer, key)
-    writer.put_u8(1 if tombstone else 0)
-    write_value(writer, value)
+def _compile_args(fields: Dict[str, Codec]) -> Tuple[Callable[..., bytes], Callable]:
+    """``(pack, unpack)`` for one row's argument fields, generated once: the
+    straight-line codecs one would write by hand (``pack(key, timestamp)``
+    writes each field in order, ``unpack(reader)`` reads them into a tuple),
+    so a request pays no per-field dispatch loop for the table."""
+    if not fields:
+        return (lambda: b""), (lambda reader: ())
+    scope: Dict[str, Any] = {"ByteWriter": ByteWriter}
+    for i, codec in enumerate(fields.values()):
+        scope[f"write{i}"], scope[f"read{i}"] = codec
+    writes = "".join(f"    write{i}(writer, {name})\n" for i, name in enumerate(fields))
+    reads = "".join(f"read{i}(reader), " for i in range(len(fields)))
+    exec(  # noqa: S102 - the source is built from the table's own field names
+        f"def pack({', '.join(fields)}):\n"
+        f"    writer = ByteWriter()\n{writes}    return writer.getvalue()\n"
+        f"def unpack(reader):\n    return ({reads})\n",
+        scope,
+    )
+    return scope["pack"], scope["unpack"]
 
 
-def _read_event(reader: ByteReader) -> Event:
-    timestamp = reader.get_u64()
-    key = read_key(reader)
-    tombstone = bool(reader.get_u8())
-    return timestamp, key, tombstone, read_value(reader)
+class Op:
+    """One row of the operation table: what the operation is, declaratively."""
+
+    def __init__(
+        self,
+        opcode: Opcode,
+        method: Optional[str],
+        fields: Dict[str, Codec],
+        answer: Answer,
+        kind: str,
+        *,
+        keyed: bool = False,
+        wait_on: Optional[str] = None,
+        target: str = STORE,
+    ) -> None:
+        self.opcode = opcode
+        #: The façade (or ``NodeRole``) method called with the decoded
+        #: arguments; every client class exposes ``read`` / ``write`` rows
+        #: under this name with the field names as parameters.
+        self.method = method
+        #: ``{parameter name: Codec}`` in wire order — the argument payload.
+        self.fields = fields
+        self.answer = answer
+        self.kind = kind  # WRITE, READ or ADMIN
+        self.target = target  # STORE, NODE or SERVER
+        #: The first argument is the key the operation lives on: the server
+        #: ownership-checks it and ``ClusterClient`` routes to its owner.
+        self.keyed = keyed
+        #: A ``read`` that is not keyed *spans keys*: each node clips the
+        #: answer to what it owns; ``ClusterClient`` merges every node's.
+        self.spans_keys = kind == READ and not keyed
+        #: Position of the timestamp argument (``wait_on``) a follower read
+        #: waits for the replication watermark to reach; ``None`` = no wait.
+        self.wait_index = None if wait_on is None else list(fields).index(wait_on)
+        self.pack_args, self.unpack_args = _compile_args(fields)
 
 
-def pack_events(events: Sequence[Event]) -> bytes:
-    writer = ByteWriter()
-    writer.put_u32(len(events))
-    for event in events:
-        _write_event(writer, event)
-    return writer.getvalue()
+_RANGE = dict(low=OPT_KEY, high=OPT_KEY)
+# fmt: off
+OPS: Dict[Opcode, Op] = {
+    op.opcode: op
+    for op in (
+        Op(Opcode.PING, None, {}, NOTHING, ADMIN, target=SERVER),
+        Op(Opcode.INSERT, "insert", dict(key=KEY, value=VALUE, timestamp=OPT_TS), STAMP, WRITE, keyed=True),
+        Op(Opcode.PUT_MANY, "put_many", dict(items=ITEMS), STAMPS, WRITE),
+        Op(Opcode.DELETE, "delete", dict(key=KEY, timestamp=OPT_TS), STAMP, WRITE, keyed=True),
+        Op(Opcode.GET, "get", dict(key=KEY), MAYBE_RECORD, READ, keyed=True),
+        Op(Opcode.GET_AS_OF, "get_as_of", dict(key=KEY, timestamp=U64), MAYBE_RECORD, READ, keyed=True, wait_on="timestamp"),
+        Op(Opcode.RANGE, "range_search", dict(_RANGE, as_of=OPT_TS), RECORD_LIST, READ, wait_on="as_of"),
+        Op(Opcode.SNAPSHOT, "snapshot", dict(timestamp=U64), RECORD_MAP, READ, wait_on="timestamp"),
+        Op(Opcode.KEY_HISTORY, "key_history", dict(key=KEY), RECORD_LIST, READ, keyed=True),
+        # No watermark wait on the two windowed reads: ``end`` is routinely
+        # an open upper bound (now + 1), which a follower's watermark may
+        # never reach while writes are idle.
+        Op(Opcode.HISTORY_BETWEEN, "history_between", dict(key=KEY, start=U64, end=U64), RECORD_LIST, READ, keyed=True),
+        Op(Opcode.TIME_SLICE, "time_slice", dict(start=U64, end=U64, **_RANGE), HISTORY_MAP, READ),
+        Op(Opcode.NOW, "now", {}, STAMP, ADMIN),
+        Op(Opcode.STATS, None, dict(fmt=TEXT), BLOB, ADMIN, target=SERVER),
+        Op(Opcode.SNAPSHOT_CHUNK, "apply_chunk", dict(events=EVENTS), NOTHING, ADMIN, target=NODE),
+        Op(Opcode.CUTOVER, "cutover", dict(phase=U8, **_RANGE, epoch=U32, target=TEXT), ROUTES, ADMIN, target=NODE),
+        Op(Opcode.WATERMARK, "watermark", {}, LSN_AND_STAMP, ADMIN),
+        Op(Opcode.ROUTE, "routes", {}, ROUTES, ADMIN, target=NODE),
+        # Empty ``offsets`` asks for the full consistent snapshot of the
+        # range; a non-empty list asks for the *delta* — committed events
+        # logged at or past each shard's offset (log catch-up).
+        Op(Opcode.SNAPSHOT_READ, "snapshot_read", dict(_RANGE, offsets=OFFSETS), EVENTS_AND_OFFSETS, ADMIN, target=NODE),
+    )
+}
+# fmt: on
 
 
-def unpack_events(reader: ByteReader) -> List[Event]:
-    return [_read_event(reader) for _ in range(reader.get_u32())]
+def encode_args(op: Op, args: Sequence) -> bytes:
+    """The request payload of ``op`` for positional ``args`` (field order)."""
+    return op.pack_args(*args)
 
 
-def chunk_events(
-    events: Sequence[Event], chunk_bytes: int = STREAM_CHUNK_BYTES
-) -> List[bytes]:
-    """Cut ``events`` into one or more ``pack_events``-format payloads."""
-    chunks: List[bytes] = []
-    parts: List[bytes] = []
-    size = 0
-    for event in events:
-        writer = ByteWriter()
-        _write_event(writer, event)
-        encoded = writer.getvalue()
-        if parts and size + len(encoded) > chunk_bytes:
-            chunks.append(_U32.pack(len(parts)) + b"".join(parts))
-            parts, size = [], 0
-        parts.append(encoded)
-        size += len(encoded)
-    chunks.append(_U32.pack(len(parts)) + b"".join(parts))
-    return chunks
+def decode_args(op: Op, reader: ByteReader) -> tuple:
+    """The one request-argument decoder: the row's fields, then nothing.
 
-
-def merge_event_chunks(readers: Sequence[ByteReader]) -> List[Event]:
-    events: List[Event] = []
-    for reader in readers:
-        events.extend(unpack_events(reader))
-    return events
-
-
-def pack_copy_state(offsets: Sequence[Tuple[int, int]]) -> bytes:
-    """Per-shard WAL copy positions: ``[(shard, byte_offset), ...]``."""
-    writer = ByteWriter()
-    writer.put_u32(len(offsets))
-    for shard, offset in offsets:
-        writer.put_u32(shard)
-        writer.put_u64(offset)
-    return writer.getvalue()
-
-
-def unpack_copy_state(reader: ByteReader) -> List[Tuple[int, int]]:
-    return [(reader.get_u32(), reader.get_u64()) for _ in range(reader.get_u32())]
-
-
-def pack_migrate_read(
-    low: Optional[Key],
-    high: Optional[Key],
-    offsets: Sequence[Tuple[int, int]] = (),
-) -> bytes:
-    """SNAPSHOT_READ request: a range, plus per-shard WAL offsets.
-
-    An empty ``offsets`` list asks for the full consistent snapshot of the
-    range; a non-empty list asks for the *delta* — committed events logged
-    at or past each shard's offset — enabling log catch-up from the copy
-    point.
+    Truncation raises :exc:`SerializationError`; malformed UTF-8 text or
+    bytes left over raise :exc:`ProtocolError` — all answered
+    ``BAD_REQUEST`` on the request's own id, connection kept.
     """
-    writer = ByteWriter()
-    _write_optional_key(writer, low)
-    _write_optional_key(writer, high)
-    writer.put_u32(len(offsets))
-    for shard, offset in offsets:
-        writer.put_u32(shard)
-        writer.put_u64(offset)
-    return writer.getvalue()
+    args = op.unpack_args(reader)
+    if reader.remaining:
+        raise ProtocolError(
+            f"{op.opcode.name} payload carries {reader.remaining} bytes past "
+            "its arguments"
+        )
+    return args
 
 
-def unpack_migrate_read(
-    reader: ByteReader,
-) -> Tuple[Optional[Key], Optional[Key], List[Tuple[int, int]]]:
-    low = _read_optional_key(reader)
-    high = _read_optional_key(reader)
-    offsets = [(reader.get_u32(), reader.get_u64()) for _ in range(reader.get_u32())]
-    return low, high, offsets
+def encode_answer(op: Op, value) -> Union[bytes, List[bytes]]:
+    """``op``'s OK payload — or its list of chunk payloads when streamed
+    (length 1 when the answer fits one chunk)."""
+    return op.answer.pack(value)
 
 
-def pack_cutover(
-    phase: int,
-    low: Optional[Key],
-    high: Optional[Key],
-    epoch: int,
-    target: str,
-) -> bytes:
-    writer = ByteWriter()
-    writer.put_u8(phase)
-    _write_optional_key(writer, low)
-    _write_optional_key(writer, high)
-    writer.put_u32(epoch)
-    writer.put_bytes(target.encode("utf-8"))
-    return writer.getvalue()
-
-
-def unpack_cutover(
-    reader: ByteReader,
-) -> Tuple[int, Optional[Key], Optional[Key], int, str]:
-    phase = reader.get_u8()
-    low = _read_optional_key(reader)
-    high = _read_optional_key(reader)
-    epoch = reader.get_u32()
-    target = reader.get_bytes().decode("utf-8")
-    return phase, low, high, epoch, target
-
-
-def pack_routing(
-    routes: Sequence[Tuple[Optional[Key], Optional[Key], str, int]]
-) -> bytes:
-    """Routing table: ``[(low, high, owner_node, epoch), ...]``."""
-    writer = ByteWriter()
-    writer.put_u32(len(routes))
-    for low, high, node, epoch in routes:
-        _write_optional_key(writer, low)
-        _write_optional_key(writer, high)
-        writer.put_bytes(node.encode("utf-8"))
-        writer.put_u32(epoch)
-    return writer.getvalue()
-
-
-def unpack_routing(
-    reader: ByteReader,
-) -> List[Tuple[Optional[Key], Optional[Key], str, int]]:
-    routes: List[Tuple[Optional[Key], Optional[Key], str, int]] = []
-    for _ in range(reader.get_u32()):
-        low = _read_optional_key(reader)
-        high = _read_optional_key(reader)
-        node = reader.get_bytes().decode("utf-8")
-        epoch = reader.get_u32()
-        routes.append((low, high, node, epoch))
-    return routes
+def decode_answer(op: Op, chunks: Sequence[ByteReader], final: ByteReader):
+    """``op``'s answer from its ``PARTIAL`` chunk readers and final frame."""
+    answer = op.answer
+    return answer.unpack([*chunks, final]) if answer.streamed else answer.unpack(final)

@@ -10,7 +10,11 @@
 * **Tenants** — every request names a tenant; stores open on first use
   from the :class:`~repro.server.registry.StoreRegistry` catalog and close
   (checkpointing) at shutdown.
-* **Dispatch** — the asyncio loop never touches a store: requests are
+* **Dispatch** — no per-opcode code: :meth:`ReproServer._apply` runs any
+  row of :data:`repro.server.protocol.OPS` (writable check → ownership
+  check → call → clip-to-owned → pack); only ``PING`` / ``STATS`` (no
+  store) and ``PUT_MANY`` / auto-stamped ``INSERT`` (the write batcher) go
+  another way.  The asyncio loop never touches a store: requests are
   bridged to the thread-safe façade on a bounded worker pool
   (``loop.run_in_executor``), so a slow scatter-gather query never stalls
   frame reading or other connections.  The read loop drains the socket in
@@ -54,6 +58,7 @@ import json
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,6 +70,8 @@ from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.server import protocol
 from repro.server.protocol import (
     FRAME_HEADER,
+    OPS,
+    Op,
     Opcode,
     ProtocolError,
     Request,
@@ -82,26 +89,21 @@ READ_CHUNK_BYTES = 256 * 1024
 #: either a single frame body or the list of streamed chunks.
 _Result = Tuple[int, Status, Union[bytes, List[bytes]]]
 
+#: The writes that ride the per-tenant :class:`_WriteBatcher`.
+_BATCHED_OPCODES = frozenset({Opcode.INSERT, Opcode.PUT_MANY})
 #: Opcodes that coalesce into per-tenant worker-pool dispatches (one
-#: executor hop per tenant per parsed batch).  Writes keep their own tasks
-#: — the per-tenant :class:`_WriteBatcher` coalesces those — and PING /
-#: STATS stay singletons.
-_GROUPED_OPCODES = frozenset(
-    {
-        Opcode.GET,
-        Opcode.GET_AS_OF,
-        Opcode.RANGE,
-        Opcode.SNAPSHOT,
-        Opcode.KEY_HISTORY,
-        Opcode.HISTORY_BETWEEN,
-        Opcode.TIME_SLICE,
-        Opcode.NOW,
-        Opcode.DELETE,
-        Opcode.WATERMARK,
-        Opcode.ROUTE,
-        Opcode.SNAPSHOT_READ,
-    }
+#: executor hop per tenant per parsed batch): every table row that reaches a
+#: store or the cluster node, minus the batched writes — those keep their
+#: own tasks, as do ``PING`` / ``STATS``, which touch no store.
+_GROUPED_OPCODES = (
+    frozenset(op.opcode for op in OPS.values() if op.target != protocol.SERVER)
+    - _BATCHED_OPCODES
 )
+
+
+def _error_frame(request_id: int, status: Status, message: str) -> bytes:
+    """One refusal / failure response frame carrying ``message``."""
+    return protocol.encode_response(request_id, status, protocol.pack_error(message))
 
 
 class _Connection:
@@ -115,12 +117,9 @@ class _Connection:
         #: Requests admitted on this connection and not yet responded to.
         self.pending = 0
 
-    async def send(self, frame: bytes) -> None:
-        """Write one response frame (serialized; concurrent tasks respond)."""
-        await self.send_many((frame,))
-
     async def send_many(self, frames: Sequence[bytes]) -> None:
-        """Write a batch of response frames as one socket write."""
+        """Write a batch of response frames as one socket write (serialized:
+        concurrent tasks respond on the same connection)."""
         if not frames:
             return
         async with self.lock:
@@ -464,9 +463,7 @@ class ReproServer:
                 self.metrics.inc("server.protocol_errors", len(rejects))
                 await connection.send_many(
                     [
-                        protocol.encode_response(
-                            request_id, Status.BAD_REQUEST, protocol.pack_error(message)
-                        )
+                        _error_frame(request_id, Status.BAD_REQUEST, message)
                         for request_id, message in rejects
                     ]
                 )
@@ -540,10 +537,8 @@ class ReproServer:
         for request in requests:
             if self._shutting_down:
                 refusals.append(
-                    protocol.encode_response(
-                        request.request_id,
-                        Status.ERROR,
-                        protocol.pack_error("server is shutting down"),
+                    _error_frame(
+                        request.request_id, Status.ERROR, "server is shutting down"
                     )
                 )
                 continue
@@ -553,14 +548,12 @@ class ReproServer:
             ):
                 busy += 1
                 refusals.append(
-                    protocol.encode_response(
+                    _error_frame(
                         request.request_id,
                         Status.SERVER_BUSY,
-                        protocol.pack_error(
-                            f"admission limit reached "
-                            f"({self._inflight} in flight server-wide, "
-                            f"{connection.pending} pending on this connection)"
-                        ),
+                        f"admission limit reached "
+                        f"({self._inflight} in flight server-wide, "
+                        f"{connection.pending} pending on this connection)",
                     )
                 )
                 continue
@@ -570,59 +563,32 @@ class ReproServer:
             if request.opcode in _GROUPED_OPCODES:
                 groups.setdefault(request.tenant, []).append(request)
             else:
-                self._track(
-                    loop.create_task(self._serve_request(connection, request))
-                )
+                work = partial(self._execute, request)
+                self._track(loop.create_task(self._serve(connection, (request,), work)))
         self.metrics.set_gauge("server.inflight", self._inflight)
         if busy:
             self.metrics.inc("server.busy", busy)
         for tenant, group in groups.items():
-            self._track(loop.create_task(self._serve_group(connection, tenant, group)))
+            # One tenant's batch: one executor hop, one socket write.
+            work = partial(
+                loop.run_in_executor, self._pool, self._execute_group, tenant, group
+            )
+            self._track(loop.create_task(self._serve(connection, group, work)))
         await connection.send_many(refusals)
 
-    async def _serve_request(self, connection: _Connection, request: Request) -> None:
-        started = perf_counter()
-        opname = request.opcode.name.lower()
-        try:
-            status, payload = await self._execute(request)
-        except protocol.WrongShardError as exc:
-            self.metrics.inc("server.wrong_shard")
-            status, payload = Status.WRONG_SHARD, protocol.pack_routing(exc.routes)
-        except (ProtocolError, SerializationError) as exc:
-            self.metrics.inc("server.protocol_errors")
-            status, payload = Status.BAD_REQUEST, protocol.pack_error(str(exc))
-        except Exception as exc:  # noqa: BLE001 - the server must outlive any op
-            self.metrics.inc("server.errors")
-            status, payload = (
-                Status.ERROR,
-                protocol.pack_error(f"{type(exc).__name__}: {exc}"),
-            )
-        finally:
-            self._inflight -= 1
-            connection.pending -= 1
-            self.metrics.set_gauge("server.inflight", self._inflight)
-        self.metrics.observe(f"server.op.{opname}", perf_counter() - started)
-        await connection.send(
-            protocol.encode_response(request.request_id, status, payload)
-        )
-
-    async def _serve_group(
-        self, connection: _Connection, tenant: str, group: List[Request]
+    async def _serve(
+        self, connection: _Connection, requests: Sequence[Request], work
     ) -> None:
-        """Execute one tenant's batch of read requests in one executor hop,
-        then write every response (streamed chunks included) in one go."""
-        loop = asyncio.get_running_loop()
+        """Await ``work()`` (one :data:`_Result` per request), free the admission
+        slots, then write every response, streamed chunks included, in one go."""
         try:
-            results = await loop.run_in_executor(
-                self._pool, self._execute_group, tenant, group
-            )
+            results = await work()
         except Exception as exc:  # noqa: BLE001 - pool shut down mid-flight
-            self.metrics.inc("server.errors")
-            payload = protocol.pack_error(f"{type(exc).__name__}: {exc}")
-            results = [(request.request_id, Status.ERROR, payload) for request in group]
+            status, payload = self._failure(exc)
+            results = [(request.request_id, status, payload) for request in requests]
         finally:
-            self._inflight -= len(group)
-            connection.pending -= len(group)
+            self._inflight -= len(requests)
+            connection.pending -= len(requests)
             self.metrics.set_gauge("server.inflight", self._inflight)
         frames: List[bytes] = []
         streamed = 0
@@ -642,130 +608,91 @@ class ReproServer:
         await connection.send_many(frames)
 
     def _execute_group(self, tenant: str, group: List[Request]) -> List[_Result]:
-        """Worker-thread half of :meth:`_serve_group`: every request of the
+        """Worker-thread half of a grouped dispatch: every request of the
         batch against the tenant's store, one registry lookup for all."""
         try:
             store = self.registry.get(tenant)
         except Exception as exc:  # noqa: BLE001 - e.g. UnknownTenantError
-            payload = protocol.pack_error(f"{type(exc).__name__}: {exc}")
-            return [(request.request_id, Status.ERROR, payload) for request in group]
-        metrics = self.metrics
+            status, payload = self._failure(exc)
+            return [(request.request_id, status, payload) for request in group]
         results: List[_Result] = []
         for request in group:
             started = perf_counter()
+            op = OPS[request.opcode]
             try:
-                payload: Union[bytes, List[bytes]] = self._apply_read(store, request)
-                status = Status.OK
-            except protocol.WrongShardError as exc:
-                metrics.inc("server.wrong_shard")
-                status, payload = Status.WRONG_SHARD, protocol.pack_routing(exc.routes)
-            except (ProtocolError, SerializationError) as exc:
-                metrics.inc("server.protocol_errors")
-                status, payload = Status.BAD_REQUEST, protocol.pack_error(str(exc))
+                args = protocol.decode_args(op, request.payload)
+                status, payload = Status.OK, self._apply(store, tenant, op, args)
             except Exception as exc:  # noqa: BLE001 - the server outlives any op
-                metrics.inc("server.errors")
-                status, payload = (
-                    Status.ERROR,
-                    protocol.pack_error(f"{type(exc).__name__}: {exc}"),
-                )
-            metrics.observe(
+                status, payload = self._failure(exc)
+            self.metrics.observe(
                 f"server.op.{request.opcode.name.lower()}", perf_counter() - started
             )
             results.append((request.request_id, status, payload))
         return results
 
-    def _apply_read(self, store, request: Request) -> Union[bytes, List[bytes]]:
-        """One grouped op against an open store.
+    def _failure(self, exc: Exception) -> Tuple[Status, bytes]:
+        """The one exception → ``(status, payload)`` ladder."""
+        if isinstance(exc, protocol.WrongShardError):
+            self.metrics.inc("server.wrong_shard")
+            return Status.WRONG_SHARD, protocol.pack_routing(exc.routes)
+        if isinstance(exc, (ProtocolError, SerializationError)):
+            self.metrics.inc("server.protocol_errors")
+            return Status.BAD_REQUEST, protocol.pack_error(str(exc))
+        self.metrics.inc("server.errors")
+        return Status.ERROR, protocol.pack_error(f"{type(exc).__name__}: {exc}")
 
-        The scan ops return a *list* of chunk payloads (length 1 when the
-        answer fits one chunk — byte-identical to the unstreamed response);
-        everything else returns a single payload.
+    def _apply(
+        self, store, tenant: str, op: Op, args: tuple
+    ) -> Union[bytes, List[bytes]]:
+        """One operation against an open store, straight from its table row:
+        writable check → ownership check → call → clip-to-owned → pack.
 
-        With a cluster :attr:`node` attached, keyed ops are ownership-
-        checked (an unowned key raises ``WrongShardError``) and scatter
-        answers are clipped to owned ranges — a migrated-away range's
-        frozen local copy is never served.
+        A streamed row packs to a *list* of chunk payloads (length 1 when
+        the answer fits one chunk — byte-identical to the unstreamed
+        response); everything else packs to a single payload.
+
+        With a cluster :attr:`node` attached, a keyed op on an unowned key
+        raises ``WrongShardError``; a spans-keys answer is clipped to owned
+        ranges (a migrated-away range's frozen local copy is never served)
+        and refused outright while a cutover has a range frozen, when
+        neither side of the move would answer for it.
         """
-        opcode, reader, tenant = request.opcode, request.payload, request.tenant
-        if opcode is Opcode.GET:
-            key = protocol.unpack_key(reader)
-            self._check_owned(tenant, key)
-            return protocol.pack_optional_record(store.get(key))
-        if opcode is Opcode.GET_AS_OF:
-            key, timestamp = protocol.unpack_key_at(reader)
-            self._check_owned(tenant, key)
-            return protocol.pack_optional_record(store.get_as_of(key, timestamp))
-        if opcode is Opcode.RANGE:
-            low, high, as_of = protocol.unpack_range(reader)
-            records = store.range_search(low, high, as_of=as_of)
-            if self.node is not None:
-                records = [r for r in records if self.node.owns(tenant, r.key)]
-            return protocol.chunk_records(records)
-        if opcode is Opcode.SNAPSHOT:
-            timestamp = protocol.unpack_timestamp_u64(reader)
-            snapshot = store.snapshot(timestamp)
-            if self.node is not None:
-                snapshot = {
-                    key: record
-                    for key, record in snapshot.items()
-                    if self.node.owns(tenant, key)
-                }
-            return protocol.chunk_record_map(snapshot)
-        if opcode is Opcode.KEY_HISTORY:
-            key = protocol.unpack_key(reader)
-            self._check_owned(tenant, key)
-            return protocol.chunk_records(store.key_history(key))
-        if opcode is Opcode.HISTORY_BETWEEN:
-            key, start, end = protocol.unpack_window(reader)
-            self._check_owned(tenant, key)
-            return protocol.chunk_records(store.history_between(key, start, end))
-        if opcode is Opcode.TIME_SLICE:
-            start, end, low, high = protocol.unpack_time_slice(reader)
-            if not isinstance(store, ShardedVersionStore):
-                raise VersionStoreError(
-                    "time_slice requires a sharded store; tenant "
-                    f"{request.tenant!r} is single-shard"
-                )
-            histories = store.time_slice(start, end, low=low, high=high)
-            if self.node is not None:
-                histories = {
-                    key: records
-                    for key, records in histories.items()
-                    if self.node.owns(tenant, key)
-                }
-            return protocol.chunk_history_map(histories)
-        if opcode is Opcode.NOW:
-            return protocol.pack_timestamp_u64(store.now)
-        if opcode is Opcode.DELETE:
+        node = self.node
+        if op.kind == protocol.WRITE:
             self._check_writable(tenant)
-            key, timestamp = protocol.unpack_delete(reader)
-            self._check_owned(tenant, key)
-            return protocol.pack_timestamp_u64(store.delete(key, timestamp=timestamp))
-        if opcode is Opcode.WATERMARK:
-            durable, timestamp = store.watermark()
-            return protocol.pack_watermark(durable, timestamp)
-        if opcode is Opcode.ROUTE:
-            if self.node is None:
-                raise VersionStoreError("this server has no cluster node attached")
-            return protocol.pack_routing(self.node.routes(tenant))
-        if opcode is Opcode.SNAPSHOT_READ:
-            if self.node is None:
-                raise VersionStoreError("this server has no cluster node attached")
-            return self.node.snapshot_read(store, reader)
-        raise ProtocolError(f"unhandled opcode {opcode!r}")  # pragma: no cover
+        if op.target == protocol.NODE:
+            if node is None:
+                raise VersionStoreError(
+                    "this server has no cluster node attached; "
+                    f"{op.opcode.name} is a cluster opcode"
+                )
+            value = getattr(node, op.method)(store, *args)
+        else:
+            if node is not None:
+                if op.keyed:
+                    node.check_key(args[0])
+                elif op.spans_keys:
+                    node.check_unfrozen()
+            method = getattr(store, op.method, None)
+            if method is None:
+                raise VersionStoreError(
+                    f"{op.method} requires a sharded store; tenant "
+                    f"{tenant!r} is single-shard"
+                )
+            # A property (``now``) is its own answer.
+            value = method(*args) if callable(method) else method
+            if node is not None and op.spans_keys:
+                value = op.answer.clip(value, node.owns)
+        return protocol.encode_answer(op, value)
 
     # ------------------------------------------------------------------
     # Cluster-membership checks (no-ops without a node)
     # ------------------------------------------------------------------
-    def _check_owned(self, tenant: str, key: Key) -> None:
-        if self.node is not None:
-            self.node.check_key(tenant, key)  # raises WrongShardError
-
     def _check_items(self, tenant: str, items) -> None:
         self._check_writable(tenant)
         if self.node is not None:
             for key, _ in items:
-                self.node.check_key(tenant, key)
+                self.node.check_key(key)
 
     def _check_writable(self, tenant: str) -> None:
         if self.registry.is_read_only(tenant):
@@ -783,50 +710,40 @@ class ReproServer:
             batcher = self._batchers[tenant] = _WriteBatcher(self, tenant)
         return batcher
 
-    async def _execute(self, request: Request) -> Tuple[Status, bytes]:
+    async def _execute(self, request: Request) -> List[_Result]:
+        """An ungrouped request, on its own task: the two ops that touch no
+        store, the writes that ride the tenant's batcher, and (an explicitly
+        stamped ``INSERT``) one :meth:`_apply` on its own executor hop."""
+        started = perf_counter()
         loop = asyncio.get_running_loop()
-        opcode = request.opcode
-        if opcode is Opcode.PING:
-            return Status.OK, b""
-        if opcode is Opcode.STATS:
-            fmt = protocol.unpack_stats_request(request.payload)
-            rendered = await loop.run_in_executor(self._pool, self._render_stats, fmt)
-            return Status.OK, protocol.pack_blob(rendered)
-        if opcode is Opcode.PUT_MANY:
-            items = protocol.unpack_items(request.payload)
-            stamps = await self._batcher(request.tenant).submit(items)
-            return Status.OK, protocol.pack_timestamps(stamps)
-        if opcode is Opcode.INSERT:
-            key, value, timestamp = protocol.unpack_insert(request.payload)
-            if timestamp is None:
-                # Auto-stamped inserts ride the tenant's write batcher: many
-                # concurrent single-record requests become one put_many.
-                stamps = await self._batcher(request.tenant).submit([(key, value)])
-                return Status.OK, protocol.pack_timestamp_u64(stamps[0])
-            stamped = await loop.run_in_executor(
-                self._pool, self._insert_at, request.tenant, key, value, timestamp
-            )
-            return Status.OK, protocol.pack_timestamp_u64(stamped)
-        if opcode is Opcode.SNAPSHOT_CHUNK or opcode is Opcode.CUTOVER:
-            if self.node is None:
-                raise ProtocolError(
-                    "this server has no cluster node attached; "
-                    f"{opcode.name} is a migration opcode"
+        opcode, tenant = request.opcode, request.tenant
+        op = OPS[opcode]
+        try:
+            args = protocol.decode_args(op, request.payload)
+            if opcode is Opcode.INSERT and args[2] is not None:
+                payload = await loop.run_in_executor(
+                    self._pool,
+                    lambda: self._apply(self.registry.get(tenant), tenant, op, args),
                 )
-            payload = await loop.run_in_executor(self._pool, self._node_op, request)
-            return Status.OK, payload
-        raise ProtocolError(f"unhandled opcode {opcode!r}")
-
-    def _node_op(self, request: Request) -> bytes:
-        if request.opcode is Opcode.SNAPSHOT_CHUNK:
-            store = self.registry.get(request.tenant)
-            return self.node.apply_chunk(store, request.payload)
-        return self.node.cutover(request.tenant, request.payload)
-
-    def _insert_at(self, tenant: str, key: Key, value: bytes, timestamp: int) -> int:
-        self._check_writable(tenant)
-        self._check_owned(tenant, key)
-        return self.registry.get(tenant).insert(key, value, timestamp=timestamp)
+            else:
+                if opcode is Opcode.PING:
+                    value = None
+                elif opcode is Opcode.STATS:
+                    value = await loop.run_in_executor(
+                        self._pool, self._render_stats, *args
+                    )
+                elif opcode is Opcode.PUT_MANY:
+                    value = await self._batcher(tenant).submit(*args)
+                else:
+                    # Auto-stamped inserts ride the tenant's write batcher:
+                    # many concurrent single-record requests, one put_many.
+                    (value,) = await self._batcher(tenant).submit([args[:2]])
+                payload = protocol.encode_answer(op, value)
+            status = Status.OK
+        except Exception as exc:  # noqa: BLE001 - the server must outlive any op
+            status, payload = self._failure(exc)
+        self.metrics.observe(f"server.op.{opcode.name.lower()}", perf_counter() - started)
+        return [(request.request_id, status, payload)]
 
     # ------------------------------------------------------------------
     # Stats rendering (the STATS opcode)

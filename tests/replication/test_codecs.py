@@ -126,18 +126,15 @@ class TestMigrationCodecs:
 
     @pytest.mark.parametrize("offsets", [[], [(0, 64), (1, 128)]])
     def test_migrate_read_round_trip(self, offsets):
-        payload = protocol.pack_migrate_read("low", None, offsets)
-        reader = ByteReader(payload)
-        assert protocol.unpack_migrate_read(reader) == ("low", None, offsets)
+        op = protocol.OPS[protocol.Opcode.SNAPSHOT_READ]
+        reader = ByteReader(protocol.encode_args(op, ("low", None, offsets)))
+        assert protocol.decode_args(op, reader) == ("low", None, offsets)
 
     def test_cutover_round_trip(self):
-        payload = protocol.pack_cutover(
-            protocol.CUTOVER_PREPARE, "m", None, 3, "node-b"
-        )
-        reader = ByteReader(payload)
-        assert protocol.unpack_cutover(reader) == (
-            protocol.CUTOVER_PREPARE, "m", None, 3, "node-b",
-        )
+        op = protocol.OPS[protocol.Opcode.CUTOVER]
+        args = (protocol.CUTOVER_PREPARE, "m", None, 3, "node-b")
+        reader = ByteReader(protocol.encode_args(op, args))
+        assert protocol.decode_args(op, reader) == args
 
     def test_routing_round_trip(self):
         routes = [(None, "m", "a", 0), ("m", None, "b", 2)]

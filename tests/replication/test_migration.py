@@ -7,13 +7,16 @@ scatter-gather answer over the moved range is byte-identical before and
 after the cutover — the migration is invisible to readers.
 """
 
+import inspect
 import threading
 
 import pytest
 
-from repro.api.store import ShardSpec, StoreConfig
-from repro.client import ReproClient, ServerError, WrongShardError
+from repro.api.store import ShardSpec, StoreConfig, VersionStore
+from repro.client import Pipeline, ReproClient, ServerError, WrongShardError
 from repro.replication import ClusterClient, ClusterNode, migrate_range
+from repro.replication.cluster import RoutingTable
+from repro.server.protocol import ADMIN, CUTOVER_COMMIT, CUTOVER_PREPARE, OPS
 
 
 def _node_config():
@@ -28,8 +31,6 @@ def _node_config():
 @pytest.fixture()
 def cluster():
     """Two live nodes; node A initially owns the whole keyspace."""
-    from repro.replication.cluster import RoutingTable
-
     with ClusterNode("A", _node_config()) as node_a:
         table_b = RoutingTable([(None, None, "A", 0)])
         with ClusterNode("B", _node_config(), table=table_b) as node_b:
@@ -185,3 +186,155 @@ class TestMigration:
             assert client.get(keys[index]).value == f"seed{index}".encode()
         client.put_many([("k0030", b"still-on-a")])
         assert node_a.store.get("k0030").value == b"still-on-a"
+
+
+class TestScatterReadsDuringCutover:
+    """Between ``CUTOVER(PREPARE)`` and the last ``CUTOVER(COMMIT)`` the
+    source clips the frozen range out and the target does not own it yet.
+    A scatter read must never return the union minus the moving range: the
+    frozen source deflects it and the cluster client retries the fan-out.
+    The phases are driven by hand — no sleeps, no racing threads."""
+
+    LOW = "k0050"
+
+    def _copy_and_freeze(self, cluster):
+        _, _, client = cluster
+        _seed(client, 100)
+        source, target = client.clients["A"], client.clients["B"]
+        events, _ = source.migrate_read(self.LOW, None)
+        target.migrate_apply(events)
+        epoch = client.table.max_epoch() + 1
+        source.cutover(CUTOVER_PREPARE, self.LOW, None, epoch, "B")
+        return client, source, target, epoch
+
+    def test_frozen_source_deflects_scatter_reads_only(self, cluster):
+        client, source, _, _ = self._copy_and_freeze(cluster)
+        for scatter in (
+            lambda: source.range_search(),
+            lambda: source.snapshot(source.now),
+            lambda: source.time_slice(0, source.now + 1),
+        ):
+            with pytest.raises(WrongShardError):
+                scatter()
+        # Keyed operations outside the frozen range are unaffected.
+        assert source.get("k0010").value == b"seed10"
+        assert [r.value for r in source.key_history("k0049")] == [b"seed49"]
+        assert source.insert("k0011", b"during-freeze") > 0
+        with pytest.raises(WrongShardError):
+            source.get("k0050")
+
+    @pytest.mark.parametrize("scatter", ["range_search", "snapshot"])
+    def test_scatter_read_started_mid_freeze_returns_every_row(self, cluster, scatter):
+        client, source, target, epoch = self._copy_and_freeze(cluster)
+        # Each deflection the cluster client absorbs advances the cutover
+        # by one step, so the read observes every intermediate state:
+        # frozen; target committed but source still frozen; both committed.
+        steps = iter(
+            [
+                lambda: target.cutover(CUTOVER_COMMIT, self.LOW, None, epoch, "B"),
+                lambda: source.cutover(CUTOVER_COMMIT, self.LOW, None, epoch, "B"),
+            ]
+        )
+        absorb = client._note_wrong_shard
+
+        def absorb_then_advance(error):
+            absorb(error)
+            next(steps)()
+
+        client._note_wrong_shard = absorb_then_advance
+        if scatter == "range_search":
+            keys = [record.key for record in client.range_search()]
+        else:
+            keys = sorted(client.snapshot(client.now))
+        assert keys == [f"k{i:04d}" for i in range(100)]
+        assert next(steps, None) is None, "the read never saw the frozen window"
+        # The scatter needed no routes; the next keyed read learns them.
+        client._note_wrong_shard = absorb
+        assert client.get("k0075").value == b"seed75"
+        assert client.table.owner("k0075") == "B"
+
+    def test_migrate_range_commits_the_target_first(self, cluster, monkeypatch):
+        _, _, client = cluster
+        _seed(client, 100)
+        order = []
+        for name, node_client in client.clients.items():
+            cutover = node_client.cutover
+
+            def recording(phase, *args, _name=name, _cutover=cutover):
+                order.append((phase, _name))
+                return _cutover(phase, *args)
+
+            monkeypatch.setattr(node_client, "cutover", recording)
+        migrate_range(client, self.LOW, None, "A", "B")
+        assert order == [
+            (CUTOVER_PREPARE, "A"),
+            (CUTOVER_COMMIT, "B"),
+            (CUTOVER_COMMIT, "A"),
+        ]
+        assert len(client.range_search()) == len(client.snapshot(client.now)) == 100
+
+
+class TestSurfaceParity:
+    """Every ``read`` / ``write`` row of the operation table is a method of
+    the façade and of all three client classes, same parameter names — and a
+    two-node cluster answers each exactly like one store fed the same
+    writes."""
+
+    ROWS = [op for op in OPS.values() if op.kind != ADMIN]
+
+    @pytest.mark.parametrize("op", ROWS, ids=lambda op: op.method)
+    def test_same_method_same_parameters_everywhere(self, op):
+        from repro.api.sharded import ShardedVersionStore
+
+        for owner in (ShardedVersionStore, ReproClient, Pipeline, ClusterClient):
+            parameters = list(inspect.signature(getattr(owner, op.method)).parameters)
+            assert parameters == ["self", *op.fields], (owner.__name__, op.method)
+
+    def test_two_node_cluster_answers_like_a_single_store(self):
+        table = [(None, "k0050", "A", 0), ("k0050", None, "B", 0)]
+        with ClusterNode("A", _node_config(), table=RoutingTable(table)) as node_a, \
+                ClusterNode("B", _node_config(), table=RoutingTable(table)) as node_b, \
+                ClusterClient({"A": node_a.address, "B": node_b.address}) as cluster, \
+                VersionStore.open(_node_config()) as single:
+            keys = [f"k{i:04d}" for i in range(0, 100, 5)]
+            stamp = 0
+            for target in (cluster, single):
+                stamp = 0
+                for round_ in range(3):
+                    for key in keys:
+                        stamp += 1
+                        value = f"{key}-v{round_}".encode()
+                        assert target.insert(key, value, timestamp=stamp) == stamp
+                for key in keys[::4]:
+                    stamp += 1
+                    assert target.delete(key, timestamp=stamp) == stamp
+            assert node_a.store.now < stamp and node_b.store.now == stamp
+            assert cluster.now == single.now == stamp
+            middle = stamp // 2
+            calls = [
+                ("range_search", ()),
+                ("range_search", ("k0020", "k0070", middle)),
+                ("snapshot", (middle,)),
+                ("snapshot", (stamp,)),
+                ("time_slice", (0, stamp + 1)),
+                ("time_slice", (5, middle, "k0040", "k0060")),
+            ] + [
+                call
+                for key in ("k0000", "k0045", "k0050", "k0095", "missing")
+                for call in (
+                    ("get", (key,)),
+                    ("get_as_of", (key, middle)),
+                    ("key_history", (key,)),
+                    ("history_between", (key, 3, middle)),
+                )
+            ]
+            assert {name for name, _ in calls} | {"insert", "delete", "put_many"} == {
+                op.method for op in self.ROWS
+            }
+            for name, args in calls:
+                served = getattr(cluster, name)(*args)
+                assert served == getattr(single, name)(*args), (name, args)
+            # put_many stamps per node, so it is compared by what it stored.
+            stamps = cluster.put_many([(key, b"batch") for key in keys])
+            assert len(stamps) == len(keys)
+            assert all(cluster.get(key).value == b"batch" for key in keys)

@@ -276,6 +276,55 @@ class TestWireEdgeCases:
         assert response is not None and response[0] is Status.BAD_REQUEST
         sock.close()
 
+    def test_bytes_after_the_arguments_get_bad_request(self, server):
+        sock = self._connect(server)
+        get = protocol.OPS[Opcode.GET]
+        payload = protocol.encode_args(get, ("k",)) + b"\x00"
+        status, reader = _raw_exchange(
+            sock, protocol.encode_request(4, Opcode.GET, "default", payload)
+        )
+        assert status is Status.BAD_REQUEST
+        assert "1 bytes past its arguments" in protocol.unpack_error(reader)
+        # Rejected on its own id; the connection carries on.
+        follow_up = _raw_exchange(sock, protocol.encode_request(5, Opcode.PING, "default"))
+        assert follow_up is not None and follow_up[0] is Status.OK
+        sock.close()
+
+    def test_malformed_utf8_text_argument_gets_bad_request(self, server):
+        sock = self._connect(server)
+        payload = struct.pack(">I", 2) + b"\xff\xfe"  # a STATS format that is not UTF-8
+        status, reader = _raw_exchange(
+            sock, protocol.encode_request(6, Opcode.STATS, "default", payload)
+        )
+        assert status is Status.BAD_REQUEST
+        assert "UTF-8" in protocol.unpack_error(reader)
+        follow_up = _raw_exchange(sock, protocol.encode_request(7, Opcode.PING, "default"))
+        assert follow_up is not None and follow_up[0] is Status.OK
+        sock.close()
+
+    def test_codecs_enter_through_the_traced_module_functions(
+        self, server, client, monkeypatch
+    ):
+        """Client and server reach the table's codecs through
+        ``protocol.encode_args`` … ``protocol.decode_answer`` looked up at
+        call time — the names the benchmark's tracer wraps."""
+        calls = {}
+        for name in ("encode_args", "decode_args", "encode_answer", "decode_answer"):
+            original = getattr(protocol, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(protocol, name, counted)
+        stamp = client.insert("traced", b"v")
+        assert client.get("traced").timestamp == stamp
+        with client.pipeline() as pipe:
+            assert pipe.key_history("traced").result()[0].value == b"v"
+        assert calls == dict.fromkeys(
+            ("encode_args", "decode_args", "encode_answer", "decode_answer"), 3
+        )
+
 
 class TestShutdown:
     def test_connects_during_shutdown_never_hang(self):

@@ -19,31 +19,82 @@ an erasable device while current, so we are free to store them in a
 convenient normalised form.  The WOBT baseline in :mod:`repro.wobt` keeps the
 literal insertion-ordered layout.
 
-The module also contains the byte-accurate page codecs used when a node image
-is written to either device.
+Page layout
+-----------
+A page image is *column-packed*: every field of every record sits in one
+packed run per field, so opening a page is a handful of
+``struct.unpack_from`` calls and a point lookup is a ``bisect`` over one
+unpacked run.  All integers are big-endian.  A page holds keys of one kind
+(``int``: one ``i64`` each; ``str``: a run of ``u32`` end offsets followed by
+the UTF-8 bytes), an open time bound is the all-ones ``u64``, and an image
+is exactly as long as its header says — anything shorter is rejected as
+truncated when the page is opened.
 
-Hot-path design: both node kinds keep *lazy derived structures* next to
-their authoritative lists — a per-key version index and a cached content
-size on data nodes, sorted low-key entry tables on index nodes — so point
-queries and descents are dictionary/bisect lookups instead of linear scans,
-and sizing a node for the split test no longer re-serialises every record.
-The caches are maintained incrementally by the mutator methods and
-invalidated wholesale when the backing list itself is reassigned (what the
-split code does), which a ``__setattr__`` hook catches.
+Data page, ``n`` versions::
+
+    tag 0xD1 | key kind u8 | n u32 | t u32 | image length u32
+    keys          n keys, sorted by (key, committed first, stamp)
+    stamps        n x u64  commit stamp; the txn id of a provisional version
+    flags         n x u8   1 tombstone, 2 provisional, 4 stamp *and* txn id
+    order         n x u16  position of each slot in the node's version list
+    value ends    n x u32  end offset of each value in the value heap
+    txn ids       t x u64  for the versions flagged 4, in slot order
+    value heap
+    region        u8 (1 low, 2 high present) | keys | start u64 | end u64
+
+Slots are sorted, so the versions of one key are one contiguous run, oldest
+first, and ``version_as_of`` is two bisects over the keys and one over that
+run's stamps; ``order`` restores the list order when the node materialises.
+
+Index page, ``n`` entries over ``m`` distinct key bounds::
+
+    tag 0xD2 | key kind u8 | level u16 | n u32 | m u32
+             | region: low ref u16, high ref u16, start u64, end u64
+    key table     m keys, sorted; every bound on the page is a reference
+    low refs      n x u16  0 = unbounded, else 1 + position in the table
+    high refs     n x u16  0xFFFF = unbounded, else 1 + position
+    starts, ends  n x u64 each
+    child pages   n x u64  page number or historical region id
+    child tiers   n x u8   0 magnetic, 1 historical
+    historical    (sector start u64, length u64, platter u32) per tier-1 child
+
+A search key is bisected into the key table once; containment is then a
+comparison of small integers per entry (``low ref <= r < high ref``).
+
+Both layouts stay within the ``serialized_size()`` budget the split tests
+use (which over-charges a tag byte per field), so split decisions do not
+depend on the codec.
+
+A node decoded from an image is **image-backed** (:class:`_PackedDataNode`,
+:class:`_PackedIndexNode`): its point lookups answer from the columns and
+build only the objects they return.  The first access that needs the whole
+``versions`` / ``entries`` list — any mutation, a split, the checker — turns
+the object into a plain :class:`DataNode` / :class:`IndexNode` in place, and
+from then on it is encoded from its lists; an untouched image-backed node
+hands its image back from ``encode()``.  The materialised classes carry no
+hook for any of this, so a tree that fits in cache pays nothing for it.
+
+Hot-path design of the materialised classes: both keep *lazy derived
+structures* next to their authoritative lists — a per-key version index and
+a cached content size on data nodes, sorted low-key entry tables on index
+nodes — so point queries and descents are dictionary/bisect lookups instead
+of linear scans, and sizing a node for the split test does not re-serialise
+every record.  The caches are maintained incrementally by the mutator
+methods and invalidated wholesale when the backing list itself is
+reassigned (what the split code does), which a ``__setattr__`` hook catches.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.records import (
-    KeyRange,
     Rectangle,
-    RecordError,
-    TimeRange,
     Version,
     decoded_rectangle,
     decoded_version,
@@ -53,22 +104,12 @@ from repro.core.records import (
 )
 from repro.storage.device import Address
 from repro.storage.serialization import (
-    ByteReader,
-    ByteWriter,
     Key,
     SerializationError,
     address_size,
-    encode_str_key,
     decode_str_key,
+    encode_str_key,
     key_size,
-    read_address,
-    read_key,
-    read_timestamp,
-    read_value,
-    write_address,
-    write_key,
-    write_timestamp,
-    write_value,
 )
 
 _NODE_TAG_DATA = 0xD1
@@ -79,9 +120,29 @@ _NODE_HEADER_SIZE = 32
 #: fixed per-index-entry overhead besides key/address payload
 _INDEX_ENTRY_OVERHEAD = 20
 
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
+_KIND_INT = 0
+_KIND_STR = 1
+
+# Per-version flag bits of a data page.
+_TOMBSTONE = 1
+_PROVISIONAL = 2  # no commit stamp: the stamp slot holds the transaction id
+_STAMP_AND_TXN = 4  # committed but still carrying a txn id (kept in the sparse run)
+
+#: an open time bound ("still current") as stored
+_U64_MAX = (1 << 64) - 1
+#: index pages: the key reference of an unbounded high key
+_NO_HIGH = 0xFFFF
+
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_U32_PAIR = struct.Struct(">II")
+_U64_PAIR = struct.Struct(">QQ")
+_HISTORICAL_CHILD = struct.Struct(">QQI")  # sector start, length, platter
+_DATA_HEADER = struct.Struct(">BBIII")
+_INDEX_HEADER = struct.Struct(">BBHIIHHQQ")
+
+#: what a malformed image can make the column readers raise
+_MALFORMED = (struct.error, IndexError, ValueError, StopIteration)
 
 
 class NodeError(Exception):
@@ -89,154 +150,89 @@ class NodeError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Bound encoding helpers (None == +/- infinity / "still current")
+# Column codec helpers
 # ----------------------------------------------------------------------
-def _write_optional_key(writer: ByteWriter, key: Optional[Key]) -> None:
-    if key is None:
-        writer.put_u8(0)
+@lru_cache(maxsize=4096)
+def _run(code: str, count: int) -> struct.Struct:
+    """Codec of a run of ``count`` packed values of struct type ``code``."""
+    return struct.Struct(f">{count}{code}")
+
+
+def _key_kind(keys: Iterable[Optional[Key]]) -> int:
+    """The one key kind of a page (``None`` bounds aside)."""
+    kinds = set(map(type, keys))
+    kinds.discard(type(None))
+    if kinds <= {int}:
+        return _KIND_INT
+    if kinds == {str}:
+        return _KIND_STR
+    names = ", ".join(sorted(kind.__name__ for kind in kinds))
+    raise SerializationError(f"unsupported or mixed key types: {names}")
+
+
+def _append_keys(buf: bytearray, keys: Sequence[Key], kind: int) -> None:
+    if kind == _KIND_INT:
+        buf += _run("q", len(keys)).pack(*keys)
     else:
-        writer.put_u8(1)
-        write_key(writer, key)
+        encoded = [encode_str_key(key) for key in keys]
+        buf += _run("I", len(keys)).pack(*accumulate(map(len, encoded)))
+        buf += b"".join(encoded)
 
 
-def _read_optional_key(reader: ByteReader) -> Optional[Key]:
-    if reader.get_u8() == 0:
-        return None
-    return read_key(reader)
+def _keys_at(data: bytes, offset: int, count: int, kind: int) -> Tuple[Tuple[Key, ...], int]:
+    """The run of ``count`` keys at ``offset`` and the offset just past it."""
+    if kind == _KIND_INT:
+        return _run("q", count).unpack_from(data, offset), offset + 8 * count
+    if kind != _KIND_STR:
+        raise SerializationError(f"unknown key kind {kind}")
+    ends = _run("I", count).unpack_from(data, offset)
+    heap = offset + 4 * count
+    keys = tuple(
+        decode_str_key(data[heap + start : heap + end])
+        for start, end in zip((0,) + ends, ends)
+    )
+    return keys, heap + (ends[-1] if ends else 0)
 
 
-def _write_optional_time(writer: ByteWriter, timestamp: Optional[int]) -> None:
-    if timestamp is None:
-        writer.put_u8(0)
-    else:
-        writer.put_u8(1)
-        writer.put_u64(timestamp)
+def _end_word(end: Optional[int]) -> int:
+    """A time range's end as stored."""
+    if end is None:
+        return _U64_MAX
+    if end >= _U64_MAX:
+        raise SerializationError(f"time bound {end} out of range")
+    return end
 
 
-def _read_optional_time(reader: ByteReader) -> Optional[int]:
-    if reader.get_u8() == 0:
-        return None
-    return reader.get_u64()
+def _append_region(buf: bytearray, region: Rectangle, kind: int) -> None:
+    low, high = region.keys.low, region.keys.high
+    buf.append((low is not None) | (high is not None) << 1)
+    _append_keys(buf, [key for key in (low, high) if key is not None], kind)
+    buf += _U64_PAIR.pack(region.times.start, _end_word(region.times.end))
 
 
-def _write_rectangle(writer: ByteWriter, rect: Rectangle) -> None:
-    _write_optional_key(writer, rect.keys.low)
-    _write_optional_key(writer, rect.keys.high)
-    writer.put_u64(rect.times.start)
-    _write_optional_time(writer, rect.times.end)
+def _region_at(data: bytes, offset: int, kind: int) -> Rectangle:
+    present = data[offset]
+    bounds, offset = _keys_at(data, offset + 1, (present & 1) + (present >> 1 & 1), kind)
+    start, end = _U64_PAIR.unpack_from(data, offset)
+    return decoded_rectangle(
+        bounds[0] if present & 1 else None,
+        bounds[-1] if present & 2 else None,
+        start,
+        None if end == _U64_MAX else end,
+    )
 
 
-def _read_rectangle(reader: ByteReader) -> Rectangle:
-    low = _read_optional_key(reader)
-    high = _read_optional_key(reader)
-    start = reader.get_u64()
-    end = _read_optional_time(reader)
-    return Rectangle(KeyRange(low, high), TimeRange(start, end))
+def _position_of(items: list, item) -> int:
+    """Index of ``item`` in ``items``: the very object if present, else an equal one.
 
-
-# ----------------------------------------------------------------------
-# Zero-intermediary codec helpers: the fast encode/decode paths below
-# append straight into one bytearray / read with struct.unpack_from and a
-# running offset, producing byte-identical images to the ByteWriter /
-# ByteReader layout (which stays authoritative for every other page kind).
-# ----------------------------------------------------------------------
-def _append_key(buf: bytearray, key: Key) -> None:
-    if isinstance(key, bool) or not isinstance(key, (int, str)):
-        raise SerializationError(f"unsupported key type: {type(key).__name__}")
-    if isinstance(key, int):
-        buf.append(0)  # _TAG_INT_KEY
-        buf += _I64.pack(key)
-    else:
-        encoded = encode_str_key(key)
-        buf.append(1)  # _TAG_STR_KEY
-        buf += _U32.pack(len(encoded))
-        buf += encoded
-
-
-def _key_at(data: bytes, offset: int) -> Tuple[Key, int]:
-    tag = data[offset]
-    offset += 1
-    if tag == 0:
-        (key,) = _I64.unpack_from(data, offset)
-        return key, offset + 8
-    if tag == 1:
-        (length,) = _U32.unpack_from(data, offset)
-        offset += 4
-        end = offset + length
-        if end > len(data):
-            raise SerializationError("truncated page image")
-        return decode_str_key(bytes(data[offset:end])), end
-    raise SerializationError(f"unknown key tag {tag}")
-
-
-def _append_rectangle(buf: bytearray, rect: Rectangle) -> None:
-    low, high = rect.keys.low, rect.keys.high
-    if low is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        _append_key(buf, low)
-    if high is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        _append_key(buf, high)
-    times = rect.times
-    buf += _U64.pack(times.start)
-    if times.end is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        buf += _U64.pack(times.end)
-
-
-def _rectangle_at(data: bytes, offset: int) -> Tuple[Rectangle, int]:
-    low: Optional[Key] = None
-    high: Optional[Key] = None
-    if data[offset]:
-        low, offset = _key_at(data, offset + 1)
-    else:
-        offset += 1
-    if data[offset]:
-        high, offset = _key_at(data, offset + 1)
-    else:
-        offset += 1
-    (start,) = _U64.unpack_from(data, offset)
-    offset += 8
-    end: Optional[int] = None
-    if data[offset]:
-        (end,) = _U64.unpack_from(data, offset + 1)
-        offset += 9
-    else:
-        offset += 1
-    return decoded_rectangle(low, high, start, end), offset
-
-
-def _append_address(buf: bytearray, address: Address) -> None:
-    if address.is_magnetic:
-        buf.append(0)  # _TAG_ADDR_MAGNETIC
-        buf += _U64.pack(address.page_id)
-    else:
-        buf.append(1)  # _TAG_ADDR_HISTORICAL
-        buf += _U64.pack(address.page_id)
-        buf += _U64.pack(address.sector_start or 0)
-        buf += _U64.pack(address.length or 0)
-        buf += _U32.pack(address.platter or 0)
-
-
-def _address_at(data: bytes, offset: int) -> Tuple[Address, int]:
-    tag = data[offset]
-    offset += 1
-    if tag == 0:
-        (page_id,) = _U64.unpack_from(data, offset)
-        return Address.magnetic(page_id), offset + 8
-    if tag == 1:
-        (region_id,) = _U64.unpack_from(data, offset)
-        (sector_start,) = _U64.unpack_from(data, offset + 8)
-        (length,) = _U64.unpack_from(data, offset + 16)
-        (platter,) = _U32.unpack_from(data, offset + 24)
-        return Address.historical(region_id, sector_start, length, platter), offset + 28
-    raise SerializationError(f"unknown address tag {tag}")
+    ``list.index`` alone would call the dataclass ``__eq__`` on every element
+    ahead of the match; the identity pass runs at C speed and almost always
+    finds the object the caller took from this same list.
+    """
+    try:
+        return list(map(id, items)).index(id(item))
+    except ValueError:
+        return items.index(item)
 
 
 def _entry_sort_key(entry: "IndexEntry") -> Tuple:
@@ -362,7 +358,7 @@ class DataNode:
     def remove_version(self, version: Version) -> None:
         self._sync_caches()
         try:
-            self.versions.remove(version)
+            del self.versions[_position_of(self.versions, version)]
         except ValueError as exc:  # pragma: no cover - defensive
             raise NodeError(f"version {version} not present in node") from exc
         object.__setattr__(self, "_known_len", self._known_len - 1)
@@ -371,7 +367,7 @@ class DataNode:
             group = index.get(version.key)
             if group is not None:
                 try:
-                    group.remove(version)
+                    del group[_position_of(group, version)]
                 except ValueError:  # pragma: no cover - defensive
                     object.__setattr__(self, "_by_key", None)
                 else:
@@ -408,75 +404,277 @@ class DataNode:
 
     # -- serialization ----------------------------------------------------
     def encode(self) -> bytes:
-        buf = bytearray()
-        buf.append(_NODE_TAG_DATA)
-        _append_rectangle(buf, self.region)
-        buf += _U32.pack(len(self.versions))
-        for version in self.versions:
-            _append_key(buf, version.key)
-            timestamp = version.timestamp
-            if timestamp is None:
-                buf.append(0)
-            else:
-                buf.append(1)
-                buf += _U64.pack(timestamp)
-            txn_id = version.txn_id
-            flags = 1 if version.is_tombstone else 0
-            if txn_id is not None:
-                flags |= 2
-            buf.append(flags)
-            if txn_id is not None:
-                buf += _U64.pack(txn_id)
-            value = version.value
-            buf += _U32.pack(len(value))
-            buf += value
+        versions = self.versions
+        region = self.region
+        count = len(versions)
+        keys: List[Optional[Key]] = [version.key for version in versions]
+        kind = _key_kind(keys + [region.keys.low, region.keys.high])
+        # Slot order: by key, then the order `_index` keeps a key's versions
+        # in; list position breaks ties, as that stable sort would.
+        rows = sorted(
+            (key, *_stable_version_order(version), position)
+            for position, (key, version) in enumerate(zip(keys, versions))
+        )
+        flags = bytearray(count)
+        values = []
+        txn_ids = []
+        for slot, row in enumerate(rows):
+            version = versions[row[3]]
+            values.append(version.value)
+            flag = _TOMBSTONE if version.is_tombstone else 0
+            if version.timestamp is None:
+                if version.txn_id is None:
+                    raise SerializationError("a provisional version must carry its txn_id")
+                flag |= _PROVISIONAL
+            elif version.txn_id is not None:
+                flag |= _STAMP_AND_TXN
+                txn_ids.append(version.txn_id)
+            flags[slot] = flag
+        try:
+            buf = bytearray(_DATA_HEADER.size)
+            _append_keys(buf, [row[0] for row in rows], kind)
+            buf += _run("Q", count).pack(*[row[2] for row in rows])
+            buf += flags
+            buf += _run("H", count).pack(*[row[3] for row in rows])
+            buf += _run("I", count).pack(*accumulate(map(len, values)))
+            buf += _run("Q", len(txn_ids)).pack(*txn_ids)
+            buf += b"".join(values)
+            _append_region(buf, region, kind)
+            _DATA_HEADER.pack_into(
+                buf, 0, _NODE_TAG_DATA, kind, count, len(txn_ids), len(buf)
+            )
+        except struct.error as exc:
+            raise SerializationError(f"data node {self.address} cannot be packed: {exc}") from exc
         return bytes(buf)
 
     @staticmethod
     def decode(address: Address, data: bytes) -> "DataNode":
-        try:
-            if data[0] != _NODE_TAG_DATA:
-                raise SerializationError(f"not a data-node image (tag {data[0]:#x})")
-            region, offset = _rectangle_at(data, 1)
-            (count,) = _U32.unpack_from(data, offset)
-            offset += 4
-            length = len(data)
-            versions: List[Version] = []
-            append = versions.append
-            for _ in range(count):
-                key, offset = _key_at(data, offset)
-                tag = data[offset]
-                offset += 1
-                if tag == 0:
-                    timestamp = None
-                elif tag == 1:
-                    (timestamp,) = _U64.unpack_from(data, offset)
-                    offset += 8
-                else:
-                    raise SerializationError(f"unknown timestamp tag {tag}")
-                flags = data[offset]
-                offset += 1
-                if flags & 2:
-                    (txn_id,) = _U64.unpack_from(data, offset)
-                    offset += 8
-                else:
-                    txn_id = None
-                (value_length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                end = offset + value_length
-                if end > length:
-                    raise SerializationError("truncated page image")
-                value = bytes(data[offset:end])
-                offset = end
-                append(
-                    decoded_version(key, timestamp, value, txn_id, bool(flags & 1))
-                )
-        except (struct.error, IndexError) as exc:
-            raise SerializationError("truncated page image") from exc
-        return DataNode(address=address, region=region, versions=versions)
+        return _PackedDataNode(address, data)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataNode({self.address}, {self.region}, {len(self.versions)} versions)"
+
+
+# -- image-backed data nodes ---------------------------------------------
+#
+# Everything an image-backed node does besides reading its own ``__dict__``
+# lives in module-level functions: the object may turn into a plain
+# ``DataNode`` under a reader that is halfway through one of the methods
+# below (another reader, under the same shared latch, materialised it), and
+# a method looked up on ``self`` would then be gone.  Nothing is ever taken
+# out of ``__dict__``, and every lazily computed value is a pure function of
+# the image, so racing readers at worst compute it twice.
+def _open_data_page(node: "_PackedDataNode") -> tuple:
+    """Unpack the key column and locate the other runs."""
+    kind, count, txn_ids = node._shape
+    try:
+        keys, stamps = _keys_at(node._image, _DATA_HEADER.size, count, kind)
+    except _MALFORMED as exc:
+        raise SerializationError("malformed data-page image") from exc
+    flags = stamps + 8 * count
+    order = flags + count
+    ends = order + 2 * count
+    sparse = ends + 4 * count
+    heap = sparse + 8 * txn_ids
+    layout = node.__dict__["_layout"] = (keys, stamps, flags, order, ends, sparse, heap)
+    return layout
+
+
+def _slots_of(data: bytes, layout: tuple, key: Key) -> Tuple[int, int, int]:
+    """``(first, committed_end, end)`` of the slots holding ``key``'s versions."""
+    keys = layout[0]
+    first = bisect_left(keys, key)
+    end = bisect_right(keys, key, first)
+    committed = end
+    flags = layout[2] - 1
+    while committed > first and data[flags + committed] & _PROVISIONAL:
+        committed -= 1
+    return first, committed, end
+
+
+def _version_at(data: bytes, layout: tuple, slot: int) -> Version:
+    keys, stamps, flags, _order, ends, sparse, heap = layout
+    (word,) = _U64.unpack_from(data, stamps + 8 * slot)
+    flag = data[flags + slot]
+    if slot:
+        start, end = _U32_PAIR.unpack_from(data, ends + 4 * slot - 4)
+    else:
+        start = 0
+        (end,) = _U32.unpack_from(data, ends)
+    if flag & _PROVISIONAL:
+        timestamp, txn_id = None, word
+    elif flag & _STAMP_AND_TXN:
+        earlier = sum(1 for other in data[flags : flags + slot] if other & _STAMP_AND_TXN)
+        timestamp = word
+        (txn_id,) = _U64.unpack_from(data, sparse + 8 * earlier)
+    else:
+        timestamp, txn_id = word, None
+    return decoded_version(
+        keys[slot], timestamp, data[heap + start : heap + end], txn_id, bool(flag & _TOMBSTONE)
+    )
+
+
+def _materialise_data(node: "DataNode") -> None:
+    """Turn an image-backed node into a plain :class:`DataNode`, in place."""
+    if type(node) is not _PackedDataNode:
+        return
+    data = node._image
+    keys, stamps_at, flags_at, order_at, ends_at, sparse_at, heap = (
+        node._layout or _open_data_page(node)
+    )
+    count = len(keys)
+    versions: List[Optional[Version]] = [None] * count
+    by_key: Dict[Key, List[Version]] = {}
+    try:
+        txn_ids = iter(_run("Q", node._shape[2]).unpack_from(data, sparse_at))
+        start = heap
+        for key, word, flag, position, end in zip(
+            keys,
+            _run("Q", count).unpack_from(data, stamps_at),
+            data[flags_at : flags_at + count],
+            _run("H", count).unpack_from(data, order_at),
+            _run("I", count).unpack_from(data, ends_at),
+        ):
+            if flag & _PROVISIONAL:
+                timestamp, txn_id = None, word
+            elif flag & _STAMP_AND_TXN:
+                timestamp, txn_id = word, next(txn_ids)
+            else:
+                timestamp, txn_id = word, None
+            end += heap
+            version = versions[position] = decoded_version(
+                key, timestamp, data[start:end], txn_id, bool(flag & _TOMBSTONE)
+            )
+            start = end
+            group = by_key.get(key)
+            if group is None:
+                by_key[key] = [version]
+            else:
+                group.append(version)
+        region = node.region
+    except _MALFORMED as exc:
+        raise SerializationError("malformed data-page image") from exc
+    # What `sum(version.serialized_size())` would add up to, from the page's
+    # own counts: per version a key, a 9-byte stamp or a 1-byte "none", a flag
+    # byte, a 9- or 1-byte txn id and a length-prefixed value.
+    if node._shape[0] == _KIND_INT:
+        key_bytes = 9 * count
+    else:
+        key_bytes = count + stamps_at - _DATA_HEADER.size
+    state = node.__dict__
+    state["region"] = region
+    state["versions"] = versions
+    state["_by_key"] = by_key  # slots are sorted the way `_index` sorts its groups
+    state["_content_size"] = key_bytes + 15 * count + 8 * node._shape[2] + start - heap
+    state["_known_len"] = count
+    object.__setattr__(node, "__class__", DataNode)
+
+
+class _PackedDataNode(DataNode):
+    """A data node that answers point lookups from its page image."""
+
+    def __init__(self, address: Address, image: bytes) -> None:
+        if type(image) is not bytes:
+            image = bytes(image)
+        try:
+            tag, kind, count, txn_ids, length = _DATA_HEADER.unpack_from(image)
+        except struct.error as exc:
+            raise SerializationError("truncated page image") from exc
+        if tag != _NODE_TAG_DATA:
+            raise SerializationError(f"not a data-node image (tag {tag:#x})")
+        if length != len(image):
+            raise SerializationError("truncated page image")
+        state = self.__dict__
+        state["address"] = address
+        state["_image"] = image
+        state["_shape"] = (kind, count, txn_ids)
+        state["_layout"] = None
+        state["_region"] = None
+
+    def __setattr__(self, name: str, value) -> None:
+        # Any assignment is a mutation: the image no longer describes the node.
+        _materialise_data(self)
+        DataNode.__setattr__(self, name, value)
+
+    def _sync_caches(self) -> None:
+        # Reached only from inherited code that is about to use the lists.
+        _materialise_data(self)
+
+    def __eq__(self, other) -> bool:
+        _materialise_data(self)
+        return DataNode.__eq__(self, other)
+
+    @property
+    def versions(self) -> List[Version]:
+        # The caller may edit the list it gets, so the image is given up.
+        _materialise_data(self)
+        return self.__dict__["versions"]
+
+    @property
+    def region(self) -> Rectangle:
+        region = self._region
+        if region is None:
+            data = self._image
+            layout = self._layout or _open_data_page(self)
+            try:
+                count = self._shape[1]
+                end = layout[6]
+                if count:
+                    end += _U32.unpack_from(data, layout[4] + 4 * count - 4)[0]
+                region = _region_at(data, end, self._shape[0])
+            except _MALFORMED as exc:
+                raise SerializationError("malformed data-page image") from exc
+            self.__dict__["_region"] = region
+        return region
+
+    def encode(self) -> bytes:
+        return self._image
+
+    def keys(self) -> List[Key]:
+        return list(dict.fromkeys((self._layout or _open_data_page(self))[0]))
+
+    def versions_for_key(self, key: Key) -> List[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, _committed, end = _slots_of(data, layout, key)
+        return [_version_at(data, layout, slot) for slot in range(first, end)]
+
+    def latest_for_key(self, key: Key) -> Optional[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, committed, _end = _slots_of(data, layout, key)
+        if first == committed:
+            return None
+        stamps = _run("Q", committed - first).unpack_from(data, layout[1] + 8 * first)
+        # Equal stamps: the first in list order wins, as in a scan of the list.
+        return _version_at(data, layout, first + bisect_left(stamps, stamps[-1]))
+
+    def version_as_of(self, key: Key, timestamp: int) -> Optional[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, committed, _end = _slots_of(data, layout, key)
+        if first == committed:
+            return None
+        stamps = _run("Q", committed - first).unpack_from(data, layout[1] + 8 * first)
+        newest = bisect_right(stamps, timestamp) - 1
+        if newest < 0:
+            return None
+        slot = first + bisect_left(stamps, stamps[newest], 0, newest)
+        if data[layout[2] + slot] & _TOMBSTONE:
+            return None
+        return _version_at(data, layout, slot)
+
+    def provisional_for_key(self, key: Key, txn_id: int) -> Optional[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, _committed, end = _slots_of(data, layout, key)
+        flags = layout[2]
+        for slot in range(end - 1, first - 1, -1):
+            if data[flags + slot] & (_PROVISIONAL | _STAMP_AND_TXN):
+                version = _version_at(data, layout, slot)
+                if version.txn_id == txn_id:
+                    return version
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +721,28 @@ class IndexEntry:
         return f"IndexEntry({self.region} -> {self.child})"
 
 
+def _referenced_rectangle(table: tuple, low: int, high: int, start: int, end: int) -> Rectangle:
+    """The rectangle an index page describes by key references and time words."""
+    return decoded_rectangle(
+        table[low - 1] if low else None,
+        None if high == _NO_HIGH else table[high - 1],
+        start,
+        None if end == _U64_MAX else end,
+    )
+
+
+def _the_child(matches: list, key: Key, timestamp: int, address: Address):
+    """The one match of a ``find_child`` search, or the corruption it reveals."""
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise NodeError(f"no child covers ({key!r}, {timestamp}) in index node {address}")
+    raise NodeError(
+        f"{len(matches)} children cover ({key!r}, {timestamp}) in index "
+        f"node {address}: regions overlap"
+    )
+
+
 @dataclass
 class IndexNode:
     """An internal node mapping key x time rectangles to child addresses."""
@@ -548,13 +768,21 @@ class IndexNode:
         if self._known_len != len(self.entries):
             self._invalidate()
 
-    def _low_table(self) -> Tuple[List[Tuple], List[IndexEntry]]:
-        """All entries sorted by key-range low bound, with parallel sort keys."""
+    def _low_table(self) -> Tuple[List[Tuple], List[IndexEntry], List[Tuple]]:
+        """All entries sorted by key-range low bound, with parallel sort keys
+        and ``(high key, start, end)`` bounds."""
         self._sync_caches()
         table = self._by_low
         if table is None:
             ordered = sorted(self.entries, key=_entry_sort_key)
-            table = ([_entry_sort_key(entry) for entry in ordered], ordered)
+            table = (
+                [_entry_sort_key(entry) for entry in ordered],
+                ordered,
+                [
+                    (entry.region.keys.high, entry.region.times.start, entry.region.times.end)
+                    for entry in ordered
+                ],
+            )
             object.__setattr__(self, "_by_low", table)
         return table
 
@@ -586,23 +814,16 @@ class IndexNode:
         can never match, so only the bisected prefix of the low-sorted entry
         table is inspected.
         """
-        lows, ordered = self._low_table()
+        lows, ordered, bounds = self._low_table()
         limit = bisect_right(lows, (1, key))
         matches = [
             entry
-            for entry in ordered[:limit]
-            if entry.region.contains_point(key, timestamp)
+            for entry, (high, start, end) in zip(ordered[:limit], bounds)
+            if (high is None or key < high)
+            and start <= timestamp
+            and (end is None or timestamp < end)
         ]
-        if not matches:
-            raise NodeError(
-                f"no child covers ({key!r}, {timestamp}) in index node {self.address}"
-            )
-        if len(matches) > 1:
-            raise NodeError(
-                f"{len(matches)} children cover ({key!r}, {timestamp}) in index "
-                f"node {self.address}: regions overlap"
-            )
-        return matches[0]
+        return _the_child(matches, key, timestamp, self.address)
 
     def find_current_child(self, key: Key) -> IndexEntry:
         """The unique *current* child whose key range contains ``key``.
@@ -627,15 +848,18 @@ class IndexNode:
                 )
                 if not overlap:
                     return entry
-        matches = sum(
-            1
+        # Not the plain tiling the bisect assumes: count, as a scan would.
+        matches = [
+            candidate
             for candidate in self.entries
             if candidate.region.times.is_current
             and candidate.region.keys.contains(key)
-        )
+        ]
+        if len(matches) == 1:
+            return matches[0]
         raise NodeError(
             f"expected exactly one current child for key {key!r} in "
-            f"{self.address}, found {matches}"
+            f"{self.address}, found {len(matches)}"
         )
 
     def children_overlapping(self, region: Rectangle) -> List[IndexEntry]:
@@ -652,7 +876,7 @@ class IndexNode:
     def replace_entry(self, old: IndexEntry, new_entries: Sequence[IndexEntry]) -> None:
         """Replace one child entry by the entries produced by its split."""
         try:
-            position = self.entries.index(old)
+            position = _position_of(self.entries, old)
         except ValueError as exc:
             raise NodeError(f"entry {old} not present in index node") from exc
         self.entries[position : position + 1] = list(new_entries)
@@ -689,34 +913,59 @@ class IndexNode:
 
     # -- serialization -------------------------------------------------------
     def encode(self) -> bytes:
-        buf = bytearray()
-        buf.append(_NODE_TAG_INDEX)
-        buf += _U32.pack(self.level)
-        _append_rectangle(buf, self.region)
-        buf += _U32.pack(len(self.entries))
-        for entry in self.entries:
-            _append_rectangle(buf, entry.region)
-            _append_address(buf, entry.child)
+        entries = self.entries
+        count = len(entries)
+        # The node's own rectangle is packed as one more row of the columns.
+        regions = [entry.region for entry in entries]
+        regions.append(self.region)
+        lows = [region.keys.low for region in regions]
+        highs = [region.keys.high for region in regions]
+        bounds = set(lows)
+        bounds.update(highs)
+        bounds.discard(None)
+        kind = _key_kind(bounds)
+        table = sorted(bounds)
+        if len(table) >= _NO_HIGH:
+            raise SerializationError(f"index node {self.address} has too many distinct keys")
+        refs = dict(zip(table, range(1, len(table) + 1)))
+        low_refs = [0 if low is None else refs[low] for low in lows]
+        high_refs = [_NO_HIGH if high is None else refs[high] for high in highs]
+        starts = [region.times.start for region in regions]
+        ends = [_end_word(region.times.end) for region in regions]
+        children = [entry.child for entry in entries]
+        try:
+            buf = bytearray(
+                _INDEX_HEADER.pack(
+                    _NODE_TAG_INDEX,
+                    kind,
+                    self.level,
+                    count,
+                    len(table),
+                    low_refs.pop(),
+                    high_refs.pop(),
+                    starts.pop(),
+                    ends.pop(),
+                )
+            )
+            _append_keys(buf, table, kind)
+            buf += _run("H", count).pack(*low_refs)
+            buf += _run("H", count).pack(*high_refs)
+            buf += _run("Q", count).pack(*starts)
+            buf += _run("Q", count).pack(*ends)
+            buf += _run("Q", count).pack(*[child.page_id for child in children])
+            buf += bytes([0 if child.is_magnetic else 1 for child in children])
+            for child in children:
+                if not child.is_magnetic:
+                    buf += _HISTORICAL_CHILD.pack(
+                        child.sector_start or 0, child.length or 0, child.platter or 0
+                    )
+        except struct.error as exc:
+            raise SerializationError(f"index node {self.address} cannot be packed: {exc}") from exc
         return bytes(buf)
 
     @staticmethod
     def decode(address: Address, data: bytes) -> "IndexNode":
-        try:
-            if data[0] != _NODE_TAG_INDEX:
-                raise SerializationError(f"not an index-node image (tag {data[0]:#x})")
-            (level,) = _U32.unpack_from(data, 1)
-            region, offset = _rectangle_at(data, 5)
-            (count,) = _U32.unpack_from(data, offset)
-            offset += 4
-            entries: List[IndexEntry] = []
-            append = entries.append
-            for _ in range(count):
-                entry_region, offset = _rectangle_at(data, offset)
-                child, offset = _address_at(data, offset)
-                append(IndexEntry(child=child, region=entry_region))
-        except (struct.error, IndexError) as exc:
-            raise SerializationError("truncated page image") from exc
-        return IndexNode(address=address, region=region, entries=entries, level=level)
+        return _PackedIndexNode(address, data)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -725,11 +974,190 @@ class IndexNode:
         )
 
 
+# -- image-backed index nodes (module-level functions: see the data nodes) --
+def _open_index_page(node: "_PackedIndexNode") -> tuple:
+    """Unpack the key table and the bound columns; locate the child columns."""
+    kind, count, distinct, at = node._shape[:4]
+    data = node._image
+    try:
+        table, _ = _keys_at(data, _INDEX_HEADER.size, distinct, kind)
+        refs = _run("H", count)
+        words = _run("Q", count)
+        columns = (
+            table,
+            refs.unpack_from(data, at),
+            refs.unpack_from(data, at + 2 * count),
+            words.unpack_from(data, at + 4 * count),
+            words.unpack_from(data, at + 12 * count),
+            at + 20 * count,  # child pages
+            at + 28 * count,  # child tiers
+            at + 29 * count,  # historical children
+            [None] * count,  # the entries built so far
+        )
+    except _MALFORMED as exc:
+        raise SerializationError("malformed index-page image") from exc
+    node.__dict__["_columns"] = columns
+    return columns
+
+
+def _entry_at(data: bytes, columns: tuple, slot: int) -> IndexEntry:
+    """The entry in ``slot``, built on first use and then shared."""
+    made = columns[8]
+    entry = made[slot]
+    if entry is None:
+        table, lows, highs, starts, ends, pages, tiers, historical = columns[:8]
+        (page,) = _U64.unpack_from(data, pages + 8 * slot)
+        if data[tiers + slot]:
+            earlier = data.count(1, tiers, tiers + slot)
+            child = Address.historical(
+                page, *_HISTORICAL_CHILD.unpack_from(data, historical + 20 * earlier)
+            )
+        else:
+            child = Address.magnetic(page)
+        entry = made[slot] = IndexEntry(
+            child=child,
+            region=_referenced_rectangle(
+                table, lows[slot], highs[slot], starts[slot], ends[slot]
+            ),
+        )
+    return entry
+
+
+def _materialise_index(node: "IndexNode") -> None:
+    """Turn an image-backed node into a plain :class:`IndexNode`, in place."""
+    if type(node) is not _PackedIndexNode:
+        return
+    data = node._image
+    columns = node._columns or _open_index_page(node)
+    try:
+        entries = [_entry_at(data, columns, slot) for slot in range(node._shape[1])]
+        region = node.region
+    except _MALFORMED as exc:
+        raise SerializationError("malformed index-page image") from exc
+    state = node.__dict__
+    state["region"] = region
+    state["entries"] = entries
+    state["_by_low"] = None
+    state["_current_by_low"] = None
+    state["_content_size"] = None
+    state["_known_len"] = len(entries)
+    object.__setattr__(node, "__class__", IndexNode)
+
+
+class _PackedIndexNode(IndexNode):
+    """An index node that searches its page image in place."""
+
+    def __init__(self, address: Address, image: bytes) -> None:
+        if type(image) is not bytes:
+            image = bytes(image)
+        try:
+            tag, kind, level, count, distinct, low, high, start, end = (
+                _INDEX_HEADER.unpack_from(image)
+            )
+            if tag != _NODE_TAG_INDEX:
+                raise SerializationError(f"not an index-node image (tag {tag:#x})")
+            columns = _INDEX_HEADER.size + (8 if kind == _KIND_INT else 4) * distinct
+            if kind != _KIND_INT and distinct:
+                columns += _U32.unpack_from(image, columns - 4)[0]
+            tiers = columns + 28 * count
+            length = tiers + count + 20 * image.count(1, tiers, tiers + count)
+        except struct.error as exc:
+            raise SerializationError("truncated page image") from exc
+        if length != len(image):
+            raise SerializationError("truncated page image")
+        state = self.__dict__
+        state["address"] = address
+        state["level"] = level
+        state["_image"] = image
+        state["_shape"] = (kind, count, distinct, columns, low, high, start, end)
+        state["_columns"] = None
+        state["_region"] = None
+
+    def __setattr__(self, name: str, value) -> None:
+        _materialise_index(self)
+        IndexNode.__setattr__(self, name, value)
+
+    def _sync_caches(self) -> None:
+        _materialise_index(self)
+
+    def __eq__(self, other) -> bool:
+        _materialise_index(self)
+        return IndexNode.__eq__(self, other)
+
+    @property
+    def entries(self) -> List[IndexEntry]:
+        _materialise_index(self)
+        return self.__dict__["entries"]
+
+    @property
+    def region(self) -> Rectangle:
+        region = self._region
+        if region is None:
+            table = (self._columns or _open_index_page(self))[0]
+            try:
+                region = _referenced_rectangle(table, *self._shape[4:])
+            except IndexError as exc:
+                raise SerializationError("malformed index-page image") from exc
+            self.__dict__["_region"] = region
+        return region
+
+    def encode(self) -> bytes:
+        return self._image
+
+    def find_child(self, key: Key, timestamp: int) -> IndexEntry:
+        data = self._image
+        columns = self._columns or _open_index_page(self)
+        reach = bisect_right(columns[0], key)
+        # The all-ones end word is "still current", whatever the search time.
+        before = timestamp if timestamp < _U64_MAX else _U64_MAX - 1
+        matches = [
+            slot
+            for slot, (low, high, start, end) in enumerate(
+                zip(columns[1], columns[2], columns[3], columns[4])
+            )
+            if low <= reach < high and start <= timestamp and before < end
+        ]
+        return _entry_at(data, columns, _the_child(matches, key, timestamp, self.address))
+
+    def find_current_child(self, key: Key) -> IndexEntry:
+        data = self._image
+        columns = self._columns or _open_index_page(self)
+        reach = bisect_right(columns[0], key)
+        matches = [
+            slot
+            for slot, (low, high, end) in enumerate(zip(columns[1], columns[2], columns[4]))
+            if end == _U64_MAX and low <= reach < high
+        ]
+        if len(matches) != 1:
+            raise NodeError(
+                f"expected exactly one current child for key {key!r} in "
+                f"{self.address}, found {len(matches)}"
+            )
+        return _entry_at(data, columns, matches[0])
+
+    def children_overlapping(self, region: Rectangle) -> List[IndexEntry]:
+        data = self._image
+        columns = self._columns or _open_index_page(self)
+        table = columns[0]
+        keys, times = region.keys, region.times
+        above = 0 if keys.low is None else bisect_right(table, keys.low)
+        below = len(table) if keys.high is None else bisect_left(table, keys.high)
+        first = min(times.start, _U64_MAX - 1)
+        last = float("inf") if times.end is None else times.end
+        return [
+            _entry_at(data, columns, slot)
+            for slot, (low, high, start, end) in enumerate(
+                zip(columns[1], columns[2], columns[3], columns[4])
+            )
+            if low <= below and above < high and first < end and start < last
+        ]
+
+
 # ----------------------------------------------------------------------
 # Node image dispatch
 # ----------------------------------------------------------------------
 def decode_node(address: Address, data: bytes):
-    """Decode a page image into a :class:`DataNode` or :class:`IndexNode`."""
+    """Open a page image as a :class:`DataNode` or :class:`IndexNode`."""
     if not data:
         raise SerializationError("empty page image")
     tag = data[0]

@@ -53,7 +53,7 @@ from repro.core.split import (
     split_region_by_time,
     time_split_versions,
 )
-from repro.storage.device import Address
+from repro.storage.device import Address, Tier
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.pagecache import PageCache
 from repro.storage.serialization import (
@@ -67,6 +67,9 @@ from repro.storage.worm import WormDisk
 
 #: Devices usable as the historical store: anything with append_region/read.
 HistoricalDevice = Union[WormDisk, "object"]
+
+#: `_load_node` runs several times per operation; the tier test is inlined.
+_MAGNETIC = Tier.MAGNETIC
 
 #: Marker identifying a magnetic page as a TSB-tree superblock.
 _SUPERBLOCK_MAGIC = 0x7513_B001
@@ -423,8 +426,9 @@ class TSBTree:
         region = Rectangle(KeyRange.full(), TimeRange(timestamp, timestamp + 1))
         result: Dict[Key, Version] = {}
         for node in self._iter_data_nodes(region):
+            responsibility = node.region
             for key in node.keys():
-                if not node.region.contains_point(key, timestamp):
+                if not responsibility.contains_point(key, timestamp):
                     continue
                 valid = node.version_as_of(key, timestamp)
                 if valid is not None:
@@ -443,10 +447,11 @@ class TSBTree:
         region = Rectangle(key_range, TimeRange(timestamp, timestamp + 1))
         results: Dict[Key, Version] = {}
         for node in self._iter_data_nodes(region):
+            responsibility = node.region
             for key in node.keys():
                 if not key_range.contains(key):
                     continue
-                if not node.region.contains_point(key, timestamp):
+                if not responsibility.contains_point(key, timestamp):
                     continue
                 valid = node.version_as_of(key, timestamp)
                 if valid is not None:
@@ -530,7 +535,7 @@ class TSBTree:
         with self._node_lock:
             self._node_cache.clear()
             self._dirty_nodes.clear()
-            self._decode_memo.clear()
+            self._clean_nodes.clear()
             self._node_capacity = self._cache_pages
         self.cache = PageCache(self.magnetic, capacity=self._cache_pages)
 
@@ -644,53 +649,47 @@ class TSBTree:
     # ------------------------------------------------------------------
     # Internal: node I/O
     #
-    # Current (magnetic) nodes live decoded in a write-back node cache:
+    # Current (magnetic) nodes live in a write-back node cache:
     # `_load_node` is a dictionary hit for warm pages and `_store_node`
     # only marks the node dirty — the page image is produced once, when
     # the node is evicted or the tree flushes, instead of on every touch.
-    # This is the single biggest hot-path win: profiling showed per-touch
-    # encode/decode of the full page accounted for ~80% of insert time.
-    # Historical (WORM) reads stay uncached so query I/O accounting for
-    # the historical device remains byte-accurate.
+    # A miss opens the page image in place (see `repro.core.nodes`): the
+    # node answers point lookups from the image and builds its version or
+    # entry list only when a writer, a scan of its entries or the checker
+    # asks for it.  Historical (WORM) reads stay uncached so query I/O
+    # accounting for the historical device remains byte-accurate.
     # ------------------------------------------------------------------
     def _init_node_cache(self, capacity: int) -> None:
         self._node_cache: "OrderedDict[int, Union[DataNode, IndexNode]]" = OrderedDict()
         self._dirty_nodes: Set[int] = set()
+        # The clean cached pages, in the same least-recently-used order as
+        # `_node_cache`: the read path evicts clean nodes only, and once
+        # most of the cache is dirty a walk of `_node_cache` past every
+        # dirty node would cost more than the miss itself.
+        self._clean_nodes: "OrderedDict[int, None]" = OrderedDict()
         self._node_capacity = capacity
         self._node_lock = threading.Lock()
-        # Decode memo: page_id -> (raw page image, decoded node).  When a
-        # node-cache miss is still a buffer-pool hit, the pool hands back
-        # the *same* bytes object it stored, and the previous decode of
-        # those bytes is still exact — clean eviction means unmutated, and
-        # a dirty write-back stores a fresh bytes object, failing the
-        # identity check.  Device-IO accounting is untouched: the memo is
-        # consulted only after ``cache.read`` already did its bookkeeping.
-        self._decode_memo: Dict[int, tuple] = {}
 
     def _load_node(self, address: Address) -> Union[DataNode, IndexNode]:
-        if address.is_magnetic:
+        if address.tier is _MAGNETIC:
             page_id = address.page_id
             with self._node_lock:
                 node = self._node_cache.get(page_id)
                 if node is not None:
                     self._node_cache.move_to_end(page_id)
-                    # A decoded-node hit serves the page without touching the
+                    if page_id in self._clean_nodes:
+                        self._clean_nodes.move_to_end(page_id)
+                    # A node-cache hit serves the page without touching the
                     # device — credit it to the buffer-pool stats so cache
                     # accounting (and the S5 hit-ratio study) still sees it.
                     self.cache.stats.hits += 1
                     return node
-            data = self.cache.read(address)
-            memo = self._decode_memo.get(page_id)
-            if memo is not None and memo[0] is data:
-                node = memo[1]
-            else:
-                node = decode_node(address, data)
+            node = decode_node(address, self.cache.read(address))
             with self._node_lock:
-                if len(self._decode_memo) > 4 * self._node_capacity:
-                    self._decode_memo.clear()
-                self._decode_memo[page_id] = (data, node)
                 self._node_cache[page_id] = node
                 self._node_cache.move_to_end(page_id)
+                self._clean_nodes[page_id] = None
+                self._clean_nodes.move_to_end(page_id)
                 self._evict_clean_nodes()
             return node
         return decode_node(address, self.historical.read(address))
@@ -711,6 +710,7 @@ class TSBTree:
             self._node_cache[page_id] = node
             self._node_cache.move_to_end(page_id)
             self._dirty_nodes.add(page_id)
+            self._clean_nodes.pop(page_id, None)
             self._evict_nodes()
 
     def _evict_clean_nodes(self) -> None:
@@ -718,19 +718,11 @@ class TSBTree:
 
         Called from the read path, which may run under a shared latch:
         dropping a clean node needs no page write, so concurrent readers
-        never mutate the buffer pool.  Dirty nodes are skipped here and
-        reclaimed by the next `_store_node`/`flush` (which run exclusive).
+        never mutate the buffer pool.  Dirty nodes stay and are reclaimed
+        by the next `_store_node`/`flush` (which run exclusive).
         """
-        excess = len(self._node_cache) - self._node_capacity
-        if excess <= 0:
-            return
-        victims = []
-        for page_id in self._node_cache:  # oldest first
-            if page_id not in self._dirty_nodes:
-                victims.append(page_id)
-                if len(victims) >= excess:
-                    break
-        for page_id in victims:
+        while len(self._node_cache) > self._node_capacity and self._clean_nodes:
+            page_id, _ = self._clean_nodes.popitem(last=False)
             del self._node_cache[page_id]
 
     def _evict_nodes(self) -> None:
@@ -739,22 +731,18 @@ class TSBTree:
             page_id, node = self._node_cache.popitem(last=False)
             if page_id in self._dirty_nodes:
                 self._dirty_nodes.discard(page_id)
-                data = node.encode()
-                self.cache.write(node.address, data)
-                # The freshly-encoded image and the node agree exactly, so
-                # a re-read served from the buffer pool can reuse the node.
-                self._decode_memo[page_id] = (data, node)
+                self.cache.write(node.address, node.encode())
+            else:
+                del self._clean_nodes[page_id]
 
     def _flush_node_cache(self) -> None:
         with self._node_lock:
-            dirty = sorted(self._dirty_nodes)
-            for page_id in dirty:
+            for page_id in sorted(self._dirty_nodes):
                 node = self._node_cache.get(page_id)
                 if node is not None:
-                    data = node.encode()
-                    self.cache.write(node.address, data)
-                    self._decode_memo[page_id] = (data, node)
+                    self.cache.write(node.address, node.encode())
             self._dirty_nodes.clear()
+            self._clean_nodes = OrderedDict.fromkeys(self._node_cache)
 
     def _append_historical(self, image: bytes) -> Address:
         address = self.historical.append_region(image)
@@ -765,13 +753,10 @@ class TSBTree:
     # ------------------------------------------------------------------
     # Internal: descent
     # ------------------------------------------------------------------
-    def _find_current_child(self, node: IndexNode, key: Key) -> IndexEntry:
-        return node.find_current_child(key)
-
     def _descend_to_current_leaf(self, key: Key) -> DataNode:
         node = self._load_node(self._root_address)
         while isinstance(node, IndexNode):
-            entry = self._find_current_child(node, key)
+            entry = node.find_current_child(key)
             node = self._load_node(entry.child)
         assert isinstance(node, DataNode)
         return node
@@ -834,7 +819,7 @@ class TSBTree:
                 return None
             return self._split_data_node(node, version)
 
-        entry = self._find_current_child(node, version.key)
+        entry = node.find_current_child(version.key)
         child_replacements = self._insert_recursive(entry.child, version)
         if child_replacements is None:
             return None

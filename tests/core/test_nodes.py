@@ -104,6 +104,21 @@ class TestDataNodeMutation:
         node.remove_version(version)
         assert node.versions == []
 
+    def test_removing_a_version_taken_from_the_node_compares_no_others(self, monkeypatch):
+        """Commit and abort stamping remove the provisional version they just
+        looked up: it must be found by identity, not by `__eq__` on every
+        version stored ahead of it."""
+        node = make_data_node(
+            [Version(key=k, timestamp=k + 1, value=b"v") for k in range(50)]
+            + [Version(key=7, timestamp=None, value=b"p", txn_id=3)]
+        )
+        provisional = node.provisional_for_key(7, 3)
+        compared = []
+        monkeypatch.setattr(Version, "__eq__", lambda a, b: compared.append(a) or a is b)
+        node.remove_version(provisional)
+        assert compared == []
+        assert len(node.versions) == 50 and node.provisional_for_key(7, 3) is None
+
     def test_remove_missing_version_raises(self):
         node = make_data_node()
         with pytest.raises(NodeError):
@@ -389,6 +404,15 @@ class TestBisectSearchAgainstLinearReference:
                 entry = node.find_child(key, timestamp)
                 assert entry is linear_find_child(node, key, timestamp)
                 assert entry.region.contains_point(key, timestamp)
+
+    def test_replacing_an_entry_taken_from_the_node_compares_no_others(self, monkeypatch):
+        node = grid_index_node(key_cuts=(10, 50, 90), time_cuts=(5, 9))
+        old = node.find_current_child(95)  # the last entry of the list
+        compared = []
+        monkeypatch.setattr(IndexEntry, "__eq__", lambda a, b: compared.append(a) or a is b)
+        node.replace_entry(old, [])
+        assert compared == []
+        assert len(node.entries) == 11
 
     def test_overlap_is_still_detected_after_bisect(self):
         entries = grid_index_node(key_cuts=(50,), time_cuts=(5,)).entries

@@ -336,3 +336,73 @@ class TestIntrospection:
         assert counters["inserts"] == 2
         assert counters["updates"] == 1
         assert tree.counters.total_splits == 0
+
+
+class TestReadCounts:
+    """Counts that repeat exactly on a seeded workload: how many nodes a point
+    read loads and which objects it builds.  They pin the page representation
+    (a lookup answers from the page image, not from a decoded node) without a
+    time floor that a busy machine could miss."""
+
+    @staticmethod
+    def cold_tree():
+        import random
+
+        rng = random.Random(16)
+        tree = TSBTree(page_size=512, cache_pages=32)
+        written = []
+        for stamp in range(1, 3001):
+            key = int(400 * rng.random() ** 2)
+            tree.insert(key, b"value-%d" % stamp, timestamp=stamp)
+            written.append((key, stamp))
+        tree.checkpoint()
+        assert tree.height >= 3
+        probes = [written[rng.randrange(len(written))] for _ in range(40)]
+        return tree, probes
+
+    @staticmethod
+    def node_loads(tree):
+        return tree.cache.stats.accesses + tree.historical.stats.reads
+
+    def test_a_point_read_loads_height_nodes(self):
+        tree, probes = self.cold_tree()
+        for key, stamp in probes:
+            before = self.node_loads(tree)
+            assert tree.search_current(key) is not None
+            assert self.node_loads(tree) - before == tree.height
+            before = self.node_loads(tree)
+            assert tree.search_as_of(key, stamp).timestamp == stamp
+            assert self.node_loads(tree) - before == tree.height
+
+    def test_a_cold_as_of_read_builds_only_what_it_returns_and_follows(self, monkeypatch):
+        from repro.core import nodes
+
+        built = {"versions": [], "rectangles": 0, "entries": 0}
+
+        def counting_version(key, *rest):
+            built["versions"].append(key)
+            return decoded_version(key, *rest)
+
+        def counting_rectangle(*bounds):
+            built["rectangles"] += 1
+            return decoded_rectangle(*bounds)
+
+        def counting_entry(**fields):
+            built["entries"] += 1
+            return index_entry(**fields)
+
+        decoded_version, decoded_rectangle = nodes.decoded_version, nodes.decoded_rectangle
+        index_entry = nodes.IndexEntry
+        monkeypatch.setattr(nodes, "decoded_version", counting_version)
+        monkeypatch.setattr(nodes, "decoded_rectangle", counting_rectangle)
+        monkeypatch.setattr(nodes, "IndexEntry", counting_entry)
+        tree, probes = self.cold_tree()
+        for key, stamp in probes:
+            tree.drop_caches()
+            for counter in built:
+                built[counter] = [] if counter == "versions" else 0
+            assert tree.search_as_of(key, stamp).timestamp == stamp
+            assert built["versions"] == [key]
+            # One entry, with its rectangle, per index level; no node's own
+            # region and no sibling entry.
+            assert built["entries"] == built["rectangles"] == tree.height - 1

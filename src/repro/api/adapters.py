@@ -18,7 +18,6 @@ from repro.core.records import Version
 from repro.core.stats import collect_space_stats
 from repro.core.tsb_tree import TSBTree
 from repro.storage.iostats import IOStats
-from repro.storage.pagecache import PageCache
 from repro.storage.serialization import Key
 from repro.wobt.nodes import WOBTRecord
 from repro.wobt.wobt_tree import WOBT
@@ -172,11 +171,8 @@ class TSBEngine(VersionedEngine):
         self.tree.checkpoint()
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
-        """Go cold: drop the decoded-node cache AND the buffer pool.
-
-        Both layers must empty, or the next query would be served from
-        still-warm decoded nodes and the IO studies would measure nothing.
-        """
+        """Go cold: flush, then empty the tree's buffer pool (the one cache
+        there is), so the IO studies' next query reads the device."""
         self.tree.drop_caches(capacity)
 
 
@@ -346,11 +342,10 @@ class NaiveEngine(VersionedEngine):
         self.index.tree.cache.flush()
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
-        """Replace the B+-tree buffer pool with a cold one (same size unless told)."""
+        """Go cold: flush, then empty the B+-tree's buffer pool (same size
+        unless told)."""
         self.index.tree.cache.flush()
-        if capacity is None:
-            capacity = self.index.tree.cache.capacity
-        self.index.tree.cache = PageCache(self.index.tree.magnetic, capacity=capacity)
+        self.index.tree.cache.drop_clean(capacity)
 
 
 #: Engine-name registry used by StoreConfig and the CLI ``--engine`` flags.

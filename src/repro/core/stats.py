@@ -114,8 +114,12 @@ class SpaceStats:
 def collect_space_stats(
     tree: TSBTree, cost_model: Optional[CostModel] = None
 ) -> SpaceStats:
-    """Walk ``tree`` and its devices and return a :class:`SpaceStats` snapshot."""
-    tree.flush()
+    """Walk ``tree`` and its devices and return a :class:`SpaceStats` snapshot.
+
+    Read-only: no page is written.  ``magnetic_bytes_stored`` is what the
+    device would store were every dirty page written back, taken from each
+    current node's encoding (a node nobody mutated hands its image back).
+    """
     stats = SpaceStats()
     stats.tree_height = tree.height
     stats.counters = tree.counters.as_dict()
@@ -123,7 +127,12 @@ def collect_space_stats(
     seen_versions: Set[Tuple] = set()
     live_keys: Set = set()
 
+    magnetic = tree.magnetic
+    stats.magnetic_bytes_stored = len(magnetic.read(tree.superblock_address))
     for node in tree.iter_nodes():
+        if node.address.is_magnetic:
+            # Before `versions`/`entries` below materialise the node.
+            stats.magnetic_bytes_stored += len(node.encode())
         if isinstance(node, DataNode):
             if node.address.is_magnetic:
                 stats.current_data_nodes += 1
@@ -148,10 +157,8 @@ def collect_space_stats(
     stats.unique_versions = len(seen_versions)
     stats.live_keys = len(live_keys)
 
-    magnetic = tree.magnetic
     stats.magnetic_pages = magnetic.allocated_pages
     stats.magnetic_bytes_used = magnetic.bytes_used
-    stats.magnetic_bytes_stored = magnetic.bytes_stored
 
     historical = tree.historical
     stats.historical_bytes_used = getattr(historical, "bytes_used", 0)

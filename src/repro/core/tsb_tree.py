@@ -23,9 +23,7 @@ byte-accurate, not estimates.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, decode_node
@@ -70,6 +68,13 @@ HistoricalDevice = Union[WormDisk, "object"]
 
 #: `_load_node` runs several times per operation; the tier test is inlined.
 _MAGNETIC = Tier.MAGNETIC
+
+
+def _open_page(address: Address, image: bytes) -> Union[DataNode, IndexNode]:
+    """The buffer pool's opener.  ``decode_node`` is looked up per call, not
+    captured: the benchmark's span recorder rebinds the module's name."""
+    return decode_node(address, image)
+
 
 #: Marker identifying a magnetic page as a TSB-tree superblock.
 _SUPERBLOCK_MAGIC = 0x7513_B001
@@ -181,7 +186,8 @@ class TSBTree:
         ``append_region(bytes) -> Address`` and ``read(Address) -> bytes``
         works, including :class:`~repro.storage.optical_library.OpticalLibrary`.
     cache_pages:
-        Capacity of the buffer pool over the magnetic device.
+        Capacity of the buffer pool over the magnetic device
+        (:mod:`repro.storage.pagecache` says what it bounds).
     """
 
     def __init__(
@@ -200,9 +206,7 @@ class TSBTree:
         if self.magnetic.page_size < page_size:
             raise ValueError("magnetic page size smaller than tree page size")
         self.historical = historical or WormDisk(sector_size=min(1024, page_size))
-        self.cache = PageCache(self.magnetic, capacity=cache_pages)
-        self._cache_pages = cache_pages
-        self._init_node_cache(cache_pages)
+        self.cache = PageCache(self.magnetic, capacity=cache_pages, opener=_open_page)
         self.counters = TreeCounters()
         self._max_committed_ts = 0
         self._next_auto_ts = 1
@@ -211,7 +215,7 @@ class TSBTree:
         # The first magnetic page is the superblock: the durable pointer to
         # the current root written by :meth:`checkpoint` and read by
         # :meth:`open` when the database is reopened from its devices.
-        self._superblock_address = self.magnetic.allocate_page()
+        self.superblock_address = self.magnetic.allocate_page()
         # The tree starts as a single empty data node covering all keys and
         # all times from zero onward.
         root_address = self.magnetic.allocate_page()
@@ -519,25 +523,21 @@ class TSBTree:
         return [node for node in self.iter_nodes() if isinstance(node, IndexNode)]
 
     def flush(self) -> None:
-        """Write every dirty buffered page back to the magnetic device."""
-        self._flush_node_cache()
-        self.cache.flush()
+        """Write every dirty page back to the magnetic device.
+
+        Does nothing for a tree under a write-ahead log: its pages may only
+        move at a checkpoint (:meth:`checkpoint`, driven by the log manager).
+        """
+        if not self.cache.no_steal:
+            self.cache.flush()
 
     def drop_caches(self, cache_pages: Optional[int] = None) -> None:
-        """Flush and empty both the decoded-node cache and the buffer pool.
+        """Flush, then forget every clean page; optionally resize the pool.
 
-        Used by benchmarks to measure cold-cache behaviour; optionally
-        resizes the caches to ``cache_pages``.
+        Used by benchmarks to measure cold-cache behaviour.
         """
-        if cache_pages is not None:
-            self._cache_pages = cache_pages
         self.flush()
-        with self._node_lock:
-            self._node_cache.clear()
-            self._dirty_nodes.clear()
-            self._clean_nodes.clear()
-            self._node_capacity = self._cache_pages
-        self.cache = PageCache(self.magnetic, capacity=self._cache_pages)
+        self.cache.drop_clean(cache_pages)
 
     # ------------------------------------------------------------------
     # Durability: superblock checkpointing and reopening
@@ -560,9 +560,8 @@ class TSBTree:
         omitted, the previously recorded anchor is kept.
         """
         if log_anchor is not None:
-            self._log_anchor = log_anchor
-            self._log_anchor_offset = log_anchor_offset or 0
-        self.flush()
+            self._set_log_anchor(log_anchor, log_anchor_offset or 0)
+        self.cache.flush()
         writer = ByteWriter()
         writer.put_u32(_SUPERBLOCK_MAGIC)
         write_address(writer, self._root_address)
@@ -580,7 +579,16 @@ class TSBTree:
         writer.put_u32(len(counter_values))
         for value in counter_values:
             writer.put_u64(value)
-        self.magnetic.write(self._superblock_address, writer.getvalue())
+        self.magnetic.write(self.superblock_address, writer.getvalue())
+
+    def _set_log_anchor(self, lsn: int, offset: int) -> None:
+        self._log_anchor = lsn
+        self._log_anchor_offset = offset
+        if lsn:
+            # A log manager checkpointed this image, so the log from `lsn` on
+            # will be replayed onto exactly these pages: from here on the pool
+            # may not write one back before the next checkpoint does.
+            self.cache.no_steal = True
 
     @classmethod
     def open(
@@ -619,15 +627,12 @@ class TSBTree:
         tree.policy = policy or ThresholdPolicy()
         tree.magnetic = magnetic
         tree.historical = historical
-        tree.cache = PageCache(magnetic, capacity=cache_pages)
-        tree._cache_pages = cache_pages
-        tree._init_node_cache(cache_pages)
+        tree.cache = PageCache(magnetic, capacity=cache_pages, opener=_open_page)
         tree.counters = TreeCounters.from_field_values(counter_values)
         tree._max_committed_ts = max_committed_ts
         tree._next_auto_ts = next_auto_ts
-        tree._log_anchor = log_anchor
-        tree._log_anchor_offset = log_anchor_offset
-        tree._superblock_address = superblock_address
+        tree._set_log_anchor(log_anchor, log_anchor_offset)
+        tree.superblock_address = superblock_address
         tree._root_address = root_address
         tree._height = height
         return tree
@@ -649,49 +654,15 @@ class TSBTree:
     # ------------------------------------------------------------------
     # Internal: node I/O
     #
-    # Current (magnetic) nodes live in a write-back node cache:
-    # `_load_node` is a dictionary hit for warm pages and `_store_node`
-    # only marks the node dirty — the page image is produced once, when
-    # the node is evicted or the tree flushes, instead of on every touch.
-    # A miss opens the page image in place (see `repro.core.nodes`): the
-    # node answers point lookups from the image and builds its version or
-    # entry list only when a writer, a scan of its entries or the checker
-    # asks for it.  Historical (WORM) reads stay uncached so query I/O
-    # accounting for the historical device remains byte-accurate.
+    # Current (magnetic) nodes are residents of the buffer pool `self.cache`
+    # (see `repro.storage.pagecache`); historical (WORM) reads are opened
+    # afresh each time so the historical device's I/O accounting stays
+    # byte-accurate.  `self.cache.read` is looked up at every call: the
+    # benchmark's span recorder swaps `PageCache.read` on the class.
     # ------------------------------------------------------------------
-    def _init_node_cache(self, capacity: int) -> None:
-        self._node_cache: "OrderedDict[int, Union[DataNode, IndexNode]]" = OrderedDict()
-        self._dirty_nodes: Set[int] = set()
-        # The clean cached pages, in the same least-recently-used order as
-        # `_node_cache`: the read path evicts clean nodes only, and once
-        # most of the cache is dirty a walk of `_node_cache` past every
-        # dirty node would cost more than the miss itself.
-        self._clean_nodes: "OrderedDict[int, None]" = OrderedDict()
-        self._node_capacity = capacity
-        self._node_lock = threading.Lock()
-
     def _load_node(self, address: Address) -> Union[DataNode, IndexNode]:
         if address.tier is _MAGNETIC:
-            page_id = address.page_id
-            with self._node_lock:
-                node = self._node_cache.get(page_id)
-                if node is not None:
-                    self._node_cache.move_to_end(page_id)
-                    if page_id in self._clean_nodes:
-                        self._clean_nodes.move_to_end(page_id)
-                    # A node-cache hit serves the page without touching the
-                    # device — credit it to the buffer-pool stats so cache
-                    # accounting (and the S5 hit-ratio study) still sees it.
-                    self.cache.stats.hits += 1
-                    return node
-            node = decode_node(address, self.cache.read(address))
-            with self._node_lock:
-                self._node_cache[page_id] = node
-                self._node_cache.move_to_end(page_id)
-                self._clean_nodes[page_id] = None
-                self._clean_nodes.move_to_end(page_id)
-                self._evict_clean_nodes()
-            return node
+            return self.cache.read(address)
         return decode_node(address, self.historical.read(address))
 
     def _store_node(self, node: Union[DataNode, IndexNode]) -> None:
@@ -705,44 +676,7 @@ class TSBTree:
                     f"node {node.address} serialises to {exact} bytes "
                     f"(> page size {self.page_size}); split bookkeeping is broken"
                 )
-        page_id = node.address.page_id
-        with self._node_lock:
-            self._node_cache[page_id] = node
-            self._node_cache.move_to_end(page_id)
-            self._dirty_nodes.add(page_id)
-            self._clean_nodes.pop(page_id, None)
-            self._evict_nodes()
-
-    def _evict_clean_nodes(self) -> None:
-        """Shrink the node cache to capacity, touching clean nodes only.
-
-        Called from the read path, which may run under a shared latch:
-        dropping a clean node needs no page write, so concurrent readers
-        never mutate the buffer pool.  Dirty nodes stay and are reclaimed
-        by the next `_store_node`/`flush` (which run exclusive).
-        """
-        while len(self._node_cache) > self._node_capacity and self._clean_nodes:
-            page_id, _ = self._clean_nodes.popitem(last=False)
-            del self._node_cache[page_id]
-
-    def _evict_nodes(self) -> None:
-        """Shrink the node cache to capacity, writing back evicted dirty nodes."""
-        while len(self._node_cache) > self._node_capacity:
-            page_id, node = self._node_cache.popitem(last=False)
-            if page_id in self._dirty_nodes:
-                self._dirty_nodes.discard(page_id)
-                self.cache.write(node.address, node.encode())
-            else:
-                del self._clean_nodes[page_id]
-
-    def _flush_node_cache(self) -> None:
-        with self._node_lock:
-            for page_id in sorted(self._dirty_nodes):
-                node = self._node_cache.get(page_id)
-                if node is not None:
-                    self.cache.write(node.address, node.encode())
-            self._dirty_nodes.clear()
-            self._clean_nodes = OrderedDict.fromkeys(self._node_cache)
+        self.cache.write(node.address, node)
 
     def _append_historical(self, image: bytes) -> Address:
         address = self.historical.append_region(image)
@@ -754,10 +688,11 @@ class TSBTree:
     # Internal: descent
     # ------------------------------------------------------------------
     def _descend_to_current_leaf(self, key: Key) -> DataNode:
-        node = self._load_node(self._root_address)
+        # Current children are magnetic: no tier test, straight to the pool.
+        read = self.cache.read
+        node = read(self._root_address)
         while isinstance(node, IndexNode):
-            entry = node.find_current_child(key)
-            node = self._load_node(entry.child)
+            node = read(node.find_current_child(key).child)
         assert isinstance(node, DataNode)
         return node
 
@@ -810,7 +745,7 @@ class TSBTree:
     def _insert_recursive(
         self, address: Address, version: Version
     ) -> Optional[List[IndexEntry]]:
-        node = self._load_node(address)
+        node = self.cache.read(address)  # the current path is all magnetic
         if isinstance(node, DataNode):
             if node.fits(self.page_size, extra=version):
                 self._note_superseded(node, version)

@@ -39,12 +39,13 @@ LSN — recovery replays the log from that anchor.  A *fuzzy* checkpoint
 not move the replay anchor, and exists so long-running systems can bound the
 analysis pass without stalling on a full buffer-pool flush.
 
-The WAL protocol assumes a **no-steal** buffer pool: dirty tree pages must
-not be written back to the magnetic device between checkpoints (give the
-tree a cache large enough to hold its working set, as
-:class:`~repro.recovery.system.RecoverableSystem` does).  Under no-steal,
-the magnetic device always holds exactly the last checkpoint's image, which
-is the durable base restart recovery rebuilds from.
+The WAL protocol needs a **no-steal** buffer pool — dirty tree pages must
+not reach the magnetic device between checkpoints — and gets one: the first
+full checkpoint stamps the tree with its anchor, and from then on the tree's
+pool (:mod:`repro.storage.pagecache`) writes pages back only when a
+checkpoint flushes them, whatever its size.  The magnetic device therefore
+always holds exactly the last checkpoint's image, the durable base restart
+recovery rebuilds from.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class RecoveryManager:
         historical: object,
         log_device: LogDevice,
         policy: Optional[SplitPolicy] = None,
-        cache_pages: int = 1_000_000,
+        cache_pages: int = 128,
         superblock_page: int = 0,
     ) -> None:
         self.magnetic = magnetic

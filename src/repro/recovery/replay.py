@@ -93,6 +93,10 @@ class LogReplayer:
 
     def __init__(self, tree, metrics=None, shard: int = 0) -> None:
         self.tree = tree
+        # What is applied here exists, durably, only as this log on top of
+        # the image the devices hold now: the pool may not move a page until
+        # a checkpoint anchors a newer image.
+        tree.cache.no_steal = True
         self.shard = shard
         self._metrics = metrics
         self._buffer = TransactionBuffer()
@@ -220,7 +224,7 @@ def replay_device(device, tree=None, metrics=None, shard: int = 0) -> LogReplaye
     must match.
     """
     if tree is None:
-        tree = TSBTree(cache_pages=1_000_000)
+        tree = TSBTree()
     replayer = LogReplayer(tree, metrics=metrics, shard=shard)
     replayer.replay(device.durable_contents())
     return replayer

@@ -6,9 +6,10 @@ crash — through the façade's own front door, so what the crash tests
 exercise is the restart path a user gets.  It adds the disciplines a crash
 test needs:
 
-* the tree's buffer pool is sized **no-steal** (dirty pages never reach the
-  magnetic device between checkpoints), so the device always holds exactly
-  the last full checkpoint's image — the durable base recovery starts from;
+* it keeps hold of the devices: under a log the tree's buffer pool is
+  no-steal at any size (:mod:`repro.storage.pagecache`), so the magnetic
+  device always holds exactly the last full checkpoint's image — the durable
+  base recovery starts from;
 * :meth:`crash` models the failure honestly: the in-memory tree, cache,
   lock table and transaction state vanish wholesale, the log loses its
   unforced tail, and the store is reopened from the surviving devices —
@@ -32,9 +33,6 @@ from repro.storage.magnetic import MagneticDisk
 from repro.storage.worm import WormDisk
 from repro.txn.manager import Transaction, TransactionState
 
-#: Effectively-unbounded buffer pool: the no-steal discipline in page counts.
-_NO_STEAL_CACHE_PAGES = 1_000_000
-
 
 class RecoverableSystem:
     """The durable configuration of the reproduction, as one object.
@@ -52,6 +50,9 @@ class RecoverableSystem:
         Devices to build on; fresh unbounded ones by default.  Passing a
         bounded device is how the failure-injection tests crash the system
         mid-split.
+    cache_pages:
+        The store's buffer-pool size.  Recovery must not depend on it; the
+        crash tests run at a single page to hold the pool to that.
     """
 
     def __init__(
@@ -62,6 +63,7 @@ class RecoverableSystem:
         magnetic: Optional[MagneticDisk] = None,
         historical: Optional[object] = None,
         log_device: Optional[LogDevice] = None,
+        cache_pages: int = 128,
     ) -> None:
         self.page_size = page_size
         self.policy = policy
@@ -73,7 +75,7 @@ class RecoverableSystem:
             engine="tsb",
             page_size=page_size,
             split_policy=policy,
-            cache_pages=_NO_STEAL_CACHE_PAGES,
+            cache_pages=cache_pages,
             wal=True,
             group_commit_size=group_commit_size,
         )

@@ -72,11 +72,6 @@ from repro.storage.logdevice import LogDevice
 from repro.replication.apply import LogReplayer, replay_device
 from repro.replication.primary import ReplicationError
 
-#: Follower buffer pools are sized no-steal, like restart recovery's: the
-#: follower tree never checkpoints mid-stream, so dirty pages must never
-#: be evicted to the magnetic device between (nonexistent) checkpoints.
-_FOLLOWER_CACHE_PAGES = 1_000_000
-
 _FRAME_HEADER_SIZE = 8
 
 
@@ -85,7 +80,7 @@ class _ShardState:
 
     def __init__(self, shard: int, page_size: int, metrics) -> None:
         self.shard = shard
-        self.tree = TSBTree(page_size=page_size, cache_pages=_FOLLOWER_CACHE_PAGES)
+        self.tree = TSBTree(page_size=page_size)
         self.mirror = LogDevice()
         self.replayer = LogReplayer(self.tree, metrics=metrics, shard=shard)
         #: Last LSN durably appended to the mirror (the resubscribe cursor).

@@ -8,7 +8,7 @@ The package models the hardware environment the paper assumes:
   *historical* database.
 * :class:`OpticalLibrary` — a robot-served jukebox of WORM platters.
 * :class:`LogDevice` — append-only, force-batched log disk for the WAL.
-* :class:`PageCache` — LRU buffer pool over the magnetic disk.
+* :class:`PageCache` — the buffer pool of resident pages over the magnetic disk.
 * :class:`CostModel` — seek/mount latencies and the storage cost function
   ``CS = SpaceM * CM + SpaceO * CO`` of paper section 3.2.
 """
@@ -28,12 +28,11 @@ from repro.storage.iostats import IOStats, TieredIOStats
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.optical_library import OpticalLibrary
-from repro.storage.pagecache import CachePinnedError, CacheStats, PageCache
+from repro.storage.pagecache import CacheStats, PageCache
 from repro.storage.worm import SectorExtent, WormDisk
 
 __all__ = [
     "Address",
-    "CachePinnedError",
     "CacheStats",
     "CostModel",
     "Device",

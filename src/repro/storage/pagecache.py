@@ -1,29 +1,57 @@
-"""A small LRU buffer pool over the magnetic disk.
+"""The buffer pool: the one place a magnetic page lives in memory.
 
-The paper does not prescribe a buffer manager, but any disk-resident B-tree
-implementation has one, and measuring "node accesses" versus "device
-accesses" separately (Study S5) requires distinguishing hits from misses.
-:class:`PageCache` sits between the TSB-tree and the
-:class:`~repro.storage.magnetic.MagneticDisk`:
+The paper prescribes no buffer manager, but a disk-resident tree has one, and
+telling "node accesses" from "device accesses" (Study S5) needs hits counted
+apart from misses.  :class:`PageCache` is that pool, for the TSB-tree and for
+the B+-tree baseline alike, and it is the only code that moves a page image
+between memory and the :class:`~repro.storage.magnetic.MagneticDisk`.
 
-* reads hit the cache when possible and fault the page in otherwise;
-* writes go to the cache and are flushed either on eviction (write-back,
-  the default) or immediately (write-through);
-* frames can be pinned while a node object built from them is being mutated.
+**Residents.**  What the pool holds for a page is whatever its owner's
+``opener`` makes of the page image: the TSB-tree passes ``decode_node``, so a
+resident is an image-backed node that answers lookups from the image in
+place; the B+-tree baseline passes none, so a resident is the image itself.
+A resident is written back as ``resident.encode()`` (as it stands, for an
+image) — a node nobody mutated hands its image straight back.  The owner
+mutates a resident in place and then calls :meth:`write`, which is what makes
+it *dirty*; the pool never looks inside one.
 
-The cache is *latch-safe*: every frame-table mutation — installation,
-LRU reordering, pin counts, dirty flags, eviction decisions — happens under
-one internal lock, so concurrent readers scattered across threads (the
-sharded store's parallel scatter-gather, multiple client read views) can
-share one pool without corrupting it.  Device reads for cache misses run
-*outside* the lock: a miss never blocks concurrent hits, and two threads
-faulting the same page concurrently simply install the same image (the
-extra device read is counted honestly).  Eviction is atomic: the victim is
-chosen, flushed and removed without the lock being released.
+**Two eviction paths.**  Residents sit in one least-recently-used order.
 
-Historical (WORM) reads are deliberately *not* cached here: the tree caches
-nothing for the historical database, matching the paper's assumption that
-historical accesses are rare and may pay full optical latency.
+* :meth:`read` installs a page *clean* and makes room by dropping clean
+  residents only, least recently used first, in O(1).  Reads therefore never
+  write: they run under the store's shared latch, many at once, and a reader
+  that wrote a page back would both mutate the device under other readers
+  and pay a device write on the query path.  When every resident is dirty a
+  miss is served and not kept.
+* :meth:`write` may evict any least-recently-used resident, and writes a
+  dirty victim back first (once — it leaves the pool with its image on the
+  device).  Writers hold the latch exclusively.
+
+:meth:`flush` writes every dirty resident back in page order and leaves all
+of them resident and clean.
+
+**What ``capacity`` bounds.**  For a tree with no log, the residents: clean
+and dirty together never exceed it once an operation returns.  For a tree
+under a write-ahead log the pool is **no-steal** (:attr:`PageCache.no_steal`):
+the log is replayed onto the image the last checkpoint left on the device, so
+a dirty page must not reach the device before the next checkpoint does it.
+Neither path then ever writes; ``capacity`` bounds the clean residents only,
+and the dirty ones — the work since the last checkpoint, which the log also
+holds — stay until the owner's checkpoint calls :meth:`flush`.  Nobody sets
+this as an option: the tree turns it on when a log manager checkpoints it
+(``TSBTree.checkpoint(log_anchor=...)``; the superblock carries the anchor
+across a reopen), and a ``LogReplayer`` turns it on for the tree it applies to.
+
+**Threads.**  Every change to the tables happens under one lock.  The device
+read and the opener of a miss run outside it, so a miss never blocks hits on
+other pages; two threads missing the same page both read it and the second
+adopts the first's resident.  A write that lands while a miss is between its
+device read and its install bumps the pool's write generation, and the miss
+reads the device again rather than install an image older than that write.
+
+Historical (WORM) pages are not held here: historical accesses are rare and
+pay full optical latency, as the paper assumes, and their I/O accounting
+stays byte-accurate.
 """
 
 from __future__ import annotations
@@ -31,19 +59,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Optional
 
-from repro.storage.device import Address, StorageError
+from repro.storage.device import Address
 from repro.storage.magnetic import MagneticDisk
-
-
-class CachePinnedError(StorageError):
-    """Raised when every frame is pinned and an eviction is required."""
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/flush counters for one :class:`PageCache`."""
+    """Hit/miss/eviction/write-back counters for one :class:`PageCache`."""
 
     hits: int = 0
     misses: int = 0
@@ -61,198 +85,138 @@ class CacheStats:
         return self.hits / self.accesses
 
 
-@dataclass
-class _Frame:
-    data: bytes
-    dirty: bool = False
-    pins: int = 0
-
-
 class PageCache:
-    """LRU write-back cache over an erasable magnetic disk.
+    """LRU write-back pool of resident pages over an erasable magnetic disk.
 
     Parameters
     ----------
     disk:
-        The magnetic device being cached.
+        The magnetic device behind the pool.
     capacity:
-        Maximum number of resident frames.
-    write_through:
-        If true, every :meth:`write` is immediately propagated to the disk
-        (the frame is still kept resident, but never dirty).
+        How many residents the pool keeps (see the module docstring for what
+        it bounds under a log).
+    opener:
+        ``opener(address, image)`` builds the resident for a page read from
+        the device, and residents are then written back through their
+        ``encode()``; ``None`` keeps the images themselves.
     """
 
     def __init__(
         self,
         disk: MagneticDisk,
         capacity: int = 64,
-        write_through: bool = False,
+        opener: Optional[Callable[[Address, bytes], object]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.disk = disk
         self.capacity = capacity
-        self.write_through = write_through
+        #: True for a tree under a write-ahead log: dirty residents leave
+        #: only through :meth:`flush`, which the owner calls at a checkpoint.
+        self.no_steal = False
         self.stats = CacheStats()
-        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        self._lock = threading.RLock()
-        # Fault guards: while one or more misses for a page are between
-        # their (lock-free) device read and their install, the page carries
-        # a refcount and a write generation.  A cache write bumps the
-        # generation so the faulting thread detects the race and retries
-        # instead of installing the pre-write image as a clean frame.  Both
-        # dicts empty out as faults complete — no per-page residue.
-        self._fault_refs: Dict[int, int] = {}
-        self._fault_generations: Dict[int, int] = {}
+        self._open = opener
+        #: Every resident, least recently used first.
+        self._residents: "OrderedDict[int, object]" = OrderedDict()
+        #: The page ids of the clean ones, in the same order.
+        self._clean: "OrderedDict[int, None]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._write_generation = 0
 
-    # ------------------------------------------------------------------
-    # Read / write
-    # ------------------------------------------------------------------
-    def read(self, address: Address) -> bytes:
-        """Return the page image at ``address`` (faulting it in on a miss)."""
+    def read(self, address: Address):
+        """The resident for ``address``, read from the device on a miss."""
         page_id = address.page_id
+        residents = self._residents
+        with self._lock:
+            resident = residents.get(page_id)
+            if resident is not None:
+                self.stats.hits += 1
+                residents.move_to_end(page_id)
+                if page_id in self._clean:
+                    self._clean.move_to_end(page_id)
+                return resident
+            self.stats.misses += 1
+            generation = self._write_generation
         while True:
+            image = self.disk.read(address)
+            resident = image if self._open is None else self._open(address, image)
             with self._lock:
-                frame = self._frames.get(page_id)
-                if frame is not None:
-                    self.stats.hits += 1
-                    self._frames.move_to_end(page_id)
-                    return frame.data
-                self.stats.misses += 1
-                self._fault_refs[page_id] = self._fault_refs.get(page_id, 0) + 1
-                generation = self._fault_generations.get(page_id, 0)
-            # Fault the page in without holding the latch: a slow device
-            # read must not serialize concurrent cache hits on other pages.
-            try:
-                data = self.disk.read(address)
-            except BaseException:
-                with self._lock:
-                    self._drop_fault_guard(page_id)
-                raise
-            with self._lock:
-                raced = self._fault_generations.get(page_id, 0) != generation
-                self._drop_fault_guard(page_id)
-                frame = self._frames.get(page_id)
-                if frame is not None:
-                    # Another thread faulted (or wrote) the page meanwhile;
-                    # its frame may be dirtier than our device image.
-                    self._frames.move_to_end(page_id)
-                    return frame.data
-                if raced:
-                    # A write raced our device read and its frame is already
-                    # gone (evicted); our image predates it — fault again.
-                    continue
-                self._install(page_id, _Frame(data=data, dirty=False))
-                return data
+                installed = residents.get(page_id)
+                if installed is not None:
+                    return installed  # another thread got here first
+                if generation == self._write_generation:
+                    residents[page_id] = resident
+                    self._clean[page_id] = None
+                    self._evict(may_write=False)
+                    return resident
+                # A write landed since the device was read (and its resident
+                # is already gone again): this image may predate it.
+                generation = self._write_generation
 
-    def _drop_fault_guard(self, page_id: int) -> None:
-        refs = self._fault_refs.get(page_id, 1) - 1
-        if refs > 0:
-            self._fault_refs[page_id] = refs
-        else:
-            self._fault_refs.pop(page_id, None)
-            self._fault_generations.pop(page_id, None)
-
-    def write(self, address: Address, data: bytes) -> None:
-        """Store a new page image for ``address`` in the cache."""
-        if len(data) > self.disk.page_size:
-            # Let the disk raise the canonical overflow error immediately
-            # rather than deferring it to an eviction-time flush.
-            self.disk.write(address, data)
-            return
+    def write(self, address: Address, resident) -> None:
+        """Make ``resident`` the (dirty) resident for ``address``."""
+        if self._open is None and len(resident) > self.disk.page_size:
+            # Let the device raise its overflow error now rather than at
+            # whichever later eviction happens to write the image back.
+            self.disk.write(address, resident)
+        page_id = address.page_id
         with self._lock:
-            page_id = address.page_id
-            if page_id in self._fault_refs:
-                # A miss for this page is mid-fault; make it retry rather
-                # than install the image it read before this write.
-                self._fault_generations[page_id] = (
-                    self._fault_generations.get(page_id, 0) + 1
-                )
-            frame = self._frames.get(page_id)
-            if frame is None:
-                frame = _Frame(data=b"", dirty=False)
-                self._install(page_id, frame)
-            else:
-                self._frames.move_to_end(page_id)
-            frame.data = bytes(data)
-            if self.write_through:
-                self.disk.write(address, data)
-                frame.dirty = False
-            else:
-                frame.dirty = True
+            self._write_generation += 1
+            self._residents[page_id] = resident
+            self._residents.move_to_end(page_id)
+            self._clean.pop(page_id, None)
+            self._evict(may_write=True)
 
-    # ------------------------------------------------------------------
-    # Pinning
-    # ------------------------------------------------------------------
-    def pin(self, address: Address) -> None:
-        """Prevent the frame for ``address`` from being evicted."""
-        while True:
-            self.read(address)
-            with self._lock:
-                frame = self._frames.get(address.page_id)
-                if frame is not None:
-                    # Pin under the same latch hold that observed the frame;
-                    # re-fault if an eviction won the race in between.
-                    frame.pins += 1
-                    return
-
-    def unpin(self, address: Address) -> None:
+    def flush(self) -> None:
+        """Write every dirty resident back, in page order; all stay, clean."""
         with self._lock:
-            frame = self._frames.get(address.page_id)
-            if frame is None or frame.pins == 0:
-                raise StorageError(f"page {address.page_id} is not pinned")
-            frame.pins -= 1
-
-    # ------------------------------------------------------------------
-    # Flushing / invalidation
-    # ------------------------------------------------------------------
-    def flush(self, address: Optional[Address] = None) -> None:
-        """Write dirty frames back to disk (all of them when no address given)."""
-        with self._lock:
-            if address is not None:
-                frame = self._frames.get(address.page_id)
-                if frame is not None and frame.dirty:
-                    self.disk.write(address, frame.data)
-                    frame.dirty = False
-                    self.stats.flushes += 1
-                return
-            for page_id, frame in self._frames.items():
-                if frame.dirty:
-                    self.disk.write(Address.magnetic(page_id), frame.data)
-                    frame.dirty = False
-                    self.stats.flushes += 1
+            clean = self._clean
+            for page_id in sorted(p for p in self._residents if p not in clean):
+                self._write_back(page_id, self._residents[page_id])
+            self._clean = OrderedDict.fromkeys(self._residents)
+            self._evict(may_write=False)
 
     def invalidate(self, address: Address) -> None:
-        """Drop the frame for ``address`` without writing it back.
+        """Forget the resident for ``address`` without writing it back (the
+        page was freed)."""
+        with self._lock:
+            self._residents.pop(address.page_id, None)
+            self._clean.pop(address.page_id, None)
 
-        Used when a magnetic page is freed (e.g. its node migrated entirely
-        to the historical database, or an aborted transaction's page is
-        discarded).
+    def drop_clean(self, capacity: Optional[int] = None) -> None:
+        """Go cold: forget every clean resident, and resize if asked.
+
+        Dirty residents stay (flush first to drop everything); the counters
+        keep running.
         """
+        if capacity is not None and capacity <= 0:
+            raise ValueError("cache capacity must be positive")
         with self._lock:
-            self._frames.pop(address.page_id, None)
+            for page_id in self._clean:
+                del self._residents[page_id]
+            self._clean.clear()
+            if capacity is not None:
+                self.capacity = capacity
 
-    def resident_pages(self) -> Dict[int, bool]:
-        """Map of resident page id -> dirty flag (for tests and debugging)."""
-        with self._lock:
-            return {page_id: frame.dirty for page_id, frame in self._frames.items()}
+    # -- called with the lock held ---------------------------------------
+    def _write_back(self, page_id: int, resident) -> None:
+        image = resident if self._open is None else resident.encode()
+        self.disk.write(Address.magnetic(page_id), image)
+        self.stats.flushes += 1
 
-    # ------------------------------------------------------------------
-    # Internal helpers (called with self._lock held)
-    # ------------------------------------------------------------------
-    def _install(self, page_id: int, frame: _Frame) -> None:
-        while len(self._frames) >= self.capacity:
-            self._evict_one()
-        self._frames[page_id] = frame
-        self._frames.move_to_end(page_id)
-
-    def _evict_one(self) -> None:
-        for victim_id, victim in self._frames.items():
-            if victim.pins == 0:
-                if victim.dirty:
-                    self.disk.write(Address.magnetic(victim_id), victim.data)
-                    self.stats.flushes += 1
-                del self._frames[victim_id]
+    def _evict(self, may_write: bool) -> None:
+        residents, clean = self._residents, self._clean
+        if may_write and not self.no_steal:
+            while len(residents) > self.capacity:
+                page_id, victim = residents.popitem(last=False)
+                if page_id in clean:
+                    del clean[page_id]
+                else:
+                    self._write_back(page_id, victim)
                 self.stats.evictions += 1
-                return
-        raise CachePinnedError("all cache frames are pinned; cannot evict")
+            return
+        bounded = clean if self.no_steal else residents
+        while len(bounded) > self.capacity and clean:
+            page_id, _ = clean.popitem(last=False)
+            del residents[page_id]
+            self.stats.evictions += 1

@@ -84,20 +84,28 @@ class Transaction:
     commit_lsn: Optional[int] = None
 
     # -- convenience pass-throughs ----------------------------------------
+    def _live_manager(self) -> "TransactionManager":
+        # The manager forgets a finished transaction; its handle still knows.
+        if self.state is not TransactionState.ACTIVE:
+            raise TransactionError(
+                f"transaction {self.txn_id} is {self.state.value}, not active"
+            )
+        return self.manager
+
     def write(self, key: Key, value: bytes) -> None:
-        self.manager.write(self.txn_id, key, value)
+        self._live_manager().write(self.txn_id, key, value)
 
     def delete(self, key: Key) -> None:
-        self.manager.delete(self.txn_id, key)
+        self._live_manager().delete(self.txn_id, key)
 
     def read(self, key: Key) -> Optional[bytes]:
-        return self.manager.read(self.txn_id, key)
+        return self._live_manager().read(self.txn_id, key)
 
     def commit(self) -> int:
-        return self.manager.commit(self.txn_id)
+        return self._live_manager().commit(self.txn_id)
 
     def abort(self) -> None:
-        self.manager.abort(self.txn_id)
+        self._live_manager().abort(self.txn_id)
 
     def __enter__(self) -> "Transaction":
         return self
@@ -139,6 +147,7 @@ class TransactionManager:
         #: is restart recovery, which rebuilds from the last good image.
         self.requires_recovery = False
         self._next_txn_id = next_txn_id
+        #: The active transactions only: one is forgotten as it finishes.
         self._transactions: Dict[int, Transaction] = {}
         self._registry_lock = threading.Lock()
 
@@ -200,12 +209,12 @@ class TransactionManager:
                         # stamping failed.  Marking it committed here blocks a
                         # contradictory abort(); restart recovery will replay
                         # the stamping from the log.
-                        txn.state = TransactionState.COMMITTED
+                        self._finish(txn, TransactionState.COMMITTED)
                         txn.commit_timestamp = commit_timestamp
                         self.locks.release_all(txn_id)
                         self.requires_recovery = True
                     raise
-            txn.state = TransactionState.COMMITTED
+            self._finish(txn, TransactionState.COMMITTED)
             txn.commit_timestamp = commit_timestamp
         self.locks.release_all(txn_id)
         if (
@@ -270,12 +279,12 @@ class TransactionManager:
                     )
                 except Exception:
                     if self.log is not None:
-                        txn.state = TransactionState.COMMITTED
+                        self._finish(txn, TransactionState.COMMITTED)
                         txn.commit_timestamp = commit_timestamp
                         self.locks.release_all(txn.txn_id)
                         self.requires_recovery = True
                     raise
-            txn.state = TransactionState.COMMITTED
+            self._finish(txn, TransactionState.COMMITTED)
             txn.commit_timestamp = commit_timestamp
         self.locks.release_all(txn.txn_id)
         if (
@@ -298,7 +307,7 @@ class TransactionManager:
                 self.log.log_abort(txn_id)
             if txn.write_set:
                 self.tree.abort_provisional(txn_id, sorted(txn.write_set))
-            txn.state = TransactionState.ABORTED
+            self._finish(txn, TransactionState.ABORTED)
         self.locks.release_all(txn_id)
         if self.metrics is not None:
             self.metrics.inc("txn.aborts")
@@ -355,7 +364,7 @@ class TransactionManager:
         if self.log is None:
             return
         self.log.log_abort(txn.txn_id)
-        txn.state = TransactionState.ABORTED
+        self._finish(txn, TransactionState.ABORTED)
         if isinstance(exc, RecordTooLargeError):
             if txn.write_set:
                 self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set))
@@ -374,11 +383,14 @@ class TransactionManager:
     # Introspection
     # ------------------------------------------------------------------
     def transaction(self, txn_id: int) -> Transaction:
+        """The handle of an active transaction."""
         with self._registry_lock:
             try:
                 return self._transactions[txn_id]
             except KeyError as exc:
-                raise TransactionError(f"unknown transaction {txn_id}") from exc
+                raise TransactionError(
+                    f"transaction {txn_id} is not active (finished or never begun)"
+                ) from exc
 
     def active_transactions(self) -> List[Transaction]:
         with self._registry_lock:
@@ -387,6 +399,11 @@ class TransactionManager:
                 for txn in self._transactions.values()
                 if txn.state is TransactionState.ACTIVE
             ]
+
+    def _finish(self, txn: Transaction, state: TransactionState) -> None:
+        txn.state = state
+        with self._registry_lock:
+            self._transactions.pop(txn.txn_id, None)
 
     def _active(self, txn_id: int) -> Transaction:
         txn = self.transaction(txn_id)

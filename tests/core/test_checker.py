@@ -105,19 +105,15 @@ class TestCorruptionDetection:
     def test_detects_oversized_current_node(self):
         tree = build_tree()
         node = find_current_data_node(tree)
-        # Stuff the node far beyond the page size, bypassing the normal
-        # insert path (store straight to the backing device).
+        # Stuff the node far beyond the page size and hand it to the pool
+        # directly, bypassing `_store_node`'s own size check.
         for index in range(200):
             key = node.region.keys.low if node.region.keys.low is not None else 0
             node.versions.append(
                 Version(key=key, timestamp=tree.now, value=bytes(32))
             )
-        tree.magnetic.write(node.address, node.encode()) if len(node.encode()) <= tree.magnetic.page_size else None
-        # Write through the cache only if it fits the device page; otherwise
-        # fake it by enlarging the device page size first.
-        if len(node.encode()) > tree.magnetic.page_size:
-            tree.magnetic.page_size = len(node.encode())
-            tree.cache.write(node.address, node.encode())
+        assert len(node.encode()) > tree.page_size
+        tree.cache.write(node.address, node)
         assert "size" in violated_invariants(tree)
 
     def test_detects_unknown_child_address(self):

@@ -73,9 +73,15 @@ class TestBasicAccounting:
 
     def test_magnetic_accounting_matches_device(self):
         tree = build_tree(ThresholdPolicy(0.5))
+        writes_before = tree.magnetic.stats.writes
         stats = collect_space_stats(tree)
+        assert tree.magnetic.stats.writes == writes_before  # read-only
         assert stats.magnetic_pages == tree.magnetic.allocated_pages
         assert stats.magnetic_bytes_used == tree.magnetic.bytes_used
+        # Dirty pages are sized from their encodings: exactly what the
+        # device stores once they are written back.
+        assert stats.magnetic_bytes_stored != tree.magnetic.bytes_stored
+        tree.flush()
         assert stats.magnetic_bytes_stored == tree.magnetic.bytes_stored
         assert stats.historical_bytes_used == tree.historical.bytes_used
 

@@ -374,6 +374,22 @@ class TestReadCounts:
             assert tree.search_as_of(key, stamp).timestamp == stamp
             assert self.node_loads(tree) - before == tree.height
 
+    def test_a_cold_point_read_costs_height_device_reads_and_a_warm_one_none(self):
+        """One pool: a miss is one device read, a hit is none — there is no
+        second layer to serve (or hide) either."""
+        tree, probes = self.cold_tree()
+        magnetic, stats = tree.magnetic.stats, tree.cache.stats
+        for key, _stamp in probes:
+            tree.drop_caches()
+            reads, hits, misses = magnetic.reads, stats.hits, stats.misses
+            assert tree.search_current(key) is not None
+            assert magnetic.reads - reads == tree.height
+            assert (stats.hits - hits, stats.misses - misses) == (0, tree.height)
+            reads, hits, misses = magnetic.reads, stats.hits, stats.misses
+            assert tree.search_current(key) is not None
+            assert magnetic.reads == reads
+            assert (stats.hits - hits, stats.misses - misses) == (tree.height, 0)
+
     def test_a_cold_as_of_read_builds_only_what_it_returns_and_follows(self, monkeypatch):
         from repro.core import nodes
 

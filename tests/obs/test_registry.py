@@ -1,8 +1,12 @@
 """Unit tests for the metrics registry: instruments, switch, aggregation."""
 
+import math
 import threading
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import (
@@ -57,11 +61,46 @@ class TestInstruments:
 
     def test_percentile_interpolates_within_the_bucket(self, metrics_on):
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
-        for _ in range(100):
-            histogram.record(1.5)  # all mass in the (1, 2] bucket
+        for _ in range(99):
+            histogram.record(1.5)  # all mass in the (1, 2] bucket ...
+        histogram.record(2.0)  # ... and the largest sample on its upper edge
         assert histogram.percentile(0.50) == pytest.approx(1.5)
         assert histogram.percentile(0.95) == pytest.approx(1.95)
         assert histogram.percentile(0.99) == pytest.approx(1.99)
+
+    def test_percentile_never_exceeds_the_largest_sample(self, metrics_on):
+        histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
+        for _ in range(100):
+            histogram.record(1.5)  # the bucket reaches to 2.0; no sample does
+        assert histogram.percentile(0.95) == 1.5
+        assert histogram.snapshot()["p99"] == 1.5
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=20.0, allow_nan=False), min_size=1, max_size=200
+        ),
+        bounds=st.lists(
+            st.floats(min_value=0.001, max_value=10.0, allow_nan=False),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_percentiles_are_ordered_and_bounded_by_an_exact_sort(self, samples, bounds):
+        histogram = Histogram("h", bounds=bounds)
+        for value in samples:
+            histogram.record(value)
+        ordered = sorted(samples)
+        estimates = [histogram.percentile(q) for q in (0.50, 0.95, 0.99)]
+        assert [0.0, *estimates, ordered[-1]] == sorted([0.0, *estimates, ordered[-1]])
+        for quantile, estimate in zip((0.50, 0.95, 0.99), estimates):
+            # The estimate stays in the bucket the exact order statistic is in.
+            exact = ordered[max(0, math.ceil(quantile * len(ordered)) - 1)]
+            bucket = bisect_left(bounds, exact)
+            lower = bounds[bucket - 1] if bucket else 0.0
+            upper = bounds[bucket] if bucket < len(bounds) else ordered[-1]
+            assert lower <= estimate <= upper
 
     def test_overflow_bucket_uses_the_observed_maximum(self, metrics_on):
         histogram = Histogram("h", bounds=(1.0,))

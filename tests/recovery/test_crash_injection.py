@@ -50,20 +50,24 @@ def expected_histories(runner):
 
 
 @pytest.mark.parametrize(
-    "seed,group_commit_size,shape",
+    "seed,group_commit_size,shape,cache_pages",
     [
-        pytest.param(1989, 1, {}, id="1989-1"),
-        pytest.param(1989, 3, {}, id="1989-3"),
-        pytest.param(7, 1, {}, id="7-1"),
-        pytest.param(7, 4, {}, id="7-4"),
-        pytest.param(23, 2, {}, id="23-2"),
-        pytest.param(22, 1, CHECKPOINTED, id="22-1-checkpointed"),
-        pytest.param(22, 3, CHECKPOINTED, id="22-3-checkpointed"),
-        pytest.param(34, 2, CHECKPOINTED, id="34-2-checkpointed"),
+        pytest.param(1989, 1, {}, 128, id="1989-1"),
+        pytest.param(1989, 3, {}, 128, id="1989-3"),
+        pytest.param(7, 1, {}, 128, id="7-1"),
+        pytest.param(7, 4, {}, 128, id="7-4"),
+        pytest.param(23, 2, {}, 128, id="23-2"),
+        pytest.param(22, 1, CHECKPOINTED, 128, id="22-1-checkpointed"),
+        pytest.param(22, 3, CHECKPOINTED, 128, id="22-3-checkpointed"),
+        pytest.param(34, 2, CHECKPOINTED, 128, id="34-2-checkpointed"),
+        # A one-page pool: every script dirties more pages than that, so a
+        # pool that wrote one back between checkpoints would be caught here.
+        pytest.param(7, 4, {}, 1, id="7-4-one-page-pool"),
+        pytest.param(34, 2, CHECKPOINTED, 1, id="34-2-checkpointed-one-page-pool"),
     ],
 )
 def test_crash_at_every_point_recovers_the_committed_prefix(
-    seed, group_commit_size, shape
+    seed, group_commit_size, shape, cache_pages
 ):
     """Three derivations of the post-crash state must agree at every crash
     point: restart recovery (checkpoint image + seeded replay), the same
@@ -72,7 +76,9 @@ def test_crash_at_every_point_recovers_the_committed_prefix(
     script = generate_script(**{"steps": 60, "key_space": KEY_SPACE, "seed": seed, **shape})
     for crash_at in range(len(script) + 1):
         runner = ScriptRunner(
-            RecoverableSystem(page_size=384, group_commit_size=group_commit_size)
+            RecoverableSystem(
+                page_size=384, group_commit_size=group_commit_size, cache_pages=cache_pages
+            )
         )
         runner.run(script[:crash_at])
         where = f"seed={seed} batch={group_commit_size} crash_at={crash_at}"

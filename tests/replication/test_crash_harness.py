@@ -124,9 +124,17 @@ class TestDeadPrimary:
             harness.ship(0)
 
     def test_harness_composes_with_primary_crash_recovery(self):
+        self.compose_with_primary_crash_recovery(cache_pages=128)
+
+    def test_harness_composes_with_primary_crash_recovery_at_a_one_page_pool(self):
+        self.compose_with_primary_crash_recovery(cache_pages=1)
+
+    @staticmethod
+    def compose_with_primary_crash_recovery(cache_pages):
         """The replica's prefix stays valid across the primary's own
-        crash-recovery cycle: recovery never rewrites durable history."""
-        system = RecoverableSystem(group_commit_size=2)
+        crash-recovery cycle: recovery never rewrites durable history —
+        whatever the primary's pool had room for."""
+        system = RecoverableSystem(group_commit_size=2, cache_pages=cache_pages)
         harness = ReplicatedCrashHarness(system, ScriptRunner(system), replicas=1)
         script = generate_script(80, seed=23)
         harness.runner.run(script)
@@ -134,7 +142,11 @@ class TestDeadPrimary:
         expected_before = harness.runner.expected_visible(
             harness.replayer(0).applied_lsn
         )
+        expected_primary = harness.runner.expected_visible()
         system.crash()
+        assert {
+            version.key: version.value for version in system.tree.range_search()
+        } == expected_primary
         # The mirror still replays to the same committed prefix.
         replayer = harness.replayer(0)
         assert replayer.visible_state() == expected_before

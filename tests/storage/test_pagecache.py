@@ -1,18 +1,46 @@
-"""Unit tests for the LRU buffer pool."""
+"""Unit tests for the buffer pool: one policy, for images and opened residents."""
 
+import sys
 import threading
 
 import pytest
 
-from repro.storage.device import StorageError
 from repro.storage.magnetic import MagneticDisk
-from repro.storage.pagecache import CachePinnedError, PageCache
+from repro.storage.pagecache import PageCache
 
 
-def make_disk_and_cache(capacity=2, write_through=False, page_size=128):
+class Page:
+    """A resident as an owner's opener builds one: written back via encode()."""
+
+    def __init__(self, address, image):
+        self.address = address
+        self.image = image
+        self.encodes = 0
+
+    def encode(self):
+        self.encodes += 1
+        return self.image
+
+
+def make_disk_and_cache(capacity=2, page_size=128, opener=None):
     disk = MagneticDisk(page_size=page_size)
-    cache = PageCache(disk, capacity=capacity, write_through=write_through)
+    cache = PageCache(disk, capacity=capacity, opener=opener)
     return disk, cache
+
+
+def seeded_pages(disk, count):
+    pages = [disk.allocate_page() for _ in range(count)]
+    for page in pages:
+        disk.write(page, b"seed-%d" % page.page_id)
+    return pages
+
+
+def resident_ids(cache):
+    return list(cache._residents)
+
+
+def dirty_ids(cache):
+    return [page_id for page_id in cache._residents if page_id not in cache._clean]
 
 
 class TestReadPath:
@@ -35,6 +63,38 @@ class TestReadPath:
         cache.read(page)
         assert disk.stats.reads == disk_reads_before
 
+    def test_a_miss_opens_the_image_once_and_hits_return_that_resident(self):
+        disk, cache = make_disk_and_cache(opener=Page)
+        (page,) = seeded_pages(disk, 1)
+        resident = cache.read(page)
+        assert isinstance(resident, Page)
+        assert (resident.address, resident.image) == (page, b"seed-%d" % page.page_id)
+        assert cache.read(page) is resident
+
+    def test_read_path_eviction_drops_the_lru_clean_resident(self):
+        disk, cache = make_disk_and_cache(capacity=2)
+        pages = seeded_pages(disk, 3)
+        cache.read(pages[0])
+        cache.read(pages[1])
+        cache.read(pages[0])  # pages[1] is now least recently used
+        cache.read(pages[2])
+        assert resident_ids(cache) == [pages[0].page_id, pages[2].page_id]
+        assert cache.stats.evictions == 1
+
+    def test_read_path_eviction_never_writes(self):
+        disk, cache = make_disk_and_cache(capacity=2)
+        pages = seeded_pages(disk, 4)
+        cache.write(pages[0], b"dirty-0")
+        cache.write(pages[1], b"dirty-1")  # the pool is full of dirty residents
+        writes_before = disk.stats.writes
+        for page in pages[2:] * 3:
+            assert cache.read(page) == b"seed-%d" % page.page_id  # served, not kept
+        assert disk.stats.writes == writes_before
+        assert cache.stats.flushes == 0
+        assert dirty_ids(cache) == [pages[0].page_id, pages[1].page_id]
+        assert len(resident_ids(cache)) == 2
+        assert disk.read(pages[0]) == b"seed-%d" % pages[0].page_id  # still unwritten
+
 
 class TestWritePath:
     def test_write_back_defers_disk_write(self):
@@ -44,22 +104,6 @@ class TestWritePath:
         assert disk.read(page) == b""          # not flushed yet
         cache.flush()
         assert disk.read(page) == b"buffered"
-
-    def test_write_through_propagates_immediately(self):
-        disk, cache = make_disk_and_cache(write_through=True)
-        page = disk.allocate_page()
-        cache.write(page, b"straight to disk")
-        assert disk.read(page) == b"straight to disk"
-
-    def test_flush_single_page(self):
-        disk, cache = make_disk_and_cache(capacity=4)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        cache.write(first, b"one")
-        cache.write(second, b"two")
-        cache.flush(first)
-        assert disk.read(first) == b"one"
-        assert disk.read(second) == b""
 
     def test_cached_write_is_readable_before_flush(self):
         disk, cache = make_disk_and_cache()
@@ -72,6 +116,19 @@ class TestWritePath:
         page = disk.allocate_page()
         with pytest.raises(Exception):
             cache.write(page, b"this is far too large")
+
+    def test_a_written_resident_is_not_encoded_until_it_leaves(self):
+        disk, cache = make_disk_and_cache(opener=Page)
+        page = disk.allocate_page()
+        resident = Page(page, b"v1")
+        cache.write(page, resident)
+        resident.image = b"v2"  # the owner mutates in place, then marks it dirty
+        cache.write(page, resident)
+        assert resident.encodes == 0
+        assert cache.read(page) is resident
+        cache.flush()
+        assert resident.encodes == 1
+        assert disk.read(page) == b"v2"
 
 
 class TestEviction:
@@ -86,76 +143,32 @@ class TestEviction:
         # Evicted page can still be read back (re-faulted).
         assert cache.read(pages[0]) == b"zero"
 
-    def test_pinned_pages_are_not_evicted(self):
-        disk, cache = make_disk_and_cache(capacity=2)
+    def test_write_path_eviction_writes_a_dirty_victim_back_once(self):
+        disk, cache = make_disk_and_cache(capacity=2, opener=Page)
         pages = [disk.allocate_page() for _ in range(3)]
-        for page in pages:
-            disk.write(page, b"seed")
-        cache.pin(pages[0])
+        residents = [Page(page, b"image-%d" % page.page_id) for page in pages]
+        cache.write(pages[0], residents[0])
+        cache.write(pages[1], residents[1])
+        writes_before = disk.stats.writes
+        cache.write(pages[2], residents[2])  # the LRU victim is dirty pages[0]
+        assert pages[0].page_id not in resident_ids(cache)
+        assert disk.read(pages[0]) == b"image-%d" % pages[0].page_id
+        assert residents[0].encodes == 1
+        assert disk.stats.writes == writes_before + 1
+        assert (cache.stats.flushes, cache.stats.evictions) == (1, 1)
+        cache.flush()  # the victim is gone: it is not written a second time
+        assert residents[0].encodes == 1
+        assert cache.stats.flushes == 3
+
+    def test_write_path_eviction_drops_a_clean_victim_without_writing(self):
+        disk, cache = make_disk_and_cache(capacity=2)
+        pages = seeded_pages(disk, 3)
+        cache.read(pages[0])
         cache.read(pages[1])
-        cache.read(pages[2])  # must evict pages[1], not the pinned pages[0]
-        resident = cache.resident_pages()
-        assert pages[0].page_id in resident
-        cache.unpin(pages[0])
-
-    def test_all_pinned_raises(self):
-        disk, cache = make_disk_and_cache(capacity=1)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        disk.write(first, b"a")
-        disk.write(second, b"b")
-        cache.pin(first)
-        with pytest.raises(CachePinnedError):
-            cache.read(second)
-
-    def test_unpin_without_pin_raises(self):
-        disk, cache = make_disk_and_cache()
-        page = disk.allocate_page()
-        with pytest.raises(StorageError):
-            cache.unpin(page)
-
-
-class TestPinnedEdgePaths:
-    def test_every_frame_pinned_raises_even_with_room_elsewhere(self):
-        disk, cache = make_disk_and_cache(capacity=2)
-        pages = [disk.allocate_page() for _ in range(3)]
-        for page in pages:
-            disk.write(page, b"seed")
-        cache.pin(pages[0])
-        cache.pin(pages[1])
-        with pytest.raises(CachePinnedError):
-            cache.read(pages[2])
-        # Unpinning one frame makes the fault-in succeed again.
-        cache.unpin(pages[1])
-        assert cache.read(pages[2]) == b"seed"
-
-    def test_dirty_pinned_then_unpinned_frame_is_flushed_on_eviction(self):
-        disk, cache = make_disk_and_cache(capacity=2)
-        pages = [disk.allocate_page() for _ in range(3)]
-        cache.write(pages[0], b"precious")
-        cache.pin(pages[0])
-        cache.write(pages[1], b"other")
-        cache.unpin(pages[0])
-        flushes_before = cache.stats.flushes
-        cache.write(pages[2], b"evictor")  # LRU victim is the unpinned pages[0]
-        assert pages[0].page_id not in cache.resident_pages()
-        assert disk.read(pages[0]) == b"precious"  # dirty victim reached the disk
-        assert cache.stats.flushes == flushes_before + 1
-        assert cache.stats.evictions == 1
-
-    def test_pin_count_nests(self):
-        disk, cache = make_disk_and_cache(capacity=1)
-        page = disk.allocate_page()
-        disk.write(page, b"x")
-        cache.pin(page)
-        cache.pin(page)
-        cache.unpin(page)
-        other = disk.allocate_page()
-        disk.write(other, b"y")
-        with pytest.raises(CachePinnedError):
-            cache.read(other)  # still pinned once
-        cache.unpin(page)
-        assert cache.read(other) == b"y"
+        writes_before = disk.stats.writes
+        cache.write(pages[2], b"new")
+        assert resident_ids(cache) == [pages[1].page_id, pages[2].page_id]
+        assert disk.stats.writes == writes_before
 
 
 class TestFlushAccounting:
@@ -172,16 +185,108 @@ class TestFlushAccounting:
         cache.flush()  # already clean: no further flushes
         assert cache.stats.flushes == 4
 
-    def test_write_through_never_accumulates_flushes(self):
-        disk, cache = make_disk_and_cache(capacity=8, write_through=True)
-        pages = [disk.allocate_page() for _ in range(4)]
-        for index, page in enumerate(pages):
-            cache.write(page, f"v{index}".encode())
-            assert disk.read(page) == f"v{index}".encode()  # already durable
+    def test_flush_leaves_every_resident_clean_and_the_device_equal_to_them(self):
+        disk, cache = make_disk_and_cache(capacity=8, opener=Page)
+        pages = seeded_pages(disk, 6)
+        for page in pages[:2]:
+            cache.read(page)
+        written = [Page(page, b"written-%d" % page.page_id) for page in pages[2:]]
+        for resident in reversed(written):
+            cache.write(resident.address, resident)
+        order = []
+        write = disk.write
+        disk.write = lambda address, data: (order.append(address.page_id), write(address, data))
+        cache.flush()
+        assert order == [resident.address.page_id for resident in written]  # page order
+        assert dirty_ids(cache) == []
+        assert len(resident_ids(cache)) == 6
+        for page in pages:
+            assert disk.read(page) == cache.read(page).image
+
+
+class TestNoSteal:
+    """A pool under a log: pages move at flush() — the checkpoint — only."""
+
+    def make(self, capacity=2):
+        disk, cache = make_disk_and_cache(capacity=capacity)
+        cache.no_steal = True
+        return disk, cache, seeded_pages(disk, 8)
+
+    def test_neither_path_writes_a_dirty_resident_back(self):
+        disk, cache, pages = self.make()
+        writes_before = disk.stats.writes
+        for page in pages[:5]:
+            cache.write(page, b"dirty-%d" % page.page_id)
+        for page in pages[5:]:
+            cache.read(page)
+        assert disk.stats.writes == writes_before
         assert cache.stats.flushes == 0
-        cache.flush()  # no dirty frames exist
-        assert cache.stats.flushes == 0
-        assert cache.resident_pages() == {page.page_id: False for page in pages}
+        assert dirty_ids(cache) == [page.page_id for page in pages[:5]]
+        for page in pages[:5]:  # every one still served from memory
+            assert cache.read(page) == b"dirty-%d" % page.page_id
+
+    def test_capacity_bounds_the_clean_residents_only(self):
+        disk, cache, pages = self.make()
+        for page in pages[:4]:
+            cache.write(page, b"dirty")
+        for page in pages[4:]:
+            cache.read(page)
+        clean = [page_id for page_id in resident_ids(cache) if page_id not in dirty_ids(cache)]
+        assert clean == [pages[6].page_id, pages[7].page_id]
+        assert len(dirty_ids(cache)) == 4
+
+    def test_flush_writes_everything_then_trims_to_capacity(self):
+        disk, cache, pages = self.make()
+        for page in pages[:5]:
+            cache.write(page, b"dirty-%d" % page.page_id)
+        cache.flush()
+        for page in pages[:5]:
+            assert disk.read(page) == b"dirty-%d" % page.page_id
+        assert dirty_ids(cache) == []
+        assert len(resident_ids(cache)) == 2
+
+
+class RacingDisk(MagneticDisk):
+    """Runs ``race`` once, after the device read of a miss and before its install."""
+
+    race = None
+
+    def read(self, address):
+        data = super().read(address)
+        if self.race is not None:
+            race, self.race = self.race, None
+            race()
+        return data
+
+
+class TestRacingMiss:
+    def test_a_miss_racing_a_write_never_installs_the_older_image(self):
+        """Between a miss's device read and its install, the page is written
+        and that dirty resident evicted again: the miss must not install the
+        image it read first."""
+
+        disk = RacingDisk(page_size=64)
+        cache = PageCache(disk, capacity=1)
+        page, other = disk.allocate_page(), disk.allocate_page()
+        disk.write(page, b"old")
+
+        def race():
+            cache.write(page, b"new")
+            cache.write(other, b"evictor")  # pushes b"new" out to the device
+
+        disk.race = race
+        assert cache.read(page) == b"new"
+        assert cache.read(page) == b"new"
+        assert disk.read(page) == b"new"
+
+    def test_a_miss_adopts_the_resident_a_racing_write_left(self):
+        disk = RacingDisk(page_size=64)
+        cache = PageCache(disk, capacity=4)
+        page = disk.allocate_page()
+        disk.write(page, b"old")
+        disk.race = lambda: cache.write(page, b"new")
+        assert cache.read(page) == b"new"
+        assert dirty_ids(cache) == [page.page_id]
 
 
 class TestConcurrentAccess:
@@ -208,8 +313,61 @@ class TestConcurrentAccess:
             thread.start()
         for thread in threads:
             thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache.resident_pages()) <= 4
+        assert len(resident_ids(cache)) <= 4
+
+    def test_readers_racing_a_writer_never_see_a_page_go_backwards(self):
+        """Each page holds a counter only the writer raises; whatever mix of
+        hits, misses, evictions and write-backs a reader meets, the value it
+        reads for a page never decreases."""
+        disk = MagneticDisk(page_size=64)
+        cache = PageCache(disk, capacity=3)
+        pages = [disk.allocate_page() for _ in range(8)]
+        for page in pages:
+            disk.write(page, b"0")
+        errors = []
+        done = threading.Event()
+
+        def writer():
+            try:
+                for value in range(1, 400):
+                    for page in pages:
+                        cache.write(page, b"%d" % value)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(f"writer {type(exc).__name__}: {exc}")
+            finally:
+                done.set()
+
+        def reader(worker):
+            try:
+                seen = {page.page_id: 0 for page in pages}
+                round_index = 0
+                while not done.is_set():
+                    page = pages[(worker * 3 + round_index) % len(pages)]
+                    value = int(cache.read(page))
+                    assert value >= seen[page.page_id], (page, value, seen[page.page_id])
+                    seen[page.page_id] = value
+                    round_index += 1
+            except Exception as exc:  # noqa: BLE001
+                errors.append(f"reader {type(exc).__name__}: {exc}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,)) for n in range(6)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        cache.flush()
+        for page in pages:
+            assert disk.read(page) == b"399"
 
 
 class TestInvalidate:
@@ -225,3 +383,18 @@ class TestInvalidate:
         disk = MagneticDisk(page_size=64)
         with pytest.raises(ValueError):
             PageCache(disk, capacity=0)
+        with pytest.raises(ValueError):
+            PageCache(disk, capacity=4).drop_clean(0)
+
+    def test_drop_clean_forgets_clean_residents_and_keeps_dirty_ones(self):
+        disk, cache = make_disk_and_cache(capacity=4)
+        pages = seeded_pages(disk, 3)
+        cache.read(pages[0])
+        cache.read(pages[1])
+        cache.write(pages[2], b"dirty")
+        cache.drop_clean(8)
+        assert resident_ids(cache) == dirty_ids(cache) == [pages[2].page_id]
+        assert cache.capacity == 8
+        reads_before = disk.stats.reads
+        cache.read(pages[0])
+        assert disk.stats.reads == reads_before + 1  # cold again

@@ -164,6 +164,24 @@ class TestLockingBetweenUpdaters:
         active = manager.active_transactions()
         assert [txn.txn_id for txn in active] == [second.txn_id]
 
+    def test_registry_holds_only_the_active_transactions(self):
+        manager, _tree = make_manager()
+        open_handles = [manager.begin() for _ in range(3)]
+        finished = []
+        for index in range(10_000):
+            txn = manager.begin()
+            if index % 100 == 0:  # a few with writes, most write-less: cheap
+                txn.write(f"k{index % 7}", b"v")
+            (txn.commit if index % 2 else txn.abort)()
+            finished.append(txn)
+        assert sorted(manager._transactions) == [txn.txn_id for txn in open_handles]
+        assert manager.active_transactions() == open_handles
+        for txn in (finished[0], finished[-1]):  # forgotten, but the handle knows
+            with pytest.raises(TransactionError, match="not active"):
+                txn.write("k", b"late")
+            with pytest.raises(TransactionError, match="not active"):
+                manager.commit(txn.txn_id)
+
 
 class TestUncommittedDataNeverMigrates:
     def test_long_running_transaction_survives_heavy_churn(self):

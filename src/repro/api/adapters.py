@@ -41,6 +41,13 @@ def _view_from_naive(key: Key, record: Optional[NaiveRecord]) -> Optional[Record
     return make_view(key, record.timestamp, record.value)
 
 
+def _no_keys_between(low: Optional[Key], high: Optional[Key]) -> bool:
+    """An empty or inverted ``[low, high)`` holds no keys.  The raw tree
+    rejects such a KeyRange outright; the other engines answer nothing —
+    normalize to the uniform answer (found by the differential suite)."""
+    return low is not None and high is not None and not low < high
+
+
 class TSBEngine(VersionedEngine):
     """The TSB-tree behind the uniform protocol (the paper's contribution)."""
 
@@ -83,10 +90,7 @@ class TSBEngine(VersionedEngine):
         high: Optional[Key] = None,
         as_of: Optional[int] = None,
     ) -> List[RecordView]:
-        # An empty or inverted [low, high) holds no keys.  The raw tree
-        # rejects such a KeyRange outright; the other engines answer [] —
-        # normalize to the uniform answer (found by the differential suite).
-        if low is not None and high is not None and not low < high:
+        if _no_keys_between(low, high):
             return []
         views = (
             _view_from_version(version)
@@ -110,6 +114,11 @@ class TSBEngine(VersionedEngine):
         views = (_view_from_version(v) for v in self.tree.history_between(key, start, end))
         return [view for view in views if view is not None]
 
+    def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
+        if _no_keys_between(low, high):
+            return []
+        return self.tree.keys(low, high)
+
     def time_slice(
         self,
         start: int,
@@ -117,14 +126,11 @@ class TSBEngine(VersionedEngine):
         low: Optional[Key] = None,
         high: Optional[Key] = None,
     ) -> Dict[Key, List[RecordView]]:
-        """Bulk per-key histories over ``[start, end)`` in one tree walk.
-
-        Answers exactly ``{key: history_between(key, start, end)}`` for every
-        key in ``[low, high)``, but walks the data-node level once instead of
-        descending per key — the sharded store's scatter path uses this when
-        the engine offers it.
-        """
+        """The protocol's answer from one walk of the data-node level
+        instead of a descent per key."""
         result: Dict[Key, List[RecordView]] = {}
+        if _no_keys_between(low, high):
+            return result
         for key, versions in self.tree.time_slice(start, end, low=low, high=high).items():
             views = [
                 make_view(v.key, v.timestamp, v.value)

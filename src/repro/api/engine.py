@@ -180,6 +180,30 @@ class VersionedEngine(abc.ABC):
         """Versions of ``key`` valid at some point in ``[start, end)``, oldest
         first (the temporal time-slice query)."""
 
+    def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
+        """Every key in ``[low, high)`` with a committed version, sorted.
+        The default — the keys of :meth:`range_search` — is complete only for
+        an engine without :attr:`Capability.DELETE`, where every key ever
+        written still has a current version."""
+        return [record.key for record in self.range_search(low, high)]
+
+    def time_slice(
+        self,
+        start: int,
+        end: int,
+        low: Optional[Key] = None,
+        high: Optional[Key] = None,
+    ) -> Dict[Key, List[RecordView]]:
+        """``{key: history_between(key, start, end)}`` over the keys in
+        ``[low, high)``, key-sorted, empty histories omitted (the cross-key
+        time-slice query).  The default descends once per key."""
+        sliced: Dict[Key, List[RecordView]] = {}
+        for key in self.keys(low, high):
+            records = self.history_between(key, start, end)
+            if records:
+                sliced[key] = records
+        return sliced
+
     def has_version_at(self, key: Key, timestamp: int) -> bool:
         """Whether ``key`` already has a version stamped exactly ``timestamp``.
 

@@ -13,16 +13,23 @@ exposing the same query surface as a single store:
   out to the overlapping shards and merge their answers (shards are ordered
   by key range, so concatenating per-shard range results is already
   key-sorted);
-* **batching** — :meth:`ShardedVersionStore.put_many` groups a batch of
-  records per shard before applying it, one logged transaction per shard
-  when the inner stores run a WAL (so a batch rides each shard's group
-  commit);
+* **writes** — every write enters its shard through the inner store's one
+  write path (``VersionStore._write``, described in :mod:`repro.api.store`)
+  at a stamp the sharded engine has drawn; :meth:`ShardedVersionStore.put_many`
+  groups a batch of records per shard first, one logged transaction per
+  distinct-key run when the inner stores run a WAL (so a batch rides each
+  shard's group commit);
 * **splitting** — when a shard's current-device utilization crosses the
   :class:`~repro.api.store.ShardSpec` threshold, the shard is split at its
-  median key into two fresh stores, the scale-out analogue of the
-  TSB-tree's own key splits.  With ``ShardSpec.maintenance_interval > 0``
-  the split check leaves the write hot path entirely and runs on an opt-in
-  background maintenance thread instead.
+  median key into two fresh stores — export, then import through that same
+  write path — the scale-out analogue of the TSB-tree's own key splits.
+  With ``ShardSpec.maintenance_interval > 0`` the split check leaves the
+  write hot path entirely and runs on an opt-in background maintenance
+  thread instead.
+
+No key set is kept beside the trees: a shard's keys are what its tree holds
+(:meth:`~repro.api.engine.VersionedEngine.keys`), so a sharded store is its
+boundaries and its shards' devices and nothing else.
 
 With ``ShardSpec.scatter_threads > 1`` the fan-outs run on a
 :class:`~concurrent.futures.ThreadPoolExecutor`: scatter-gather queries
@@ -34,11 +41,12 @@ commit stamps the sequential walk would have produced (a contiguous block
 per shard, in shard order, carved from the global clock), so the observable
 history is byte-identical whichever mode ran it.
 
-Timestamps stay globally consistent: the sharded engine owns the clock,
-stamps auto-timestamped writes itself, and rejects a timestamp that would
-precede the latest global commit — exactly the rule every single-store
-engine enforces — so a workload replayed through a sharded store gives the
-same logical answers as the same workload on one store.
+Timestamps stay globally consistent: the sharded engine's clock is the
+newest commit any shard holds, it stamps every write itself, and it rejects
+a timestamp that would precede the latest global commit — exactly the rule
+every single-store engine enforces — so a workload replayed through a
+sharded store gives the same logical answers as the same workload on one
+store.
 
 Construction goes through the ordinary front door::
 
@@ -55,8 +63,9 @@ import threading
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -78,6 +87,7 @@ from repro.obs import trace
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.registry import enabled as metrics_enabled
 from repro.storage.iostats import IOStats
+from repro.storage.logdevice import LogDevice
 from repro.storage.serialization import Key
 
 
@@ -130,7 +140,6 @@ class ShardedEngine(VersionedEngine):
         boundaries: List[Key],
         spec: ShardSpec,
         inner_config: StoreConfig,
-        shard_keys: Optional[Sequence[set]] = None,
     ) -> None:
         if len(stores) != len(boundaries) + 1:
             raise VersionStoreError(
@@ -145,21 +154,6 @@ class ShardedEngine(VersionedEngine):
         self.capabilities: FrozenSet[Capability] = frozenset.intersection(
             frozenset(Capability), *inner_caps
         ) - {Capability.TRANSACTIONS, Capability.SECONDARY_INDEXES}
-        self._now = max((store.now for store in stores), default=0)
-        #: Every key ever written per shard, including logically deleted
-        #: ones — splits must carry full histories, and range scans hide
-        #: tombstoned keys.  A resumed store (reopened over checkpointed
-        #: per-shard devices) passes the key sets it saved at close time,
-        #: so time-slice queries and split decisions survive the restart.
-        if shard_keys is not None:
-            if len(shard_keys) != len(stores):
-                raise VersionStoreError(
-                    f"{len(stores)} shards need exactly {len(stores)} "
-                    f"shard key sets, got {len(shard_keys)}"
-                )
-            self._shard_keys = [set(keys) for keys in shard_keys]
-        else:
-            self._shard_keys = [set() for _ in stores]
         self._dirty: set = set()
         self.splits_performed = 0
         #: The façade-level registry (set by ShardedVersionStore): fan-out
@@ -259,32 +253,34 @@ class ShardedEngine(VersionedEngine):
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def _apply_shard_groups(self, shard_order, apply_shard, error_of, label=None):
-        """Run per-shard apply tasks with mode-appropriate failure semantics.
+    def _apply_shard_groups(self, shard_order, apply_shard):
+        """Run ``put_many``'s per-shard apply tasks with mode-appropriate
+        failure semantics.
 
         Sequential mode is fail-stop, like applying the batch by hand: the
         first failing shard ends the walk and later shards are never
         reached (the sharded-recovery suite relies on this).  Parallel mode
         has no ordering to stop on — every shard's task runs; the caller
         records what landed everywhere and re-raises the first error.
-        Either way each task *settles* (returns its error rather than
-        raising) so the caller's bookkeeping always covers committed work.
+        Either way each task *settles* (returns its error, last in its
+        outcome, rather than raising) so the caller's bookkeeping always
+        covers committed work.
         """
         if self._executor is None or len(shard_order) <= 1:
             parent = trace.current_id()
             results = []
             for index in shard_order:
-                task: Callable[[], object] = lambda index=index: apply_shard(index)
-                if label is not None:
-                    task = self._scatter_task(task, parent, label, index)
-                outcome = task()
-                results.append(outcome)
-                if error_of(outcome) is not None:
+                results.append(
+                    self._scatter_task(
+                        lambda index=index: apply_shard(index), parent, "put_many", index
+                    )()
+                )
+                if results[-1][-1] is not None:
                     break
             return results
         return self._gather(
             [lambda index=index: apply_shard(index) for index in shard_order],
-            label=label,
+            label="put_many",
             indices=shard_order,
         )
 
@@ -312,59 +308,47 @@ class ShardedEngine(VersionedEngine):
         return self.stores[self.shard_index(key)]
 
     def _stamp(self, timestamp: Optional[int]) -> int:
+        now = self.now
         if timestamp is None:
-            return self._now + 1
-        if timestamp < self._now:
+            return now + 1
+        if timestamp < now:
             raise VersionStoreError(
                 f"timestamp {timestamp} precedes the latest committed "
-                f"timestamp {self._now}; a sharded store stamps in global "
+                f"timestamp {now}; a sharded store stamps in global "
                 "commit order, like every single-store engine"
             )
         return timestamp
-
-    def _record_write(self, index: int, key: Key, timestamp: int) -> None:
-        self._shard_keys[index].add(key)
-        self._dirty.add(index)
-        self._now = max(self._now, timestamp)
-
-    def written_keys(self, index: int) -> Set[Key]:
-        """A copy of every key ever written to shard ``index`` (logically
-        deleted ones included) — what a resumed store must be handed back."""
-        return set(self._shard_keys[index])
-
-    def note_replayed(self, index: int, keys: Iterable[Key], watermark: int) -> None:
-        """A log replayer applied commits touching ``keys``, the newest at
-        ``watermark``, straight onto shard ``index``'s tree: catch the
-        engine's own bookkeeping (key tracking, clock) up with it."""
-        self._shard_keys[index].update(keys)
-        self._now = max(self._now, watermark)
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
-        timestamp = self._stamp(timestamp)
-        index = self.shard_index(key)
-        stamped = self.stores[index].engine.insert(key, value, timestamp=timestamp)
-        self._record_write(index, key, stamped)
-        return stamped
+        return self._write_one(key, value, timestamp)
 
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
         self.require(Capability.DELETE)
+        return self._write_one(key, None, timestamp)
+
+    def _write_one(self, key: Key, value: Optional[bytes], timestamp: Optional[int]) -> int:
         timestamp = self._stamp(timestamp)
         index = self.shard_index(key)
-        stamped = self.stores[index].engine.delete(key, timestamp=timestamp)
-        self._record_write(index, key, stamped)
-        return stamped
+        self.stores[index]._write([(key, value)], timestamp)
+        self._dirty.add(index)
+        return timestamp
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> PutManyReport:
         """Group a batch per shard, then apply each shard's group in one go.
 
-        Without a WAL every item keeps its own timestamp, pre-assigned in
-        input order from the global clock — byte-identical answers to the
-        same items inserted one by one.  With a WAL each shard's group
-        commits as a single logged transaction (one commit timestamp per
-        shard, amortized over the shard's group-commit batch).
+        Every stamp is assigned here, up front, from the global clock.
+        Without a WAL every item keeps its own timestamp, in input order —
+        byte-identical answers to the same items inserted one by one.  With a
+        WAL each distinct-key run of a shard's group (the shared batching
+        rule of :func:`distinct_key_run_end`: a repeated key starts a new
+        transaction so no version is silently collapsed) commits as one
+        logged transaction, and shard i's runs get the contiguous block of
+        stamps after shard i-1's — exactly the stamps the sequential walk
+        produces, so the shard groups can be applied concurrently without
+        perturbing the global commit history.
         """
         items = list(items)
         if not items:
@@ -374,136 +358,91 @@ class ShardedEngine(VersionedEngine):
             groups.setdefault(self.shard_index(key), []).append((position, key, value))
         shard_order = sorted(groups)
 
-        timestamps: List[Optional[int]] = [None] * len(items)
+        timestamps: List[int] = [0] * len(items)
+        #: Per shard, the ``(start, end)`` slices of its group that are one
+        #: commit each; every item of a slice carries the slice's stamp.
+        runs_per_shard: Dict[int, List[Tuple[int, int]]] = {}
+        wal = self.inner_config.wal
+        first_stamp = self.now + 1
+        commits = 0
+        for index in shard_order:
+            group = groups[index]
+            runs = runs_per_shard[index] = []
+            start = 0
+            while start < len(group):
+                if wal:  # a distinct-key run at the next stamp of the block
+                    end = distinct_key_run_end(group, start, key_of=itemgetter(1))
+                    stamp = first_stamp + commits
+                    commits += 1
+                else:  # one item at the stamp of its input position
+                    end = start + 1
+                    stamp = first_stamp + group[start][0]
+                for position, _, _ in group[start:end]:
+                    timestamps[position] = stamp
+                runs.append((start, end))
+                start = end
+
+        def apply_shard(index: int) -> Tuple[int, Optional[bool], Optional[Exception]]:
+            """Apply one shard's runs; on failure return how many items
+            *did* land (and whether their commits are forced) plus the error,
+            so the caller's bookkeeping can record every committed write
+            before re-raising."""
+            store = self.stores[index]
+            group = groups[index]
+            landed = 0
+            durable: Optional[bool] = None
+            try:
+                for start, end in runs_per_shard[index]:
+                    _, forced = store._write(
+                        [(key, value) for _, key, value in group[start:end]],
+                        timestamps[group[start][0]],
+                    )
+                    durable = forced if durable is None else durable and forced
+                    landed = end
+            except Exception as exc:  # noqa: BLE001 - re-raised after bookkeeping
+                return landed, durable, exc
+            return landed, durable, None
+
+        results = self._apply_shard_groups(shard_order, apply_shard)
         batches: List[ShardBatch] = []
-        if self.inner_config.wal:
-            # One transaction per distinct-key run (the shared batching rule
-            # of distinct_key_run_end): a repeated key starts a new
-            # transaction so no version is silently collapsed.  Every run's
-            # commit stamp is pre-assigned here — shard i gets the
-            # contiguous block after shard i-1's, exactly the stamps the
-            # sequential walk produces — so the shard groups can be applied
-            # concurrently without perturbing the global commit history.
-            runs_per_shard: Dict[int, List[Tuple[int, int]]] = {}
-            clock_base: Dict[int, int] = {}
-            consumed = 0
-            for index in shard_order:
-                group = groups[index]
-                runs: List[Tuple[int, int]] = []
-                start = 0
-                while start < len(group):
-                    end = distinct_key_run_end(
-                        group, start, key_of=lambda item: item[1]
+        first_error: Optional[Exception] = None
+        for index, (landed, durable, error) in zip(shard_order, results):
+            done = groups[index][:landed]
+            if done:
+                batches.append(
+                    ShardBatch(
+                        shard=index,
+                        keys=tuple(key for _, key, _ in done),
+                        timestamps=tuple(timestamps[position] for position, _, _ in done),
+                        durable=durable,
                     )
-                    runs.append((start, end))
-                    start = end
-                runs_per_shard[index] = runs
-                clock_base[index] = self._now + consumed
-                consumed += len(runs)
+                )
+                self._dirty.add(index)
+            if error is not None and first_error is None:
+                first_error = error
+        if first_error is not None:
+            # Every committed run above is recorded (reported, its shard
+            # marked for a split check) even though the batch failed partway.
+            raise first_error
+        return PutManyReport(timestamps=timestamps, batches=batches)
 
-            def apply_wal_shard(
-                index: int,
-            ) -> Tuple[List[Tuple[int, int, int]], bool, Optional[Exception]]:
-                """Apply one shard's runs; on failure return the runs that
-                *did* commit plus the error, so the caller's bookkeeping can
-                record every committed write before re-raising."""
-                store = self.stores[index]
-                group = groups[index]
-                assert store.txns is not None
-                stamped_runs: List[Tuple[int, int, int]] = []
-                all_durable = True
-                try:
-                    # Each shard owns a TimestampOracle; fast-forward it to
-                    # this shard's stamp block so commits land on the
-                    # pre-assigned globally ordered timestamps.
-                    store.txns.clock.advance_to(clock_base[index])
-                    for start, end in runs_per_shard[index]:
-                        # Batch path: the whole run is written and stamped
-                        # under one exclusive latch hold on the shard.
-                        txn = store.txns.run_transaction(
-                            [(key, value) for _, key, value in group[start:end]]
-                        )
-                        commit_ts = txn.commit_timestamp
-                        all_durable = all_durable and store.commit_is_durable(txn)
-                        stamped_runs.append((start, end, commit_ts))
-                except Exception as exc:  # noqa: BLE001 - re-raised after bookkeeping
-                    return stamped_runs, all_durable, exc
-                return stamped_runs, all_durable, None
-
-            results = self._apply_shard_groups(
-                shard_order,
-                apply_wal_shard,
-                error_of=lambda outcome: outcome[2],
-                label="put_many",
-            )
-            first_error: Optional[Exception] = None
-            for index, (stamped_runs, all_durable, error) in zip(shard_order, results):
-                group = groups[index]
-                group_stamps: List[int] = []
-                recorded_keys: List[Key] = []
-                for start, end, commit_ts in stamped_runs:
-                    for position, key, _ in group[start:end]:
-                        timestamps[position] = commit_ts
-                        group_stamps.append(commit_ts)
-                        recorded_keys.append(key)
-                        self._record_write(index, key, commit_ts)
-                if group_stamps:
-                    batches.append(
-                        ShardBatch(
-                            shard=index,
-                            keys=tuple(recorded_keys),
-                            timestamps=tuple(group_stamps),
-                            durable=all_durable,
-                        )
-                    )
-                if error is not None and first_error is None:
-                    first_error = error
-            if first_error is not None:
-                # Every committed run above is recorded (clock advanced,
-                # shard keys tracked) even though the batch failed partway.
-                raise first_error
-        else:
-            start = self._now
-            for position in range(len(items)):
-                timestamps[position] = start + 1 + position
-
-            def apply_plain_shard(index: int) -> Tuple[int, Optional[Exception]]:
-                """Apply one shard's group; on failure return how many items
-                landed plus the error, so every applied write is recorded."""
-                store = self.stores[index]
-                applied = 0
-                try:
-                    for position, key, value in groups[index]:
-                        store.engine.insert(key, value, timestamp=timestamps[position])
-                        applied += 1
-                except Exception as exc:  # noqa: BLE001 - re-raised after bookkeeping
-                    return applied, exc
-                return applied, None
-
-            results = self._apply_shard_groups(
-                shard_order,
-                apply_plain_shard,
-                error_of=lambda outcome: outcome[1],
-                label="put_many",
-            )
-            first_error = None
-            for index, (applied, error) in zip(shard_order, results):
-                landed = groups[index][:applied]
-                for position, key, _ in landed:
-                    self._record_write(index, key, timestamps[position])
-                if landed:
-                    batches.append(
-                        ShardBatch(
-                            shard=index,
-                            keys=tuple(key for _, key, _ in landed),
-                            timestamps=tuple(timestamps[p] for p, _, _ in landed),
-                        )
-                    )
-                if error is not None and first_error is None:
-                    first_error = error
-            if first_error is not None:
-                raise first_error
-        return PutManyReport(timestamps=list(timestamps), batches=batches)
+    def import_events(self, events: Sequence[VersionEvent]) -> int:
+        """Hand each shard its own events, in order, as one list: the events
+        of one source commit that land on one shard stay one commit there
+        (:meth:`VersionStore.import_events`).  An event that is not already
+        present must respect global commit order, like any stamped write."""
+        per_shard: Dict[int, List[VersionEvent]] = {}
+        now = self.now
+        for event in events:
+            timestamp, key = event[0], event[1]
+            index = self.shard_index(key)
+            if timestamp < now and not self.stores[index].engine.has_version_at(key, timestamp):
+                self._stamp(timestamp)  # raises: the global clock is past it
+            per_shard.setdefault(index, []).append(event)
+        self._dirty.update(per_shard)
+        return sum(
+            self.stores[index].import_events(per_shard[index]) for index in sorted(per_shard)
+        )
 
     # ------------------------------------------------------------------
     # Reads
@@ -545,20 +484,22 @@ class ShardedEngine(VersionedEngine):
         self._record_merge(merge_started)
         return results
 
-    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
+    def _gather_merged(self, label: str, *args) -> dict:
+        """Every shard's ``engine.<label>(*args)`` dict, merged in shard
+        order — so per-shard key-sorted answers stay key-sorted."""
         per_shard = self._gather(
-            [
-                lambda store=store: store.engine.snapshot(timestamp)
-                for store in self.stores
-            ],
-            label="snapshot",
+            [lambda store=store: getattr(store.engine, label)(*args) for store in self.stores],
+            label=label,
         )
         merge_started = perf_counter()
-        merged: Dict[Key, RecordView] = {}
+        merged: dict = {}
         for piece in per_shard:
             merged.update(piece)
         self._record_merge(merge_started)
         return merged
+
+    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
+        return self._gather_merged("snapshot", timestamp)
 
     def time_slice(
         self,
@@ -567,52 +508,10 @@ class ShardedEngine(VersionedEngine):
         low: Optional[Key] = None,
         high: Optional[Key] = None,
     ) -> Dict[Key, List[RecordView]]:
-        """Every key in ``[low, high)`` with its versions valid in ``[start, end)``.
+        return self._gather_merged("time_slice", start, end, low, high)
 
-        The cross-key time-slice query: one scatter-gather computes, per
-        shard, the per-key :meth:`history_between` answers for the keys that
-        shard has ever seen, and the merge (in shard order) yields a
-        key-sorted dict of non-empty histories.
-        """
-
-        def slice_shard(index: int) -> List[Tuple[Key, List[RecordView]]]:
-            store = self.stores[index]
-            # Engines offering a bulk time_slice (the TSB-tree: one walk of
-            # the data-node level) answer the whole shard at once; the rest
-            # fall back to a history_between descent per key.  Both paths
-            # return identical rows — the bulk result is filtered to the
-            # keys this shard has seen, exactly like the per-key loop.
-            bulk = getattr(store.engine, "time_slice", None)
-            if bulk is not None:
-                seen = self._shard_keys[index]
-                answers = bulk(start, end, low=low, high=high)
-                return [
-                    (key, answers[key])
-                    for key in sorted(answers)
-                    if key in seen
-                ]
-            rows: List[Tuple[Key, List[RecordView]]] = []
-            for key in sorted(self._shard_keys[index]):
-                if low is not None and key < low:
-                    continue
-                if high is not None and not key < high:
-                    continue
-                records = store.engine.history_between(key, start, end)
-                if records:
-                    rows.append((key, records))
-            return rows
-
-        per_shard = self._gather(
-            [lambda index=index: slice_shard(index) for index in range(len(self.stores))],
-            label="time_slice",
-        )
-        merge_started = perf_counter()
-        merged: Dict[Key, List[RecordView]] = {}
-        for rows in per_shard:
-            for key, records in rows:
-                merged[key] = records
-        self._record_merge(merge_started)
-        return merged
+    def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
+        return [key for store in self.stores for key in store.engine.keys(low, high)]
 
     def key_history(self, key: Key) -> List[RecordView]:
         return self._store_for(key).engine.key_history(key)
@@ -628,7 +527,8 @@ class ShardedEngine(VersionedEngine):
     # ------------------------------------------------------------------
     @property
     def now(self) -> int:
-        return self._now
+        """The newest commit any shard holds: every stamp is drawn past it."""
+        return max(store.now for store in self.stores)
 
     # The rollup arithmetic lives in repro.analysis.metrics (per-shard ->
     # store-level aggregation belongs to the measurement layer); the imports
@@ -738,7 +638,11 @@ class ShardedEngine(VersionedEngine):
         return performed
 
     def _split_shard(self, index: int) -> bool:
-        keys = sorted(self._shard_keys[index])
+        """Export the shard, land each half in a fresh store through the one
+        write path — under a WAL each half's log then holds its whole
+        history, from LSN 1."""
+        old = self.stores[index]
+        keys = old.engine.keys()
         if len(keys) < 2:
             return False  # nothing to partition
         median = keys[len(keys) // 2]
@@ -747,7 +651,6 @@ class ShardedEngine(VersionedEngine):
             high is not None and not median < high
         ):
             return False
-        old = self.stores[index]
         left = VersionStore.open(self.inner_config)
         right = VersionStore.open(self.inner_config)
         events = self.export_events(index)
@@ -759,8 +662,6 @@ class ShardedEngine(VersionedEngine):
         old.close()
         self.stores[index : index + 1] = [left, right]
         self.boundaries.insert(index, median)
-        left_keys = {key for key in keys if key < median}
-        self._shard_keys[index : index + 1] = [left_keys, set(keys) - left_keys]
         self.splits_performed += 1
         return True
 
@@ -772,29 +673,29 @@ class ShardedEngine(VersionedEngine):
 
         The one way a key range's history leaves a store (a shard split, an
         online migration); :meth:`VersionStore.import_events` is the one way
-        it arrives.  Tombstones are kept (normalized reads hide them),
-        provisional versions are not (``key_history`` is committed history),
-        and the order is by timestamp because every engine rejects backdated
+        it arrives.  One walk of the shard's structure — a time slice over
+        all of time.  Tombstones are kept (normalized reads hide them, so
+        the TSB-tree is asked directly), provisional versions are not, and
+        the order is by timestamp because every engine rejects backdated
         commits.  The caller holds the store's latch.
         """
+        if low is not None and high is not None and not low < high:
+            return []
         store = self.stores[index]
         backend = store.backend
-        events: List[VersionEvent] = []
-        for key in sorted(
-            key
-            for key in self._shard_keys[index]
-            if (low is None or not key < low) and (high is None or key < high)
-        ):
-            if isinstance(backend, TSBTree):
-                events.extend(
-                    (version.timestamp, key, version.is_tombstone, version.value)
-                    for version in backend.key_history(key)
-                )
-            else:
-                events.extend(
-                    (record.timestamp, key, False, record.value)
-                    for record in store.engine.key_history(key)
-                )
+        events: List[VersionEvent]
+        if isinstance(backend, TSBTree):
+            events = [
+                (version.timestamp, key, version.is_tombstone, version.value)
+                for key, versions in backend.time_slice(0, backend.now + 1, low, high).items()
+                for version in versions
+            ]
+        else:
+            events = [
+                (record.timestamp, key, False, record.value)
+                for key, records in store.engine.time_slice(0, store.now + 1, low, high).items()
+                for record in records
+            ]
         events.sort(key=lambda event: event[0])
         return events
 
@@ -839,22 +740,22 @@ class ShardedVersionStore(VersionStore):
         cls,
         config: StoreConfig,
         *,
-        shard_devices: Sequence[Tuple[object, object]],
+        shard_devices: Sequence[Tuple[object, object, Optional[LogDevice]]],
         boundaries: Sequence[Key],
-        shard_keys: Sequence[set],
     ) -> "ShardedVersionStore":
         """Reopen a previously closed sharded store on its own devices.
 
-        ``shard_devices`` is one ``(magnetic, historical)`` pair per shard —
-        the pairs a closed store's shards left behind, each holding a
-        checkpointed TSB-tree image (only the ``tsb`` inner engine persists
-        a resumable root, so only it can be resumed).  ``boundaries`` is the
-        key-range layout *at close time* (splits may have grown it past the
-        original :class:`~repro.api.store.ShardSpec`), and ``shard_keys``
-        the per-shard written-key sets that time-slice queries and split
-        decisions need.  The server's tenant registry snapshots all three
-        when it closes a tenant, precisely so a reopen reuses the tenant's
-        devices instead of formatting fresh ones.
+        ``shard_devices`` is one ``(magnetic, historical, log device or
+        None)`` triple per shard — what a closed store's shards left behind,
+        each pair holding a checkpointed TSB-tree image (only the ``tsb``
+        inner engine persists a resumable root, so only it can be resumed)
+        and each log the WAL that shard goes on writing.  ``boundaries`` is
+        the key-range layout *at close time* (splits may have grown it past
+        the original :class:`~repro.api.store.ShardSpec`).  That is all a
+        sharded store is: a shard's keys are what its tree holds.  The
+        server's tenant registry snapshots both when it closes a tenant,
+        precisely so a reopen reuses the tenant's devices instead of
+        formatting fresh ones.
         """
         spec = config.shards
         if spec is None:
@@ -867,17 +768,16 @@ class ShardedVersionStore(VersionStore):
             )
         if len(shard_devices) != len(boundaries) + 1:
             raise VersionStoreError(
-                f"{len(shard_devices)} device pairs need exactly "
+                f"{len(shard_devices)} shards' devices need exactly "
                 f"{len(shard_devices) - 1} boundaries"
             )
         stores = [
-            VersionStore.open(inner_config, magnetic=magnetic, historical=historical)
-            for magnetic, historical in shard_devices
+            VersionStore.open(
+                inner_config, magnetic=magnetic, historical=historical, log_device=log_device
+            )
+            for magnetic, historical, log_device in shard_devices
         ]
-        engine = ShardedEngine(
-            stores, list(boundaries), spec, inner_config, shard_keys=shard_keys
-        )
-        return cls(engine, config)
+        return cls(ShardedEngine(stores, list(boundaries), spec, inner_config), config)
 
     # ------------------------------------------------------------------
     # Shard introspection
@@ -927,20 +827,6 @@ class ShardedVersionStore(VersionStore):
         of it to wait for)."""
         return self.durable_lsn(), self.now
 
-    def time_slice(
-        self,
-        start: int,
-        end: int,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-    ) -> Dict[Key, List[RecordView]]:
-        """Scatter-gather cross-key time slice (see :meth:`ShardedEngine.time_slice`)."""
-        with self.metrics.timer("op.time_slice"), trace.span(
-            "store.time_slice"
-        ), self._latch.read():
-            self._ensure_open()
-            return self.sharded_engine.time_slice(start, end, low=low, high=high)
-
     def describe_shards(self) -> List[Dict[str, object]]:
         """One row per shard: key range, keys ever written (tombstoned keys
         included — they still occupy history), pages, local clock."""
@@ -959,7 +845,7 @@ class ShardedVersionStore(VersionStore):
                 {
                     "shard": index,
                     "range": f"[{low_text}, {high_text})",
-                    "keys_written": len(engine._shard_keys[index]),
+                    "keys_written": len(store.engine.keys()),
                     "current_pages": engine._current_device_pages(store),
                     "utilization": round(engine.utilization(index), 4),
                     "now": store.now,
@@ -1055,29 +941,23 @@ class ShardedVersionStore(VersionStore):
     # ------------------------------------------------------------------
     # Writes (split check after every write, unless maintenance owns it)
     # ------------------------------------------------------------------
-    @property
-    def _inline_splits(self) -> bool:
-        return not self._splits_deferred
+    def _split_check(self) -> None:
+        if not self._splits_deferred:
+            self.sharded_engine.maybe_split()
 
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
+    def _write(self, writes, timestamp=None):
+        """``insert`` and ``delete``: the façade's write path over the
+        sharded engine, which hands the write to its shard's own."""
         with self._latch.write():
-            stamped = super().insert(key, value, timestamp=timestamp)
-            if self._inline_splits:
-                self.sharded_engine.maybe_split()
-        return stamped
-
-    def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
-        with self._latch.write():
-            stamped = super().delete(key, timestamp=timestamp)
-            if self._inline_splits:
-                self.sharded_engine.maybe_split()
-        return stamped
+            result = super()._write(writes, timestamp)
+            self._split_check()
+        return result
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         with self._latch.write():
-            imported = super().import_events(events)
-            if self._inline_splits:
-                self.sharded_engine.maybe_split()
+            self._ensure_open()
+            imported = self.sharded_engine.import_events(events)
+            self._split_check()
         return imported
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
@@ -1090,8 +970,7 @@ class ShardedVersionStore(VersionStore):
         ), self._latch.write():
             self._ensure_open()
             report = self.sharded_engine.put_many(items)
-            if self._inline_splits:
-                self.sharded_engine.maybe_split()
+            self._split_check()
         return report
 
     # ------------------------------------------------------------------

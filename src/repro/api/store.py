@@ -27,12 +27,44 @@ Example::
 
 Swapping ``engine="tsb"`` for ``"wobt"`` or ``"naive"`` runs the same code
 against a different access method.
+
+The write path
+--------------
+Every façade mutation — ``insert`` and ``delete`` (auto-stamped or at the
+caller's timestamp), each distinct-key run of ``put_many``, each group of
+same-timestamp events of ``import_events``, and through those a sharded
+store's writes, a shard split and a migrated range — reaches the engine
+through one function, :meth:`VersionStore._write`: ``(key, value)`` pairs
+over distinct keys (``None`` a tombstone) committed together, at an explicit
+stamp or the clock's next.  Whether the store has a log picks its branch:
+
+* **with a log**, one logged transaction (:meth:`TransactionManager.
+  run_transaction <repro.txn.manager.TransactionManager.run_transaction>`):
+  provisional writes under record locks, the commit record, then stamping —
+  the paper's rule (section 4).  Acknowledged means the commit record is in
+  the log, forced per ``group_commit_size``; restart recovery, followers and
+  a promoted replica replay it (:mod:`repro.recovery.replay`).
+* **without one**, the engine is written directly under the store's
+  exclusive latch — one descent per write, not two — durable at the next
+  ``checkpoint()``.
+
+*One clock.*  A TSB store's commit clock is its transaction manager's
+:class:`~repro.txn.clock.TimestampOracle`: the logged branch draws from it
+(or moves it up to the explicit stamp) and the direct branch moves it up to
+what the engine stamped, so transactions and façade writes share a timeline.
+*Locks before the latch.*  The logged branch takes the latch only once it
+holds every record lock, and the checks that need a quiescent store (still
+open; one version per ``(key, timestamp)``) run inside that latch hold, not
+around it — a façade write to a key an open transaction holds waits for the
+commit without holding the tree hostage.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.adapters import (
@@ -746,111 +778,116 @@ class VersionStore:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
-        # One version per (key, timestamp), uniformly: the backends disagree
-        # on equal-timestamp re-inserts (the TSB-tree keeps the first version,
-        # the WOBT and the naive index overwrite), which would break the
-        # identical-answers guarantee and mutate pinned ReadViews.  Only a
-        # backdated-or-equal timestamp can conflict, so the common strictly
-        # increasing path pays nothing.  (The open check sits inside the
-        # latch hold, here and on every latched surface: a thread that
-        # blocked on the latch while close() ran must observe _closed.)
-        with self.metrics.timer("op.insert"), self._latch.write():
+    def _write(
+        self,
+        writes: Sequence[Tuple[Key, Optional[bytes]]],
+        timestamp: Optional[int] = None,
+    ) -> Tuple[List[int], Optional[bool]]:
+        """The write path (module docstring).  Returns each write's stamp
+        and, under a log, whether the commit record is already forced."""
+
+        def admit() -> None:
+            # Under the exclusive latch: a thread that blocked on it while
+            # close() ran must observe _closed.  One version per (key,
+            # timestamp), uniformly: the backends disagree on equal-timestamp
+            # re-inserts (the TSB-tree keeps the first version, the WOBT and
+            # the naive index overwrite), which would break the
+            # identical-answers guarantee and mutate pinned ReadViews.  Only
+            # a backdated-or-equal stamp can conflict, so the common
+            # increasing path pays nothing.
             self._ensure_open()
-            self._reject_timestamp_conflict(key, timestamp)
-            return self._engine.insert(key, value, timestamp=timestamp)
+            engine = self._engine
+            if timestamp is not None and timestamp <= engine.now:
+                for key, _ in writes:
+                    if engine.has_version_at(key, timestamp):
+                        raise VersionStoreError(
+                            f"key {key!r} already has a version at timestamp "
+                            f"{timestamp}"
+                        )
+
+        if self._log is not None:
+            txn = self._txns.run_transaction(writes, timestamp, admit)
+            stamps = [txn.commit_timestamp] * len(writes)
+            return stamps, self._log.is_durable(txn.commit_lsn)
+        with self._latch.write():
+            admit()
+            engine = self._engine
+            stamps = [
+                engine.delete(key, timestamp=timestamp)
+                if value is None
+                else engine.insert(key, value, timestamp=timestamp)
+                for key, value in writes
+            ]
+            if self._txns is not None:
+                self._txns.observe_commit(stamps[-1])
+        return stamps, None
+
+    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
+        with self.metrics.timer("op.insert"):
+            return self._write([(key, value)], timestamp)[0][0]
 
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
-        with self.metrics.timer("op.delete"), self._latch.write():
-            self._ensure_open()
-            self._reject_timestamp_conflict(key, timestamp)
-            return self._engine.delete(key, timestamp=timestamp)
+        with self.metrics.timer("op.delete"):
+            return self._write([(key, None)], timestamp)[0][0]
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
         """Write a batch of ``(key, value)`` pairs; return their timestamps.
 
-        Without a WAL this is sequential auto-stamped inserts (each item gets
-        its own timestamp).  With ``wal=True`` each distinct-key run commits
-        as one logged transaction riding group commit: items in a run share
-        its commit timestamp, and a repeated key starts a new transaction so
-        every version survives.  The sharded store overrides this with a
-        per-shard grouped implementation with the same two modes.
+        Each distinct-key run (:func:`distinct_key_run_end`) is one call of
+        the write path: without a WAL, sequential auto-stamped inserts under
+        one latch hold (each item its own timestamp); with one, a logged
+        transaction riding group commit whose items share the commit
+        timestamp — a repeated key starts a new transaction so every version
+        survives.  The sharded store overrides this with a per-shard grouped
+        implementation with the same two modes.
         """
         self._ensure_open()
         items = list(items)
+        timestamps: List[int] = []
         if not items:
-            return []
-        # Both modes stamp-and-apply each run under ONE exclusive latch hold
-        # instead of a round-trip per item.  That is deadlock-safe because
-        # record locks are still acquired before the latch: the non-WAL path
-        # takes no record locks at all, and run_transaction() acquires every
-        # lock for its run up front, before latching — so a batch never
-        # blocks on a lock while holding the tree hostage.
+            return timestamps
         with self.metrics.timer("op.put_many"), trace.span(
             "store.put_many", items=len(items)
         ):
-            if self._config.wal and self._txns is not None:
-                return self._put_many_transactional(self._txns, items)
-            with self._latch.write():
-                self._ensure_open()
-                engine_insert = self._engine.insert
-                return [engine_insert(key, value) for key, value in items]
-
-    @staticmethod
-    def _put_many_transactional(txns: TransactionManager, items) -> List[int]:
-        """Apply a batch as transactions, never two writes to one key per txn.
-
-        A transaction's write set keeps one value per key (the final write
-        wins), so packing a whole batch into one transaction would silently
-        drop earlier duplicate-key versions — diverging from the non-WAL
-        path, where every item becomes its own version.  Chunking at the
-        first repeated key (:func:`distinct_key_run_end`) preserves every
-        version while still batching distinct-key runs into one commit.
-        """
-        timestamps: List[Optional[int]] = [None] * len(items)
-        start = 0
-        while start < len(items):
-            end = distinct_key_run_end(items, start)
-            txn = txns.run_transaction(items[start:end])
-            commit_timestamp = txn.commit_timestamp
-            for position in range(start, end):
-                timestamps[position] = commit_timestamp
-            start = end
-        return timestamps  # type: ignore[return-value]
+            start = 0
+            while start < len(items):
+                end = distinct_key_run_end(items, start)
+                timestamps.extend(self._write(items[start:end])[0])
+                start = end
+        return timestamps
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         """Re-insert exported versions at their original timestamps.
 
         The receiving end of :meth:`ShardedEngine.export_events
         <repro.api.sharded.ShardedEngine.export_events>`: a shard split fills
-        its halves and a migration target takes delivery through here.  An
-        event whose version is already present (a retried chunk, a range
-        coming home to a node that kept its history) is skipped, and *only*
-        that: one the engine refuses for any other reason — above all, one
-        backdated against this store's commit clock — raises, so a range is
-        never reported moved while its history fell on the floor.  Returns
-        how many events were written.
+        its halves and a migration target takes delivery through here.  The
+        events (time-ordered) that share a timestamp are one call of the
+        write path — what was one transaction where it came from is one
+        here, in this store's log when it has one.  An event whose version
+        is already present (a retried chunk, a range coming home to a node
+        that kept its history) is skipped, and *only* that: one the engine
+        refuses for any other reason — above all, one backdated against this
+        store's commit clock — raises, so a range is never reported moved
+        while its history fell on the floor.  Returns how many events were
+        written.
         """
         imported = 0
-        with self._latch.write():
-            self._ensure_open()
-            engine = self._engine
-            for timestamp, key, is_tombstone, value in events:
-                if timestamp <= engine.now and engine.has_version_at(key, timestamp):
-                    continue
-                if is_tombstone:
-                    engine.delete(key, timestamp=timestamp)
-                else:
-                    engine.insert(key, value, timestamp=timestamp)
-                imported += 1
+        for timestamp, group in groupby(events, key=itemgetter(0)):
+            with self._latch.read():
+                self._ensure_open()
+                engine = self._engine
+                present = timestamp <= engine.now
+                # Keyed by key: the last word a transaction had on a key wins.
+                writes = {
+                    key: None if is_tombstone else value
+                    for _, key, is_tombstone, value in group
+                    if not (present and engine.has_version_at(key, timestamp))
+                }
+            if writes:
+                self._write(list(writes.items()), timestamp)
+                imported += len(writes)
         return imported
-
-    def _reject_timestamp_conflict(self, key: Key, timestamp: Optional[int]) -> None:
-        if timestamp is not None and timestamp <= self._engine.now:
-            if self._engine.has_version_at(key, timestamp):
-                raise VersionStoreError(
-                    f"key {key!r} already has a version at timestamp {timestamp}"
-                )
 
     # ------------------------------------------------------------------
     # Reads
@@ -893,6 +930,21 @@ class VersionStore:
         with self.metrics.timer("op.history_between"), self._latch.read():
             self._ensure_open()
             return self._engine.history_between(key, start, end)
+
+    def time_slice(
+        self,
+        start: int,
+        end: int,
+        low: Optional[Key] = None,
+        high: Optional[Key] = None,
+    ) -> Dict[Key, List[RecordView]]:
+        """Every key in ``[low, high)`` with its versions valid in
+        ``[start, end)`` (:meth:`VersionedEngine.time_slice`)."""
+        with self.metrics.timer("op.time_slice"), trace.span(
+            "store.time_slice"
+        ), self._latch.read():
+            self._ensure_open()
+            return self._engine.time_slice(start, end, low, high)
 
     def read_view(self, as_of: Optional[int] = None) -> ReadView:
         """An immutable view pinned at ``as_of`` (default: the current time)."""

@@ -716,8 +716,13 @@ def command_failover(args: argparse.Namespace) -> int:
     4. the promoted store's *entire read surface* (snapshots at every
        commit time, per-key histories, the full range scan) is digested
        and compared against an independent oracle: a fresh store built by
-       replaying the winner's mirrored log bytes from scratch;
+       replaying the winner's mirrored log bytes from scratch — and
+       against the primary's own answers, digested just before the kill
+       once its followers had caught up;
     5. a post-failover write must land on the promoted store.
+
+    Every 7th op is a ``delete`` and every 11th an explicitly stamped
+    ``insert``: whatever the façade acknowledges must reach the followers.
 
     Exit status 0 only if the digests match and the write succeeds.
     """
@@ -748,12 +753,24 @@ def command_failover(args: argparse.Namespace) -> int:
     written: List[int] = []
     keys: List[int] = []
     for i in range(args.ops):
-        stamps = store.put_many([(i % max(1, args.ops // 3), f"v{i}".encode())])
-        written.extend(stamps)
-        keys.append(i % max(1, args.ops // 3))
+        key, value = i % max(1, args.ops // 3), f"v{i}".encode()
+        if i % 7 == 6:
+            written.append(store.delete(key))
+        elif i % 11 == 10:
+            written.append(store.insert(key, value, timestamp=store.now + 1))
+        else:
+            written.extend(store.put_many([(key, value)]))
+        keys.append(key)
         if i == kill_at:
+            # Everything acknowledged so far, forced and shipped: from here
+            # to the kill nothing is written, so this is the state the
+            # promoted replica must serve.
+            store.checkpoint()
+            caught_up = primary.wait_caught_up()
+            cut, cut_keys = store.now, sorted(set(keys))
+            cut_digest = answers_digest(store, cut_keys, [cut])
             primary.kill()
-            print(f"  primary killed mid-workload after {i + 1} ops")
+            print(f"  primary killed mid-workload after {i + 1} ops (t={cut})")
     # Writes after the kill never replicated: they are the crash's lost
     # tail, which the promoted replica must NOT serve.
     time.sleep(0.05)
@@ -777,6 +794,14 @@ def command_failover(args: argparse.Namespace) -> int:
         f"  promoted digest {promoted_digest:#010x} "
         f"{'==' if match else '!='} oracle digest {oracle_digest:#010x}"
     )
+    # The second check: the promoted store against the primary itself, as
+    # it stood when its followers had caught up just before the kill.
+    promoted_cut_digest = answers_digest(promoted, cut_keys, [cut])
+    same_as_primary = caught_up and promoted_cut_digest == cut_digest
+    print(
+        f"  promoted at t={cut} {promoted_cut_digest:#010x} "
+        f"{'==' if same_as_primary else '!='} primary before the kill {cut_digest:#010x}"
+    )
 
     post_key = 1_000_000_000  # integer keyspace: route to the last shard
     stamp = promoted.put_many([(post_key, b"post-failover")])[0]
@@ -785,7 +810,7 @@ def command_failover(args: argparse.Namespace) -> int:
 
     promoted.close()
     store.close()
-    if match and write_ok:
+    if match and same_as_primary and write_ok:
         print("FAILOVER OK: promoted replica serves exactly its durable prefix")
         return 0
     print("FAILOVER MISMATCH: promoted state diverges from the mirrored log")
@@ -808,9 +833,6 @@ def _render_server_stats(address: str, fmt: str) -> int:
 
 
 def command_trace(args: argparse.Namespace) -> int:
-    if args.op == "time_slice" and args.shards <= 1:
-        print("trace: time_slice is a sharded-store query; use --shards >= 2")
-        return 2
     previous = trace.set_enabled(True)
     try:
         with _open_observed_store(args.engine, args.ops, args.shards, args.threads) as store:

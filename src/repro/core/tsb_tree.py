@@ -462,6 +462,20 @@ class TSBTree:
                     results[key] = valid
         return [results[key] for key in sorted(results)]
 
+    def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
+        """Sorted keys in ``[low, high)`` with a committed version, logically
+        deleted ones included — one walk of the current data nodes: a time
+        split leaves each key's newest version in the current node."""
+        timestamp = self._max_committed_ts
+        key_range = KeyRange(low, high)
+        region = Rectangle(key_range, TimeRange(timestamp, timestamp + 1))
+        found: Set[Key] = set()
+        for node in self._iter_data_nodes(region):
+            for key in node.keys():
+                if key_range.contains(key) and node.latest_for_key(key) is not None:
+                    found.add(key)
+        return sorted(found)
+
     def current_keys(self) -> List[Key]:
         """Sorted keys with a live (non-tombstoned) current version."""
         return [version.key for version in self.range_search()]
@@ -556,11 +570,15 @@ class TSBTree:
         ``log_anchor`` records the LSN of the WAL checkpoint record this
         flush belongs to (see :meth:`~repro.recovery.log_manager.LogManager.checkpoint`)
         and ``log_anchor_offset`` that record's byte position in the log
-        device; restart recovery replays the log from that record.  When
-        omitted, the previously recorded anchor is kept.
+        device; restart recovery replays the log from that record.  Without
+        one, a tree under a write-ahead log does nothing, as :meth:`flush`
+        does: an image newer than its anchor would have the log from that
+        anchor replayed onto it.
         """
         if log_anchor is not None:
             self._set_log_anchor(log_anchor, log_anchor_offset or 0)
+        elif self.cache.no_steal:
+            return
         self.cache.flush()
         writer = ByteWriter()
         writer.put_u32(_SUPERBLOCK_MAGIC)

@@ -2,9 +2,11 @@
 
 The forward path (:mod:`repro.txn.manager`) implements the paper's
 transaction rule — an updater writes provisional versions, commit stamps
-them with the commit time, abort erases them.  :class:`LogReplayer` is the
-only other code that turns WAL records into tree writes, and it re-executes
-exactly that rule from the log: records arrive one at a time, in log order;
+them with the commit time, abort erases them — and every mutation of a
+store under a log takes it (the write path, :mod:`repro.api.store`), so the
+log determines the run.  :class:`LogReplayer` is the only other code that
+turns WAL records into tree writes, and it re-executes exactly that rule
+from the log: records arrive one at a time, in log order;
 each transaction's operations are buffered until its ``COMMIT`` arrives and
 are then applied through the tree's own provisional-write path and stamped
 at the logged commit timestamp.  Because the primary logs every record under
@@ -41,7 +43,7 @@ Key properties:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.tsb_tree import TSBTree
 from repro.recovery.log_records import LogRecord, LogRecordType, decode_stream
@@ -117,8 +119,6 @@ class LogReplayer:
         self.high_water = 0
         #: The transaction id the log's writer would have assigned next.
         self.next_txn_id = 1
-        #: Every key any applied commit touched (feeds shard-key tracking).
-        self.keys_applied: Set[Key] = set()
         self.records_applied = 0
         self.commits_applied = 0
         self.aborts_applied = 0
@@ -168,7 +168,6 @@ class LogReplayer:
         if keys:  # else committed but wrote nothing: only the clock moved
             tree.commit_provisional(txn_id, sorted(keys), commit_timestamp)
             self.watermark = max(self.watermark, commit_timestamp)
-            self.keys_applied.update(keys)
         self.high_water = max(self.high_water, commit_timestamp)
         self.commits_applied += 1
         self.operations_applied += len(operations)
@@ -202,17 +201,9 @@ class LogReplayer:
         return self.records_applied - before
 
     def visible_state(self) -> Dict[Key, bytes]:
-        """Latest non-tombstone value per applied key — the oracle surface
+        """Latest non-tombstone value per key — the oracle surface
         crash-convergence tests compare against ``expected_visible``."""
-        state: Dict[Key, bytes] = {}
-        for key in self.keys_applied:
-            history = self.tree.key_history(key)
-            if not history:
-                continue
-            last = history[-1]
-            if not last.is_tombstone:
-                state[key] = last.value
-        return state
+        return {version.key: version.value for version in self.tree.range_search()}
 
 
 def replay_device(device, tree=None, metrics=None, shard: int = 0) -> LogReplayer:

@@ -16,9 +16,11 @@ Online migration of ``[low, high)`` from ``source`` to ``target``
    range under the source's read latch — *every version* of every
    in-range key, as ``(timestamp, key, tombstone, value)`` events — and
    records each shard's WAL position at the copy point.  The events are
-   pushed to the target with ``SNAPSHOT_CHUNK``; replayed in timestamp
-   order they reproduce the range byte-identically, every as-of answer
-   included.  Writes continue on the source throughout.
+   pushed to the target with ``SNAPSHOT_CHUNK`` and land through the
+   target's write path (:mod:`repro.api.store`) — in its log, forced
+   before the chunk is acknowledged; replayed in timestamp order they
+   reproduce the range byte-identically, every as-of answer included.
+   Writes continue on the source throughout.
 2. **Catch-up.**  Repeated delta reads scan the source WAL from the
    copy positions and ship only committed in-range events, advancing the
    positions, until a round comes back (nearly) empty.
@@ -212,9 +214,15 @@ class NodeRole:
         on the target is skipped, and an event the target cannot take (its
         commit clock is already past the event's timestamp) fails the chunk
         — and with it the migration, before any cutover — instead of
-        vanishing.
+        vanishing.  The chunk is acknowledged only once forced: after
+        COMMIT the source no longer answers for the range, so no
+        group-commit tail may be left to a crash of the target.
         """
         store.import_events(events)
+        shards = store.shard_stores if isinstance(store, ShardedVersionStore) else [store]
+        for shard in shards:
+            if shard.log is not None:
+                shard.log.force()
 
     # -- cutover -------------------------------------------------------
     def cutover(

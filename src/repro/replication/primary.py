@@ -243,14 +243,7 @@ class ReplicationPrimary:
         elif opcode is Opcode.SUBSCRIBE:
             shard, from_lsn = unpack_subscribe(request.payload)
             if not 0 <= shard < len(self._shards):
-                self._send(
-                    connection,
-                    encode_response(
-                        request.request_id,
-                        Status.BAD_REQUEST,
-                        pack_error(f"no shard {shard}"),
-                    ),
-                )
+                self._refuse(connection, request.request_id, f"no shard {shard}")
                 return
             connection.subscribed.append(shard)
             streamer = threading.Thread(
@@ -269,14 +262,16 @@ class ReplicationPrimary:
                 connection.acked[shard] = lsn
             self._refresh_gauges()
         else:
-            self._send(
+            self._refuse(
                 connection,
-                encode_response(
-                    request.request_id,
-                    Status.BAD_REQUEST,
-                    pack_error(f"replication listener does not speak {opcode.name}"),
-                ),
+                request.request_id,
+                f"replication listener does not speak {opcode.name}",
             )
+
+    def _refuse(
+        self, connection, request_id: int, message: str, status: Status = Status.BAD_REQUEST
+    ) -> None:
+        self._send(connection, encode_response(request_id, status, pack_error(message)))
 
     def _topology_payload(self) -> bytes:
         sharded = isinstance(self.store, ShardedVersionStore)
@@ -294,10 +289,22 @@ class ReplicationPrimary:
     def _stream_shard(
         self, connection: _Connection, request_id: int, shard: int, from_lsn: int
     ) -> None:
-        device = self._shards[shard].log_device
+        store = self._shards[shard]
+        device = store.log_device
         offset = scan_offset(device.durable_contents(), from_lsn)
         while self._running and connection.alive:
             if device.durable_bytes <= offset:
+                if store.closed:
+                    # Closed, or replaced by the halves of a split: its log
+                    # has ended, and "nothing more to ship" would read as
+                    # caught up for ever while the live shards move on.
+                    self._refuse(
+                        connection,
+                        request_id,
+                        f"shard {shard}'s store was closed or replaced",
+                        Status.ERROR,
+                    )
+                    return
                 time.sleep(self.poll_interval)
                 continue
             data = device.durable_suffix(offset)
@@ -379,9 +386,12 @@ class ReplicationPrimary:
 
     def wait_caught_up(self, timeout: float = 10.0) -> bool:
         """Block until every subscriber has acknowledged every shard's
-        current durable LSN (False on timeout or with no subscribers)."""
+        current durable LSN (False on timeout, with no subscribers, or once
+        a shard store this primary tails has been closed or replaced)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
+            if any(shard_store.closed for shard_store in self._shards):
+                return False
             caught_up = True
             for index, shard_store in enumerate(self._shards):
                 acked = self.min_acked(index)

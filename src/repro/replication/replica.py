@@ -63,6 +63,7 @@ from repro.server.protocol import (
     encode_request,
     pack_subscribe,
     pack_ack,
+    unpack_error,
     unpack_log_batch,
     unpack_topology,
 )
@@ -121,6 +122,9 @@ class Replica:
         self._request_ids = iter(range(1, 1 << 62))
         self._server: Optional[ReproServer] = None
         self.promoted: Optional[VersionStore] = None
+        #: Why the primary ended a subscription, once it has: the replica
+        #: then serves the prefix it holds and applies nothing further.
+        self.detached: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -203,15 +207,13 @@ class Replica:
         return self._assemble([state.store for state in self._states], inner_config)
 
     def _assemble(
-        self, inner: List[VersionStore], inner_config: StoreConfig, shard_keys=None
+        self, inner: List[VersionStore], inner_config: StoreConfig
     ) -> VersionStore:
         """One store over the per-shard stores, laid out like the primary's."""
         if not self._sharded:
             return inner[0]
         spec = ShardSpec(boundaries=tuple(self._boundaries))
-        engine = ShardedEngine(
-            inner, list(self._boundaries), spec, inner_config, shard_keys=shard_keys
-        )
+        engine = ShardedEngine(inner, list(self._boundaries), spec, inner_config)
         return ShardedVersionStore(engine, replace(inner_config, shards=spec))
 
     @property
@@ -221,8 +223,7 @@ class Replica:
             raise ReplicationError("replica not started")
         return self._store
 
-    def stop(self) -> None:
-        """Graceful stop: close subscriptions, join the tailers."""
+    def _close_subscriptions(self) -> None:
         self._running = False
         for state in self._states:
             sock = state.sock  # the tailer clears the attribute as it exits
@@ -234,6 +235,10 @@ class Replica:
                     sock.close()
                 except OSError:  # already closed by the tailer
                     pass
+
+    def stop(self) -> None:
+        """Graceful stop: close subscriptions, join the tailers."""
+        self._close_subscriptions()
         for state in self._states:
             if state.thread is not None:
                 state.thread.join(timeout=5)
@@ -294,6 +299,14 @@ class Replica:
             if response is None:
                 return  # primary gone (killed, or stream closed)
             _, status, body = response
+            if status is Status.ERROR:
+                # The primary ended the subscription: the shard's store is
+                # gone (closed, or split in two).  What is applied here stays
+                # a consistent prefix; tailing the other shards past it would
+                # not be one, so every tailer stops.
+                self.detached = unpack_error(body)
+                self._close_subscriptions()
+                return
             if status is not Status.PARTIAL:
                 raise ReplicationError(
                     f"subscription answered {status.name}; expected a "
@@ -325,16 +338,7 @@ class Replica:
         assert store is not None
         started = time.perf_counter()
         with store.write_latched():
-            replayer = state.replayer
-            before_keys = len(replayer.keys_applied)
-            applied = replayer.replay(records)
-            if isinstance(store, ShardedVersionStore):
-                grew = len(replayer.keys_applied) != before_keys
-                store.sharded_engine.note_replayed(
-                    state.shard,
-                    replayer.keys_applied if grew else (),
-                    replayer.watermark,
-                )
+            applied = state.replayer.replay(records)
         self.metrics.observe("repl.apply_batch_records", applied)
         self.metrics.observe("repl.apply_seconds", time.perf_counter() - started)
         self.metrics.set_gauge(
@@ -375,6 +379,8 @@ class Replica:
         while time.monotonic() < deadline:
             if self.watermark()[1] >= timestamp:
                 return True
+            if self.detached:
+                return False  # nothing more will ever be applied
             time.sleep(0.001)
         return False
 
@@ -433,22 +439,19 @@ class Replica:
                     metrics=None if self._sharded else self.metrics,
                 )
             )
-        self.promoted = self._assemble(
-            promoted_inner,
-            inner_wal,
-            [set(state.replayer.keys_applied) for state in self._states],
-        )
+        self.promoted = self._assemble(promoted_inner, inner_wal)
         return self.promoted
 
     def mirror_replay(self) -> VersionStore:
         """A store replayed from nothing but the mirrors' durable bytes, into
         fresh trees — the oracle a promoted store's answers must equal."""
         inner_config = StoreConfig(engine="tsb", page_size=self._page_size)
-        replayers = [replay_device(state.mirror) for state in self._states]
         return self._assemble(
-            [VersionStore(TSBEngine(r.tree), inner_config) for r in replayers],
+            [
+                VersionStore(TSBEngine(replay_device(state.mirror).tree), inner_config)
+                for state in self._states
+            ],
             inner_config,
-            [set(r.keys_applied) for r in replayers],
         )
 
 

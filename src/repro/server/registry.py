@@ -9,11 +9,12 @@ listener.  A :class:`StoreRegistry` owns the mapping:
   catalogued tenants pays only for the ones clients actually touch;
 * **closing a tenant retains its devices**: for engines that persist a
   checkpointed root (the TSB-tree, sharded or not), the registry snapshots
-  the device pair(s) — plus, for a sharded store, the boundary layout and
-  per-shard key sets — and the next :meth:`get` *resumes* from them instead
-  of formatting fresh ones.  Reopen-after-close therefore preserves every
-  committed version; recreating the devices (the naive implementation)
-  would silently serve an empty database.
+  each shard's devices (magnetic, historical and — under a WAL — the log)
+  plus a sharded store's boundary layout, and the next :meth:`get`
+  *resumes* from them instead of formatting fresh ones.  Reopen-after-close
+  therefore preserves every committed version and goes on writing the same
+  log; recreating the devices (the naive implementation) would silently
+  serve an empty database.
 * :meth:`close_all` is the clean-shutdown hook: every open store is closed
   (checkpointing where supported), with resume state retained so the same
   registry can serve again.
@@ -47,14 +48,13 @@ class TenantNotResumableError(VersionStoreError):
 class _ResumeState:
     """Everything needed to reopen a closed tenant on its own devices."""
 
-    #: One ``(magnetic, historical)`` pair per shard (a single-store tenant
-    #: has exactly one pair).
-    shard_devices: List[Tuple[object, object]]
+    #: One ``(magnetic, historical, log device or None)`` triple per shard (a
+    #: single-store tenant has exactly one): the log goes on being written
+    #: where it stopped, so a crash after the reopen still recovers what was
+    #: acknowledged before the close.
+    shard_devices: List[Tuple[object, object, Optional[object]]]
     #: Key-range boundaries at close time (empty for a single store).
     boundaries: List[Key] = field(default_factory=list)
-    #: Per-shard written-key sets at close time (sharded tenants only).
-    shard_keys: List[set] = field(default_factory=list)
-    sharded: bool = False
 
 
 class StoreRegistry:
@@ -168,15 +168,16 @@ class StoreRegistry:
     def _open(config: StoreConfig, resume: Optional[_ResumeState]) -> VersionStore:
         if resume is None:
             return VersionStore.open(config)
-        if resume.sharded:
+        if config.shards is not None:
             return ShardedVersionStore.resume_sharded(
                 config,
                 shard_devices=resume.shard_devices,
                 boundaries=resume.boundaries,
-                shard_keys=resume.shard_keys,
             )
-        magnetic, historical = resume.shard_devices[0]
-        return VersionStore.open(config, magnetic=magnetic, historical=historical)
+        magnetic, historical, log_device = resume.shard_devices[0]
+        return VersionStore.open(
+            config, magnetic=magnetic, historical=historical, log_device=log_device
+        )
 
     def close_tenant(self, tenant: str) -> None:
         """Close one tenant's store, retaining its devices for a resume.
@@ -207,30 +208,21 @@ class StoreRegistry:
     def _capture_resume_state(store: VersionStore) -> Optional[_ResumeState]:
         """Snapshot the store's devices (and shard layout) before closing.
 
-        Must run *before* ``close()``: a sharded store's boundary list and
-        key sets live on its engine, and capturing them afterwards would
-        race a concurrent split.
+        Must run *before* ``close()``: a sharded store's boundary list lives
+        on its engine, and capturing it afterwards would race a concurrent
+        split.
         """
-        if isinstance(store, ShardedVersionStore):
-            engine = store.sharded_engine
-            pairs: List[Tuple[object, object]] = []
-            for inner in engine.stores:
-                devices = inner.devices
-                if devices is None:
-                    return None
-                pairs.append(devices)
-            return _ResumeState(
-                shard_devices=pairs,
-                boundaries=list(engine.boundaries),
-                shard_keys=[
-                    engine.written_keys(index) for index in range(len(pairs))
-                ],
-                sharded=True,
-            )
-        devices = store.devices
-        if devices is None:
-            return None
-        return _ResumeState(shard_devices=[devices])
+        sharded = isinstance(store, ShardedVersionStore)
+        triples: List[Tuple[object, object, Optional[object]]] = []
+        for inner in store.sharded_engine.stores if sharded else [store]:
+            devices = inner.devices
+            if devices is None:
+                return None
+            triples.append((*devices, inner.log_device))
+        return _ResumeState(
+            shard_devices=triples,
+            boundaries=list(store.sharded_engine.boundaries) if sharded else [],
+        )
 
     def close_all(self) -> None:
         """Close every open store (clean shutdown), retaining resume state

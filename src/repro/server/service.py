@@ -673,12 +673,7 @@ class ReproServer:
                     node.check_key(args[0])
                 elif op.spans_keys:
                     node.check_unfrozen()
-            method = getattr(store, op.method, None)
-            if method is None:
-                raise VersionStoreError(
-                    f"{op.method} requires a sharded store; tenant "
-                    f"{tenant!r} is single-shard"
-                )
+            method = getattr(store, op.method)
             # A property (``now``) is its own answer.
             value = method(*args) if callable(method) else method
             if node is not None and op.spans_keys:

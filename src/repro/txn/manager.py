@@ -44,11 +44,11 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter
 
-from repro.core.tsb_tree import RecordTooLargeError, TSBTree
+from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError, TSBTree
 from repro.storage.latches import ReadWriteLatch
 from repro.storage.serialization import Key
 from repro.txn.clock import TimestampOracle
@@ -186,118 +186,116 @@ class TransactionManager:
         """
         txn = self._active(txn_id)
         commit_started = perf_counter()
-        # The commit timestamp is drawn inside the exclusive latch hold so
-        # stamping order equals timestamp order: a later stamp can never
-        # reach the tree before an earlier one.  The strict-durability wait
-        # (group_commit_size == 1 with a background flusher) happens after
-        # the latch is released, so readers are never stalled on log I/O.
         with self.latch.write():
-            commit_timestamp = self.clock.next_commit_timestamp()
-            if self.log is not None:
-                txn.commit_lsn = self.log.log_commit(
-                    txn_id, commit_timestamp, wait_for_durability=False
-                )
-            if txn.write_set:
-                try:
-                    self.tree.commit_provisional(
-                        txn_id, sorted(txn.write_set), commit_timestamp
-                    )
-                except Exception:
-                    if self.log is not None:
-                        # The durable commit record is authoritative: the
-                        # transaction *is* committed even though in-memory
-                        # stamping failed.  Marking it committed here blocks a
-                        # contradictory abort(); restart recovery will replay
-                        # the stamping from the log.
-                        self._finish(txn, TransactionState.COMMITTED)
-                        txn.commit_timestamp = commit_timestamp
-                        self.locks.release_all(txn_id)
-                        self.requires_recovery = True
-                    raise
-            self._finish(txn, TransactionState.COMMITTED)
-            txn.commit_timestamp = commit_timestamp
-        self.locks.release_all(txn_id)
-        if (
-            self.log is not None
-            and self.log.group_commit_size == 1
-            and txn.commit_lsn is not None
-        ):
-            # Strict durability preserved, latch-free: with synchronous
-            # group commit this returns immediately (the append forced
-            # inline); with a background flusher it blocks only this
-            # committer until its record is in the forced prefix.
-            if not self.log.wait_durable(txn.commit_lsn, timeout=5.0):
-                self.log.force()  # flusher wedged or died: force inline
-        if self.metrics is not None:
-            self.metrics.inc("txn.commits")
-            self.metrics.observe("txn.commit", perf_counter() - commit_started)
-        return commit_timestamp
+            self._stamp(txn, None)
+        self._settle(txn, commit_started)
+        return txn.commit_timestamp
 
-    def run_transaction(self, items: "List[tuple]") -> Transaction:
-        """Write ``items`` (distinct keys) and commit, as one transaction.
+    def run_transaction(
+        self,
+        writes: Sequence[Tuple[Key, Optional[bytes]]],
+        commit_timestamp: Optional[int] = None,
+        admit: Optional[Callable[[], None]] = None,
+    ) -> Transaction:
+        """Apply ``writes`` (distinct keys; a ``None`` value deletes) and
+        commit, as one transaction — the logged branch of the store's write
+        path (:mod:`repro.api.store`).
 
-        Equivalent to ``begin()`` + ``write()`` per item + ``commit()`` —
-        same log-record sequence, same commit-timestamp draw, same lock
-        discipline (every record lock is acquired before the latch) — but
-        the writes and the commit stamping all happen under a *single*
-        exclusive latch hold instead of one per operation.  This is the
-        batch stamp-and-apply path ``put_many`` uses: on a contended store
-        the per-item latch round-trips dominate, and here a run pays one.
+        Equivalent to ``begin()`` + ``write()``/``delete()`` per item +
+        ``commit()`` — same log-record sequence, same lock discipline (every
+        record lock is acquired before the latch) — but the writes and the
+        commit stamping all happen under a *single* exclusive latch hold
+        instead of one per operation.  ``commit_timestamp`` is the stamp when
+        the caller has already chosen it (the clock moves up to it); left
+        ``None``, the clock issues the next one.  ``admit`` runs under the
+        latch before anything is written: whatever it raises — like a stamp
+        older than the tree's latest commit — aborts the transaction cleanly.
 
-        Keys must be distinct within ``items`` (a transaction's write set
-        keeps one value per key); the caller chunks at repeated keys.
         Returns the committed transaction — ``commit_timestamp`` carries the
         shared stamp, ``commit_lsn`` feeds durability checks.
         """
         txn = self.begin()
         commit_started = perf_counter()
         try:
-            for key, _value in items:
+            for key, _value in writes:
                 self.locks.acquire_exclusive(txn.txn_id, key)
         except Exception:
-            self.locks.release_all(txn.txn_id)
+            self.abort(txn.txn_id)
             raise
         with self.latch.write():
-            for key, value in items:
-                if self.log is not None:
-                    self.log.log_insert(txn.txn_id, key, value)
-                try:
-                    self.tree.insert_provisional(key, value, txn.txn_id)
-                except Exception as exc:
-                    self._fail_logged(txn, exc)
-                    raise
-                txn.write_set.add(key)
-            commit_timestamp = self.clock.next_commit_timestamp()
-            if self.log is not None:
-                txn.commit_lsn = self.log.log_commit(
-                    txn.txn_id, commit_timestamp, wait_for_durability=False
-                )
-            if txn.write_set:
-                try:
-                    self.tree.commit_provisional(
-                        txn.txn_id, sorted(txn.write_set), commit_timestamp
+            try:
+                if admit is not None:
+                    admit()
+                if commit_timestamp is not None and commit_timestamp < self.tree.now:
+                    raise TimestampOrderError(
+                        f"commit timestamp {commit_timestamp} precedes the latest "
+                        f"committed timestamp {self.tree.now}"
                     )
-                except Exception:
-                    if self.log is not None:
-                        self._finish(txn, TransactionState.COMMITTED)
-                        txn.commit_timestamp = commit_timestamp
-                        self.locks.release_all(txn.txn_id)
-                        self.requires_recovery = True
-                    raise
-            self._finish(txn, TransactionState.COMMITTED)
-            txn.commit_timestamp = commit_timestamp
+            except Exception:
+                self.abort(txn.txn_id)
+                raise
+            for key, value in writes:
+                self._apply(txn, key, value)
+            self._stamp(txn, commit_timestamp)
+        self._settle(txn, commit_started)
+        return txn
+
+    def _stamp(self, txn: Transaction, commit_timestamp: Optional[int]) -> None:
+        """The commit tail under the exclusive latch: log the commit, then
+        stamp.  The timestamp is drawn inside the latch hold so stamping
+        order equals timestamp order: a later stamp can never reach the tree
+        before an earlier one."""
+        if commit_timestamp is None:
+            commit_timestamp = self.clock.next_commit_timestamp()
+        else:
+            self.clock.advance_to(commit_timestamp)
+        if self.log is not None:
+            txn.commit_lsn = self.log.log_commit(
+                txn.txn_id, commit_timestamp, wait_for_durability=False
+            )
+        if txn.write_set:
+            try:
+                self.tree.commit_provisional(
+                    txn.txn_id, sorted(txn.write_set), commit_timestamp
+                )
+            except Exception:
+                if self.log is not None:
+                    # The durable commit record is authoritative: the
+                    # transaction *is* committed even though in-memory
+                    # stamping failed.  Marking it committed here blocks a
+                    # contradictory abort(); restart recovery will replay
+                    # the stamping from the log.
+                    self._finish(txn, TransactionState.COMMITTED)
+                    txn.commit_timestamp = commit_timestamp
+                    self.locks.release_all(txn.txn_id)
+                    self.requires_recovery = True
+                raise
+        self._finish(txn, TransactionState.COMMITTED)
+        txn.commit_timestamp = commit_timestamp
+
+    def _settle(self, txn: Transaction, commit_started: float) -> None:
+        """The commit tail once the latch is released: drop the record locks
+        and do the strict-durability wait (``group_commit_size == 1`` with a
+        background flusher), so readers are never stalled on log I/O."""
         self.locks.release_all(txn.txn_id)
         if (
             self.log is not None
             and self.log.group_commit_size == 1
             and txn.commit_lsn is not None
         ):
+            # With synchronous group commit this returns immediately (the
+            # append forced inline); with a background flusher it blocks only
+            # this committer until its record is in the forced prefix.
             if not self.log.wait_durable(txn.commit_lsn, timeout=5.0):
-                self.log.force()
+                self.log.force()  # flusher wedged or died: force inline
         if self.metrics is not None:
             self.metrics.inc("txn.commits")
             self.metrics.observe("txn.commit", perf_counter() - commit_started)
-        return txn
+
+    def observe_commit(self, timestamp: int) -> None:
+        """The tree took a commit at ``timestamp`` without this manager (the
+        direct branch of the store's write path): the clock moves up to it."""
+        self.clock.advance_to(timestamp)
 
     def abort(self, txn_id: int) -> None:
         """Erase every provisional version the transaction wrote."""
@@ -316,33 +314,37 @@ class TransactionManager:
     # Operations inside a transaction
     # ------------------------------------------------------------------
     def write(self, txn_id: int, key: Key, value: bytes) -> None:
+        self._write(txn_id, key, bytes(value))
+
+    def delete(self, txn_id: int, key: Key) -> None:
+        self._write(txn_id, key, None)
+
+    def _write(self, txn_id: int, key: Key, value: Optional[bytes]) -> None:
         txn = self._active(txn_id)
         # Record lock first, latch second, always: a transaction blocked on
         # a record lock holds no latch, so readers and other writers keep
         # flowing while it waits (and latches stay deadlock-free).
         self.locks.acquire_exclusive(txn_id, key)
         with self.latch.write():
-            if self.log is not None:
-                self.log.log_insert(txn_id, key, value)
-            try:
-                self.tree.insert_provisional(key, value, txn_id)
-            except Exception as exc:
-                self._fail_logged(txn, exc)
-                raise
-            txn.write_set.add(key)
+            self._apply(txn, key, value)
 
-    def delete(self, txn_id: int, key: Key) -> None:
-        txn = self._active(txn_id)
-        self.locks.acquire_exclusive(txn_id, key)
-        with self.latch.write():
-            if self.log is not None:
-                self.log.log_delete(txn_id, key)
-            try:
-                self.tree.delete_provisional(key, txn_id)
-            except Exception as exc:
-                self._fail_logged(txn, exc)
-                raise
-            txn.write_set.add(key)
+    def _apply(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
+        """One provisional write (``None``: a tombstone), its log record
+        first.  The caller holds the key's record lock and the latch."""
+        if self.log is not None:
+            if value is None:
+                self.log.log_delete(txn.txn_id, key)
+            else:
+                self.log.log_insert(txn.txn_id, key, value)
+        try:
+            if value is None:
+                self.tree.delete_provisional(key, txn.txn_id)
+            else:
+                self.tree.insert_provisional(key, value, txn.txn_id)
+        except Exception as exc:
+            self._fail_logged(txn, exc)
+            raise
+        txn.write_set.add(key)
 
     def _fail_logged(self, txn: Transaction, exc: Exception) -> None:
         """Doom a logged transaction whose tree write blew up mid-operation.

@@ -17,6 +17,10 @@ Layout:
   supports), plus every query class.
 * ``DeleteDifferential`` — the delete-capable stores (tsb and sharded
   tsb) with tombstone writes in the mix.
+* ``WalDifferential`` — a WAL store and a splitting sharded WAL store, with
+  stamped and auto-stamped inserts and deletes and, in the interleaving, a
+  crash: everything volatile is lost and each store restarts from its
+  devices and logs alone, still answering like the oracle.
 * The ``*Smoke`` variants run a small, derandomized budget in tier-1;
   the full machines are marked ``slow`` and run nightly under
   ``HYPOTHESIS_PROFILE=nightly`` (500+ examples; see tests/conftest.py).
@@ -35,6 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import ShardSpec, StoreConfig, VersionStore
+from repro.api.sharded import ShardedVersionStore
 from tests.strategies import small_values
 
 #: A small closed key pool so puts, updates, deletes and queries collide.
@@ -126,6 +131,26 @@ class DictOracle:
             if value is not None:
                 rows.append((stamp, value))
         return rows
+
+
+def crash_and_reopen(store: VersionStore) -> VersionStore:
+    """Crash a WAL store honestly — the unforced log tail and everything in
+    memory are gone — and reopen it from its devices alone."""
+    if isinstance(store, ShardedVersionStore):
+        triples = []
+        for inner in store.shard_stores:
+            inner.log_device.lose_volatile_tail()
+            triples.append((*inner.devices, inner.log_device))
+        return ShardedVersionStore.resume_sharded(
+            store.config,
+            shard_devices=triples,
+            boundaries=store.sharded_engine.boundaries,
+        )
+    store.log_device.lose_volatile_tail()
+    magnetic, historical = store.devices
+    return VersionStore.open(
+        store.config, magnetic=magnetic, historical=historical, log_device=store.log_device
+    )
 
 
 def record_tuple(record):
@@ -240,6 +265,30 @@ class DifferentialMachine(RuleBasedStateMachine):
             ]
             assert observed == expected, name
 
+    @rule(
+        low=st.none() | keys,
+        high=st.none() | keys,
+        scale=probe_scales,
+        width=st.integers(0, 40),
+    )
+    def check_time_slice(self, low, high, scale, width):
+        """Every engine, single or sharded: the same key-sorted slice (an
+        inverted key range holds no keys, an empty window no versions)."""
+        start = self.probe(scale)
+        end = start + width
+        expected = []
+        for key in sorted(self.oracle.history):
+            if (low is None or not key < low) and (high is None or key < high):
+                rows = self.oracle.history_between(key, start, end)
+                if rows:
+                    expected.append((key, rows))
+        for name, store in self.fleet.items():
+            observed = [
+                (key, [(record.timestamp, record.value) for record in records])
+                for key, records in store.time_slice(start, end, low, high).items()
+            ]
+            assert observed == expected, name
+
     @invariant()
     def clocks_agree(self):
         for name, store in self.fleet.items():
@@ -302,6 +351,45 @@ class DeleteDifferential(DifferentialMachine):
         self.clock = timestamp
 
 
+class WalDifferential(DeleteDifferential):
+    """Stores under a log: every façade mutation is a logged transaction,
+    so a crash anywhere in the interleaving loses nothing acknowledged."""
+
+    def stores(self) -> Dict[str, VersionStore]:
+        splitty = ShardSpec(
+            boundaries=(12,),
+            split_utilization=0.5,
+            shard_page_budget=3,
+            max_shards=6,
+        )
+        # group_commit_size=1: an acknowledgement follows a log force.
+        wal = StoreConfig(engine="tsb", page_size=256, wal=True, group_commit_size=1)
+        return {
+            "tsb-wal": VersionStore.open(wal),
+            "sharded-tsb-wal-splitting": VersionStore.open(wal, shards=splitty),
+        }
+
+    @rule(key=keys, value=small_values)
+    def put_many(self, key, value):
+        """One pair: a longer batch shares stamps per run and per shard."""
+        for name, store in self.fleet.items():
+            assert store.put_many([(key, value)]) == [self.clock + 1], name
+        self.clock += 1
+        self.oracle.write(key, self.clock, value)
+
+    @rule(key=keys, value=st.none() | small_values)
+    def write_auto_stamped(self, key, value):
+        for name, store in self.fleet.items():
+            stamped = store.delete(key) if value is None else store.insert(key, value)
+            assert stamped == self.clock + 1, name
+        self.clock += 1
+        self.oracle.write(key, self.clock, value)
+
+    @rule()
+    def crash(self):
+        self.fleet = {name: crash_and_reopen(store) for name, store in self.fleet.items()}
+
+
 # ----------------------------------------------------------------------
 # Tier-1 smoke machines: small, fully deterministic, always on.
 # ----------------------------------------------------------------------
@@ -314,6 +402,9 @@ TestAllEnginesSmoke.settings = _SMOKE
 
 TestDeleteSmoke = pytest.mark.differential(DeleteDifferential.TestCase)
 TestDeleteSmoke.settings = _SMOKE
+
+TestWalSmoke = pytest.mark.differential(WalDifferential.TestCase)
+TestWalSmoke.settings = _SMOKE
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +419,10 @@ class DeleteDifferentialFull(DeleteDifferential):
     pass
 
 
+class WalDifferentialFull(WalDifferential):
+    pass
+
+
 TestAllEnginesFull = pytest.mark.slow(
     pytest.mark.differential(AllEnginesDifferentialFull.TestCase)
 )
@@ -337,3 +432,6 @@ TestDeleteFull = pytest.mark.slow(
     pytest.mark.differential(DeleteDifferentialFull.TestCase)
 )
 TestDeleteFull.settings = settings(deadline=None)
+
+TestWalFull = pytest.mark.slow(pytest.mark.differential(WalDifferentialFull.TestCase))
+TestWalFull.settings = settings(deadline=None)

@@ -10,6 +10,7 @@ their pool and require every acknowledged write back.
 import pytest
 
 from repro.api import StoreConfig, VersionStore
+from repro.api.adapters import TSBEngine
 from repro.core import TSBTree, check_tree
 from repro.recovery.replay import LogReplayer
 
@@ -41,14 +42,18 @@ def crash_and_reopen(store, config):
     )
 
 
-@pytest.mark.parametrize("middle", ["nothing", "flush", "space_summary"])
+@pytest.mark.parametrize("middle", ["nothing", "flush", "space_summary", "engine.checkpoint"])
 @pytest.mark.parametrize("cache_pages", [None, 8, 1], ids=["default-pool", "8-pages", "1-page"])
 def test_a_wal_store_recovers_every_acknowledged_write(cache_pages, middle):
     config = wal_config(cache_pages)
     store = VersionStore.open(config)
     acked = {}
     write_stream(store, 0, WRITES // 2, acked)
-    if middle != "nothing":
+    if middle == "engine.checkpoint":
+        # Anchor-less: pages and superblock used to move, the anchor did not,
+        # and redo then replayed the log from the old anchor onto the new image.
+        store.engine.checkpoint()
+    elif middle != "nothing":
         getattr(store, middle)()
     write_stream(store, WRITES // 2, WRITES // 2, acked)
     assert store.backend.magnetic.allocated_pages > 2 * store.backend.cache.capacity
@@ -76,6 +81,7 @@ def test_no_page_reaches_the_device_between_two_checkpoints_of_a_logged_tree():
     store.range_search(0, 100)
     store.space_summary()
     store.engine.flush()  # a bare engine flush may not move a logged tree's pages
+    store.engine.checkpoint()  # ... and neither may a checkpoint that carries no anchor
     store.engine.drop_cache(1)
     assert tree.magnetic.stats.writes == writes_at_checkpoint
     assert {key: store.get(key).value for key in acked} == acked  # from memory
@@ -109,3 +115,8 @@ def test_a_tree_is_logged_from_its_first_logged_checkpoint_or_replayed_record():
     follower = TSBTree()
     LogReplayer(follower)
     assert follower.cache.no_steal
+    # A follower store has no log manager: its close takes the anchor-less
+    # checkpoint, which must be a quiet no-op.
+    follower_store = VersionStore(TSBEngine(follower), StoreConfig(engine="tsb"))
+    follower_store.close()
+    assert follower_store.closed

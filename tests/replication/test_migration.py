@@ -14,9 +14,16 @@ import pytest
 
 from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.client import Pipeline, ReproClient, ServerError, WrongShardError
-from repro.replication import ClusterClient, ClusterNode, migrate_range
+from repro.replication import (
+    ClusterClient,
+    ClusterNode,
+    Replica,
+    ReplicationPrimary,
+    migrate_range,
+)
 from repro.replication.cluster import RoutingTable
 from repro.server.protocol import ADMIN, CUTOVER_COMMIT, CUTOVER_PREPARE, OPS
+from tests.api.test_differential import crash_and_reopen
 
 
 def _node_config():
@@ -186,6 +193,40 @@ class TestMigration:
             assert client.get(keys[index]).value == f"seed{index}".encode()
         client.put_many([("k0030", b"still-on-a")])
         assert node_a.store.get("k0030").value == b"still-on-a"
+
+
+class TestMigratedRangeIsInTheTargetsLog:
+    """After COMMIT the source no longer answers for the range: what the
+    migration landed must survive a crash of the target and reach the
+    target's followers — it used to exist only in the target's trees."""
+
+    def test_target_crash_after_commit_keeps_the_range(self, cluster):
+        _, node_b, client = cluster
+        keys = _seed(client)
+        client.put_many([(k, b"second") for k in keys[60:80]])
+        client.delete(keys[70])
+        report = migrate_range(client, "k0050", None, "A", "B")
+        assert report.snapshot_events == 70 + 20 + 1
+
+        # group_commit_size=2: a crash has a real unforced tail to lose.
+        recovered = crash_and_reopen(node_b.store)
+        expected = {k: f"seed{i}".encode() for i, k in enumerate(keys) if i >= 50}
+        expected.update((k, b"second") for k in keys[60:80])
+        del expected[keys[70]]
+        assert {r.key: r.value for r in recovered.range_search()} == expected
+
+    def test_a_replica_of_the_target_holds_the_range(self, cluster):
+        _, node_b, client = cluster
+        keys = _seed(client)
+        with ReplicationPrimary(node_b.store, poll_interval=0.001) as primary:
+            primary.start()
+            with Replica(primary.host, primary.port) as replica:
+                replica.start()
+                migrate_range(client, "k0050", None, "A", "B")
+                assert primary.wait_caught_up(timeout=10)
+                follower = replica.store
+                assert [r.key for r in follower.range_search()] == keys[50:]
+                assert follower.get("k0099").value == node_b.store.get("k0099").value
 
 
 class TestScatterReadsDuringCutover:

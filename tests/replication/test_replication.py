@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.analysis.experiment import answers_digest
-from repro.api.store import ShardSpec, StoreConfig
+from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.client import ReproClient
 from repro.replication import Replica, ReplicationPrimary, elect, replay_device
 from repro.server import protocol
@@ -174,6 +174,36 @@ class TestFollowerReads:
             primary.stop()
             server.stop()
 
+    def test_follower_equals_primary_after_served_delete_and_stamped_insert(self):
+        """Only auto-stamped writes used to reach the log (through the
+        server's batcher); a served DELETE or stamped INSERT was acknowledged
+        and never shipped, so a follower answered differently for ever."""
+        shards = ShardSpec.for_int_keys(4, key_space=40)
+        registry = StoreRegistry({"default": _wal_config(shards, group_commit_size=1)})
+        store = registry.get("default")
+        server = ReproServer(registry, port=0).start()
+        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        replica = Replica(primary.host, primary.port, name="same").start()
+        try:
+            with ReproClient(server.host, server.port) as client:
+                assert client.insert(10, b"auto") == 1
+                assert client.insert(11, b"stamped", timestamp=4) == 4
+                assert client.delete(10) == 5
+                assert client.put_many([(12, b"batch")]) == [6]
+                assert client.delete(31, timestamp=9) == 9
+            assert primary.wait_caught_up(timeout=10)
+            follower = replica.store
+            assert follower.now == store.now == 9
+            assert follower.get(10) is None and follower.get_as_of(10, 4).value == b"auto"
+            assert follower.get(11).value == b"stamped"
+            probe = (range(40), range(0, 10))
+            assert answers_digest(follower, *probe) == answers_digest(store, *probe)
+            assert follower.engine.keys() == store.engine.keys() == [10, 11, 12, 31]
+        finally:
+            replica.stop()
+            primary.stop()
+            server.stop()
+
     def test_follower_refuses_writes(self):
         registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")
@@ -224,19 +254,12 @@ class TestFailover:
             ]
             boundaries = list(store.sharded_engine.boundaries)
             spec = ShardSpec(boundaries=tuple(boundaries))
-            engine = ShardedEngine(
-                inner,
-                boundaries,
-                spec,
-                inner_config,
-                shard_keys=[set(r.keys_applied) for r in oracle_replayers],
-            )
+            engine = ShardedEngine(inner, boundaries, spec, inner_config)
             oracle = ShardedVersionStore(
                 engine, StoreConfig(engine="tsb", shards=spec)
             )
-            probe_keys = sorted(
-                {key for r in oracle_replayers for key in r.keys_applied}
-            )
+            probe_keys = engine.keys()
+            assert probe_keys == sorted({f"k{i % 23:04d}" for i in range(120)})
             probe_times = sorted(set(stamps))[::7]
             assert answers_digest(
                 promoted, probe_keys, probe_times
@@ -265,6 +288,42 @@ class TestFailover:
         finally:
             fast.stop()
             slow.stop()
+
+
+class TestSplitUnderReplication:
+    def test_a_split_ends_the_subscription_loudly(self):
+        """The primary tails the shard stores it was built over.  A split
+        closes one and opens two it knows nothing of: it used to go on
+        tailing the closed store's finished log and report caught-up while
+        the follower fell behind for ever.  (Healing — shipping the new
+        layout — is the routing-table item; this only makes it loud.)"""
+        spec = ShardSpec.for_int_keys(2, key_space=600, shard_page_budget=8)
+        store = VersionStore.open(_wal_config(spec, group_commit_size=1))
+        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        replica = Replica(primary.host, primary.port, name="split").start()
+        try:
+            stamps = []
+            while not store.sharded_engine.splits_performed:
+                stamps += store.put_many([(len(stamps), b"x" * 40)])
+                assert len(stamps) < 600
+            # Key 0 now lives in a half the primary does not tail.
+            lost = store.put_many([(0, b"after the split")])[0]
+            assert not primary.wait_caught_up(timeout=10)
+            assert not replica.wait_for_watermark(lost, timeout=10)
+            assert "closed or replaced" in replica.detached
+            # The tailers are gone, and what was applied is still served.
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(
+                state.thread.is_alive() for state in replica._states
+            ):
+                time.sleep(0.001)
+            assert not any(state.thread.is_alive() for state in replica._states)
+            assert replica.watermark()[1] < lost
+            assert replica.store.get(0).value == b"x" * 40
+        finally:
+            replica.stop()
+            primary.stop()
+            store.close()
 
 
 class TestDurableLsnResume:

@@ -104,9 +104,8 @@ class TestServedSurface:
             sliced = sharded.time_slice(0, sharded.now + 1)
             assert len(sliced) == 40
         with ReproClient(server.host, server.port) as plain:
-            plain.insert(1, b"x")
-            with pytest.raises(ServerError, match="sharded"):
-                plain.time_slice(0, 5)
+            stamp = plain.insert(1, b"x")
+            assert plain.time_slice(0, stamp + 1) == {1: plain.key_history(1)}
 
     def test_tenant_isolation(self, server):
         with ReproClient(server.host, server.port, tenant="default") as a, ReproClient(

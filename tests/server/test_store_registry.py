@@ -15,6 +15,7 @@ from repro.server.registry import (
     TenantNotResumableError,
     UnknownTenantError,
 )
+from tests.api.test_differential import crash_and_reopen
 
 
 def _sharded_config(shards: int = 4, wal: bool = True) -> StoreConfig:
@@ -85,8 +86,8 @@ class TestReopenReusesDevices:
         assert list(reopened.sharded_engine.boundaries) == boundaries
         assert len(reopened.range_search()) == 120
         assert reopened.get(37).value == b"v37"
-        # time_slice walks the per-shard written-key sets — they must have
-        # survived the close/reopen, not just the page images.
+        # A shard's keys are what its tree holds: nothing but the page
+        # images (and the boundaries) had to survive the close.
         assert len(reopened.time_slice(0, clock + 1)) == 120
         registry.close_all()
 
@@ -114,6 +115,38 @@ class TestReopenReusesDevices:
         assert reopened.get(7).value == b"after"
         assert [r.value for r in reopened.key_history(7)] == [b"before", b"after"]
         assert stamp > 0
+        registry.close_all()
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_reopened_wal_tenant_goes_on_writing_the_same_log(self, sharded):
+        """A resumed tenant used to start a second log on a fresh device:
+        LSNs restarted and a crash after the reopen lost whatever the old
+        device alone still held."""
+        config = _sharded_config(shards=2) if sharded else StoreConfig(engine="tsb", wal=True)
+        registry = StoreRegistry({"t": config})
+        store = registry.get("t")
+        store.put_many([(key, b"before-%d" % key) for key in range(0, 1 << 16, 1 << 11)])
+        inner = store.shard_stores if sharded else [store]
+        logs = [shard.log_device for shard in inner]
+        lsns = registry.durable_lsns("t")
+        registry.close_tenant("t")
+        sizes = [log.durable_bytes for log in logs]
+
+        reopened = registry.get("t")
+        reopened_inner = reopened.shard_stores if sharded else [reopened]
+        assert [shard.log_device for shard in reopened_inner] == logs
+        assert all(log.durable_bytes > size for log, size in zip(logs, sizes))
+        assert all(a > b for a, b in zip(registry.durable_lsns("t"), lsns))
+        reopened.insert(5, b"after", timestamp=reopened.now + 3)
+        reopened.delete(1 << 11)
+        # Crash: each shard restarts from its devices and that one log.
+        for shard in reopened_inner:
+            shard.log.force()
+        recovered = crash_and_reopen(reopened)
+        expected = {key: b"before-%d" % key for key in range(0, 1 << 16, 1 << 11)}
+        expected[5] = b"after"
+        del expected[1 << 11]
+        assert {r.key: r.value for r in recovered.range_search()} == expected
         registry.close_all()
 
     def test_close_all_retains_resume_state(self):

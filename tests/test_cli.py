@@ -189,6 +189,10 @@ class TestCommands:
             for event in by_name["shard.time_slice"]
         )
 
-    def test_trace_time_slice_requires_shards(self, capsys):
-        assert main(["trace", "time_slice", "--shards", "1"]) == 2
-        assert "--shards" in capsys.readouterr().out
+    def test_trace_time_slice_on_one_shard(self, capsys, tmp_path):
+        out = tmp_path / "slice.json"
+        assert main(
+            ["trace", "time_slice", "--ops", "200", "--shards", "1", "--out", str(out)]
+        ) == 0
+        names = {event["name"] for event in json.loads(out.read_text())["traceEvents"]}
+        assert "store.time_slice" in names

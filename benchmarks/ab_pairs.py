@@ -12,9 +12,10 @@ Pair ``i`` runs seed ``i`` on both sides with the registered command and run
 length; odd pairs run the parent first, even pairs the change, because
 whichever side runs second reads a few percent slow on a shared box.  The
 verdicts are ``benchmarks/e2e/compare.py``'s own (taken from the change's
-checkout), one row per metric and workload.  ``--traced`` adds one traced run
-per side and reports each layer's self time per 1k logical operations beside
-the counts that repeat exactly.
+checkout), one row per metric and workload, every run's value listed beside
+them by seed.  ``--traced`` adds one traced run per side and reports each
+layer's self time per 1k logical operations beside the counts that repeat
+exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def verdict_rows(compare, parent_out: str, change_out: str) -> List[Dict[str, ob
         side = {}
         for label, runs in (("parent", a), ("change", b)):
             q1, median, q3 = compare.quartiles([value for _, value in runs])
-            side[label] = {"median": median, "q1": q1, "q3": q3}
+            side[label] = {"median": median, "q1": q1, "q3": q3, "by_seed": dict(runs)}
         rows.append(
             {
                 "workload": workload,

@@ -49,9 +49,10 @@ Sub-packages:
 * :mod:`repro.analysis` — the experiment harness that regenerates every
   figure and study listed in DESIGN.md / EXPERIMENTS.md.
 * :mod:`repro.server` / :mod:`repro.client` — the network service layer:
-  an asyncio TCP server (struct-framed CRC-checked protocol, per-tenant
-  store registry, write batching, admission control) and the pooled
-  synchronous wire client mirroring the façade surface.
+  a thread-per-connection TCP server (struct-framed CRC-checked protocol,
+  per-tenant store registry, bursts answered in request order, admission
+  control) and the pooled synchronous wire client mirroring the façade
+  surface.
 """
 
 from repro.api import (

@@ -574,7 +574,7 @@ def _serve_self_test(server, args: argparse.Namespace) -> int:
     requests in flight on a single socket against a fresh tenant; a serial
     in-process replay of the same items must produce a byte-identical
     digest over every read surface — proof that pipelining (and the
-    server's cross-request coalescing) changes throughput, not answers.
+    server's burst-at-a-time execution) changes throughput, not answers.
     """
     import hashlib
 
@@ -1038,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="store worker threads bridging the event loop (default: 4)",
+        help="connections whose requests may execute store work at once (default: 4)",
     )
     serve.add_argument(
         "--max-inflight",

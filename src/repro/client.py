@@ -23,17 +23,23 @@ The client keeps up to ``pool_size`` sockets; each socket (a
 :class:`_Channel`) carries *many* requests in flight at once, with a
 shared reader thread per channel matching response frames to waiting
 callers by request id.  N threads therefore multiplex a few sockets
-instead of blocking on a connection checkout — there is no pool wait, and
-a slow scan on one request never blocks an unrelated point read on the
-same socket.  Frames are read with ``socket.recv_into`` on a reusable
-per-channel buffer and assembled with precompiled structs, so the hot
-path allocates one ``bytes`` object per response body and nothing else.
+instead of blocking on a connection checkout — there is no pool wait.
+The server answers one connection's requests in request order (the
+demultiplexer does not rely on it), so a slow scan delays what was
+pipelined behind it on the *same* socket and never blocks a point read on
+another socket of the pool: ``pool_size`` is how many requests can be
+*executing* for this client at once.  Frames are read with
+``socket.recv_into`` on a reusable per-channel buffer and assembled with
+precompiled structs, so the hot path allocates one ``bytes`` object per
+response body and nothing else.
 
 :meth:`ReproClient.pipeline` opens an explicit batch context: every call
 on it sends its request immediately and returns a
 :class:`PipelinedResult`; gather the answers with ``result()`` (the
 context exit waits for stragglers).  That is how a single thread keeps
-16+ requests in flight and lets the server coalesce them.
+16+ requests in flight and lets the server read, execute and answer them
+a burst at a time.  A pipeline forgets a result once it has been
+observed, so it can stay open as a sliding window for a whole run.
 
 Streamed responses (``Status.PARTIAL`` chunk runs for large scans) are
 reassembled transparently; a stream truncated mid-run surfaces as a clean
@@ -262,10 +268,11 @@ class PipelinedResult:
     arrives, transparently retrying ``SERVER_BUSY`` under the client's
     capped backoff, and returns the decoded façade answer — or raises
     exactly what the synchronous call would have raised.  Safe to call
-    more than once; the outcome is cached.
+    more than once; the outcome is cached — by this object alone: once
+    observed, its pipeline no longer holds it.
     """
 
-    __slots__ = ("_client", "_op", "_payload", "_issued", "_outcome")
+    __slots__ = ("_client", "_op", "_payload", "_issued", "_outcome", "_unobserved")
 
     def __init__(
         self,
@@ -273,12 +280,16 @@ class PipelinedResult:
         op: Op,
         payload: bytes,
         issued: Tuple[_Channel, int, _Waiter],
+        unobserved: Dict["PipelinedResult", None],
     ) -> None:
         self._client = client
         self._op = op
         self._payload = payload
         self._issued = issued
         self._outcome: Optional[Tuple[bool, object]] = None
+        #: The pipeline's results nobody has gathered yet, this one included.
+        self._unobserved = unobserved
+        unobserved[self] = None
 
     def result(self):
         if self._outcome is None:
@@ -290,6 +301,7 @@ class PipelinedResult:
                 self._outcome = (True, answer)
             except Exception as exc:  # noqa: BLE001 - cached and re-raised
                 self._outcome = (False, exc)
+            self._unobserved.pop(self, None)
         succeeded, value = self._outcome
         if not succeeded:
             raise value
@@ -312,11 +324,17 @@ class Pipeline:
     Leaving the ``with`` block waits for every outstanding response, so no
     request is silently abandoned; an error nobody gathered re-raises at
     exit (errors already observed via ``result()`` do not re-raise).
+
+    The pipeline holds a result only until somebody observes it, so one
+    pipeline can stay open as a sliding window for a whole run: its memory
+    follows the window, not the requests ever sent.
     """
 
     def __init__(self, client: "ReproClient") -> None:
         self._client = client
-        self._pending: List[PipelinedResult] = []
+        #: Submitted and not yet observed, in submission order.
+        self._pending: Dict[PipelinedResult, None] = {}
+        self._submitted = 0
 
     # -- the pipelined façade surface: ``insert`` … ``time_slice`` are
     # attached below (``attach_surface``); here each returns a PipelinedResult
@@ -331,24 +349,24 @@ class Pipeline:
         """Send the request now; its answer is decoded at ``result()``."""
         payload = protocol.encode_args(op, args)
         issued = self._client._issue(op.opcode, payload)
-        pending = PipelinedResult(self._client, op, payload, issued)
-        self._pending.append(pending)
-        return pending
+        self._submitted += 1
+        return PipelinedResult(self._client, op, payload, issued, self._pending)
 
     @property
     def depth(self) -> int:
         """Requests submitted through this pipeline so far."""
-        return len(self._pending)
+        return self._submitted
 
     def gather(self) -> List[object]:
-        """Wait for every submitted request; return the answers in order.
+        """Wait for every request not yet observed; return their answers in
+        submission order.
 
         Raises the first failure *after* every response has been drained
         (so one bad request never strands the rest mid-flight).
         """
         outcomes = []
         first_error: Optional[Exception] = None
-        for pending in self._pending:
+        for pending in list(self._pending):
             try:
                 outcomes.append(pending.result())
             except Exception as exc:  # noqa: BLE001 - re-raised after the drain
@@ -363,18 +381,8 @@ class Pipeline:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            return  # the in-flight exception wins; stragglers are abandoned
-        first_unobserved: Optional[Exception] = None
-        for pending in self._pending:
-            observed = pending._outcome is not None
-            try:
-                pending.result()
-            except Exception as error:  # noqa: BLE001 - re-raised below
-                if not observed and first_unobserved is None:
-                    first_unobserved = error
-        if first_unobserved is not None:
-            raise first_unobserved
+        if exc_type is None:  # else that exception wins; stragglers are abandoned
+            self.gather()  # what is still held is exactly what nobody observed
 
 
 class ReproClient:
@@ -388,8 +396,9 @@ class ReproClient:
         The catalogued tenant every request names.
     pool_size:
         Maximum sockets.  Unlike a classic checkout pool, every socket
-        multiplexes unlimited concurrent requests — more sockets spread
-        bytes over more TCP streams, they are not a concurrency limit.
+        multiplexes unlimited requests in flight, so it is no limit on
+        callers; the server executes one socket's requests in order, so it
+        is how many of them can be executing at once.
     timeout:
         Per-request ceiling in seconds (``None`` blocks forever): how long
         a caller waits for its response before the channel is declared

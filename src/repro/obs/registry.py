@@ -201,8 +201,9 @@ def _interpolate(
             lower = bounds[index - 1] if index > 0 else 0.0
             upper = bounds[index] if index < len(bounds) else max(max_value, lower)
             fraction = (target - cumulative) / bucket
-            # The bucket's upper edge can lie above every sample in it.
-            return min(lower + (upper - lower) * fraction, max_value)
+            # The bucket's upper edge can lie above every sample in it, and
+            # rounding can carry the interpolation one ulp past that edge.
+            return min(lower + (upper - lower) * fraction, upper, max_value)
         cumulative += bucket
     return max_value
 

@@ -6,9 +6,11 @@
   protocol (WAL-style ``[length][crc][body]`` frames);
 * :mod:`~repro.server.registry` — the per-tenant store registry
   (open-on-first-use, device-retaining close/reopen);
-* :mod:`~repro.server.service` — :class:`ReproServer`, the asyncio TCP
-  server with worker-pool dispatch, coalescing write batching and
-  ``SERVER_BUSY`` admission control.
+* :mod:`~repro.server.service` — :class:`ReproServer`, the TCP server: one
+  blocking thread per connection (a pipelined burst is read, executed and
+  answered in request order on the thread it arrived on), table-driven
+  dispatch, ``workers`` execution slots and ``SERVER_BUSY`` admission
+  control.
 
 The matching synchronous client lives in :mod:`repro.client`.
 """

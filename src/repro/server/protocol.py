@@ -52,7 +52,7 @@ from typing import (
     Union,
 )
 
-from repro.api.engine import RecordView
+from repro.api.engine import RecordView, make_view
 from repro.api.store import VersionEvent
 from repro.storage.serialization import (
     ByteReader,
@@ -244,8 +244,9 @@ def decode_frame(buffer: bytes) -> Tuple[bytes, int]:
 def check_frame_header(header: bytes) -> Tuple[int, int]:
     """Validate a raw 8-byte header; return ``(body_length, crc)``.
 
-    Stream readers (asyncio / socket) use this to reject an oversized
-    length prefix before allocating the body buffer.
+    Socket readers (the client's demultiplexer, the replication listener and
+    tailers) use this to reject an oversized length prefix before
+    allocating the body buffer.
     """
     if len(header) < FRAME_HEADER.size:
         raise TruncatedFrameError("incomplete frame header")
@@ -427,17 +428,43 @@ def _read_items(reader: ByteReader) -> List[Tuple[Key, bytes]]:
     return [(read_key(reader), read_value(reader)) for _ in range(reader.get_u32())]
 
 
-def _write_record(writer: ByteWriter, record: RecordView) -> None:
-    write_key(writer, record.key)
+#: The fixed head of an int-keyed record as one struct — ``[u8 key tag]
+#: [i64 key][u64 timestamp][u32 value length]``, byte for byte what
+#: ``write_key`` + ``put_u64`` + the value's length prefix write.  Scan
+#: answers are lists of these, so they are packed and read in one call each.
+_INT_RECORD = struct.Struct(">BqQI")
+_INT_KEY_TAG = _pack(write_key, 0)[0]
+
+
+def _encode_record(record: RecordView) -> bytes:
+    """One record's wire bytes: ``[key][u64 timestamp][value]``."""
+    key, value = record.key, record.value
+    if type(key) is int and type(value) is bytes:
+        try:
+            return (
+                _INT_RECORD.pack(_INT_KEY_TAG, key, record.timestamp, len(value))
+                + value
+            )
+        except struct.error:
+            pass  # an int outside its field: the generic codec reports it
+    writer = ByteWriter()
+    write_key(writer, key)
     writer.put_u64(record.timestamp)
-    write_value(writer, record.value)
+    write_value(writer, value)
+    return writer.getvalue()
+
+
+def _write_record(writer: ByteWriter, record: RecordView) -> None:
+    writer.put_raw(_encode_record(record))
 
 
 def _read_record(reader: ByteReader) -> RecordView:
+    if reader.peek_u8() == _INT_KEY_TAG:
+        _, key, timestamp, length = reader.get_struct(_INT_RECORD)
+        return make_view(key, timestamp, reader.get_raw(length))
     key = read_key(reader)
     timestamp = reader.get_u64()
-    value = read_value(reader)
-    return RecordView(key=key, timestamp=timestamp, value=value)
+    return make_view(key, timestamp, read_value(reader))
 
 
 #: One migration event: the store's ``(timestamp, key, is_tombstone, value)``.
@@ -547,7 +574,9 @@ def _sorted_keys(keys) -> list:
     return sorted(keys, key=lambda key: (isinstance(key, str), key))
 
 
-def _chunk_list(items: Sequence, write_item: Callable, chunk_bytes: int) -> List[bytes]:
+def _chunk_list(
+    items: Sequence, encode_item: Callable[[Any], bytes], chunk_bytes: int
+) -> List[bytes]:
     """Cut ``items`` into one or more ``u32``-counted list payloads.
 
     Always returns at least one chunk (an empty answer is one empty-list
@@ -558,7 +587,7 @@ def _chunk_list(items: Sequence, write_item: Callable, chunk_bytes: int) -> List
     parts: List[bytes] = []
     size = 0
     for item in items:
-        encoded = _pack(write_item, item)
+        encoded = encode_item(item)
         if parts and size + len(encoded) > chunk_bytes:
             chunks.append(_U32.pack(len(parts)) + b"".join(parts))
             parts, size = [], 0
@@ -572,7 +601,7 @@ def chunk_records(
     records: Sequence[RecordView], chunk_bytes: int = STREAM_CHUNK_BYTES
 ) -> List[bytes]:
     """Cut ``records`` into one or more ``pack_records``-format payloads."""
-    return _chunk_list(records, _write_record, chunk_bytes)
+    return _chunk_list(records, _encode_record, chunk_bytes)
 
 
 def chunk_record_map(
@@ -588,7 +617,7 @@ def chunk_events(
     events: Sequence[Event], chunk_bytes: int = STREAM_CHUNK_BYTES
 ) -> List[bytes]:
     """Cut ``events`` into one or more ``pack_events``-format payloads."""
-    return _chunk_list(events, _write_event, chunk_bytes)
+    return _chunk_list(events, lambda event: _pack(_write_event, event), chunk_bytes)
 
 
 def chunk_history_map(
@@ -617,7 +646,7 @@ def chunk_history_map(
         key_enc = _pack(write_key, key)
         opened = False  # does the current chunk already hold an entry for key?
         for record in histories[key] or [None]:
-            encoded = b"" if record is None else _pack(_write_record, record)
+            encoded = b"" if record is None else _encode_record(record)
             opening = len(key_enc) + 4  # the key and its record-count prefix
             if entries and size + len(encoded) + (0 if opened else opening) > chunk_bytes:
                 cut()

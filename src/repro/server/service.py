@@ -1,4 +1,5 @@
-"""The asyncio TCP server: the version store, served over the wire.
+"""The TCP server: the version store, served over the wire, one thread per
+connection.
 
 :class:`ReproServer` promotes the in-process façade to a served database:
 
@@ -10,56 +11,64 @@
 * **Tenants** — every request names a tenant; stores open on first use
   from the :class:`~repro.server.registry.StoreRegistry` catalog and close
   (checkpointing) at shutdown.
+* **A connection is a thread** — an accept loop (thread ``repro-server``)
+  hands every connection its own blocking thread
+  (``repro-server-conn-N``).  That thread reads a *burst* — whatever one
+  ``recv`` of up to :data:`READ_CHUNK_BYTES` returns, which for a pipelined
+  client is many frames (the ``server.pipeline.depth`` histogram) — slices
+  every complete frame off it, admits the burst, executes the admitted
+  requests **in arrival order** against the thread-safe façade, encodes
+  the response frames and writes them with one ``sendall``, all where the
+  bytes arrived: no event loop, no hand-off to another thread, no future
+  per request.  Responses on one connection therefore come back **in
+  request order** (a client still matches them by request id): a slow
+  scan delays what was pipelined behind it on the *same* socket, never a
+  request on another socket.  A peer that stops reading stalls only its
+  own thread, and TCP back-pressure — not a queue — is what holds a
+  flooding client: the thread does not read the next burst before it has
+  answered this one.
 * **Dispatch** — no per-opcode code: :meth:`ReproServer._apply` runs any
   row of :data:`repro.server.protocol.OPS` (writable check → ownership
-  check → call → clip-to-owned → pack); only ``PING`` / ``STATS`` (no
-  store) and ``PUT_MANY`` / auto-stamped ``INSERT`` (the write batcher) go
-  another way.  The asyncio loop never touches a store: requests are
-  bridged to the thread-safe façade on a bounded worker pool
-  (``loop.run_in_executor``), so a slow scatter-gather query never stalls
-  frame reading or other connections.  The read loop drains the socket in
-  bulk and parses every complete frame per read — a pipelined client's
-  burst is admitted as one batch, read requests coalesce into a single
-  executor hop per tenant, and the batch's responses go out in one socket
-  write (observed by the ``server.pipeline.depth`` histogram).
+  check → call → clip-to-owned → pack), writes included — an auto-stamped
+  ``INSERT`` is ``store.insert``, a ``PUT_MANY`` is ``store.put_many``, each
+  its own commit in the order the log wrote down.
+* **Execution slots** — at most ``workers`` bursts execute store work at
+  once (a semaphore): the bound that keeps many writers from convoying on
+  a store's write latch.  A slot is held while a burst executes and
+  encodes, never while it waits on the socket.
 * **Streaming** — scan answers too large for one frame (``range_search``,
   ``snapshot``, ``key_history``, ``time_slice``) leave as bounded
   ``[PARTIAL]* [OK]`` chunk runs under the request's id instead of
-  failing on the frame bound (``server.stream.chunks`` counts them).
-* **Write batching** — concurrent auto-stamped ``insert`` and ``put_many``
-  requests for one tenant coalesce in a per-tenant
-  :class:`_WriteBatcher`: while one ``put_many`` is applying, arriving
-  writes queue, and the next drain applies them as a single batch — the
-  served analogue of group commit, riding the store's own
-  transactional/group-commit path (and preserving the store-stamped
-  commit order the differential oracles check).
-* **Admission control** — at most ``max_inflight`` requests execute
-  server-wide and at most ``max_pending_per_connection`` per connection;
-  excess requests are *rejected immediately* with an explicit
-  ``SERVER_BUSY`` status rather than queued without bound, so an
+  failing on the frame bound (``server.stream.chunks`` counts them), and a
+  burst's pending frames are flushed whenever they pass
+  :data:`~repro.server.protocol.STREAM_CHUNK_BYTES`, so a burst of scans
+  buffers one answer at a time, not the burst's.
+* **Admission control** — at most ``max_inflight`` requests are admitted
+  and unanswered server-wide and at most ``max_pending_per_connection`` of
+  one burst are admitted; the excess is *rejected immediately* with an
+  explicit ``SERVER_BUSY`` status rather than queued without bound, so an
   overloaded server degrades by shedding load, not by growing latency.
 * **Observability** — per-op service latency histograms
-  (``server.op.<name>``), connection / in-flight gauges and
-  request/busy/error counters land in a :mod:`repro.obs` registry; the
-  ``STATS`` opcode renders the whole picture as JSON or Prometheus text
-  for ``repro stats --server``.
+  (``server.op.<name>``), connection / in-flight gauges,
+  request/busy/error counters and the write share of each burst
+  (``server.batch.requests`` / ``server.batch.items``) land in a
+  :mod:`repro.obs` registry; the ``STATS`` opcode renders the whole picture
+  as JSON or Prometheus text for ``repro stats --server``.
 
-The server runs its event loop on a dedicated thread (:meth:`start` /
-:meth:`stop`, or a ``with`` block), so synchronous clients, tests and the
-CLI drive it without touching asyncio.  :meth:`stop` is a graceful
-shutdown: stop accepting, let in-flight requests finish, close every
-connection, then close every tenant store.
+:meth:`start` / :meth:`stop` (or a ``with`` block) drive it from
+synchronous code.  :meth:`stop` is a graceful shutdown: stop accepting,
+answer every burst already read, close every connection, then close every
+tenant store — and when it returns no ``repro-server*`` thread is alive.
 """
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import json
+import socket
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.engine import VersionStoreError
@@ -78,27 +87,23 @@ from repro.server.protocol import (
     Status,
 )
 from repro.server.registry import StoreRegistry
-from repro.storage.serialization import Key, SerializationError
+from repro.storage.serialization import SerializationError
 
-#: How much the read loop pulls off the socket per ``read()``.  A pipelined
-#: client's burst of frames lands in one read, so the parser sees — and the
-#: dispatcher coalesces — the whole burst at once.
-READ_CHUNK_BYTES = 256 * 1024
+#: How much a connection thread pulls off its socket per ``recv``.  A
+#: pipelined client's burst of frames lands in one read, so the whole burst
+#: is admitted, executed and answered together.  Kept under the allocator's
+#: mmap threshold (128 KiB): ``recv`` allocates its whole argument before it
+#: knows how little arrived, and above the threshold that is an
+#: mmap/munmap pair per read (measured here: 12 µs instead of 1).
+READ_CHUNK_BYTES = 64 * 1024
 
-#: One response: ``(request_id, status, payload)`` where the payload is
-#: either a single frame body or the list of streamed chunks.
-_Result = Tuple[int, Status, Union[bytes, List[bytes]]]
+#: How long :meth:`ReproServer.stop` waits for a thread whose socket it has
+#: already cut: long enough to finish the store call it is in, short enough
+#: that a wedged one is reported instead of waited out.
+_CUT_GRACE_S = 5.0
 
-#: The writes that ride the per-tenant :class:`_WriteBatcher`.
-_BATCHED_OPCODES = frozenset({Opcode.INSERT, Opcode.PUT_MANY})
-#: Opcodes that coalesce into per-tenant worker-pool dispatches (one
-#: executor hop per tenant per parsed batch): every table row that reaches a
-#: store or the cluster node, minus the batched writes — those keep their
-#: own tasks, as do ``PING`` / ``STATS``, which touch no store.
-_GROUPED_OPCODES = (
-    frozenset(op.opcode for op in OPS.values() if op.target != protocol.SERVER)
-    - _BATCHED_OPCODES
-)
+#: ``server.op.<name>`` — each opcode's latency histogram, named once.
+_OP_METRIC = {opcode: f"server.op.{opcode.name.lower()}" for opcode in Opcode}
 
 
 def _error_frame(request_id: int, status: Status, message: str) -> bytes:
@@ -106,123 +111,12 @@ def _error_frame(request_id: int, status: Status, message: str) -> bytes:
     return protocol.encode_response(request_id, status, protocol.pack_error(message))
 
 
-class _Connection:
-    """Per-connection server state: the writer, its lock, and backpressure."""
-
-    __slots__ = ("writer", "lock", "pending")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        #: Requests admitted on this connection and not yet responded to.
-        self.pending = 0
-
-    async def send_many(self, frames: Sequence[bytes]) -> None:
-        """Write a batch of response frames as one socket write (serialized:
-        concurrent tasks respond on the same connection)."""
-        if not frames:
-            return
-        async with self.lock:
-            try:
-                self.writer.writelines(frames)
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; its requests were still executed
-
-
-class _WriteBatcher:
-    """Coalesce one tenant's concurrent writes into one worker-pool hop.
-
-    Submissions append to a pending list; a single drain task (started on
-    demand, never more than one per tenant) repeatedly swaps the list out,
-    applies every queued request in **one** worker-pool dispatch, and
-    distributes the store-assigned timestamps back to each submitter.
-    While a batch is applying, new arrivals queue for the next swap —
-    exactly the arrival-batching shape of the WAL's group commit, one
-    level up.
-
-    Each request's items are applied as their *own* ``store.put_many``
-    call inside that single hop, never concatenated across requests:
-    ``put_many`` stamps per call (a WAL run shares its commit timestamp),
-    so concatenation would merge runs and produce a history a serial
-    replay of the same requests could never produce.  Coalescing here
-    removes executor round trips and event-loop latency — it must stay
-    invisible to the stamp oracle.
-    """
-
-    def __init__(self, server: "ReproServer", tenant: str) -> None:
-        self._server = server
-        self._tenant = tenant
-        self._pending: List[Tuple[List[Tuple[Key, bytes]], asyncio.Future]] = []
-        self._draining = False
-
-    async def submit(self, items: List[Tuple[Key, bytes]]) -> List[int]:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((items, future))
-        if not self._draining:
-            self._draining = True
-            task = loop.create_task(self._drain())
-            self._server._track(task)
-        return await future
-
-    def _apply(
-        self, batches: List[List[Tuple[Key, bytes]]]
-    ) -> List[Union[List[int], BaseException]]:
-        """Apply each request's items; per-request failures stay per-request.
-
-        A request whose keys this node does not own fails alone (with
-        :exc:`~repro.server.protocol.WrongShardError`) instead of failing
-        every co-batched submitter — routing staleness is one client's
-        problem, not the batch's.
-        """
-        server = self._server
-        put_many = server.registry.get(self._tenant).put_many
-        results: List[Union[List[int], BaseException]] = []
-        for items in batches:
-            try:
-                server._check_items(self._tenant, items)
-                results.append(put_many(items))
-            except Exception as exc:  # noqa: BLE001 - delivered to the submitter
-                results.append(exc)
-        return results
-
-    async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
-        metrics = self._server.metrics
-        while self._pending:
-            # Widen the coalescing window one loop tick: every submitter
-            # whose request is already parsed and scheduled — on *any*
-            # connection, now that pipelined clients present many frames at
-            # once — lands in this batch instead of waiting out a full
-            # store round trip for the next one.
-            await asyncio.sleep(0)
-            batch = self._pending
-            self._pending = []
-            request_items = [items for items, _ in batch]
-            try:
-                stamp_lists = await loop.run_in_executor(
-                    self._server._pool, self._apply, request_items
-                )
-            except Exception as exc:  # noqa: BLE001 - delivered to every waiter
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                continue
-            metrics.observe("server.batch.requests", len(batch), bounds=COUNT_BUCKETS)
-            metrics.observe(
-                "server.batch.items",
-                sum(len(items) for items in request_items),
-                bounds=COUNT_BUCKETS,
-            )
-            for (_, future), outcome in zip(batch, stamp_lists):
-                if future.done():
-                    continue
-                if isinstance(outcome, BaseException):
-                    future.set_exception(outcome)
-                else:
-                    future.set_result(outcome)
-        self._draining = False
+def _shutdown(sock: socket.socket, how: int) -> None:
+    """``sock.shutdown(how)``; a socket its peer already reset is shut down."""
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass
 
 
 class ReproServer:
@@ -237,13 +131,16 @@ class ReproServer:
         Listen address; ``port=0`` binds an ephemeral port (read the
         chosen one back from :attr:`port` after :meth:`start`).
     workers:
-        Worker-pool threads bridging the asyncio loop to the stores.
+        How much store work runs at once: the number of connections whose
+        bursts may execute concurrently (the others wait their turn; a
+        connection waiting on its socket holds no slot).
     max_inflight:
-        Server-wide cap on concurrently executing requests; excess
+        Server-wide cap on requests admitted and not yet executed; excess
         requests are answered ``SERVER_BUSY``.
     max_pending_per_connection:
-        Per-connection pipelining allowance, same rejection.  The default
-        accommodates a pipelined client at depth 64 with headroom.
+        How many requests of one burst — what a connection pipelined into
+        one read — are admitted, same rejection.  The default accommodates
+        a pipelined client at depth 64 with headroom.
     """
 
     def __init__(
@@ -283,60 +180,84 @@ class ReproServer:
         #: ``SNAPSHOT_READ``, ``SNAPSHOT_CHUNK``, ``CUTOVER``) are live.
         self.node = node
 
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-        self._tasks: set = set()
-        self._connections: set = set()
-        self._batchers: Dict[str, _WriteBatcher] = {}
+        #: Set from :meth:`start` until :meth:`stop` has finished.
+        self._listener: Optional[socket.socket] = None
+        self._thread: Optional[threading.Thread] = None  # the accept loop
+        self._slots = threading.BoundedSemaphore(workers)
+        #: Guards ``_connections`` and ``_inflight``.
+        self._lock = threading.Lock()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._inflight = 0
-        self._shutting_down = False
-        self._stopped = threading.Event()
+        self._stopping = False
+        self._stop_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
-        """Start serving on a background thread; returns once bound."""
+        """Bind, then accept on a background thread; returns once bound."""
         if self._thread is not None:
             raise RuntimeError("this ReproServer was already started")
-        ready = threading.Event()
+        try:
+            self._listener = socket.create_server((self.host, self.port), backlog=128)
+        except OSError as exc:
+            raise RuntimeError(f"server failed to start: {exc}") from exc
+        self.port = self._listener.getsockname()[1]
         self._thread = threading.Thread(
-            target=self._run, args=(ready,), name="repro-server", daemon=True
+            target=self._accept_loop, name="repro-server", daemon=True
         )
         self._thread.start()
-        ready.wait(timeout=30)
-        if self._startup_error is not None:
-            self._thread.join(timeout=5)
-            raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self._server is None:
-            raise RuntimeError("server failed to start (no listener bound)")
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown; returns once every store is closed."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
-            return
-        if not self._stopped.is_set():
+        """Graceful shutdown; returns once every store is closed.
+
+        Stop accepting; let every burst a connection has already read be
+        executed and answered (up to ``timeout`` seconds — a peer that has
+        stopped reading its answers is cut off then); close the
+        connections; close the tenant stores.  Idempotent; a second caller
+        waits for the first.
+        """
+        with self._stop_lock:
+            if self._listener is None:  # never started, or already stopped
+                return
+            deadline = monotonic() + timeout
+            self._stopping = True
+            # ``close()`` from another thread does not reliably wake a
+            # blocked ``accept()`` on Linux; one more connection does.
             try:
-                loop.call_soon_threadsafe(self._request_stop)
-            except RuntimeError:  # loop already closed
-                pass
-        thread.join(timeout=timeout)
-        if thread.is_alive():  # pragma: no cover - diagnostic path
-            raise RuntimeError("server did not shut down in time")
+                socket.create_connection(
+                    self._listener.getsockname()[:2], timeout=1.0
+                ).close()
+            except OSError:
+                pass  # the accept loop is already gone
+            self._thread.join(timeout)
+            with self._lock:
+                connections = dict(self._connections)
+            for sock in connections:
+                # A thread blocked in ``recv`` sees end-of-stream and leaves;
+                # one in the middle of a burst can still answer it.
+                _shutdown(sock, socket.SHUT_RD)
+            for thread in connections.values():
+                thread.join(max(0.0, deadline - monotonic()))
+            for sock, thread in connections.items():
+                if thread.is_alive():  # e.g. sending to a peer that never reads
+                    _shutdown(sock, socket.SHUT_RDWR)
+                    thread.join(_CUT_GRACE_S)
+            if self._thread.is_alive() or any(
+                thread.is_alive() for thread in connections.values()
+            ):
+                # Closing the stores under a request still running would
+                # corrupt its answer: leave them open and say so.
+                raise RuntimeError("server did not shut down in time")
+            self.registry.close_all()
+            self._listener = None
 
     def serve_forever(self) -> None:
         """Start and block until interrupted (the CLI foreground mode)."""
         self.start()
         try:
-            while self._thread is not None and self._thread.is_alive():
+            while self._thread.is_alive():
                 self._thread.join(timeout=0.5)
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             pass
@@ -353,135 +274,89 @@ class ReproServer:
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _run(self, ready: threading.Event) -> None:
-        try:
-            asyncio.run(self._main(ready))
-        except BaseException as exc:  # pragma: no cover - loop crash diagnostics
-            self._startup_error = self._startup_error or exc
-        finally:
-            ready.set()
-            self._stopped.set()
-
-    async def _main(self, ready: threading.Event) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="server-worker"
-        )
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._pool.shutdown(wait=False)
-            ready.set()
-            return
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        ready.set()
-        await self._stop_event.wait()
-        await self._shutdown()
-
-    async def _shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, close connections and stores."""
-        self._shutting_down = True
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
-        pending = [task for task in self._tasks if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=10)
-        for connection in list(self._connections):
-            connection.writer.close()
-        await asyncio.sleep(0)  # let the read loops observe the close
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self.registry.close_all()
-
-    def _track(self, task: "asyncio.Task") -> None:
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _accept_loop(self) -> None:
+        numbers = itertools.count(1)
+        with self._listener as listener:
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except OSError:
+                    if self._stopping:
+                        return
+                    continue  # the connection died in the backlog
+                if self._stopping:
+                    sock.close()  # stop()'s wake-up call, or a late client
+                    return
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(sock,),
+                    name=f"repro-server-conn-{next(numbers)}",
+                    daemon=True,
+                )
+                with self._lock:
+                    self._connections[sock] = thread
+                    self.metrics.set_gauge("server.connections", len(self._connections))
+                thread.start()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._shutting_down:
-            writer.close()
-            return
-        connection = _Connection(writer)
-        self._connections.add(connection)
-        self.metrics.set_gauge("server.connections", len(self._connections))
-        try:
-            await self._read_loop(reader, connection)
-        except (ConnectionError, OSError):
-            pass  # peer reset mid-write/read
-        finally:
-            self._connections.discard(connection)
-            self.metrics.set_gauge("server.connections", len(self._connections))
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """One connection's whole life: read a burst, answer it, repeat.
 
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, connection: _Connection
-    ) -> None:
-        """Drain the socket in bulk and dispatch every parsed frame at once.
-
-        Unlike a frame-at-a-time ``readexactly`` loop, one ``read()`` pulls
-        a pipelined client's whole burst into the connection buffer; the
-        parser then slices every complete frame out with memoryviews (one
-        copy per body, straight from the buffer) and the dispatcher admits
-        the batch together — which is what lets read requests coalesce into
-        single worker-pool hops and writes pile into one batcher drain.
+        One ``recv`` pulls a pipelined client's whole burst off the socket;
+        the parser slices every complete frame out of it (one copy per
+        body) and the burst is admitted, executed and answered before the
+        next read.
         """
-        buffer = bytearray()
-        while True:
-            data = await reader.read(READ_CHUNK_BYTES)
-            if not data:
-                if buffer:
-                    # EOF inside a frame: the wire analogue of the WAL's
-                    # torn tail.  Nothing to answer.
-                    self.metrics.inc("server.protocol_errors")
-                return
-            buffer += data
-            requests, consumed, rejects, poisoned = self._parse_frames(buffer)
-            del buffer[:consumed]
-            if rejects:
-                # Well-framed requests naming a foreign opcode: the stream
-                # is intact, so reject each request and carry on.
-                self.metrics.inc("server.protocol_errors", len(rejects))
-                await connection.send_many(
-                    [
-                        _error_frame(request_id, Status.BAD_REQUEST, message)
-                        for request_id, message in rejects
-                    ]
-                )
-            if requests:
-                self.metrics.observe(
-                    "server.pipeline.depth", len(requests), bounds=COUNT_BUCKETS
-                )
-                await self._admit_and_dispatch(connection, requests)
-            if poisoned:
-                # Oversized length prefix or CRC mismatch: the byte stream
-                # itself cannot be trusted past this point, so the frame
-                # boundary is gone.  Drop the connection; the listener and
-                # every other connection carry on.
-                self.metrics.inc("server.protocol_errors")
-                return
+        metrics = self.metrics
+        partial = b""  # the head of a frame whose tail has not arrived yet
+        try:
+            while not self._stopping:
+                data = sock.recv(READ_CHUNK_BYTES)
+                if not data:
+                    if partial:
+                        # EOF inside a frame: the wire analogue of the WAL's
+                        # torn tail.  Nothing to answer.
+                        metrics.inc("server.protocol_errors")
+                    return
+                if partial:
+                    data = partial + data
+                requests, consumed, rejects, poisoned = self._parse_frames(data)
+                partial = data[consumed:]
+                if rejects:
+                    # Well-framed requests naming a foreign opcode: the stream
+                    # is intact, so reject each request and carry on.
+                    metrics.inc("server.protocol_errors", len(rejects))
+                    sock.sendall(
+                        b"".join(
+                            _error_frame(request_id, Status.BAD_REQUEST, message)
+                            for request_id, message in rejects
+                        )
+                    )
+                if requests:
+                    metrics.observe(
+                        "server.pipeline.depth", len(requests), bounds=COUNT_BUCKETS
+                    )
+                    self._answer(sock, requests)
+                if poisoned:
+                    # Oversized length prefix or CRC mismatch: the byte stream
+                    # itself cannot be trusted past this point, so the frame
+                    # boundary is gone.  Drop the connection; the listener and
+                    # every other connection carry on.
+                    metrics.inc("server.protocol_errors")
+                    return
+        except OSError:
+            pass  # the peer reset, or stop() cut a send to a peer that never reads
+        finally:
+            with self._lock:
+                del self._connections[sock]
+                metrics.set_gauge("server.connections", len(self._connections))
+            sock.close()
 
     @staticmethod
-    def _parse_frames(buffer: bytearray):
+    def _parse_frames(buffer: bytes):
         """Slice every complete frame off ``buffer``'s head.
 
         Returns ``(requests, consumed_bytes, rejects, poisoned)`` where
@@ -520,115 +395,100 @@ class ReproServer:
             view.release()
         return requests, offset, rejects, poisoned
 
-    async def _admit_and_dispatch(
-        self, connection: _Connection, requests: List[Request]
-    ) -> None:
-        """Admission-check a parsed batch, then dispatch it coalesced.
+    def _answer(self, sock: socket.socket, requests: List[Request]) -> None:
+        """Admit a parsed burst; execute and answer it in arrival order.
 
-        Writes and the singleton ops keep their per-request tasks (the
-        write batcher coalesces writes itself); read requests are grouped
-        per tenant and each group crosses the executor bridge **once** —
-        the read-side analogue of the write batcher.
+        The head of the burst that fits both admission limits runs — under
+        one execution slot, released for every socket write — and the rest
+        is refused ``SERVER_BUSY``, answered after the head so the
+        connection's responses stay in request order.
         """
-        loop = asyncio.get_running_loop()
-        refusals: List[bytes] = []
-        busy = 0
-        groups: Dict[str, List[Request]] = {}
-        for request in requests:
-            if self._shutting_down:
-                refusals.append(
-                    _error_frame(
-                        request.request_id, Status.ERROR, "server is shutting down"
-                    )
-                )
-                continue
-            if (
-                self._inflight >= self.max_inflight
-                or connection.pending >= self.max_pending_per_connection
-            ):
-                busy += 1
-                refusals.append(
-                    _error_frame(
-                        request.request_id,
-                        Status.SERVER_BUSY,
-                        f"admission limit reached "
-                        f"({self._inflight} in flight server-wide, "
-                        f"{connection.pending} pending on this connection)",
-                    )
-                )
-                continue
-            self._inflight += 1
-            connection.pending += 1
-            self.metrics.inc("server.requests")
-            if request.opcode in _GROUPED_OPCODES:
-                groups.setdefault(request.tenant, []).append(request)
-            else:
-                work = partial(self._execute, request)
-                self._track(loop.create_task(self._serve(connection, (request,), work)))
-        self.metrics.set_gauge("server.inflight", self._inflight)
-        if busy:
-            self.metrics.inc("server.busy", busy)
-        for tenant, group in groups.items():
-            # One tenant's batch: one executor hop, one socket write.
-            work = partial(
-                loop.run_in_executor, self._pool, self._execute_group, tenant, group
+        metrics = self.metrics
+        with self._lock:
+            room = max(
+                0, min(self.max_pending_per_connection, self.max_inflight - self._inflight)
             )
-            self._track(loop.create_task(self._serve(connection, group, work)))
-        await connection.send_many(refusals)
-
-    async def _serve(
-        self, connection: _Connection, requests: Sequence[Request], work
-    ) -> None:
-        """Await ``work()`` (one :data:`_Result` per request), free the admission
-        slots, then write every response, streamed chunks included, in one go."""
+            admitted, refused = requests[:room], requests[room:]
+            self._inflight += len(admitted)
+            inflight = self._inflight
+            metrics.set_gauge("server.inflight", inflight)
+        metrics.inc("server.requests", len(admitted))
+        done = 0
         try:
-            results = await work()
-        except Exception as exc:  # noqa: BLE001 - pool shut down mid-flight
-            status, payload = self._failure(exc)
-            results = [(request.request_id, status, payload) for request in requests]
+            while done < len(admitted):
+                with self._slots:
+                    frames, end = self._execute(admitted, done)
+                self._executed(end - done)
+                done = end
+                sock.sendall(b"".join(frames))
         finally:
-            self._inflight -= len(requests)
-            connection.pending -= len(requests)
-            self.metrics.set_gauge("server.inflight", self._inflight)
-        frames: List[bytes] = []
-        streamed = 0
-        for request_id, status, payload in results:
-            if isinstance(payload, list):
-                for chunk in payload[:-1]:
-                    frames.append(
-                        protocol.encode_response(request_id, Status.PARTIAL, chunk)
-                    )
-                frames.append(protocol.encode_response(request_id, status, payload[-1]))
-                if len(payload) > 1:
-                    streamed += len(payload)
-            else:
-                frames.append(protocol.encode_response(request_id, status, payload))
-        if streamed:
-            self.metrics.inc("server.stream.chunks", streamed)
-        await connection.send_many(frames)
+            self._executed(len(admitted) - done)  # a send failed: the rest never ran
+        if refused:
+            metrics.inc("server.busy", len(refused))
+            message = (
+                f"admission limit reached ({inflight} in flight server-wide, "
+                f"{len(admitted)} of this burst of {len(requests)} admitted)"
+            )
+            sock.sendall(
+                b"".join(
+                    _error_frame(request.request_id, Status.SERVER_BUSY, message)
+                    for request in refused
+                )
+            )
 
-    def _execute_group(self, tenant: str, group: List[Request]) -> List[_Result]:
-        """Worker-thread half of a grouped dispatch: every request of the
-        batch against the tenant's store, one registry lookup for all."""
-        try:
-            store = self.registry.get(tenant)
-        except Exception as exc:  # noqa: BLE001 - e.g. UnknownTenantError
-            status, payload = self._failure(exc)
-            return [(request.request_id, status, payload) for request in group]
-        results: List[_Result] = []
-        for request in group:
+    def _executed(self, count: int) -> None:
+        """``count`` admitted requests no longer count against ``max_inflight``."""
+        if count:
+            with self._lock:
+                self._inflight -= count
+                self.metrics.set_gauge("server.inflight", self._inflight)
+
+    def _execute(
+        self, requests: List[Request], start: int
+    ) -> Tuple[List[bytes], int]:
+        """Run ``requests[start:]`` in order; returns their response frames
+        and where it stopped — the end, or earlier once the frames pass
+        ``STREAM_CHUNK_BYTES`` (the caller sends those and comes back)."""
+        metrics = self.metrics
+        frames: List[bytes] = []
+        size = writes = items = streamed = 0
+        index = start
+        while index < len(requests) and size <= protocol.STREAM_CHUNK_BYTES:
+            request = requests[index]
+            index += 1
             started = perf_counter()
-            op = OPS[request.opcode]
             try:
+                op = OPS.get(request.opcode)
+                if op is None:
+                    raise ProtocolError(
+                        f"{request.opcode.name} belongs to the replication "
+                        "stream; this listener speaks request/response"
+                    )
                 args = protocol.decode_args(op, request.payload)
-                status, payload = Status.OK, self._apply(store, tenant, op, args)
+                if op.kind == protocol.WRITE:
+                    writes += 1
+                    items += 1 if op.keyed else len(args[0])
+                status, payload = Status.OK, self._apply(request.tenant, op, args)
             except Exception as exc:  # noqa: BLE001 - the server outlives any op
                 status, payload = self._failure(exc)
-            self.metrics.observe(
-                f"server.op.{request.opcode.name.lower()}", perf_counter() - started
-            )
-            results.append((request.request_id, status, payload))
-        return results
+            metrics.observe(_OP_METRIC[request.opcode], perf_counter() - started)
+            if isinstance(payload, list):  # a streamed row: [PARTIAL]* then the last
+                if len(payload) > 1:
+                    streamed += len(payload)
+                for chunk in payload[:-1]:
+                    frames.append(
+                        protocol.encode_response(request.request_id, Status.PARTIAL, chunk)
+                    )
+                    size += len(chunk)
+                payload = payload[-1]
+            frames.append(protocol.encode_response(request.request_id, status, payload))
+            size += len(payload)
+        if streamed:
+            metrics.inc("server.stream.chunks", streamed)
+        if writes:
+            metrics.observe("server.batch.requests", writes, bounds=COUNT_BUCKETS)
+            metrics.observe("server.batch.items", items, bounds=COUNT_BUCKETS)
+        return frames, index
 
     def _failure(self, exc: Exception) -> Tuple[Status, bytes]:
         """The one exception → ``(status, payload)`` ladder."""
@@ -641,25 +501,28 @@ class ReproServer:
         self.metrics.inc("server.errors")
         return Status.ERROR, protocol.pack_error(f"{type(exc).__name__}: {exc}")
 
-    def _apply(
-        self, store, tenant: str, op: Op, args: tuple
-    ) -> Union[bytes, List[bytes]]:
-        """One operation against an open store, straight from its table row:
-        writable check → ownership check → call → clip-to-owned → pack.
+    def _apply(self, tenant: str, op: Op, args: tuple) -> Union[bytes, List[bytes]]:
+        """One operation, straight from its table row: writable check →
+        ownership check → call → clip-to-owned → pack.
 
         A streamed row packs to a *list* of chunk payloads (length 1 when
         the answer fits one chunk — byte-identical to the unstreamed
         response); everything else packs to a single payload.
 
-        With a cluster :attr:`node` attached, a keyed op on an unowned key
-        raises ``WrongShardError``; a spans-keys answer is clipped to owned
-        ranges (a migrated-away range's frozen local copy is never served)
-        and refused outright while a cutover has a range frozen, when
-        neither side of the move would answer for it.
+        With a cluster :attr:`node` attached, an op on a key this node does
+        not own — the row's key, or any item of an unkeyed write — raises
+        ``WrongShardError``; a spans-keys answer is clipped to owned ranges
+        (a migrated-away range's frozen local copy is never served) and
+        refused outright while a cutover has a range frozen, when neither
+        side of the move would answer for it.
         """
+        if op.target == protocol.SERVER:  # the two rows that touch no store
+            value = None if op.opcode is Opcode.PING else self._render_stats(*args)
+            return protocol.encode_answer(op, value)
         node = self.node
         if op.kind == protocol.WRITE:
             self._check_writable(tenant)
+        store = self.registry.get(tenant)
         if op.target == protocol.NODE:
             if node is None:
                 raise VersionStoreError(
@@ -671,6 +534,9 @@ class ReproServer:
             if node is not None:
                 if op.keyed:
                     node.check_key(args[0])
+                elif op.kind == protocol.WRITE:
+                    for key, _ in args[0]:
+                        node.check_key(key)
                 elif op.spans_keys:
                     node.check_unfrozen()
             method = getattr(store, op.method)
@@ -680,65 +546,12 @@ class ReproServer:
                 value = op.answer.clip(value, node.owns)
         return protocol.encode_answer(op, value)
 
-    # ------------------------------------------------------------------
-    # Cluster-membership checks (no-ops without a node)
-    # ------------------------------------------------------------------
-    def _check_items(self, tenant: str, items) -> None:
-        self._check_writable(tenant)
-        if self.node is not None:
-            for key, _ in items:
-                self.node.check_key(key)
-
     def _check_writable(self, tenant: str) -> None:
         if self.registry.is_read_only(tenant):
             raise VersionStoreError(
                 f"tenant {tenant!r} is a read-only follower; writes go to "
                 "the primary"
             )
-
-    # ------------------------------------------------------------------
-    # Request execution
-    # ------------------------------------------------------------------
-    def _batcher(self, tenant: str) -> _WriteBatcher:
-        batcher = self._batchers.get(tenant)
-        if batcher is None:
-            batcher = self._batchers[tenant] = _WriteBatcher(self, tenant)
-        return batcher
-
-    async def _execute(self, request: Request) -> List[_Result]:
-        """An ungrouped request, on its own task: the two ops that touch no
-        store, the writes that ride the tenant's batcher, and (an explicitly
-        stamped ``INSERT``) one :meth:`_apply` on its own executor hop."""
-        started = perf_counter()
-        loop = asyncio.get_running_loop()
-        opcode, tenant = request.opcode, request.tenant
-        op = OPS[opcode]
-        try:
-            args = protocol.decode_args(op, request.payload)
-            if opcode is Opcode.INSERT and args[2] is not None:
-                payload = await loop.run_in_executor(
-                    self._pool,
-                    lambda: self._apply(self.registry.get(tenant), tenant, op, args),
-                )
-            else:
-                if opcode is Opcode.PING:
-                    value = None
-                elif opcode is Opcode.STATS:
-                    value = await loop.run_in_executor(
-                        self._pool, self._render_stats, *args
-                    )
-                elif opcode is Opcode.PUT_MANY:
-                    value = await self._batcher(tenant).submit(*args)
-                else:
-                    # Auto-stamped inserts ride the tenant's write batcher:
-                    # many concurrent single-record requests, one put_many.
-                    (value,) = await self._batcher(tenant).submit([args[:2]])
-                payload = protocol.encode_answer(op, value)
-            status = Status.OK
-        except Exception as exc:  # noqa: BLE001 - the server must outlive any op
-            status, payload = self._failure(exc)
-        self.metrics.observe(f"server.op.{opcode.name.lower()}", perf_counter() - started)
-        return [(request.request_id, status, payload)]
 
     # ------------------------------------------------------------------
     # Stats rendering (the STATS opcode)
@@ -783,8 +596,8 @@ def default_catalog(
 
     ``shards > 1`` key-range-partitions each tenant over the integer key
     domain ``[0, key_space)``; ``wal`` attaches per-shard write-ahead logs
-    with group commit (``tsb`` only), which is what lets the server's
-    write batching ride group commit end to end.
+    with group commit (``tsb`` only), so concurrent connections' commits
+    share log forces.
     """
     from repro.api.store import ShardSpec
 

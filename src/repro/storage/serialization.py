@@ -130,6 +130,20 @@ class ByteReader:
         self._offset = offset + 1
         return self._data[offset]
 
+    def peek_u8(self) -> int:
+        """The next byte, without consuming it."""
+        if self._offset >= self._length:
+            raise SerializationError("truncated page image")
+        return self._data[self._offset]
+
+    def get_struct(self, codec: struct.Struct) -> tuple:
+        """Several fixed-width fields in one call: one precompiled struct."""
+        offset = self._offset
+        if offset + codec.size > self._length:
+            raise SerializationError("truncated page image")
+        self._offset = offset + codec.size
+        return codec.unpack_from(self._data, offset)
+
     def get_u32(self) -> int:
         return self._unpack(_U32)
 

@@ -150,7 +150,7 @@ def run_concurrent(
     flight through ``target.pipeline()`` (the wire client's explicit batch
     context) instead of issuing lock-step: a request is gathered only once
     the window is full, so the server sees a standing queue per writer and
-    can coalesce.  Targets without a ``pipeline()`` method (the in-process
+    serves it a burst at a time.  Targets without a ``pipeline()`` method (the in-process
     façade) silently run at depth 1 — the applied history is identical
     either way, which is exactly what the differential oracles check.
 

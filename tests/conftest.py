@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -29,6 +30,26 @@ settings.register_profile(
     stateful_step_count=30,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_service_threads():
+    """Fail any test that leaves a server or replica thread alive.
+
+    ``ReproServer.stop()`` must wake and join its accept loop
+    (``repro-server``) and every connection thread
+    (``repro-server-conn-N``), and ``Replica.stop()`` its tailers
+    (``replica-*``); a thread that outlives its test is a stop that timed
+    out (or never ran) and keeps a socket and a store alive behind the
+    suite's back.
+    """
+    yield
+    leaked = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("repro-server", "replica-")) and thread.is_alive()
+    ]
+    assert not leaked, f"service threads still alive after the test: {leaked}"
 
 
 @dataclass

@@ -22,6 +22,7 @@ from repro.client import (
     ClientProtocolError,
     ReproClient,
     ServerBusyError,
+    ServerError,
 )
 from repro.server import protocol
 from repro.server.protocol import (
@@ -298,6 +299,42 @@ class TestDemultiplexing:
                     assert all(isinstance(p.result(), int) for p in pending)
                 assert client.counters["client.busy_retries"] == 1
                 assert client.counters["client.busy_rejected"] == 0
+
+
+class TestPipelineHoldsOnlyTheWindow:
+    def test_a_sliding_window_forgets_what_was_observed(self, server):
+        """10,000 requests through a window of 8: the pipeline's memory
+        follows the window, not the requests ever sent."""
+        from collections import deque
+
+        with ReproClient(server.host, server.port, pool_size=1) as client:
+            with client.pipeline() as pipe:
+                window = deque()
+                held_max = 0
+                for _ in range(10_000):
+                    if len(window) >= 8:
+                        assert window.popleft().result() is None
+                    window.append(pipe.ping())
+                    held_max = max(held_max, len(pipe._pending))
+                assert held_max <= 8
+                assert pipe.depth == 10_000
+                # gather() covers exactly what is still held, in order.
+                assert pipe.gather() == [None] * len(window)
+                assert len(pipe._pending) == 0
+
+    def test_exit_reraises_the_first_error_nobody_observed(self, server):
+        with ReproClient(server.host, server.port, tenant="ghost") as ghost:
+            with pytest.raises(ServerError, match="unknown tenant"):
+                with ghost.pipeline() as pipe:
+                    observed, _unobserved = pipe.get(1), pipe.get(2)
+                    with pytest.raises(ServerError):
+                        observed.result()
+            # An error already seen through result() does not re-raise.
+            with ghost.pipeline() as pipe:
+                seen = pipe.get(1)
+                with pytest.raises(ServerError):
+                    seen.result()
+                assert pipe.ping().result() is None
 
 
 class TestBackoffCap:

@@ -10,7 +10,11 @@ every row of the operation table round-trips its arguments and its answer
 table replaced.
 """
 
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api.engine import RecordView
 from repro.server import protocol
@@ -25,7 +29,15 @@ from repro.server.protocol import (
     Status,
     TruncatedFrameError,
 )
-from repro.storage.serialization import ByteReader
+from repro.storage.serialization import (
+    ByteReader,
+    ByteWriter,
+    SerializationError,
+    read_key,
+    read_value,
+    write_key,
+    write_value,
+)
 
 
 class TestFraming:
@@ -173,6 +185,65 @@ class TestPayloadCodecs:
     def test_stats_and_blob(self):
         assert _args_round_trip(Opcode.STATS, "json") == ("json",)
         assert protocol.unpack_blob(_reader(protocol.pack_blob(b"\x01\x02"))) == b"\x01\x02"
+
+
+def _generic_record_bytes(key, timestamp, value) -> bytes:
+    """A record field by field through the shared value codecs — what the
+    one-struct fast path for int keys must reproduce byte for byte."""
+    writer = ByteWriter()
+    write_key(writer, key)
+    writer.put_u64(timestamp)
+    write_value(writer, value)
+    return writer.getvalue()
+
+
+def _generic_read_record(reader: ByteReader) -> RecordView:
+    key = read_key(reader)
+    timestamp = reader.get_u64()
+    return RecordView(key=key, timestamp=timestamp, value=read_value(reader))
+
+
+class TestRecordFastPath:
+    KEYS = st.one_of(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1), st.text(max_size=12)
+    )
+    STAMPS = st.integers(min_value=0, max_value=2**64 - 1)
+    VALUES = st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(bytearray))
+
+    @given(st.lists(st.tuples(KEYS, STAMPS, VALUES), max_size=6))
+    def test_int_keyed_records_match_the_generic_codec_both_ways(self, rows):
+        records = [RecordView(key=k, timestamp=t, value=v) for k, t, v in rows]
+        generic = b"".join(_generic_record_bytes(*row) for row in rows)
+        count = len(rows).to_bytes(4, "big")
+        assert protocol.pack_records(records) == count + generic
+        assert protocol.chunk_records(records) == [count + generic]
+        decoded = protocol.unpack_records(_reader(count + generic))
+        reference = _reader(generic)
+        assert decoded == [_generic_read_record(reference) for _ in rows]
+        assert all(type(record.value) is bytes for record in decoded)
+        assert protocol.merge_history_chunks(
+            [_reader(chunk) for chunk in protocol.chunk_history_map({"k": records})]
+        ) == {"k": decoded}
+
+    @given(KEYS, STAMPS, st.binary(max_size=16), st.data())
+    def test_every_truncation_raises(self, key, timestamp, value, data):
+        packed = protocol.pack_optional_record(RecordView(key, timestamp, value))
+        cut = data.draw(st.integers(min_value=0, max_value=len(packed) - 1))
+        with pytest.raises(SerializationError):
+            protocol.unpack_optional_record(_reader(packed[:cut]))
+
+    @pytest.mark.parametrize(
+        "key,timestamp", [(2**63, 1), (-(2**63) - 1, 1), (1, 2**64), (1, -1)]
+    )
+    def test_out_of_range_ints_fail_as_the_generic_codec_does(self, key, timestamp):
+        with pytest.raises(struct.error):
+            _generic_record_bytes(key, timestamp, b"v")
+        with pytest.raises(struct.error):
+            protocol.pack_records([RecordView(key, timestamp, b"v")])
+
+    def test_a_bool_key_is_still_refused(self):
+        with pytest.raises(SerializationError, match="unsupported key type"):
+            protocol.pack_records([RecordView(True, 1, b"v")])
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +402,6 @@ class TestOperationTable:
                 assert op.answer.clip is not None and op.answer.merge is not None
             if op.wait_index is not None:
                 assert op.kind == protocol.READ
-
-    def test_grouped_opcodes_are_computed_from_the_table(self):
-        from repro.server.service import _BATCHED_OPCODES, _GROUPED_OPCODES
-
-        ungrouped = {Opcode.PING, Opcode.STATS} | _BATCHED_OPCODES
-        assert _GROUPED_OPCODES == set(OPS) - ungrouped
 
     def test_malformed_utf8_text_is_a_protocol_error(self):
         op = OPS[Opcode.CUTOVER]

@@ -266,6 +266,19 @@ class TestWireEdgeCases:
         assert follow_up is not None and follow_up[0] is Status.OK
         sock.close()
 
+    def test_replication_stream_opcode_gets_bad_request(self, server):
+        """A known opcode that is no row of the operation table fails its
+        own request; the connection's thread lives on."""
+        sock = self._connect(server)
+        status, reader = _raw_exchange(
+            sock, protocol.encode_request(11, Opcode.SUBSCRIBE, "default", b"")
+        )
+        assert status is Status.BAD_REQUEST
+        assert "replication stream" in protocol.unpack_error(reader)
+        follow_up = _raw_exchange(sock, protocol.encode_request(12, Opcode.PING, "default"))
+        assert follow_up is not None and follow_up[0] is Status.OK
+        sock.close()
+
     def test_malformed_payload_gets_bad_request(self, server):
         sock = self._connect(server)
         # GET with an empty payload: the key codec underflows server-side.

@@ -85,7 +85,6 @@ from repro.core import (
 )
 from repro.recovery import (
     LogManager,
-    RecoverableSystem,
     RecoveryManager,
     RecoveryReport,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "ReadWriteLatch",
     "ReadView",
     "RecordView",
-    "RecoverableSystem",
     "RecoveryManager",
     "RecoveryReport",
     "ReproClient",

@@ -6,7 +6,6 @@ from repro.analysis.experiment import (
     build_store,
     build_tree,
     default_policies,
-    run_all_studies,
     run_cost_function_study,
     run_engine_matrix,
     run_policy_study,
@@ -34,7 +33,6 @@ __all__ = [
     "render_table",
     "rows_to_dicts",
     "run_all_figures",
-    "run_all_studies",
     "run_cost_function_study",
     "run_engine_matrix",
     "run_policy_study",

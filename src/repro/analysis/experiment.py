@@ -665,20 +665,3 @@ def run_engine_matrix(
                 ExperimentRow(label=f"sharded-tsb×{store.shard_count}", metrics=metrics)
             )
     return result
-
-
-# ----------------------------------------------------------------------
-# Convenience: run everything (used by EXPERIMENTS.md regeneration)
-# ----------------------------------------------------------------------
-def run_all_studies(operations: int = 6_000) -> List[StudyResult]:
-    """Run S1..S7 with a shared workload size and return every table."""
-    spec = WorkloadSpec(operations=operations, update_fraction=0.5, seed=1989)
-    return [
-        run_policy_study(spec=spec),
-        run_update_ratio_study(operations=operations),
-        run_tsb_vs_wobt(spec=WorkloadSpec(operations=min(operations, 4_000), update_fraction=0.5, seed=1989)),
-        run_cost_function_study(spec=spec),
-        run_query_io_study(spec=WorkloadSpec(operations=operations, update_fraction=0.6, seed=1989)),
-        run_txn_study(),
-        run_secondary_study(),
-    ]

@@ -1,20 +1,11 @@
-"""Derived metrics shared by the experiment harness and the benchmarks.
-
-Besides the per-run row builders, this module owns the *rollup* helpers the
-sharded store and the experiment harness use to aggregate per-shard
-accounting — summed :class:`~repro.storage.iostats.IOStats` per tier,
-summed :class:`~repro.core.tsb_tree.TreeCounters`, and normalized space
-summaries whose ratio columns are recomputed from the summed totals rather
-than averaged.
-"""
+"""Derived metrics shared by the experiment harness and the benchmarks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.stats import SpaceStats
-from repro.core.tsb_tree import TreeCounters
 from repro.storage.costmodel import CostModel
 from repro.storage.iostats import IOStats
 
@@ -110,65 +101,3 @@ def space_row(label: str, stats: SpaceStats, extra: Optional[Dict[str, float]] =
 def summarize_rows(rows: List[ExperimentRow], column: str) -> Dict[str, float]:
     """Map label -> one column's value, for quick shape assertions in tests."""
     return {row.label: row.metrics[column] for row in rows if column in row.metrics}
-
-
-# ----------------------------------------------------------------------
-# Aggregation rollups (per-shard accounting -> one store-level summary)
-# ----------------------------------------------------------------------
-def merge_io_summaries(
-    summaries: Iterable[Dict[str, IOStats]]
-) -> Dict[str, IOStats]:
-    """Sum per-tier I/O counters across stores (shards), tier by tier.
-
-    The result is a snapshot built from copies — unlike a single store's
-    live counter objects it does not keep counting; diff two merged
-    summaries to measure a scatter-gather query's cost.
-    """
-    merged: Dict[str, IOStats] = {}
-    for summary in summaries:
-        for tier, stats in summary.items():
-            merged[tier] = merged.get(tier, IOStats()).combined(stats)
-    return merged
-
-
-def merge_tree_counters(counters: Iterable[TreeCounters]) -> TreeCounters:
-    """Sum structural-event counters across trees (shards)."""
-    merged = TreeCounters()
-    for item in counters:
-        merged = merged.combined(item)
-    return merged
-
-
-def merge_space_summaries(
-    summaries: Iterable[Dict[str, float]]
-) -> Dict[str, float]:
-    """Sum normalized space summaries; recompute the redundancy ratio.
-
-    Byte and version counts add; the redundancy ratio is recomputed from
-    the summed stored-versus-unique version totals (each input's unique
-    count is recovered from its own ratio), not naively averaged.
-    """
-    merged: Dict[str, float] = {
-        "magnetic_bytes": 0,
-        "historical_bytes": 0,
-        "total_bytes": 0,
-        "versions_stored": 0,
-    }
-    unique_versions = 0.0
-    count = 0
-    for summary in summaries:
-        count += 1
-        for column in ("magnetic_bytes", "historical_bytes", "total_bytes", "versions_stored"):
-            merged[column] += summary.get(column, 0)
-        ratio = summary.get("redundancy_ratio", 1.0) or 1.0
-        unique_versions += summary.get("versions_stored", 0) / ratio
-        standard = ("magnetic_bytes", "historical_bytes", "total_bytes", "versions_stored")
-        for column, value in summary.items():
-            if column in standard or column == "redundancy_ratio":
-                continue
-            merged[column] = merged.get(column, 0) + value
-    merged["redundancy_ratio"] = (
-        round(merged["versions_stored"] / unique_versions, 4) if unique_versions else 1.0
-    )
-    merged["shards"] = count
-    return merged

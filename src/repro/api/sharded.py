@@ -82,11 +82,12 @@ from repro.api.store import (
     VersionStore,
     distinct_key_run_end,
 )
-from repro.core.tsb_tree import TSBTree, TreeCounters
+from repro.core.stats import merge_space_summaries
+from repro.core.tsb_tree import TSBTree, TreeCounters, merge_tree_counters
 from repro.obs import trace
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.registry import enabled as metrics_enabled
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOStats, merge_io_summaries
 from repro.storage.logdevice import LogDevice
 from repro.storage.serialization import Key
 
@@ -530,13 +531,7 @@ class ShardedEngine(VersionedEngine):
         """The newest commit any shard holds: every stamp is drawn past it."""
         return max(store.now for store in self.stores)
 
-    # The rollup arithmetic lives in repro.analysis.metrics (per-shard ->
-    # store-level aggregation belongs to the measurement layer); the imports
-    # are function-local on purpose — analysis imports repro.api at module
-    # scope, so a top-level import here would be a cycle.
     def space_summary(self) -> Dict[str, float]:
-        from repro.analysis.metrics import merge_space_summaries
-
         return merge_space_summaries(
             self._gather(
                 [lambda store=store: store.space_summary() for store in self.stores]
@@ -550,8 +545,6 @@ class ShardedEngine(VersionedEngine):
         objects), the aggregate is a snapshot computed per call; diff two
         calls to measure a query's cost.
         """
-        from repro.analysis.metrics import merge_io_summaries
-
         return merge_io_summaries(
             self._gather(
                 [lambda store=store: store.io_summary() for store in self.stores]
@@ -560,8 +553,6 @@ class ShardedEngine(VersionedEngine):
 
     def tree_counters(self) -> TreeCounters:
         """Structural-event counters rolled up across TSB-tree shards."""
-        from repro.analysis.metrics import merge_tree_counters
-
         return merge_tree_counters(
             store.backend.counters
             for store in self.stores

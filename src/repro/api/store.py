@@ -65,7 +65,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.adapters import (
     ENGINE_NAMES,
@@ -87,6 +87,9 @@ from repro.core.policy import (
 from repro.core.tsb_tree import _SUPERBLOCK_MAGIC, TSBTree
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
+from repro.recovery.log_manager import LogManager
+from repro.recovery.recovery_manager import RecoveryManager
+from repro.recovery.replay import LogReplayer
 from repro.storage.device import Address, StorageError
 from repro.storage.iostats import IOStats
 from repro.storage.latches import ReadWriteLatch
@@ -99,9 +102,6 @@ from repro.wobt.wobt_tree import WOBT
 from repro.txn.clock import TimestampOracle
 from repro.txn.manager import Transaction, TransactionManager
 from repro.txn.readonly import ReadOnlyTransaction
-
-if TYPE_CHECKING:  # pragma: no cover - recovery.system imports this module
-    from repro.recovery.replay import LogReplayer
 
 
 #: One committed version on the move: ``(timestamp, key, is_tombstone, value)``.
@@ -560,8 +560,6 @@ class VersionStore:
             )
         recovered = None
         if resuming and log_device is not None:
-            from repro.recovery.recovery_manager import RecoveryManager
-
             recovered = RecoveryManager(
                 magnetic, historical, log_device, policy=policy, cache_pages=config.cache_pages
             ).recover()
@@ -603,7 +601,7 @@ class VersionStore:
         tree: TSBTree,
         log_device: Optional[LogDevice] = None,
         *,
-        replayed: Optional["LogReplayer"] = None,
+        replayed: Optional[LogReplayer] = None,
         latch: Optional[ReadWriteLatch] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> "VersionStore":
@@ -623,8 +621,6 @@ class VersionStore:
         ``config.wal`` the store's first act is a full checkpoint on
         ``log_device`` (a fresh one by default).
         """
-        from repro.recovery.log_manager import LogManager
-
         metrics = metrics or MetricsRegistry(name="tsb")
         latch = latch or ReadWriteLatch(metrics=metrics)
         log_manager = None

@@ -17,16 +17,6 @@ The CLI exposes the experiment harness without writing any Python:
     printed step by step — the quickstart example in one command, on any
     engine.
 
-``python -m repro crash-demo``
-    A narrated write-ahead-logging demonstration: commit transactions, leave
-    some in flight, crash, and watch restart recovery rebuild exactly the
-    durably committed state.
-
-``python -m repro recover``
-    A randomized crash-recovery trial: run a deterministic transactional
-    script, crash at a chosen (or every) step, recover, and verify the
-    recovered tree against the durable-prefix oracle.
-
 ``python -m repro stats [--watch SECONDS] [--format table|json|prometheus]``
     Drive a mixed concurrent workload (plus a deliberate lock conflict) on
     a sharded WAL store and print its full observability snapshot: op
@@ -41,11 +31,7 @@ The CLI exposes the experiment harness without writing any Python:
 ``python -m repro serve [--port P] [--tenants a,b] [--shards N] [--wal]``
     Serve the version store over TCP: a struct-framed, CRC-checked binary
     protocol in front of per-tenant stores (opened on first use, resumed
-    on their own devices across close/reopen).  ``--self-test`` instead
-    starts the server on an ephemeral port, drives an oracle-checked
-    concurrent client workload through :class:`~repro.client.ReproClient`,
-    compares the answers record-for-record against an identical in-process
-    run, and exits 0/1 — the CI smoke test in one command.
+    on their own devices across close/reopen).
 
 ``python -m repro stats --server HOST:PORT``
     Fetch a *running* server's observability snapshot (its per-op service
@@ -85,7 +71,6 @@ from repro.api import (
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
-from repro.recovery import RecoverableSystem, ScriptRunner, generate_script
 from repro.workload import WorkloadSpec, run_concurrent
 
 #: Studies that configure their own fixed store set; --shards cannot reroute them.
@@ -269,93 +254,6 @@ def command_demo(args: argparse.Namespace) -> int:
             )
             if result.errors or not consistent:
                 return 1
-    return 0
-
-
-def command_crash_demo(_args: argparse.Namespace) -> int:
-    system = RecoverableSystem(page_size=512, group_commit_size=2)
-    print("group commit batch size      : 2 (a force makes two commits durable)")
-    print()
-    t1 = system.begin()
-    t1.write("alice", b"balance=50")
-    t1.commit()
-    print(f"T1 commits alice=50          : durable={system.commit_is_durable(t1)}")
-    t2 = system.begin()
-    t2.write("bob", b"balance=200")
-    t2.commit()
-    print(
-        f"T2 commits bob=200           : durable={system.commit_is_durable(t2)}"
-        " (the batch filled; one force covered both)"
-    )
-    t3 = system.begin()
-    t3.write("carol", b"balance=75")
-    t3.commit()
-    print(
-        f"T3 commits carol=75          : durable={system.commit_is_durable(t3)}"
-        " (still in the volatile log tail)"
-    )
-    t4 = system.begin()
-    t4.write("alice", b"balance=9999")
-    print("T4 writes alice=9999         : provisional, never commits")
-    print()
-    print("*** CRASH ***  (buffer pool, lock table and unforced log tail are gone)")
-    report = system.crash()
-    print(report.summary())
-    print()
-    alice = system.tree.search_current("alice")
-    bob = system.tree.search_current("bob")
-    carol = system.tree.search_current("carol")
-    print(f"alice after recovery         : {alice.value.decode()} (T1, durable)")
-    print(f"bob after recovery           : {bob.value.decode()} (T2, durable)")
-    print(f"carol after recovery         : {carol!r} (T3's commit was never forced)")
-    print("T4's provisional version     : discarded (loser)")
-    print()
-    t5 = system.begin()
-    t5.write("alice", b"balance=120")
-    timestamp = t5.commit()
-    system.log.force()
-    print(f"post-recovery T5 commits     : alice=120 @ T={timestamp}")
-    print("The system is live again; recovery preserved exactly the committed prefix.")
-    return 0
-
-
-def command_recover(args: argparse.Namespace) -> int:
-    if args.batch < 1:
-        print("--batch must be a positive group-commit batch size")
-        return 2
-    script = generate_script(steps=args.ops, key_space=args.keys, seed=args.seed)
-    if args.crash_at is not None and not 0 <= args.crash_at <= len(script):
-        print(
-            f"--crash-at must be a step index between 0 and {len(script)} "
-            f"(the script has {len(script)} steps)"
-        )
-        return 2
-    crash_points = range(len(script) + 1) if args.crash_at is None else [args.crash_at]
-    failures = 0
-    for crash_at in crash_points:
-        runner = ScriptRunner(
-            RecoverableSystem(page_size=512, group_commit_size=args.batch)
-        )
-        runner.run(script[:crash_at])
-        expected = runner.expected_visible()
-        report = runner.system.crash()
-        observed = {
-            version.key: version.value for version in runner.system.tree.range_search()
-        }
-        if observed != expected:
-            failures += 1
-            print(f"crash at step {crash_at}: MISMATCH")
-            print(f"  expected {expected}")
-            print(f"  observed {observed}")
-        elif args.crash_at is not None or args.verbose:
-            print(f"crash at step {crash_at}: ok — {report.summary()}")
-    if failures:
-        print(f"{failures} crash points failed verification")
-        return 1
-    print(
-        f"recovery verified: {len(list(crash_points))} crash point(s), "
-        f"{len(script)} scripted steps, group commit batch {args.batch}"
-    )
     return 0
 
 
@@ -544,10 +442,6 @@ def _serve_catalog(args: argparse.Namespace) -> Dict[str, StoreConfig]:
     tenants = tuple(
         name.strip() for name in args.tenants.split(",") if name.strip()
     ) or ("default",)
-    if getattr(args, "self_test", False) and "pipeline" not in tenants:
-        # Phase 3 of the self-test replays onto a fresh tenant so its
-        # digest is not polluted by the earlier phases' writes.
-        tenants = tenants + ("pipeline",)
     return default_catalog(
         tenants,
         engine=args.engine,
@@ -557,143 +451,16 @@ def _serve_catalog(args: argparse.Namespace) -> Dict[str, StoreConfig]:
     )
 
 
-def _serve_self_test(server, args: argparse.Namespace) -> int:
-    """The CI smoke: served answers must equal in-process answers.
-
-    Phase 1 (differential): one deterministic writer applies the same
-    batched items through :class:`~repro.client.ReproClient` and through
-    an identically configured in-process store; every read surface —
-    current range, mid-time snapshot, per-key history — must come back
-    record-for-record equal (same :class:`RecordView` objects).
-
-    Phase 2 (concurrent oracle): N writers + M readers drive the *server*
-    concurrently; the applied-write oracle must match the served store's
-    per-key histories exactly, with zero client errors.
-
-    Phase 3 (pipelined differential): one writer keeps ``--pipeline``
-    requests in flight on a single socket against a fresh tenant; a serial
-    in-process replay of the same items must produce a byte-identical
-    digest over every read surface — proof that pipelining (and the
-    server's burst-at-a-time execution) changes throughput, not answers.
-    """
-    import hashlib
-
-    from repro.client import ReproClient
-    from repro.server import protocol as wire
-
-    ops, threads = args.ops, max(2, args.threads)
-    key_space = max(16, ops // 2)
-    items = [(index % key_space, f"value-{index:06d}".encode()) for index in range(ops)]
-    failures: List[str] = []
-
-    with ReproClient(server.host, server.port, tenant="default", pool_size=threads) as client:
-        client.ping()
-        served = run_concurrent(target=client, items=items, threads=1, batch_size=4)
-        if served.errors:
-            failures.append(f"serial client errors: {served.errors[:3]}")
-        with VersionStore.open(server.registry.config_for("default")) as local:
-            local_run = run_concurrent(local, items, threads=1, batch_size=4)
-            if local_run.errors:
-                failures.append(f"in-process errors: {local_run.errors[:3]}")
-            mid = max(1, local.now // 2)
-            checks = [
-                ("range_search", client.range_search(), local.range_search()),
-                ("snapshot", client.snapshot(mid), local.snapshot(mid)),
-            ] + [
-                (f"key_history({key})", client.key_history(key), local.key_history(key))
-                for key in range(0, key_space, max(1, key_space // 8))
-            ]
-            for name, over_wire, in_process in checks:
-                if over_wire != in_process:
-                    failures.append(f"served {name} differs from the in-process answer")
-        print(
-            f"phase 1: {served.writes} served writes vs in-process — "
-            f"{'identical answers' if not failures else 'MISMATCH'}"
-        )
-
-    with ReproClient(server.host, server.port, tenant="default", pool_size=threads * 2) as client:
-        before = client.now
-        result = run_concurrent(
-            target=client,
-            items=[(key, f"concurrent-{key:06d}".encode()) for key in range(ops)],
-            threads=threads,
-            reader_threads=threads,
-            batch_size=4,
-        )
-        if result.errors:
-            failures.append(f"concurrent client errors: {result.errors[:3]}")
-        for key, versions in result.history().items():
-            stored = [
-                (record.timestamp, record.value)
-                for record in client.key_history(key)
-                if record.timestamp > before
-            ]
-            if stored != versions:
-                failures.append(f"history oracle mismatch for key {key!r}")
-                break
-        print(
-            f"phase 2: {result.writes} writes ({result.writes_per_s:,.0f}/s) + "
-            f"{result.reads} reads from {threads}+{threads} concurrent clients — "
-            f"{'oracle-consistent' if not any('oracle' in f or 'concurrent' in f for f in failures) else 'FAILED'}"
-        )
-
-    depth = max(1, getattr(args, "pipeline", 16))
-
-    def read_surface_digest(facade, keys: range, mid: int) -> str:
-        """SHA-256 over every read surface, serialized with the wire codecs."""
-        digest = hashlib.sha256()
-        digest.update(wire.pack_records(facade.range_search()))
-        snap = facade.snapshot(mid)
-        for key in sorted(snap):
-            digest.update(wire.pack_optional_record(snap[key]))
-        for key in keys:
-            digest.update(wire.pack_records(facade.key_history(key)))
-        return digest.hexdigest()
-
-    with ReproClient(server.host, server.port, tenant="pipeline", pool_size=1) as client:
-        piped = run_concurrent(
-            target=client, items=items, threads=1, batch_size=4, pipeline_depth=depth
-        )
-        if piped.errors:
-            failures.append(f"pipelined client errors: {piped.errors[:3]}")
-        mid = max(1, client.now // 2)
-        served_digest = read_surface_digest(client, range(key_space), mid)
-        with VersionStore.open(server.registry.config_for("pipeline")) as local:
-            local_run = run_concurrent(local, items, threads=1, batch_size=4)
-            if local_run.errors:
-                failures.append(f"in-process replay errors: {local_run.errors[:3]}")
-            local_digest = read_surface_digest(local, range(key_space), mid)
-        if served_digest != local_digest:
-            failures.append(
-                f"pipelined digest {served_digest[:12]} != in-process {local_digest[:12]}"
-            )
-        retries = client.counters
-        print(
-            f"phase 3: {piped.writes} pipelined writes at depth {depth} "
-            f"({piped.writes_per_s:,.0f}/s, {retries['client.busy_retries']} busy "
-            f"retries) — digest {'match' if served_digest == local_digest else 'MISMATCH'}"
-        )
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("server self-test: " + ("ok" if not failures else "FAILED"))
-    return 1 if failures else 0
-
-
 def command_serve(args: argparse.Namespace) -> int:
     from repro.server import ReproServer
 
     server = ReproServer(
         _serve_catalog(args),
         host=args.host,
-        port=args.port if not args.self_test else 0,
+        port=args.port,
         workers=max(1, args.workers),
         max_inflight=args.max_inflight,
     )
-    if args.self_test:
-        with server:
-            print(f"serving {', '.join(server.registry.tenants())} on {server.host}:{server.port}")
-            return _serve_self_test(server, args)
     print(
         f"serving tenants [{', '.join(server.registry.tenants())}] "
         f"on {args.host}:{args.port} (engine={args.engine}, shards={args.shards}, "
@@ -701,120 +468,6 @@ def command_serve(args: argparse.Namespace) -> int:
     )
     server.serve_forever()
     return 0
-
-
-def command_failover(args: argparse.Namespace) -> int:
-    """Kill a replicated primary mid-workload; verify the promoted replica.
-
-    The end-to-end failover check (and the CI ``replication-smoke`` job):
-
-    1. a sharded WAL store replicates to ``--replicas`` live followers;
-    2. a writer streams ``--ops`` single-item batches while, at roughly
-       60% of the workload, the primary is killed abruptly mid-stream;
-    3. the surviving replica with the longest durable prefix is elected
-       and promoted;
-    4. the promoted store's *entire read surface* (snapshots at every
-       commit time, per-key histories, the full range scan) is digested
-       and compared against an independent oracle: a fresh store built by
-       replaying the winner's mirrored log bytes from scratch — and
-       against the primary's own answers, digested just before the kill
-       once its followers had caught up;
-    5. a post-failover write must land on the promoted store.
-
-    Every 7th op is a ``delete`` and every 11th an explicitly stamped
-    ``insert``: whatever the façade acknowledges must reach the followers.
-
-    Exit status 0 only if the digests match and the write succeeds.
-    """
-    from repro.analysis.experiment import answers_digest
-    from repro.replication import ReplicationPrimary, Replica, elect
-
-    shard_count = max(1, args.shards)
-    spec = _shard_spec(shard_count, args.ops * 2) if shard_count > 1 else None
-    config = StoreConfig(
-        engine="tsb",
-        wal=True,
-        group_commit_size=args.group_commit,
-        shards=spec,
-    )
-    store = VersionStore.open(config)
-    primary = ReplicationPrimary(store)
-    primary.start()
-    replicas = [
-        Replica(primary.host, primary.port, name=f"replica{i}").start()
-        for i in range(max(1, args.replicas))
-    ]
-    print(
-        f"failover: primary on {primary.host}:{primary.port}, "
-        f"{len(replicas)} replicas, {args.ops} ops, {shard_count} shard(s)"
-    )
-
-    kill_at = max(1, int(args.ops * 0.6))
-    written: List[int] = []
-    keys: List[int] = []
-    for i in range(args.ops):
-        key, value = i % max(1, args.ops // 3), f"v{i}".encode()
-        if i % 7 == 6:
-            written.append(store.delete(key))
-        elif i % 11 == 10:
-            written.append(store.insert(key, value, timestamp=store.now + 1))
-        else:
-            written.extend(store.put_many([(key, value)]))
-        keys.append(key)
-        if i == kill_at:
-            # Everything acknowledged so far, forced and shipped: from here
-            # to the kill nothing is written, so this is the state the
-            # promoted replica must serve.
-            store.checkpoint()
-            caught_up = primary.wait_caught_up()
-            cut, cut_keys = store.now, sorted(set(keys))
-            cut_digest = answers_digest(store, cut_keys, [cut])
-            primary.kill()
-            print(f"  primary killed mid-workload after {i + 1} ops (t={cut})")
-    # Writes after the kill never replicated: they are the crash's lost
-    # tail, which the promoted replica must NOT serve.
-    time.sleep(0.05)
-    for replica in replicas:
-        replica.stop()
-
-    winner = elect(replicas)
-    lsns = {replica.name: replica.durable_lsns() for replica in replicas}
-    print(f"  durable prefixes: {lsns}; electing {winner.name}")
-    promoted = winner.promote()
-
-    # The oracle: the winner's mirrored bytes replayed from scratch.
-    oracle = winner.mirror_replay()
-
-    probe_keys = sorted(set(keys))
-    probe_times = sorted(set(written))[:: max(1, len(written) // 64)]
-    promoted_digest = answers_digest(promoted, probe_keys, probe_times)
-    oracle_digest = answers_digest(oracle, probe_keys, probe_times)
-    match = promoted_digest == oracle_digest
-    print(
-        f"  promoted digest {promoted_digest:#010x} "
-        f"{'==' if match else '!='} oracle digest {oracle_digest:#010x}"
-    )
-    # The second check: the promoted store against the primary itself, as
-    # it stood when its followers had caught up just before the kill.
-    promoted_cut_digest = answers_digest(promoted, cut_keys, [cut])
-    same_as_primary = caught_up and promoted_cut_digest == cut_digest
-    print(
-        f"  promoted at t={cut} {promoted_cut_digest:#010x} "
-        f"{'==' if same_as_primary else '!='} primary before the kill {cut_digest:#010x}"
-    )
-
-    post_key = 1_000_000_000  # integer keyspace: route to the last shard
-    stamp = promoted.put_many([(post_key, b"post-failover")])[0]
-    write_ok = promoted.get(post_key) is not None
-    print(f"  post-failover write stamped at t={stamp}: {'ok' if write_ok else 'LOST'}")
-
-    promoted.close()
-    store.close()
-    if match and same_as_primary and write_ok:
-        print("FAILOVER OK: promoted replica serves exactly its durable prefix")
-        return 0
-    print("FAILOVER MISMATCH: promoted state diverges from the mirrored log")
-    return 1
 
 
 def _render_server_stats(address: str, fmt: str) -> int:
@@ -928,37 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.set_defaults(handler=command_demo)
 
-    crash_demo = subparsers.add_parser(
-        "crash-demo", help="narrated WAL + group commit + crash recovery demo"
-    )
-    crash_demo.set_defaults(handler=command_crash_demo)
-
-    recover = subparsers.add_parser(
-        "recover", help="run a randomized crash-recovery trial and verify it"
-    )
-    recover.add_argument(
-        "--ops", type=int, default=60, help="scripted transactional steps (default: 60)"
-    )
-    recover.add_argument(
-        "--seed", type=int, default=1989, help="script random seed (default: 1989)"
-    )
-    recover.add_argument(
-        "--keys", type=int, default=8, help="key-space size (default: 8)"
-    )
-    recover.add_argument(
-        "--batch", type=int, default=1, help="group-commit batch size (default: 1)"
-    )
-    recover.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        help="crash after this many steps (default: try every step)",
-    )
-    recover.add_argument(
-        "--verbose", action="store_true", help="print a line per crash point"
-    )
-    recover.set_defaults(handler=command_recover)
-
     stats = subparsers.add_parser(
         "stats", help="run a mixed workload and print the observability snapshot"
     )
@@ -1046,31 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="admission-control cap on concurrently executing requests (default: 64)",
     )
-    serve.add_argument(
-        "--self-test",
-        action="store_true",
-        help="start on an ephemeral port, run the oracle-checked client "
-        "workload against an in-process run, exit 0/1 (the CI smoke)",
-    )
-    serve.add_argument(
-        "--ops",
-        type=int,
-        default=600,
-        help="self-test workload size in writes (default: 600)",
-    )
-    serve.add_argument(
-        "--threads",
-        type=int,
-        default=4,
-        help="self-test concurrent writer/reader client threads (default: 4)",
-    )
-    serve.add_argument(
-        "--pipeline",
-        type=int,
-        default=16,
-        help="self-test phase-3 pipeline depth: requests kept in flight "
-        "per writer on one socket (default: 16)",
-    )
     serve.set_defaults(handler=command_serve)
 
     trace_cmd = subparsers.add_parser(
@@ -1105,27 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_cmd.set_defaults(handler=command_trace)
 
-    failover = subparsers.add_parser(
-        "failover",
-        help="replicate a WAL store, kill the primary mid-workload, promote "
-        "a replica and verify it against the mirrored-log oracle",
-    )
-    failover.add_argument(
-        "--replicas", type=int, default=2, help="follower count (default: 2)"
-    )
-    failover.add_argument(
-        "--ops", type=int, default=600, help="writes before/around the kill (default: 600)"
-    )
-    failover.add_argument(
-        "--shards", type=int, default=4, help="key-range shards (default: 4)"
-    )
-    failover.add_argument(
-        "--group-commit",
-        type=int,
-        default=4,
-        help="primary group-commit batch size (default: 4)",
-    )
-    failover.set_defaults(handler=command_failover)
     return parser
 
 

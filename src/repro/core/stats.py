@@ -11,7 +11,7 @@ utilisation figures) by walking the tree and interrogating the devices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.nodes import DataNode, IndexNode
 from repro.core.tsb_tree import TSBTree
@@ -169,3 +169,38 @@ def collect_space_stats(
     if cost_model is not None:
         stats.with_cost_model(cost_model)
     return stats
+
+
+def merge_space_summaries(
+    summaries: Iterable[Dict[str, float]]
+) -> Dict[str, float]:
+    """Sum normalized space summaries; recompute the redundancy ratio.
+
+    Byte and version counts add; the redundancy ratio is recomputed from
+    the summed stored-versus-unique version totals (each input's unique
+    count is recovered from its own ratio), not naively averaged.
+    """
+    merged: Dict[str, float] = {
+        "magnetic_bytes": 0,
+        "historical_bytes": 0,
+        "total_bytes": 0,
+        "versions_stored": 0,
+    }
+    standard = tuple(merged)
+    unique_versions = 0.0
+    count = 0
+    for summary in summaries:
+        count += 1
+        for column in standard:
+            merged[column] += summary.get(column, 0)
+        ratio = summary.get("redundancy_ratio", 1.0) or 1.0
+        unique_versions += summary.get("versions_stored", 0) / ratio
+        for column, value in summary.items():
+            if column in standard or column == "redundancy_ratio":
+                continue
+            merged[column] = merged.get(column, 0) + value
+    merged["redundancy_ratio"] = (
+        round(merged["versions_stored"] / unique_versions, 4) if unique_versions else 1.0
+    )
+    merged["shards"] = count
+    return merged

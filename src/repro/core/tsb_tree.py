@@ -166,6 +166,14 @@ class TreeCounters:
         }
 
 
+def merge_tree_counters(counters: Iterable[TreeCounters]) -> TreeCounters:
+    """Sum structural-event counters across trees (shards)."""
+    merged = TreeCounters()
+    for item in counters:
+        merged = merged.combined(item)
+    return merged
+
+
 class TSBTree:
     """A Time-Split B-tree spanning a magnetic and a historical device.
 

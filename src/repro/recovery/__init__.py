@@ -15,11 +15,9 @@ contract for the reproduction:
 * :class:`RecoveryManager` — restart recovery: reopen the tree at its last
   checkpoint, replay the durable log from there, verify the result against
   the structural checker.
-* :class:`RecoverableSystem` — the crash-test fixture: a WAL store over
-  devices it keeps, with an honest ``crash()`` that reopens it through
-  ``VersionStore.open(..., log_device=)``.
-* :mod:`repro.recovery.scripts` — deterministic transactional scripts and
-  the durable-prefix oracle used by crash-injection testing.
+
+The façade wires these to a tree (``VersionStore.open(..., log_device=)``
+runs restart recovery); nothing here knows the façade exists.
 """
 
 from repro.recovery.log_manager import LogManager, RecoveryRequiredError
@@ -37,8 +35,6 @@ from repro.recovery.recovery_manager import (
     RecoveryReport,
     RecoveryResult,
 )
-from repro.recovery.scripts import ScriptRunner, ScriptStep, generate_script
-from repro.recovery.system import RecoverableSystem
 
 __all__ = [
     "ActiveTransaction",
@@ -46,15 +42,11 @@ __all__ = [
     "LogRecord",
     "LogRecordError",
     "LogRecordType",
-    "RecoverableSystem",
     "RecoveryError",
     "RecoveryManager",
     "RecoveryReport",
     "RecoveryRequiredError",
     "RecoveryResult",
-    "ScriptRunner",
-    "ScriptStep",
     "decode_stream",
     "encode_record",
-    "generate_script",
 ]

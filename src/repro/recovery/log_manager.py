@@ -15,8 +15,8 @@ access; batching amortises it.  With ``group_commit_size = N``, commit
 records accumulate in the device's volatile tail and a single force makes
 the whole batch durable, so commit throughput scales with ``N`` at the cost
 of the last ``< N`` commits being vulnerable until the next force.  This is
-the classic throughput lever the benchmark suite measures
-(``benchmarks/bench_recovery.py``).
+the classic throughput lever the repo benchmark's ``txn_recovery`` workload
+measures (``recovery.wal_forces``, ``recovery.commits_per_force``).
 
 With ``flush_interval`` set, group commit additionally runs a *background
 flusher thread*: committers append their commit record, wake the flusher
@@ -77,8 +77,8 @@ class RecoveryRequiredError(Exception):
     modification (``requires_recovery``): flushing now would anchor a
     possibly-inconsistent image and silently lose committed data that only
     the log still describes.  The cure is restart recovery
-    (:class:`~repro.recovery.recovery_manager.RecoveryManager`, or
-    :meth:`~repro.recovery.system.RecoverableSystem.crash`), which rebuilds
+    (:class:`~repro.recovery.recovery_manager.RecoveryManager`, which a
+    reopen through ``VersionStore.open(..., log_device=)`` runs): it rebuilds
     from the last good checkpoint plus the log.
     """
 

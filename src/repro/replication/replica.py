@@ -410,7 +410,7 @@ class Replica:
         clock and transaction ids resume past what the replayed log used.
         The promoted store's answers over the whole read surface equal a
         fresh replay of the mirrors' durable bytes — the digest check
-        ``repro failover`` enforces.
+        the failover tests enforce (``tests/replication/test_replication.py``).
         """
         if self.promoted is not None:
             return self.promoted

@@ -10,7 +10,7 @@ configuration, robot mounts (paper, section 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 
 @dataclass
@@ -126,6 +126,22 @@ class IOStats:
     @property
     def total_operations(self) -> int:
         return self.reads + self.writes
+
+
+def merge_io_summaries(
+    summaries: Iterable[Dict[str, IOStats]]
+) -> Dict[str, IOStats]:
+    """Sum per-tier I/O counters across stores (shards), tier by tier.
+
+    The result is a snapshot built from copies — unlike a single store's
+    live counter objects it does not keep counting; diff two merged
+    summaries to measure a scatter-gather query's cost.
+    """
+    merged: Dict[str, IOStats] = {}
+    for summary in summaries:
+        for tier, stats in summary.items():
+            merged[tier] = merged.get(tier, IOStats()).combined(stats)
+    return merged
 
 
 @dataclass

@@ -5,18 +5,16 @@ import pytest
 from repro.analysis.metrics import (
     ExperimentRow,
     QueryCost,
-    merge_io_summaries,
-    merge_space_summaries,
-    merge_tree_counters,
     query_cost_from_deltas,
     space_row,
     summarize_rows,
 )
 from repro.analysis.report import format_value, render_comparison, render_table, rows_to_dicts
 from repro.core import ThresholdPolicy, TSBTree, collect_space_stats
-from repro.core.tsb_tree import TreeCounters
+from repro.core.stats import merge_space_summaries
+from repro.core.tsb_tree import TreeCounters, merge_tree_counters
 from repro.storage.costmodel import CostModel
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOStats, merge_io_summaries
 
 
 class TestQueryCost:

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import ShardSpec, StoreConfig, VersionStore
-from repro.api.sharded import ShardedVersionStore
+from tests.crash_harness import crash_and_reopen
 from tests.strategies import small_values
 
 #: A small closed key pool so puts, updates, deletes and queries collide.
@@ -131,26 +131,6 @@ class DictOracle:
             if value is not None:
                 rows.append((stamp, value))
         return rows
-
-
-def crash_and_reopen(store: VersionStore) -> VersionStore:
-    """Crash a WAL store honestly — the unforced log tail and everything in
-    memory are gone — and reopen it from its devices alone."""
-    if isinstance(store, ShardedVersionStore):
-        triples = []
-        for inner in store.shard_stores:
-            inner.log_device.lose_volatile_tail()
-            triples.append((*inner.devices, inner.log_device))
-        return ShardedVersionStore.resume_sharded(
-            store.config,
-            shard_devices=triples,
-            boundaries=store.sharded_engine.boundaries,
-        )
-    store.log_device.lose_volatile_tail()
-    magnetic, historical = store.devices
-    return VersionStore.open(
-        store.config, magnetic=magnetic, historical=historical, log_device=store.log_device
-    )
 
 
 def record_tuple(record):

@@ -279,7 +279,6 @@ class TestTopLevelExports:
         # namespace now exposes their entry points directly.
         from repro import (
             LogManager,
-            RecoverableSystem,
             RecoveryManager,
             Transaction,
             TransactionManager,
@@ -288,7 +287,6 @@ class TestTopLevelExports:
         assert {"LogManager", "RecoveryManager", "Transaction", "TransactionManager"} <= set(
             repro.__all__
         )
-        assert RecoverableSystem is not None
         assert LogManager is not None
         assert RecoveryManager is not None
         assert Transaction is not None

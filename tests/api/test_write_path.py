@@ -21,7 +21,8 @@ from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.api.engine import VersionStoreError
 from repro.core.tsb_tree import TimestampOrderError
 from repro.recovery.replay import replay_device
-from tests.api.test_differential import DictOracle, crash_and_reopen
+from tests.api.test_differential import DictOracle
+from tests.crash_harness import crash_and_reopen
 
 KEY_SPACE = 30
 

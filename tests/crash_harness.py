@@ -1,12 +1,14 @@
-"""Deterministic transactional scripts for crash-injection testing.
+"""The crash harness the suites share: one crash function, the crashable
+fixture built on it, deterministic transactional scripts with their
+durable-prefix oracle, and byte-level replicated crash injection.
 
 The crash-injection methodology is: generate one randomized but fully
 deterministic script of transactional steps, then for every prefix of that
-script build a fresh :class:`~repro.recovery.system.RecoverableSystem`,
-execute the prefix, crash, recover, and compare the recovered tree against
-an independently computed oracle.  The oracle is deliberately trivial — a
-list of (commit LSN, writes) events filtered by what the log had forced at
-the crash — so if the tree and the oracle disagree, recovery is wrong.
+script build a fresh :class:`RecoverableSystem`, execute the prefix, crash,
+recover, and compare the recovered tree against an independently computed
+oracle.  The oracle is deliberately trivial — a list of (commit LSN, writes)
+events filtered by what the log had forced at the crash — so if the tree and
+the oracle disagree, recovery is wrong.
 
 The *committed prefix* a crash must preserve is defined by the log, not by
 the API: a transaction whose ``commit()`` returned but whose commit record
@@ -20,10 +22,104 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.api import ShardedVersionStore, StoreConfig, VersionStore
+from repro.core.policy import SplitPolicy
+from repro.recovery import RecoveryReport
 from repro.recovery.replay import replay_device
-from repro.recovery.system import RecoverableSystem
 from repro.storage.logdevice import LogDevice
+from repro.storage.magnetic import MagneticDisk
 from repro.storage.serialization import Key
+from repro.txn.manager import Transaction, TransactionState
+
+
+def crash_and_reopen(store: VersionStore) -> VersionStore:
+    """Crash a WAL store honestly — the unforced log tail and everything in
+    memory are gone — and reopen it from its devices alone."""
+    if isinstance(store, ShardedVersionStore):
+        triples = []
+        for inner in store.shard_stores:
+            inner.log_device.lose_volatile_tail()
+            triples.append((*inner.devices, inner.log_device))
+        return ShardedVersionStore.resume_sharded(
+            store.config,
+            shard_devices=triples,
+            boundaries=store.sharded_engine.boundaries,
+        )
+    store.log_device.lose_volatile_tail()
+    magnetic, historical = store.devices
+    return VersionStore.open(
+        store.config, magnetic=magnetic, historical=historical, log_device=store.log_device
+    )
+
+
+class RecoverableSystem:
+    """A ``wal=True`` store with its parts in reach and an honest ``crash()``.
+
+    ``tree``, ``log``, ``txns`` and the three devices are the live store's;
+    after :meth:`crash` they are the reopened store's, with LSNs, commit
+    timestamps and transaction ids continuing from what the durable log
+    says.  Passing a bounded ``magnetic`` device is how the failure-injection
+    tests crash the system mid-split; recovery must not depend on
+    ``cache_pages``, and the crash tests run at a single page to hold the
+    pool to that.
+    """
+
+    def __init__(
+        self,
+        page_size: int = 512,
+        policy: Optional[SplitPolicy] = None,
+        group_commit_size: int = 1,
+        magnetic: Optional[MagneticDisk] = None,
+        cache_pages: int = 128,
+    ) -> None:
+        config = StoreConfig(
+            engine="tsb",
+            page_size=page_size,
+            split_policy=policy,
+            cache_pages=cache_pages,
+            wal=True,
+            group_commit_size=group_commit_size,
+        )
+        self._adopt(VersionStore.open(config, magnetic=magnetic))
+
+    def _adopt(self, store: VersionStore) -> None:
+        self.store = store
+        self.tree = store.backend
+        self.log = store.log
+        self.txns = store.txns
+        self.magnetic, self.historical = store.devices
+        self.log_device = store.log_device
+
+    def begin(self) -> Transaction:
+        return self.txns.begin()
+
+    def checkpoint(self, fuzzy: bool = False) -> int:
+        """Take a checkpoint through the log manager; return its LSN."""
+        return self.log.checkpoint(self.tree, self.txns, fuzzy=fuzzy)
+
+    def commit_is_durable(self, txn: Transaction) -> bool:
+        """Whether ``txn``'s commit record would survive a crash right now."""
+        return txn.commit_lsn is not None and self.log.is_durable(txn.commit_lsn)
+
+    def crash(self) -> RecoveryReport:
+        """Crash the system and restart it from the surviving devices.
+
+        What survives is what real hardware keeps — the magnetic pages as of
+        the last full checkpoint (no-steal), the write-once historical
+        regions, and the forced log prefix.  The reopen verifies the rebuilt
+        tree against every structural invariant and raises
+        :class:`~repro.recovery.RecoveryError` on any violation.
+
+        Transaction handles from before the crash are dead: their
+        transactions are marked aborted and their manager is detached from
+        the log, so a stale ``commit()`` raises instead of silently writing
+        into the post-crash log.
+        """
+        for txn in self.txns.active_transactions():
+            txn.state = TransactionState.ABORTED
+        self.txns.log = None
+        self._adopt(crash_and_reopen(self.store))
+        return self.store.recovery_report
 
 
 @dataclass(frozen=True)
@@ -159,7 +255,7 @@ class ScriptRunner:
         """Visible state implied by the durable committed prefix.
 
         ``flushed_lsn`` defaults to the log's current durable horizon —
-        call this *before* :meth:`~repro.recovery.system.RecoverableSystem.crash`
+        call this *before* :meth:`RecoverableSystem.crash`
         (recovery itself appends a fresh checkpoint, moving the horizon).
         """
         if flushed_lsn is None:
@@ -209,7 +305,7 @@ class ReplicatedCrashHarness:
     The correctness claims the harness checks:
 
     * **Prefix consistency** (:meth:`check_survivors`): each live replica's
-      mirror, replayed through :class:`~repro.replication.apply.LogReplayer`,
+      mirror, replayed through :class:`~repro.recovery.replay.LogReplayer`,
       yields exactly the runner's oracle state at that replica's applied LSN
       — no lost committed transaction below it, no phantom above it.
     * **Convergence** (:meth:`converge`): after electing the survivor with

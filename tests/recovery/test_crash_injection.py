@@ -10,9 +10,9 @@ violation).
 
 import pytest
 
-from repro.recovery import RecoverableSystem, ScriptRunner, generate_script
 from repro.replication import replay_device
 from repro.storage.logdevice import LogDevice
+from tests.crash_harness import RecoverableSystem, ScriptRunner, generate_script
 
 KEY_SPACE = 8
 

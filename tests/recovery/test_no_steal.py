@@ -13,6 +13,7 @@ from repro.api import StoreConfig, VersionStore
 from repro.api.adapters import TSBEngine
 from repro.core import TSBTree, check_tree
 from repro.recovery.replay import LogReplayer
+from tests.crash_harness import crash_and_reopen
 
 KEYS = 700
 WRITES = 1500
@@ -33,15 +34,6 @@ def write_stream(store, start, count, acked):
         acked[key] = value
 
 
-def crash_and_reopen(store, config):
-    magnetic, historical = store.devices
-    log_device = store.log_device
-    log_device.lose_volatile_tail()
-    return VersionStore.open(
-        config, magnetic=magnetic, historical=historical, log_device=log_device
-    )
-
-
 @pytest.mark.parametrize("middle", ["nothing", "flush", "space_summary", "engine.checkpoint"])
 @pytest.mark.parametrize("cache_pages", [None, 8, 1], ids=["default-pool", "8-pages", "1-page"])
 def test_a_wal_store_recovers_every_acknowledged_write(cache_pages, middle):
@@ -58,13 +50,13 @@ def test_a_wal_store_recovers_every_acknowledged_write(cache_pages, middle):
     write_stream(store, WRITES // 2, WRITES // 2, acked)
     assert store.backend.magnetic.allocated_pages > 2 * store.backend.cache.capacity
 
-    recovered = crash_and_reopen(store, config)
+    recovered = crash_and_reopen(store)
     assert check_tree(recovered.backend) == []
     assert {key: recovered.get(key).value for key in acked} == acked
     assert len(recovered.range_search()) == len(acked)
     # ... and it goes on: more acknowledged writes, a second crash.
     write_stream(recovered, WRITES, 50, acked)
-    again = crash_and_reopen(recovered, config)
+    again = crash_and_reopen(recovered)
     assert {key: again.get(key).value for key in acked} == acked
 
 
@@ -100,7 +92,7 @@ def test_flush_on_a_wal_store_is_a_checkpoint():
     store.flush()
     assert store.backend.log_anchor > anchor  # a logged checkpoint, not a bare write-back
     write_stream(store, 300, 300, acked)
-    recovered = crash_and_reopen(store, config)
+    recovered = crash_and_reopen(store)
     assert recovered.recovery_report.checkpoint_lsn == store.backend.log_anchor
     assert {key: recovered.get(key).value for key in acked} == acked
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import assert_tree_valid
-from repro.recovery import RecoverableSystem, RecoveryError, RecoveryManager
+from repro.recovery import RecoveryError, RecoveryManager
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.worm import WormDisk
+from tests.crash_harness import RecoverableSystem
 
 
 class TestBasicOutcomes:

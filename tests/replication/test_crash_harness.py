@@ -10,12 +10,12 @@ once the elected leader's suffix is shipped around.
 
 import pytest
 
-from repro.recovery.scripts import (
+from tests.crash_harness import (
+    RecoverableSystem,
     ReplicatedCrashHarness,
     ScriptRunner,
     generate_script,
 )
-from repro.recovery.system import RecoverableSystem
 
 
 def _run_with_ships(harness, script, ship_plan):

@@ -23,7 +23,7 @@ from repro.replication import (
 )
 from repro.replication.cluster import RoutingTable
 from repro.server.protocol import ADMIN, CUTOVER_COMMIT, CUTOVER_PREPARE, OPS
-from tests.api.test_differential import crash_and_reopen
+from tests.crash_harness import crash_and_reopen
 
 
 def _node_config():

@@ -227,13 +227,26 @@ class TestFailover:
         self, sharded_setup
     ):
         _, store, primary = sharded_setup
-        stamps = _write(store, 120)
+        # Whatever the façade acknowledges must reach the followers: batches,
+        # deletes and explicitly stamped inserts alike.
+        stamps = []
+        for i in range(120):
+            key, value = f"k{i % 23:04d}", f"v{i}".encode()
+            if i % 7 == 6:
+                stamps.append(store.delete(key))
+            elif i % 11 == 10:
+                stamps.append(store.insert(key, value, timestamp=store.now + 1))
+            else:
+                stamps += store.put_many([(key, value)])
         replicas = [
             Replica(primary.host, primary.port, name=f"r{i}").start()
             for i in range(2)
         ]
         try:
+            store.checkpoint()  # force the group-commit tail: all of it ships
             assert primary.wait_caught_up(timeout=10)
+            cut, all_keys = store.now, sorted({f"k{i % 23:04d}" for i in range(120)})
+            cut_digest = answers_digest(store, all_keys, [cut])
             primary.kill()  # mid-workload from the replicas' point of view
             for replica in replicas:
                 replica.kill()
@@ -259,11 +272,13 @@ class TestFailover:
                 engine, StoreConfig(engine="tsb", shards=spec)
             )
             probe_keys = engine.keys()
-            assert probe_keys == sorted({f"k{i % 23:04d}" for i in range(120)})
+            assert probe_keys == all_keys
             probe_times = sorted(set(stamps))[::7]
             assert answers_digest(
                 promoted, probe_keys, probe_times
             ) == answers_digest(oracle, probe_keys, probe_times)
+            # ... and equals the primary itself, as it stood caught up.
+            assert answers_digest(promoted, all_keys, [cut]) == cut_digest
             # The promoted store is writable and extends the same timeline.
             new_stamp = promoted.put_many([("k9999", b"after")])[0]
             assert new_stamp > max(

@@ -15,7 +15,7 @@ from repro.server.registry import (
     TenantNotResumableError,
     UnknownTenantError,
 )
-from tests.api.test_differential import crash_and_reopen
+from tests.crash_harness import crash_and_reopen
 
 
 def _sharded_config(shards: int = 4, wal: bool = True) -> StoreConfig:

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AlwaysKeySplitPolicy, AlwaysTimeSplitPolicy, TSBTree, assert_tree_valid
-from repro.recovery import RecoverableSystem
 from repro.storage.device import OutOfSpaceError, WriteOnceViolationError
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.pagecache import PageCache
 from repro.storage.worm import WormDisk
+from tests.crash_harness import RecoverableSystem
 
 
 class TestMagneticExhaustion:

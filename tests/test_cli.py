@@ -1,11 +1,29 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.obs import trace
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Where users and later sessions copy commands from.
+DOCS = ("README.md", ".claude/skills/verify/SKILL.md")
+
+
+def test_setup_py_describes_the_package():
+    described = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert described == ["repro", repro.__version__]
 
 
 class TestParser:
@@ -20,7 +38,6 @@ class TestParser:
         assert args.name == "S3"
         assert args.ops == 500
         assert parser.parse_args(["demo"]).command == "demo"
-        assert parser.parse_args(["crash-demo"]).command == "crash-demo"
 
     def test_engine_flags_parse(self):
         parser = build_parser()
@@ -44,15 +61,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["stats", "--format", "csv"])
 
-    def test_recover_command_parses_its_options(self):
-        args = build_parser().parse_args(
-            ["recover", "--ops", "30", "--seed", "7", "--batch", "4", "--crash-at", "12"]
-        )
-        assert args.command == "recover"
-        assert (args.ops, args.seed, args.batch, args.crash_at) == (30, 7, 4, 12)
-        defaults = build_parser().parse_args(["recover"])
-        assert defaults.crash_at is None
-        assert defaults.batch == 1
+    def test_every_documented_command_parses(self):
+        """A README or verify-skill line naming a command this parser no
+        longer has (or a flag it dropped) fails here, not in a user's shell."""
+        parser = build_parser()
+        rejected = []
+        for doc in DOCS:
+            for number, line in enumerate((ROOT / doc).read_text().splitlines(), 1):
+                for rest in re.findall(r"python -m repro\b([^`\n]*)", line):
+                    argv = shlex.split(rest, comments=True)
+                    if not argv:
+                        continue  # the bare entry point: no command to check
+                    try:
+                        parser.parse_args(argv)
+                    except SystemExit:
+                        rejected.append(f"{doc}:{number}: repro {' '.join(argv)}")
+        assert not rejected, "\n".join(rejected)
 
 
 class TestCommands:
@@ -112,33 +136,6 @@ class TestCommands:
     def test_unknown_study_is_an_error(self, capsys):
         assert main(["study", "S99"]) == 2
         assert "unknown study" in capsys.readouterr().out
-
-    def test_crash_demo(self, capsys):
-        assert main(["crash-demo"]) == 0
-        output = capsys.readouterr().out
-        assert "CRASH" in output
-        assert "recovered from checkpoint LSN" in output
-        assert "alice after recovery         : balance=50" in output
-        assert "carol after recovery         : None" in output
-        assert "alice=120" in output
-
-    def test_recover_single_crash_point(self, capsys):
-        assert main(["recover", "--ops", "30", "--seed", "7", "--crash-at", "15"]) == 0
-        output = capsys.readouterr().out
-        assert "crash at step 15: ok" in output
-        assert "recovery verified: 1 crash point(s)" in output
-
-    def test_recover_rejects_bad_arguments(self, capsys):
-        assert main(["recover", "--ops", "10", "--batch", "0"]) == 2
-        assert "--batch" in capsys.readouterr().out
-        assert main(["recover", "--ops", "10", "--crash-at", "999"]) == 2
-        assert "--crash-at" in capsys.readouterr().out
-
-    def test_recover_every_crash_point_with_group_commit(self, capsys):
-        assert main(["recover", "--ops", "25", "--seed", "3", "--batch", "3"]) == 0
-        output = capsys.readouterr().out
-        assert "recovery verified: 26 crash point(s)" in output
-        assert "group commit batch 3" in output
 
     def test_stats_table_shows_contention_and_cache(self, capsys):
         assert main(["stats", "--ops", "400", "--shards", "2", "--threads", "2"]) == 0

@@ -21,6 +21,7 @@ def test_expected_examples_present():
         "personnel_history.py",
         "design_versions.py",
         "paper_figures.py",
+        "crash_recovery.py",
     } <= set(EXAMPLES)
 
 
@@ -36,6 +37,16 @@ def test_quickstart_shows_temporal_answers(capsys):
     output = capsys.readouterr().out
     assert "balance=50" in output and "balance=30" in output
     assert "Storage summary" in output
+
+
+def test_crash_recovery_keeps_exactly_the_forced_commits(capsys):
+    runpy.run_path(str(EXAMPLES_DIR / "crash_recovery.py"), run_name="__main__")
+    output = capsys.readouterr().out
+    assert "recovered from checkpoint LSN" in output
+    assert "2 committed transactions replayed" in output and "1 losers" in output
+    assert "alice after recovery         : balance=50" in output
+    assert "carol after recovery         : None" in output
+    assert "alice balance=120" in output
 
 
 def test_paper_figures_reports_all_nine(capsys):

@@ -94,7 +94,6 @@ from repro.txn import (
     LockConflictError,
     LockManager,
     LockMode,
-    ReadOnlyTransaction,
     TimestampOracle,
     Transaction,
     TransactionManager,
@@ -121,7 +120,6 @@ __all__ = [
     "LogManager",
     "MagneticDisk",
     "OpticalLibrary",
-    "ReadOnlyTransaction",
     "ReadWriteLatch",
     "ReadView",
     "RecordView",

@@ -10,35 +10,19 @@ protocol.  Construction from a declarative config happens one layer up, in
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional
 
-from repro.api.engine import Capability, RecordView, VersionedEngine, make_view
-from repro.baselines.naive_multiversion import NaiveMultiversionIndex, NaiveRecord
-from repro.core.records import Version
+from repro.api.engine import (
+    Capability,
+    RecordView,
+    VersionedEngine,
+    VersionEvent,
+    make_view,
+)
 from repro.core.stats import collect_space_stats
-from repro.core.tsb_tree import TSBTree
 from repro.storage.iostats import IOStats
 from repro.storage.serialization import Key
-from repro.wobt.nodes import WOBTRecord
-from repro.wobt.wobt_tree import WOBT
-
-
-def _view_from_version(version: Optional[Version]) -> Optional[RecordView]:
-    if version is None or version.is_tombstone or version.timestamp is None:
-        return None
-    return make_view(version.key, version.timestamp, version.value)
-
-
-def _view_from_wobt(record: Optional[WOBTRecord]) -> Optional[RecordView]:
-    if record is None:
-        return None
-    return make_view(record.key, record.timestamp, record.value)
-
-
-def _view_from_naive(key: Key, record: Optional[NaiveRecord]) -> Optional[RecordView]:
-    if record is None:
-        return None
-    return make_view(key, record.timestamp, record.value)
 
 
 def _no_keys_between(low: Optional[Key], high: Optional[Key]) -> bool:
@@ -48,7 +32,69 @@ def _no_keys_between(low: Optional[Key], high: Optional[Key]) -> bool:
     return low is not None and high is not None and not low < high
 
 
-class TSBEngine(VersionedEngine):
+#: The never-mutated zero counters of a tier an engine does not use.
+_ZERO_IO = IOStats()
+
+
+class _BackendEngine(VersionedEngine):
+    """The mandatory reads, stated once over the native method names the
+    three backends share (``search_current``, ``search_as_of``,
+    ``range_search``, ``snapshot``, ``key_history``, ``history_between``,
+    ``now``).  An engine supplies :meth:`_view`, its record →
+    :class:`RecordView` conversion, and what only it can do."""
+
+    def __init__(self, backend) -> None:
+        #: The raw structure (TSBTree, WOBT or naive index).
+        self.backend = backend
+
+    def _view(self, record, key: Optional[Key] = None) -> Optional[RecordView]:
+        """``record`` normalized, or ``None`` for one normalized reads hide.
+        ``key`` is given where the caller knows it and the record may not."""
+        raise NotImplementedError  # pragma: no cover - adapters override
+
+    def _views(self, records, key: Optional[Key] = None) -> List[RecordView]:
+        views = (self._view(record, key) for record in records)
+        return [view for view in views if view is not None]
+
+    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
+        return self.backend.insert(key, value, timestamp=timestamp)
+
+    def get(self, key: Key) -> Optional[RecordView]:
+        return self._view(self.backend.search_current(key), key)
+
+    def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
+        return self._view(self.backend.search_as_of(key, timestamp), key)
+
+    def range_search(
+        self,
+        low: Optional[Key] = None,
+        high: Optional[Key] = None,
+        as_of: Optional[int] = None,
+    ) -> List[RecordView]:
+        if _no_keys_between(low, high):
+            return []
+        return self._views(self.backend.range_search(low, high, as_of=as_of))
+
+    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
+        result: Dict[Key, RecordView] = {}
+        for key, record in self.backend.snapshot(timestamp).items():
+            view = self._view(record, key)
+            if view is not None:
+                result[key] = view
+        return result
+
+    def key_history(self, key: Key) -> List[RecordView]:
+        return self._views(self.backend.key_history(key), key)
+
+    def history_between(self, key: Key, start: int, end: int) -> List[RecordView]:
+        return self._views(self.backend.history_between(key, start, end), key)
+
+    @property
+    def now(self) -> int:
+        return self.backend.now
+
+
+class TSBEngine(_BackendEngine):
     """The TSB-tree behind the uniform protocol (the paper's contribution)."""
 
     name = "tsb"
@@ -63,61 +109,19 @@ class TSBEngine(VersionedEngine):
         }
     )
 
-    def __init__(self, tree: TSBTree) -> None:
-        self.tree = tree
+    def _view(self, version, key=None) -> Optional[RecordView]:
+        if version is None or version.is_tombstone or version.timestamp is None:
+            return None
+        return make_view(version.key, version.timestamp, version.value)
 
-    @property
-    def backend(self) -> TSBTree:
-        return self.tree
-
-    # -- writes ---------------------------------------------------------
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
-        return self.tree.insert(key, value, timestamp=timestamp)
-
+    # -- what only the tree can do --------------------------------------
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
-        return self.tree.delete(key, timestamp=timestamp)
-
-    # -- reads ----------------------------------------------------------
-    def get(self, key: Key) -> Optional[RecordView]:
-        return _view_from_version(self.tree.search_current(key))
-
-    def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
-        return _view_from_version(self.tree.search_as_of(key, timestamp))
-
-    def range_search(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        as_of: Optional[int] = None,
-    ) -> List[RecordView]:
-        if _no_keys_between(low, high):
-            return []
-        views = (
-            _view_from_version(version)
-            for version in self.tree.range_search(low, high, as_of=as_of)
-        )
-        return [view for view in views if view is not None]
-
-    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        result: Dict[Key, RecordView] = {}
-        for key, version in self.tree.snapshot(timestamp).items():
-            view = _view_from_version(version)
-            if view is not None:
-                result[key] = view
-        return result
-
-    def key_history(self, key: Key) -> List[RecordView]:
-        views = (_view_from_version(v) for v in self.tree.key_history(key))
-        return [view for view in views if view is not None]
-
-    def history_between(self, key: Key, start: int, end: int) -> List[RecordView]:
-        views = (_view_from_version(v) for v in self.tree.history_between(key, start, end))
-        return [view for view in views if view is not None]
+        return self.backend.delete(key, timestamp=timestamp)
 
     def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
         if _no_keys_between(low, high):
             return []
-        return self.tree.keys(low, high)
+        return self.backend.keys(low, high)
 
     def time_slice(
         self,
@@ -131,30 +135,35 @@ class TSBEngine(VersionedEngine):
         result: Dict[Key, List[RecordView]] = {}
         if _no_keys_between(low, high):
             return result
-        for key, versions in self.tree.time_slice(start, end, low=low, high=high).items():
-            views = [
-                make_view(v.key, v.timestamp, v.value)
-                for v in versions
-                if not v.is_tombstone and v.timestamp is not None
-            ]
+        for key, versions in self.backend.time_slice(start, end, low=low, high=high).items():
+            views = self._views(versions)
             if views:
                 result[key] = views
         return result
 
+    def export_range(
+        self, low: Optional[Key] = None, high: Optional[Key] = None
+    ) -> List[VersionEvent]:
+        # Normalized reads hide tombstones; a moved history must keep them.
+        if _no_keys_between(low, high):
+            return []
+        tree = self.backend
+        events = [
+            (version.timestamp, key, version.is_tombstone, version.value)
+            for key, versions in tree.time_slice(0, tree.now + 1, low, high).items()
+            for version in versions
+        ]
+        events.sort(key=itemgetter(0))
+        return events
+
     def has_version_at(self, key: Key, timestamp: int) -> bool:
-        # The raw history includes tombstones, which normalized reads hide;
-        # a tombstone still occupies its (key, timestamp) slot.
-        return any(
-            version.timestamp == timestamp for version in self.tree.key_history(key)
-        )
+        # A tombstone, which normalized reads hide, still occupies its
+        # (key, timestamp) slot: ask the tree, not get_as_of.
+        return self.backend.has_version_at(key, timestamp)
 
-    # -- clock / accounting ---------------------------------------------
-    @property
-    def now(self) -> int:
-        return self.tree.now
-
+    # -- accounting ---------------------------------------------------
     def space_summary(self) -> Dict[str, float]:
-        stats = collect_space_stats(self.tree)
+        stats = collect_space_stats(self.backend)
         return {
             "magnetic_bytes": stats.magnetic_bytes_used,
             "historical_bytes": stats.historical_bytes_used,
@@ -165,24 +174,24 @@ class TSBEngine(VersionedEngine):
 
     def io_summary(self) -> Dict[str, IOStats]:
         return {
-            "magnetic": self.tree.magnetic.stats,
-            "historical": self.tree.historical.stats,
+            "magnetic": self.backend.magnetic.stats,
+            "historical": self.backend.historical.stats,
         }
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
-        self.tree.flush()
+        self.backend.flush()
 
     def checkpoint(self) -> None:
-        self.tree.checkpoint()
+        self.backend.checkpoint()
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
         """Go cold: flush, then empty the tree's buffer pool (the one cache
         there is), so the IO studies' next query reads the device."""
-        self.tree.drop_caches(capacity)
+        self.backend.drop_caches(capacity)
 
 
-class WOBTEngine(VersionedEngine):
+class WOBTEngine(_BackendEngine):
     """Easton's Write-Once B-tree behind the uniform protocol.
 
     Everything lives on write-once sectors and every burn is immediately
@@ -193,60 +202,14 @@ class WOBTEngine(VersionedEngine):
     name = "wobt"
     capabilities = frozenset()
 
-    def __init__(self, wobt: WOBT) -> None:
-        self.wobt = wobt
-        self._zero_io = IOStats()
+    def _view(self, record, key=None) -> Optional[RecordView]:
+        if record is None:
+            return None
+        return make_view(record.key, record.timestamp, record.value)
 
-    @property
-    def backend(self) -> WOBT:
-        return self.wobt
-
-    # -- writes ---------------------------------------------------------
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
-        return self.wobt.insert(key, value, timestamp=timestamp)
-
-    # -- reads ----------------------------------------------------------
-    def get(self, key: Key) -> Optional[RecordView]:
-        return _view_from_wobt(self.wobt.search_current(key))
-
-    def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
-        return _view_from_wobt(self.wobt.search_as_of(key, timestamp))
-
-    def range_search(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        as_of: Optional[int] = None,
-    ) -> List[RecordView]:
-        views = (
-            _view_from_wobt(record)
-            for record in self.wobt.range_search(low, high, as_of=as_of)
-        )
-        return [view for view in views if view is not None]
-
-    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        result: Dict[Key, RecordView] = {}
-        for key, record in self.wobt.snapshot(timestamp).items():
-            view = _view_from_wobt(record)
-            if view is not None:
-                result[key] = view
-        return result
-
-    def key_history(self, key: Key) -> List[RecordView]:
-        views = (_view_from_wobt(r) for r in self.wobt.key_history(key))
-        return [view for view in views if view is not None]
-
-    def history_between(self, key: Key, start: int, end: int) -> List[RecordView]:
-        views = (_view_from_wobt(r) for r in self.wobt.history_between(key, start, end))
-        return [view for view in views if view is not None]
-
-    # -- clock / accounting ---------------------------------------------
-    @property
-    def now(self) -> int:
-        return self.wobt.now
-
+    # -- accounting ---------------------------------------------------
     def space_summary(self) -> Dict[str, float]:
-        stats = self.wobt.space_stats()
+        stats = self.backend.space_stats()
         return {
             "magnetic_bytes": 0,
             "historical_bytes": stats.bytes_used,
@@ -256,7 +219,7 @@ class WOBTEngine(VersionedEngine):
         }
 
     def io_summary(self) -> Dict[str, IOStats]:
-        return {"magnetic": self._zero_io, "historical": self.wobt.worm.stats}
+        return {"magnetic": _ZERO_IO, "historical": self.backend.worm.stats}
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
         """Drop the decoded-node views so reads hit the WORM sectors again.
@@ -266,72 +229,25 @@ class WOBTEngine(VersionedEngine):
         re-warms without limit as queries run.
         """
         del capacity
-        self.wobt.drop_view_cache()
+        self.backend.drop_view_cache()
 
 
-class NaiveEngine(VersionedEngine):
+class NaiveEngine(_BackendEngine):
     """The all-versions-on-magnetic B+-tree baseline behind the protocol."""
 
     name = "naive"
     capabilities = frozenset({Capability.FLUSH})
 
-    def __init__(self, index: NaiveMultiversionIndex) -> None:
-        self.index = index
-        self._zero_io = IOStats()
+    def _view(self, record, key=None) -> Optional[RecordView]:
+        if record is None:
+            return None
+        if key is None:  # a range_search row is a (key, record) pair
+            key, record = record
+        return make_view(key, record.timestamp, record.value)
 
-    @property
-    def backend(self) -> NaiveMultiversionIndex:
-        return self.index
-
-    # -- writes ---------------------------------------------------------
-    def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
-        return self.index.insert(key, value, timestamp=timestamp)
-
-    # -- reads ----------------------------------------------------------
-    def get(self, key: Key) -> Optional[RecordView]:
-        return _view_from_naive(key, self.index.search_current(key))
-
-    def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
-        return _view_from_naive(key, self.index.search_as_of(key, timestamp))
-
-    def range_search(
-        self,
-        low: Optional[Key] = None,
-        high: Optional[Key] = None,
-        as_of: Optional[int] = None,
-    ) -> List[RecordView]:
-        views = (
-            _view_from_naive(key, record)
-            for key, record in self.index.range_search(low, high, as_of=as_of)
-        )
-        return [view for view in views if view is not None]
-
-    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        result: Dict[Key, RecordView] = {}
-        for key, record in self.index.snapshot(timestamp).items():
-            view = _view_from_naive(key, record)
-            if view is not None:
-                result[key] = view
-        return result
-
-    def key_history(self, key: Key) -> List[RecordView]:
-        views = (_view_from_naive(key, r) for r in self.index.key_history(key))
-        return [view for view in views if view is not None]
-
-    def history_between(self, key: Key, start: int, end: int) -> List[RecordView]:
-        views = (
-            _view_from_naive(key, r)
-            for r in self.index.history_between(key, start, end)
-        )
-        return [view for view in views if view is not None]
-
-    # -- clock / accounting ---------------------------------------------
-    @property
-    def now(self) -> int:
-        return self.index.now
-
+    # -- accounting ---------------------------------------------------
     def space_summary(self) -> Dict[str, float]:
-        stats = self.index.space_stats()
+        stats = self.backend.space_stats()
         return {
             "magnetic_bytes": stats.magnetic_bytes_used,
             "historical_bytes": 0,
@@ -341,17 +257,17 @@ class NaiveEngine(VersionedEngine):
         }
 
     def io_summary(self) -> Dict[str, IOStats]:
-        return {"magnetic": self.index.tree.magnetic.stats, "historical": self._zero_io}
+        return {"magnetic": self.backend.tree.magnetic.stats, "historical": _ZERO_IO}
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
-        self.index.tree.cache.flush()
+        self.backend.tree.cache.flush()
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
         """Go cold: flush, then empty the B+-tree's buffer pool (same size
         unless told)."""
-        self.index.tree.cache.flush()
-        self.index.tree.cache.drop_clean(capacity)
+        self.backend.tree.cache.flush()
+        self.backend.tree.cache.drop_clean(capacity)
 
 
 #: Engine-name registry used by StoreConfig and the CLI ``--engine`` flags.

@@ -26,10 +26,15 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.storage.iostats import IOStats
 from repro.storage.serialization import Key
+
+
+#: One committed version on the move: ``(timestamp, key, is_tombstone, value)``.
+VersionEvent = Tuple[int, Key, bool, bytes]
 
 
 class VersionStoreError(Exception):
@@ -204,13 +209,29 @@ class VersionedEngine(abc.ABC):
                 sliced[key] = records
         return sliced
 
+    def export_range(
+        self, low: Optional[Key] = None, high: Optional[Key] = None
+    ) -> List[VersionEvent]:
+        """Every committed version of the keys in ``[low, high)``, time-ordered
+        (every engine rejects backdated commits) — how a key range's history
+        leaves an engine.  The default, a :meth:`time_slice` over all time, is
+        complete only for an engine without :attr:`Capability.DELETE`:
+        normalized reads hide tombstones."""
+        events = [
+            (record.timestamp, key, False, record.value)
+            for key, records in self.time_slice(0, self.now + 1, low, high).items()
+            for record in records
+        ]
+        events.sort(key=itemgetter(0))
+        return events
+
     def has_version_at(self, key: Key, timestamp: int) -> bool:
         """Whether ``key`` already has a version stamped exactly ``timestamp``.
 
         Used by the façade's one-version-per-(key, timestamp) guard.  The
         default probes :meth:`get_as_of`; engines whose histories can hold
         records invisible to normalized reads (the TSB-tree's tombstones)
-        must override it to consult the raw history.
+        must override it to ask the raw structure.
         """
         record = self.get_as_of(key, timestamp)
         return record is not None and record.timestamp == timestamp

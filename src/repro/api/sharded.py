@@ -454,29 +454,35 @@ class ShardedEngine(VersionedEngine):
     def get_as_of(self, key: Key, timestamp: int) -> Optional[RecordView]:
         return self._store_for(key).engine.get_as_of(key, timestamp)
 
+    def _shards_overlapping(self, low: Optional[Key], high: Optional[Key]) -> range:
+        """The shards whose key range meets ``[low, high)`` — the only ones a
+        bounded scatter read asks."""
+        first = 0 if low is None else self.shard_index(low)
+        # bisect_left for the exclusive high bound: when high sits exactly
+        # on a shard boundary, the shard starting at high can never match.
+        last = len(self.boundaries) if high is None else bisect_left(self.boundaries, high)
+        return range(first, last + 1)
+
+    def _scatter(self, label: str, shards: Sequence[int], *args) -> list:
+        """``engine.<label>(*args)`` of each of ``shards``, in shard order —
+        so per-shard key-sorted answers concatenate key-sorted."""
+        return self._gather(
+            [
+                lambda store=self.stores[index]: getattr(store.engine, label)(*args)
+                for index in shards
+            ],
+            label=label,
+            indices=shards,
+        )
+
     def range_search(
         self,
         low: Optional[Key] = None,
         high: Optional[Key] = None,
         as_of: Optional[int] = None,
     ) -> List[RecordView]:
-        first = 0 if low is None else self.shard_index(low)
-        # bisect_left for the exclusive high bound: when high sits exactly
-        # on a shard boundary, the shard starting at high can never match.
-        last = (
-            len(self.stores) - 1
-            if high is None
-            else bisect_left(self.boundaries, high)
-        )
-        per_shard = self._gather(
-            [
-                lambda index=index: self.stores[index].engine.range_search(
-                    low, high, as_of=as_of
-                )
-                for index in range(first, last + 1)
-            ],
-            label="range_search",
-            indices=range(first, last + 1),
+        per_shard = self._scatter(
+            "range_search", self._shards_overlapping(low, high), low, high, as_of
         )
         merge_started = perf_counter()
         results: List[RecordView] = []
@@ -485,13 +491,7 @@ class ShardedEngine(VersionedEngine):
         self._record_merge(merge_started)
         return results
 
-    def _gather_merged(self, label: str, *args) -> dict:
-        """Every shard's ``engine.<label>(*args)`` dict, merged in shard
-        order — so per-shard key-sorted answers stay key-sorted."""
-        per_shard = self._gather(
-            [lambda store=store: getattr(store.engine, label)(*args) for store in self.stores],
-            label=label,
-        )
+    def _merged(self, per_shard: Sequence[dict]) -> dict:
         merge_started = perf_counter()
         merged: dict = {}
         for piece in per_shard:
@@ -500,7 +500,7 @@ class ShardedEngine(VersionedEngine):
         return merged
 
     def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        return self._gather_merged("snapshot", timestamp)
+        return self._merged(self._scatter("snapshot", range(len(self.stores)), timestamp))
 
     def time_slice(
         self,
@@ -509,10 +509,15 @@ class ShardedEngine(VersionedEngine):
         low: Optional[Key] = None,
         high: Optional[Key] = None,
     ) -> Dict[Key, List[RecordView]]:
-        return self._gather_merged("time_slice", start, end, low, high)
+        shards = self._shards_overlapping(low, high)
+        return self._merged(self._scatter("time_slice", shards, start, end, low, high))
 
     def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
-        return [key for store in self.stores for key in store.engine.keys(low, high)]
+        return [
+            key
+            for index in self._shards_overlapping(low, high)
+            for key in self.stores[index].engine.keys(low, high)
+        ]
 
     def key_history(self, key: Key) -> List[RecordView]:
         return self._store_for(key).engine.key_history(key)
@@ -664,31 +669,12 @@ class ShardedEngine(VersionedEngine):
 
         The one way a key range's history leaves a store (a shard split, an
         online migration); :meth:`VersionStore.import_events` is the one way
-        it arrives.  One walk of the shard's structure — a time slice over
-        all of time.  Tombstones are kept (normalized reads hide them, so
-        the TSB-tree is asked directly), provisional versions are not, and
-        the order is by timestamp because every engine rejects backdated
-        commits.  The caller holds the store's latch.
+        it arrives.  One walk of the shard's structure — the engine's
+        :meth:`~repro.api.engine.VersionedEngine.export_range`: tombstones
+        are kept, provisional versions are not.  The caller holds the
+        store's latch.
         """
-        if low is not None and high is not None and not low < high:
-            return []
-        store = self.stores[index]
-        backend = store.backend
-        events: List[VersionEvent]
-        if isinstance(backend, TSBTree):
-            events = [
-                (version.timestamp, key, version.is_tombstone, version.value)
-                for key, versions in backend.time_slice(0, backend.now + 1, low, high).items()
-                for version in versions
-            ]
-        else:
-            events = [
-                (record.timestamp, key, False, record.value)
-                for key, records in store.engine.time_slice(0, store.now + 1, low, high).items()
-                for record in records
-            ]
-        events.sort(key=lambda event: event[0])
-        return events
+        return self.stores[index].engine.export_range(low, high)
 
 
 class ShardedVersionStore(VersionStore):

@@ -57,6 +57,25 @@ holds every record lock, and the checks that need a quiescent store (still
 open; one version per ``(key, timestamp)``) run inside that latch hold, not
 around it — a façade write to a key an open transaction holds waits for the
 commit without holding the tree hostage.
+
+The read path
+-------------
+Every read is the paper's one search rule — ignore what was stamped after
+``T``, take the last entry before it — over a rectangle of the key x time
+plane, under the latch held shared.  A point read is one descent.  Every
+multi-key read of a TSB store is one of two walks of the tree
+(:mod:`repro.core.tsb_tree`): the *as-of walk* (``range_search``,
+``snapshot``, ``keys``; each node answers for the keys it owns at that time,
+nothing is de-duplicated) and the *history gather* (``key_history``,
+``history_between``, ``time_slice``, ``export_range``; a version a time split
+copied is de-duplicated by identity).  Above the backends one adapter base
+(:mod:`repro.api.adapters`) states the reads once and normalizes records to
+:class:`~repro.api.engine.RecordView`; a sharded store asks only the shards
+a bounded read overlaps.  :class:`ReadView` is the one pinned-read handle:
+``read_view(as_of)`` pins any engine at any time, ``begin_readonly()`` pins a
+TSB store at its commit clock — the paper's read-only transaction (section
+4.1), which takes no record lock because a reader in the past conflicts with
+nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +93,7 @@ from repro.api.adapters import (
     VersionedEngine,
     WOBTEngine,
 )
-from repro.api.engine import Capability, RecordView, VersionStoreError
+from repro.api.engine import Capability, RecordView, VersionEvent, VersionStoreError
 from repro.baselines.naive_multiversion import NaiveMultiversionIndex
 from repro.core.policy import (
     AlwaysKeySplitPolicy,
@@ -101,11 +120,6 @@ from repro.storage.worm import WormDisk
 from repro.wobt.wobt_tree import WOBT
 from repro.txn.clock import TimestampOracle
 from repro.txn.manager import Transaction, TransactionManager
-from repro.txn.readonly import ReadOnlyTransaction
-
-
-#: One committed version on the move: ``(timestamp, key, is_tombstone, value)``.
-VersionEvent = Tuple[int, Key, bool, bytes]
 
 
 class StoreClosedError(VersionStoreError):
@@ -958,12 +972,14 @@ class VersionStore:
         assert self._txns is not None
         return self._txns.begin()
 
-    def begin_readonly(self) -> ReadOnlyTransaction:
-        """Start a lock-free read-only transaction stamped at its start time."""
+    def begin_readonly(self) -> ReadView:
+        """The paper's read-only transaction (section 4.1): a view pinned at
+        the commit clock's read timestamp — it takes no record locks, never
+        sees a provisional version and no later commit can precede it."""
         self._ensure_open()
         self._engine.require(Capability.TRANSACTIONS)
         assert self._txns is not None
-        return self._txns.begin_readonly()
+        return self.read_view(self._txns.clock.read_timestamp())
 
     def commit_is_durable(self, txn: Transaction) -> bool:
         """Whether ``txn``'s commit record is in the forced log prefix (WAL only)."""

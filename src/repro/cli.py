@@ -497,7 +497,7 @@ def command_trace(args: argparse.Namespace) -> int:
             trace.clear()  # the exported file shows only the traced op
             with trace.span(f"cli.{args.op}"):
                 if args.op == "time_slice":
-                    store.time_slice(max(1, final // 2), final, 0, key_space // 2)
+                    store.time_slice(max(1, final // 2), final)  # unbounded: every shard
                 elif args.op == "range":
                     store.range_search()
                 elif args.op == "snapshot":

@@ -6,14 +6,17 @@ magnetic disk and are split B+-tree style by key or migrated by time; the
 historical halves of time splits are consolidated and appended to a
 write-once historical device.  One tree answers:
 
-* current lookups (``search_current``),
-* as-of lookups (``search_as_of``) — the record valid at an earlier time,
-* snapshots and range scans at any time (``snapshot``, ``range_search``),
-* full version histories of a key (``key_history``),
+* current and as-of lookups (``search_current``, ``search_as_of``) — one
+  descent to the leaf whose rectangle owns ``(key, time)``,
+* snapshots, range scans and key listings at one time (``snapshot``,
+  ``range_search``, ``keys``) — the as-of walk, ``_versions_as_of``,
+* version histories over a time span (``key_history``, ``history_between``,
+  ``time_slice``) — the history gather, ``_gather_history``,
 
-and supports the transaction-processing features of section 4: provisional
-(uncommitted) versions that are never migrated and can be erased on abort,
-and commit stamping.
+every multi-key read being one of those two walks of a rectangle of the key x
+time plane, and supports the transaction-processing features of section 4:
+provisional (uncommitted) versions that are never migrated and can be erased
+on abort, and commit stamping.
 
 The tree is deliberately explicit about its storage interactions: every node
 it touches is read from and written to the simulated devices as a serialized
@@ -24,6 +27,7 @@ byte-accurate, not estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, decode_node
@@ -68,6 +72,16 @@ HistoricalDevice = Union[WormDisk, "object"]
 
 #: `_load_node` runs several times per operation; the tier test is inlined.
 _MAGNETIC = Tier.MAGNETIC
+
+
+def _keys_within(node: DataNode, low: Optional[Key], high: Optional[Key]) -> List[Key]:
+    """The keys ``node`` stores that lie in ``[low, high)``."""
+    keys = node.keys()
+    if low is not None:
+        keys = [key for key in keys if not key < low]
+    if high is not None:
+        keys = [key for key in keys if key < high]
+    return keys
 
 
 def _open_page(address: Address, image: bytes) -> Union[DataNode, IndexNode]:
@@ -281,26 +295,17 @@ class TSBTree:
         :meth:`abort_provisional` (paper section 4).  Re-writing a key inside
         the same transaction replaces the earlier provisional version.
         """
-        self._remove_existing_provisional(key, txn_id)
         version = Version(key=key, timestamp=None, value=bytes(value), txn_id=txn_id)
         self._insert_version(version)
         self.counters.provisional_writes += 1
 
     def delete_provisional(self, key: Key, txn_id: int) -> None:
         """Write an uncommitted tombstone on behalf of ``txn_id``."""
-        self._remove_existing_provisional(key, txn_id)
         version = Version(
             key=key, timestamp=None, value=b"", txn_id=txn_id, is_tombstone=True
         )
         self._insert_version(version)
         self.counters.provisional_writes += 1
-
-    def _remove_existing_provisional(self, key: Key, txn_id: int) -> None:
-        node = self._descend_to_current_leaf(key)
-        existing = node.provisional_for_key(key, txn_id)
-        if existing is not None:
-            node.remove_version(existing)
-            self._store_node(node)
 
     def commit_provisional(self, txn_id: int, keys: Iterable[Key], commit_timestamp: int) -> None:
         """Stamp transaction ``txn_id``'s provisional versions with its commit time."""
@@ -358,30 +363,22 @@ class TSBTree:
         node = self._descend_to_leaf(key, timestamp)
         return node.version_as_of(key, timestamp)
 
+    def has_version_at(self, key: Key, timestamp: int) -> bool:
+        """Whether a committed version of ``key`` — a tombstone counts — is
+        stamped exactly ``timestamp``: one descent to the leaf that owns
+        ``(key, timestamp)``, which holds every version created in its span."""
+        node = self._descend_to_leaf(key, timestamp)
+        return any(v.timestamp == timestamp for v in node.versions_for_key(key))
+
     def key_history(self, key: Key) -> List[Version]:
         """Every committed version of ``key``, oldest first, duplicates removed."""
-        region = Rectangle(self._point_key_range(key), TimeRange(0, None))
-        seen: Set[Tuple] = set()
-        history: List[Version] = []
-        for node in self._iter_data_nodes(region):
-            for version in node.versions_for_key(key):
-                if version.timestamp is None:
-                    continue
-                identity = version.identity()
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                history.append(version)
-        history.sort(key=lambda v: v.timestamp)  # type: ignore[arg-type]
-        return history
+        successor = key + 1 if isinstance(key, int) else key + "\x00"
+        return self._gather_history(key, successor, 0, None).get(key, [])
 
     def history_between(self, key: Key, start: int, end: int) -> List[Version]:
-        """Versions of ``key`` that were valid at some point in ``[start, end)``.
-
-        This is the time-slice query of temporal databases: it returns the
-        version valid at ``start`` (if any) followed by every version created
-        inside the interval, oldest first.
-        """
+        """Versions of ``key`` valid at some point in ``[start, end)`` (the
+        time-slice query of temporal databases): the one valid at ``start``,
+        if any, then every version created inside the interval, oldest first."""
         return records_valid_between(self.key_history(key), start, end)
 
     def time_slice(
@@ -391,61 +388,24 @@ class TSBTree:
         low: Optional[Key] = None,
         high: Optional[Key] = None,
     ) -> Dict[Key, List[Version]]:
-        """``history_between`` for every key in ``[low, high)``, in one tree walk.
-
-        Equivalent to ``{k: history_between(k, start, end)}`` over all keys,
-        but walks the key x ``[start, end)`` rectangle once instead of doing
-        one root-to-leaf descent per key.  Correctness rests on two TSB-tree
-        invariants: a node overlapping the query rectangle contains the
-        version of each of its keys valid at the node's start time (the
-        redundancy written by time splits), and every version created inside
-        the node's time span for its key range is stored in it.  The per-key
-        version lists gathered from the scanned nodes are therefore
-        suffix-closed over ``[start, end)`` — any version old enough to be
-        missing has a successor in the list at or before ``start`` — which is
-        exactly what :func:`records_valid_between` needs to produce the same
-        answer as the full per-key history.
+        """``history_between`` for every key in ``[low, high)``, in one tree
+        walk instead of one root-to-leaf descent per key.
 
         Tombstone versions are returned (callers present or filter them);
         provisional versions are not.  Keys whose slice is empty are omitted.
         """
         if end <= start:
             return {}
-        key_range = KeyRange(low, high)
-        region = Rectangle(key_range, TimeRange(start, end))
-        gathered: Dict[Key, Dict[Tuple, Version]] = {}
-        for node in self._iter_data_nodes(region):
-            for key in node.keys():
-                if not key_range.contains(key):
-                    continue
-                bucket = gathered.setdefault(key, {})
-                for version in node.versions_for_key(key):
-                    if version.timestamp is None:
-                        continue
-                    bucket[version.identity()] = version
-        result: Dict[Key, List[Version]] = {}
-        for key in sorted(gathered):
-            history = sorted(
-                gathered[key].values(), key=lambda v: v.timestamp  # type: ignore[arg-type]
-            )
+        sliced: Dict[Key, List[Version]] = {}
+        for key, history in self._gather_history(low, high, start, end).items():
             records = records_valid_between(history, start, end)
             if records:
-                result[key] = records
-        return result
+                sliced[key] = records
+        return sliced
 
     def snapshot(self, timestamp: int) -> Dict[Key, Version]:
         """The state of the database as of ``timestamp`` (paper section 2.5)."""
-        region = Rectangle(KeyRange.full(), TimeRange(timestamp, timestamp + 1))
-        result: Dict[Key, Version] = {}
-        for node in self._iter_data_nodes(region):
-            responsibility = node.region
-            for key in node.keys():
-                if not responsibility.contains_point(key, timestamp):
-                    continue
-                valid = node.version_as_of(key, timestamp)
-                if valid is not None:
-                    result[key] = valid
-        return result
+        return {v.key: v for v in self._versions_as_of(None, None, timestamp)}
 
     def range_search(
         self,
@@ -455,38 +415,77 @@ class TSBTree:
     ) -> List[Version]:
         """Versions of keys in ``[low, high)`` valid at ``as_of`` (default: now)."""
         timestamp = self._max_committed_ts if as_of is None else as_of
-        key_range = KeyRange(low, high)
-        region = Rectangle(key_range, TimeRange(timestamp, timestamp + 1))
-        results: Dict[Key, Version] = {}
-        for node in self._iter_data_nodes(region):
-            responsibility = node.region
-            for key in node.keys():
-                if not key_range.contains(key):
-                    continue
-                if not responsibility.contains_point(key, timestamp):
-                    continue
-                valid = node.version_as_of(key, timestamp)
-                if valid is not None:
-                    results[key] = valid
-        return [results[key] for key in sorted(results)]
+        return self._versions_as_of(low, high, timestamp)
 
     def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
         """Sorted keys in ``[low, high)`` with a committed version, logically
-        deleted ones included — one walk of the current data nodes: a time
-        split leaves each key's newest version in the current node."""
-        timestamp = self._max_committed_ts
-        key_range = KeyRange(low, high)
-        region = Rectangle(key_range, TimeRange(timestamp, timestamp + 1))
-        found: Set[Key] = set()
-        for node in self._iter_data_nodes(region):
-            for key in node.keys():
-                if key_range.contains(key) and node.latest_for_key(key) is not None:
-                    found.add(key)
-        return sorted(found)
+        deleted ones included."""
+        newest = self._versions_as_of(low, high, self._max_committed_ts, tombstones=True)
+        return [version.key for version in newest]
 
     def current_keys(self) -> List[Key]:
         """Sorted keys with a live (non-tombstoned) current version."""
         return [version.key for version in self.range_search()]
+
+    # ------------------------------------------------------------------
+    # The two walks under every multi-key read
+    # ------------------------------------------------------------------
+    def _versions_as_of(
+        self, low: Optional[Key], high: Optional[Key], timestamp: int, tombstones: bool = False
+    ) -> List[Version]:
+        """The as-of walk: the version valid at ``timestamp`` of each key in
+        ``[low, high)``, key-sorted — the paper's search rule ("ignore entries
+        stamped after T, take the last one before it") over a key range.
+
+        The data nodes' rectangles partition the key x time plane and a time
+        split copies the versions alive at the split time into the newer
+        node, so each visited node answers for its own keys and nothing is
+        de-duplicated across nodes.  ``tombstones`` keeps logically deleted
+        keys; it is offered at ``now`` only, where a key's latest committed
+        version *is* the one valid at ``timestamp``.
+        """
+        region = Rectangle(KeyRange(low, high), TimeRange(timestamp, timestamp + 1))
+        found: List[Version] = []
+        for node in self._iter_data_nodes(region):
+            for key in _keys_within(node, low, high):
+                if tombstones:
+                    valid = node.latest_for_key(key)
+                else:
+                    valid = node.version_as_of(key, timestamp)
+                if valid is not None:
+                    found.append(valid)
+        found.sort(key=attrgetter("key"))
+        return found
+
+    def _gather_history(
+        self, low: Optional[Key], high: Optional[Key], start: int, end: Optional[int]
+    ) -> Dict[Key, List[Version]]:
+        """The history gather: for each key in ``[low, high)``, its distinct
+        committed versions (tombstones included) from every data node
+        overlapping the key range x ``[start, end)``, oldest first, key-sorted.
+
+        Over all time that is the key's whole history.  Over a bounded span
+        two TSB-tree invariants make it enough: a node overlapping the query
+        rectangle contains the version of each of its keys valid at the
+        node's start time (the redundancy written by time splits), and every
+        version created inside the node's time span for its key range is
+        stored in it.  The gathered lists are therefore suffix-closed over
+        ``[start, end)`` — any version old enough to be missing has a
+        successor in the list at or before ``start`` — which is exactly what
+        :func:`records_valid_between` needs to slice them as it would the
+        full history.  A version copied by time splits turns up in every node
+        holding it; its identity de-duplicates it.
+        """
+        region = Rectangle(KeyRange(low, high), TimeRange(start, end))
+        gathered: Dict[Key, Dict[Tuple, Version]] = {}
+        for node in self._iter_data_nodes(region):
+            for key in _keys_within(node, low, high):
+                bucket = gathered.setdefault(key, {})
+                for version in node.versions_for_key(key):
+                    if version.timestamp is not None:
+                        bucket[version.identity()] = version
+        oldest_first = attrgetter("timestamp")
+        return {key: sorted(gathered[key].values(), key=oldest_first) for key in sorted(gathered)}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -773,6 +772,12 @@ class TSBTree:
     ) -> Optional[List[IndexEntry]]:
         node = self.cache.read(address)  # the current path is all magnetic
         if isinstance(node, DataNode):
+            if version.timestamp is None:
+                # A rewrite inside a transaction replaces its earlier version
+                # of the key — here, on the leaf, once the size probe passed.
+                earlier = node.provisional_for_key(version.key, version.txn_id)
+                if earlier is not None:
+                    node.remove_version(earlier)
             if node.fits(self.page_size, extra=version):
                 self._note_superseded(node, version)
                 node.add_version(version)
@@ -996,16 +1001,6 @@ class TSBTree:
             self._store_node(node)
             return [IndexEntry(child=node.address, region=node.region)]
         return self._perform_index_split(node)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _point_key_range(key: Key) -> KeyRange:
-        """A key range containing exactly ``key`` (used for history scans)."""
-        if isinstance(key, int):
-            return KeyRange(key, key + 1)
-        return KeyRange(key, key + "\x00")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,13 +8,11 @@ from repro.txn.manager import (
     TransactionManager,
     TransactionState,
 )
-from repro.txn.readonly import ReadOnlyTransaction
 
 __all__ = [
     "LockConflictError",
     "LockManager",
     "LockMode",
-    "ReadOnlyTransaction",
     "TimestampOracle",
     "Transaction",
     "TransactionError",

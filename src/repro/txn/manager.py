@@ -12,8 +12,11 @@ describes:
   version with it, making the versions visible to readers.
 * **Abort** erases the provisional versions and releases the locks; nothing
   of the transaction remains in either database.
-* **Read-only transactions** (:mod:`repro.txn.readonly`) are stamped when
-  they start and read the tree without any locks.
+* **Read-only transactions** need nothing from this manager but its clock:
+  a reader pinned at :meth:`TimestampOracle.read_timestamp
+  <repro.txn.clock.TimestampOracle.read_timestamp>` reads the tree without
+  any locks (:meth:`VersionStore.begin_readonly
+  <repro.api.store.VersionStore.begin_readonly>` hands out the one handle).
 
 When a :class:`~repro.recovery.log_manager.LogManager` is attached, the
 manager additionally enforces write-ahead logging: every operation appends
@@ -53,7 +56,6 @@ from repro.storage.latches import ReadWriteLatch
 from repro.storage.serialization import Key
 from repro.txn.clock import TimestampOracle
 from repro.txn.locks import LockManager
-from repro.txn.readonly import ReadOnlyTransaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -170,12 +172,6 @@ class TransactionManager:
         if self.log is not None:
             self.log.log_begin(txn.txn_id)
         return txn
-
-    def begin_readonly(self) -> ReadOnlyTransaction:
-        """Start a lock-free read-only transaction stamped at its start time."""
-        return ReadOnlyTransaction(
-            tree=self.tree, timestamp=self.clock.read_timestamp(), latch=self.latch
-        )
 
     def commit(self, txn_id: int) -> int:
         """Stamp the transaction's versions with a fresh commit timestamp.

@@ -201,6 +201,38 @@ class TestWritesAndPutMany:
         assert [record.key for record in result] == list(range(25))
         assert touched == [0]
 
+    @pytest.mark.parametrize(
+        "read, arguments",
+        [
+            ("range_search", ()),
+            ("time_slice", (0, 10_000)),
+            ("keys", ()),
+        ],
+    )
+    @pytest.mark.parametrize("low, high, asked", [(30, 40, [1]), (60, 90, [2, 3])])
+    def test_bounded_scatter_reads_ask_only_overlapping_shards(
+        self, read, arguments, low, high, asked
+    ):
+        store = open_sharded(shards=8, key_space=200)  # boundaries every 25 keys
+        single = VersionStore.open(StoreConfig(engine="tsb", page_size=512))
+        for key in range(200):
+            for target in (store, single):
+                target.insert(key, b"v%d" % key)
+        for target in (store, single):
+            target.delete(35)
+        touched = []
+        for index, inner in enumerate(store.shard_stores):
+            original = getattr(inner.engine, read)
+            setattr(
+                inner.engine,
+                read,
+                lambda *a, _i=index, _f=original, **kw: (touched.append(_i), _f(*a, **kw))[1],
+            )
+        answer = getattr(store.engine, read)(*arguments, low, high)
+        assert touched == asked
+        assert answer == getattr(single.engine, read)(*arguments, low, high)
+        assert len(answer) in (high - low, high - low - 1)  # minus the deleted key
+
     def test_empty_batch_is_a_no_op(self):
         store = open_sharded()
         assert store.put_many([]) == []

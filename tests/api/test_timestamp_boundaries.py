@@ -157,7 +157,7 @@ class TestSplitTimeBoundaries:
     """
 
     def _split_times(self, store: VersionStore) -> List[int]:
-        tree = store.engine.tree
+        tree = store.backend
         times = sorted(
             {
                 node.region.times.start

@@ -267,7 +267,96 @@ class TestReadView:
             view.snapshot()
 
 
+class TestBeginReadonly:
+    """Paper section 4.1's read-only transaction: a ``ReadView`` pinned at
+    the commit clock's read timestamp."""
+
+    @staticmethod
+    def open_store(**overrides):
+        return VersionStore.open(StoreConfig(engine="tsb", page_size=512, **overrides))
+
+    @staticmethod
+    def commit(store, key, value):
+        with store.begin() as txn:
+            txn.write(key, value)
+        return txn.commit_timestamp
+
+    def test_reader_sees_only_commits_before_it_started(self):
+        store = self.open_store()
+        self.commit(store, "k", b"early")
+        reader = store.begin_readonly()
+        self.commit(store, "k", b"late")
+        assert reader.get("k").value == b"early"
+        assert store.begin_readonly().get("k").value == b"late"
+
+    def test_reader_never_sees_uncommitted_data(self):
+        store = self.open_store()
+        writer = store.begin()
+        writer.write("k", b"still uncommitted")
+        reader = store.begin_readonly()
+        assert reader.get("k") is None
+        writer.commit()
+        # The already-started reader still does not see it (commit time is
+        # after the reader's timestamp); a new reader does.
+        assert reader.get("k") is None
+        assert store.begin_readonly().get("k").value == b"still uncommitted"
+
+    def test_reader_takes_no_locks(self):
+        store = self.open_store()
+        self.commit(store, "k", b"v")
+        reader = store.begin_readonly()
+        assert reader.get("k").value == b"v"
+        assert store.txns.locks.locked_key_count == 0
+        # An updater is not blocked by the reader in any way.
+        self.commit(store, "k", b"v2")
+
+    def test_snapshot_is_stable_under_concurrent_commits(self):
+        """The backup/unload use case: a full scan that never blocks."""
+        store = self.open_store(split_policy=AlwaysTimeSplitPolicy("current"))
+        for key in range(50):
+            self.commit(store, key, f"initial-{key}".encode())
+        backup = store.begin_readonly()
+        before = {key: record.value for key, record in backup.snapshot().items()}
+        for key in range(0, 50, 2):
+            self.commit(store, key, f"updated-{key}".encode())
+        after = {key: record.value for key, record in backup.snapshot().items()}
+        assert before == after
+        assert len(before) == 50
+        live = {k: r.value for k, r in store.begin_readonly().snapshot().items()}
+        assert live != before
+
+    def test_range_at_a_fixed_timestamp(self):
+        store = self.open_store()
+        for key in range(10):
+            self.commit(store, key, f"v-{key}".encode())
+        reader = store.begin_readonly()
+        self.commit(store, 3, b"changed later")
+        records = list(reader.range(2, 6))
+        assert [r.key for r in records] == [2, 3, 4, 5]
+        assert records[1].value == b"v-3"
+
+    def test_answer_and_handle_carry_the_timestamp(self):
+        store = self.open_store()
+        commit_time = self.commit(store, "k", b"v")
+        reader = store.begin_readonly()
+        assert isinstance(reader, ReadView)
+        assert reader.get("k").timestamp == commit_time
+        assert reader.timestamp == commit_time == store.now
+
+    @pytest.mark.parametrize("engine", ("wobt", "naive"))
+    def test_needs_a_commit_clock(self, engine):
+        store = VersionStore.open(StoreConfig(engine=engine))
+        with pytest.raises(CapabilityError):
+            store.begin_readonly()
+
+
 class TestTopLevelExports:
+    def test_one_pinned_read_handle_is_exported(self):
+        assert repro.ReadView is ReadView
+        assert "ReadOnlyTransaction" not in repro.__all__
+        assert not hasattr(repro, "ReadOnlyTransaction")
+        assert not hasattr(repro.txn, "ReadOnlyTransaction")
+
     def test_unified_api_is_importable_from_repro(self):
         assert repro.VersionStore is VersionStore
         assert repro.StoreConfig is StoreConfig

@@ -127,7 +127,7 @@ class TestOneClock:
         assert store.delete(0) == 10
         reader = store.begin_readonly()
         assert reader.timestamp == store.now == 10
-        assert reader.read(2) == b"facade" and reader.read(0) is None
+        assert reader.get(2).value == b"facade" and reader.get(0) is None
         with store.begin() as txn:
             txn.write(9, b"txn")
         assert txn.commit_timestamp == 11

@@ -53,6 +53,9 @@ class TestHistoryBetween:
         tree.delete("k", timestamp=12)
         sliced = tree.history_between("k", 11, 20)
         assert [v.is_tombstone for v in sliced] == [False, True]
+        assert tree.time_slice(11, 20) == {"k": sliced}
+        assert tree.keys() == ["k"] and tree.current_keys() == []
+        assert tree.time_slice(5, 5) == {} and tree.time_slice(9, 5) == {}
 
     def test_works_across_time_splits(self):
         tree = TSBTree(page_size=512, policy=AlwaysTimeSplitPolicy("current"))
@@ -92,3 +95,15 @@ class TestHistoryBetween:
                 expected.append(value)
             observed = [v.value for v in tree.history_between(key, start, end)]
             assert observed == expected, (key, start, end)
+            # The cross-key slice is the same answer from one walk, for any
+            # key window around the key.
+            for low, high in [(None, None), (key, key + 1), (key - 3, key + 4)]:
+                sliced = tree.time_slice(start, end, low, high)
+                assert [v.value for v in sliced.get(key, [])] == expected
+                assert list(sliced) == sorted(sliced)
+                assert all(
+                    records == tree.history_between(other, start, end)
+                    for other, records in sliced.items()
+                )
+        for key in history:
+            assert tree.time_slice(0, tree.now + 1, key, key + 1)[key] == tree.key_history(key)

@@ -22,6 +22,7 @@ from repro.core import (
     WOBTEmulationPolicy,
     assert_tree_valid,
 )
+from repro.core.records import records_valid_between
 from tests.conftest import VersionedOracle, run_mixed_workload
 
 POLICIES = [
@@ -74,6 +75,34 @@ def check_against_oracle(tree: TSBTree, oracle: VersionedOracle, rng: random.Ran
         expected_range = oracle.range_current(low, high)
         observed_range = {v.key: v.value for v in tree.range_search(low, high)}
         assert observed_range == expected_range
+
+    check_derived_reads(tree, rng)
+
+
+def check_derived_reads(tree: TSBTree, rng: random.Random, tombstoned=frozenset()):
+    """Every multi-key read is one of the tree's two walks, so the derived
+    reads must equal each other — whatever splits the policy made."""
+    now = tree.now
+    for timestamp in {0, now, rng.randint(0, now), rng.randint(0, now)}:
+        scanned = tree.range_search(as_of=timestamp)
+        assert [v.key for v in scanned] == sorted(v.key for v in scanned)
+        assert tree.snapshot(timestamp) == {v.key: v for v in scanned}
+
+    keys, live = tree.keys(), tree.current_keys()
+    assert keys == sorted(keys)
+    assert set(live) <= set(keys)
+    assert set(keys) - set(live) == set(tombstoned)
+
+    for key in keys[:: max(1, len(keys) // 12)]:
+        successor = key + 1 if isinstance(key, int) else key + "\x00"
+        history = tree.key_history(key)
+        assert tree.time_slice(0, now + 1, key, successor) == {key: history}
+        start = rng.randint(0, now)
+        end = start + rng.randint(1, 40)
+        expected = records_valid_between(history, start, end)
+        assert tree.history_between(key, start, end) == expected
+        # The bounded gather visits fewer nodes and must still slice the same.
+        assert tree.time_slice(start, end, key, successor).get(key, []) == expected
 
 
 @pytest.mark.parametrize("policy_name,policy_factory", POLICIES)
@@ -208,6 +237,13 @@ def test_hypothesis_random_histories_match_oracle(operations, data):
 
     snapshot = {k: v.value for k, v in tree.snapshot(probe_time).items()}
     assert snapshot == oracle.snapshot(probe_time)
+
+    # Logical deletion on top: `keys` keeps what `current_keys` drops.
+    doomed = data.draw(st.sets(st.sampled_from(oracle.keys()), max_size=5))
+    for key in sorted(doomed):
+        tree.delete(key)
+    check_derived_reads(tree, random.Random(probe_time), tombstoned=doomed)
+    assert_tree_valid(tree)
 
 
 def test_no_committed_version_is_ever_lost_across_policies():

@@ -140,7 +140,7 @@ class TestShardedSnapshot:
             final = store.now
             store.range_search()
             store.snapshot(max(1, final // 2))
-            store.time_slice(max(1, final // 2), final, 0, 200)
+            store.time_slice(max(1, final // 2), final, 0, 400)  # meets all four shards
             snapshot = store.metrics_snapshot()
 
         assert snapshot["engine"] == "sharded-tsb"

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import ReadView, TSBEngine
 from repro.baselines import NaiveMultiversionIndex
 from repro.core import (
     AlwaysTimeSplitPolicy,
@@ -88,7 +89,7 @@ class TestBankLedgerEndToEnd:
 
     def test_lock_free_audit_is_consistent(self, ledger):
         _scenario, tree, manager, _commit_times = ledger
-        auditor = manager.begin_readonly()
+        auditor = ReadView(TSBEngine(tree), manager.clock.read_timestamp())
         snapshot = auditor.snapshot()
         assert snapshot
         again = auditor.snapshot()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AlwaysTimeSplitPolicy, ThresholdPolicy, TSBTree, assert_tree_valid
+from repro.core.tsb_tree import RecordTooLargeError
 from repro.txn import (
     LockConflictError,
     TransactionError,
@@ -50,6 +51,22 @@ class TestCommitAndVisibility:
         commit_time = txn.commit()
         for key in range(5):
             assert tree.search_current(key).timestamp == commit_time
+
+    def test_refused_rewrite_keeps_the_earlier_write(self):
+        """An oversized rewrite is refused before the tree is touched: the
+        transaction's earlier provisional version of the key must survive."""
+        manager, tree = make_manager(page_size=256)
+        txn = manager.begin()
+        txn.write("k", b"v1")
+        with pytest.raises(RecordTooLargeError):
+            txn.write("k", b"x" * 1000)
+        assert txn.state is TransactionState.ACTIVE
+        assert txn.read("k") == b"v1"
+        txn.write("k", b"v2")  # a rewrite that fits still replaces, not adds
+        assert txn.read("k") == b"v2"
+        txn.commit()
+        assert [v.value for v in tree.key_history("k")] == [b"v2"]
+        assert_tree_valid(tree)
 
     def test_read_own_delete(self):
         manager, tree = make_manager()

@@ -15,7 +15,10 @@ verdicts are ``benchmarks/e2e/compare.py``'s own (taken from the change's
 checkout), one row per metric and workload, every run's value listed beside
 them by seed.  ``--traced`` adds one traced run per side and reports each
 layer's self time per 1k logical operations beside the counts that repeat
-exactly.
+exactly.  ``--hold NAME[,NAME...]`` names per-layer counts of that traced pair
+that the change must not move: both sides' values go under ``"held_counts"``
+in the evidence file and the script exits non-zero if one differs or is
+missing on either side.
 """
 
 from __future__ import annotations
@@ -77,9 +80,27 @@ def verdict_rows(compare, parent_out: str, change_out: str) -> List[Dict[str, ob
     return rows
 
 
-def layer_view(out: str, workload: str) -> Dict[str, object]:
+def traced_result(out: str, workload: str) -> Dict[str, object]:
     with open(os.path.join(out, f"trace_{workload}_seed1.json"), encoding="utf-8") as handle:
-        result = json.load(handle)
+        return json.load(handle)
+
+
+def held_counts(names: Sequence[str], parent: Dict[str, object], change: Dict[str, object]):
+    """Both sides' value of each named per-layer count, and the names that
+    moved: a count differs, or is missing on either side."""
+    held = {}
+    for name in names:
+        sides = [result["metrics"].get(name, {}).get("value") for result in (parent, change)]
+        held[name] = dict(zip(("parent", "change"), sides))
+    moved = [
+        name
+        for name, sides in held.items()
+        if sides["parent"] is None or sides["parent"] != sides["change"]
+    ]
+    return held, moved
+
+
+def layer_view(result: Dict[str, object]) -> Dict[str, object]:
     per_1k = 1000.0 / result["counts"]["logical_ops"]
     metrics = {name: cell["value"] for name, cell in result["metrics"].items()}
     return {
@@ -103,8 +124,13 @@ def main(argv: Sequence[str]) -> int:
     parser.add_argument("scratch_dir", help="where the result files of both sides go")
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
+    parser.add_argument(
+        "--hold", default="", metavar="NAME[,NAME...]", help="traced counts that must not move"
+    )
     parser.add_argument("--json", required=True, help="the evidence file to write")
     args = parser.parse_args(argv)
+    if args.hold and not args.traced:
+        parser.error("--hold reads its counts from a --traced pair")
     checkouts = {"parent": os.path.abspath(args.parent_dir), "change": os.path.abspath(args.change_dir)}
     outs = {side: os.path.join(os.path.abspath(args.scratch_dir), side) for side in checkouts}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
@@ -116,12 +142,17 @@ def main(argv: Sequence[str]) -> int:
             for side in order:
                 print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
                 run_benchmark(checkouts[side], spec, workload, seed, 0, outs[side])
-    traced = {}
+    traced, held, moved = {}, {}, []
+    names = [name for name in args.hold.split(",") if name]
     for workload in args.traced:
         for side in ("parent", "change"):
             print(f"{workload} traced: {side}", file=sys.stderr, flush=True)
             run_benchmark(checkouts[side], spec, workload, 1, 1, outs[side])
-        traced[workload] = {side: layer_view(outs[side], workload) for side in ("parent", "change")}
+        results = {side: traced_result(outs[side], workload) for side in ("parent", "change")}
+        traced[workload] = {side: layer_view(result) for side, result in results.items()}
+        if names:
+            held[workload], changed = held_counts(names, results["parent"], results["change"])
+            moved += [f"{workload} {name}" for name in changed]
     rows = verdict_rows(load_compare(checkouts["change"]), outs["parent"], outs["change"])
     evidence = {
         "method": (
@@ -133,6 +164,7 @@ def main(argv: Sequence[str]) -> int:
         "run_seconds": spec["run_seconds"],
         "verdicts": rows,
         "traced": traced,
+        "held_counts": held,
     }
     with open(args.json, "w", encoding="utf-8") as handle:
         json.dump(evidence, handle, indent=1)
@@ -143,7 +175,10 @@ def main(argv: Sequence[str]) -> int:
             f"{row['change']['median']:>12.5g} {row['pairs_won_by_change']:>2}/{row['pairs']:<2} "
             f"{row['verdict']}"
         )
-    return 0 if all(row["verdict"] in ("better", "within-bound") for row in rows) else 1
+    for name in moved:
+        print(f"held count moved or missing: {name}", file=sys.stderr)
+    held_up = all(row["verdict"] in ("better", "within-bound") for row in rows)
+    return 0 if held_up and not moved else 1
 
 
 if __name__ == "__main__":

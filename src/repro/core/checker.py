@@ -27,6 +27,10 @@ Checked invariants
     page size.
 7.  **Index-entry sanity** — entry regions are contained in the plane, child
     addresses are readable, and levels decrease from root to leaves.
+8.  **Entry rectangle** — an entry's rectangle *is* its child's own.  Splits
+    mint every entry from the node it points at, and the tree's range walk
+    relies on it: it picks children by their entries and does not ask the
+    child for its rectangle again.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ def check_tree(tree: TSBTree) -> List[Violation]:
     violations: List[Violation] = []
     parent_counts: Dict[Tuple, int] = {}
     nodes = _reachable_nodes(tree, violations)
+    loaded = {node.address: node for node in nodes}
 
     for node in nodes:
         if isinstance(node, IndexNode):
-            _check_index_node(tree, node, violations)
+            _check_index_node(tree, node, loaded, violations)
             for entry in node.entries:
                 parent_counts[entry.child] = parent_counts.get(entry.child, 0) + 1
         else:
@@ -107,7 +112,9 @@ def _reachable_nodes(tree: TSBTree, violations: List[Violation]) -> List:
 # ----------------------------------------------------------------------
 # Index nodes
 # ----------------------------------------------------------------------
-def _check_index_node(tree: TSBTree, node: IndexNode, violations: List[Violation]) -> None:
+def _check_index_node(
+    tree: TSBTree, node: IndexNode, loaded: Dict, violations: List[Violation]
+) -> None:
     if node.address.is_magnetic and node.serialized_size() > tree.page_size:
         violations.append(
             Violation(
@@ -137,13 +144,17 @@ def _check_index_node(tree: TSBTree, node: IndexNode, violations: List[Violation
                     "magnetic device",
                 )
             )
-        try:
-            child = tree._load_node(entry.child)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the checker
+        child = loaded.get(entry.child)
+        if child is None:
+            continue  # unreadable: `_reachable_nodes` reported it
+        if entry.region != child.region:
             violations.append(
-                Violation("reachability", f"entry {entry} cannot be read: {exc}")
+                Violation(
+                    "entry_region",
+                    f"entry {entry} in index node {node.address} disagrees with its "
+                    f"child's own region {child.region}",
+                )
             )
-            continue
         if isinstance(child, IndexNode) and child.level >= node.level:
             violations.append(
                 Violation(

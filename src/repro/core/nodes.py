@@ -45,6 +45,11 @@ Data page, ``n`` versions::
 Slots are sorted, so the versions of one key are one contiguous run, oldest
 first, and ``version_as_of`` is two bisects over the keys and one over that
 run's stamps; ``order`` restores the list order when the node materialises.
+A key *range* is one contiguous run too: the two range lookups a scan asks a
+data node — ``versions_as_of`` (the version valid at ``t`` of every key in
+``[low, high)``) and ``committed_versions`` (every committed version of those
+keys) — clip the key run with two bisects, read the clipped stamps and flags
+once, and build a ``Version`` only for the slots they return.
 
 Index page, ``n`` entries over ``m`` distinct key bounds::
 
@@ -66,12 +71,12 @@ use (which over-charges a tag byte per field), so split decisions do not
 depend on the codec.
 
 A node decoded from an image is **image-backed** (:class:`_PackedDataNode`,
-:class:`_PackedIndexNode`): its point lookups answer from the columns and
-build only the objects they return.  The first access that needs the whole
-``versions`` / ``entries`` list — any mutation, a split, the checker — turns
-the object into a plain :class:`DataNode` / :class:`IndexNode` in place, and
-from then on it is encoded from its lists; an untouched image-backed node
-hands its image back from ``encode()``.  The materialised classes carry no
+:class:`_PackedIndexNode`): its point and range lookups answer from the
+columns and build only the objects they return.  The first access that needs
+the whole ``versions`` / ``entries`` list — any mutation, a split, the checker
+— turns the object into a plain :class:`DataNode` / :class:`IndexNode` in
+place, and from then on it is encoded from its lists; an untouched
+image-backed node hands its image back from ``encode()``.  The materialised classes carry no
 hook for any of this, so a tree that fits in cache pays nothing for it.
 
 Hot-path design of the materialised classes: both keep *lazy derived
@@ -235,6 +240,15 @@ def _position_of(items: list, item) -> int:
         return items.index(item)
 
 
+def _sorted_within(keys: Iterable[Key], low: Optional[Key], high: Optional[Key]) -> List[Key]:
+    """Those of ``keys`` that lie in ``[low, high)``, sorted."""
+    return sorted(
+        key
+        for key in keys
+        if (low is None or not key < low) and (high is None or key < high)
+    )
+
+
 def _entry_sort_key(entry: "IndexEntry") -> Tuple:
     """Sort key ordering entries by key-range low bound (None first)."""
     low = entry.region.keys.low
@@ -310,6 +324,33 @@ class DataNode:
             if version.txn_id == txn_id:
                 return version
         return None
+
+    def versions_as_of(
+        self, low: Optional[Key], high: Optional[Key], timestamp: int, tombstones: bool = False
+    ) -> List[Version]:
+        """The version valid at ``timestamp`` of each key in ``[low, high)``,
+        key-sorted: ``version_as_of`` over a key range.  ``tombstones`` keeps
+        the keys whose valid version is a logical delete."""
+        index = self._index()
+        found = []
+        for key in _sorted_within(index, low, high):
+            newest = latest_committed(
+                v for v in index[key] if v.timestamp is not None and v.timestamp <= timestamp
+            )
+            if newest is not None and (tombstones or not newest.is_tombstone):
+                found.append(newest)
+        return found
+
+    def committed_versions(self, low: Optional[Key], high: Optional[Key]) -> List[Version]:
+        """Every committed version (tombstones included) of every key in
+        ``[low, high)``, key-sorted, each key's oldest first."""
+        index = self._index()
+        return [
+            version
+            for key in _sorted_within(index, low, high)
+            for version in index[key]
+            if version.timestamp is not None
+        ]
 
     def distinct_key_count(self) -> int:
         return len(self._index())
@@ -514,6 +555,12 @@ def _version_at(data: bytes, layout: tuple, slot: int) -> Version:
     )
 
 
+def _clip(keys: tuple, low: Optional[Key], high: Optional[Key]) -> Tuple[int, int]:
+    """``(first, end)`` of the slots whose keys lie in ``[low, high)``."""
+    first = 0 if low is None else bisect_left(keys, low)
+    return first, len(keys) if high is None else bisect_left(keys, high, first)
+
+
 def _materialise_data(node: "DataNode") -> None:
     """Turn an image-backed node into a plain :class:`DataNode`, in place."""
     if type(node) is not _PackedDataNode:
@@ -571,7 +618,7 @@ def _materialise_data(node: "DataNode") -> None:
 
 
 class _PackedDataNode(DataNode):
-    """A data node that answers point lookups from its page image."""
+    """A data node that answers point and range lookups from its page image."""
 
     def __init__(self, address: Address, image: bytes) -> None:
         if type(image) is not bytes:
@@ -663,6 +710,42 @@ class _PackedDataNode(DataNode):
         if data[layout[2] + slot] & _TOMBSTONE:
             return None
         return _version_at(data, layout, slot)
+
+    def versions_as_of(
+        self, low: Optional[Key], high: Optional[Key], timestamp: int, tombstones: bool = False
+    ) -> List[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, end = _clip(layout[0], low, high)
+        keys = layout[0][first:end]
+        stamps = _run("Q", end - first).unpack_from(data, layout[1] + 8 * first)
+        flags = data[layout[2] + first : layout[2] + end]
+        committed = [
+            at
+            for at, (stamp, flag) in enumerate(zip(stamps, flags))
+            if stamp <= timestamp and not flag & _PROVISIONAL
+        ]
+        # A key's committed slots are in stamp order, so the last one that
+        # qualifies is its newest; a dict keeps the last value per key, and
+        # its keys in slot order, which is key order.
+        found = []
+        for key, at in dict(zip(map(keys.__getitem__, committed), committed)).items():
+            # Equal stamps: the first in slot order wins, as in a scan of the list.
+            while at and stamps[at - 1] == stamps[at] and keys[at - 1] == key:
+                at -= 1
+            if tombstones or not flags[at] & _TOMBSTONE:
+                found.append(_version_at(data, layout, first + at))
+        return found
+
+    def committed_versions(self, low: Optional[Key], high: Optional[Key]) -> List[Version]:
+        data = self._image
+        layout = self._layout or _open_data_page(self)
+        first, end = _clip(layout[0], low, high)
+        return [
+            _version_at(data, layout, slot)
+            for slot, flag in enumerate(data[layout[2] + first : layout[2] + end], first)
+            if not flag & _PROVISIONAL
+        ]
 
     def provisional_for_key(self, key: Key, txn_id: int) -> Optional[Version]:
         data = self._image
@@ -862,9 +945,10 @@ class IndexNode:
             f"{self.address}, found {len(matches)}"
         )
 
-    def children_overlapping(self, region: Rectangle) -> List[IndexEntry]:
-        """All entries whose rectangle intersects ``region`` (for range scans)."""
-        return [entry for entry in self.entries if entry.region.overlaps(region)]
+    def children_overlapping(self, region: Rectangle) -> List[Address]:
+        """The child of every entry whose rectangle intersects ``region``, in
+        entry order (for range scans, which only want to visit them)."""
+        return [entry.child for entry in self.entries if entry.region.overlaps(region)]
 
     def entry_for_child(self, child: Address) -> IndexEntry:
         for entry in self.entries:
@@ -1000,22 +1084,26 @@ def _open_index_page(node: "_PackedIndexNode") -> tuple:
     return columns
 
 
+def _child_at(data: bytes, columns: tuple, slot: int) -> Address:
+    """The child address in ``slot``."""
+    pages, tiers, historical = columns[5:8]
+    (page,) = _U64.unpack_from(data, pages + 8 * slot)
+    if data[tiers + slot]:
+        earlier = data.count(1, tiers, tiers + slot)
+        return Address.historical(
+            page, *_HISTORICAL_CHILD.unpack_from(data, historical + 20 * earlier)
+        )
+    return Address.magnetic(page)
+
+
 def _entry_at(data: bytes, columns: tuple, slot: int) -> IndexEntry:
     """The entry in ``slot``, built on first use and then shared."""
     made = columns[8]
     entry = made[slot]
     if entry is None:
-        table, lows, highs, starts, ends, pages, tiers, historical = columns[:8]
-        (page,) = _U64.unpack_from(data, pages + 8 * slot)
-        if data[tiers + slot]:
-            earlier = data.count(1, tiers, tiers + slot)
-            child = Address.historical(
-                page, *_HISTORICAL_CHILD.unpack_from(data, historical + 20 * earlier)
-            )
-        else:
-            child = Address.magnetic(page)
+        table, lows, highs, starts, ends = columns[:5]
         entry = made[slot] = IndexEntry(
-            child=child,
+            child=_child_at(data, columns, slot),
             region=_referenced_rectangle(
                 table, lows[slot], highs[slot], starts[slot], ends[slot]
             ),
@@ -1135,7 +1223,7 @@ class _PackedIndexNode(IndexNode):
             )
         return _entry_at(data, columns, matches[0])
 
-    def children_overlapping(self, region: Rectangle) -> List[IndexEntry]:
+    def children_overlapping(self, region: Rectangle) -> List[Address]:
         data = self._image
         columns = self._columns or _open_index_page(self)
         table = columns[0]
@@ -1145,7 +1233,7 @@ class _PackedIndexNode(IndexNode):
         first = min(times.start, _U64_MAX - 1)
         last = float("inf") if times.end is None else times.end
         return [
-            _entry_at(data, columns, slot)
+            _child_at(data, columns, slot)
             for slot, (low, high, start, end) in enumerate(
                 zip(columns[1], columns[2], columns[3], columns[4])
             )

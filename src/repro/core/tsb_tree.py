@@ -38,6 +38,7 @@ from repro.core.records import (
     Rectangle,
     TimeRange,
     Version,
+    group_by_key,
     records_valid_between,
     version_as_of,
 )
@@ -72,16 +73,6 @@ HistoricalDevice = Union[WormDisk, "object"]
 
 #: `_load_node` runs several times per operation; the tier test is inlined.
 _MAGNETIC = Tier.MAGNETIC
-
-
-def _keys_within(node: DataNode, low: Optional[Key], high: Optional[Key]) -> List[Key]:
-    """The keys ``node`` stores that lie in ``[low, high)``."""
-    keys = node.keys()
-    if low is not None:
-        keys = [key for key in keys if not key < low]
-    if high is not None:
-        keys = [key for key in keys if key < high]
-    return keys
 
 
 def _open_page(address: Address, image: bytes) -> Union[DataNode, IndexNode]:
@@ -360,6 +351,8 @@ class TSBTree:
 
     def search_as_of(self, key: Key, timestamp: int) -> Optional[Version]:
         """Return the version of ``key`` valid at ``timestamp`` (or ``None``)."""
+        if timestamp < 0:
+            return None  # nothing is valid before time zero
         node = self._descend_to_leaf(key, timestamp)
         return node.version_as_of(key, timestamp)
 
@@ -394,6 +387,7 @@ class TSBTree:
         Tombstone versions are returned (callers present or filter them);
         provisional versions are not.  Keys whose slice is empty are omitted.
         """
+        start = max(start, 0)  # nothing is valid before time zero
         if end <= start:
             return {}
         sliced: Dict[Key, List[Version]] = {}
@@ -440,20 +434,18 @@ class TSBTree:
         The data nodes' rectangles partition the key x time plane and a time
         split copies the versions alive at the split time into the newer
         node, so each visited node answers for its own keys and nothing is
-        de-duplicated across nodes.  ``tombstones`` keeps logically deleted
-        keys; it is offered at ``now`` only, where a key's latest committed
-        version *is* the one valid at ``timestamp``.
+        de-duplicated across nodes.  Who filters what: an index entry's
+        rectangle selects the node (``_iter_data_nodes``), the node's columns
+        select the rows (``DataNode.versions_as_of``, once per node); the
+        walk only concatenates and sorts.  ``tombstones`` keeps logically
+        deleted keys; it is offered at ``now`` only (``keys``).
         """
+        if timestamp < 0:
+            return []  # nothing is valid before time zero
         region = Rectangle(KeyRange(low, high), TimeRange(timestamp, timestamp + 1))
         found: List[Version] = []
         for node in self._iter_data_nodes(region):
-            for key in _keys_within(node, low, high):
-                if tombstones:
-                    valid = node.latest_for_key(key)
-                else:
-                    valid = node.version_as_of(key, timestamp)
-                if valid is not None:
-                    found.append(valid)
+            found.extend(node.versions_as_of(low, high, timestamp, tombstones))
         found.sort(key=attrgetter("key"))
         return found
 
@@ -474,18 +466,17 @@ class TSBTree:
         successor in the list at or before ``start`` — which is exactly what
         :func:`records_valid_between` needs to slice them as it would the
         full history.  A version copied by time splits turns up in every node
-        holding it; its identity de-duplicates it.
+        holding it; its identity de-duplicates it.  As in the as-of walk, the
+        entries' rectangles select the nodes and each node's columns select
+        its rows (``DataNode.committed_versions``, once per node).
         """
         region = Rectangle(KeyRange(low, high), TimeRange(start, end))
-        gathered: Dict[Key, Dict[Tuple, Version]] = {}
+        found: List[Version] = []
         for node in self._iter_data_nodes(region):
-            for key in _keys_within(node, low, high):
-                bucket = gathered.setdefault(key, {})
-                for version in node.versions_for_key(key):
-                    if version.timestamp is not None:
-                        bucket[version.identity()] = version
-        oldest_first = attrgetter("timestamp")
-        return {key: sorted(gathered[key].values(), key=oldest_first) for key in sorted(gathered)}
+            found.extend(node.committed_versions(low, high))
+        distinct = {version.identity(): version for version in found}
+        history = group_by_key(distinct.values())  # each key's oldest first
+        return dict(sorted(history.items()))  # keys are distinct: the lists never compare
 
     # ------------------------------------------------------------------
     # Introspection
@@ -730,21 +721,33 @@ class TSBTree:
         return node
 
     def _iter_data_nodes(self, region: Rectangle) -> Iterator[DataNode]:
-        """Yield each data node whose region overlaps ``region`` exactly once."""
-        seen: Set[Address] = set()
-        stack: List[Address] = [self._root_address]
+        """Yield each data node whose region overlaps ``region`` exactly once.
+
+        An index entry's rectangle is its child's own (the checker holds
+        that), so a child picked by ``children_overlapping`` is not asked
+        for its rectangle again: only a root that is itself a leaf is.
+        """
+        node = self._load_node(self._root_address)
+        if isinstance(node, DataNode):
+            if node.region.overlaps(region):
+                yield node
+            return
+        # Only a historical node can have two parents (index key splits copy
+        # the entries that straddle the split), so only those are remembered.
+        seen: Set[Tuple[int, int]] = set()
+        stack = node.children_overlapping(region)
         while stack:
             address = stack.pop()
-            if address in seen:
-                continue
-            seen.add(address)
+            if address.tier is not _MAGNETIC:
+                shared = (address.platter, address.page_id)
+                if shared in seen:
+                    continue
+                seen.add(shared)
             node = self._load_node(address)
             if isinstance(node, DataNode):
-                if node.region.overlaps(region):
-                    yield node
-                continue
-            for entry in node.children_overlapping(region):
-                stack.append(entry.child)
+                yield node
+            else:
+                stack.extend(node.children_overlapping(region))
 
     # ------------------------------------------------------------------
     # Internal: insertion and splitting

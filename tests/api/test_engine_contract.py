@@ -113,6 +113,18 @@ class TestAgainstOracle:
         full = [r.key for r in store.range_search()]
         assert full == sorted(full)
 
+    def test_reads_before_time_zero_answer_nothing(self, populated):
+        """Nothing is valid before time zero, and a slice that starts before
+        zero starts at zero (the TSB walk used to build a negative TimeRange)."""
+        store, oracle = populated
+        key = oracle.keys()[0]
+        assert store.get_as_of(key, -1) is None
+        assert store.range_search(0, 10, as_of=-1) == []
+        assert store.snapshot(-1) == {}
+        assert store.time_slice(-5, -1) == {}
+        assert store.time_slice(-5, 3) == store.time_slice(0, 3) != {}
+        assert store.history_between(key, -5, 3) == store.history_between(key, 0, 3)
+
     def test_now_tracks_the_latest_commit(self, populated):
         store, oracle = populated
         assert store.now == oracle.max_timestamp

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.api import StoreConfig, VersionStore
+from repro.api import ShardSpec, StoreConfig, VersionStore
 
 #: (key, timestamp, value) writes with gaps between stamps so that the
 #: one-tick-before/after probes land strictly between versions.
@@ -105,6 +105,20 @@ class TestAsOfBoundaries:
                     view = store.get_as_of(key, timestamp)
                     got = None if view is None else (view.timestamp, view.value)
                     assert got == expected, (name, key, timestamp)
+
+
+    def test_a_sharded_store_answers_nothing_before_time_zero(self, loaded_stores):
+        """A sharded store inherits its engine's answers: on TSB shards these
+        reads used to raise from inside the tree walk."""
+        spec = ShardSpec.for_int_keys(2, key_space=8)
+        with VersionStore.open(StoreConfig(engine="tsb", page_size=512, shards=spec)) as sharded:
+            for key, stamp, value in WRITES:
+                sharded.insert(key, value, timestamp=stamp)
+            reference = loaded_stores["naive"]
+            assert sharded.get_as_of(3, -1) is None
+            assert sharded.range_search(0, 8, as_of=-1) == []
+            assert sharded.snapshot(-1) == {}
+            assert sharded.time_slice(-5, 7) == reference.time_slice(-5, 7) != {}
 
 
 class TestHistoryBetweenBoundaries:

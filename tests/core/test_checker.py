@@ -69,6 +69,26 @@ class TestCorruptionDetection:
         tree._store_node(node)
         assert "tiling" in violated_invariants(tree)
 
+    def test_detects_an_entry_wider_than_its_child(self):
+        """Widened past its node's own edge, the entry still tiles the node
+        once clipped — only the entry-rectangle invariant can see it."""
+        tree = TSBTree(page_size=512, policy=ThresholdPolicy(0.5))
+        for step in range(4000):
+            tree.insert(step * 37 % 600, b"value-%d" % step, timestamp=step + 1)
+        assert tree.height >= 3 and check_tree(tree) == []
+        node, victim = next(
+            (node, entry)
+            for node in tree.index_nodes()
+            if node.address.is_magnetic and node.region.keys.low is not None
+            for entry in node.entries
+            if entry.region.keys.low == node.region.keys.low
+        )
+        widened = Rectangle(KeyRange(None, victim.region.keys.high), victim.region.times)
+        node.replace_entry(victim, [IndexEntry(child=victim.child, region=widened)])
+        tree._store_node(node)
+        assert violated_invariants(tree) == {"entry_region"}
+        assert len(check_tree(tree)) == 1
+
     def test_detects_wrong_tier_reference(self):
         tree = build_tree()
         node = find_current_index_node(tree)

@@ -238,7 +238,7 @@ class TestIndexNode:
         node = make_index_node(tiling_entries())
         region = Rectangle(KeyRange(0, 60), TimeRange(10, 11))
         overlapping = node.children_overlapping(region)
-        assert {entry.child.page_id for entry in overlapping} == {5, 6}
+        assert {child.page_id for child in overlapping} == {5, 6}
 
     def test_entry_for_child(self):
         node = make_index_node(tiling_entries())

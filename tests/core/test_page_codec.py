@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import TSBTree, check_tree
 from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, decode_node
-from repro.core.records import KeyRange, Rectangle, TimeRange, Version
+from repro.core.records import KeyRange, Rectangle, TimeRange, Version, latest_committed
 from repro.storage.device import Address
 from repro.storage.latches import ReadWriteLatch
 from repro.storage.serialization import SerializationError
@@ -226,6 +226,38 @@ class TestImageBackedAnswersLikeMaterialised:
                 assert opened.provisional_for_key(key, txn_id) == node.provisional_for_key(
                     key, txn_id
                 )
+        # The two range lookups, against the per-key answers they replaced.
+        bounds = sorted(set(pool) | {absent})
+        ranges = [KeyRange(None, None)] + [data.draw(key_ranges(bounds)) for _ in range(4)]
+        ranges += [KeyRange(low, high) for low, high in zip(bounds, bounds[1:])]  # one key or none
+        for keys in ranges:
+            low, high = keys.low, keys.high
+            within = [key for key in pool if keys.contains(key)]
+            committed = [
+                version
+                for key in within
+                for version in node.versions_for_key(key)
+                if version.timestamp is not None
+            ]
+            assert opened.committed_versions(low, high) == committed
+            assert node.committed_versions(low, high) == committed
+            for stamp in probes:
+                valid = [node.version_as_of(key, stamp) for key in within]
+                valid = [version for version in valid if version is not None]
+                assert opened.versions_as_of(low, high, stamp) == valid
+                assert node.versions_as_of(low, high, stamp) == valid
+                # Tombstones kept: the newest committed version at or before the stamp.
+                newest = [
+                    latest_committed(v for v in committed if v.key == key and v.timestamp <= stamp)
+                    for key in within
+                ]
+                newest = [version for version in newest if version is not None]
+                assert opened.versions_as_of(low, high, stamp, tombstones=True) == newest
+                assert node.versions_as_of(low, high, stamp, tombstones=True) == newest
+            latest = [node.latest_for_key(key) for key in within]  # what keys() asks, at now
+            assert opened.versions_as_of(low, high, 2**63, tombstones=True) == [
+                version for version in latest if version is not None
+            ]
         assert opened.region == node.region
         assert is_image_backed(opened)  # none of the above built the list
 
@@ -442,10 +474,12 @@ def test_readers_under_the_shared_latch_agree_with_the_oracle_while_nodes_materi
                     if draw.random() < 0.1:
                         low = draw.randrange(0, 280)
                         rows = tree.range_search(low, low + 20, as_of=stamp)
-                        expected = {
-                            k: as_of(k, stamp) for k in range(low, low + 20) if as_of(k, stamp)
-                        }
-                        assert {row.key: row.value for row in rows} == expected
+                        expected = [
+                            (k, as_of(k, stamp)) for k in range(low, low + 20) if as_of(k, stamp)
+                        ]
+                        assert [(row.key, row.value) for row in rows] == expected
+                        written = [k for k in range(low, low + 20) if k in history]
+                        assert tree.keys(low, low + 20) == written
                     if draw.random() < 0.1:
                         rows = tree.key_history(key)
                         assert [(r.timestamp, r.value) for r in rows] == history.get(key, [])

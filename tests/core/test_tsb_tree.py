@@ -422,3 +422,52 @@ class TestReadCounts:
             # One entry, with its rectangle, per index level; no node's own
             # region and no sibling entry.
             assert built["entries"] == built["rectangles"] == tree.height - 1
+
+    def test_a_range_walk_visits_exactly_the_overlapping_nodes_once(self, monkeypatch):
+        """The two multi-key walks trust the index entries: the data nodes
+        they are handed are the ones whose own rectangle overlaps the query,
+        each once, for one load per distinct node on the paths to them — and
+        a cold walk builds no entry and no rectangle on the way."""
+        import random
+
+        from repro.core import nodes
+        from repro.core.nodes import IndexNode
+        from repro.core.records import KeyRange, Rectangle, TimeRange
+
+        tree, _probes = self.cold_tree()
+        counters = tree.counters
+        assert counters.data_time_splits and counters.data_key_splits
+        assert counters.index_key_splits + counters.index_time_splits
+        built = []
+        rectangle, entry = nodes.decoded_rectangle, nodes.IndexEntry
+        monkeypatch.setattr(nodes, "decoded_rectangle", lambda *a: built.append(a) or rectangle(*a))
+        monkeypatch.setattr(nodes, "IndexEntry", lambda **f: built.append(f) or entry(**f))
+
+        def on_the_paths(query):
+            """The old walk, entry by entry: every node it loads."""
+            reached, stack = set(), [tree.root_address]
+            while stack:
+                address = stack.pop()
+                if address not in reached:
+                    reached.add(address)
+                    node = tree._load_node(address)
+                    if isinstance(node, IndexNode):
+                        stack.extend(e.child for e in node.entries if e.region.overlaps(query))
+            return reached
+
+        rng = random.Random(23)
+        for _ in range(25):
+            low = rng.choice([None, rng.randrange(400)])
+            high = rng.choice([None, (low or 0) + 1 + rng.randrange(120)])
+            start = rng.randrange(3000)
+            end = rng.choice([start + 1, start + 1 + rng.randrange(1500), None])
+            query = Rectangle(KeyRange(low, high), TimeRange(start, end))
+            expected = {n.address for n in tree.data_nodes() if n.region.overlaps(query)}
+            paths = on_the_paths(query)
+            tree.drop_caches()  # every node comes back image-backed
+            del built[:]
+            before = self.node_loads(tree)
+            visited = [node.address for node in tree._iter_data_nodes(query)]
+            assert self.node_loads(tree) - before == len(paths)
+            assert built == []
+            assert len(visited) == len(set(visited)) and set(visited) == expected

@@ -28,10 +28,9 @@ The server answers one connection's requests in request order (the
 demultiplexer does not rely on it), so a slow scan delays what was
 pipelined behind it on the *same* socket and never blocks a point read on
 another socket of the pool: ``pool_size`` is how many requests can be
-*executing* for this client at once.  Frames are read with
-``socket.recv_into`` on a reusable per-channel buffer and assembled with
-precompiled structs, so the hot path allocates one ``bytes`` object per
-response body and nothing else.
+*executing* for this client at once.  The socket and the frame reader are
+:mod:`repro.server.transport`'s; any fault it reports poisons the channel and
+fails every waiter on it.
 
 :meth:`ReproClient.pipeline` opens an explicit batch context: every call
 on it sends its request immediately and returns a
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,13 +64,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.engine import RecordView
 from repro.server import protocol
 from repro.server.protocol import (
-    FRAME_HEADER,
     OPS,
     Op,
     Opcode,
     ProtocolError,
     Status,
 )
+from repro.server.transport import connect
 from repro.storage.serialization import ByteReader, Key
 
 
@@ -124,35 +122,22 @@ class _Channel:
     """One socket multiplexing many requests, demultiplexed by a reader thread.
 
     Senders register a :class:`_Waiter` under their request id *before*
-    writing the frame (sends serialize on a lock; responses may arrive in
-    any order).  The reader thread reassembles frames with ``recv_into``
-    on a reusable buffer, routes ``PARTIAL`` chunks to their waiter, and
-    wakes the waiter on its final frame.  Any transport or protocol fault
+    writing the frame (responses may arrive in any order).  The reader
+    thread routes ``PARTIAL`` chunks to their waiter and wakes the waiter on
+    its final frame.  Any transport or protocol fault
     poisons the whole channel: every pending waiter fails with the same
     error and the socket is closed — the next request gets a fresh socket.
     """
 
-    __slots__ = (
-        "sock",
-        "_send_lock",
-        "_lock",
-        "_waiters",
-        "_dead",
-        "_recv_buf",
-        "_reader",
-    )
+    __slots__ = ("connection", "_lock", "_waiters", "_dead", "_reader")
 
     def __init__(self, host: str, port: int, connect_timeout: Optional[float]) -> None:
-        self.sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Request timeouts are enforced by waiters; the reader thread itself
         # blocks indefinitely between frames (an idle channel is healthy).
-        self.sock.settimeout(None)
-        self._send_lock = threading.Lock()
+        self.connection = connect(host, port, connect_timeout)
         self._lock = threading.Lock()
         self._waiters: Dict[int, _Waiter] = {}
         self._dead: Optional[Exception] = None
-        self._recv_buf = bytearray(64 * 1024)
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-client-demux", daemon=True
         )
@@ -176,8 +161,7 @@ class _Channel:
 
     def send(self, frame: bytes) -> None:
         try:
-            with self._send_lock:
-                self.sock.sendall(frame)
+            self.connection.send(frame)
         except OSError as exc:
             error = ClientError(f"transport failure: {exc}")
             self.poison(error)
@@ -193,56 +177,26 @@ class _Channel:
         for waiter in waiters:
             waiter.error = error
             waiter.event.set()
-        self.close()
-
-    def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # already closed or never connected fully
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - teardown race
-            pass
+        self.connection.close()
 
     # ------------------------------------------------------------------
     # The demultiplexing reader
     # ------------------------------------------------------------------
     def _read_loop(self) -> None:
         try:
-            while True:
-                header = self._read_exactly(FRAME_HEADER.size)
-                length, crc = protocol.check_frame_header(header)
-                body_view = self._read_exactly(length)
-                protocol.check_frame_body(body_view, crc)
-                # The one copy: the body must outlive the reusable buffer.
-                body = bytes(body_view)
+            for body in self.connection.frames():
                 response_id, status, reader = protocol.decode_response(body)
                 if not self._deliver(response_id, status, reader):
                     raise ProtocolError(
                         f"response id {response_id} matches no in-flight request"
                     )
+            raise ProtocolError("server closed the connection")
         except ProtocolError as exc:
             self.poison(ClientProtocolError(str(exc)))
         except OSError as exc:
             self.poison(ClientError(f"transport failure: {exc}"))
         except Exception as exc:  # pragma: no cover - defensive
             self.poison(ClientError(f"client reader failed: {exc}"))
-
-    def _read_exactly(self, count: int) -> memoryview:
-        """Fill ``count`` bytes of the reusable receive buffer via recv_into."""
-        if count > len(self._recv_buf):
-            self._recv_buf = bytearray(count)
-        view = memoryview(self._recv_buf)[:count]
-        received = 0
-        while received < count:
-            chunk = self.sock.recv_into(view[received:])
-            if chunk == 0:
-                raise protocol.TruncatedFrameError(
-                    "server closed the connection mid-frame"
-                )
-            received += chunk
-        return view
 
     def _deliver(self, response_id: int, status: Status, reader: ByteReader) -> bool:
         with self._lock:

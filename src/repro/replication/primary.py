@@ -2,7 +2,10 @@
 
 A :class:`ReplicationPrimary` wraps an already-open WAL-enabled store (plain
 or sharded) and serves the replication side of the wire protocol on its own
-listener:
+listener (:mod:`repro.server.transport` owns the sockets, the
+``repl-primary-*`` threads, the framing and what ``stop`` / ``kill`` promise;
+a framing fault drops that subscriber only, and each connection's thread
+joins the ``repl-stream-*`` threads its subscriptions started):
 
 * ``TOPOLOGY`` — the shard layout a fresh replica needs to build matching
   follower trees (sharded flag, boundaries, page size, group-commit size);
@@ -28,7 +31,6 @@ Observability: per-shard gauges ``repl.shard<i>.durable_lsn`` /
 
 from __future__ import annotations
 
-import socket
 import struct
 import threading
 import time
@@ -41,44 +43,32 @@ from repro.server.protocol import (
     ProtocolError,
     Status,
     STREAM_CHUNK_BYTES,
-    check_frame_body,
-    check_frame_header,
-    encode_response,
     decode_request,
+    encode_refusal,
+    encode_response,
     iter_wal_records,
-    pack_error,
     pack_log_batch,
     pack_topology,
     pack_watermark,
     unpack_ack,
     unpack_subscribe,
 )
+from repro.server.transport import Connection, Listener
 from repro.replication.apply import scan_offset
-
-_FRAME_HEADER_SIZE = 8
 
 
 class ReplicationError(Exception):
     """Replication-layer misconfiguration or protocol failure."""
 
 
-class _Connection:
-    """One subscriber connection: socket, send lock, per-shard ACK vector."""
+class _Subscriber:
+    """One connection's replication state: ACK vector, subscriptions, streamers."""
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.reader = sock.makefile("rb")
-        self.send_lock = threading.Lock()
+    def __init__(self, connection: Connection) -> None:
+        self.connection = connection
         self.acked: Dict[int, int] = {}
         self.subscribed: List[int] = []
-        self.alive = True
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        self.streams: List[threading.Thread] = []
 
 
 class ReplicationPrimary:
@@ -106,40 +96,28 @@ class ReplicationPrimary:
                     "(open the store with wal=True)"
                 )
         self.metrics = store.metrics
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self.host, self.port = self._listener.getsockname()
-        self._running = False
+        self._listener = Listener(
+            host,
+            port,
+            self._serve_subscriber,
+            accept_name="repl-primary-accept",
+            connection_name="repl-primary-conn",
+        )
+        self.host, self.port = self._listener.host, self._listener.port
         self._killed = False
-        self._connections: List[_Connection] = []
-        self._threads: List[threading.Thread] = []
+        self._subscribers: List[_Subscriber] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ReplicationPrimary":
-        self._running = True
-        self._listener.listen()
-        accept = threading.Thread(
-            target=self._accept_loop, name="repl-primary-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        self._listener.start()
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown: stop streaming, close every connection."""
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        with self._lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.close()
+        """Graceful shutdown: stop accepting, end every stream, join."""
+        self._listener.stop()
 
     def kill(self) -> None:
         """Abrupt death: the failure-injection hook.
@@ -150,7 +128,7 @@ class ReplicationPrimary:
         oracle a promoted replica is checked against).
         """
         self._killed = True
-        self.stop()
+        self._listener.kill()
 
     @property
     def killed(self) -> bool:
@@ -163,115 +141,66 @@ class ReplicationPrimary:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Accept / per-connection serving
+    # Per-connection serving
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutting down
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _Connection(sock)
-            with self._lock:
-                self._connections.append(connection)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="repl-primary-conn",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve_connection(self, connection: _Connection) -> None:
+    def _serve_subscriber(self, connection: Connection) -> None:
+        subscriber = _Subscriber(connection)
+        with self._lock:
+            self._subscribers.append(subscriber)
         try:
-            while self._running and connection.alive:
-                request = self._read_request(connection)
-                if request is None:
-                    return
-                self._dispatch(connection, request)
+            for body in connection.frames():
+                self._dispatch(subscriber, decode_request(body))
         except (OSError, ProtocolError, struct.error):
             pass  # dead or misbehaving peer: drop the connection
         finally:
-            connection.close()
+            connection.close()  # what every streamer of this connection polls
+            for stream in subscriber.streams:
+                stream.join()
             with self._lock:
-                if connection in self._connections:
-                    self._connections.remove(connection)
+                self._subscribers.remove(subscriber)
             self._refresh_gauges()
 
-    def _read_request(self, connection: _Connection):
-        header = connection.reader.read(_FRAME_HEADER_SIZE)
-        if len(header) < _FRAME_HEADER_SIZE:
-            return None  # clean EOF
-        length, crc = check_frame_header(header)
-        body = connection.reader.read(length)
-        if len(body) < length:
-            return None  # torn frame at EOF
-        return decode_request(check_frame_body(body, crc))
-
-    def _send(self, connection: _Connection, frame: bytes) -> bool:
-        try:
-            with connection.send_lock:
-                connection.sock.sendall(frame)
-            return True
-        except OSError:
-            connection.close()
-            return False
-
-    def _dispatch(self, connection: _Connection, request) -> None:
+    def _dispatch(self, subscriber: _Subscriber, request) -> None:
         opcode = request.opcode
+        send = subscriber.connection.send
         if opcode is Opcode.PING:
-            self._send(connection, encode_response(request.request_id, Status.OK))
+            send(encode_response(request.request_id, Status.OK))
         elif opcode is Opcode.TOPOLOGY:
-            self._send(
-                connection,
-                encode_response(
-                    request.request_id, Status.OK, self._topology_payload()
-                ),
-            )
+            send(encode_response(request.request_id, Status.OK, self._topology_payload()))
         elif opcode is Opcode.WATERMARK:
-            durable, timestamp = self.store.watermark()
-            self._send(
-                connection,
-                encode_response(
-                    request.request_id,
-                    Status.OK,
-                    pack_watermark(durable, timestamp),
-                ),
-            )
+            payload = pack_watermark(*self.store.watermark())
+            send(encode_response(request.request_id, Status.OK, payload))
         elif opcode is Opcode.SUBSCRIBE:
             shard, from_lsn = unpack_subscribe(request.payload)
             if not 0 <= shard < len(self._shards):
-                self._refuse(connection, request.request_id, f"no shard {shard}")
+                send(
+                    encode_refusal(request.request_id, Status.BAD_REQUEST, f"no shard {shard}")
+                )
                 return
-            connection.subscribed.append(shard)
+            subscriber.subscribed.append(shard)
             streamer = threading.Thread(
                 target=self._stream_shard,
-                args=(connection, request.request_id, shard, from_lsn),
+                args=(subscriber.connection, request.request_id, shard, from_lsn),
                 name=f"repl-stream-{shard}",
                 daemon=True,
             )
+            subscriber.streams.append(streamer)
             streamer.start()
-            self._threads.append(streamer)
         elif opcode is Opcode.ACK:
             shard, lsn = unpack_ack(request.payload)
             # ACKs may arrive out of order (the replica forces batches
             # concurrently with our sends); the vector is monotone.
-            if lsn > connection.acked.get(shard, 0):
-                connection.acked[shard] = lsn
+            if lsn > subscriber.acked.get(shard, 0):
+                subscriber.acked[shard] = lsn
             self._refresh_gauges()
         else:
-            self._refuse(
-                connection,
-                request.request_id,
-                f"replication listener does not speak {opcode.name}",
+            send(
+                encode_refusal(
+                    request.request_id,
+                    Status.BAD_REQUEST,
+                    f"replication listener does not speak {opcode.name}",
+                )
             )
-
-    def _refuse(
-        self, connection, request_id: int, message: str, status: Status = Status.BAD_REQUEST
-    ) -> None:
-        self._send(connection, encode_response(request_id, status, pack_error(message)))
 
     def _topology_payload(self) -> bytes:
         sharded = isinstance(self.store, ShardedVersionStore)
@@ -287,44 +216,44 @@ class ReplicationPrimary:
     # Streaming
     # ------------------------------------------------------------------
     def _stream_shard(
-        self, connection: _Connection, request_id: int, shard: int, from_lsn: int
+        self, connection: Connection, request_id: int, shard: int, from_lsn: int
     ) -> None:
         store = self._shards[shard]
         device = store.log_device
         offset = scan_offset(device.durable_contents(), from_lsn)
-        while self._running and connection.alive:
-            if device.durable_bytes <= offset:
-                if store.closed:
-                    # Closed, or replaced by the halves of a split: its log
-                    # has ended, and "nothing more to ship" would read as
-                    # caught up for ever while the live shards move on.
-                    self._refuse(
-                        connection,
-                        request_id,
-                        f"shard {shard}'s store was closed or replaced",
-                        Status.ERROR,
+        try:
+            while not connection.shut:
+                if device.durable_bytes <= offset:
+                    if store.closed:
+                        # Closed, or replaced by the halves of a split: its
+                        # log has ended, and "nothing more to ship" would read
+                        # as caught up for ever while the live shards move on.
+                        connection.send(
+                            encode_refusal(
+                                request_id,
+                                Status.ERROR,
+                                f"shard {shard}'s store was closed or replaced",
+                            )
+                        )
+                        return
+                    time.sleep(self.poll_interval)
+                    continue
+                data = device.durable_suffix(offset)
+                for raw, last_lsn, count in self._cut_batches(data):
+                    connection.send(
+                        encode_response(
+                            request_id,
+                            Status.PARTIAL,
+                            pack_log_batch(shard, last_lsn, raw),
+                        )
                     )
-                    return
-                time.sleep(self.poll_interval)
-                continue
-            data = device.durable_suffix(offset)
-            shipped = 0
-            for raw, last_lsn, count in self._cut_batches(data):
-                if not self._send(
-                    connection,
-                    encode_response(
-                        request_id,
-                        Status.PARTIAL,
-                        pack_log_batch(shard, last_lsn, raw),
-                    ),
-                ):
-                    return
-                shipped += len(raw)
-                self.metrics.inc("repl.batches_sent")
-                self.metrics.observe("repl.batch_bytes", len(raw))
-                self.metrics.observe("repl.batch_records", count)
-            offset += shipped
-            self._refresh_gauges()
+                    offset += len(raw)
+                    self.metrics.inc("repl.batches_sent")
+                    self.metrics.observe("repl.batch_bytes", len(raw))
+                    self.metrics.observe("repl.batch_records", count)
+                self._refresh_gauges()
+        except OSError:
+            connection.shutdown()  # the subscriber is gone: wake its connection's thread
 
     def _cut_batches(self, data: bytes):
         """Cut ``data`` into whole-record slices of at most ``batch_bytes``.
@@ -357,9 +286,9 @@ class ReplicationPrimary:
         """The slowest subscriber's durable LSN for ``shard`` (None: no subs)."""
         with self._lock:
             acks = [
-                connection.acked.get(shard, 0)
-                for connection in self._connections
-                if shard in connection.subscribed
+                subscriber.acked.get(shard, 0)
+                for subscriber in self._subscribers
+                if shard in subscriber.subscribed
             ]
         return min(acks) if acks else None
 

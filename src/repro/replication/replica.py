@@ -1,7 +1,10 @@
 """A replica: mirror the primary's WAL, serve follower reads, promote.
 
-A :class:`Replica` connects to a :class:`~repro.replication.primary.ReplicationPrimary`,
-fetches the shard topology, and per shard maintains three things in
+A :class:`Replica` connects to a :class:`~repro.replication.primary.ReplicationPrimary`
+(over :mod:`repro.server.transport`, which owns the sockets and the framing;
+any fault on a subscription — torn tail, bad CRC, reset — ends it, and the
+shard's ``replica-<name>-tail<i>`` thread resubscribes from the mirror
+cursor), fetches the shard topology, and per shard maintains three things in
 lockstep:
 
 * a **mirror** :class:`~repro.storage.logdevice.LogDevice` — every shipped
@@ -41,7 +44,6 @@ them, so post-failover commits extend the same log and the same timeline.
 
 from __future__ import annotations
 
-import socket
 import struct
 import threading
 import time
@@ -57,8 +59,6 @@ from repro.server.protocol import (
     Opcode,
     ProtocolError,
     Status,
-    check_frame_body,
-    check_frame_header,
     decode_response,
     encode_request,
     pack_subscribe,
@@ -69,11 +69,12 @@ from repro.server.protocol import (
 )
 from repro.server.registry import StoreRegistry
 from repro.server.service import ReproServer
+from repro.server.transport import Connection, connect
 from repro.storage.logdevice import LogDevice
 from repro.replication.apply import LogReplayer, replay_device
 from repro.replication.primary import ReplicationError
 
-_FRAME_HEADER_SIZE = 8
+_CONNECT_TIMEOUT_S = 10.0
 
 
 class _ShardState:
@@ -88,7 +89,7 @@ class _ShardState:
         self.mirror_lsn = 0
         self.store: Optional[VersionStore] = None  # inner follower store
         self.thread: Optional[threading.Thread] = None
-        self.sock: Optional[socket.socket] = None
+        self.connection: Optional[Connection] = None  # the live subscription
 
 
 class Replica:
@@ -129,40 +130,21 @@ class Replica:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self.primary_host, self.primary_port), timeout=10
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
-    @staticmethod
-    def _read_response(reader):
-        header = reader.read(_FRAME_HEADER_SIZE)
-        if len(header) < _FRAME_HEADER_SIZE:
-            return None
-        length, crc = check_frame_header(header)
-        body = reader.read(length)
-        if len(body) < length:
-            return None
-        return decode_response(check_frame_body(body, crc))
-
     def _rpc(self, opcode: Opcode, payload: bytes = b""):
         """One request/response exchange on a throwaway connection."""
-        sock = self._connect()
+        connection = connect(self.primary_host, self.primary_port, _CONNECT_TIMEOUT_S)
         try:
-            reader = sock.makefile("rb")
             request_id = next(self._request_ids)
-            sock.sendall(encode_request(request_id, opcode, self.tenant, payload))
-            response = self._read_response(reader)
-            if response is None:
+            connection.send(encode_request(request_id, opcode, self.tenant, payload))
+            answer = next(connection.frames(), None)
+            if answer is None:
                 raise ReplicationError(f"primary hung up during {opcode.name}")
-            _, status, body = response
+            _, status, body = decode_response(answer)
             if status is not Status.OK:
                 raise ReplicationError(f"{opcode.name} answered {status.name}")
             return body
         finally:
-            sock.close()
+            connection.close()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -226,15 +208,9 @@ class Replica:
     def _close_subscriptions(self) -> None:
         self._running = False
         for state in self._states:
-            sock = state.sock  # the tailer clears the attribute as it exits
-            if sock is not None:
-                try:
-                    # close() alone does not interrupt a read another thread
-                    # is blocked in; shutdown() does, so the join is prompt.
-                    sock.shutdown(socket.SHUT_RDWR)
-                    sock.close()
-                except OSError:  # already closed by the tailer
-                    pass
+            connection = state.connection  # the tailer clears the attribute as it exits
+            if connection is not None:
+                connection.close()  # wakes the tailer's read, so the join is prompt
 
     def stop(self) -> None:
         """Graceful stop: close subscriptions, join the tailers."""
@@ -270,41 +246,42 @@ class Replica:
             except (OSError, ProtocolError, ReplicationError, struct.error):
                 pass  # disconnect / corrupt batch: resubscribe from the cursor
             finally:
-                if state.sock is not None:
-                    try:
-                        state.sock.close()
-                    except OSError:  # pragma: no cover - defensive
-                        pass
-                    state.sock = None
+                if state.connection is not None:
+                    state.connection.close()
+                    state.connection = None
             if self._running:
                 time.sleep(self.reconnect_delay)
 
     def _subscribe_once(self, state: _ShardState) -> None:
-        sock = self._connect()
-        state.sock = sock
-        reader = sock.makefile("rb")
-        request_id = next(self._request_ids)
+        connection = state.connection = connect(
+            self.primary_host, self.primary_port, _CONNECT_TIMEOUT_S
+        )
+        if not self._running:
+            return  # stop() ran during the connect and could not close what it could not see
         # Resume from the mirror's durable cursor: records at or below it
-        # are already safe here, so the primary starts right after.
-        sock.sendall(
+        # are already safe here, so the primary starts right after — and is
+        # told so, because its ACK vector is per connection: without this a
+        # resubscribed shard nobody writes would read as lagging for ever.
+        connection.send(
             encode_request(
-                request_id,
+                next(self._request_ids),
                 Opcode.SUBSCRIBE,
                 self.tenant,
                 pack_subscribe(state.shard, state.mirror_lsn),
             )
+            + self._ack(state)
         )
-        while self._running:
-            response = self._read_response(reader)
-            if response is None:
-                return  # primary gone (killed, or stream closed)
-            _, status, body = response
+        # The loop ends with the stream: primary gone (killed, or stopped).
+        for body in connection.frames():
+            if not self._running:
+                return
+            _, status, payload = decode_response(body)
             if status is Status.ERROR:
                 # The primary ended the subscription: the shard's store is
                 # gone (closed, or split in two).  What is applied here stays
                 # a consistent prefix; tailing the other shards past it would
                 # not be one, so every tailer stops.
-                self.detached = unpack_error(body)
+                self.detached = unpack_error(payload)
                 self._close_subscriptions()
                 return
             if status is not Status.PARTIAL:
@@ -312,7 +289,7 @@ class Replica:
                     f"subscription answered {status.name}; expected a "
                     "PARTIAL stream"
                 )
-            shard, last_lsn, records = unpack_log_batch(body)  # validates
+            shard, last_lsn, records = unpack_log_batch(payload)  # validates
             if shard != state.shard:
                 raise ReplicationError(
                     f"shard {state.shard} subscription received a batch "
@@ -324,14 +301,16 @@ class Replica:
             state.mirror.force()
             state.mirror_lsn = last_lsn
             self._apply_batch(state, records)
-            sock.sendall(
-                encode_request(
-                    next(self._request_ids),
-                    Opcode.ACK,
-                    self.tenant,
-                    pack_ack(state.shard, last_lsn),
-                )
-            )
+            connection.send(self._ack(state))
+
+    def _ack(self, state: _ShardState) -> bytes:
+        """The ``ACK`` frame for everything ``state``'s mirror durably holds."""
+        return encode_request(
+            next(self._request_ids),
+            Opcode.ACK,
+            self.tenant,
+            pack_ack(state.shard, state.mirror_lsn),
+        )
 
     def _apply_batch(self, state: _ShardState, records: bytes) -> None:
         store = self._store

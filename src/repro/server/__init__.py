@@ -1,9 +1,12 @@
 """The network service layer: the version store, served over TCP.
 
-``repro.server`` packages three pieces:
+``repro.server`` packages four pieces:
 
 * :mod:`~repro.server.protocol` — the struct-framed, CRC-checked wire
   protocol (WAL-style ``[length][crc][body]`` frames);
+* :mod:`~repro.server.transport` — every socket: the one listener core and
+  the one framed connection (the client and the replication tier use them
+  too);
 * :mod:`~repro.server.registry` — the per-tenant store registry
   (open-on-first-use, device-retaining close/reopen);
 * :mod:`~repro.server.service` — :class:`ReproServer`, the TCP server: one

@@ -9,13 +9,12 @@ images and framed exactly like the write-ahead log
     request  = [u64 request id][u8 opcode][tenant: len-prefixed utf-8][payload]
     response = [u64 request id][u8 status][payload]
 
-The CRC plus length framing gives the server the WAL's torn-tail property
-on the wire: a connection that dies mid-frame is detected at the frame
-boundary (:exc:`TruncatedFrameError`), and a corrupted body never decodes
-silently (:exc:`ChecksumError`).  A body length above
-:data:`MAX_BODY_BYTES` is rejected *before* the body is read, so a
-malformed (or hostile) length prefix cannot make either side buffer
-gigabytes (:exc:`FrameTooLargeError`).
+The CRC plus length framing gives the wire the WAL's torn-tail property.
+:func:`encode_frame` writes a frame and :func:`slice_frames` is the one
+function that reads them — its docstring is the rule for a torn tail
+(:exc:`TruncatedFrameError`), a corrupted body (:exc:`ChecksumError`) and a
+hostile length prefix (:exc:`FrameTooLargeError`); every socket end reaches
+it through :mod:`repro.server.transport`.
 
 The request/response surface is stated **once**, as the operation table
 :data:`OPS` at the bottom of this module: one :class:`Op` row per opcode
@@ -226,43 +225,48 @@ def encode_frame(body: bytes) -> bytes:
     return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def decode_frame(buffer: bytes) -> Tuple[bytes, int]:
-    """Decode one frame from the head of ``buffer``.
+def slice_frames(
+    buffer: bytes, at_eof: bool = False
+) -> Tuple[List[bytes], int, Optional[ProtocolError]]:
+    """Slice every complete frame off ``buffer``'s head — the one reader of
+    the frame format (every socket end reaches it through
+    :meth:`repro.server.transport.Connection.read_frames`).
 
-    Returns ``(body, consumed_bytes)``.  Raises :exc:`TruncatedFrameError`
-    when the buffer holds less than a whole frame — the caller reads more
-    bytes and retries (the stream analogue of the WAL's clean torn-tail
-    stop).
+    Returns ``(bodies, consumed_bytes, fault)``.  ``fault`` says the stream
+    cannot be read past ``consumed_bytes``: a length prefix above
+    :data:`MAX_BODY_BYTES` (:exc:`FrameTooLargeError`, refused before any
+    body is buffered) or a body that fails its CRC (:exc:`ChecksumError`)
+    **poisons** the stream — the frame boundary is lost, so the bodies
+    before the fault stand and nothing after it can be trusted.  Bytes short
+    of a whole frame are left unconsumed for the caller to prepend to its
+    next read; when there is no next read (``at_eof``) they are a **torn
+    tail** (:exc:`TruncatedFrameError`, the wire's analogue of the WAL's),
+    and a buffer that ends exactly on a frame boundary is a **clean end**
+    (no fault).
     """
-    length, crc = check_frame_header(buffer[: FRAME_HEADER.size])
-    end = FRAME_HEADER.size + length
-    if len(buffer) < end:
-        raise TruncatedFrameError("incomplete frame body")
-    return check_frame_body(bytes(buffer[FRAME_HEADER.size : end]), crc), end
-
-
-def check_frame_header(header: bytes) -> Tuple[int, int]:
-    """Validate a raw 8-byte header; return ``(body_length, crc)``.
-
-    Socket readers (the client's demultiplexer, the replication listener and
-    tailers) use this to reject an oversized length prefix before
-    allocating the body buffer.
-    """
-    if len(header) < FRAME_HEADER.size:
-        raise TruncatedFrameError("incomplete frame header")
-    length, crc = FRAME_HEADER.unpack(header)
-    if length > MAX_BODY_BYTES:
-        raise FrameTooLargeError(
-            f"frame header announces {length} bytes; the bound is {MAX_BODY_BYTES}"
-        )
-    return length, crc
-
-
-def check_frame_body(body: bytes, crc: int) -> bytes:
-    """Verify ``body`` against the header's CRC; return it unchanged."""
-    if zlib.crc32(body) != crc:
-        raise ChecksumError("frame CRC mismatch")
-    return body
+    bodies: List[bytes] = []
+    offset = 0
+    fault: Optional[ProtocolError] = None
+    header_size = FRAME_HEADER.size
+    while len(buffer) - offset >= header_size:
+        length, crc = FRAME_HEADER.unpack_from(buffer, offset)
+        if length > MAX_BODY_BYTES:
+            fault = FrameTooLargeError(
+                f"frame header announces {length} bytes; the bound is {MAX_BODY_BYTES}"
+            )
+            break
+        end = offset + header_size + length
+        if len(buffer) < end:
+            break
+        body = buffer[offset + header_size : end]  # the one copy
+        if zlib.crc32(body) != crc:
+            fault = ChecksumError("frame CRC mismatch")
+            break
+        bodies.append(body)
+        offset = end
+    if at_eof and fault is None and offset < len(buffer):
+        fault = TruncatedFrameError("the stream ended inside a frame")
+    return bodies, offset, fault
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +351,11 @@ def decode_response(body: bytes) -> Tuple[int, Status, ByteReader]:
     except (SerializationError, ValueError) as exc:
         raise ProtocolError(f"malformed response envelope: {exc}") from exc
     return request_id, status, reader
+
+
+def encode_refusal(request_id: int, status: Status, message: str) -> bytes:
+    """One refusal / failure response frame carrying ``message``."""
+    return encode_response(request_id, status, pack_error(message))
 
 
 def pack_error(message: str) -> bytes:

@@ -3,22 +3,20 @@ connection.
 
 :class:`ReproServer` promotes the in-process façade to a served database:
 
-* **Framing** — requests and responses travel in the CRC-checked
-  ``[length][crc][body]`` frames of :mod:`repro.server.protocol`.  A
-  malformed frame (bad CRC, oversized length, truncated body) poisons the
-  byte stream, so the connection is dropped; other connections are
-  untouched and a fresh connect is served normally.
+* **Transport** — the listener, the connection threads, the frame reader
+  and what ``stop`` promises are :mod:`repro.server.transport`'s (described
+  there, once).  What this module decides: a framing fault — torn tail,
+  bad CRC, oversized length, malformed envelope — costs that connection
+  only, after the requests read before it are answered; other connections
+  are untouched and a fresh connect is served normally.
 * **Tenants** — every request names a tenant; stores open on first use
   from the :class:`~repro.server.registry.StoreRegistry` catalog and close
   (checkpointing) at shutdown.
-* **A connection is a thread** — an accept loop (thread ``repro-server``)
-  hands every connection its own blocking thread
-  (``repro-server-conn-N``).  That thread reads a *burst* — whatever one
-  ``recv`` of up to :data:`READ_CHUNK_BYTES` returns, which for a pipelined
-  client is many frames (the ``server.pipeline.depth`` histogram) — slices
-  every complete frame off it, admits the burst, executes the admitted
+* **A connection is a thread** (``repro-server-conn-N``) that reads a
+  *burst* — for a pipelined client many frames (the
+  ``server.pipeline.depth`` histogram) — admits it, executes the admitted
   requests **in arrival order** against the thread-safe façade, encodes
-  the response frames and writes them with one ``sendall``, all where the
+  the response frames and writes them with one ``send``, all where the
   bytes arrived: no event loop, no hand-off to another thread, no future
   per request.  Responses on one connection therefore come back **in
   request order** (a client still matches them by request id): a slow
@@ -56,19 +54,16 @@ connection.
   as JSON or Prometheus text for ``repro stats --server``.
 
 :meth:`start` / :meth:`stop` (or a ``with`` block) drive it from
-synchronous code.  :meth:`stop` is a graceful shutdown: stop accepting,
-answer every burst already read, close every connection, then close every
-tenant store — and when it returns no ``repro-server*`` thread is alive.
+synchronous code.  :meth:`stop` is the transport's graceful shutdown, then
+every tenant store is closed — and when it returns no ``repro-server*``
+thread is alive.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import socket
 import threading
-import zlib
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.engine import VersionStoreError
@@ -78,7 +73,6 @@ from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.server import protocol
 from repro.server.protocol import (
-    FRAME_HEADER,
     OPS,
     Op,
     Opcode,
@@ -87,36 +81,11 @@ from repro.server.protocol import (
     Status,
 )
 from repro.server.registry import StoreRegistry
+from repro.server.transport import Connection, Listener
 from repro.storage.serialization import SerializationError
-
-#: How much a connection thread pulls off its socket per ``recv``.  A
-#: pipelined client's burst of frames lands in one read, so the whole burst
-#: is admitted, executed and answered together.  Kept under the allocator's
-#: mmap threshold (128 KiB): ``recv`` allocates its whole argument before it
-#: knows how little arrived, and above the threshold that is an
-#: mmap/munmap pair per read (measured here: 12 µs instead of 1).
-READ_CHUNK_BYTES = 64 * 1024
-
-#: How long :meth:`ReproServer.stop` waits for a thread whose socket it has
-#: already cut: long enough to finish the store call it is in, short enough
-#: that a wedged one is reported instead of waited out.
-_CUT_GRACE_S = 5.0
 
 #: ``server.op.<name>`` — each opcode's latency histogram, named once.
 _OP_METRIC = {opcode: f"server.op.{opcode.name.lower()}" for opcode in Opcode}
-
-
-def _error_frame(request_id: int, status: Status, message: str) -> bytes:
-    """One refusal / failure response frame carrying ``message``."""
-    return protocol.encode_response(request_id, status, protocol.pack_error(message))
-
-
-def _shutdown(sock: socket.socket, how: int) -> None:
-    """``sock.shutdown(how)``; a socket its peer already reset is shut down."""
-    try:
-        sock.shutdown(how)
-    except OSError:
-        pass
 
 
 class ReproServer:
@@ -181,14 +150,13 @@ class ReproServer:
         self.node = node
 
         #: Set from :meth:`start` until :meth:`stop` has finished.
-        self._listener: Optional[socket.socket] = None
-        self._thread: Optional[threading.Thread] = None  # the accept loop
+        self._listener: Optional[Listener] = None
+        self._started = False
         self._slots = threading.BoundedSemaphore(workers)
-        #: Guards ``_connections`` and ``_inflight``.
+        #: Guards ``_open`` and ``_inflight``.
         self._lock = threading.Lock()
-        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._open = 0  # connections being served
         self._inflight = 0
-        self._stopping = False
         self._stop_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -196,17 +164,21 @@ class ReproServer:
     # ------------------------------------------------------------------
     def start(self) -> "ReproServer":
         """Bind, then accept on a background thread; returns once bound."""
-        if self._thread is not None:
+        if self._started:
             raise RuntimeError("this ReproServer was already started")
         try:
-            self._listener = socket.create_server((self.host, self.port), backlog=128)
+            self._listener = Listener(
+                self.host,
+                self.port,
+                self._serve_connection,
+                accept_name="repro-server",
+                connection_name="repro-server-conn",
+            )
         except OSError as exc:
             raise RuntimeError(f"server failed to start: {exc}") from exc
-        self.port = self._listener.getsockname()[1]
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="repro-server", daemon=True
-        )
-        self._thread.start()
+        self._started = True
+        self.port = self._listener.port
+        self._listener.start()
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
@@ -221,35 +193,10 @@ class ReproServer:
         with self._stop_lock:
             if self._listener is None:  # never started, or already stopped
                 return
-            deadline = monotonic() + timeout
-            self._stopping = True
-            # ``close()`` from another thread does not reliably wake a
-            # blocked ``accept()`` on Linux; one more connection does.
-            try:
-                socket.create_connection(
-                    self._listener.getsockname()[:2], timeout=1.0
-                ).close()
-            except OSError:
-                pass  # the accept loop is already gone
-            self._thread.join(timeout)
-            with self._lock:
-                connections = dict(self._connections)
-            for sock in connections:
-                # A thread blocked in ``recv`` sees end-of-stream and leaves;
-                # one in the middle of a burst can still answer it.
-                _shutdown(sock, socket.SHUT_RD)
-            for thread in connections.values():
-                thread.join(max(0.0, deadline - monotonic()))
-            for sock, thread in connections.items():
-                if thread.is_alive():  # e.g. sending to a peer that never reads
-                    _shutdown(sock, socket.SHUT_RDWR)
-                    thread.join(_CUT_GRACE_S)
-            if self._thread.is_alive() or any(
-                thread.is_alive() for thread in connections.values()
-            ):
-                # Closing the stores under a request still running would
-                # corrupt its answer: leave them open and say so.
-                raise RuntimeError("server did not shut down in time")
+            # Raises, leaving the stores open, when a thread outlives it:
+            # closing them under a request still running would corrupt its
+            # answer.
+            self._listener.stop(timeout)
             self.registry.close_all()
             self._listener = None
 
@@ -257,8 +204,8 @@ class ReproServer:
         """Start and block until interrupted (the CLI foreground mode)."""
         self.start()
         try:
-            while self._thread.is_alive():
-                self._thread.join(timeout=0.5)
+            while not self._listener.wait(0.5):
+                pass
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             pass
         finally:
@@ -274,64 +221,36 @@ class ReproServer:
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
-    def _accept_loop(self) -> None:
-        numbers = itertools.count(1)
-        with self._listener as listener:
-            while True:
-                try:
-                    sock, _ = listener.accept()
-                except OSError:
-                    if self._stopping:
-                        return
-                    continue  # the connection died in the backlog
-                if self._stopping:
-                    sock.close()  # stop()'s wake-up call, or a late client
-                    return
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(sock,),
-                    name=f"repro-server-conn-{next(numbers)}",
-                    daemon=True,
-                )
-                with self._lock:
-                    self._connections[sock] = thread
-                    self.metrics.set_gauge("server.connections", len(self._connections))
-                thread.start()
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    def _serve_connection(self, sock: socket.socket) -> None:
-        """One connection's whole life: read a burst, answer it, repeat.
-
-        One ``recv`` pulls a pipelined client's whole burst off the socket;
-        the parser slices every complete frame out of it (one copy per
-        body) and the burst is admitted, executed and answered before the
-        next read.
-        """
+    def _serve_connection(self, connection: Connection) -> None:
+        """One connection's whole life: read a burst, answer it, repeat."""
         metrics = self.metrics
-        partial = b""  # the head of a frame whose tail has not arrived yet
+        self._opened(1)
         try:
-            while not self._stopping:
-                data = sock.recv(READ_CHUNK_BYTES)
-                if not data:
-                    if partial:
-                        # EOF inside a frame: the wire analogue of the WAL's
-                        # torn tail.  Nothing to answer.
-                        metrics.inc("server.protocol_errors")
-                    return
-                if partial:
-                    data = partial + data
-                requests, consumed, rejects, poisoned = self._parse_frames(data)
-                partial = data[consumed:]
+            for bodies in iter(connection.read_frames, []):
+                requests: List[Request] = []
+                rejects: List[Tuple[int, str]] = []
+                malformed: Optional[ProtocolError] = None
+                for body in bodies:
+                    try:
+                        requests.append(protocol.decode_request(body))
+                    except protocol.UnknownOpcodeError as exc:
+                        rejects.append((exc.request_id, str(exc)))
+                    except ProtocolError as exc:
+                        # An envelope that does not decode is as untrustworthy
+                        # as a framing fault: answer what came before it, then
+                        # drop the connection.
+                        malformed = exc
+                        break
                 if rejects:
                     # Well-framed requests naming a foreign opcode: the stream
                     # is intact, so reject each request and carry on.
                     metrics.inc("server.protocol_errors", len(rejects))
-                    sock.sendall(
+                    connection.send(
                         b"".join(
-                            _error_frame(request_id, Status.BAD_REQUEST, message)
+                            protocol.encode_refusal(request_id, Status.BAD_REQUEST, message)
                             for request_id, message in rejects
                         )
                     )
@@ -339,63 +258,24 @@ class ReproServer:
                     metrics.observe(
                         "server.pipeline.depth", len(requests), bounds=COUNT_BUCKETS
                     )
-                    self._answer(sock, requests)
-                if poisoned:
-                    # Oversized length prefix or CRC mismatch: the byte stream
-                    # itself cannot be trusted past this point, so the frame
-                    # boundary is gone.  Drop the connection; the listener and
-                    # every other connection carry on.
-                    metrics.inc("server.protocol_errors")
-                    return
+                    self._answer(connection, requests)
+                if malformed is not None:
+                    raise malformed
+        except ProtocolError:
+            # Torn tail, poisoned stream or malformed envelope: this
+            # connection is dropped; the listener and every other one carry on.
+            metrics.inc("server.protocol_errors")
         except OSError:
             pass  # the peer reset, or stop() cut a send to a peer that never reads
         finally:
-            with self._lock:
-                del self._connections[sock]
-                metrics.set_gauge("server.connections", len(self._connections))
-            sock.close()
+            self._opened(-1)
 
-    @staticmethod
-    def _parse_frames(buffer: bytes):
-        """Slice every complete frame off ``buffer``'s head.
+    def _opened(self, change: int) -> None:
+        with self._lock:
+            self._open += change
+            self.metrics.set_gauge("server.connections", self._open)
 
-        Returns ``(requests, consumed_bytes, rejects, poisoned)`` where
-        ``rejects`` holds ``(request_id, message)`` for unknown-opcode
-        frames and ``poisoned`` means the stream is untrustworthy past the
-        parsed prefix (the caller must drop the connection).
-        """
-        requests: List[Request] = []
-        rejects: List[Tuple[int, str]] = []
-        offset = 0
-        poisoned = False
-        header_size = FRAME_HEADER.size
-        view = memoryview(buffer)
-        try:
-            while len(buffer) - offset >= header_size:
-                length, crc = FRAME_HEADER.unpack_from(buffer, offset)
-                if length > protocol.MAX_BODY_BYTES:
-                    poisoned = True
-                    break
-                end = offset + header_size + length
-                if len(buffer) < end:
-                    break
-                body = bytes(view[offset + header_size : end])
-                offset = end
-                if zlib.crc32(body) != crc:
-                    poisoned = True
-                    break
-                try:
-                    requests.append(protocol.decode_request(body))
-                except protocol.UnknownOpcodeError as exc:
-                    rejects.append((exc.request_id, str(exc)))
-                except ProtocolError:
-                    poisoned = True
-                    break
-        finally:
-            view.release()
-        return requests, offset, rejects, poisoned
-
-    def _answer(self, sock: socket.socket, requests: List[Request]) -> None:
+    def _answer(self, connection: Connection, requests: List[Request]) -> None:
         """Admit a parsed burst; execute and answer it in arrival order.
 
         The head of the burst that fits both admission limits runs — under
@@ -420,7 +300,7 @@ class ReproServer:
                     frames, end = self._execute(admitted, done)
                 self._executed(end - done)
                 done = end
-                sock.sendall(b"".join(frames))
+                connection.send(b"".join(frames))
         finally:
             self._executed(len(admitted) - done)  # a send failed: the rest never ran
         if refused:
@@ -429,9 +309,9 @@ class ReproServer:
                 f"admission limit reached ({inflight} in flight server-wide, "
                 f"{len(admitted)} of this burst of {len(requests)} admitted)"
             )
-            sock.sendall(
+            connection.send(
                 b"".join(
-                    _error_frame(request.request_id, Status.SERVER_BUSY, message)
+                    protocol.encode_refusal(request.request_id, Status.SERVER_BUSY, message)
                     for request in refused
                 )
             )

@@ -7,7 +7,7 @@ of its mirror answers, and a follower read at a timestamp must wait for the
 replicated watermark before answering.
 """
 
-import socket
+import threading
 import time
 
 import pytest
@@ -20,6 +20,7 @@ from repro.server import protocol
 from repro.server.protocol import ByteReader, Opcode, Status
 from repro.server.registry import StoreRegistry
 from repro.server.service import ReproServer
+from tests.wire import Wire, until
 
 
 def _wal_config(shards=None, group_commit_size=2):
@@ -81,8 +82,8 @@ class TestShipping:
             # Sever every subscription mid-stream; the tailers reconnect
             # and resume from their durable mirror cursors.
             for state in replica._states:
-                if state.sock is not None:
-                    state.sock.close()
+                if state.connection is not None:
+                    state.connection.close()
             _write(store, 30, prefix="m")
             assert primary.wait_caught_up(timeout=10)
             # If resume re-shipped from zero the mirror would hold
@@ -98,17 +99,13 @@ class TestShipping:
         _write(store, 20)
         durable = primary.durable_lsns()[0]
         from_lsn = durable // 2
-        with socket.create_connection((primary.host, primary.port)) as sock:
-            reader = sock.makefile("rb")
-            sock.sendall(
-                encode_subscribe := protocol.encode_request(
+        with Wire.connect(primary.host, primary.port) as wire:
+            wire.send(
+                protocol.encode_request(
                     1, Opcode.SUBSCRIBE, "default", protocol.pack_subscribe(0, from_lsn)
                 )
             )
-            header = reader.read(8)
-            length, crc = protocol.check_frame_header(header)
-            body = protocol.check_frame_body(reader.read(length), crc)
-            _, status, payload = protocol.decode_response(body)
+            _, status, payload = wire.response()
             assert status is Status.PARTIAL
             _, _, records = protocol.unpack_log_batch(payload)
             first_lsn = next(lsn for _, lsn, _ in protocol.iter_wal_records(records))
@@ -117,20 +114,20 @@ class TestShipping:
     def test_out_of_order_acks_keep_a_monotone_cursor(self, sharded_setup):
         _, store, primary = sharded_setup
         _write(store, 10)
-        with socket.create_connection((primary.host, primary.port)) as sock:
+        with Wire.connect(primary.host, primary.port) as wire:
             # Subscribe far past the durable end: the stream stays silent,
             # leaving the connection free for ACK traffic.
-            sock.sendall(
+            wire.send(
                 protocol.encode_request(
                     1, Opcode.SUBSCRIBE, "default", protocol.pack_subscribe(0, 1 << 40)
                 )
             )
-            sock.sendall(
+            wire.send(
                 protocol.encode_request(
                     2, Opcode.ACK, "default", protocol.pack_ack(0, 10)
                 )
             )
-            sock.sendall(
+            wire.send(
                 protocol.encode_request(
                     3, Opcode.ACK, "default", protocol.pack_ack(0, 5)
                 )
@@ -140,6 +137,47 @@ class TestShipping:
                 time.sleep(0.002)
             # The late, smaller ACK must not regress the cursor.
             assert primary.min_acked(0) == 10
+
+
+def _repl_threads():
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("repl-"))
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("end", ["stop", "kill"])
+    def test_primary_leaves_no_thread_and_no_reference_behind(self, end):
+        """``stop()`` used to close the listener under a blocked ``accept()``
+        — which Linux does not wake — and kept every connection's and every
+        stream's ``Thread`` in a list for the primary's whole life."""
+        registry = StoreRegistry(
+            {"default": _wal_config(shards=ShardSpec(boundaries=("g", "p")))}
+        )
+        store = registry.get("default")
+        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        try:
+            _write(store, 12)
+            for name in ("first", "second"):  # connections come and go
+                with Replica(primary.host, primary.port, name=name).start():
+                    assert primary.wait_caught_up(timeout=10)
+            until(lambda: not primary._subscribers, "both subscribers to be forgotten")
+            # Nothing finished is remembered: only the accept loop is left.
+            assert primary._subscribers == [] and primary._listener._connections == {}
+            assert _repl_threads() == ["repl-primary-accept"]
+        finally:
+            getattr(primary, end)()
+            registry.close_all()
+        assert _repl_threads() == []
+        assert primary.killed is (end == "kill")
+
+    def test_a_subscription_blocks_without_a_read_timeout(self, sharded_setup):
+        """The connect timeout used to stay on the socket, so an idle shard's
+        subscription timed out every 10 s and was re-made — two new primary
+        threads each time, and a batch in flight then shipped twice."""
+        _, _, primary = sharded_setup
+        with Replica(primary.host, primary.port, name="idle").start() as replica:
+            for state in replica._states:
+                until(lambda: state.connection is not None, "the tailer to connect")
+                assert state.connection.sock.gettimeout() is None
 
 
 class TestFollowerReads:

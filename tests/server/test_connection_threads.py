@@ -14,7 +14,6 @@ wait below is on an event the server (or the stub) signals, never a sleep:
   in ``tests/conftest.py`` re-checks the threads after every test).
 """
 
-import socket
 import sys
 import threading
 import time
@@ -25,12 +24,10 @@ from repro.api.store import StoreConfig
 from repro.client import ReproClient
 from repro.obs.registry import MetricsRegistry
 from repro.server import protocol
-from repro.server.protocol import FRAME_HEADER, OPS, Opcode, Status
+from repro.server.protocol import OPS, Opcode, Status
 from repro.server.registry import StoreRegistry
 from repro.server.service import ReproServer
-from tests.server.test_server import _recv_exactly
-
-WAIT_S = 10.0  # how long any single event may take before the test fails
+from tests.wire import WAIT_S, Wire  # WAIT_S: how long any single event may take
 
 
 def _request(request_id: int, opcode: Opcode, *args, tenant: str = "stub") -> bytes:
@@ -38,20 +35,8 @@ def _request(request_id: int, opcode: Opcode, *args, tenant: str = "stub") -> by
     return protocol.encode_request(request_id, opcode, tenant, payload)
 
 
-def _connect(server: ReproServer) -> socket.socket:
-    return socket.create_connection((server.host, server.port), timeout=WAIT_S)
-
-
-def _read_response(sock: socket.socket):
-    """The next response frame as ``(request_id, status, reader)``; ``None``
-    once the server has closed the connection."""
-    header = _recv_exactly(sock, FRAME_HEADER.size)
-    if header is None:
-        return None
-    length, crc = protocol.check_frame_header(header)
-    body = _recv_exactly(sock, length)
-    assert body is not None, "connection closed inside a frame"
-    return protocol.decode_response(protocol.check_frame_body(body, crc))
+def _connect(server: ReproServer) -> Wire:
+    return Wire.connect(server.host, server.port)
 
 
 def _server_threads():
@@ -123,22 +108,22 @@ class TestBursts:
         gated = _GatedGet()
         server = _stub_server(gated, max_pending_per_connection=4)
         try:
-            with _connect(server) as sock:
+            with _connect(server) as wire:
                 # Park the connection's thread inside the store, so the six
                 # frames sent meanwhile are read as one burst.
-                sock.sendall(_request(1, Opcode.GET, 0))
+                wire.send(_request(1, Opcode.GET, 0))
                 assert gated.entered.acquire(timeout=WAIT_S)
-                sock.sendall(b"".join(_request(i, Opcode.GET, i) for i in range(2, 8)))
+                wire.send(b"".join(_request(i, Opcode.GET, i) for i in range(2, 8)))
                 gated.gate.set()
-                answers = [_read_response(sock) for _ in range(7)]
+                answers = [wire.response() for _ in range(7)]
                 assert [request_id for request_id, _, _ in answers] == list(range(1, 8))
                 assert [status for _, status, _ in answers] == (
                     [Status.OK] * 5 + [Status.SERVER_BUSY] * 2
                 )
                 assert "admission limit" in protocol.unpack_error(answers[-1][2])
                 # Shed, not dropped: the same connection is served again.
-                sock.sendall(_request(8, Opcode.PING))
-                assert _read_response(sock)[:2] == (8, Status.OK)
+                wire.send(_request(8, Opcode.PING))
+                assert wire.response()[:2] == (8, Status.OK)
             counters = server.metrics.counters()
             assert counters["server.busy"] == 2
             assert counters["server.requests"] == 6
@@ -161,11 +146,11 @@ class TestBursts:
                     burst.append(_request(request_id, Opcode.INSERT, request_id, b"v", None, tenant="default"))
                 else:
                     burst.append(_request(request_id, Opcode.GET, request_id - 1, tenant="default"))
-            with _connect(server) as sock:
-                sock.sendall(b"".join(burst))
+            with _connect(server) as wire:
+                wire.send(b"".join(burst))
                 finals, partials = [], 0
                 while len(finals) < 24:
-                    request_id, status, reader = _read_response(sock)
+                    request_id, status, reader = wire.response()
                     if status is Status.PARTIAL:
                         # A streamed answer's chunks precede its final frame
                         # and nothing else interleaves with them.
@@ -190,14 +175,14 @@ class TestBursts:
 
         server = _stub_server(get)
         try:
-            with _connect(server) as sock:
-                sock.sendall(
+            with _connect(server) as wire:
+                wire.send(
                     _request(1, Opcode.GET, 1)
                     + _request(2, Opcode.GET, 2)
                     + _request(3, Opcode.GET, 3, tenant="nobody")
                     + _request(4, Opcode.GET, 4)
                 )
-                answers = [_read_response(sock) for _ in range(4)]
+                answers = [wire.response() for _ in range(4)]
             assert [(request_id, status) for request_id, status, _ in answers] == [
                 (1, Status.OK),
                 (2, Status.ERROR),
@@ -217,10 +202,10 @@ class TestExecutionSlots:
         gated = _GatedGet()
         watch = _GaugeWatch(target=4)
         server = _stub_server(gated, workers=workers, metrics=watch)
-        socks = [_connect(server) for _ in range(4)]
+        wires = [_connect(server) for _ in range(4)]
         try:
-            for index, sock in enumerate(socks):
-                sock.sendall(_request(index + 1, Opcode.GET, index))
+            for index, wire in enumerate(wires):
+                wire.send(_request(index + 1, Opcode.GET, index))
             # All four admitted; ``workers`` of them hold a slot and park in
             # the store, the others wait for one.
             assert watch.reached.wait(WAIT_S)
@@ -228,13 +213,13 @@ class TestExecutionSlots:
                 assert gated.entered.acquire(timeout=WAIT_S)
             assert gated.active == workers
             gated.gate.set()
-            for index, sock in enumerate(socks):
-                assert _read_response(sock)[:2] == (index + 1, Status.OK)
+            for index, wire in enumerate(wires):
+                assert wire.response()[:2] == (index + 1, Status.OK)
             assert gated.peak == workers
         finally:
             gated.gate.set()
-            for sock in socks:
-                sock.close()
+            for wire in wires:
+                wire.close()
             server.stop()
         assert watch.gauges()["server.inflight"] == 0
 
@@ -277,8 +262,8 @@ class TestStop:
         server = _stub_server(gated)
         store = server.registry.get("stub")
         (accept_thread,) = [t for t in threading.enumerate() if t.name == "repro-server"]
-        with _connect(server) as sock:
-            sock.sendall(_request(7, Opcode.GET, 1))
+        with _connect(server) as wire:
+            wire.send(_request(7, Opcode.GET, 1))
             assert gated.entered.acquire(timeout=WAIT_S)
             stopper = threading.Thread(target=server.stop)
             stopper.start()
@@ -288,8 +273,8 @@ class TestStop:
             assert not accept_thread.is_alive()
             assert not store.closed
             gated.gate.set()
-            assert _read_response(sock)[:2] == (7, Status.OK)
-            assert _read_response(sock) is None  # then, and only then, EOF
+            assert wire.response()[:2] == (7, Status.OK)
+            assert wire.response() is None  # then, and only then, EOF
             stopper.join(WAIT_S)
             assert not stopper.is_alive()
         assert store.closed
@@ -304,7 +289,7 @@ class TestStop:
             started = time.monotonic()
             server.stop(timeout=WAIT_S)
             assert time.monotonic() - started < WAIT_S / 2
-            assert _read_response(idle) is None
+            assert idle.response() is None
         assert _server_threads() == []
         assert server.registry.open_tenants() == []
 
@@ -318,7 +303,7 @@ class TestStop:
             # ~1 MiB per answer, 48 of them: far more than the socket
             # buffers between the two ends hold, so the connection's thread
             # ends up blocked in ``sendall``.
-            deaf.sendall(
+            deaf.send(
                 b"".join(
                     _request(i, Opcode.RANGE, None, None, None, tenant="default")
                     for i in range(1, 49)

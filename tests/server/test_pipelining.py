@@ -11,7 +11,6 @@ the acceptance regression — a multi-MiB snapshot/range answer that would
 overflow a single frame must round-trip chunked, byte-identical.
 """
 
-import socket
 import threading
 
 import pytest
@@ -26,7 +25,6 @@ from repro.client import (
 )
 from repro.server import protocol
 from repro.server.protocol import (
-    FRAME_HEADER,
     MAX_BODY_BYTES,
     Opcode,
     ProtocolError,
@@ -34,6 +32,7 @@ from repro.server.protocol import (
 )
 from repro.server.service import ReproServer
 from repro.workload.concurrent import run_concurrent
+from tests.wire import ScriptedPeer
 
 
 def _catalog():
@@ -57,86 +56,27 @@ def server():
         yield srv
 
 
-def _recv_exactly(sock: socket.socket, count: int):
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _read_request(sock: socket.socket):
-    """Read one request frame off a raw accepted socket (None on EOF)."""
-    header = _recv_exactly(sock, FRAME_HEADER.size)
-    if header is None:
-        return None
-    length, crc = protocol.check_frame_header(header)
-    body = _recv_exactly(sock, length)
-    assert body is not None
-    protocol.check_frame_body(body, crc)
-    return protocol.decode_request(body)
-
-
-class _ScriptedServer:
-    """A raw TCP endpoint whose per-connection behaviour is a test closure.
-
-    The handler receives each accepted socket; the client under test
-    connects to :attr:`port`.  Handler exceptions are re-raised at exit so
-    a broken script fails the test instead of hanging it.
-    """
-
-    def __init__(self, handler):
-        self._handler = handler
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.port = self._listener.getsockname()[1]
-        self._errors = []
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-
-    def _accept_loop(self):
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed: test over
-            try:
-                with conn:
-                    self._handler(conn)
-            except Exception as exc:  # noqa: BLE001 - surfaced at close()
-                self._errors.append(exc)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._listener.close()
-        if exc_type is None and self._errors:
-            raise self._errors[0]
-
-
 class TestDemultiplexing:
     def test_out_of_order_responses_reach_their_callers(self):
         """Responses sent in reverse order land on the right waiters."""
 
         def reversed_responder(conn):
-            first = _read_request(conn)
-            second = _read_request(conn)
+            first = conn.request()
+            second = conn.request()
             if first is None or second is None:
                 return
-            conn.sendall(
+            conn.send(
                 protocol.encode_response(
                     second.request_id, Status.OK, protocol.pack_timestamp_u64(2)
                 )
             )
-            conn.sendall(
+            conn.send(
                 protocol.encode_response(
                     first.request_id, Status.OK, protocol.pack_timestamp_u64(1)
                 )
             )
 
-        with _ScriptedServer(reversed_responder) as scripted:
+        with ScriptedPeer(reversed_responder) as scripted:
             with ReproClient("127.0.0.1", scripted.port, pool_size=1) as client:
                 with client.pipeline() as pipe:
                     first, second = pipe.now(), pipe.now()
@@ -147,17 +87,17 @@ class TestDemultiplexing:
 
     def test_unknown_response_id_poisons_the_channel(self):
         def rogue_responder(conn):
-            request = _read_request(conn)
+            request = conn.request()
             if request is None:
                 return
-            conn.sendall(
+            conn.send(
                 protocol.encode_response(
                     request.request_id + 999, Status.OK, protocol.pack_timestamp_u64(7)
                 )
             )
-            _read_request(conn)  # hold the socket open until the client gives up
+            conn.request()  # hold the socket open until the client gives up
 
-        with _ScriptedServer(rogue_responder) as scripted:
+        with ScriptedPeer(rogue_responder) as scripted:
             with ReproClient(
                 "127.0.0.1", scripted.port, pool_size=1, timeout=5.0
             ) as client:
@@ -219,7 +159,7 @@ class TestDemultiplexing:
         records = [(key, b"x" * 32) for key in range(4)]
 
         def truncating_responder(conn):
-            request = _read_request(conn)
+            request = conn.request()
             if request is None:
                 return
             store_records = []
@@ -228,13 +168,13 @@ class TestDemultiplexing:
                     seed.insert(key, value)
                 store_records = seed.range_search()
             chunk = protocol.pack_records(store_records)
-            conn.sendall(
+            conn.send(
                 protocol.encode_response(request.request_id, Status.PARTIAL, chunk)
             )
             final = protocol.encode_response(request.request_id, Status.OK, chunk)
-            conn.sendall(final[: len(final) // 2])  # half a frame, then EOF
+            conn.send(final[: len(final) // 2])  # half a frame, then EOF
 
-        with _ScriptedServer(truncating_responder) as scripted:
+        with ScriptedPeer(truncating_responder) as scripted:
             with ReproClient("127.0.0.1", scripted.port, pool_size=1) as client:
                 with pytest.raises(ClientProtocolError):
                     client.range_search()
@@ -250,12 +190,12 @@ class TestDemultiplexing:
 
         def selective_responder(conn):
             while True:
-                request = _read_request(conn)
+                request = conn.request()
                 if request is None:
                     return
                 if request.opcode is Opcode.INSERT and not busy_ids:
                     busy_ids.add(request.request_id)
-                    conn.sendall(
+                    conn.send(
                         protocol.encode_response(
                             request.request_id,
                             Status.SERVER_BUSY,
@@ -263,7 +203,7 @@ class TestDemultiplexing:
                         )
                     )
                     continue
-                conn.sendall(
+                conn.send(
                     protocol.encode_response(
                         request.request_id,
                         Status.OK,
@@ -271,7 +211,7 @@ class TestDemultiplexing:
                     )
                 )
 
-        with _ScriptedServer(selective_responder) as scripted:
+        with ScriptedPeer(selective_responder) as scripted:
             with ReproClient(
                 "127.0.0.1", scripted.port, pool_size=1, busy_retries=0
             ) as client:
@@ -344,10 +284,10 @@ class TestBackoffCap:
 
         def always_busy(conn):
             while True:
-                request = _read_request(conn)
+                request = conn.request()
                 if request is None:
                     return
-                conn.sendall(
+                conn.send(
                     protocol.encode_response(
                         request.request_id,
                         Status.SERVER_BUSY,
@@ -355,7 +295,7 @@ class TestBackoffCap:
                     )
                 )
 
-        with _ScriptedServer(always_busy) as scripted:
+        with ScriptedPeer(always_busy) as scripted:
             with ReproClient(
                 "127.0.0.1",
                 scripted.port,

@@ -40,72 +40,86 @@ from repro.storage.serialization import (
 )
 
 
+def _only_body(frame: bytes) -> bytes:
+    """The body of a buffer that is exactly one frame."""
+    bodies, consumed, fault = protocol.slice_frames(frame)
+    assert (len(bodies), consumed, fault) == (1, len(frame), None)
+    return bodies[0]
+
+
 class TestFraming:
+    """``slice_frames`` is the one reader of the frame format; the matrix of
+    stream faults over it and its four users is ``test_transport.py``."""
+
     def test_round_trip(self):
         body = b"the payload"
         frame = protocol.encode_frame(body)
-        decoded, consumed = protocol.decode_frame(frame)
-        assert decoded == body
-        assert consumed == len(frame)
+        assert protocol.slice_frames(frame) == ([body], len(frame), None)
 
     def test_empty_body_round_trip(self):
         frame = protocol.encode_frame(b"")
-        assert protocol.decode_frame(frame) == (b"", FRAME_HEADER.size)
+        assert protocol.slice_frames(frame) == ([b""], FRAME_HEADER.size, None)
 
-    def test_decode_consumes_only_one_frame(self):
+    def test_frame_boundaries_are_respected(self):
         first = protocol.encode_frame(b"one")
         second = protocol.encode_frame(b"two")
-        body, consumed = protocol.decode_frame(first + second)
-        assert body == b"one"
-        assert protocol.decode_frame((first + second)[consumed:])[0] == b"two"
+        both = first + second
+        assert protocol.slice_frames(both) == ([b"one", b"two"], len(both), None)
+        # A complete frame is sliced off; the head of the next stays put.
+        assert protocol.slice_frames(both[:-1]) == ([b"one"], len(first), None)
 
-    @pytest.mark.parametrize("cut", [0, 1, 7, 8, 10])
+    @pytest.mark.parametrize("cut", [1, 7, 8, 10])
     def test_truncated_frame_detected(self, cut):
         frame = protocol.encode_frame(b"truncate me please")
-        if cut >= len(frame):
-            pytest.skip("not a truncation")
-        with pytest.raises(TruncatedFrameError):
-            protocol.decode_frame(frame[:cut])
+        # More bytes may follow: nothing is consumed, nothing half-decoded.
+        assert protocol.slice_frames(frame[:cut]) == ([], 0, None)
+        # None will: a torn tail.
+        bodies, consumed, fault = protocol.slice_frames(frame[:cut], at_eof=True)
+        assert (bodies, consumed) == ([], 0)
+        assert isinstance(fault, TruncatedFrameError)
+
+    def test_end_of_stream_between_frames_is_clean(self):
+        frame = protocol.encode_frame(b"whole")
+        assert protocol.slice_frames(b"", at_eof=True) == ([], 0, None)
+        assert protocol.slice_frames(frame, at_eof=True) == ([b"whole"], len(frame), None)
 
     def test_corrupt_body_fails_crc(self):
         frame = bytearray(protocol.encode_frame(b"pristine bytes"))
         frame[-1] ^= 0xFF
-        with pytest.raises(ChecksumError):
-            protocol.decode_frame(bytes(frame))
+        bodies, _, fault = protocol.slice_frames(bytes(frame))
+        assert bodies == [] and isinstance(fault, ChecksumError)
 
     def test_corrupt_crc_field_fails(self):
         frame = bytearray(protocol.encode_frame(b"pristine bytes"))
         frame[5] ^= 0x01  # inside the CRC word
-        with pytest.raises(ChecksumError):
-            protocol.decode_frame(bytes(frame))
+        bodies, _, fault = protocol.slice_frames(bytes(frame))
+        assert bodies == [] and isinstance(fault, ChecksumError)
+
+    def test_a_fault_keeps_the_frames_before_it(self):
+        good = protocol.encode_frame(b"good")
+        bad = bytearray(protocol.encode_frame(b"bad"))
+        bad[-1] ^= 0xFF
+        bodies, consumed, fault = protocol.slice_frames(good + bytes(bad) + good)
+        assert (bodies, consumed) == ([b"good"], len(good))
+        assert isinstance(fault, ChecksumError)
 
     def test_oversized_length_rejected_before_body(self):
         header = FRAME_HEADER.pack(MAX_BODY_BYTES + 1, 0)
-        # decode_frame refuses even though no body bytes follow at all:
-        # the length prefix alone is the violation.
-        with pytest.raises(FrameTooLargeError):
-            protocol.decode_frame(header)
-        with pytest.raises(FrameTooLargeError):
-            protocol.check_frame_header(header)
+        # Refused even though no body bytes follow at all, and before the
+        # stream has ended: the length prefix alone is the violation.
+        bodies, consumed, fault = protocol.slice_frames(header)
+        assert (bodies, consumed) == ([], 0)
+        assert isinstance(fault, FrameTooLargeError)
 
     def test_oversized_body_refused_on_encode(self):
         with pytest.raises(FrameTooLargeError):
             protocol.encode_frame(b"\0" * (MAX_BODY_BYTES + 1))
 
-    def test_check_header_and_body_pair(self):
-        body = b"streamed"
-        frame = protocol.encode_frame(body)
-        length, crc = protocol.check_frame_header(frame[: FRAME_HEADER.size])
-        assert length == len(body)
-        assert protocol.check_frame_body(frame[FRAME_HEADER.size :], crc) == body
-        with pytest.raises(ChecksumError):
-            protocol.check_frame_body(b"not the body", crc)
-
 
 class TestEnvelopes:
     def test_request_round_trip(self):
         frame = protocol.encode_request(42, Opcode.GET, "tenant-a", b"payload")
-        body, _ = protocol.decode_frame(frame)
+        body = _only_body(frame)
         request = protocol.decode_request(body)
         assert request.request_id == 42
         assert request.opcode is Opcode.GET
@@ -114,7 +128,7 @@ class TestEnvelopes:
 
     def test_unknown_opcode_is_protocol_error(self):
         frame = protocol.encode_request(1, Opcode.PING, "t")
-        body, _ = protocol.decode_frame(frame)
+        body = _only_body(frame)
         corrupted = body[:8] + bytes([200]) + body[9:]
         with pytest.raises(ProtocolError, match="unknown opcode"):
             protocol.decode_request(corrupted)
@@ -125,7 +139,7 @@ class TestEnvelopes:
 
     def test_response_round_trip(self):
         frame = protocol.encode_response(7, Status.SERVER_BUSY, protocol.pack_error("full"))
-        body, _ = protocol.decode_frame(frame)
+        body = _only_body(frame)
         request_id, status, reader = protocol.decode_response(body)
         assert (request_id, status) == (7, Status.SERVER_BUSY)
         assert protocol.unpack_error(reader) == "full"

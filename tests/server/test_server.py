@@ -7,7 +7,6 @@ cases (truncated frames, CRC corruption, oversized payloads, garbage
 opcodes) and shutdown behaviour under concurrent connects.
 """
 
-import socket
 import struct
 import threading
 import time
@@ -20,6 +19,7 @@ from repro.server import protocol
 from repro.server.protocol import FRAME_HEADER, MAX_BODY_BYTES, Opcode, Status
 from repro.server.service import ReproServer
 from repro.workload.concurrent import run_concurrent
+from tests.wire import Wire
 
 
 def _catalog():
@@ -46,28 +46,11 @@ def client(server):
         yield cli
 
 
-def _raw_exchange(sock: socket.socket, frame: bytes):
-    """Send one frame on a raw socket; return (status, reader) or None on EOF."""
-    sock.sendall(frame)
-    header = _recv_exactly(sock, FRAME_HEADER.size)
-    if header is None:
-        return None
-    length, crc = protocol.check_frame_header(header)
-    body = _recv_exactly(sock, length)
-    assert body is not None
-    protocol.check_frame_body(body, crc)
-    _, status, reader = protocol.decode_response(body)
-    return status, reader
-
-
-def _recv_exactly(sock: socket.socket, count: int):
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
+def _raw_exchange(wire: Wire, frame: bytes):
+    """Send one frame on a raw connection; return (status, reader) or None on EOF."""
+    wire.send(frame)
+    response = wire.response()
+    return None if response is None else response[1:]
 
 
 class TestServedSurface:
@@ -218,101 +201,99 @@ class TestAdmissionControl:
 
 
 class TestWireEdgeCases:
-    def _connect(self, server) -> socket.socket:
-        sock = socket.create_connection((server.host, server.port), timeout=10)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+    def _connect(self, server) -> Wire:
+        return Wire.connect(server.host, server.port)
 
     def test_truncated_frame_then_disconnect_leaves_server_up(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         frame = protocol.encode_request(1, Opcode.PING, "default")
-        sock.sendall(frame[: len(frame) - 3])  # die mid-body
-        sock.close()
+        wire.send(frame[: len(frame) - 3])  # die mid-body
+        wire.close()
         with ReproClient(server.host, server.port) as cli:
             assert cli.ping()
 
     def test_crc_mismatch_closes_connection_only(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         frame = bytearray(protocol.encode_request(1, Opcode.PING, "default"))
         frame[-1] ^= 0xFF
-        sock.sendall(bytes(frame))
-        assert sock.recv(1) == b""  # server dropped the poisoned stream
-        sock.close()
+        wire.send(bytes(frame))
+        assert wire.ended()  # server dropped the poisoned stream
+        wire.close()
         with ReproClient(server.host, server.port) as cli:
             assert cli.ping()
             counters = cli.stats("json")["server"]["counters"]
             assert counters.get("server.protocol_errors", 0) >= 1
 
     def test_oversized_length_prefix_closes_connection(self, server):
-        sock = self._connect(server)
-        sock.sendall(FRAME_HEADER.pack(MAX_BODY_BYTES + 1, 0))
-        assert sock.recv(1) == b""
-        sock.close()
+        wire = self._connect(server)
+        wire.send(FRAME_HEADER.pack(MAX_BODY_BYTES + 1, 0))
+        assert wire.ended()
+        wire.close()
         with ReproClient(server.host, server.port) as cli:
             assert cli.ping()
 
     def test_unknown_opcode_gets_bad_request_not_disconnect(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         body = struct.pack(">QB", 9, 250) + struct.pack(">I", len(b"default")) + b"default"
-        response = _raw_exchange(sock, protocol.encode_frame(body))
+        response = _raw_exchange(wire, protocol.encode_frame(body))
         assert response is not None
         # The frame itself was well-formed, so the connection survives and
         # the *request* is rejected.
         status, _ = response
         assert status is Status.BAD_REQUEST
         follow_up = _raw_exchange(
-            sock, protocol.encode_request(10, Opcode.PING, "default")
+            wire, protocol.encode_request(10, Opcode.PING, "default")
         )
         assert follow_up is not None and follow_up[0] is Status.OK
-        sock.close()
+        wire.close()
 
     def test_replication_stream_opcode_gets_bad_request(self, server):
         """A known opcode that is no row of the operation table fails its
         own request; the connection's thread lives on."""
-        sock = self._connect(server)
+        wire = self._connect(server)
         status, reader = _raw_exchange(
-            sock, protocol.encode_request(11, Opcode.SUBSCRIBE, "default", b"")
+            wire, protocol.encode_request(11, Opcode.SUBSCRIBE, "default", b"")
         )
         assert status is Status.BAD_REQUEST
         assert "replication stream" in protocol.unpack_error(reader)
-        follow_up = _raw_exchange(sock, protocol.encode_request(12, Opcode.PING, "default"))
+        follow_up = _raw_exchange(wire, protocol.encode_request(12, Opcode.PING, "default"))
         assert follow_up is not None and follow_up[0] is Status.OK
-        sock.close()
+        wire.close()
 
     def test_malformed_payload_gets_bad_request(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         # GET with an empty payload: the key codec underflows server-side.
         response = _raw_exchange(
-            sock, protocol.encode_request(3, Opcode.GET, "default", b"")
+            wire, protocol.encode_request(3, Opcode.GET, "default", b"")
         )
         assert response is not None and response[0] is Status.BAD_REQUEST
-        sock.close()
+        wire.close()
 
     def test_bytes_after_the_arguments_get_bad_request(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         get = protocol.OPS[Opcode.GET]
         payload = protocol.encode_args(get, ("k",)) + b"\x00"
         status, reader = _raw_exchange(
-            sock, protocol.encode_request(4, Opcode.GET, "default", payload)
+            wire, protocol.encode_request(4, Opcode.GET, "default", payload)
         )
         assert status is Status.BAD_REQUEST
         assert "1 bytes past its arguments" in protocol.unpack_error(reader)
         # Rejected on its own id; the connection carries on.
-        follow_up = _raw_exchange(sock, protocol.encode_request(5, Opcode.PING, "default"))
+        follow_up = _raw_exchange(wire, protocol.encode_request(5, Opcode.PING, "default"))
         assert follow_up is not None and follow_up[0] is Status.OK
-        sock.close()
+        wire.close()
 
     def test_malformed_utf8_text_argument_gets_bad_request(self, server):
-        sock = self._connect(server)
+        wire = self._connect(server)
         payload = struct.pack(">I", 2) + b"\xff\xfe"  # a STATS format that is not UTF-8
         status, reader = _raw_exchange(
-            sock, protocol.encode_request(6, Opcode.STATS, "default", payload)
+            wire, protocol.encode_request(6, Opcode.STATS, "default", payload)
         )
         assert status is Status.BAD_REQUEST
         assert "UTF-8" in protocol.unpack_error(reader)
-        follow_up = _raw_exchange(sock, protocol.encode_request(7, Opcode.PING, "default"))
+        follow_up = _raw_exchange(wire, protocol.encode_request(7, Opcode.PING, "default"))
         assert follow_up is not None and follow_up[0] is Status.OK
-        sock.close()
+        wire.close()
 
     def test_codecs_enter_through_the_traced_module_functions(
         self, server, client, monkeypatch

@@ -15,7 +15,11 @@ verdicts are ``benchmarks/e2e/compare.py``'s own (taken from the change's
 checkout), one row per metric and workload, every run's value listed beside
 them by seed.  ``--traced`` adds one traced run per side and reports each
 layer's self time per 1k logical operations beside the counts that repeat
-exactly.  ``--hold NAME[,NAME...]`` names per-layer counts of that traced pair
+exactly, and under ``"moved_counts"`` every per-layer count (unit ``count``)
+that differs between the two sides, with both values — split counts and
+``redundant_versions_written`` included, so a change that moves the tree's
+shape says so in its evidence file without being asked.
+``--hold NAME[,NAME...]`` names per-layer counts of that traced pair
 that the change must not move: both sides' values go under ``"held_counts"``
 in the evidence file and the script exits non-zero if one differs or is
 missing on either side.
@@ -100,6 +104,20 @@ def held_counts(names: Sequence[str], parent: Dict[str, object], change: Dict[st
     return held, moved
 
 
+def moved_counts(parent: Dict[str, object], change: Dict[str, object]) -> Dict[str, Dict[str, object]]:
+    """Every per-layer count (unit ``count``, on either side) whose value the
+    change moved, with both sides' values — ``None`` where a side lacks it."""
+    moved = {}
+    for name in sorted(set(parent["metrics"]) | set(change["metrics"])):
+        cells = [result["metrics"].get(name) or {} for result in (parent, change)]
+        if "count" not in (cell.get("unit") for cell in cells):
+            continue
+        values = [cell.get("value") for cell in cells]
+        if values[0] != values[1]:
+            moved[name] = dict(zip(("parent", "change"), values))
+    return moved
+
+
 def layer_view(result: Dict[str, object]) -> Dict[str, object]:
     per_1k = 1000.0 / result["counts"]["logical_ops"]
     metrics = {name: cell["value"] for name, cell in result["metrics"].items()}
@@ -142,7 +160,7 @@ def main(argv: Sequence[str]) -> int:
             for side in order:
                 print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
                 run_benchmark(checkouts[side], spec, workload, seed, 0, outs[side])
-    traced, held, moved = {}, {}, []
+    traced, counts_moved, held, moved = {}, {}, {}, []
     names = [name for name in args.hold.split(",") if name]
     for workload in args.traced:
         for side in ("parent", "change"):
@@ -150,6 +168,7 @@ def main(argv: Sequence[str]) -> int:
             run_benchmark(checkouts[side], spec, workload, 1, 1, outs[side])
         results = {side: traced_result(outs[side], workload) for side in ("parent", "change")}
         traced[workload] = {side: layer_view(result) for side, result in results.items()}
+        counts_moved[workload] = moved_counts(results["parent"], results["change"])
         if names:
             held[workload], changed = held_counts(names, results["parent"], results["change"])
             moved += [f"{workload} {name}" for name in changed]
@@ -164,6 +183,7 @@ def main(argv: Sequence[str]) -> int:
         "run_seconds": spec["run_seconds"],
         "verdicts": rows,
         "traced": traced,
+        "moved_counts": counts_moved,
         "held_counts": held,
     }
     with open(args.json, "w", encoding="utf-8") as handle:

@@ -40,10 +40,15 @@ stamp or the clock's next.  Whether the store has a log picks its branch:
 
 * **with a log**, one logged transaction (:meth:`TransactionManager.
   run_transaction <repro.txn.manager.TransactionManager.run_transaction>`):
-  provisional writes under record locks, the commit record, then stamping —
-  the paper's rule (section 4).  Acknowledged means the commit record is in
-  the log, forced per ``group_commit_size``; restart recovery, followers and
-  a promoted replica replay it (:mod:`repro.recovery.replay`).
+  record locks, then one exclusive latch hold in which the stamp is drawn
+  and each key is logged and written as a *committed* version at it — one
+  descent per key, because a writer that knows its commit stamp has no use
+  for the paper's provisional versions (section 4 gives them to the
+  interactive ``begin()``/``write()``/``commit()``, which does not know it)
+  — then the commit record.  Acknowledged means the commit record is in the
+  log, forced per ``group_commit_size``; restart recovery, followers and a
+  promoted replica replay it the same way, at the logged stamp
+  (:mod:`repro.recovery.replay`).
 * **without one**, the engine is written directly under the store's
   exclusive latch — one descent per write, not two — durable at the next
   ``checkpoint()``.

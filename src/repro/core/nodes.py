@@ -419,6 +419,27 @@ class DataNode:
                 self, "_content_size", self._content_size - version.serialized_size()
             )
 
+    def stamp_provisional(self, key: Key, txn_id: int, commit_timestamp: int) -> bool:
+        """Swap ``txn_id``'s provisional version of ``key`` for its committed
+        twin at ``commit_timestamp``, in the provisional version's list
+        position; ``False`` when there is none.  Commit order makes the stamp
+        newer than every committed version of the key, so the twin's place
+        among them does not depend on that position.  The twin is as large as
+        the version it replaces (a stamp for a txn id), so sizes do not move.
+        An image-backed node gives up its image first, as for any mutation."""
+        group = self._index().get(key, ())
+        for at, provisional in enumerate(group):
+            if provisional.timestamp is None and provisional.txn_id == txn_id:
+                break
+        else:
+            return False
+        twin = provisional.committed(commit_timestamp)
+        versions = self.versions
+        versions[_position_of(versions, provisional)] = twin
+        del group[at]
+        insort(group, twin, key=_stable_version_order)
+        return True
+
     # -- sizing -----------------------------------------------------------
     def serialized_size(self) -> int:
         self._sync_caches()

@@ -81,6 +81,10 @@ def _open_page(address: Address, image: bytes) -> Union[DataNode, IndexNode]:
     return decode_node(address, image)
 
 
+#: What an empty data page covering the whole plane is charged: a version
+#: fits a page at all when this plus its own size is within the page.
+_EMPTY_DATA_PAGE = DataNode(address=Address.magnetic(0), region=Rectangle.full()).serialized_size()
+
 #: Marker identifying a magnetic page as a TSB-tree superblock.
 _SUPERBLOCK_MAGIC = 0x7513_B001
 
@@ -103,7 +107,16 @@ class ProvisionalVersionError(TSBTreeError):
 
 @dataclass
 class TreeCounters:
-    """Cumulative structural-event counters maintained by the tree."""
+    """Cumulative structural-event counters maintained by the tree.
+
+    ``inserts`` counts committed versions written at a known stamp
+    (:meth:`TSBTree.insert` / :meth:`TSBTree.delete`: a log-less store's
+    writes, every logged write-path transaction and every replayed commit),
+    ``updates`` those of them that superseded a live version.
+    ``provisional_writes`` counts the provisional versions of interactive
+    transactions (and of replayed rewrites of keys a checkpoint image
+    carried), ``commits`` / ``aborts`` the calls that stamp or erase them.
+    """
 
     inserts: int = 0
     updates: int = 0
@@ -278,6 +291,17 @@ class TSBTree:
         self._next_auto_ts = max(self._next_auto_ts, timestamp + 1)
         return timestamp
 
+    def refuse_oversized(self, writes: Iterable[Tuple[Key, Optional[bytes]]]) -> None:
+        """Raise :class:`RecordTooLargeError` if a committed version of any of
+        ``writes`` (a ``None`` value: a tombstone) would not fit an empty data
+        page — the check :meth:`insert` and :meth:`delete` make per version,
+        made for a whole batch before any of it is written."""
+        for key, value in writes:
+            if value is None:
+                self._require_fits(Version(key=key, timestamp=0, is_tombstone=True))
+            else:
+                self._require_fits(Version(key=key, timestamp=0, value=value))
+
     def insert_provisional(self, key: Key, value: bytes, txn_id: int) -> None:
         """Write an uncommitted version on behalf of transaction ``txn_id``.
 
@@ -299,7 +323,8 @@ class TSBTree:
         self.counters.provisional_writes += 1
 
     def commit_provisional(self, txn_id: int, keys: Iterable[Key], commit_timestamp: int) -> None:
-        """Stamp transaction ``txn_id``'s provisional versions with its commit time."""
+        """Stamp transaction ``txn_id``'s provisional versions with its commit
+        time, each in its slot (:meth:`DataNode.stamp_provisional`)."""
         if commit_timestamp < self._max_committed_ts:
             raise TimestampOrderError(
                 f"commit timestamp {commit_timestamp} precedes the latest committed "
@@ -307,13 +332,10 @@ class TSBTree:
             )
         for key in keys:
             node = self._descend_to_current_leaf(key)
-            provisional = node.provisional_for_key(key, txn_id)
-            if provisional is None:
+            if not node.stamp_provisional(key, txn_id, commit_timestamp):
                 raise ProvisionalVersionError(
                     f"transaction {txn_id} has no provisional version for key {key!r}"
                 )
-            node.remove_version(provisional)
-            node.add_version(provisional.committed(commit_timestamp))
             self._store_node(node)
         self._max_committed_ts = max(self._max_committed_ts, commit_timestamp)
         self._next_auto_ts = max(self._next_auto_ts, commit_timestamp + 1)
@@ -756,16 +778,17 @@ class TSBTree:
         latest = node.latest_for_key(version.key)
         self._last_insert_superseded = latest is not None and not latest.is_tombstone
 
-    def _insert_version(self, version: Version) -> None:
-        self._last_insert_superseded = False
-        probe = DataNode(
-            address=Address.magnetic(0), region=Rectangle.full(), versions=[version]
-        )
-        if probe.serialized_size() > self.page_size:
+    def _require_fits(self, version: Version) -> None:
+        size = _EMPTY_DATA_PAGE + version.serialized_size()
+        if size > self.page_size:
             raise RecordTooLargeError(
                 f"a single version of key {version.key!r} needs "
-                f"{probe.serialized_size()} bytes but pages hold {self.page_size}"
+                f"{size} bytes but pages hold {self.page_size}"
             )
+
+    def _insert_version(self, version: Version) -> None:
+        self._last_insert_superseded = False
+        self._require_fits(version)
         replacements = self._insert_recursive(self._root_address, version)
         if replacements is not None:
             self._grow_root(replacements)

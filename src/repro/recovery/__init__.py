@@ -1,9 +1,9 @@
 """Write-ahead logging, group commit and restart recovery.
 
 The paper's versioning scheme (section 4) assumes commit is atomic and
-durable: provisional versions become visible only once stamped with the
-commit timestamp.  This package supplies the durability half of that
-contract for the reproduction:
+durable: a transaction's versions become visible only with its commit
+timestamp.  This package supplies the durability half of that contract for
+the reproduction:
 
 * :mod:`repro.recovery.log_records` — the binary log-record format.
 * :class:`LogManager` — LSN assignment, the write-ahead disciplines, group

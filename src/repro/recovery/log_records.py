@@ -12,9 +12,12 @@ Record kinds (paper section 4 vocabulary):
 ``BEGIN``
     A transaction started.
 ``INSERT`` / ``DELETE``
-    The transaction wrote a provisional version (value or tombstone) of a
-    key.  Logged *before* the tree is touched, so the log is always at least
-    as new as any page that could reach the disk.
+    The transaction wrote a version (value or tombstone) of a key: a
+    provisional one in an interactive transaction, a committed one at its
+    stamp in a transaction that knows it (the write path's); replay writes
+    it at the ``COMMIT`` record's stamp either way.  Logged *before* the
+    tree is touched, so the log is always at least as new as any page that
+    could reach the disk.
 ``COMMIT``
     The transaction received its commit timestamp from the
     :class:`~repro.txn.clock.TimestampOracle`.  A transaction is durably

@@ -11,11 +11,13 @@ superblock anchors to the end, through one
 :class:`~repro.recovery.replay.LogReplayer`.
 
 The replayer seeds itself from the anchored CHECKPOINT record (whose
-active-transaction table names the provisional versions inside the image),
-stamps each transaction's write set at its COMMIT with the logged timestamp
-and erases it at its ABORT — through the ordinary ``insert_provisional`` /
-stamp path, so splits, migration and all tree invariants are maintained by
-the same code that maintained them before the crash.  Nothing is applied
+active-transaction table names the provisional versions inside the image).
+At each COMMIT it writes the transaction's keys as committed versions at the
+logged timestamp through the tree's ordinary ``insert``/``delete`` — the
+calls the forward write path makes — and stamps the carried provisional
+versions in place; at an ABORT it erases those.  Splits, migration and all
+tree invariants are therefore maintained by the same code that maintained
+them before the crash.  Nothing is applied
 before a COMMIT arrives, so there is no undo pass; when the log ends, the
 transactions still in flight are the losers, and the only trace they can
 have left is what the checkpoint image carried, which is erased then.

@@ -1,18 +1,19 @@
 """One way to apply a log: replay WAL records into a TSB-tree.
 
-The forward path (:mod:`repro.txn.manager`) implements the paper's
-transaction rule — an updater writes provisional versions, commit stamps
-them with the commit time, abort erases them — and every mutation of a
-store under a log takes it (the write path, :mod:`repro.api.store`), so the
-log determines the run.  :class:`LogReplayer` is the only other code that
-turns WAL records into tree writes, and it re-executes exactly that rule
-from the log: records arrive one at a time, in log order;
-each transaction's operations are buffered until its ``COMMIT`` arrives and
-are then applied through the tree's own provisional-write path and stamped
-at the logged commit timestamp.  Because the primary logs every record under
-its write latch, log order *is* the serialization order, so replay is
-deterministic: the many serial orders concurrent transactions admit collapse
-to the one the log wrote down.
+The forward path (:mod:`repro.txn.manager`) is the only writer of a store
+under a log (the write path, :mod:`repro.api.store`), so the log determines
+the run.  :class:`LogReplayer` is the only other code that turns WAL records
+into tree writes.  Records arrive one at a time, in log order; each
+transaction's operations are buffered until its ``COMMIT`` arrives.  That
+record carries the stamp, so replay is a writer that knows its commit stamp:
+it writes each key's last logged value (or tombstone) as a committed version
+at the logged timestamp — one descent per key, the forward path's
+known-stamp writes over again.  The paper's provisional versions appear in
+replay only where a checkpoint image already holds them (below).  Because the
+primary logs every record under its write latch, log order *is* the
+serialization order, so replay is deterministic: the many serial orders
+concurrent transactions admit collapse to the one the log wrote down — the
+log as the *determination* of the run.
 
 Restart recovery, a follower's apply loop, a promoted replica and the
 promotion oracle are all this one replayer; they differ only in the tree
@@ -26,7 +27,8 @@ they start from:
   replayer reads the image's anchor LSN off the tree, skips everything below
   it, and seeds itself from the anchored ``CHECKPOINT`` record's
   active-transaction table; such a transaction's carried keys are stamped
-  together with its later operations at its ``COMMIT``, erased at its
+  in place at its ``COMMIT`` (a carried key it rewrote after the checkpoint
+  is rewritten in place first, so it stays one version), erased at its
   ``ABORT``, and erased by :meth:`LogReplayer.discard_in_flight` when the
   log is finished and the transaction never decided.
 
@@ -157,16 +159,29 @@ class LogReplayer:
     def _commit(
         self, txn_id: int, commit_timestamp: int, operations: List[Operation]
     ) -> None:
+        """Write the transaction's operations as committed versions at its
+        logged stamp, the last word per key only: the tree keeps the *first*
+        of two versions of a key at one stamp, and the writer kept the last.
+        A key the checkpoint image carried as this transaction's provisional
+        version is rewritten in place and stamped instead, so it too ends up
+        as one version."""
         tree = self.tree
-        for is_delete, key, value in operations:
-            if is_delete:
-                tree.delete_provisional(key, txn_id)
+        carried = self._carried.pop(txn_id, ())
+        final = {key: (is_delete, value) for is_delete, key, value in operations}
+        for key, (is_delete, value) in final.items():
+            if key in carried:
+                if is_delete:
+                    tree.delete_provisional(key, txn_id)
+                else:
+                    tree.insert_provisional(key, value, txn_id)
+            elif is_delete:
+                tree.delete(key, commit_timestamp)
             else:
-                tree.insert_provisional(key, value, txn_id)
-        keys = {key for _, key, _ in operations}
-        keys.update(self._carried.pop(txn_id, ()))
+                tree.insert(key, value, commit_timestamp)
+        if carried:
+            tree.commit_provisional(txn_id, carried, commit_timestamp)
+        keys = final.keys() | carried
         if keys:  # else committed but wrote nothing: only the clock moved
-            tree.commit_provisional(txn_id, sorted(keys), commit_timestamp)
             self.watermark = max(self.watermark, commit_timestamp)
         self.high_water = max(self.high_water, commit_timestamp)
         self.commits_applied += 1

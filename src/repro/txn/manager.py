@@ -3,15 +3,23 @@
 The manager implements the versioning-based concurrency scheme the paper
 describes:
 
-* **Updaters** write *provisional* versions — no timestamp yet — into the
-  current database under exclusive record locks.  Provisional versions are
-  never migrated to the historical database during a time split, so they can
-  always be erased if the transaction aborts.
+* **Interactive updaters** (:meth:`TransactionManager.begin`, then
+  ``write``/``delete`` and ``commit``) write *provisional* versions — no
+  timestamp yet, because the commit time is not known when they write —
+  into the current database under exclusive record locks.  Provisional
+  versions are never migrated to the historical database during a time
+  split, so they can always be erased if the transaction aborts.
 * **Commit** obtains a commit timestamp from the
   :class:`~repro.txn.clock.TimestampOracle` and stamps every provisional
-  version with it, making the versions visible to readers.
+  version with it in its slot, making the versions visible to readers.
 * **Abort** erases the provisional versions and releases the locks; nothing
   of the transaction remains in either database.
+* **A writer that knows its stamp** (:meth:`TransactionManager.
+  run_transaction`, the logged branch of the store's write path) needs none
+  of that: it draws the stamp under the same exclusive latch hold as its
+  writes, so nobody could observe a provisional state, and it writes each
+  key as a committed version at that stamp — one descent per key.  A record
+  too large for a page is refused before anything is logged or written.
 * **Read-only transactions** need nothing from this manager but its clock:
   a reader pinned at :meth:`TimestampOracle.read_timestamp
   <repro.txn.clock.TimestampOracle.read_timestamp>` reads the tree without
@@ -20,11 +28,13 @@ describes:
 
 When a :class:`~repro.recovery.log_manager.LogManager` is attached, the
 manager additionally enforces write-ahead logging: every operation appends
-its log record *before* the tree is touched, and the commit record is
-appended (and, per the group-commit policy, forced) *before* the versions
-are stamped.  A transaction is then durably committed exactly when its
-commit record lies inside the forced log prefix — which is what restart
-recovery (:mod:`repro.recovery`) reconstructs after a crash.
+its log record *before* the tree is touched, and an interactive commit
+record is appended (and, per the group-commit policy, forced) *before* the
+versions are stamped.  Both kinds of transaction log the same records —
+``BEGIN``, an ``INSERT``/``DELETE`` per write, ``COMMIT`` — and a
+transaction is durably committed exactly when its commit record lies inside
+the forced log prefix, which is what restart recovery
+(:mod:`repro.recovery`) reconstructs after a crash.
 
 The manager is safe for concurrent clients, with three coordination layers
 that mirror a real system's:
@@ -79,6 +89,8 @@ class Transaction:
     txn_id: int
     manager: "TransactionManager"
     state: TransactionState = TransactionState.ACTIVE
+    #: Keys holding one of this transaction's provisional versions (what a
+    #: checkpoint lists as active; always empty for ``run_transaction``).
     write_set: Set[Key] = field(default_factory=set)
     commit_timestamp: Optional[int] = None
     #: LSN of this transaction's commit record (None until commit, or when
@@ -183,7 +195,7 @@ class TransactionManager:
         txn = self._active(txn_id)
         commit_started = perf_counter()
         with self.latch.write():
-            self._stamp(txn, None)
+            self._stamp(txn)
         self._settle(txn, commit_started)
         return txn.commit_timestamp
 
@@ -197,15 +209,21 @@ class TransactionManager:
         commit, as one transaction — the logged branch of the store's write
         path (:mod:`repro.api.store`).
 
-        Equivalent to ``begin()`` + ``write()``/``delete()`` per item +
-        ``commit()`` — same log-record sequence, same lock discipline (every
-        record lock is acquired before the latch) — but the writes and the
-        commit stamping all happen under a *single* exclusive latch hold
-        instead of one per operation.  ``commit_timestamp`` is the stamp when
-        the caller has already chosen it (the clock moves up to it); left
-        ``None``, the clock issues the next one.  ``admit`` runs under the
-        latch before anything is written: whatever it raises — like a stamp
-        older than the tree's latest commit — aborts the transaction cleanly.
+        Logs what ``begin()`` + ``write()``/``delete()`` per item +
+        ``commit()`` logs, under the same lock discipline (every record lock
+        is acquired before the latch), but everything after the locks happens
+        under a *single* exclusive latch hold: ``admit`` (whatever it raises,
+        like a version already at the stamp, aborts the transaction cleanly),
+        the stamp order check and the size of every record, then the stamp —
+        ``commit_timestamp`` when the caller has chosen it (the clock moves up
+        to it), else the clock's next — and then each write, its log record
+        first, as a committed version at that stamp.  Nobody can see the tree
+        between the first write and the ``COMMIT`` record, so no write needs
+        to be provisional.  A batch refused by those checks leaves only
+        ``BEGIN`` + ``ABORT`` in the log and moves neither the clock nor the
+        tree; a tree write that fails half-way logs ``ABORT`` and flags the
+        manager as requiring recovery (:meth:`_fail_logged`), because the
+        keys before it are already committed versions.
 
         Returns the committed transaction — ``commit_timestamp`` carries the
         shared stamp, ``commit_lsn`` feeds durability checks.
@@ -218,37 +236,57 @@ class TransactionManager:
         except Exception:
             self.abort(txn.txn_id)
             raise
+        tree = self.tree
         with self.latch.write():
             try:
                 if admit is not None:
                     admit()
-                if commit_timestamp is not None and commit_timestamp < self.tree.now:
+                if commit_timestamp is not None and commit_timestamp < tree.now:
                     raise TimestampOrderError(
                         f"commit timestamp {commit_timestamp} precedes the latest "
-                        f"committed timestamp {self.tree.now}"
+                        f"committed timestamp {tree.now}"
                     )
+                tree.refuse_oversized(writes)
             except Exception:
                 self.abort(txn.txn_id)
                 raise
+            stamp = self._draw(commit_timestamp)
             for key, value in writes:
-                self._apply(txn, key, value)
-            self._stamp(txn, commit_timestamp)
+                self._log_write(txn, key, value)
+                try:
+                    if value is None:
+                        tree.delete(key, stamp)
+                    else:
+                        tree.insert(key, value, stamp)
+                except Exception as exc:
+                    self._fail_logged(txn, exc)
+                    raise
+            self._log_commit(txn, stamp)
+            self._finish(txn, TransactionState.COMMITTED)
+            txn.commit_timestamp = stamp
         self._settle(txn, commit_started)
         return txn
 
-    def _stamp(self, txn: Transaction, commit_timestamp: Optional[int]) -> None:
-        """The commit tail under the exclusive latch: log the commit, then
-        stamp.  The timestamp is drawn inside the latch hold so stamping
-        order equals timestamp order: a later stamp can never reach the tree
-        before an earlier one."""
+    def _draw(self, commit_timestamp: Optional[int]) -> int:
+        """The commit stamp, drawn inside the exclusive latch hold so that
+        stamping order equals timestamp order: a later stamp can never reach
+        the tree before an earlier one."""
         if commit_timestamp is None:
-            commit_timestamp = self.clock.next_commit_timestamp()
-        else:
-            self.clock.advance_to(commit_timestamp)
+            return self.clock.next_commit_timestamp()
+        self.clock.advance_to(commit_timestamp)
+        return commit_timestamp
+
+    def _log_commit(self, txn: Transaction, commit_timestamp: int) -> None:
         if self.log is not None:
             txn.commit_lsn = self.log.log_commit(
                 txn.txn_id, commit_timestamp, wait_for_durability=False
             )
+
+    def _stamp(self, txn: Transaction) -> None:
+        """An interactive commit under the exclusive latch: draw the stamp,
+        log the commit, then stamp the provisional versions."""
+        commit_timestamp = self._draw(None)
+        self._log_commit(txn, commit_timestamp)
         if txn.write_set:
             try:
                 self.tree.commit_provisional(
@@ -324,14 +362,17 @@ class TransactionManager:
         with self.latch.write():
             self._apply(txn, key, value)
 
-    def _apply(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
-        """One provisional write (``None``: a tombstone), its log record
-        first.  The caller holds the key's record lock and the latch."""
+    def _log_write(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
         if self.log is not None:
             if value is None:
                 self.log.log_delete(txn.txn_id, key)
             else:
                 self.log.log_insert(txn.txn_id, key, value)
+
+    def _apply(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
+        """One provisional write (``None``: a tombstone), its log record
+        first.  The caller holds the key's record lock and the latch."""
+        self._log_write(txn, key, value)
         try:
             if value is None:
                 self.tree.delete_provisional(key, txn.txn_id)
@@ -355,7 +396,10 @@ class TransactionManager:
         tree mid-structure-modification — erasing from it could make things
         worse — so the versions are left for restart recovery to undo and
         the manager is flagged as requiring recovery: full checkpoints
-        refuse until a restart rebuilds from the last good image.  Without a
+        refuse until a restart rebuilds from the last good image.  A
+        ``run_transaction`` batch only ever fails the second way — its sizes
+        were checked before the first write, and the keys written before the
+        failure are committed versions only that restart removes.  Without a
         log the old contract stands: the error propagates and the
         transaction stays active.
         """

@@ -18,9 +18,12 @@ Layout:
 * ``DeleteDifferential`` — the delete-capable stores (tsb and sharded
   tsb) with tombstone writes in the mix.
 * ``WalDifferential`` — a WAL store and a splitting sharded WAL store, with
-  stamped and auto-stamped inserts and deletes and, in the interleaving, a
-  crash: everything volatile is lost and each store restarts from its
-  devices and logs alone, still answering like the oracle.
+  stamped and auto-stamped inserts and deletes, multi-key batches at one
+  stamp, interactive transactions that rewrite keys and commit or abort, a
+  batch refused for an oversized record and, in the interleaving, a crash:
+  everything volatile is lost and each store restarts from its devices and
+  logs alone, still answering like the oracle and like a replay of its
+  durable log into an empty tree.
 * The ``*Smoke`` variants run a small, derandomized budget in tier-1;
   the full machines are marked ``slow`` and run nightly under
   ``HYPOTHESIS_PROFILE=nightly`` (500+ examples; see tests/conftest.py).
@@ -34,11 +37,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.api import ShardSpec, StoreConfig, VersionStore
+from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
+from repro.core.tsb_tree import RecordTooLargeError
+from repro.recovery.replay import replay_device
 from tests.crash_harness import crash_and_reopen
 from tests.strategies import small_values
 
@@ -352,6 +357,7 @@ class WalDifferential(DeleteDifferential):
     @rule(key=keys, value=small_values)
     def put_many(self, key, value):
         """One pair: a longer batch shares stamps per run and per shard."""
+        event("wal rule: put_many of one pair")
         for name, store in self.fleet.items():
             assert store.put_many([(key, value)]) == [self.clock + 1], name
         self.clock += 1
@@ -359,15 +365,89 @@ class WalDifferential(DeleteDifferential):
 
     @rule(key=keys, value=st.none() | small_values)
     def write_auto_stamped(self, key, value):
+        event(f"wal rule: auto-stamped {'delete' if value is None else 'insert'}")
         for name, store in self.fleet.items():
             stamped = store.delete(key) if value is None else store.insert(key, value)
             assert stamped == self.clock + 1, name
         self.clock += 1
         self.oracle.write(key, self.clock, value)
 
+    def one_shard(self, batch):
+        """The keys of ``batch`` on the first one's shard of the sharded
+        store, so that store too commits them as one transaction."""
+        sharded = self.fleet["sharded-tsb-wal-splitting"]
+        shard = sharded.shard_for(batch[0])
+        return [key for key in batch if sharded.shard_for(key) == shard]
+
+    @rule(batch=st.lists(keys, min_size=2, max_size=8, unique=True), value=small_values)
+    def put_many_at_one_stamp(self, batch, value):
+        """Distinct keys of one transaction share its stamp: the batch whose
+        earlier keys a split sees as committed versions."""
+        pairs = [(key, value + b"%d" % key) for key in self.one_shard(batch)]
+        event(f"wal rule: batch at one stamp of {'one key' if len(pairs) == 1 else 'several keys'}")
+        stamp = self.clock + 1
+        for name, store in self.fleet.items():
+            assert store.put_many(pairs) == [stamp] * len(pairs), name
+        for key, value in pairs:
+            self.oracle.write(key, stamp, value)
+        self.clock = stamp
+
+    @rule(
+        writes=st.lists(st.tuples(keys, st.none() | small_values), min_size=1, max_size=6),
+        commit=st.booleans(),
+    )
+    def interactive_transaction(self, writes, commit):
+        """``begin()``/``write()``/``delete()`` on the single store, keys
+        rewritten at will: the last word per key commits, or nothing does.
+        The sharded store has no interactive transactions; it takes the
+        committed effect as imported events at the same stamp."""
+        txn = self.fleet["tsb-wal"].begin()
+        for key, value in writes:
+            if value is None:
+                txn.delete(key)
+            else:
+                txn.write(key, value)
+        rewrites = "with" if len(dict(writes)) < len(writes) else "without"
+        event(f"wal rule: interactive {'commit' if commit else 'abort'} {rewrites} rewrites")
+        if not commit:
+            txn.abort()
+            return
+        stamp = txn.commit()
+        assert stamp == self.clock + 1
+        last = dict(writes)
+        events = [(stamp, key, value is None, value or b"") for key, value in last.items()]
+        self.fleet["sharded-tsb-wal-splitting"].import_events(events)
+        for key, value in last.items():
+            self.oracle.write(key, stamp, value)
+        self.clock = stamp
+
+    @rule(batch=st.lists(keys, min_size=3, max_size=3, unique=True), value=small_values)
+    def refused_batch(self, batch, value):
+        """A record too large for a page amid ones that fit: refused whole,
+        nothing logged, nothing written, the clock where it was."""
+        batch = self.one_shard(batch)
+        event(f"wal rule: refused batch of {len(batch)} keys")
+        oversized = min(1, len(batch) - 1)
+        pairs = [(key, b"x" * 300 if at == oversized else value) for at, key in enumerate(batch)]
+        for name, store in self.fleet.items():
+            with pytest.raises(RecordTooLargeError):
+                store.put_many(pairs)
+            for inner in store.shard_stores if isinstance(store, ShardedVersionStore) else [store]:
+                assert not inner.txns.requires_recovery, name
+
     @rule()
     def crash(self):
+        """Everything volatile is lost; each store restarts from its devices
+        and must equal a replay of its durable log into an empty tree."""
+        event("wal rule: crash")
         self.fleet = {name: crash_and_reopen(store) for name, store in self.fleet.items()}
+        for name, store in self.fleet.items():
+            for inner in store.shard_stores if isinstance(store, ShardedVersionStore) else [store]:
+                tree = inner.backend
+                rebuilt = replay_device(inner.log_device).tree
+                assert rebuilt.keys() == tree.keys(), name
+                for key in tree.keys():
+                    assert rebuilt.key_history(key) == tree.key_history(key), (name, key)
 
 
 # ----------------------------------------------------------------------

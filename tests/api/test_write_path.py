@@ -19,7 +19,8 @@ import pytest
 from repro.analysis.experiment import answers_digest
 from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.api.engine import VersionStoreError
-from repro.core.tsb_tree import TimestampOrderError
+from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError
+from repro.recovery.log_records import LogRecordType, decode_stream
 from repro.recovery.replay import replay_device
 from tests.api.test_differential import DictOracle
 from tests.crash_harness import crash_and_reopen
@@ -105,6 +106,37 @@ class TestRecoveredEqualsAcknowledged:
         commits = sum(s.recovery_report.winners_replayed for s in inner)
         routed = {(store.shard_for(key) if sharded else 0, stamp) for stamp, key, _, _ in events}
         assert commits == len(routed)  # 4 stamps on one store, 5 (shard, stamp) pairs on three
+
+    def test_a_refused_batch_leaves_no_trace(self, sharded):
+        """A record too large for a page, between two that fit: the batch is
+        refused before any of it is logged or written, the clock stays put,
+        and a restart agrees.  Keys 1-3 share a shard, so on the sharded
+        store too the batch is one transaction."""
+        store = VersionStore.open(wal_config(sharded))
+        store.insert(5, b"before")
+        now = store.now
+        batch = [(1, b"small"), (2, b"x" * 1000), (3, b"small")]
+        with pytest.raises(RecordTooLargeError):
+            store.put_many(batch)
+        assert store.now == now
+        inner = store.shard_stores if sharded else [store]
+        for shard in inner:
+            tree = shard.backend
+            assert not [v for node in tree.data_nodes() for v in node.versions if v.key in (1, 2, 3)]
+            shard.log.force()
+            logged = [
+                r for r in decode_stream(shard.log_device.durable_contents())
+                if r.kind is LogRecordType.INSERT and r.key in (1, 2, 3)
+            ]
+            assert logged == []
+        assert not any(shard.txns.requires_recovery for shard in inner)
+        assert store.put_many([(1, b"next"), (3, b"next")]) == [now + 1, now + 1]
+
+        state = {r.key: (r.timestamp, r.value) for r in store.range_search()}
+        reopened = crash_and_reopen(store)
+        assert {r.key: (r.timestamp, r.value) for r in reopened.range_search()} == state
+        assert reopened.key_history(2) == []
+        assert reopened.insert(2, b"after") == now + 2
 
     def test_a_backdated_event_still_fails_the_import(self, sharded):
         store = VersionStore.open(wal_config(sharded))

@@ -142,6 +142,58 @@ def outcome(call):
         return ("NodeError", str(error))
 
 
+def assert_data_lookups_agree(opened, node, data):
+    """Every point and range lookup of ``opened`` answers like ``node``'s."""
+    pool = sorted({version.key for version in node.versions})
+    absent = data.draw(INT_KEYS if not pool or isinstance(pool[0], int) else STR_KEYS)
+    stamps = sorted({v.timestamp for v in node.versions if v.timestamp is not None})
+    probes = [0, 3, 2**63] + stamps + [stamp + 1 for stamp in stamps]
+    txn_ids = {v.txn_id for v in node.versions if v.txn_id is not None} | {0, 7}
+    assert sorted(opened.keys()) == sorted(node.keys())
+    for key in pool + [absent]:
+        assert opened.versions_for_key(key) == node.versions_for_key(key)
+        assert opened.latest_for_key(key) == node.latest_for_key(key)
+        for stamp in probes:
+            assert opened.version_as_of(key, stamp) == node.version_as_of(key, stamp)
+        for txn_id in txn_ids:
+            assert opened.provisional_for_key(key, txn_id) == node.provisional_for_key(
+                key, txn_id
+            )
+    # The two range lookups, against the per-key answers they replaced.
+    bounds = sorted(set(pool) | {absent})
+    ranges = [KeyRange(None, None)] + [data.draw(key_ranges(bounds)) for _ in range(4)]
+    ranges += [KeyRange(low, high) for low, high in zip(bounds, bounds[1:])]  # one key or none
+    for keys in ranges:
+        low, high = keys.low, keys.high
+        within = [key for key in pool if keys.contains(key)]
+        committed = [
+            version
+            for key in within
+            for version in node.versions_for_key(key)
+            if version.timestamp is not None
+        ]
+        assert opened.committed_versions(low, high) == committed
+        assert node.committed_versions(low, high) == committed
+        for stamp in probes:
+            valid = [node.version_as_of(key, stamp) for key in within]
+            valid = [version for version in valid if version is not None]
+            assert opened.versions_as_of(low, high, stamp) == valid
+            assert node.versions_as_of(low, high, stamp) == valid
+            # Tombstones kept: the newest committed version at or before the stamp.
+            newest = [
+                latest_committed(v for v in committed if v.key == key and v.timestamp <= stamp)
+                for key in within
+            ]
+            newest = [version for version in newest if version is not None]
+            assert opened.versions_as_of(low, high, stamp, tombstones=True) == newest
+            assert node.versions_as_of(low, high, stamp, tombstones=True) == newest
+        latest = [node.latest_for_key(key) for key in within]  # what keys() asks, at now
+        assert opened.versions_as_of(low, high, 2**63, tombstones=True) == [
+            version for version in latest if version is not None
+        ]
+    assert opened.region == node.region
+
+
 # ----------------------------------------------------------------------
 # Codec properties
 # ----------------------------------------------------------------------
@@ -211,55 +263,51 @@ class TestImageBackedAnswersLikeMaterialised:
     @given(node=data_nodes(), data=st.data())
     def test_data_node_lookups(self, node, data):
         opened = DataNode.decode(node.address, node.encode())
-        pool = sorted({version.key for version in node.versions})
-        absent = data.draw(INT_KEYS if not pool or isinstance(pool[0], int) else STR_KEYS)
-        stamps = sorted({v.timestamp for v in node.versions if v.timestamp is not None})
-        probes = [0, 3, 2**63] + stamps + [stamp + 1 for stamp in stamps]
-        txn_ids = {v.txn_id for v in node.versions if v.txn_id is not None} | {0, 7}
-        assert sorted(opened.keys()) == sorted(node.keys())
-        for key in pool + [absent]:
-            assert opened.versions_for_key(key) == node.versions_for_key(key)
-            assert opened.latest_for_key(key) == node.latest_for_key(key)
-            for stamp in probes:
-                assert opened.version_as_of(key, stamp) == node.version_as_of(key, stamp)
-            for txn_id in txn_ids:
-                assert opened.provisional_for_key(key, txn_id) == node.provisional_for_key(
-                    key, txn_id
-                )
-        # The two range lookups, against the per-key answers they replaced.
-        bounds = sorted(set(pool) | {absent})
-        ranges = [KeyRange(None, None)] + [data.draw(key_ranges(bounds)) for _ in range(4)]
-        ranges += [KeyRange(low, high) for low, high in zip(bounds, bounds[1:])]  # one key or none
-        for keys in ranges:
-            low, high = keys.low, keys.high
-            within = [key for key in pool if keys.contains(key)]
-            committed = [
-                version
-                for key in within
-                for version in node.versions_for_key(key)
-                if version.timestamp is not None
-            ]
-            assert opened.committed_versions(low, high) == committed
-            assert node.committed_versions(low, high) == committed
-            for stamp in probes:
-                valid = [node.version_as_of(key, stamp) for key in within]
-                valid = [version for version in valid if version is not None]
-                assert opened.versions_as_of(low, high, stamp) == valid
-                assert node.versions_as_of(low, high, stamp) == valid
-                # Tombstones kept: the newest committed version at or before the stamp.
-                newest = [
-                    latest_committed(v for v in committed if v.key == key and v.timestamp <= stamp)
-                    for key in within
-                ]
-                newest = [version for version in newest if version is not None]
-                assert opened.versions_as_of(low, high, stamp, tombstones=True) == newest
-                assert node.versions_as_of(low, high, stamp, tombstones=True) == newest
-            latest = [node.latest_for_key(key) for key in within]  # what keys() asks, at now
-            assert opened.versions_as_of(low, high, 2**63, tombstones=True) == [
-                version for version in latest if version is not None
-            ]
-        assert opened.region == node.region
-        assert is_image_backed(opened)  # none of the above built the list
+        assert_data_lookups_agree(opened, node, data)
+        assert is_image_backed(opened)  # none of the lookups built the list
+
+    @settings(max_examples=150, deadline=None)
+    @given(node=data_nodes(), data=st.data())
+    def test_data_node_lookups_after_an_interactive_commit(self, node, data):
+        """``stamp_provisional`` on a node opened from its image and on its
+        materialised twin: they stamp the same slot, encode the same page and
+        answer alike — and a re-opened image answers like both."""
+        provisional = [v for v in node.versions if v.timestamp is None]
+        opened = DataNode.decode(node.address, node.encode())
+        if provisional:
+            chosen = data.draw(st.sampled_from(provisional))
+            key, txn_id = chosen.key, chosen.txn_id
+        else:
+            key, txn_id = data.draw(st.sampled_from(node.keys() or [0])), 7
+        # Commit order: the stamp is newer than every committed version of the key.
+        newest = max((v.timestamp for v in node.versions_for_key(key) if v.is_committed), default=-1)
+        stamp = newest + data.draw(st.one_of(st.integers(1, 8), STAMPS.map(lambda s: s + 1)))
+        stamped = node.stamp_provisional(key, txn_id, stamp)
+        assert opened.stamp_provisional(key, txn_id, stamp) is stamped
+        assert stamped is bool(provisional)
+        assert opened.versions == node.versions and opened.encode() == node.encode()
+        assert_data_lookups_agree(opened, node, data)
+        assert_data_lookups_agree(DataNode.decode(node.address, node.encode()), node, data)
+        assert opened.serialized_size() == node.serialized_size()
+
+    def test_a_commit_stamps_each_provisional_slot_once(self):
+        node = DataNode(
+            Address.magnetic(3),
+            Rectangle(KeyRange(0, 100), TimeRange(2, None)),
+            [
+                Version(key=5, timestamp=3, value=b"a"),
+                Version(key=5, timestamp=None, value=b"p", txn_id=9),
+                Version(key=6, timestamp=None, value=b"", txn_id=9, is_tombstone=True),
+            ],
+        )
+        opened = DataNode.decode(node.address, node.encode())
+        for twin in (node, opened):
+            assert twin.stamp_provisional(5, 9, 4) and twin.stamp_provisional(6, 9, 4)
+            assert not twin.stamp_provisional(5, 9, 4)  # nothing provisional left
+            assert twin.latest_for_key(5) == Version(key=5, timestamp=4, value=b"p")
+            assert twin.version_as_of(6, 4) is None and twin.latest_for_key(6).is_tombstone
+            assert twin.versions_as_of(None, None, 3) == [Version(key=5, timestamp=3, value=b"a")]
+
 
     @settings(max_examples=200, deadline=None)
     @given(node=index_nodes(), data=st.data())

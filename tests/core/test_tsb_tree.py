@@ -274,6 +274,23 @@ class TestProvisionalVersions:
         tree.commit_provisional(7, ["pending"], commit_timestamp=tree.now + 1)
         assert tree.search_current("pending").value == b"still uncommitted"
 
+    def test_a_commit_on_leaves_opened_from_images_answers_like_on_resident_ones(self):
+        warm, cold = make_tree(), make_tree()
+        for tree in (warm, cold):
+            for step in range(60):
+                tree.insert(step % 20, b"v%d" % step, timestamp=step + 1)
+            for key in (3, 11, 19):
+                tree.insert_provisional(key, b"draft-%d" % key, txn_id=5)
+            tree.delete_provisional(7, txn_id=5)
+        cold.drop_caches()  # its leaves come back image-backed
+        for tree in (warm, cold):
+            tree.commit_provisional(5, [3, 7, 11, 19], commit_timestamp=100)
+        for key in range(20):
+            assert cold.key_history(key) == warm.key_history(key)
+        assert cold.snapshot(100) == warm.snapshot(100)
+        assert cold.search_current(7) is None and cold.search_current(3).value == b"draft-3"
+        assert_tree_valid(cold)
+
 
 class TestDeviceIntegration:
     def test_custom_devices_are_used(self):

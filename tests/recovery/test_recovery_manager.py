@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import assert_tree_valid
 from repro.recovery import RecoveryError, RecoveryManager
+from repro.recovery.replay import replay_device
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.worm import WormDisk
@@ -170,6 +171,60 @@ class TestCheckpointInteraction:
         assert commits_before > 0
         system.crash()
         assert system.tree.counters.commits >= commits_before
+
+
+def versions_of(tree, key):
+    """Every stored version of ``key``, committed or not, as ``(stamp, value)``."""
+    return [
+        (version.timestamp, version.value)
+        for node in tree.data_nodes()
+        for version in node.versions
+        if version.key == key
+    ]
+
+
+class TestReplayWritesTheLastWordOnce:
+    """Replay writes a transaction's keys at the logged stamp, last word per
+    key; a key the checkpoint image carried is stamped in place."""
+
+    def test_a_carried_key_rewritten_after_the_checkpoint_is_one_version(self):
+        system = RecoverableSystem(page_size=512)
+        txn = system.begin()
+        txn.write("rewritten", b"before")
+        txn.write("deleted", b"before")
+        txn.write("kept", b"before")
+        system.checkpoint()  # all three are provisional inside the image
+        txn.write("rewritten", b"after")
+        txn.delete("deleted")
+        stamp = txn.commit()
+        expected = {
+            "rewritten": [(stamp, b"after")],
+            "deleted": [(stamp, b"")],
+            "kept": [(stamp, b"before")],
+        }
+        report = system.crash()
+        assert report.winners_replayed == 1
+        from_empty = replay_device(system.log_device).tree
+        for tree in (system.tree, from_empty):
+            for key, versions in expected.items():
+                assert versions_of(tree, key) == versions, key
+            assert tree.search_current("deleted") is None
+            assert tree.search_current("rewritten").value == b"after"
+            assert_tree_valid(tree)
+
+    def test_an_interactive_rewrite_replays_to_one_version(self):
+        system = RecoverableSystem(page_size=512)
+        txn = system.begin()
+        txn.write("twice", b"first")
+        txn.write("twice", b"second")
+        txn.delete("revived")
+        txn.write("revived", b"back")
+        stamp = txn.commit()
+        replayed = replay_device(system.log_device).tree
+        system.crash()
+        for tree in (replayed, system.tree):
+            assert versions_of(tree, "twice") == [(stamp, b"second")]
+            assert versions_of(tree, "revived") == [(stamp, b"back")]
 
 
 class TestRepeatedCrashes:

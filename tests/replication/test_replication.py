@@ -242,6 +242,48 @@ class TestFollowerReads:
             primary.stop()
             server.stop()
 
+    def test_follower_applying_the_log_ends_like_the_primary(self):
+        """Every kind of logged commit — a multi-key batch at one stamp, an
+        interactive transaction that rewrites a key and deletes then rewrites
+        another, one that straddles a checkpoint, an abort — replayed by the
+        follower at the logged stamps: same snapshot digest, same history."""
+        registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
+        store = registry.get("default")
+        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        replica = Replica(primary.host, primary.port, name="apply").start()
+        try:
+            store.put_many([(key, b"batch-%d" % key) for key in range(12)])
+            with store.begin() as txn:
+                txn.write(3, b"draft")
+                txn.write(3, b"final")
+                txn.delete(4)
+                txn.write(4, b"revived")
+            straddling = store.begin()
+            straddling.write(5, b"before-checkpoint")
+            store.checkpoint()
+            straddling.write(5, b"after-checkpoint")
+            straddling.delete(6)
+            straddling.commit()
+            with pytest.raises(RuntimeError):
+                with store.begin() as doomed:
+                    doomed.write(7, b"never")
+                    raise RuntimeError("abort")
+            store.delete(8)
+            store.insert(9, b"stamped", timestamp=store.now + 3)
+            assert primary.wait_caught_up(timeout=10)
+            assert replica.wait_for_watermark(store.now)
+            follower = replica.store
+            assert follower.now == store.now
+            keys, stamps = range(12), range(store.now + 1)
+            assert answers_digest(follower, keys, stamps) == answers_digest(store, keys, stamps)
+            for key in keys:
+                assert follower.key_history(key) == store.key_history(key), key
+            assert [r.value for r in store.key_history(5)] == [b"batch-5", b"after-checkpoint"]
+        finally:
+            replica.stop()
+            primary.stop()
+            registry.close_all()
+
     def test_follower_refuses_writes(self):
         registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")

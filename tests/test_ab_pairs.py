@@ -1,11 +1,43 @@
-"""``benchmarks/ab_pairs.py --hold``: the comparison that fails a perf claim
-when a count it named as unmoved moved (no benchmark run needed)."""
+"""``benchmarks/ab_pairs.py --traced``: the comparison that fails a perf
+claim when a count it named as unmoved (``--hold``) moved, and the list of
+every count that moved (no benchmark run needed)."""
 
-from benchmarks.ab_pairs import held_counts
+from benchmarks.ab_pairs import held_counts, moved_counts
 
 
-def traced(**counts):
-    return {"metrics": {name.replace("__", "."): {"value": value} for name, value in counts.items()}}
+def traced(unit="count", **counts):
+    return {
+        "metrics": {
+            name.replace("__", "."): {"value": value, "unit": unit}
+            for name, value in counts.items()
+        }
+    }
+
+
+def test_every_moved_count_is_listed_with_both_values():
+    parent = traced(
+        core__tsb_tree__data_time_splits=1765,
+        core__tsb_tree__redundant_versions_written=5210,
+        storage__pagecache__calls=51926,
+        txn__commits=2994,
+        only__parent=3,
+    )
+    change = traced(
+        core__tsb_tree__data_time_splits=1771,
+        core__tsb_tree__redundant_versions_written=5210,
+        storage__pagecache__calls=38129,
+        txn__commits=2994,
+        only__change=0,
+    )
+    for result, self_s in ((parent, 0.5), (change, 0.4)):  # not a count: never listed
+        result["metrics"]["txn.self_s"] = {"value": self_s, "unit": "s"}
+    assert moved_counts(parent, change) == {
+        "core.tsb_tree.data_time_splits": {"parent": 1765, "change": 1771},
+        "only.change": {"parent": None, "change": 0},
+        "only.parent": {"parent": 3, "change": None},
+        "storage.pagecache.calls": {"parent": 51926, "change": 38129},
+    }
+    assert moved_counts(parent, parent) == {}
 
 
 def test_equal_counts_are_held_and_reported_for_both_sides():

@@ -10,7 +10,12 @@ Checked invariants
 1.  **Tiling** — inside every index node, the children's regions (clipped to
     the node's own region) are pairwise disjoint and cover the node's region
     completely: every (key, time) query point is the responsibility of
-    exactly one child.
+    exactly one child.  It is checked exactly, by a sweep: the clipped
+    entries' start and end times cut the node's time range into slabs, and in
+    each slab the covering children's key ranges, sorted by low bound, must
+    chain from the node's low key to its high key.  A break in the chain is a
+    point covered by no child; a range starting below the chain's reach is a
+    point covered by several.  That is O(E² log E) in the node's E entries.
 2.  **Tier discipline** — current nodes live on the magnetic device, entries
     with open time ranges point at magnetic addresses and entries with
     closed time ranges point at historical addresses (data is migrated only
@@ -23,6 +28,13 @@ Checked invariants
 5.  **Query responsibility** — for each key in a data node, the node can
     answer any query time inside its own region for that key (the version
     valid at the region start is present when the key existed before it).
+    As written the check is node-local and cannot fire: once a key's
+    earliest committed stamp is at or before the region start, the newest
+    committed version at or before the start exists, and the one case where
+    the node's answer is still "none" — that version is a tombstone — is
+    excused by the same condition.  It is still computed.  A check that
+    could fail compares the node with its time-split predecessor, which
+    must hand over the version valid at the split time.
 6.  **Size discipline** — no current node's serialized image exceeds the
     page size.
 7.  **Index-entry sanity** — entry regions are contained in the plane, child
@@ -31,15 +43,22 @@ Checked invariants
     mint every entry from the node it points at, and the tree's range walk
     relies on it: it picks children by their entries and does not ask the
     child for its rectangle again.
+
+Cost: one pass over each reachable node.  A data node is checked from its
+slot columns (:meth:`~repro.core.nodes.DataNode.columns`: keys, stamp words
+and flags in slot order) and its content size, both of which an image-backed
+node reads from its image, so checking leaves it image-backed and builds no
+``Version``.  Containment bisects the sorted key column.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.nodes import DataNode, IndexNode
-from repro.core.records import Rectangle
+from repro.core.nodes import _PROVISIONAL, _TOMBSTONE, DataNode, IndexNode
 from repro.core.tsb_tree import TSBTree
 
 
@@ -179,173 +198,200 @@ def _check_index_node(
 
 
 def _check_tiling(node: IndexNode, violations: List[Violation]) -> None:
-    """Grid-sample the node's region and count covering entries per cell."""
-    clipped = []
+    """Sweep the node's region slab by slab and chain each slab's children.
+
+    Every start and end bound of the clipped entries cuts the node's time
+    range; inside one of the resulting slabs the covering children do not
+    change, so the slab is tiled exactly when their key ranges, sorted by low
+    bound, chain from the node's low key to its high key with no break and no
+    step back.  Bounds are compared as ``(0,)`` (unbounded low), ``(1, key)``
+    and ``(2,)`` (unbounded high), so the two kinds of key need no midpoints.
+    """
+    region = node.region
+    low, high = _low_bound(region.keys.low), _high_bound(region.keys.high)
+    start, end = region.times.start, _time_end(region.times.end)
+    clipped = []  # (start, end, low, high) of each entry, clipped to the node
     for entry in node.entries:
-        intersection = entry.region.intersect(node.region)
-        if intersection is None:
+        keys, times = entry.region.keys, entry.region.times
+        row = (
+            max(times.start, start),
+            min(_time_end(times.end), end),
+            max(_low_bound(keys.low), low),
+            min(_high_bound(keys.high), high),
+        )
+        if row[0] < row[1] and row[2] < row[3]:
+            clipped.append(row)
+        else:
             violations.append(
                 Violation(
                     "tiling",
-                    f"entry {entry} does not intersect its node's region {node.region}",
+                    f"entry {entry} does not intersect its node's region {region}",
                 )
             )
-        else:
-            clipped.append(intersection)
     if not clipped:
         return
 
-    key_points = _sample_key_points(node, clipped)
-    time_points = _sample_time_points(node, clipped)
-    for key in key_points:
-        for timestamp in time_points:
-            if not node.region.contains_point(key, timestamp):
-                continue
-            covering = sum(
-                1 for region in clipped if region.contains_point(key, timestamp)
-            )
-            if covering == 0:
+    clipped.sort()
+    cuts = sorted({start, *(row[0] for row in clipped), *(row[1] for row in clipped)})
+    active: list = []
+    entering = 0
+    for cut in cuts:
+        if cut >= end:
+            break
+        while entering < len(clipped) and clipped[entering][0] == cut:
+            active.append(clipped[entering])
+            entering += 1
+        active = sorted((row for row in active if cut < row[1]), key=itemgetter(2))
+        reach = low
+        for row in active:
+            if row[2] < reach:
+                covering = sum(1 for other in active if other[2] <= row[2] < other[3])
                 violations.append(
                     Violation(
                         "tiling",
-                        f"index node {node.address}: point ({key!r}, {timestamp}) in "
-                        f"{node.region} is covered by no child",
+                        f"index node {node.address}: point ({_shown(row[2])}, {cut}) "
+                        f"is covered by {covering} children",
                     )
                 )
-            elif covering > 1:
-                violations.append(
-                    Violation(
-                        "tiling",
-                        f"index node {node.address}: point ({key!r}, {timestamp}) is "
-                        f"covered by {covering} children",
-                    )
-                )
+            elif reach < row[2]:
+                violations.append(_gap(node, reach, row[2], cut))
+            reach = max(reach, row[3])
+        if reach < high:
+            violations.append(_gap(node, reach, high, cut))
 
 
-def _sample_key_points(node: IndexNode, regions: List[Rectangle]) -> List:
-    keys: Set = set()
-    for region in regions + [node.region]:
-        for bound in (region.keys.low, region.keys.high):
-            if bound is not None:
-                keys.add(bound)
-    points: List = []
-    for key in sorted(keys):
-        points.append(key)
-    # Add midpoints / a point below the lowest and above the highest bound so
-    # unbounded ranges are exercised too.
-    sorted_keys = sorted(keys)
-    if sorted_keys and all(isinstance(key, int) for key in sorted_keys):
-        points.append(sorted_keys[0] - 1)
-        points.append(sorted_keys[-1] + 1)
-        for low, high in zip(sorted_keys, sorted_keys[1:]):
-            points.append((low + high) // 2)
-    elif sorted_keys:
-        points.append(sorted_keys[0] + "\x00")
-        points.append(sorted_keys[-1] + "\x7f")
-    else:
-        points.append(0)
-    return sorted(set(points))
+def _low_bound(key) -> tuple:
+    return (0,) if key is None else (1, key)
 
 
-def _sample_time_points(node: IndexNode, regions: List[Rectangle]) -> List[int]:
-    times: Set[int] = {node.region.times.start}
-    for region in regions:
-        times.add(region.times.start)
-        if region.times.end is not None:
-            times.add(region.times.end)
-            times.add(max(0, region.times.end - 1))
-    latest = max(times)
-    times.add(latest + 1)
-    return sorted(times)
+def _high_bound(key) -> tuple:
+    return (2,) if key is None else (1, key)
+
+
+def _time_end(end):
+    return float("inf") if end is None else end
+
+
+def _shown(bound: tuple) -> str:
+    return repr(bound[1]) if len(bound) == 2 else ("-inf" if bound[0] == 0 else "+inf")
+
+
+def _gap(node: IndexNode, low: tuple, high: tuple, timestamp: int) -> Violation:
+    return Violation(
+        "tiling",
+        f"index node {node.address}: keys [{_shown(low)}, {_shown(high)}) at time "
+        f"{timestamp} in {node.region} are covered by no child",
+    )
 
 
 # ----------------------------------------------------------------------
 # Data nodes
 # ----------------------------------------------------------------------
 def _check_data_node(tree: TSBTree, node: DataNode, violations: List[Violation]) -> None:
+    """Check a data node from its key, stamp and flag runs (``columns()``):
+    an image-backed node answers from its image and stays image-backed."""
+    region = node.region
     if node.address.is_magnetic:
-        if not node.region.times.is_current:
+        if not region.times.is_current:
             violations.append(
                 Violation(
                     "tier",
                     f"data node {node.address} is on the magnetic disk but its time "
-                    f"range {node.region.times} is closed",
+                    f"range {region.times} is closed",
                 )
             )
-        if node.serialized_size() > tree.page_size:
+        size = node.serialized_size()
+        if size > tree.page_size:
             violations.append(
                 Violation(
                     "size",
-                    f"current data node {node.address} is {node.serialized_size()} "
+                    f"current data node {node.address} is {size} "
                     f"bytes (page size {tree.page_size})",
                 )
             )
-    else:
-        if node.region.times.is_current:
-            violations.append(
-                Violation(
-                    "tier",
-                    f"data node {node.address} is historical but its time range is "
-                    "still open",
-                )
+    elif region.times.is_current:
+        violations.append(
+            Violation(
+                "tier",
+                f"data node {node.address} is historical but its time range is "
+                "still open",
             )
+        )
 
-    for version in node.versions:
-        if not node.region.keys.contains(version.key):
-            violations.append(
-                Violation(
-                    "containment",
-                    f"version {version} lies outside data node key range "
-                    f"{node.region.keys}",
-                )
+    keys, stamps, flags = node.columns()
+    first = 0 if region.keys.low is None else bisect_left(keys, region.keys.low)
+    last = len(keys) if region.keys.high is None else bisect_left(keys, region.keys.high)
+    for slot in (*range(first), *range(last, len(keys))):
+        violations.append(
+            Violation(
+                "containment",
+                f"a version of key {keys[slot]!r} in data node {node.address} lies "
+                f"outside its key range {region.keys}",
             )
-        if version.is_provisional and node.address.is_historical:
-            violations.append(
-                Violation(
-                    "transactions",
-                    f"provisional version {version} was migrated to historical node "
-                    f"{node.address}",
+        )
+    if node.address.is_historical:
+        for slot, flag in enumerate(flags):
+            if flag & _PROVISIONAL:
+                violations.append(
+                    Violation(
+                        "transactions",
+                        f"provisional version of key {keys[slot]!r} (txn {stamps[slot]}) "
+                        f"was migrated to historical node {node.address}",
+                    )
                 )
-            )
-        if (
-            version.timestamp is not None
-            and node.region.times.end is not None
-            and version.timestamp >= node.region.times.end
-        ):
-            violations.append(
-                Violation(
-                    "containment",
-                    f"version {version} has a timestamp at or past its historical "
-                    f"node's end time {node.region.times.end}",
+    end = region.times.end
+    if end is not None:
+        for slot, (stamp, flag) in enumerate(zip(stamps, flags)):
+            if stamp >= end and not flag & _PROVISIONAL:
+                violations.append(
+                    Violation(
+                        "containment",
+                        f"version of key {keys[slot]!r} at T={stamp} is at or past its "
+                        f"historical node's end time {end}",
+                    )
                 )
-            )
 
-    _check_responsibility(node, violations)
+    _check_responsibility(node, keys, stamps, flags, violations)
 
 
-def _check_responsibility(node: DataNode, violations: List[Violation]) -> None:
-    """Each key present must be answerable at the node's region start."""
+def _check_responsibility(
+    node: DataNode,
+    keys: Sequence,
+    stamps: Sequence[int],
+    flags: bytes,
+    violations: List[Violation],
+) -> None:
+    """Each key present must be answerable at the node's region start.
+
+    Slots hold a key's committed versions first, oldest first, so its run's
+    first slot is its earliest committed stamp; the version valid at the
+    start is the newest committed one at or before it (see the module
+    docstring for why this cannot fail on a well-formed page).
+    """
     start = node.region.times.start
-    for key in {version.key for version in node.versions}:
-        versions = node.versions_for_key(key)
-        committed = [v for v in versions if v.timestamp is not None]
-        if not committed:
-            continue
-        earliest = min(v.timestamp for v in committed)  # type: ignore[type-var]
-        if earliest > start:
-            # The key first appeared inside this node's time range; nothing
-            # to answer at the region start.
-            continue
-        if node.version_as_of(key, start) is None and not any(
-            v.is_tombstone for v in committed
-        ):
-            violations.append(
-                Violation(
-                    "responsibility",
-                    f"data node {node.address} cannot answer key {key!r} at its "
-                    f"region start {start} although the key existed before it",
+    first = 0
+    while first < len(keys):
+        key = keys[first]
+        end = bisect_right(keys, key, first)
+        committed = end
+        while committed > first and flags[committed - 1] & _PROVISIONAL:
+            committed -= 1
+        # A key first committed inside the node's time range has nothing to
+        # answer at the region start.
+        if committed > first and stamps[first] <= start:
+            newest = bisect_right(stamps, start, first, committed) - 1
+            # No valid version at the start: a tombstone answers "deleted".
+            if newest < first and not any(
+                flags[slot] & _TOMBSTONE for slot in range(first, committed)
+            ):
+                violations.append(
+                    Violation(
+                        "responsibility",
+                        f"data node {node.address} cannot answer key {key!r} at its "
+                        f"region start {start} although the key existed before it",
+                    )
                 )
-            )
+        first = end
 
 
 # ----------------------------------------------------------------------

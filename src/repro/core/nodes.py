@@ -72,9 +72,11 @@ depend on the codec.
 
 A node decoded from an image is **image-backed** (:class:`_PackedDataNode`,
 :class:`_PackedIndexNode`): its point and range lookups answer from the
-columns and build only the objects they return.  The first access that needs
-the whole ``versions`` / ``entries`` list — any mutation, a split, the checker
-— turns the object into a plain :class:`DataNode` / :class:`IndexNode` in
+columns and build only the objects they return; its ``serialized_size`` comes
+from the page's counts and ``columns()`` hands the key, stamp and flag runs
+to the checker.  The first access that needs the whole ``versions`` /
+``entries`` list — any mutation, a split, an index node's check — turns the
+object into a plain :class:`DataNode` / :class:`IndexNode` in
 place, and from then on it is encoded from its lists; an untouched
 image-backed node hands its image back from ``encode()``.  The materialised classes carry no
 hook for any of this, so a tree that fits in cache pays nothing for it.
@@ -247,6 +249,26 @@ def _sorted_within(keys: Iterable[Key], low: Optional[Key], high: Optional[Key])
         for key in keys
         if (low is None or not key < low) and (high is None or key < high)
     )
+
+
+def _slot_rows(versions: List[Version]) -> List[Tuple]:
+    """``(key, provisional?, stamp word, list position)`` of each version, in
+    slot order: by key, then the order ``_index`` keeps a key's versions in;
+    list position breaks ties, as that stable sort would."""
+    return sorted(
+        (version.key, *_stable_version_order(version), position)
+        for position, version in enumerate(versions)
+    )
+
+
+def _flag_of(version: Version) -> int:
+    """A version's flag byte on a data page."""
+    flag = _TOMBSTONE if version.is_tombstone else 0
+    if version.timestamp is None:
+        flag |= _PROVISIONAL
+    elif version.txn_id is not None:
+        flag |= _STAMP_AND_TXN
+    return flag
 
 
 def _entry_sort_key(entry: "IndexEntry") -> Tuple:
@@ -464,6 +486,17 @@ class DataNode:
             size += extra.serialized_size()
         return size <= page_size
 
+    def columns(self) -> Tuple[Tuple[Key, ...], Tuple[int, ...], bytes]:
+        """The key, stamp-word and flag runs of the node's page image: one
+        entry per version, in slot order (see the page layout)."""
+        versions = self.versions
+        rows = _slot_rows(versions)
+        return (
+            tuple(row[0] for row in rows),
+            tuple(row[2] for row in rows),
+            bytes(_flag_of(versions[row[3]]) for row in rows),
+        )
+
     # -- serialization ----------------------------------------------------
     def encode(self) -> bytes:
         versions = self.versions
@@ -471,27 +504,18 @@ class DataNode:
         count = len(versions)
         keys: List[Optional[Key]] = [version.key for version in versions]
         kind = _key_kind(keys + [region.keys.low, region.keys.high])
-        # Slot order: by key, then the order `_index` keeps a key's versions
-        # in; list position breaks ties, as that stable sort would.
-        rows = sorted(
-            (key, *_stable_version_order(version), position)
-            for position, (key, version) in enumerate(zip(keys, versions))
-        )
+        rows = _slot_rows(versions)
         flags = bytearray(count)
         values = []
         txn_ids = []
         for slot, row in enumerate(rows):
             version = versions[row[3]]
             values.append(version.value)
-            flag = _TOMBSTONE if version.is_tombstone else 0
-            if version.timestamp is None:
-                if version.txn_id is None:
-                    raise SerializationError("a provisional version must carry its txn_id")
-                flag |= _PROVISIONAL
-            elif version.txn_id is not None:
-                flag |= _STAMP_AND_TXN
+            if version.timestamp is None and version.txn_id is None:
+                raise SerializationError("a provisional version must carry its txn_id")
+            flag = flags[slot] = _flag_of(version)
+            if flag & _STAMP_AND_TXN:
                 txn_ids.append(version.txn_id)
-            flags[slot] = flag
         try:
             buf = bytearray(_DATA_HEADER.size)
             _append_keys(buf, [row[0] for row in rows], kind)
@@ -582,6 +606,28 @@ def _clip(keys: tuple, low: Optional[Key], high: Optional[Key]) -> Tuple[int, in
     return first, len(keys) if high is None else bisect_left(keys, high, first)
 
 
+def _heap_end(node: "_PackedDataNode") -> int:
+    """Offset just past the value heap, where the region is packed."""
+    layout = node._layout or _open_data_page(node)
+    count = node._shape[1]
+    if not count:
+        return layout[6]
+    return layout[6] + _U32.unpack_from(node._image, layout[4] + 4 * count - 4)[0]
+
+
+def _packed_content_size(node: "_PackedDataNode") -> int:
+    """What ``sum(version.serialized_size())`` adds up to, from the page's own
+    counts: per version a key, a 9-byte stamp or a 1-byte "none", a flag byte,
+    a 9- or 1-byte txn id and a length-prefixed value."""
+    kind, count, txn_ids = node._shape
+    layout = node._layout or _open_data_page(node)
+    if kind == _KIND_INT:
+        key_bytes = 9 * count
+    else:
+        key_bytes = count + layout[1] - _DATA_HEADER.size
+    return key_bytes + 15 * count + 8 * txn_ids + _heap_end(node) - layout[6]
+
+
 def _materialise_data(node: "DataNode") -> None:
     """Turn an image-backed node into a plain :class:`DataNode`, in place."""
     if type(node) is not _PackedDataNode:
@@ -620,20 +666,14 @@ def _materialise_data(node: "DataNode") -> None:
             else:
                 group.append(version)
         region = node.region
+        content_size = _packed_content_size(node)
     except _MALFORMED as exc:
         raise SerializationError("malformed data-page image") from exc
-    # What `sum(version.serialized_size())` would add up to, from the page's
-    # own counts: per version a key, a 9-byte stamp or a 1-byte "none", a flag
-    # byte, a 9- or 1-byte txn id and a length-prefixed value.
-    if node._shape[0] == _KIND_INT:
-        key_bytes = 9 * count
-    else:
-        key_bytes = count + stamps_at - _DATA_HEADER.size
     state = node.__dict__
     state["region"] = region
     state["versions"] = versions
     state["_by_key"] = by_key  # slots are sorted the way `_index` sorts its groups
-    state["_content_size"] = key_bytes + 15 * count + 8 * node._shape[2] + start - heap
+    state["_content_size"] = content_size
     state["_known_len"] = count
     object.__setattr__(node, "__class__", DataNode)
 
@@ -682,14 +722,8 @@ class _PackedDataNode(DataNode):
     def region(self) -> Rectangle:
         region = self._region
         if region is None:
-            data = self._image
-            layout = self._layout or _open_data_page(self)
             try:
-                count = self._shape[1]
-                end = layout[6]
-                if count:
-                    end += _U32.unpack_from(data, layout[4] + 4 * count - 4)[0]
-                region = _region_at(data, end, self._shape[0])
+                region = _region_at(self._image, _heap_end(self), self._shape[0])
             except _MALFORMED as exc:
                 raise SerializationError("malformed data-page image") from exc
             self.__dict__["_region"] = region
@@ -697,6 +731,23 @@ class _PackedDataNode(DataNode):
 
     def encode(self) -> bytes:
         return self._image
+
+    def serialized_size(self) -> int:
+        try:
+            content = _packed_content_size(self)
+        except _MALFORMED as exc:
+            raise SerializationError("malformed data-page image") from exc
+        return _NODE_HEADER_SIZE + self.region_size() + content
+
+    def columns(self) -> Tuple[Tuple[Key, ...], Tuple[int, ...], bytes]:
+        data = self._image
+        keys, stamps, flags = (self._layout or _open_data_page(self))[:3]
+        count = len(keys)
+        try:
+            words = _run("Q", count).unpack_from(data, stamps)
+        except _MALFORMED as exc:
+            raise SerializationError("malformed data-page image") from exc
+        return keys, words, data[flags : flags + count]
 
     def keys(self) -> List[Key]:
         return list(dict.fromkeys((self._layout or _open_data_page(self))[0]))

@@ -5,12 +5,18 @@ healthy tree in a specific way and assert the checker names the violated
 invariant.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.core import ThresholdPolicy, TSBTree, check_tree
-from repro.core.checker import assert_tree_valid
-from repro.core.nodes import IndexEntry, IndexNode
+from repro.core.checker import _check_index_node, assert_tree_valid
+from repro.core.nodes import DataNode, IndexEntry, IndexNode
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
+from repro.storage.device import Address
 
 
 def build_tree(operations=300, page_size=512):
@@ -184,3 +190,253 @@ class TestCorruptionDetection:
         violations = []
         _check_data_node(tree, victim, violations)
         assert any(v.invariant == "transactions" for v in violations)
+
+    def test_detects_an_index_node_no_higher_than_its_index_child(self):
+        tree = TSBTree(page_size=512, policy=ThresholdPolicy(0.5))
+        for step in range(4000):
+            tree.insert(step * 37 % 600, b"value-%d" % step, timestamp=step + 1)
+        node = next(
+            node
+            for node in tree.index_nodes()
+            if node.address.is_magnetic and node.level >= 2
+        )
+        node.level = 1
+        tree._store_node(node)
+        assert violated_invariants(tree) == {"levels"}
+
+
+# ----------------------------------------------------------------------
+# Tiling: the sweep against a brute-force cell count
+# ----------------------------------------------------------------------
+KEY_POINTS = range(13)
+
+
+def _covers(keys, times, key_cell, time_cell):
+    """Whether the rectangle ``keys`` x ``times`` covers the grid cell."""
+    return _range_covers(keys.low, keys.high, key_cell) and _range_covers(
+        times.start, times.end, time_cell
+    )
+
+
+def _range_covers(low, high, cell):
+    """Whether ``[low, high)`` (``None``: unbounded) covers ``cell``: a bound
+    ``("point", b)`` or the open interval ``("open", a, b)`` between two."""
+    if cell[0] == "point":
+        point = cell[1]
+        return (low is None or low <= point) and (high is None or point < high)
+    below, above = cell[1], cell[2]
+    return (low is None or (below is not None and low <= below)) and (
+        high is None or (above is not None and above <= high)
+    )
+
+
+def _cells(bounds):
+    """Every bound as a point cell and every open interval around them."""
+    ordered = sorted(bounds)
+    return [("point", bound) for bound in ordered] + [
+        ("open", below, above)
+        for below, above in zip([None] + ordered, ordered + [None])
+    ]
+
+
+def oracle_finds_a_bad_cell(node):
+    """Whether some cell of the node's compressed key x time grid is covered
+    by no child or by more than one (boundaries are cells of their own)."""
+    regions = [entry.region for entry in node.entries]
+    rectangles = regions + [node.region]
+    key_bounds = {
+        bound
+        for region in rectangles
+        for bound in (region.keys.low, region.keys.high)
+        if bound is not None
+    }
+    time_bounds = {
+        bound
+        for region in rectangles
+        for bound in (region.times.start, region.times.end)
+        if bound is not None
+    }
+    for key_cell in _cells(key_bounds):
+        for time_cell in _cells(time_bounds):
+            if not _covers(node.region.keys, node.region.times, key_cell, time_cell):
+                continue
+            covering = sum(
+                _covers(region.keys, region.times, key_cell, time_cell)
+                for region in regions
+            )
+            if covering != 1:
+                return True
+    return False
+
+
+@st.composite
+def split_index_nodes(draw):
+    """An index node whose entries are its region cut by key and time splits,
+    then perhaps with one entry dropped, doubled or with one bound moved."""
+    as_key = (lambda at: at) if draw(st.booleans()) else (lambda at: "k" + chr(97 + at))
+    low = draw(st.one_of(st.none(), st.integers(0, 5)))
+    high = draw(st.one_of(st.none(), st.integers(7, 12)))
+    start = draw(st.integers(0, 5))
+    end = draw(st.one_of(st.none(), st.integers(start + 1, start + 8)))
+    cells = [[low, high, start, end]]
+    for _ in range(draw(st.integers(0, 6))):
+        cell = cells.pop(draw(st.integers(0, len(cells) - 1)))
+        cut_low, cut_high, cut_start, cut_end = cell
+        inside = [
+            point
+            for point in KEY_POINTS
+            if (cut_low is None or cut_low < point) and (cut_high is None or point < cut_high)
+        ]
+        if draw(st.booleans()) and inside:
+            key = draw(st.sampled_from(inside))
+            cells += [[cut_low, key, cut_start, cut_end], [key, cut_high, cut_start, cut_end]]
+        elif (cut_end or cut_start + 10) - cut_start >= 2:
+            stamp = draw(st.integers(cut_start + 1, (cut_end or cut_start + 10) - 1))
+            cells += [[cut_low, cut_high, cut_start, stamp], [cut_low, cut_high, stamp, cut_end]]
+        else:
+            cells.append(cell)
+    fault = draw(st.sampled_from(["none", "drop", "double", "move"]))
+    at = draw(st.integers(0, len(cells) - 1))
+    if fault == "drop":
+        del cells[at]
+    elif fault == "double":
+        cells.append(list(cells[at]))
+    elif fault == "move":
+        field = draw(st.integers(0, 3))
+        if field < 2:
+            cells[at][field] = draw(st.one_of(st.none(), st.sampled_from(KEY_POINTS)))
+        elif field == 2:
+            cells[at][2] = draw(st.integers(0, 14))
+        else:
+            cells[at][3] = draw(st.one_of(st.none(), st.integers(1, 15)))
+    entries = []
+    for cut_low, cut_high, cut_start, cut_end in cells:
+        assume(cut_low is None or cut_high is None or cut_low < cut_high)
+        assume(cut_end is None or cut_start < cut_end)
+        child = (
+            Address.magnetic(len(entries) + 1)
+            if cut_end is None
+            else Address.historical(len(entries) + 1, 0, 64)
+        )
+        keys = KeyRange(
+            None if cut_low is None else as_key(cut_low),
+            None if cut_high is None else as_key(cut_high),
+        )
+        entries.append(IndexEntry(child, Rectangle(keys, TimeRange(cut_start, cut_end))))
+    region = Rectangle(
+        KeyRange(None if low is None else as_key(low), None if high is None else as_key(high)),
+        TimeRange(start, end),
+    )
+    assume(all(entry.region.overlaps(region) for entry in entries))
+    return IndexNode(Address.magnetic(0), region, entries, level=1)
+
+
+@pytest.mark.differential
+@given(node=split_index_nodes())
+def test_the_tiling_sweep_agrees_with_a_brute_force_cell_count(node):
+    violations = []
+    _check_index_node(SimpleNamespace(page_size=4096), node, {}, violations)
+    tiling = [violation for violation in violations if violation.invariant == "tiling"]
+    assert bool(tiling) == oracle_finds_a_bad_cell(node)
+
+
+# ----------------------------------------------------------------------
+# Data nodes: the image-backed and the materialised twin report alike
+# ----------------------------------------------------------------------
+CURRENT = Address.magnetic(3)
+HISTORICAL = Address.historical(3, 0, 64)
+
+
+def one_node_tree(node, page_size=512):
+    """All ``check_tree`` asks of a tree, for a tree that is just ``node``."""
+    return SimpleNamespace(
+        root_address=node.address, page_size=page_size, _load_node=lambda address: node
+    )
+
+
+def twin_case(name, as_key):
+    """``(node, expected invariants)`` for one named data-node case."""
+    versions = [
+        Version(as_key(10), 2, b"before the region start"),
+        Version(as_key(10), 7, b"inside it"),
+        Version(as_key(11), 3, b"", is_tombstone=True),
+        Version(as_key(12), 9, b"stamped", txn_id=4),
+        Version(as_key(13), 6, b"x"),
+        Version(as_key(13), 6, b"same stamp"),
+    ]
+    keys = KeyRange(as_key(10), as_key(20))
+    current = Rectangle(keys, TimeRange(5, None))
+    closed = Rectangle(keys, TimeRange(5, 40))
+    provisional = Version(as_key(14), None, b"uncommitted", txn_id=8)
+    cases = {
+        "healthy current": (CURRENT, current, versions + [provisional], set()),
+        "healthy historical": (HISTORICAL, closed, versions, set()),
+        "key outside": (
+            CURRENT,
+            current,
+            versions + [Version(as_key(25), 8, b"above"), Version(as_key(1), 8, b"below")],
+            {"containment"},
+        ),
+        "provisional in history": (
+            HISTORICAL,
+            closed,
+            versions + [provisional],
+            {"transactions"},
+        ),
+        "stamp at the end": (
+            HISTORICAL,
+            closed,
+            versions + [Version(as_key(15), 40, b"at"), Version(as_key(15), 41, b"past")],
+            {"containment"},
+        ),
+        "oversized": (
+            CURRENT,
+            current,
+            versions + [Version(as_key(16), step, bytes(32)) for step in range(20)],
+            {"size"},
+        ),
+    }
+    address, region, node_versions, expected = cases[name]
+    return DataNode(address, region, node_versions), expected
+
+
+TWIN_CASES = [
+    "healthy current",
+    "healthy historical",
+    "key outside",
+    "provisional in history",
+    "stamp at the end",
+    "oversized",
+]
+
+
+@pytest.mark.parametrize("as_key", [int, lambda at: f"key-{at:03d}"], ids=["int", "str"])
+@pytest.mark.parametrize("case", TWIN_CASES)
+def test_both_twins_of_a_data_node_report_the_same_violations(case, as_key):
+    materialised, expected = twin_case(case, as_key)
+    packed = DataNode.decode(materialised.address, materialised.encode())
+    violations = check_tree(one_node_tree(packed))
+    assert violations == check_tree(one_node_tree(materialised))
+    assert {violation.invariant for violation in violations} == expected
+    assert type(packed) is not DataNode  # checked from its image, still image-backed
+
+
+def test_the_checker_leaves_cached_data_nodes_image_backed():
+    tree = build_tree(operations=1500)
+    tree.checkpoint()
+    reopened = TSBTree.open(tree.magnetic, tree.historical, cache_pages=4096)
+    assert reopened.current_keys()  # loads the current tree
+    for node in reopened.iter_nodes():
+        pass  # and every other node reachable
+
+    def census():
+        return Counter(
+            type(node).__name__
+            for node in reopened.cache._residents.values()
+            if isinstance(node, DataNode)
+        )
+
+    before = census()
+    assert before and all(name != "DataNode" for name in before)
+    assert check_tree(reopened) == []
+    assert census() == before

@@ -266,6 +266,14 @@ class TestImageBackedAnswersLikeMaterialised:
         assert_data_lookups_agree(opened, node, data)
         assert is_image_backed(opened)  # none of the lookups built the list
 
+    @given(node=data_nodes())
+    def test_data_node_columns_and_size(self, node):
+        """What the checker reads: the slot columns and the content size."""
+        opened = DataNode.decode(node.address, node.encode())
+        assert opened.columns() == node.columns()
+        assert opened.serialized_size() == node.serialized_size()
+        assert is_image_backed(opened)
+
     @settings(max_examples=150, deadline=None)
     @given(node=data_nodes(), data=st.data())
     def test_data_node_lookups_after_an_interactive_commit(self, node, data):
@@ -486,9 +494,11 @@ class TestMutationGivesUpTheImage:
 # ----------------------------------------------------------------------
 def test_readers_under_the_shared_latch_agree_with_the_oracle_while_nodes_materialise():
     """Lazy opening and in-place materialisation must be idempotent and
-    race-benign: six readers and two checkers (which turn every node they
-    visit into its materialised form, under the readers) share one latch in
-    read mode over a tree whose cache holds a fraction of its pages."""
+    race-benign: six readers and two checkers share one latch in read mode
+    over a tree whose cache holds a fraction of its pages.  A checker reads
+    data nodes from their columns and materialises only index nodes, so each
+    round also asks every data node for its version list, turning it into its
+    materialised form under the readers."""
     rng = random.Random(7)
     tree = TSBTree(page_size=512, cache_pages=24)
     history = {}
@@ -539,6 +549,8 @@ def test_readers_under_the_shared_latch_agree_with_the_oracle_while_nodes_materi
             while not done.is_set():
                 with latch.read():
                     assert check_tree(tree) == []
+                    for node in tree.data_nodes():
+                        assert node.versions is not None
         except BaseException as error:  # noqa: BLE001
             failures.append(error)
 

@@ -1,8 +1,10 @@
 """Scenario tests for restart recovery and the recoverable system."""
 
+import time
+
 import pytest
 
-from repro.core import assert_tree_valid
+from repro.core import ThresholdPolicy, TSBTree, assert_tree_valid
 from repro.recovery import RecoveryError, RecoveryManager
 from repro.recovery.replay import replay_device
 from repro.storage.logdevice import LogDevice
@@ -460,3 +462,49 @@ class TestFacadeReopen:
                 historical=historical,
                 log_device=LogDevice(),
             )
+
+
+def _system_with_history_and_orphans():
+    """A crashed-to-be system whose checkpoint image holds historical nodes
+    and whose post-checkpoint splits left pages the image never links."""
+    system = RecoverableSystem(page_size=512, policy=ThresholdPolicy(0.5), cache_pages=8)
+    for step in range(600):
+        txn = system.begin()
+        txn.write(step % 40, b"v%d" % step)
+        txn.commit()
+    system.checkpoint()
+    for step in range(600, 1500):
+        txn = system.begin()
+        txn.write(step % 70, b"w%d" % step)
+        txn.commit()
+    return system
+
+
+class TestRestartPhases:
+    def test_the_report_times_each_phase_within_the_restart(self):
+        system = _system_with_history_and_orphans()
+        system.log_device.lose_volatile_tail()
+        manager = RecoveryManager(
+            system.magnetic, system.historical, system.log_device, cache_pages=8
+        )
+        began = time.perf_counter()
+        report = manager.recover().report
+        wall = time.perf_counter() - began
+        phases = (report.reclaim_s, report.replay_s, report.verify_s)
+        assert all(seconds >= 0 for seconds in phases)
+        assert sum(phases) <= wall
+        assert report.operations_replayed > 0 and report.orphan_pages_reclaimed > 0
+        assert "replay" in report.summary() and "verify" in report.summary()
+
+    def test_the_orphan_walk_reads_no_historical_page(self):
+        system = _system_with_history_and_orphans()
+        system.log_device.lose_volatile_tail()
+        tree = TSBTree.open(system.magnetic, system.historical, cache_pages=8)
+        assert any(node.address.is_historical for node in tree.iter_nodes())
+        manager = RecoveryManager(
+            system.magnetic, system.historical, system.log_device, cache_pages=8
+        )
+        reads = system.historical.stats.reads
+        # The count an exhaustive walk of current and historical nodes reclaims.
+        assert manager._reclaim_orphan_pages(tree) == 8
+        assert system.historical.stats.reads == reads

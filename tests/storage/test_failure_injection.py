@@ -118,6 +118,19 @@ class TestRecoveryAfterExhaustion:
         assert report.aborts_discarded >= 1
         assert len(system.tree.current_keys()) == len(committed)
 
+    @pytest.mark.parametrize("force_abort", [False, True])
+    def test_the_current_tree_walk_reclaims_every_orphan(self, force_abort):
+        """The sweep walks magnetic pages only and still finds every page the
+        anchored image does not link: the count an exhaustive walk finds."""
+        magnetic = MagneticDisk(page_size=512, capacity_pages=6)
+        system = RecoverableSystem(
+            page_size=512, policy=AlwaysKeySplitPolicy(), magnetic=magnetic
+        )
+        self._exhaust(system)
+        if force_abort:
+            system.log.force()
+        assert system.crash().orphan_pages_reclaimed == 4
+
     def test_doomed_transaction_cannot_commit_after_device_failure(self):
         magnetic = MagneticDisk(page_size=512, capacity_pages=6)
         system = RecoverableSystem(

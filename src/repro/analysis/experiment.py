@@ -26,6 +26,7 @@ from repro.api import (
     StoreConfig,
     VersionStore,
 )
+from repro.core.nodes import _PROVISIONAL
 from repro.core.policy import (
     AlwaysKeySplitPolicy,
     AlwaysTimeSplitPolicy,
@@ -491,7 +492,8 @@ def run_txn_study(page_size: int = 1024, engine: str = "tsb") -> StudyResult:
     provisional_in_history = 0
     for node in tree.data_nodes():
         if node.address.is_historical:
-            provisional_in_history += sum(1 for v in node.versions if v.is_provisional)
+            _keys, _stamps, flags = node.columns()
+            provisional_in_history += sum(1 for flag in flags if flag & _PROVISIONAL)
 
     result = StudyResult(study="S6: transaction support")
     result.rows.append(

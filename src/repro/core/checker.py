@@ -46,9 +46,10 @@ Checked invariants
 
 Cost: one pass over each reachable node.  A data node is checked from its
 slot columns (:meth:`~repro.core.nodes.DataNode.columns`: keys, stamp words
-and flags in slot order) and its content size, both of which an image-backed
-node reads from its image, so checking leaves it image-backed and builds no
-``Version``.  Containment bisects the sorted key column.
+and flags in slot order) and its content size, which the node holds whether
+it was opened from an image or mutated, so checking builds no ``Version``
+and a node opened from an image keeps handing that image back.  Containment
+bisects the sorted key column.
 """
 
 from __future__ import annotations
@@ -288,8 +289,8 @@ def _gap(node: IndexNode, low: tuple, high: tuple, timestamp: int) -> Violation:
 # Data nodes
 # ----------------------------------------------------------------------
 def _check_data_node(tree: TSBTree, node: DataNode, violations: List[Violation]) -> None:
-    """Check a data node from its key, stamp and flag runs (``columns()``):
-    an image-backed node answers from its image and stays image-backed."""
+    """Check a data node from its key, stamp and flag runs (``columns()``),
+    building no ``Version``."""
     region = node.region
     if node.address.is_magnetic:
         if not region.times.is_current:

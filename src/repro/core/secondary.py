@@ -194,9 +194,9 @@ class SecondaryIndex:
         suffix = "\x00" + encode_component(primary_key)
         keys = set()
         for node in self.tree.data_nodes():
-            for version in node.versions:
-                if isinstance(version.key, str) and version.key.endswith(suffix):
-                    keys.add(version.key)
+            for key in node.keys():
+                if isinstance(key, str) and key.endswith(suffix):
+                    keys.add(key)
         return sorted(keys)
 
     @staticmethod

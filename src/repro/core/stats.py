@@ -131,7 +131,6 @@ def collect_space_stats(
     stats.magnetic_bytes_stored = len(magnetic.read(tree.superblock_address))
     for node in tree.iter_nodes():
         if node.address.is_magnetic:
-            # Before `versions`/`entries` below materialise the node.
             stats.magnetic_bytes_stored += len(node.encode())
         if isinstance(node, DataNode):
             if node.address.is_magnetic:

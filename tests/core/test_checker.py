@@ -5,7 +5,6 @@ healthy tree in a specific way and assert the checker names the violated
 invariant.
 """
 
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -122,8 +121,9 @@ class TestCorruptionDetection:
                 break
         if bounded is None:
             pytest.skip("no bounded data node")
-        bounded.versions.append(
-            Version(key=bounded.region.keys.high, timestamp=tree.now, value=b"stray")
+        bounded.versions = (
+            *bounded.versions,
+            Version(key=bounded.region.keys.high, timestamp=tree.now, value=b"stray"),
         )
         tree._store_node(bounded)
         assert "containment" in violated_invariants(tree)
@@ -133,11 +133,11 @@ class TestCorruptionDetection:
         node = find_current_data_node(tree)
         # Stuff the node far beyond the page size and hand it to the pool
         # directly, bypassing `_store_node`'s own size check.
-        for index in range(200):
-            key = node.region.keys.low if node.region.keys.low is not None else 0
-            node.versions.append(
-                Version(key=key, timestamp=tree.now, value=bytes(32))
-            )
+        key = node.region.keys.low if node.region.keys.low is not None else 0
+        node.versions = (
+            *node.versions,
+            *[Version(key=key, timestamp=tree.now, value=bytes(32)) for _ in range(200)],
+        )
         assert len(node.encode()) > tree.page_size
         tree.cache.write(node.address, node)
         assert "size" in violated_invariants(tree)
@@ -184,7 +184,8 @@ class TestCorruptionDetection:
         # Historical regions are write-once, so fabricate the violation by
         # checking the checker logic on a decoded copy grafted as magnetic.
         victim = historical_nodes[0]
-        victim.versions.append(Version(key=victim.versions[0].key, timestamp=None, value=b"p", txn_id=1))
+        stray = Version(key=victim.versions[0].key, timestamp=None, value=b"p", txn_id=1)
+        victim.versions = (*victim.versions, stray)
         from repro.core.checker import _check_data_node  # noqa: PLC0415
 
         violations = []
@@ -200,8 +201,8 @@ class TestCorruptionDetection:
             for node in tree.index_nodes()
             if node.address.is_magnetic and node.level >= 2
         )
-        node.level = 1
-        tree._store_node(node)
+        # A node's level is read-only: the corrupt one is a new node.
+        tree._store_node(IndexNode(node.address, node.region, node.entries, level=1))
         assert violated_invariants(tree) == {"levels"}
 
 
@@ -341,7 +342,7 @@ def test_the_tiling_sweep_agrees_with_a_brute_force_cell_count(node):
 
 
 # ----------------------------------------------------------------------
-# Data nodes: the image-backed and the materialised twin report alike
+# Data nodes: checked from their columns, opened or built alike
 # ----------------------------------------------------------------------
 CURRENT = Address.magnetic(3)
 HISTORICAL = Address.historical(3, 0, 64)
@@ -354,7 +355,7 @@ def one_node_tree(node, page_size=512):
     )
 
 
-def twin_case(name, as_key):
+def data_node_case(name, as_key):
     """``(node, expected invariants)`` for one named data-node case."""
     versions = [
         Version(as_key(10), 2, b"before the region start"),
@@ -400,7 +401,7 @@ def twin_case(name, as_key):
     return DataNode(address, region, node_versions), expected
 
 
-TWIN_CASES = [
+DATA_NODE_CASES = [
     "healthy current",
     "healthy historical",
     "key outside",
@@ -410,33 +411,32 @@ TWIN_CASES = [
 ]
 
 
+def count_built_versions(monkeypatch):
+    """A list that grows by one for every ``Version`` a node builds."""
+    from repro.core import nodes
+
+    built, decoded_version = [], nodes.decoded_version
+    monkeypatch.setattr(nodes, "decoded_version", lambda *f: built.append(f) or decoded_version(*f))
+    return built
+
+
 @pytest.mark.parametrize("as_key", [int, lambda at: f"key-{at:03d}"], ids=["int", "str"])
-@pytest.mark.parametrize("case", TWIN_CASES)
-def test_both_twins_of_a_data_node_report_the_same_violations(case, as_key):
-    materialised, expected = twin_case(case, as_key)
-    packed = DataNode.decode(materialised.address, materialised.encode())
-    violations = check_tree(one_node_tree(packed))
-    assert violations == check_tree(one_node_tree(materialised))
+@pytest.mark.parametrize("case", DATA_NODE_CASES)
+def test_a_data_node_reports_the_same_violations_opened_or_built(case, as_key, monkeypatch):
+    built, expected = data_node_case(case, as_key)
+    opened = DataNode.decode(built.address, built.encode())
+    versions = count_built_versions(monkeypatch)
+    violations = check_tree(one_node_tree(opened))
+    assert versions == []  # checked from its columns
+    assert violations == check_tree(one_node_tree(built))
     assert {violation.invariant for violation in violations} == expected
-    assert type(packed) is not DataNode  # checked from its image, still image-backed
 
 
-def test_the_checker_leaves_cached_data_nodes_image_backed():
+def test_checking_a_tree_builds_no_version(monkeypatch):
     tree = build_tree(operations=1500)
     tree.checkpoint()
     reopened = TSBTree.open(tree.magnetic, tree.historical, cache_pages=4096)
     assert reopened.current_keys()  # loads the current tree
-    for node in reopened.iter_nodes():
-        pass  # and every other node reachable
-
-    def census():
-        return Counter(
-            type(node).__name__
-            for node in reopened.cache._residents.values()
-            if isinstance(node, DataNode)
-        )
-
-    before = census()
-    assert before and all(name != "DataNode" for name in before)
+    versions = count_built_versions(monkeypatch)
     assert check_tree(reopened) == []
-    assert census() == before
+    assert versions == []

@@ -261,8 +261,10 @@ class TestProvisionalVersions:
             tree.commit_provisional(1, ["b"], commit_timestamp=5)
 
     def test_provisional_versions_survive_splits_without_migrating(self):
+        PENDING = 1000
         tree = make_tree(policy=AlwaysTimeSplitPolicy("current"), page_size=512)
-        tree.insert_provisional("pending", b"still uncommitted", txn_id=7)
+        # One key kind per tree: a page holds keys of one kind.
+        tree.insert_provisional(PENDING, b"still uncommitted", txn_id=7)
         for step in range(200):
             tree.insert(step % 3, f"churn-{step}".encode(), timestamp=step + 1)
         # The provisional version is still only in the current database.
@@ -270,9 +272,9 @@ class TestProvisionalVersions:
             for version in node.versions:
                 if version.is_provisional:
                     assert node.address.is_magnetic
-        assert tree.search_current("pending", txn_id=7).value == b"still uncommitted"
-        tree.commit_provisional(7, ["pending"], commit_timestamp=tree.now + 1)
-        assert tree.search_current("pending").value == b"still uncommitted"
+        assert tree.search_current(PENDING, txn_id=7).value == b"still uncommitted"
+        tree.commit_provisional(7, [PENDING], commit_timestamp=tree.now + 1)
+        assert tree.search_current(PENDING).value == b"still uncommitted"
 
     def test_a_commit_on_leaves_opened_from_images_answers_like_on_resident_ones(self):
         warm, cold = make_tree(), make_tree()

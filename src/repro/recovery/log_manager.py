@@ -39,6 +39,17 @@ LSN — recovery replays the log from that anchor.  A *fuzzy* checkpoint
 not move the replay anchor, and exists so long-running systems can bound the
 analysis pass without stalling on a full buffer-pool flush.
 
+**The checkpoint rule.**  Besides ``close()`` and an explicit ``checkpoint()``,
+a full checkpoint is taken whenever the log holds
+:data:`CHECKPOINT_EVERY_BYTES` (512 KiB) or more past the tree's anchor:
+every logged commit asks :meth:`LogManager.checkpoint_due` once it has left
+the latch (``TransactionManager._settle``).  The trigger counts log bytes —
+no timer, no thread, no option — so checkpoints land at the same place in the
+operation stream on every run, and a restart replays at most N bytes plus the
+transaction that crossed the line, however long the store has been up.  A
+background checkpointer would stall the next writer just as long under the
+store-wide latch, and would make the anchor LSN depend on timing.
+
 The WAL protocol needs a **no-steal** buffer pool — dirty tree pages must
 not reach the magnetic device between checkpoints — and gets one: the first
 full checkpoint stamps the tree with its anchor, and from then on the tree's
@@ -68,6 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tsb_tree import TSBTree
     from repro.obs.registry import MetricsRegistry
     from repro.txn.manager import TransactionManager
+
+#: The checkpoint rule's N: a full checkpoint is due once the log holds this
+#: many bytes past the tree's anchor (see "The checkpoint rule" above).
+CHECKPOINT_EVERY_BYTES = 512 * 1024
 
 
 class RecoveryRequiredError(Exception):
@@ -290,6 +305,11 @@ class LogManager:
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
+    def checkpoint_due(self, tree: "TSBTree") -> bool:
+        """The checkpoint rule: whether the log holds
+        :data:`CHECKPOINT_EVERY_BYTES` or more past ``tree``'s anchor."""
+        return self.device.appended_bytes - tree.log_anchor_offset >= CHECKPOINT_EVERY_BYTES
+
     def checkpoint(
         self,
         tree: "TSBTree",

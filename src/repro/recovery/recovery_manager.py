@@ -32,7 +32,10 @@ current tree only: it descends through magnetic addresses and never reads
 the historical device, because a historical node can point only at
 historical pages (the tier invariant, which the verification after replay
 checks).  The report times the three phases (``reclaim_s``, ``replay_s``,
-``verify_s``), so a slow restart says where its time went.
+``verify_s``) and counts the log bytes read from the anchor
+(``suffix_bytes``, which the checkpoint rule of
+:mod:`repro.recovery.log_manager` bounds), so a slow restart says where its
+time went.
 
 The recovered timestamp-oracle high-water mark is the maximum of the
 checkpointed high water and every replayed commit timestamp, so new commits
@@ -75,6 +78,9 @@ class RecoveryReport:
     high_water: int = 0
     next_txn_id: int = 1
     violations: List[str] = field(default_factory=list)
+    #: durable log bytes read from the anchor: the suffix the checkpoint rule
+    #: of :mod:`repro.recovery.log_manager` bounds
+    suffix_bytes: int = 0
     #: wall-clock seconds of the orphan sweep, the log replay and the check
     reclaim_s: float = 0.0
     replay_s: float = 0.0
@@ -94,6 +100,7 @@ class RecoveryReport:
             f"{self.losers_discarded} losers and {self.aborts_discarded} aborts "
             f"discarded, {self.orphan_pages_reclaimed} orphan pages reclaimed, "
             f"high water {self.high_water}; "
+            f"{self.suffix_bytes} log bytes from the anchor: "
             f"reclaim {self.reclaim_s:.3f} s, replay {self.replay_s:.3f} s, "
             f"verify {self.verify_s:.3f} s"
         )
@@ -149,7 +156,8 @@ class RecoveryManager:
         replayer = LogReplayer(tree)
         # Stream from the anchor's byte offset, not byte 0: restart cost
         # (time and memory) tracks the post-checkpoint log, not total history.
-        records = decode_stream(self.log_device.durable_suffix(tree.log_anchor_offset))
+        suffix = self.log_device.durable_suffix(tree.log_anchor_offset)
+        records = decode_stream(suffix)
         while not replayer.anchored:
             record = next(records, None)
             if record is None:
@@ -179,6 +187,7 @@ class RecoveryManager:
             high_water=max(replayer.high_water, tree.now),
             next_txn_id=replayer.next_txn_id,
             violations=violations,
+            suffix_bytes=len(suffix),
             reclaim_s=reclaim_ended - reclaim_began,
             # Reading the log up to the anchor seeds the replayer: replay too.
             replay_s=(reclaim_began - replay_began) + (verify_began - reclaim_ended),

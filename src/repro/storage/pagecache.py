@@ -37,7 +37,11 @@ the log is replayed onto the image the last checkpoint left on the device, so
 a dirty page must not reach the device before the next checkpoint does it.
 Neither path then ever writes; ``capacity`` bounds the clean residents only,
 and the dirty ones — the work since the last checkpoint, which the log also
-holds — stay until the owner's checkpoint calls :meth:`flush`.  Nobody sets
+holds — stay until the owner's checkpoint calls :meth:`flush`.  The log's
+checkpoint rule (:mod:`repro.recovery.log_manager`) takes one whenever
+``CHECKPOINT_EVERY_BYTES`` of log have piled up past the last, so the dirty
+residents are bounded by what that much log can dirty, not by how long the
+store has been up.  Nobody sets
 this as an option: the tree turns it on when a log manager checkpoints it
 (``TSBTree.checkpoint(log_anchor=...)``; the superblock carries the anchor
 across a reopen), and a ``LogReplayer`` turns it on for the tree it applies to.

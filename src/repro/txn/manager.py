@@ -34,7 +34,11 @@ versions are stamped.  Both kinds of transaction log the same records —
 ``BEGIN``, an ``INSERT``/``DELETE`` per write, ``COMMIT`` — and a
 transaction is durably committed exactly when its commit record lies inside
 the forced log prefix, which is what restart recovery
-(:mod:`repro.recovery`) reconstructs after a crash.
+(:mod:`repro.recovery`) reconstructs after a crash.  Every logged commit, of
+either kind, also applies the log's checkpoint rule once it has left the
+latch: a full checkpoint when the log holds ``CHECKPOINT_EVERY_BYTES`` past
+the tree's anchor, so what a restart replays stays bounded however long the
+store runs.
 
 The manager is safe for concurrent clients, with three coordination layers
 that mirror a real system's:
@@ -308,9 +312,11 @@ class TransactionManager:
         txn.commit_timestamp = commit_timestamp
 
     def _settle(self, txn: Transaction, commit_started: float) -> None:
-        """The commit tail once the latch is released: drop the record locks
-        and do the strict-durability wait (``group_commit_size == 1`` with a
-        background flusher), so readers are never stalled on log I/O."""
+        """The commit tail once the latch is released: drop the record locks,
+        do the strict-durability wait (``group_commit_size == 1`` with a
+        background flusher), so readers are never stalled on log I/O, and
+        take the checkpoint the log's rule calls for.  Every logged commit
+        ends here, the write path's and an interactive one alike."""
         self.locks.release_all(txn.txn_id)
         if (
             self.log is not None
@@ -322,9 +328,25 @@ class TransactionManager:
             # this committer until its record is in the forced prefix.
             if not self.log.wait_durable(txn.commit_lsn, timeout=5.0):
                 self.log.force()  # flusher wedged or died: force inline
+        if self.log is not None:
+            self._checkpoint_if_due()
         if self.metrics is not None:
             self.metrics.inc("txn.commits")
             self.metrics.observe("txn.commit", perf_counter() - commit_started)
+
+    def _checkpoint_if_due(self) -> None:
+        """The log's checkpoint rule (:mod:`repro.recovery.log_manager`): a
+        full checkpoint once the log holds ``CHECKPOINT_EVERY_BYTES`` past the
+        tree's anchor.  The test is repeated under the exclusive latch, so of
+        the committers that crossed the line together one checkpoints; a
+        suspect tree is not checkpointed, so a commit that succeeded never
+        turns into a ``RecoveryRequiredError``."""
+        log, tree = self.log, self.tree
+        if self.requires_recovery or not log.checkpoint_due(tree):
+            return
+        with self.latch.write():
+            if not self.requires_recovery and log.checkpoint_due(tree):
+                log.checkpoint(tree, self)
 
     def observe_commit(self, timestamp: int) -> None:
         """The tree took a commit at ``timestamp`` without this manager (the

@@ -10,6 +10,7 @@ violation).
 
 import pytest
 
+from repro.recovery import log_manager
 from repro.replication import replay_device
 from repro.storage.logdevice import LogDevice
 from tests.crash_harness import RecoverableSystem, ScriptRunner, generate_script
@@ -103,6 +104,58 @@ def test_crash_at_every_point_recovers_the_committed_prefix(
         assert runner.system.tree.now <= expected_high_water
         assert report.high_water >= expected_high_water
         assert runner.system.txns.clock.latest >= expected_high_water
+
+
+#: N for the runs with the checkpoint rule firing: every default-shape
+#: script's log crosses it several times.
+RULE_BYTES = 512
+
+
+@pytest.mark.parametrize(
+    "seed,group_commit_size,shape,cache_pages",
+    [
+        pytest.param(1989, 3, {}, 128, id="1989-3"),
+        pytest.param(7, 4, {"checkpoint_every": 0.0, "abort_fraction": 1.0}, 128, id="7-4-aborting"),
+        pytest.param(7, 4, {}, 1, id="7-4-one-page-pool"),
+        pytest.param(34, 2, CHECKPOINTED, 1, id="34-2-checkpointed-one-page-pool"),
+    ],
+)
+def test_crash_at_every_point_with_the_checkpoint_rule_firing(
+    seed, group_commit_size, shape, cache_pages, monkeypatch
+):
+    """The same crash points with automatic checkpoints between the steps."""
+    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES)
+    test_crash_at_every_point_recovers_the_committed_prefix(
+        seed, group_commit_size, shape, cache_pages
+    )
+
+
+def test_automatic_checkpoints_carry_open_transactions(monkeypatch):
+    """The rule's checkpoints land mid-script with transactions open across
+    them, whose provisional versions the image carries; those then commit or
+    abort (and are in flight at the crash points between)."""
+    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES)
+    decided = set()
+    for seed, group_commit_size in ((1989, 3), (7, 4), (23, 2)):
+        script = generate_script(
+            steps=60, key_space=KEY_SPACE, seed=seed, checkpoint_every=0.0, abort_fraction=1.0
+        )
+        runner = ScriptRunner(
+            RecoverableSystem(page_size=384, group_commit_size=group_commit_size)
+        )
+        anchor, automatic, carried = runner.system.tree.log_anchor, 0, set()
+        for step in script:
+            runner.apply(step)
+            tree = runner.system.tree
+            if step.kind == "commit" and tree.log_anchor != anchor:
+                automatic += 1
+                carried |= {slot for slot, writes in runner.slot_writes.items() if writes}
+            anchor = tree.log_anchor
+            if step.kind in ("commit", "abort") and step.slot in carried:
+                decided.add(step.kind)
+                carried.discard(step.slot)
+        assert automatic >= 2, seed
+    assert decided == {"commit", "abort"}
 
 
 def test_checkpointed_scripts_carry_state_across_the_anchor():

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -328,24 +329,30 @@ class TransactionManager:
             # this committer until its record is in the forced prefix.
             if not self.log.wait_durable(txn.commit_lsn, timeout=5.0):
                 self.log.force()  # flusher wedged or died: force inline
-        if self.log is not None:
-            self._checkpoint_if_due()
         if self.metrics is not None:
             self.metrics.inc("txn.commits")
             self.metrics.observe("txn.commit", perf_counter() - commit_started)
+        if self.log is not None:
+            self._checkpoint_if_due()
 
     def _checkpoint_if_due(self) -> None:
         """The log's checkpoint rule (:mod:`repro.recovery.log_manager`): a
         full checkpoint once the log holds ``CHECKPOINT_EVERY_BYTES`` past the
-        tree's anchor.  The test is repeated under the exclusive latch, so of
-        the committers that crossed the line together one checkpoints; a
-        suspect tree is not checkpointed, so a commit that succeeded never
-        turns into a ``RecoveryRequiredError``."""
+        tree's anchor, timed as ``op.checkpoint`` like an explicit one.  The
+        test is repeated under the exclusive latch, so of the committers that
+        crossed the line together one checkpoints; a suspect tree is not
+        checkpointed, so a commit that succeeded never turns into a
+        ``RecoveryRequiredError``.  A device error from the checkpoint still
+        reaches the committer, whose commit is durable by then: restart
+        recovery replays it."""
         log, tree = self.log, self.tree
         if self.requires_recovery or not log.checkpoint_due(tree):
             return
         with self.latch.write():
-            if not self.requires_recovery and log.checkpoint_due(tree):
+            if self.requires_recovery or not log.checkpoint_due(tree):
+                return
+            metrics = self.metrics
+            with metrics.timer("op.checkpoint") if metrics is not None else nullcontext():
                 log.checkpoint(tree, self)
 
     def observe_commit(self, timestamp: int) -> None:

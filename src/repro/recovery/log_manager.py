@@ -82,6 +82,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The checkpoint rule's N: a full checkpoint is due once the log holds this
 #: many bytes past the tree's anchor (see "The checkpoint rule" above).
+#: Sized by measurement (``BENCH_checkpoint_rule.json``, ``n_sweep``): at
+#: 256 KiB writers lost throughput for no faster restart, at 1 MiB restart
+#: took about twice as long.
 CHECKPOINT_EVERY_BYTES = 512 * 1024
 
 

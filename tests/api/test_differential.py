@@ -24,6 +24,8 @@ Layout:
   everything volatile is lost and each store restarts from its devices and
   logs alone, still answering like the oracle and like a replay of its
   durable log into an empty tree.
+* ``WalRuleDifferential`` — the same with the checkpoint rule's N patched
+  down to a few commits' log, so automatic checkpoints land mid-run.
 * The ``*Smoke`` variants run a small, derandomized budget in tier-1;
   the full machines are marked ``slow`` and run nightly under
   ``HYPOTHESIS_PROFILE=nightly`` (500+ examples; see tests/conftest.py).
@@ -43,6 +45,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
 from repro.core.tsb_tree import RecordTooLargeError
+from repro.recovery import log_manager
 from repro.recovery.replay import replay_device
 from tests.crash_harness import crash_and_reopen
 from tests.strategies import small_values
@@ -58,6 +61,9 @@ jumps = st.integers(min_value=1, max_value=3)
 #: Scale factors for probing timestamps: 0 .. ~1.2 * clock, so queries hit
 #: before-the-beginning, mid-history and after-the-end alike.
 probe_scales = st.integers(min_value=0, max_value=120)
+
+#: The checkpoint rule's N under ``WalRuleDifferential``: a few commits' log.
+RULE_BYTES = 256
 
 
 class DictOracle:
@@ -450,6 +456,36 @@ class WalDifferential(DeleteDifferential):
                     assert rebuilt.key_history(key) == tree.key_history(key), (name, key)
 
 
+class WalRuleDifferential(WalDifferential):
+    """``WalDifferential`` with the checkpoint rule's N patched down to
+    ``RULE_BYTES``, so automatic checkpoints land between the rules and a
+    crash restarts from the image one of them left."""
+
+    def __init__(self) -> None:
+        self.rule_bytes = log_manager.CHECKPOINT_EVERY_BYTES
+        log_manager.CHECKPOINT_EVERY_BYTES = RULE_BYTES
+        super().__init__()
+        self.anchor = self.fleet["tsb-wal"].backend.log_anchor
+
+    @invariant()
+    def automatic_checkpoints(self):
+        anchor = self.fleet["tsb-wal"].backend.log_anchor
+        if anchor != self.anchor:
+            event("wal rule: automatic checkpoint")
+            self.anchor = anchor
+
+    @rule()
+    def crash(self):
+        super().crash()
+        self.anchor = self.fleet["tsb-wal"].backend.log_anchor  # the reopen's own
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            log_manager.CHECKPOINT_EVERY_BYTES = self.rule_bytes
+
+
 # ----------------------------------------------------------------------
 # Tier-1 smoke machines: small, fully deterministic, always on.
 # ----------------------------------------------------------------------
@@ -465,6 +501,9 @@ TestDeleteSmoke.settings = _SMOKE
 
 TestWalSmoke = pytest.mark.differential(WalDifferential.TestCase)
 TestWalSmoke.settings = _SMOKE
+
+TestWalRuleSmoke = pytest.mark.differential(WalRuleDifferential.TestCase)
+TestWalRuleSmoke.settings = _SMOKE
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,14 @@ patched down here, so that runs several N long stay small.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List
 
 import pytest
 
 from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
 from repro.recovery import log_manager
+from repro.replication import Replica, ReplicationPrimary
 from tests.crash_harness import crash_and_reopen
 
 RULE_BYTES = 16 * 1024
@@ -62,6 +64,26 @@ def dirty_pages(store: VersionStore) -> int:
     return len(cache._residents) - len(cache._clean)
 
 
+def state_of(store) -> Dict[int, bytes]:
+    return {key: record.value for key, record in store.snapshot(store.now).items()}
+
+
+def write_past(store, shards: int, number: int, acked: Dict[int, bytes]) -> int:
+    """Write rounds from round ``number`` on until every shard's log has
+    grown by 2N and taken an automatic checkpoint; the next round's number."""
+    inner = shard_stores(store)
+    anchors = [shard.backend.log_anchor for shard in inner]
+    began = [shard.log_device.appended_bytes for shard in inner]
+    while any(
+        shard.log_device.appended_bytes - start < 2 * RULE_BYTES
+        for shard, start in zip(inner, began)
+    ):
+        write_round(store, shards, 4 * number, number, acked)
+        number += 1
+    assert all(shard.backend.log_anchor != anchor for shard, anchor in zip(inner, anchors))
+    return number
+
+
 def run_and_crash(shards: int, checkpoints: int):
     """Insert fresh keys until every shard has taken ``checkpoints``
     automatic checkpoints (about that many N of log), then rewrite the first
@@ -95,8 +117,7 @@ def run_and_crash(shards: int, checkpoints: int):
     dirty = [dirty_pages(shard) for shard in inner]
     logged = [shard.log_device.appended_bytes for shard in inner]
     recovered = crash_and_reopen(store)
-    state = {key: record.value for key, record in recovered.snapshot(recovered.now).items()}
-    assert state == acked
+    assert state_of(recovered) == acked
     reports = [shard.recovery_report for shard in shard_stores(recovered)]
     return reports, dirty, logged, txn_bytes
 
@@ -114,6 +135,94 @@ def test_a_restart_reads_a_bounded_suffix_however_long_the_log(shards):
         assert abs(long.records_scanned - short.records_scanned) <= RECORDS_PER_TXN
     for short, long in zip(short_dirty, long_dirty):
         assert long <= short
+
+
+def test_committers_crossing_the_line_together_take_one_checkpoint(monkeypatch):
+    """Every committer that crossed N tests the rule before any of them
+    checkpoints; the test repeated under the exclusive latch lets one
+    through, timed as ``op.checkpoint``."""
+    store = open_store(1)
+    acked: Dict[int, bytes] = {}
+    write_round(store, 1, 0, 0, acked)
+    log, tree = store.txns.log, store.backend
+    # Whichever commit comes next crosses the line.
+    past_anchor = store.log_device.appended_bytes - tree.log_anchor_offset
+    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", past_anchor + 1)
+    committers = 4
+    crossed = threading.Barrier(committers, timeout=10)
+    due, checkpoint = log.checkpoint_due, log.checkpoint
+    tally = {"due": 0, "checkpoints": 0}
+    tally_lock = threading.Lock()
+
+    def checkpoint_due(of_tree):
+        answer = due(of_tree)
+        with tally_lock:
+            first_tests = answer and tally["due"] < committers
+            tally["due"] += answer
+        if first_tests:
+            crossed.wait()  # hold each committer until all have crossed
+        return answer
+
+    def counted_checkpoint(*args, **kwargs):
+        tally["checkpoints"] += 1
+        return checkpoint(*args, **kwargs)
+
+    monkeypatch.setattr(log, "checkpoint_due", checkpoint_due)
+    monkeypatch.setattr(log, "checkpoint", counted_checkpoint)
+    timed_before = store.metrics.histogram("op.checkpoint").count
+    anchor = tree.log_anchor
+    errors: List[Exception] = []
+
+    def commit(key: int) -> None:
+        try:
+            store.put_many([(key, b"crossing-%d" % key)])
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=commit, args=(100 + i,)) for i in range(committers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    assert tally["checkpoints"] == 1 and tree.log_anchor != anchor
+    assert store.metrics.histogram("op.checkpoint").count == timed_before + 1
+    assert {store.get(100 + i).value for i in range(committers)} == {
+        b"crossing-%d" % (100 + i) for i in range(committers)
+    }
+
+
+def test_a_follower_and_its_promoted_store_follow_the_rule():
+    """A follower applies through the primary's automatic ``CHECKPOINT``
+    records.  Promoted (``VersionStore.over_tree`` on each shard), its store
+    checkpoints by the same rule, and a crash after that recovers exactly
+    what a replay of its mirrors holds."""
+    store = open_store(2)
+    primary = ReplicationPrimary(store, poll_interval=0.001).start()
+    replica = Replica(primary.host, primary.port, name="rule").start()
+    try:
+        acked: Dict[int, bytes] = {}
+        number = write_past(store, 2, 0, acked)
+        assert primary.wait_caught_up(timeout=10)
+        assert replica.wait_for_watermark(store.now)
+        for state, shard in zip(replica._states, store.shard_stores):
+            assert state.mirror.durable_contents() == shard.log_device.durable_contents()
+        assert state_of(replica.store) == acked
+        primary.kill()
+        replica.kill()
+        promoted = replica.promote()
+        write_past(promoted, 2, number, acked)
+        recovered = crash_and_reopen(promoted)
+        oracle = replica.mirror_replay()
+        assert state_of(recovered) == state_of(oracle) == acked
+        for key in acked:
+            assert recovered.key_history(key) == oracle.key_history(key), key
+        for shard in recovered.shard_stores:
+            assert shard.recovery_report.suffix_bytes < 2 * RULE_BYTES
+    finally:
+        replica.stop()
+        primary.stop()
+        store.close()
 
 
 def test_a_suspect_tree_commits_without_checkpointing():

@@ -23,6 +23,14 @@ KEY_SPACE = 8
 #: still in flight at the crash — the state a checkpoint image *carries*.
 CHECKPOINTED = {"steps": 80, "checkpoint_every": 1.0, "abort_fraction": 1.0}
 
+#: No explicit checkpoint and a third of the closes aborts: with the rule's N
+#: patched down, the rule's own checkpoints are the ones transactions straddle.
+ABORTING = {"checkpoint_every": 0.0, "abort_fraction": 1.0}
+
+#: N for the runs with the checkpoint rule firing: every default-shape
+#: script's log crosses it several times.
+RULE_BYTES = 512
+
 
 def visible_state(system):
     return {version.key: version.value for version in system.tree.range_search()}
@@ -51,29 +59,41 @@ def expected_histories(runner):
 
 
 @pytest.mark.parametrize(
-    "seed,group_commit_size,shape,cache_pages",
+    "seed,group_commit_size,shape,cache_pages,rule_bytes",
     [
-        pytest.param(1989, 1, {}, 128, id="1989-1"),
-        pytest.param(1989, 3, {}, 128, id="1989-3"),
-        pytest.param(7, 1, {}, 128, id="7-1"),
-        pytest.param(7, 4, {}, 128, id="7-4"),
-        pytest.param(23, 2, {}, 128, id="23-2"),
-        pytest.param(22, 1, CHECKPOINTED, 128, id="22-1-checkpointed"),
-        pytest.param(22, 3, CHECKPOINTED, 128, id="22-3-checkpointed"),
-        pytest.param(34, 2, CHECKPOINTED, 128, id="34-2-checkpointed"),
+        pytest.param(1989, 1, {}, 128, None, id="1989-1"),
+        pytest.param(1989, 3, {}, 128, None, id="1989-3"),
+        pytest.param(7, 1, {}, 128, None, id="7-1"),
+        pytest.param(7, 4, {}, 128, None, id="7-4"),
+        pytest.param(23, 2, {}, 128, None, id="23-2"),
+        pytest.param(22, 1, CHECKPOINTED, 128, None, id="22-1-checkpointed"),
+        pytest.param(22, 3, CHECKPOINTED, 128, None, id="22-3-checkpointed"),
+        pytest.param(34, 2, CHECKPOINTED, 128, None, id="34-2-checkpointed"),
         # A one-page pool: every script dirties more pages than that, so a
         # pool that wrote one back between checkpoints would be caught here.
-        pytest.param(7, 4, {}, 1, id="7-4-one-page-pool"),
-        pytest.param(34, 2, CHECKPOINTED, 1, id="34-2-checkpointed-one-page-pool"),
+        pytest.param(7, 4, {}, 1, None, id="7-4-one-page-pool"),
+        pytest.param(34, 2, CHECKPOINTED, 1, None, id="34-2-checkpointed-one-page-pool"),
+        # The checkpoint rule firing: with N this small every script's log
+        # crosses it several times, so automatic checkpoints land between
+        # the steps.
+        pytest.param(1989, 3, {}, 128, RULE_BYTES, id="1989-3-rule"),
+        pytest.param(7, 4, ABORTING, 128, RULE_BYTES, id="7-4-aborting-rule"),
+        pytest.param(7, 4, {}, 1, RULE_BYTES, id="7-4-one-page-pool-rule"),
+        pytest.param(
+            34, 2, CHECKPOINTED, 1, RULE_BYTES, id="34-2-checkpointed-one-page-pool-rule"
+        ),
     ],
 )
 def test_crash_at_every_point_recovers_the_committed_prefix(
-    seed, group_commit_size, shape, cache_pages
+    seed, group_commit_size, shape, cache_pages, rule_bytes, monkeypatch
 ):
     """Three derivations of the post-crash state must agree at every crash
     point: restart recovery (checkpoint image + seeded replay), the same
     durable log replayed from its first byte into an empty tree, and the
-    script oracle — on the visible state and on every key's history."""
+    script oracle — on the visible state and on every key's history.
+    ``rule_bytes`` patches the checkpoint rule's N down (None keeps it)."""
+    if rule_bytes is not None:
+        monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", rule_bytes)
     script = generate_script(**{"steps": 60, "key_space": KEY_SPACE, "seed": seed, **shape})
     for crash_at in range(len(script) + 1):
         runner = ScriptRunner(
@@ -106,30 +126,6 @@ def test_crash_at_every_point_recovers_the_committed_prefix(
         assert runner.system.txns.clock.latest >= expected_high_water
 
 
-#: N for the runs with the checkpoint rule firing: every default-shape
-#: script's log crosses it several times.
-RULE_BYTES = 512
-
-
-@pytest.mark.parametrize(
-    "seed,group_commit_size,shape,cache_pages",
-    [
-        pytest.param(1989, 3, {}, 128, id="1989-3"),
-        pytest.param(7, 4, {"checkpoint_every": 0.0, "abort_fraction": 1.0}, 128, id="7-4-aborting"),
-        pytest.param(7, 4, {}, 1, id="7-4-one-page-pool"),
-        pytest.param(34, 2, CHECKPOINTED, 1, id="34-2-checkpointed-one-page-pool"),
-    ],
-)
-def test_crash_at_every_point_with_the_checkpoint_rule_firing(
-    seed, group_commit_size, shape, cache_pages, monkeypatch
-):
-    """The same crash points with automatic checkpoints between the steps."""
-    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES)
-    test_crash_at_every_point_recovers_the_committed_prefix(
-        seed, group_commit_size, shape, cache_pages
-    )
-
-
 def test_automatic_checkpoints_carry_open_transactions(monkeypatch):
     """The rule's checkpoints land mid-script with transactions open across
     them, whose provisional versions the image carries; those then commit or
@@ -137,9 +133,7 @@ def test_automatic_checkpoints_carry_open_transactions(monkeypatch):
     monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES)
     decided = set()
     for seed, group_commit_size in ((1989, 3), (7, 4), (23, 2)):
-        script = generate_script(
-            steps=60, key_space=KEY_SPACE, seed=seed, checkpoint_every=0.0, abort_fraction=1.0
-        )
+        script = generate_script(steps=60, key_space=KEY_SPACE, seed=seed, **ABORTING)
         runner = ScriptRunner(
             RecoverableSystem(page_size=384, group_commit_size=group_commit_size)
         )

@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.nodes import IndexEntry, IndexNode
+from repro.core.nodes import DataNode, IndexEntry, IndexNode
 from repro.core.policy import AlwaysKeySplitPolicy
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.core.split import (
+    SlotColumns,
     find_local_index_split_time,
     index_key_split,
     index_time_split,
-    time_split_versions,
+    time_split_slots,
 )
 from repro.core.tsb_tree import TSBTree
 from repro.storage.device import Address
@@ -244,29 +245,37 @@ def figure_5() -> FigureResult:
 # ----------------------------------------------------------------------
 def figure_6() -> FigureResult:
     """Splitting at T=4 creates no redundancy; splitting at T=5 duplicates the version alive at 5."""
-    versions = [
-        Version(key=60, timestamp=1, value=b"Joe"),
-        Version(key=60, timestamp=2, value=b"Pete"),
-        Version(key=60, timestamp=4, value=b"Mary"),
-    ]
-    split_at_4 = time_split_versions(versions, 4)
-    split_at_5 = time_split_versions(versions, 5)
+    node = DataNode(
+        Address.magnetic(0),
+        Rectangle.full(),
+        [
+            Version(key=60, timestamp=1, value=b"Joe"),
+            Version(key=60, timestamp=2, value=b"Pete"),
+            Version(key=60, timestamp=4, value=b"Mary"),
+        ],
+    )
+    columns = SlotColumns(node)
+    split_at_4 = time_split_slots(columns, 4)
+    split_at_5 = time_split_slots(columns, 5)
+
+    def values(slots) -> List[bytes]:
+        return [version.value for version in node.carve(slots, node.region).versions]
 
     return FigureResult(
         figure="Figure 6",
         description="choice of time-split value controls redundancy",
         details={
-            "T=4 historical": [v.value for v in split_at_4.historical],
-            "T=4 current": [v.value for v in split_at_4.current],
-            "T=5 historical": [v.value for v in split_at_5.historical],
-            "T=5 current": [v.value for v in split_at_5.current],
+            "T=4 historical": values(split_at_4.historical),
+            "T=4 current": values(split_at_4.current),
+            "T=5 historical": values(split_at_5.historical),
+            "T=5 current": values(split_at_5.current),
         },
         checks={
-            "T=4: Joe and Pete migrate": {v.value for v in split_at_4.historical} == {b"Joe", b"Pete"},
+            "T=4: Joe and Pete migrate": set(values(split_at_4.historical)) == {b"Joe", b"Pete"},
             "T=4: Mary stays current only (no redundancy)": split_at_4.redundant == (),
-            "T=5: all three versions migrate": {v.value for v in split_at_5.historical}
+            "T=5: all three versions migrate": set(values(split_at_5.historical))
             == {b"Joe", b"Pete", b"Mary"},
-            "T=5: Mary is stored in both nodes": {v.value for v in split_at_5.redundant} == {b"Mary"},
+            "T=5: Mary is stored in both nodes": values(split_at_5.redundant) == [b"Mary"],
         },
     )
 

@@ -37,8 +37,8 @@ from repro.core.split import (
     SplitKind,
     index_key_split,
     index_time_split,
-    key_split_versions,
-    time_split_versions,
+    key_split_slots,
+    time_split_slots,
 )
 from repro.core.stats import SpaceStats, collect_space_stats
 from repro.core.tsb_tree import (
@@ -86,10 +86,10 @@ __all__ = [
     "decode_node",
     "index_key_split",
     "index_time_split",
-    "key_split_versions",
+    "key_split_slots",
     "latest_committed",
     "make_policy",
     "split_composite_key",
-    "time_split_versions",
+    "time_split_slots",
     "version_as_of",
 ]

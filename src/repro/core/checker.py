@@ -43,6 +43,10 @@ Checked invariants
     mint every entry from the node it points at, and the tree's range walk
     relies on it: it picks children by their entries and does not ask the
     child for its rectangle again.
+9.  **Root** — the root's rectangle is the whole plane, so every
+    ``(key, time)`` point has a node responsible for it.  Nothing else
+    checks this: a root narrowed by a split it never finished tiles its own
+    rectangle perfectly.
 
 Cost: one pass over each reachable node.  A data node is checked from its
 slot columns (:meth:`~repro.core.nodes.DataNode.columns`: keys, stamp words
@@ -60,6 +64,7 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.nodes import _PROVISIONAL, _TOMBSTONE, DataNode, IndexNode
+from repro.core.records import Rectangle
 from repro.core.tsb_tree import TSBTree
 
 
@@ -80,6 +85,11 @@ def check_tree(tree: TSBTree) -> List[Violation]:
     parent_counts: Dict[Tuple, int] = {}
     nodes = _reachable_nodes(tree, violations)
     loaded = {node.address: node for node in nodes}
+    root = loaded.get(tree.root_address)
+    if root is not None and root.region != Rectangle.full():
+        violations.append(
+            Violation("root", f"root {root.address} covers {root.region}, not the whole plane")
+        )
 
     for node in nodes:
         if isinstance(node, IndexNode):

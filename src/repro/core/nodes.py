@@ -82,7 +82,8 @@ drops the image.  The mutators then insert, delete or patch slots — a data
 node keeps its order column and content size current, an index node enters
 a new bound into its key table — and ``encode()`` packs the columns (an
 index node re-derives its key table, so the page holds just the bounds in
-use).
+use).  A data-node split reads the full node's columns, and ``carve``
+builds each half from the slots a split rule selects (:mod:`repro.core.split`).
 
 A per-slot memo builds a ``Version`` / :class:`IndexEntry` the first time a
 caller gets one and shares it after that, so a caller can remove or replace
@@ -218,6 +219,15 @@ def _region_at(data: bytes, offset: int, kind: int) -> Rectangle:
     start, end = _U64_PAIR.unpack_from(data, offset)
     low, high = bounds[0] if present & 1 else None, bounds[-1] if present & 2 else None
     return decoded_rectangle(low, high, start, None if end == _U64_MAX else end)
+
+
+def _slot_sizes(keys: Iterable[Key], txns: Iterable[Optional[int]], lengths: Iterable[int]):
+    """Per slot, ``Version.serialized_size()``: a key, a 9-byte stamp or 1-byte
+    "none", a flag byte, a 9- or 1-byte txn id and a length-prefixed value."""
+    return (
+        (9 if type(key) is int else key_size(key)) + (15 if txn_id is None else 23) + length
+        for key, txn_id, length in zip(keys, txns, lengths)
+    )
 
 
 def _flag_of(version: Version) -> int:
@@ -462,6 +472,55 @@ class DataNode:
         entry per version, in slot order (see the page layout)."""
         return tuple(self._keys), tuple(self._words), bytes(self._flags)
 
+    def slot_order(self) -> Tuple[int, ...]:
+        """The order run: each slot's position in the node's version list."""
+        return tuple(self._order)
+
+    def slot_sizes(self) -> List[int]:
+        """Each slot's ``Version.serialized_size()``, in slot order."""
+        if self._image is None:
+            lengths = map(len, self._values)
+        else:
+            ends = self._values
+            lengths = map(int.__sub__, ends, (0, *ends))
+        return list(_slot_sizes(self._keys, self._txns, lengths))
+
+    def carve(
+        self, listed: Sequence[int], region: Rectangle, sizes: Optional[Sequence[int]] = None
+    ) -> "DataNode":
+        """A node at this node's address and ``region`` holding the slots
+        ``listed``, given in the new node's list order: the columns are
+        sliced, values are read from the image in place, and no ``Version``
+        is built.  The slots keep their relative order, so the new node's
+        slot order is this node's restricted to them.  ``sizes`` is this
+        node's :meth:`slot_sizes`, when the caller has it."""
+        slots = sorted(listed)
+        position = dict(zip(listed, range(len(listed))))
+        keys, words, flags, txns, made = self._keys, self._words, self._flags, self._txns, self._made
+        node = DataNode.__new__(DataNode)
+        node.address = self.address
+        node._region = region
+        node._image = None
+        node._keys = [keys[slot] for slot in slots]
+        node._words = [words[slot] for slot in slots]
+        node._flags = bytearray([flags[slot] for slot in slots])
+        node._order = [position[slot] for slot in slots]
+        node._values = values = [self._value(slot) for slot in slots]
+        node._txns = [txns[slot] for slot in slots]
+        node._made = [made[slot] for slot in slots]
+        if sizes is None:
+            node._content = sum(_slot_sizes(node._keys, node._txns, map(len, values)))
+        else:
+            node._content = sum([sizes[slot] for slot in slots])
+        return node
+
+    def without(self, version: Version) -> "DataNode":
+        """A carve of this node without ``version`` (an untouched node to
+        split, where :meth:`remove_version` would change this one)."""
+        gone = self._slot_of(version)
+        listed = sorted(range(len(self._keys)), key=self._order.__getitem__)
+        return self.carve([slot for slot in listed if slot != gone], self.region)
+
     # -- mutation ---------------------------------------------------------
     def _put(self, version: Version, position: int) -> None:
         """Insert the slot of ``version``, at list ``position``, in slot order."""
@@ -494,7 +553,7 @@ class DataNode:
         self._put(version, len(self._keys))
         self._content += version.serialized_size()
 
-    def remove_version(self, version: Version) -> None:
+    def _slot_of(self, version: Version) -> int:
         first, _committed, end = self._run_of(version.key)
         slots = range(first, end)
         # The caller's own object first: no `__eq__` on the versions around it.
@@ -502,8 +561,12 @@ class DataNode:
         found = found or [slot for slot in slots if self._version(slot) == version]
         if not found:
             raise NodeError(f"version {version} not present in node")
+        return found[0]
+
+    def remove_version(self, version: Version) -> None:
+        slot = self._slot_of(version)
         self._own()
-        position = self._take(found[0])
+        position = self._take(slot)
         self._order = [at - (at > position) for at in self._order]
         self._content -= version.serialized_size()
 

@@ -22,11 +22,12 @@ any time later than the node's last time split, not just "now").
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional
 
-from repro.core.records import Rectangle, Version
+from repro.core.nodes import DataNode
 from repro.core.split import (
+    DataTimeSplit,
+    SlotColumns,
     SplitDecision,
     candidate_split_times,
     choose_key_split_value,
@@ -37,47 +38,44 @@ from repro.core.split import (
 from repro.storage.costmodel import CostModel
 
 
-@dataclass(frozen=True)
-class SplitContext:
-    """Everything a policy may consult when deciding how to split a node."""
+class SplitContext(SlotColumns):
+    """Everything a policy may consult when deciding how to split a node.
 
-    versions: Sequence[Version]
-    region: Rectangle
-    page_size: int
-    now: int
+    It is built from the full node's slot columns (:class:`SlotColumns`), and
+    each query is a linear pass over them, by key run, made only when a policy
+    asks it: a policy that never picks the median split time never lists the
+    legal ones.  No ``Version`` is built.
+    """
 
-    def legal_split_times(self) -> list[int]:
+    def __init__(self, node: DataNode, page_size: int, now: int) -> None:
+        super().__init__(node)
+        self.region = node.region
+        self.page_size = page_size
+        self.now = now
+
+    def legal_split_times(self) -> List[int]:
         """Candidate time-split values later than the node's region start."""
-        return [
-            stamp
-            for stamp in candidate_split_times(self.versions)
-            if stamp > self.region.times.start
-        ]
+        start = self.region.times.start
+        return [stamp for stamp in candidate_split_times(self) if stamp > start]
+
+    def total_bytes(self) -> int:
+        return sum(self.sizes)
 
     def historical_fraction(self) -> float:
-        """Fraction of stored bytes belonging to superseded versions."""
-        total = 0
-        historical = 0
-        by_key: dict = {}
-        for version in self.versions:
-            by_key.setdefault(version.key, []).append(version)
-        for group in by_key.values():
-            committed = sorted(
-                (v for v in group if v.timestamp is not None),
-                key=lambda v: v.timestamp,
-            )
-            for version in group:
-                size = version.serialized_size()
-                total += size
-                if committed and version.timestamp is not None:
-                    if version is not committed[-1]:
-                        historical += size
+        """Fraction of stored bytes belonging to superseded versions: every
+        committed slot of a key but its last, the newest."""
+        total = self.total_bytes()
         if total == 0:
             return 0.0
+        sizes = self.sizes
+        historical = sum(
+            sum(sizes[first : committed - 1]) for first, committed, _end in self.runs if committed > first
+        )
         return historical / total
 
     def can_key_split(self) -> bool:
-        return len({v.key for v in self.versions}) >= 2
+        keys = self.keys
+        return bool(keys) and keys[0] != keys[-1]
 
     def can_time_split(self) -> bool:
         """Whether a time split would actually shrink the current node.
@@ -87,27 +85,34 @@ class SplitContext:
         in the current node as the version valid at the split time.  A time
         split is useful only when some legal split time leaves the current
         node with strictly fewer versions than before.
+
+        A split at ``T`` shrinks the node when some key has two committed
+        versions before ``T``, or one before and one at ``T``.  A later ``T``
+        only migrates more, so the latest legal time decides: the newest
+        committed stamp, if it is later than the region's start.  There that
+        is any key with two committed versions, its oldest older than it.
         """
-        # Only a key holding two or more committed versions can shrink under
-        # a time split: a single-version key either stays current or migrates
-        # *and* leaves its redundant copy behind (rule 3), never shrinking
-        # the node.  Insert-only nodes are therefore rejected without
-        # evaluating a single candidate split.
-        counts: dict = {}
-        for version in self.versions:
-            if version.timestamp is not None:
-                counts[version.key] = counts.get(version.key, 0) + 1
-        if all(count < 2 for count in counts.values()):
+        words = self.words
+        committed = [(first, end) for first, end, _run_end in self.runs if end > first]
+        if not committed:
             return False
-        # Existential check: probe order is irrelevant, and late split times
-        # migrate the most history, so scanning latest-first almost always
-        # answers on the first candidate instead of grinding through every
-        # (mostly useless) early stamp.
-        for stamp in reversed(self.legal_split_times()):
-            split = evaluate_time_split(self.versions, stamp)
-            if split is not None and len(split.current) < len(self.versions):
-                return True
-        return False
+        latest = max(words[end - 1] for _first, end in committed)
+        if latest <= self.region.times.start:
+            return False
+        return any(end - first >= 2 and words[first] < latest for first, end in committed)
+
+    def key_split_value(self):
+        return choose_key_split_value(self)
+
+    def last_update_time(self) -> Optional[int]:
+        return last_update_time(self)
+
+    def min_redundancy_split_time(self) -> Optional[int]:
+        return min_redundancy_split_time(self)
+
+    def time_split(self, split_time: int) -> Optional[DataTimeSplit]:
+        """The time split at ``split_time``, or ``None`` when it is illegal."""
+        return evaluate_time_split(self, split_time)
 
 
 class SplitPolicy(abc.ABC):
@@ -135,7 +140,7 @@ class SplitPolicy(abc.ABC):
                 "(single key, single version: the record is too large for a page)"
             )
         if not can_time:
-            return SplitDecision.key(choose_key_split_value(context.versions))
+            return SplitDecision.key(context.key_split_value())
         if not can_key:
             return SplitDecision.time(self.pick_split_time(context))
         return None
@@ -148,22 +153,23 @@ class SplitPolicy(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def _choose_time(context: SplitContext, chooser: str, now: int) -> int:
+def _choose_time(context: SplitContext, chooser: str) -> int:
     """Shared implementation of the section 3.3 split-time choices."""
-    legal = context.legal_split_times()
+    now = context.now
     if chooser == "current":
         return now
     if chooser == "last_update":
-        stamp = last_update_time(context.versions)
+        stamp = context.last_update_time()
         if stamp is not None and stamp > context.region.times.start:
             return stamp
         return now
     if chooser == "min_redundancy":
-        stamp = min_redundancy_split_time(context.versions)
+        stamp = context.min_redundancy_split_time()
         if stamp is not None and stamp > context.region.times.start:
             return stamp
         return now
     if chooser == "median":
+        legal = context.legal_split_times()
         if legal:
             return legal[len(legal) // 2]
         return now
@@ -185,7 +191,7 @@ class AlwaysKeySplitPolicy(SplitPolicy):
         forced = self._forced_decision(context)
         if forced is not None:
             return forced
-        return SplitDecision.key(choose_key_split_value(context.versions))
+        return SplitDecision.key(context.key_split_value())
 
 
 class AlwaysTimeSplitPolicy(SplitPolicy):
@@ -212,7 +218,7 @@ class AlwaysTimeSplitPolicy(SplitPolicy):
         return SplitDecision.time(self.pick_split_time(context))
 
     def pick_split_time(self, context: SplitContext) -> int:
-        return _choose_time(context, self.time_chooser, context.now)
+        return _choose_time(context, self.time_chooser)
 
 
 class ThresholdPolicy(SplitPolicy):
@@ -239,10 +245,10 @@ class ThresholdPolicy(SplitPolicy):
             return forced
         if context.historical_fraction() >= self.threshold:
             return SplitDecision.time(self.pick_split_time(context))
-        return SplitDecision.key(choose_key_split_value(context.versions))
+        return SplitDecision.key(context.key_split_value())
 
     def pick_split_time(self, context: SplitContext) -> int:
-        return _choose_time(context, self.time_chooser, context.now)
+        return _choose_time(context, self.time_chooser)
 
 
 class CostDrivenPolicy(SplitPolicy):
@@ -274,10 +280,10 @@ class CostDrivenPolicy(SplitPolicy):
         if forced is not None:
             return forced
         split_time = self.pick_split_time(context)
-        evaluation = evaluate_time_split(context.versions, split_time)
+        evaluation = context.time_split(split_time)
         if evaluation is None:
-            return SplitDecision.key(choose_key_split_value(context.versions))
-        total_bytes = sum(v.serialized_size() for v in context.versions)
+            return SplitDecision.key(context.key_split_value())
+        total_bytes = context.total_bytes()
 
         cm = self.cost_model.magnetic_cost_per_byte
         co = self.cost_model.optical_cost_per_byte
@@ -290,10 +296,10 @@ class CostDrivenPolicy(SplitPolicy):
 
         if time_cost / time_freed <= key_cost / key_freed:
             return SplitDecision.time(split_time)
-        return SplitDecision.key(choose_key_split_value(context.versions))
+        return SplitDecision.key(context.key_split_value())
 
     def pick_split_time(self, context: SplitContext) -> int:
-        return _choose_time(context, self.time_chooser, context.now)
+        return _choose_time(context, self.time_chooser)
 
 
 class WOBTEmulationPolicy(SplitPolicy):
@@ -314,7 +320,7 @@ class WOBTEmulationPolicy(SplitPolicy):
             return forced
         if context.historical_fraction() > 0.0:
             return SplitDecision.time(context.now)
-        return SplitDecision.key(choose_key_split_value(context.versions))
+        return SplitDecision.key(context.key_split_value())
 
 
 DEFAULT_POLICY = ThresholdPolicy

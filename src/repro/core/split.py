@@ -7,6 +7,23 @@ historical regions and updating parents; the policies
 (:mod:`repro.core.policy`) are responsible for *choosing* between the splits
 computed here.
 
+A data-node split reads the full node's slot columns (:class:`SlotColumns`:
+keys, stamp words, flags and list order, in slot order, where one key's
+versions are one run, committed oldest first, then provisional) and builds no
+``Version``.  The rules select slots, and :meth:`DataNode.carve` builds each
+half from them, values sliced from the page image.  Each half's slots are
+written in its own list order, which is the version list the rule would
+produce:
+
+* a time split's halves list their keys in the order each key first appears
+  in the node's list; a key's historical slots oldest first, and its current
+  slots as those at or after the split time, oldest first, then the copy of
+  the version valid at the split time, then its provisional slots;
+* a key split's halves keep the node's list order.
+
+A half's slot order is the node's restricted to its slots, so both halves
+encode byte for byte as a node built from those version lists.
+
 Implemented rules, each quoted from the paper:
 
 * **Time-split rule** (section 3.1) for data nodes::
@@ -20,7 +37,8 @@ Implemented rules, each quoted from the paper:
   the "new node" keeps the current data on the magnetic disk.  Rule 3 is what
   creates redundancy: a version alive across the split time appears in both.
   Provisional (uncommitted) versions carry no timestamp and always stay in
-  the current node (section 4).
+  the current node (section 4).  On a key's run each rule is a bisect of its
+  committed stamps.
 
 * **Pure key split** (section 3.1, Figure 5) for data nodes: B+-tree style —
   versions move by key, nothing is copied, and the new index entry inherits
@@ -41,17 +59,12 @@ Implemented rules, each quoted from the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.nodes import IndexEntry
-from repro.core.records import (
-    Rectangle,
-    RecordError,
-    Version,
-    group_by_key,
-    latest_committed,
-)
+from repro.core.nodes import _PROVISIONAL, DataNode, IndexEntry
+from repro.core.records import Rectangle, RecordError
 from repro.storage.serialization import Key
 
 
@@ -86,127 +99,178 @@ class SplitDecision:
 # ----------------------------------------------------------------------
 # Data-node splits
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DataTimeSplit:
-    """Result of applying the time-split rule to a data node's versions."""
+class SlotColumns:
+    """A full data node's slot columns, as a split reads them.
 
-    split_time: int
-    historical: Tuple[Version, ...]
-    current: Tuple[Version, ...]
+    ``keys``, ``words`` and ``flags`` are the node's key, stamp-word and flag
+    runs and ``order`` its order run (:meth:`DataNode.columns`,
+    :meth:`DataNode.slot_order`).  Two derived views are built on first use:
+    ``runs``, one ``(first, committed_end, end)`` per distinct key in key
+    order, and ``sizes``, each slot's serialized size.
+    """
+
+    def __init__(self, node: DataNode) -> None:
+        self.node = node
+        self.keys, self.words, self.flags = node.columns()
+        self.order = node.slot_order()
+        self._runs: Optional[List[Tuple[int, int, int]]] = None
+        self._sizes: Optional[List[int]] = None
 
     @property
-    def redundant(self) -> Tuple[Version, ...]:
-        """Versions stored in both halves (alive across the split time)."""
-        historical_ids = {version.identity() for version in self.historical}
-        return tuple(
-            version for version in self.current if version.identity() in historical_ids
-        )
+    def runs(self) -> List[Tuple[int, int, int]]:
+        """Per distinct key, in key order: ``(first, committed_end, end)`` —
+        its committed slots, oldest first, then its provisional ones."""
+        runs = self._runs
+        if runs is None:
+            keys, flags = self.keys, self.flags
+            runs, first = [], 0
+            while first < len(keys):
+                end = bisect_right(keys, keys[first], first)
+                committed = end
+                while committed > first and flags[committed - 1] & _PROVISIONAL:
+                    committed -= 1
+                runs.append((first, committed, end))
+                first = end
+            self._runs = runs
+        return runs
+
+    @property
+    def sizes(self) -> List[int]:
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = self.node.slot_sizes()
+        return sizes
+
+    def listed(self) -> List[int]:
+        """Every slot, in the node's list order."""
+        return sorted(range(len(self.keys)), key=self.order.__getitem__)
+
+    def runs_as_listed(self) -> List[Tuple[int, int, int]]:
+        """``runs`` in the order their keys first appear in the list."""
+        order = self.order
+        return sorted(self.runs, key=lambda run: min(order[run[0] : run[2]]))
+
+
+@dataclass(frozen=True)
+class DataTimeSplit:
+    """The time-split rule applied to a node's slots.  ``historical`` and
+    ``current`` are each half's slots in its list order; ``redundant`` are
+    the slots stored in both (alive across the split time)."""
+
+    split_time: int
+    historical: Tuple[int, ...]
+    current: Tuple[int, ...]
+    redundant: Tuple[int, ...]
+    columns: SlotColumns = field(repr=False, compare=False)
+
+    def _bytes(self, slots: Tuple[int, ...]) -> int:
+        sizes = self.columns.sizes
+        return sum(sizes[slot] for slot in slots)
 
     @property
     def redundant_bytes(self) -> int:
-        return sum(version.serialized_size() for version in self.redundant)
+        return self._bytes(self.redundant)
 
     @property
     def historical_bytes(self) -> int:
-        return sum(version.serialized_size() for version in self.historical)
+        return self._bytes(self.historical)
 
     @property
     def current_bytes(self) -> int:
-        return sum(version.serialized_size() for version in self.current)
+        return self._bytes(self.current)
 
 
-def time_split_versions(versions: Sequence[Version], split_time: int) -> DataTimeSplit:
-    """Apply the section 3.1 time-split rule at ``split_time``.
+def time_split_slots(columns: SlotColumns, split_time: int) -> DataTimeSplit:
+    """Apply the section 3.1 time-split rule at ``split_time``, key run by key
+    run.  Each half lists its keys in the order they first appear in the
+    node's list; within a key the historical half holds the slots before the
+    split time, and the current half the slots at or after it, then the
+    version valid at the split time when it is older, then the provisional
+    slots — every group oldest first.
 
     Raises :class:`SplitError` if the split would leave the historical node
     empty (no version precedes the split time), because migrating nothing is
     pointless and would create an empty historical region.
     """
-    historical: List[Version] = []
-    current: List[Version] = []
-    for key, group in group_by_key(versions).items():
-        committed = [v for v in group if v.timestamp is not None]
-        provisional = [v for v in group if v.timestamp is None]
+    words = columns.words
+    historical: List[int] = []
+    current: List[int] = []
+    redundant: List[int] = []
+    for first, committed, end in columns.runs_as_listed():
+        cut = bisect_left(words, split_time, first, committed)
         # Rule 1: strictly-older versions belong to the historical node.
-        before = [v for v in committed if v.timestamp < split_time]
+        historical.extend(range(first, cut))
         # Rule 2: versions at or after the split time stay current.
-        after = [v for v in committed if v.timestamp >= split_time]
-        historical.extend(before)
-        current.extend(after)
+        current.extend(range(cut, committed))
         # Rule 3: the version valid *at* the split time must be in the
         # current node.  When its timestamp is strictly before the split time
         # it is therefore stored twice — the redundancy the paper accepts to
-        # keep snapshots clustered.
-        if before and not any(v.timestamp == split_time for v in after):
-            alive_at_split = max(before, key=lambda v: v.timestamp)  # type: ignore[arg-type]
-            current.append(alive_at_split)
+        # keep snapshots clustered.  Of equal stamps the first slot is it.
+        if cut > first and (cut == committed or words[cut] != split_time):
+            alive = bisect_left(words, words[cut - 1], first, cut)
+            current.append(alive)
+            redundant.append(alive)
         # Uncommitted versions never migrate (section 4).
-        current.extend(provisional)
+        current.extend(range(committed, end))
     if not historical:
         raise SplitError(
             f"time split at {split_time} would migrate nothing: "
             "no committed version precedes the split time"
         )
-    return DataTimeSplit(
-        split_time=split_time,
-        historical=tuple(historical),
-        current=tuple(current),
-    )
+    return DataTimeSplit(split_time, tuple(historical), tuple(current), tuple(redundant), columns)
 
 
-def key_split_versions(
-    versions: Sequence[Version], split_key: Key
-) -> Tuple[Tuple[Version, ...], Tuple[Version, ...]]:
-    """Pure key split: versions with ``key < split_key`` stay, the rest move.
+def key_split_slots(
+    columns: SlotColumns, split_key: Key
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Pure key split: slots with ``key < split_key`` stay, the rest move;
+    each half's slots in the node's list order.
 
     Nothing is copied; this is the B+-tree-style split the erasable magnetic
     disk makes possible (section 3: "the key splits on magnetic disk are more
     like those in B+-trees since we need not keep the old node intact").
     """
-    left = tuple(version for version in versions if version.key < split_key)
-    right = tuple(version for version in versions if not version.key < split_key)
+    cut = bisect_left(columns.keys, split_key)
+    listed = columns.listed()
+    left = tuple(slot for slot in listed if slot < cut)
+    right = tuple(slot for slot in listed if slot >= cut)
     if not left or not right:
-        raise SplitError(
-            f"key split at {split_key!r} puts every version on one side"
-        )
+        raise SplitError(f"key split at {split_key!r} puts every version on one side")
     return left, right
 
 
-def choose_key_split_value(versions: Sequence[Version]) -> Key:
+def choose_key_split_value(columns: SlotColumns) -> Key:
     """Pick a key split value: the median distinct key (by stored bytes).
 
     The median is weighted by serialized size so that a key with many or
     large versions does not leave one half nearly full.
     """
-    grouped = group_by_key(versions)
-    if len(grouped) < 2:
+    runs, sizes = columns.runs, columns.sizes
+    if len(runs) < 2:
         raise SplitError("cannot key split a node holding a single distinct key")
-    keys = sorted(grouped)
-    sizes = [sum(v.serialized_size() for v in grouped[key]) for key in keys]
-    total = sum(sizes)
+    run_sizes = [sum(sizes[first:end]) for first, _committed, end in runs]
+    total = sum(run_sizes)
     running = 0
-    for key, size in zip(keys, sizes):
+    for (first, _committed, _end), size in zip(runs, run_sizes):
         running += size
         if running * 2 >= total:
             # Splitting *at* a key sends that key right; never pick the
             # lowest key (the left half would be empty).
-            if key == keys[0]:
-                return keys[1]
-            return key
-    return keys[-1]  # pragma: no cover - loop always returns
+            return columns.keys[runs[1][0] if first == 0 else first]
+    raise AssertionError("unreachable: the running total reaches the whole")  # pragma: no cover
 
 
-def candidate_split_times(versions: Sequence[Version]) -> List[int]:
+def candidate_split_times(columns: SlotColumns) -> List[int]:
     """Distinct committed timestamps that are legal time-split values.
 
     A legal split time must leave at least one committed version strictly
     before it, so the earliest committed timestamp is excluded.
     """
-    stamps = sorted({v.timestamp for v in versions if v.timestamp is not None})
-    return stamps[1:]
+    stamps = {w for w, f in zip(columns.words, columns.flags) if not f & _PROVISIONAL}
+    return sorted(stamps)[1:]
 
 
-def last_update_time(versions: Sequence[Version]) -> Optional[int]:
+def last_update_time(columns: SlotColumns) -> Optional[int]:
     """Commit time of the most recent *update* (second or later version of a key).
 
     Section 3.3 recommends this as a split time when insertions follow the
@@ -214,38 +278,26 @@ def last_update_time(versions: Sequence[Version]) -> Optional[int]:
     historical node while still migrating every superseded version.
     Returns ``None`` when the node contains no updates at all.
     """
-    best: Optional[int] = None
-    for _key, group in group_by_key(versions).items():
-        committed = [v for v in group if v.timestamp is not None]
-        if len(committed) < 2:
-            continue
-        update_stamp = committed[-1].timestamp
-        assert update_stamp is not None
-        if best is None or update_stamp > best:
-            best = update_stamp
-    return best
+    words = columns.words
+    updated = [words[committed - 1] for first, committed, _end in columns.runs if committed - first >= 2]
+    return max(updated, default=None)
 
 
-def evaluate_time_split(
-    versions: Sequence[Version], split_time: int
-) -> Optional[DataTimeSplit]:
-    """Like :func:`time_split_versions` but returns ``None`` when illegal."""
+def evaluate_time_split(columns: SlotColumns, split_time: int) -> Optional[DataTimeSplit]:
+    """Like :func:`time_split_slots` but returns ``None`` when illegal."""
     try:
-        return time_split_versions(versions, split_time)
+        return time_split_slots(columns, split_time)
     except SplitError:
         return None
 
 
-def min_redundancy_split_time(versions: Sequence[Version]) -> Optional[int]:
-    """Candidate split time minimising redundant bytes.
-
-    Ties are broken toward the *latest* time, which minimises the size of the
-    current node (the quantity stored on the expensive magnetic device).
-    """
+def min_redundancy_split_time(columns: SlotColumns) -> Optional[int]:
+    """Candidate split time minimising redundant bytes, then current bytes;
+    of equal costs the earliest."""
     best_time: Optional[int] = None
     best_cost: Optional[Tuple[int, int]] = None
-    for candidate in candidate_split_times(versions):
-        split = evaluate_time_split(versions, candidate)
+    for candidate in candidate_split_times(columns):
+        split = evaluate_time_split(columns, candidate)
         if split is None:
             continue
         cost = (split.redundant_bytes, split.current_bytes)
@@ -253,6 +305,63 @@ def min_redundancy_split_time(versions: Sequence[Version]) -> Optional[int]:
             best_cost = cost
             best_time = candidate
     return best_time
+
+
+@dataclass(frozen=True)
+class CarvedSplit:
+    """A data-node split decided and carved but not written: ``halves`` are
+    the new nodes in the parent's entry order — ``(historical, current)`` or
+    ``(left, right)`` — each at the split node's address until the tree
+    places it; ``at`` is the split time or key."""
+
+    kind: SplitKind
+    at: Union[int, Key]
+    halves: Tuple[DataNode, DataNode]
+    redundant: int = 0
+
+    def half_for(self, key: Key) -> int:
+        """Which of ``halves`` is the current one holding ``key``."""
+        return 1 if self.kind is SplitKind.TIME or not key < self.at else 0
+
+
+def carve_time_split(columns: SlotColumns, split_time: int) -> CarvedSplit:
+    """Time split: the historical half, bound for the optical disk, and the
+    current half (section 3.1)."""
+    node = columns.node
+    historical_region, current_region = split_region_by_time(node.region, split_time)
+    split = time_split_slots(columns, split_time)
+    sizes = columns.sizes
+    halves = (
+        node.carve(split.historical, historical_region, sizes),
+        node.carve(split.current, current_region, sizes),
+    )
+    return CarvedSplit(SplitKind.TIME, split_time, halves, len(split.redundant))
+
+
+def carve_key_split(columns: SlotColumns, split_key: Key) -> CarvedSplit:
+    """Pure key split: B+-tree style, nothing copied (section 3.1, Figure 5)."""
+    node = columns.node
+    left_region, right_region = split_region_by_key(node.region, split_key)
+    left, right = key_split_slots(columns, split_key)
+    sizes = columns.sizes
+    halves = node.carve(left, left_region, sizes), node.carve(right, right_region, sizes)
+    return CarvedSplit(SplitKind.KEY, split_key, halves)
+
+
+def carve_data_split(context: SlotColumns, policy) -> CarvedSplit:
+    """The split ``policy`` decides for the node of ``context`` (a
+    :class:`~repro.core.policy.SplitContext`), falling back to the other kind
+    when the chosen one cannot be made."""
+    decision = policy.decide(context)
+    if decision.kind is SplitKind.TIME:
+        try:
+            return carve_time_split(context, decision.split_time)
+        except SplitError:
+            return carve_key_split(context, choose_key_split_value(context))
+    try:
+        return carve_key_split(context, decision.split_key)
+    except SplitError:
+        return carve_time_split(context, policy.pick_split_time(context))
 
 
 # ----------------------------------------------------------------------

@@ -43,18 +43,16 @@ from repro.core.records import (
     version_as_of,
 )
 from repro.core.split import (
-    SplitDecision,
+    CarvedSplit,
     SplitError,
     SplitKind,
+    carve_data_split,
     choose_index_split_key,
-    choose_key_split_value,
     find_local_index_split_time,
     index_key_split,
     index_time_split,
-    key_split_versions,
     split_region_by_key,
     split_region_by_time,
-    time_split_versions,
 )
 from repro.storage.device import Address, Tier
 from repro.storage.magnetic import MagneticDisk
@@ -94,7 +92,9 @@ class TSBTreeError(Exception):
 
 
 class RecordTooLargeError(TSBTreeError):
-    """A single record version does not fit in an empty data page."""
+    """A record version does not fit in a data page: alone, or beside the
+    versions of its key that no split can move out (refused before any node
+    is touched)."""
 
 
 class TimestampOrderError(TSBTreeError):
@@ -798,18 +798,20 @@ class TSBTree:
     ) -> Optional[List[IndexEntry]]:
         node = self.cache.read(address)  # the current path is all magnetic
         if isinstance(node, DataNode):
+            # A rewrite inside a transaction replaces its earlier version of
+            # the key, whose room the new one may take.
+            earlier = None
             if version.timestamp is None:
-                # A rewrite inside a transaction replaces its earlier version
-                # of the key — here, on the leaf, once the size probe passed.
                 earlier = node.provisional_for_key(version.key, version.txn_id)
+            room = self.page_size + (0 if earlier is None else earlier.serialized_size())
+            if node.fits(room, extra=version):
                 if earlier is not None:
                     node.remove_version(earlier)
-            if node.fits(self.page_size, extra=version):
                 self._note_superseded(node, version)
                 node.add_version(version)
                 self._store_node(node)
                 return None
-            return self._split_data_node(node, version)
+            return self._split_data_node(node if earlier is None else node.without(earlier), version)
 
         entry = node.find_current_child(version.key)
         child_replacements = self._insert_recursive(entry.child, version)
@@ -841,102 +843,75 @@ class TSBTree:
 
     # -- data nodes ---------------------------------------------------------
     def _split_data_node(self, node: DataNode, incoming: Version) -> List[IndexEntry]:
-        """Split ``node`` per policy, insert ``incoming``, return parent entries."""
-        context = SplitContext(
-            versions=tuple(node.versions),
-            region=node.region,
-            page_size=self.page_size,
-            now=self._max_committed_ts,
-        )
-        decision = self.policy.decide(context)
-        replacements = self._perform_data_split(node, decision, context)
-        return self._insert_into_replacements(replacements, incoming)
+        """Split ``node`` per policy, insert ``incoming``, return parent entries.
 
-    def _perform_data_split(
-        self, node: DataNode, decision: SplitDecision, context: SplitContext
-    ) -> List[IndexEntry]:
-        """Carry out a split decision, falling back to the other kind on error."""
-        if decision.kind is SplitKind.TIME:
-            assert decision.split_time is not None
-            try:
-                return self._perform_data_time_split(node, decision.split_time)
-            except SplitError:
-                return self._perform_data_key_split(
-                    node, choose_key_split_value(node.versions)
+        A half still too full for ``incoming`` is split again.  Every split is
+        decided and carved (:func:`~repro.core.split.carve_data_split`) before
+        the first is written, so a version that no split can make room for —
+        its key's versions left alone on a node that can be split neither by
+        key nor by time — is refused with :class:`RecordTooLargeError` while
+        every node, page and counter is as it was.
+        """
+        splits: List[CarvedSplit] = []
+        target = node
+        while True:
+            context = SplitContext(target, self.page_size, self._max_committed_ts)
+            if not (context.can_key_split() or context.can_time_split()):
+                raise RecordTooLargeError(
+                    f"a version of key {incoming.key!r} ({incoming.serialized_size()} bytes) "
+                    f"does not fit a {self.page_size}-byte page beside the versions of "
+                    "its key that no split can move out"
                 )
-        assert decision.split_key is not None
-        try:
-            return self._perform_data_key_split(node, decision.split_key)
-        except SplitError:
-            return self._perform_data_time_split(
-                node, self.policy.pick_split_time(context)
-            )
+            split = carve_data_split(context, self.policy)
+            splits.append(split)
+            target = split.halves[split.half_for(incoming.key)]
+            if target.fits(self.page_size, extra=incoming):
+                break
+        entries: List[IndexEntry] = []
+        at, address = 0, node.address
+        for split in splits:
+            if split.kind is SplitKind.TIME:
+                written = self._perform_data_time_split(split, address)
+            else:
+                written = self._perform_data_key_split(split, address)
+            # The half that holds the incoming key is the one split next.
+            held = split.half_for(incoming.key)
+            entries[at : at + 1] = written
+            at, address = at + held, written[held].child
+        self._note_superseded(target, incoming)
+        target.add_version(incoming)
+        self._store_node(target)
+        return entries
 
-    def _perform_data_time_split(self, node: DataNode, split_time: int) -> List[IndexEntry]:
-        """Time split: migrate history to the optical disk (section 3.1)."""
-        with trace.span("tsb.data_time_split", time=split_time):
-            historical_region, current_region = split_region_by_time(node.region, split_time)
-            split = time_split_versions(node.versions, split_time)
-            historical_node = DataNode(
-                address=Address.magnetic(0),  # placeholder; real address assigned below
-                region=historical_region,
-                versions=list(split.historical),
-            )
-            historical_address = self._append_historical(historical_node.encode())
-            node.versions = list(split.current)
-            node.region = current_region
-            self._store_node(node)
+    def _perform_data_time_split(self, split: CarvedSplit, address: Address) -> List[IndexEntry]:
+        """Write a time split of the node at ``address``: the historical half
+        to the optical disk, the current half in the node's place."""
+        historical, current = split.halves
+        with trace.span("tsb.data_time_split", time=split.at):
+            historical_address = self._append_historical(historical.encode())
+            current.address = address
+            self._store_node(current)
             self.counters.data_time_splits += 1
-            self.counters.redundant_versions_written += len(split.redundant)
+            self.counters.redundant_versions_written += split.redundant
             return [
-                IndexEntry(child=historical_address, region=historical_region),
-                IndexEntry(child=node.address, region=current_region),
+                IndexEntry(child=historical_address, region=historical.region),
+                IndexEntry(child=address, region=current.region),
             ]
 
-    def _perform_data_key_split(self, node: DataNode, split_key: Key) -> List[IndexEntry]:
-        """Pure key split: B+-tree style, nothing copied (section 3.1, Figure 5)."""
-        with trace.span("tsb.data_key_split", key=split_key):
-            left_region, right_region = split_region_by_key(node.region, split_key)
-            left_versions, right_versions = key_split_versions(node.versions, split_key)
-            # Allocate the sibling page before touching the existing node so that
-            # a full magnetic disk leaves the original node intact.
-            right_address = self.magnetic.allocate_page()
-            node.versions = list(left_versions)
-            node.region = left_region
-            self._store_node(node)
-            right_node = DataNode(
-                address=right_address, region=right_region, versions=list(right_versions)
-            )
-            self._store_node(right_node)
+    def _perform_data_key_split(self, split: CarvedSplit, address: Address) -> List[IndexEntry]:
+        """Write a key split of the node at ``address``: the left half in its
+        place, the right half on a new page."""
+        left, right = split.halves
+        with trace.span("tsb.data_key_split", key=split.at):
+            left.address = address
+            right.address = self.magnetic.allocate_page()
+            self._store_node(left)
+            self._store_node(right)
             self.counters.data_key_splits += 1
             return [
-                IndexEntry(child=node.address, region=left_region),
-                IndexEntry(child=right_address, region=right_region),
+                IndexEntry(child=address, region=left.region),
+                IndexEntry(child=right.address, region=right.region),
             ]
-
-    def _insert_into_replacements(
-        self, replacements: List[IndexEntry], version: Version
-    ) -> List[IndexEntry]:
-        """Insert ``version`` into whichever current child now covers it."""
-        for position, entry in enumerate(replacements):
-            if not entry.is_current:
-                continue
-            if not entry.region.keys.contains(version.key):
-                continue
-            if not entry.region.times.is_current:
-                continue
-            child = self._load_node(entry.child)
-            assert isinstance(child, DataNode)
-            if child.fits(self.page_size, extra=version):
-                self._note_superseded(child, version)
-                child.add_version(version)
-                self._store_node(child)
-                return replacements
-            nested = self._split_data_node(child, version)
-            return replacements[:position] + nested + replacements[position + 1 :]
-        raise NodeError(
-            f"no current replacement entry covers key {version.key!r}"
-        )
 
     # -- index nodes ----------------------------------------------------------
     def _split_index_node(self, node: IndexNode) -> List[IndexEntry]:

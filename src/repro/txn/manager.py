@@ -256,7 +256,7 @@ class TransactionManager:
                 self.abort(txn.txn_id)
                 raise
             stamp = self._draw(commit_timestamp)
-            for key, value in writes:
+            for written, (key, value) in enumerate(writes):
                 self._log_write(txn, key, value)
                 try:
                     if value is None:
@@ -264,7 +264,7 @@ class TransactionManager:
                     else:
                         tree.insert(key, value, stamp)
                 except Exception as exc:
-                    self._fail_logged(txn, exc)
+                    self._fail_logged(txn, exc, landed=written > 0)
                     raise
             self._log_commit(txn, stamp)
             self._finish(txn, TransactionState.COMMITTED)
@@ -412,31 +412,30 @@ class TransactionManager:
             raise
         txn.write_set.add(key)
 
-    def _fail_logged(self, txn: Transaction, exc: Exception) -> None:
+    def _fail_logged(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
         """Doom a logged transaction whose tree write blew up mid-operation.
 
         The operation record is already in the log but its effect never
         (fully) reached the tree, so the transaction must not be allowed to
         commit — redo would replay the phantom operation.  An abort record
-        makes it a durable loser.  A clean pre-write rejection (an oversized
-        record is refused before the tree is touched) leaves the tree
-        intact, so the transaction's earlier provisional versions are erased
-        immediately like any abort.  Any other failure may have broken the
-        tree mid-structure-modification — erasing from it could make things
-        worse — so the versions are left for restart recovery to undo and
-        the manager is flagged as requiring recovery: full checkpoints
-        refuse until a restart rebuilds from the last good image.  A
-        ``run_transaction`` batch only ever fails the second way — its sizes
-        were checked before the first write, and the keys written before the
-        failure are committed versions only that restart removes.  Without a
-        log the old contract stands: the error propagates and the
-        transaction stays active.
+        makes it a durable loser.  A clean rejection (a record too large for
+        a page, alone or beside its key's versions, is refused before the
+        tree is touched) leaves the tree intact, so the transaction's earlier
+        provisional versions are erased immediately like any abort.  Any
+        other failure may have broken the tree mid-structure-modification —
+        erasing from it could make things worse — so the versions are left
+        for restart recovery to undo and the manager is flagged as requiring
+        recovery: full checkpoints refuse until a restart rebuilds from the
+        last good image.  A ``run_transaction`` batch fails the second way
+        whenever its earlier writes ``landed``: those keys are committed
+        versions only that restart removes.  Without a log the old contract
+        stands: the error propagates and the transaction stays active.
         """
         if self.log is None:
             return
         self.log.log_abort(txn.txn_id)
         self._finish(txn, TransactionState.ABORTED)
-        if isinstance(exc, RecordTooLargeError):
+        if isinstance(exc, RecordTooLargeError) and not landed:
             if txn.write_set:
                 self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set))
         else:

@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.experiment import answers_digest
 from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.api.engine import VersionStoreError
+from repro.core.checker import check_tree
 from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError
 from repro.recovery.log_records import LogRecordType, decode_stream
 from repro.recovery.replay import replay_device
@@ -147,6 +148,70 @@ class TestRecoveredEqualsAcknowledged:
         # Refused before any operation was logged: the store recovers clean.
         reopened = crash_and_reopen(store)
         assert reopened.get(5) is None and reopened.get(4).value == b"newer"
+
+
+def restarted(store: VersionStore) -> VersionStore:
+    """A WAL store crashed and recovered; a logless one reopened from the
+    devices its last checkpoint wrote."""
+    if store.log is not None:
+        return crash_and_reopen(store)
+    magnetic, historical = store.devices
+    return VersionStore.open(store.config, magnetic=magnetic, historical=historical)
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["logless", "wal"])
+class TestRefusedBesideItsOwnVersions:
+    """A version that fits a page alone but not beside its key's committed
+    version, which no split can move out: the tree refuses it with
+    ``RecordTooLargeError`` before touching a node (a key split of the root
+    leaf once went first and cut key 2 off the tree)."""
+
+    def open_store(self, wal):
+        store = VersionStore.open(StoreConfig(engine="tsb", page_size=1024, wal=wal))
+        store.insert(1, b"a" * 500)
+        store.insert(2, b"x" * 10)
+        return store
+
+    def assert_intact(self, store, committed):
+        assert {r.key: r.value for r in store.range_search()} == committed
+        assert check_tree(store.backend) == []
+        assert not (store.txns is not None and store.txns.requires_recovery)
+        store.checkpoint()  # a WAL store's checkpoint is not refused
+        reopened = restarted(store)
+        assert {r.key: r.value for r in reopened.range_search()} == committed
+        assert check_tree(reopened.backend) == []
+
+    def test_a_transactional_rewrite(self, wal):
+        store = self.open_store(wal)
+        txn = store.begin()
+        txn.write(3, b"pending")
+        with pytest.raises(RecordTooLargeError):
+            txn.write(1, b"b" * 500)
+        assert store.get(2).value == b"x" * 10
+        if not wal:  # without a log the transaction stays active
+            txn.abort()
+        self.assert_intact(store, {1: b"a" * 500, 2: b"x" * 10})
+
+    def test_a_facade_insert(self, wal):
+        store = self.open_store(wal)
+        with pytest.raises(RecordTooLargeError):
+            store.insert(1, b"b" * 500)
+        assert store.get(2).value == b"x" * 10
+        store.insert(3, b"next")
+        self.assert_intact(store, {1: b"a" * 500, 2: b"x" * 10, 3: b"next"})
+
+    def test_refused_after_a_batch_write_landed(self, wal):
+        """Key 2's version is committed by the time key 1's is refused: a
+        WAL store can only undo it by a restart, so it asks for one."""
+        store = self.open_store(wal)
+        with pytest.raises(RecordTooLargeError):
+            store.put_many([(2, b"y"), (1, b"b" * 500)])
+        assert check_tree(store.backend) == []
+        if wal:
+            assert store.txns.requires_recovery
+            reopened = crash_and_reopen(store)
+            committed = {1: b"a" * 500, 2: b"x" * 10}
+            assert {r.key: r.value for r in reopened.range_search()} == committed
 
 
 class TestOneClock:

@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core import ThresholdPolicy, TSBTree, check_tree
-from repro.core.checker import _check_index_node, assert_tree_valid
+from repro.core.checker import _check_data_node, _check_index_node, assert_tree_valid
 from repro.core.nodes import DataNode, IndexEntry, IndexNode
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.storage.device import Address
@@ -192,6 +192,25 @@ class TestCorruptionDetection:
         _check_data_node(tree, victim, violations)
         assert any(v.invariant == "transactions" for v in violations)
 
+    def test_detects_a_root_that_does_not_cover_the_plane(self):
+        """The shape an unfinished key split of a root leaf leaves: the root
+        narrowed to its left half, the right half's key gone.  The node is
+        sound on its own, so only the root invariant can see it."""
+        tree = TSBTree(page_size=1024)
+        tree.insert(1, b"a" * 500)
+        tree.insert(2, b"x" * 10)
+        root = tree._load_node(tree.root_address)
+        root.remove_version(root.latest_for_key(2))
+        root.region = Rectangle(KeyRange(None, 2), root.region.times)
+        tree._store_node(root)
+        assert violated_invariants(tree) == {"root"}
+
+        tree = build_tree()
+        root = tree._load_node(tree.root_address)
+        root.region = Rectangle(root.region.keys, TimeRange(1, None))
+        tree._store_node(root)
+        assert "root" in violated_invariants(tree)
+
     def test_detects_an_index_node_no_higher_than_its_index_child(self):
         tree = TSBTree(page_size=512, policy=ThresholdPolicy(0.5))
         for step in range(4000):
@@ -348,11 +367,11 @@ CURRENT = Address.magnetic(3)
 HISTORICAL = Address.historical(3, 0, 64)
 
 
-def one_node_tree(node, page_size=512):
-    """All ``check_tree`` asks of a tree, for a tree that is just ``node``."""
-    return SimpleNamespace(
-        root_address=node.address, page_size=page_size, _load_node=lambda address: node
-    )
+def data_node_violations(node, page_size=512):
+    """What ``check_tree`` reports of ``node`` as one of a tree's data nodes."""
+    violations = []
+    _check_data_node(SimpleNamespace(page_size=page_size), node, violations)
+    return violations
 
 
 def data_node_case(name, as_key):
@@ -426,9 +445,9 @@ def test_a_data_node_reports_the_same_violations_opened_or_built(case, as_key, m
     built, expected = data_node_case(case, as_key)
     opened = DataNode.decode(built.address, built.encode())
     versions = count_built_versions(monkeypatch)
-    violations = check_tree(one_node_tree(opened))
+    violations = data_node_violations(opened)
     assert versions == []  # checked from its columns
-    assert violations == check_tree(one_node_tree(built))
+    assert violations == data_node_violations(built)
     assert {violation.invariant for violation in violations} == expected
 
 

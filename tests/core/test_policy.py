@@ -11,9 +11,11 @@ from repro.core.policy import (
     WOBTEmulationPolicy,
     make_policy,
 )
+from repro.core.nodes import DataNode
 from repro.core.records import Rectangle, Version
 from repro.core.split import SplitKind
 from repro.storage.costmodel import CostModel
+from repro.storage.device import Address
 
 
 def committed(key, timestamp, value=b"payload-123"):
@@ -22,12 +24,8 @@ def committed(key, timestamp, value=b"payload-123"):
 
 def make_context(versions, now=None, page_size=512, region=None):
     stamps = [v.timestamp for v in versions if v.timestamp is not None]
-    return SplitContext(
-        versions=tuple(versions),
-        region=region or Rectangle.full(),
-        page_size=page_size,
-        now=now if now is not None else (max(stamps) if stamps else 0),
-    )
+    node = DataNode(Address.magnetic(0), region or Rectangle.full(), versions)
+    return SplitContext(node, page_size, now if now is not None else max(stamps, default=0))
 
 
 #: a node holding only insertions (one version per key) — must key split.

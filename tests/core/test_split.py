@@ -1,12 +1,17 @@
-"""Unit and property tests for the splitting rules of paper section 3."""
+"""Unit and property tests for the splitting rules of paper section 3.
+
+The data-node rules read a node's slot columns; each test builds the node
+from a version list and reads the halves back as versions.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nodes import IndexEntry
+from repro.core.nodes import DataNode, IndexEntry
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.core.split import (
+    SlotColumns,
     SplitDecision,
     SplitError,
     SplitKind,
@@ -17,12 +22,12 @@ from repro.core.split import (
     find_local_index_split_time,
     index_key_split,
     index_time_split,
-    key_split_versions,
+    key_split_slots,
     last_update_time,
     min_redundancy_split_time,
     split_region_by_key,
     split_region_by_time,
-    time_split_versions,
+    time_split_slots,
 )
 from repro.storage.device import Address
 
@@ -35,47 +40,75 @@ def provisional(key, txn_id):
     return Version(key=key, timestamp=None, value=b"uncommitted", txn_id=txn_id)
 
 
+def columns_of(versions):
+    """The slot columns of a node holding ``versions``."""
+    return SlotColumns(DataNode(Address.magnetic(0), Rectangle.full(), versions))
+
+
+def versions_at(columns, slots):
+    """The versions in ``slots``, in the order they are listed."""
+    return columns.node.carve(slots, columns.node.region).versions
+
+
+def time_split(versions, split_time):
+    """The rule at ``split_time``: ``(historical, current, redundant)`` versions."""
+    columns = columns_of(versions)
+    split = time_split_slots(columns, split_time)
+    return tuple(versions_at(columns, slots) for slots in (split.historical, split.current, split.redundant))
+
+
+def key_split(versions, split_key):
+    columns = columns_of(versions)
+    return tuple(versions_at(columns, slots) for slots in key_split_slots(columns, split_key))
+
+
 # ----------------------------------------------------------------------
 # Data-node time splits (the TIME-SPLIT RULE)
 # ----------------------------------------------------------------------
 class TestTimeSplitRule:
     def test_rule_clauses_on_simple_history(self):
         versions = [committed(1, 2), committed(1, 6), committed(2, 4), committed(2, 8)]
-        split = time_split_versions(versions, 5)
+        historical, current, redundant = time_split(versions, 5)
         # Rule 1: strictly earlier versions go to the historical node.
-        assert {(v.key, v.timestamp) for v in split.historical} == {(1, 2), (2, 4)}
+        assert {(v.key, v.timestamp) for v in historical} == {(1, 2), (2, 4)}
         # Rule 2 and 3: the current node holds later versions plus the
         # version of each key valid at the split time.
-        assert {(v.key, v.timestamp) for v in split.current} == {
+        assert {(v.key, v.timestamp) for v in current} == {
             (1, 6),
             (1, 2),
             (2, 8),
             (2, 4),
         }
-        assert {(v.key, v.timestamp) for v in split.redundant} == {(1, 2), (2, 4)}
+        assert {(v.key, v.timestamp) for v in redundant} == {(1, 2), (2, 4)}
+
+    def test_halves_are_listed_by_key_appearance_then_rule(self):
+        versions = [committed(2, 4), committed(1, 2), committed(2, 8), committed(1, 6)]
+        historical, current, _redundant = time_split(versions, 5)
+        assert [(v.key, v.timestamp) for v in historical] == [(2, 4), (1, 2)]
+        assert [(v.key, v.timestamp) for v in current] == [(2, 8), (2, 4), (1, 6), (1, 2)]
 
     def test_version_exactly_at_split_time_is_not_redundant(self):
         versions = [committed(1, 2), committed(1, 5)]
-        split = time_split_versions(versions, 5)
-        assert {(v.key, v.timestamp) for v in split.historical} == {(1, 2)}
-        assert {(v.key, v.timestamp) for v in split.current} == {(1, 5)}
-        assert split.redundant == ()
+        historical, current, redundant = time_split(versions, 5)
+        assert {(v.key, v.timestamp) for v in historical} == {(1, 2)}
+        assert {(v.key, v.timestamp) for v in current} == {(1, 5)}
+        assert redundant == ()
 
     def test_split_with_nothing_before_raises(self):
-        versions = [committed(1, 10), committed(2, 12)]
+        columns = columns_of([committed(1, 10), committed(2, 12)])
         with pytest.raises(SplitError):
-            time_split_versions(versions, 5)
-        assert evaluate_time_split(versions, 5) is None
+            time_split_slots(columns, 5)
+        assert evaluate_time_split(columns, 5) is None
 
     def test_provisional_versions_never_migrate(self):
         versions = [committed(1, 2), provisional(1, txn_id=9), committed(2, 3)]
-        split = time_split_versions(versions, 4)
-        assert all(v.is_committed for v in split.historical)
-        assert any(v.is_provisional for v in split.current)
+        historical, current, _redundant = time_split(versions, 4)
+        assert all(v.is_committed for v in historical)
+        assert any(v.is_provisional for v in current)
 
     def test_byte_accounting(self):
         versions = [committed(1, 1, b"x" * 10), committed(1, 5, b"y" * 10)]
-        split = time_split_versions(versions, 3)
+        split = time_split_slots(columns_of(versions), 3)
         assert split.historical_bytes == versions[0].serialized_size()
         assert split.redundant_bytes == versions[0].serialized_size()
         assert split.current_bytes == sum(v.serialized_size() for v in versions)
@@ -92,17 +125,20 @@ class TestTimeSplitRule:
         and the split loses no information (any as-of query is answerable from
         the appropriate side)."""
         versions = [committed(key, stamp) for key, stamp in updates]
-        split = evaluate_time_split(versions, split_point)
+        columns = columns_of(versions)
+        split = evaluate_time_split(columns, split_point)
         if split is None:
             assert all(v.timestamp >= split_point for v in versions)
             return
+        historical = versions_at(columns, split.historical)
+        current = versions_at(columns, split.current)
         # Clause 1/2 membership.
-        assert all(v.timestamp < split_point for v in split.historical)
+        assert all(v.timestamp < split_point for v in historical)
         for version in versions:
             if version.timestamp < split_point:
-                assert version in split.historical
+                assert version in historical
             else:
-                assert version in split.current
+                assert version in current
         # Clause 3: for each key alive at the split time, the valid version is
         # in the current node.
         by_key = {}
@@ -115,37 +151,37 @@ class TestTimeSplitRule:
                 key=lambda v: v.timestamp,
             )
             if valid is not None:
-                assert valid in split.current
+                assert valid in current
         # No version is invented.
-        assert set(split.historical) <= set(versions)
-        assert set(split.current) <= set(versions)
+        assert set(historical) <= set(versions)
+        assert set(current) <= set(versions)
 
 
 class TestSplitTimeChoosers:
     def test_candidate_split_times_exclude_earliest(self):
         versions = [committed(1, 3), committed(2, 5), committed(1, 9)]
-        assert candidate_split_times(versions) == [5, 9]
+        assert candidate_split_times(columns_of(versions)) == [5, 9]
 
     def test_last_update_time(self):
         versions = [committed(1, 1), committed(1, 7), committed(2, 9)]
         # Key 2 has a single version (an insertion); key 1's last update is 7.
-        assert last_update_time(versions) == 7
+        assert last_update_time(columns_of(versions)) == 7
 
     def test_last_update_time_none_when_only_insertions(self):
         versions = [committed(1, 1), committed(2, 2)]
-        assert last_update_time(versions) is None
+        assert last_update_time(columns_of(versions)) is None
 
     def test_min_redundancy_split_time_prefers_no_redundancy(self):
         # Splitting at 6 duplicates nothing (both keys have versions at >= 6
         # and their valid-at-6 versions are exactly at 6).
         versions = [committed(1, 2), committed(1, 6), committed(2, 3), committed(2, 6)]
-        assert min_redundancy_split_time(versions) == 6
+        assert min_redundancy_split_time(columns_of(versions)) == 6
 
     def test_min_redundancy_handles_single_key(self):
-        versions = [committed(1, 2), committed(1, 5), committed(1, 9)]
-        best = min_redundancy_split_time(versions)
+        columns = columns_of([committed(1, 2), committed(1, 5), committed(1, 9)])
+        best = min_redundancy_split_time(columns)
         assert best in {5, 9}
-        assert evaluate_time_split(versions, best) is not None
+        assert evaluate_time_split(columns, best) is not None
 
 
 # ----------------------------------------------------------------------
@@ -154,35 +190,41 @@ class TestSplitTimeChoosers:
 class TestKeySplit:
     def test_pure_key_split_moves_whole_histories(self):
         versions = [committed(1, 1), committed(1, 5), committed(9, 2), committed(9, 7)]
-        left, right = key_split_versions(versions, 9)
+        left, right = key_split(versions, 9)
         assert {v.key for v in left} == {1}
         assert {v.key for v in right} == {9}
         assert len(left) + len(right) == len(versions)
 
+    def test_halves_keep_the_list_order(self):
+        versions = [committed(9, 7), committed(1, 5), committed(9, 2), committed(1, 1)]
+        left, right = key_split(versions, 9)
+        assert [v.timestamp for v in left] == [5, 1]
+        assert [v.timestamp for v in right] == [7, 2]
+
     def test_degenerate_key_split_rejected(self):
-        versions = [committed(5, 1), committed(5, 2)]
+        columns = columns_of([committed(5, 1), committed(5, 2)])
         with pytest.raises(SplitError):
-            key_split_versions(versions, 5)
+            key_split_slots(columns, 5)
         with pytest.raises(SplitError):
-            key_split_versions(versions, 100)
+            key_split_slots(columns, 100)
 
     def test_choose_key_split_value_balances_bytes(self):
         versions = [committed(k, k) for k in range(10)]
-        split_key = choose_key_split_value(versions)
-        left, right = key_split_versions(versions, split_key)
+        split_key = choose_key_split_value(columns_of(versions))
+        left, right = key_split(versions, split_key)
         assert abs(len(left) - len(right)) <= 2
 
     def test_choose_key_split_value_weighted_by_size(self):
         versions = [committed(1, 1, b"x" * 200)] + [
             committed(k, k, b"s") for k in range(2, 8)
         ]
-        split_key = choose_key_split_value(versions)
+        split_key = choose_key_split_value(columns_of(versions))
         # The huge key-1 history dominates; the split should land right after it.
         assert split_key == 2
 
     def test_choose_key_split_single_key_rejected(self):
         with pytest.raises(SplitError):
-            choose_key_split_value([committed(1, 1), committed(1, 2)])
+            choose_key_split_value(columns_of([committed(1, 1), committed(1, 2)]))
 
     @given(
         keys=st.lists(st.integers(0, 50), min_size=2, max_size=40, unique=True),
@@ -190,8 +232,8 @@ class TestKeySplit:
     @settings(max_examples=200)
     def test_chosen_split_is_always_legal(self, keys):
         versions = [committed(key, index + 1) for index, key in enumerate(keys)]
-        split_key = choose_key_split_value(versions)
-        left, right = key_split_versions(versions, split_key)
+        split_key = choose_key_split_value(columns_of(versions))
+        left, right = key_split(versions, split_key)
         assert left and right
         assert all(v.key < split_key for v in left)
         assert all(v.key >= split_key for v in right)

@@ -36,6 +36,7 @@ from repro.core.split import (
     min_redundancy_split_time,
 )
 from repro.storage.costmodel import CostModel
+from repro.storage.serialization import Key
 
 
 class SplitContext(SlotColumns):
@@ -44,7 +45,11 @@ class SplitContext(SlotColumns):
     It is built from the full node's slot columns (:class:`SlotColumns`), and
     each query is a linear pass over them, by key run, made only when a policy
     asks it: a policy that never picks the median split time never lists the
-    legal ones.  No ``Version`` is built.
+    legal ones.  No ``Version`` is built.  The split it decides is cut from
+    the same columns (:func:`~repro.core.split.carve_data_split`), each half's
+    slots written in that half's list order: a time split's halves key by key
+    in the order the keys first appear in the node's list, a key split's in
+    the node's list order.
     """
 
     def __init__(self, node: DataNode, page_size: int, now: int) -> None:
@@ -101,7 +106,7 @@ class SplitContext(SlotColumns):
             return False
         return any(end - first >= 2 and words[first] < latest for first, end in committed)
 
-    def key_split_value(self):
+    def key_split_value(self) -> Key:
         return choose_key_split_value(self)
 
     def last_update_time(self) -> Optional[int]:

@@ -1,27 +1,21 @@
-"""Concurrency benchmarks: parallel scatter-gather and threaded clients.
+"""Concurrency benchmark: threaded clients on one sharded store.
 
-Two claims are measured on one 8-shard TSB store whose simulated magnetic
-devices charge real wall-clock latency per page access (so overlap is
-observable, exactly as it would be on hardware):
+``workload.run_concurrent`` drives an 8-shard TSB store, whose simulated
+magnetic devices charge real wall-clock latency per page access (so overlap
+is observable, exactly as it would be on hardware), from 1/2/4/8 client
+threads in read-only, write-only and mixed modes.  Reads scale with threads
+(they share the store's reader latch and overlap device latency); writes
+serialize on the writer latch — both numbers are recorded to
+``BENCH_concurrency.json`` so the trajectory is tracked honestly rather
+than asserted optimistically.
 
-* **Parallel scatter-gather.**  The same store answers range scans,
-  snapshots and cross-key time slices sequentially (``scatter_threads=1``)
-  and in parallel (``scatter_threads=8``); the parallel mode must win on
-  range and snapshot queries while producing byte-identical answers
-  (CRC digests compared per mode).
-
-* **Threaded clients.**  ``workload.run_concurrent`` drives the store from
-  1/2/4/8 client threads in read-only, write-only and mixed modes.  Reads
-  scale with threads (they share the store's reader latch and overlap
-  device latency); writes serialize on the writer latch — both numbers are
-  recorded to ``BENCH_concurrency.json`` so the trajectory is tracked
-  honestly rather than asserted optimistically.
+The store does its own work on the calling thread: the only parallelism
+measured here is the clients'.
 """
 
 import threading
 import time
 
-from repro.analysis.experiment import answers_digest
 from repro.analysis.metrics import ExperimentRow
 from repro.analysis.report import render_comparison
 from repro.api import ShardSpec, StoreConfig, VersionStore
@@ -33,16 +27,13 @@ SHARDS = 8
 PAGE_SIZE = 512
 DEVICE_LATENCY_S = 0.0002  # 200 µs per magnetic page access while measuring
 THREAD_COUNTS = (1, 2, 4, 8)
-QUERY_ROUNDS = 10
 LOAD_SPEC = WorkloadSpec(operations=6_000, update_fraction=0.5, seed=1989, value_size=40)
 
 
-def build_loaded_store(scatter_threads=1):
+def build_loaded_store():
     operations = generate(LOAD_SPEC)
     keys = sorted({operation.key for operation in operations})
-    spec = ShardSpec.for_int_keys(
-        SHARDS, key_space=keys[-1] + 1, scatter_threads=scatter_threads
-    )
+    spec = ShardSpec.for_int_keys(SHARDS, key_space=keys[-1] + 1)
     store = VersionStore.open(
         StoreConfig(engine="tsb", page_size=PAGE_SIZE, shards=spec)
     )
@@ -54,61 +45,6 @@ def set_device_latency(store, latency_s):
     """Charge (or stop charging) wall-clock time per magnetic page access."""
     for inner in store.shard_stores:
         inner.backend.magnetic.access_latency_s = latency_s
-
-
-def timed_queries(store, keys, rounds=QUERY_ROUNDS):
-    """Cold-cache elapsed seconds per query class on the current scatter mode."""
-    final = store.now
-    timings = {}
-
-    def measure(label, run_query):
-        store.engine.drop_cache()  # cold, at each shard's configured capacity
-        started = time.perf_counter()
-        run_query()
-        timings[label] = timings.get(label, 0.0) + time.perf_counter() - started
-
-    for _ in range(rounds):
-        measure("range_scan", lambda: store.range_search())
-        measure("snapshot", lambda: store.snapshot(max(1, final // 2)))
-        measure(
-            "time_slice",
-            lambda: store.time_slice(max(1, final // 2), final, keys[0], keys[len(keys) // 4]),
-        )
-    return timings
-
-
-def run_scatter_comparison():
-    store, keys = build_loaded_store(scatter_threads=1)
-    sample = keys[:: max(1, len(keys) // 40)][:40]
-    probes = [max(1, store.now // 2), store.now]
-    try:
-        set_device_latency(store, DEVICE_LATENCY_S)
-        sequential = timed_queries(store, keys)
-        set_device_latency(store, 0.0)
-        sequential_digest = answers_digest(store, sample, probes)
-
-        store.sharded_engine.configure_scatter(SHARDS)
-        set_device_latency(store, DEVICE_LATENCY_S)
-        parallel = timed_queries(store, keys)
-        set_device_latency(store, 0.0)
-        parallel_digest = answers_digest(store, sample, probes)
-    finally:
-        store.close()
-
-    rows = [
-        ExperimentRow(
-            label,
-            {
-                "sequential_s": round(sequential[label], 4),
-                "parallel_s": round(parallel[label], 4),
-                "speedup": round(sequential[label] / parallel[label], 2),
-                "digest_sequential": sequential_digest,
-                "digest_parallel": parallel_digest,
-            },
-        )
-        for label in sequential
-    ]
-    return rows, sequential_digest, parallel_digest
 
 
 def measure_read_throughput(store, keys, threads, reads_per_thread=150):
@@ -139,7 +75,7 @@ def run_client_scaling():
     rows = []
     for threads in THREAD_COUNTS:
         # Fresh store per configuration so earlier runs cannot warm later ones.
-        store, keys = build_loaded_store(scatter_threads=1)
+        store, keys = build_loaded_store()
         try:
             set_device_latency(store, DEVICE_LATENCY_S)
             reads_per_s = measure_read_throughput(store, keys, threads)
@@ -179,47 +115,18 @@ def run_client_scaling():
     return rows
 
 
-def run_all():
-    scatter_rows, sequential_digest, parallel_digest = run_scatter_comparison()
-    scaling_rows = run_client_scaling()
-    return scatter_rows, scaling_rows, sequential_digest, parallel_digest
-
-
-def test_parallel_scatter_gather_beats_sequential(benchmark):
-    scatter_rows, scaling_rows, sequential_digest, parallel_digest = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
-    print("\n" + render_comparison("scatter-gather: sequential vs parallel (8 shards)", scatter_rows))
+def test_client_thread_scaling(benchmark):
+    scaling_rows = benchmark.pedantic(run_client_scaling, rounds=1, iterations=1)
     print("\n" + render_comparison("client-thread scaling (read/write/mixed)", scaling_rows))
-    benchmark.extra_info["scatter"] = [
-        {"label": row.label, **row.metrics} for row in scatter_rows
-    ]
     benchmark.extra_info["scaling"] = [
         {"label": row.label, **row.metrics} for row in scaling_rows
     ]
     emit_results(
         "concurrency",
-        [{"label": row.label, **row.metrics} for row in scatter_rows],
-        study="scatter-gather: sequential vs parallel (8 shards)",
-        extra={
-            "shards": SHARDS,
-            "device_latency_s": DEVICE_LATENCY_S,
-            "digest_sequential": sequential_digest,
-            "digest_parallel": parallel_digest,
-        },
-    )
-    emit_results(
-        "concurrency",
         [{"label": row.label, **row.metrics} for row in scaling_rows],
         study="client-thread scaling (read/write/mixed)",
+        extra={"shards": SHARDS, "device_latency_s": DEVICE_LATENCY_S},
     )
-
-    by_label = {row.label: row.metrics for row in scatter_rows}
-    # The headline claim: fanning an 8-shard scatter-gather out on threads
-    # beats walking the shards sequentially, on identical answers.
-    assert sequential_digest == parallel_digest
-    assert by_label["range_scan"]["speedup"] > 1.3, by_label
-    assert by_label["snapshot"]["speedup"] > 1.3, by_label
 
     # Reads scale with client threads (they overlap device latency under
     # the shared read latch): 8 threads must beat 1 thread clearly.

@@ -67,7 +67,7 @@ def _wal_catalog():
             engine="tsb",
             wal=True,
             group_commit_size=8,
-            shards=ShardSpec.for_int_keys(4, key_space=1 << 20, scatter_threads=1),
+            shards=ShardSpec.for_int_keys(4, key_space=1 << 20),
         )
     }
 

@@ -69,7 +69,7 @@ CATALOG = {
         engine="tsb",
         wal=True,
         group_commit_size=8,
-        shards=ShardSpec.for_int_keys(4, key_space=1 << 20, scatter_threads=4),
+        shards=ShardSpec.for_int_keys(4, key_space=1 << 20),
     )
 }
 

@@ -23,23 +23,16 @@ exposing the same query surface as a single store:
   :class:`~repro.api.store.ShardSpec` threshold, the shard is split at its
   median key into two fresh stores — export, then import through that same
   write path — the scale-out analogue of the TSB-tree's own key splits.
-  With ``ShardSpec.maintenance_interval > 0`` the split check leaves the
-  write hot path entirely and runs on an opt-in background maintenance
-  thread instead.
+  The check runs after every write, under the write latch.
 
 No key set is kept beside the trees: a shard's keys are what its tree holds
 (:meth:`~repro.api.engine.VersionedEngine.keys`), so a sharded store is its
 boundaries and its shards' devices and nothing else.
 
-With ``ShardSpec.scatter_threads > 1`` the fan-outs run on a
-:class:`~concurrent.futures.ThreadPoolExecutor`: scatter-gather queries
-(``range_search`` / ``snapshot`` / ``time_slice`` / ``io_summary``) visit
-their shards concurrently — results are gathered in shard order, so the
-key-sorted merge is unchanged — and ``put_many`` applies its per-shard
-groups concurrently.  Parallel ``put_many`` pre-assigns each shard the very
-commit stamps the sequential walk would have produced (a contiguous block
-per shard, in shard order, carved from the global clock), so the observable
-history is byte-identical whichever mode ran it.
+A sharded store owns no thread: every fan-out, every ``put_many`` group
+and every split check runs on the calling thread, visiting shards in key
+order.  Concurrency comes from the callers' own threads, each shard's own
+latch, and each WAL shard's group-commit flusher.
 
 Timestamps stay globally consistent: the sharded engine's clock is the
 newest commit any shard holds, it stamps every write itself, and it rejects
@@ -59,15 +52,12 @@ Construction goes through the ordinary front door::
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar
-
-_T = TypeVar("_T")
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.engine import (
     Capability,
@@ -161,129 +151,33 @@ class ShardedEngine(VersionedEngine):
         #: widths and merge times land here; per-shard task latencies land
         #: in each inner store's own registry.
         self.metrics: Optional[MetricsRegistry] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self.configure_scatter(spec.scatter_threads)
 
     # ------------------------------------------------------------------
     # Scatter-gather execution
     # ------------------------------------------------------------------
-    def configure_scatter(self, threads: int) -> None:
-        """Resize (or disable, with ``threads == 1``) the fan-out pool."""
-        if threads < 1:
-            raise VersionStoreError("scatter_threads must be at least 1")
-        old = self._executor
-        self._scatter_threads = threads
-        self._executor = (
-            ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="shard-scatter"
-            )
-            if threads > 1
-            else None
-        )
-        if old is not None:
-            old.shutdown(wait=True)
+    @contextmanager
+    def _shard_task(self, label: str, index: int) -> Iterator[None]:
+        """One shard's part of a fan-out: a ``shard.<label>`` span (a child
+        of the caller's) timed into that shard's ``shard.<label>`` histogram."""
+        with trace.span(f"shard.{label}", shard=index):
+            started = perf_counter()
+            try:
+                yield
+            finally:
+                if metrics_enabled():
+                    self.stores[index].metrics.observe(
+                        f"shard.{label}", perf_counter() - started
+                    )
 
-    @property
-    def scatter_threads(self) -> int:
-        return self._scatter_threads
-
-    def _gather(
-        self,
-        tasks: Sequence[Callable[[], _T]],
-        label: Optional[str] = None,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[_T]:
-        """Run the per-shard tasks, preserving task order in the results.
-
-        Sequential without an executor (or for a single task); otherwise the
-        tasks run concurrently and the gather waits for all of them.  Order
-        preservation is what keeps concatenated range results key-sorted.
-
-        With a ``label``, each task is wrapped to time itself into its
-        shard's ``shard.<label>`` histogram and to open a ``shard.<label>``
-        span parented under the submitting thread's current span — so a
-        parallel fan-out still reads as one tree in a trace.  ``indices``
-        names the shard each task targets (defaults to task position).
-        """
-        if label is not None:
-            parent = trace.current_id()
-            shard_indices = (
-                list(indices) if indices is not None else list(range(len(tasks)))
-            )
-            tasks = [
-                self._scatter_task(task, parent, label, index)
-                for task, index in zip(tasks, shard_indices)
-            ]
-        if self._executor is None or len(tasks) <= 1:
-            return [task() for task in tasks]
-        if label is not None and self.metrics is not None and metrics_enabled():
-            self.metrics.observe("scatter.fanout", len(tasks), bounds=COUNT_BUCKETS)
-        futures = [self._executor.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def _scatter_task(
-        self,
-        task: Callable[[], _T],
-        parent: Optional[int],
-        label: str,
-        index: int,
-    ) -> Callable[[], _T]:
-        """Wrap one fan-out task with its shard's latency metric and span."""
-
-        def run() -> _T:
-            with trace.attach(parent), trace.span(f"shard.{label}", shard=index):
-                started = perf_counter()
-                try:
-                    return task()
-                finally:
-                    if index < len(self.stores) and metrics_enabled():
-                        self.stores[index].metrics.observe(
-                            f"shard.{label}", perf_counter() - started
-                        )
-
-        return run
+    def _record_fanout(self, width: int) -> None:
+        """Record a fan-out's width when it visits more than one shard."""
+        if width > 1 and self.metrics is not None and metrics_enabled():
+            self.metrics.observe("scatter.fanout", width, bounds=COUNT_BUCKETS)
 
     def _record_merge(self, merge_started: float) -> None:
         """Time a gather's merge phase into the façade registry."""
         if self.metrics is not None and metrics_enabled():
             self.metrics.observe("scatter.merge", perf_counter() - merge_started)
-
-    def shutdown(self) -> None:
-        """Stop the fan-out pool (store close)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _apply_shard_groups(self, shard_order, apply_shard):
-        """Run ``put_many``'s per-shard apply tasks with mode-appropriate
-        failure semantics.
-
-        Sequential mode is fail-stop, like applying the batch by hand: the
-        first failing shard ends the walk and later shards are never
-        reached (the sharded-recovery suite relies on this).  Parallel mode
-        has no ordering to stop on — every shard's task runs; the caller
-        records what landed everywhere and re-raises the first error.
-        Either way each task *settles* (returns its error, last in its
-        outcome, rather than raising) so the caller's bookkeeping always
-        covers committed work.
-        """
-        if self._executor is None or len(shard_order) <= 1:
-            parent = trace.current_id()
-            results = []
-            for index in shard_order:
-                results.append(
-                    self._scatter_task(
-                        lambda index=index: apply_shard(index), parent, "put_many", index
-                    )()
-                )
-                if results[-1][-1] is not None:
-                    break
-            return results
-        return self._gather(
-            [lambda index=index: apply_shard(index) for index in shard_order],
-            label="put_many",
-            indices=shard_order,
-        )
 
     @property
     def backend(self):
@@ -304,6 +198,14 @@ class ShardedEngine(VersionedEngine):
         low = self.boundaries[index - 1] if index > 0 else None
         high = self.boundaries[index] if index < len(self.boundaries) else None
         return low, high
+
+    def _range_text(self, index: int) -> str:
+        """Shard ``index``'s range as ``"[low, high)"`` text (``-inf`` and
+        ``+inf`` for the unbounded ends)."""
+        low, high = self.shard_range(index)
+        low_text = "-inf" if low is None else repr(low)
+        high_text = "+inf" if high is None else repr(high)
+        return f"[{low_text}, {high_text})"
 
     def _store_for(self, key: Key) -> VersionStore:
         return self.stores[self.shard_index(key)]
@@ -347,9 +249,9 @@ class ShardedEngine(VersionedEngine):
         rule of :func:`distinct_key_run_end`: a repeated key starts a new
         transaction so no version is silently collapsed) commits as one
         logged transaction, and shard i's runs get the contiguous block of
-        stamps after shard i-1's — exactly the stamps the sequential walk
-        produces, so the shard groups can be applied concurrently without
-        perturbing the global commit history.
+        stamps after shard i-1's.  The groups are applied in shard order and
+        the walk is fail-stop: a shard whose write fails ends it, and later
+        shards are never reached.
         """
         items = list(items)
         if not items:
@@ -383,48 +285,27 @@ class ShardedEngine(VersionedEngine):
                 runs.append((start, end))
                 start = end
 
-        def apply_shard(index: int) -> Tuple[int, Optional[bool], Optional[Exception]]:
-            """Apply one shard's runs; on failure return how many items
-            *did* land (and whether their commits are forced) plus the error,
-            so the caller's bookkeeping can record every committed write
-            before re-raising."""
-            store = self.stores[index]
-            group = groups[index]
-            landed = 0
+        batches: List[ShardBatch] = []
+        self._record_fanout(len(shard_order))
+        for index in shard_order:  # fail-stop: an error leaves later shards untouched
+            store, group = self.stores[index], groups[index]
+            self._dirty.add(index)
             durable: Optional[bool] = None
-            try:
+            with self._shard_task("put_many", index):
                 for start, end in runs_per_shard[index]:
                     _, forced = store._write(
                         [(key, value) for _, key, value in group[start:end]],
                         timestamps[group[start][0]],
                     )
                     durable = forced if durable is None else durable and forced
-                    landed = end
-            except Exception as exc:  # noqa: BLE001 - re-raised after bookkeeping
-                return landed, durable, exc
-            return landed, durable, None
-
-        results = self._apply_shard_groups(shard_order, apply_shard)
-        batches: List[ShardBatch] = []
-        first_error: Optional[Exception] = None
-        for index, (landed, durable, error) in zip(shard_order, results):
-            done = groups[index][:landed]
-            if done:
-                batches.append(
-                    ShardBatch(
-                        shard=index,
-                        keys=tuple(key for _, key, _ in done),
-                        timestamps=tuple(timestamps[position] for position, _, _ in done),
-                        durable=durable,
-                    )
+            batches.append(
+                ShardBatch(
+                    shard=index,
+                    keys=tuple(key for _, key, _ in group),
+                    timestamps=tuple(timestamps[position] for position, _, _ in group),
+                    durable=durable,
                 )
-                self._dirty.add(index)
-            if error is not None and first_error is None:
-                first_error = error
-        if first_error is not None:
-            # Every committed run above is recorded (reported, its shard
-            # marked for a split check) even though the batch failed partway.
-            raise first_error
+            )
         return PutManyReport(timestamps=timestamps, batches=batches)
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
@@ -466,14 +347,12 @@ class ShardedEngine(VersionedEngine):
     def _scatter(self, label: str, shards: Sequence[int], *args) -> list:
         """``engine.<label>(*args)`` of each of ``shards``, in shard order —
         so per-shard key-sorted answers concatenate key-sorted."""
-        return self._gather(
-            [
-                lambda store=self.stores[index]: getattr(store.engine, label)(*args)
-                for index in shards
-            ],
-            label=label,
-            indices=shards,
-        )
+        self._record_fanout(len(shards))
+        results = []
+        for index in shards:
+            with self._shard_task(label, index):
+                results.append(getattr(self.stores[index].engine, label)(*args))
+        return results
 
     def range_search(
         self,
@@ -537,11 +416,7 @@ class ShardedEngine(VersionedEngine):
         return max(store.now for store in self.stores)
 
     def space_summary(self) -> Dict[str, float]:
-        return merge_space_summaries(
-            self._gather(
-                [lambda store=store: store.space_summary() for store in self.stores]
-            )
-        )
+        return merge_space_summaries([store.space_summary() for store in self.stores])
 
     def io_summary(self) -> Dict[str, IOStats]:
         """Aggregated per-tier counters, summed across shards.
@@ -550,11 +425,7 @@ class ShardedEngine(VersionedEngine):
         objects), the aggregate is a snapshot computed per call; diff two
         calls to measure a query's cost.
         """
-        return merge_io_summaries(
-            self._gather(
-                [lambda store=store: store.io_summary() for store in self.stores]
-            )
-        )
+        return merge_io_summaries([store.io_summary() for store in self.stores])
 
     def tree_counters(self) -> TreeCounters:
         """Structural-event counters rolled up across TSB-tree shards."""
@@ -683,23 +554,16 @@ class ShardedVersionStore(VersionStore):
     Inherits the whole façade surface — normalized reads, read views, the
     one-version-per-(key, timestamp) guard, space/I-O accounting, the
     reader-writer latch — and adds batched :meth:`put_many`, automatic shard
-    splitting after writes (inline by default, or on the opt-in background
-    maintenance thread when ``ShardSpec.maintenance_interval > 0``), and
-    shard introspection.  Cross-shard transactions are not coordinated:
-    :meth:`begin` raises :exc:`~repro.api.engine.CapabilityError` like any
-    other unsupported capability.
+    splitting after each write (on the writer's thread, under the write
+    latch), and shard introspection.  Cross-shard transactions are not
+    coordinated: :meth:`begin` raises
+    :exc:`~repro.api.engine.CapabilityError` like any other unsupported
+    capability.
     """
 
     def __init__(self, engine: ShardedEngine, config: StoreConfig) -> None:
         super().__init__(engine, config)
         engine.metrics = self.metrics  # fan-out/merge metrics land on the façade
-        self._maintenance_stop = threading.Event()
-        self._maintenance_thread: Optional[threading.Thread] = None
-        #: Once maintenance is opted into, split checks never return to the
-        #: write hot path — a stopped thread leaves them to run_maintenance().
-        self._splits_deferred = engine.spec.maintenance_interval > 0
-        if engine.spec.maintenance_interval > 0:
-            self.start_maintenance(engine.spec.maintenance_interval)
 
     @classmethod
     def open_sharded(cls, config: StoreConfig) -> "ShardedVersionStore":
@@ -815,13 +679,10 @@ class ShardedVersionStore(VersionStore):
         engine = self.sharded_engine
         rows: List[Dict[str, object]] = []
         for index, store in enumerate(engine.stores):
-            low, high = engine.shard_range(index)
-            low_text = "-inf" if low is None else repr(low)
-            high_text = "+inf" if high is None else repr(high)
             rows.append(
                 {
                     "shard": index,
-                    "range": f"[{low_text}, {high_text})",
+                    "range": engine._range_text(index),
                     "keys_written": len(store.engine.keys()),
                     "current_pages": engine._current_device_pages(store),
                     "utilization": round(engine.utilization(index), 4),
@@ -888,9 +749,6 @@ class ShardedVersionStore(VersionStore):
                 snapshot["locks"] = locks
             per_shard: List[Dict[str, object]] = []
             for index, store in enumerate(stores):
-                low, high = engine.shard_range(index)
-                low_text = "-inf" if low is None else repr(low)
-                high_text = "+inf" if high is None else repr(high)
                 ops: Dict[str, Dict[str, float]] = {}
                 for name, histogram in sorted(store.metrics.histograms().items()):
                     if not name.startswith(("op.", "shard.")):
@@ -906,7 +764,7 @@ class ShardedVersionStore(VersionStore):
                 per_shard.append(
                     {
                         "shard": index,
-                        "range": f"[{low_text}, {high_text})",
+                        "range": engine._range_text(index),
                         "now": store.now,
                         "durable_lsn": store.durable_lsn(),
                         "ops": ops,
@@ -916,25 +774,21 @@ class ShardedVersionStore(VersionStore):
             return snapshot
 
     # ------------------------------------------------------------------
-    # Writes (split check after every write, unless maintenance owns it)
+    # Writes (a split check after every write)
     # ------------------------------------------------------------------
-    def _split_check(self) -> None:
-        if not self._splits_deferred:
-            self.sharded_engine.maybe_split()
-
     def _write(self, writes, timestamp=None):
         """``insert`` and ``delete``: the façade's write path over the
         sharded engine, which hands the write to its shard's own."""
         with self._latch.write():
             result = super()._write(writes, timestamp)
-            self._split_check()
+            self.sharded_engine.maybe_split()
         return result
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         with self._latch.write():
             self._ensure_open()
             imported = self.sharded_engine.import_events(events)
-            self._split_check()
+            self.sharded_engine.maybe_split()
         return imported
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
@@ -947,59 +801,8 @@ class ShardedVersionStore(VersionStore):
         ), self._latch.write():
             self._ensure_open()
             report = self.sharded_engine.put_many(items)
-            self._split_check()
+            self.sharded_engine.maybe_split()
         return report
-
-    # ------------------------------------------------------------------
-    # Background maintenance (opt-in: ShardSpec.maintenance_interval > 0)
-    # ------------------------------------------------------------------
-    def start_maintenance(self, interval: float) -> None:
-        """Move shard-split checks to a daemon thread waking every ``interval`` s."""
-        if interval <= 0:
-            raise VersionStoreError("maintenance interval must be positive")
-        self._splits_deferred = True
-        if self._maintenance_thread is not None:
-            return
-        self._maintenance_stop.clear()
-
-        def loop() -> None:
-            while not self._maintenance_stop.wait(interval):
-                if self._closed:
-                    return
-                self.run_maintenance()
-
-        self._maintenance_thread = threading.Thread(
-            target=loop, name="shard-maintenance", daemon=True
-        )
-        self._maintenance_thread.start()
-
-    def stop_maintenance(self) -> None:
-        """Stop the maintenance thread.
-
-        Split checks do *not* return to the write path: a store that opted
-        into background maintenance keeps its hot path split-free, and an
-        operator who stopped the thread drives splits via
-        :meth:`run_maintenance`.
-        """
-        thread = self._maintenance_thread
-        if thread is None:
-            return
-        self._maintenance_stop.set()
-        thread.join(timeout=5.0)
-        self._maintenance_thread = None
-
-    def run_maintenance(self) -> int:
-        """One split pass, under the write latch; returns splits performed.
-
-        The maintenance thread calls this on its schedule; tests and
-        operators can call it directly for a deterministic pass.
-        """
-        if self._closed:
-            return 0
-        with self._latch.write():
-            if self._closed:
-                return 0
-            return self.sharded_engine.maybe_split()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1013,13 +816,11 @@ class ShardedVersionStore(VersionStore):
         """Close every shard (each flushes/checkpoints per its own config)."""
         if self._closed:
             return
-        self.stop_maintenance()
         with self._latch.write():
             for store in self.sharded_engine.stores:
                 store.close()
             self.metrics.retire()
             self._closed = True
-        self.sharded_engine.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else f"now={self._engine.now}"

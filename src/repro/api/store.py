@@ -204,15 +204,6 @@ class ShardSpec:
         of the utilization test.
     max_shards:
         Hard ceiling on automatic splitting.
-    scatter_threads:
-        Size of the :class:`~concurrent.futures.ThreadPoolExecutor` the
-        sharded engine fans scatter-gather queries and ``put_many`` groups
-        out on.  ``1`` (the default) keeps every fan-out sequential.
-    maintenance_interval:
-        Seconds between background shard-split checks.  ``0.0`` (the
-        default) keeps splits inline after each write; a positive value
-        moves them to an opt-in maintenance thread so the write hot path
-        never pays for a split.
     """
 
     boundaries: Optional[Tuple[Key, ...]] = None
@@ -220,10 +211,10 @@ class ShardSpec:
     split_utilization: float = 0.85
     shard_page_budget: int = 4096
     max_shards: int = 64
-    scatter_threads: int = 1
-    maintenance_interval: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError("a sharded store needs at least one shard")
         if self.boundaries is not None:
             boundaries = tuple(self.boundaries)
             object.__setattr__(self, "boundaries", boundaries)
@@ -242,18 +233,12 @@ class ShardSpec:
                 "shards > 1 needs explicit boundaries; build them with "
                 "ShardSpec.for_int_keys / ShardSpec.for_string_keys"
             )
-        if self.shards < 1:
-            raise ValueError("a sharded store needs at least one shard")
         if not 0.0 < self.split_utilization <= 1.0:
             raise ValueError("split_utilization must lie in (0, 1]")
         if self.shard_page_budget < 1:
             raise ValueError("shard_page_budget must be positive")
         if self.max_shards < self.shards:
             raise ValueError("max_shards must be at least the initial shard count")
-        if self.scatter_threads < 1:
-            raise ValueError("scatter_threads must be at least 1")
-        if self.maintenance_interval < 0:
-            raise ValueError("maintenance_interval cannot be negative")
 
     @classmethod
     def for_int_keys(cls, shards: int, key_space: int, **overrides) -> "ShardSpec":

@@ -99,24 +99,19 @@ def _study_runners(
     }
 
 
-def _shard_spec(
-    shard_count: int, operations: int, threads: int = 1
-) -> Optional[ShardSpec]:
-    """The key-range spec behind ``--shards N`` (and ``--threads T``).
+def _shard_spec(shard_count: int, operations: int) -> Optional[ShardSpec]:
+    """The key-range spec behind ``--shards N``.
 
     The study workloads assign sequential integer keys, so with update
     fraction ``f`` an ``operations``-step run creates roughly
     ``operations * (1 - f)`` distinct keys.  The studies run near f=0.5;
     sizing the partition to ``operations`` itself would leave the upper
-    shards provably empty.  ``threads`` sizes the scatter-gather pool the
-    sharded store fans queries and batches out on.
+    shards provably empty.
     """
     if shard_count <= 1:
         return None
     expected_keys = max(shard_count, operations // 2)
-    return ShardSpec.for_int_keys(
-        shard_count, key_space=expected_keys, scatter_threads=max(1, threads)
-    )
+    return ShardSpec.for_int_keys(shard_count, key_space=expected_keys)
 
 
 def command_figures(args: argparse.Namespace) -> int:
@@ -138,12 +133,7 @@ def command_figures(args: argparse.Namespace) -> int:
 
 
 def command_study(args: argparse.Namespace) -> int:
-    if args.threads > 1 and args.shards <= 1:
-        print(
-            f"note: --threads {args.threads} parallelizes scatter-gather over "
-            "shards; without --shards > 1 it has nothing to fan out"
-        )
-    shards = _shard_spec(args.shards, operations=args.ops, threads=args.threads)
+    shards = _shard_spec(args.shards, operations=args.ops)
     runners = _study_runners(args.ops, engine=args.engine, shards=shards)
     names: List[str]
     if args.name.lower() == "all":
@@ -176,13 +166,7 @@ def command_study(args: argparse.Namespace) -> int:
 
 def command_demo(args: argparse.Namespace) -> int:
     try:
-        shards = (
-            ShardSpec.for_string_keys(
-                args.shards, scatter_threads=max(1, args.threads)
-            )
-            if args.shards > 1
-            else None
-        )
+        shards = ShardSpec.for_string_keys(args.shards) if args.shards > 1 else None
     except ValueError as exc:
         print(f"--shards: {exc}")
         return 2
@@ -262,14 +246,14 @@ def command_demo(args: argparse.Namespace) -> int:
 _COUNT_HISTOGRAMS = {"wal.batch_size", "scatter.fanout"}
 
 
-def _open_observed_store(engine: str, ops: int, shards: int, threads: int):
+def _open_observed_store(engine: str, ops: int, shards: int):
     """A store configured the way the stats/trace commands exercise it."""
     config = StoreConfig(
         engine=engine,
         page_size=1024,
         wal=(engine == "tsb"),
         group_commit_size=4 if engine == "tsb" else 1,
-        shards=_shard_spec(shards, operations=ops, threads=threads),
+        shards=_shard_spec(shards, operations=ops),
     )
     return VersionStore.open(config)
 
@@ -421,7 +405,7 @@ def _render_stats(store, fmt: str) -> None:
 def command_stats(args: argparse.Namespace) -> int:
     if args.server:
         return _render_server_stats(args.server, args.format)
-    with _open_observed_store(args.engine, args.ops, args.shards, args.threads) as store:
+    with _open_observed_store(args.engine, args.ops, args.shards) as store:
         try:
             while True:
                 _run_observed_workload(store, args.ops, args.threads)
@@ -447,7 +431,6 @@ def _serve_catalog(args: argparse.Namespace) -> Dict[str, StoreConfig]:
         engine=args.engine,
         shards=args.shards,
         wal=args.wal,
-        scatter_threads=max(1, args.workers),
     )
 
 
@@ -488,7 +471,7 @@ def _render_server_stats(address: str, fmt: str) -> int:
 def command_trace(args: argparse.Namespace) -> int:
     previous = trace.set_enabled(True)
     try:
-        with _open_observed_store(args.engine, args.ops, args.shards, args.threads) as store:
+        with _open_observed_store(args.engine, args.ops, args.shards) as store:
             key_space = max(16, args.ops // 2)
             store.put_many(
                 [(index % key_space, f"seed-{index:06d}".encode()) for index in range(args.ops)]
@@ -551,12 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="key-range-partition the store across N shards (default: 1)",
     )
-    study.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="scatter-gather thread-pool size for sharded stores (default: 1)",
-    )
     study.set_defaults(handler=command_study)
 
     demo = subparsers.add_parser("demo", help="a one-minute end-to-end demonstration")
@@ -576,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="also run N concurrent writer + N reader client threads "
-        "(and size the sharded scatter-gather pool; default: 1)",
+        help="also run N concurrent writer + N reader client threads (default: 1)",
     )
     demo.set_defaults(handler=command_demo)
 
@@ -603,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=4,
-        help="client writer/reader threads and scatter pool size (default: 4)",
+        help="client writer/reader threads (default: 4)",
     )
     stats.add_argument(
         "--format",
@@ -691,9 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_cmd.add_argument(
         "--shards", type=int, default=4, help="key-range shards (default: 4)"
-    )
-    trace_cmd.add_argument(
-        "--threads", type=int, default=4, help="scatter-gather pool size (default: 4)"
     )
     trace_cmd.add_argument(
         "--out",

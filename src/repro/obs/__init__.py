@@ -16,9 +16,9 @@ the whole stack observable without adding any dependency:
 :mod:`repro.obs.trace`
     Lightweight span API (``with trace.span("tsb.split", key=...)``)
     recording a bounded in-memory ring of spans with parent/child links,
-    exportable as Chrome ``trace_event`` JSON.  Spans propagate across the
-    sharded store's scatter-gather thread pool, so a parallel ``time_slice``
-    appears as one tree.  Tracing has its own switch and defaults *off*.
+    exportable as Chrome ``trace_event`` JSON.  A sharded ``time_slice``
+    appears as one tree: one span per shard under the query's own span.
+    Tracing has its own switch and defaults *off*.
 
 :mod:`repro.obs.prometheus`
     Text-format exposition of a registry for scrapers.

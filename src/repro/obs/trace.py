@@ -4,14 +4,13 @@ A *span* is one timed region of one thread — ``with trace.span("tsb.split",
 node=7):`` — carrying a name, free-form attributes, and a link to the span
 it was opened under.  Finished spans land in a bounded in-memory ring; the
 ring exports as Chrome's JSON ``trace_event`` format, so a ``put_many`` or
-a parallel ``time_slice`` can be opened in ``chrome://tracing`` (or
+a sharded ``time_slice`` can be opened in ``chrome://tracing`` (or
 https://ui.perfetto.dev) and read as a flame chart.
 
-Parent/child links are per-thread (a thread-local stack of open span ids),
-with one escape hatch for thread pools: :func:`current_id` captures the
-submitting thread's innermost span and :func:`attach` adopts it inside the
-worker, so the sharded store's scatter-gather tasks appear as children of
-the query that fanned them out — one tree across threads.
+Parent/child links are per-thread: a thread-local stack of open span ids,
+whose top :func:`current_id` reads.  Every span a store opens is opened on
+the thread that called it, so a sharded query's per-shard spans are
+children of the query's own span.
 
 Tracing defaults **off** and has its own switch (:func:`set_enabled`),
 independent of the metrics switch: metrics are cheap enough to keep on,
@@ -146,24 +145,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
-    def attach(self, parent_id: Optional[int]) -> Iterator[None]:
-        """Adopt ``parent_id`` as this thread's current span for the body.
-
-        The cross-thread propagation primitive: capture
-        :meth:`current_id` on the submitting thread, ``attach`` it inside
-        the pool worker, and spans opened in the worker parent correctly.
-        """
-        if not _ENABLED or parent_id is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent_id)
-        try:
-            yield
-        finally:
-            stack.pop()
-
     # ------------------------------------------------------------------
     # Inspection / export
     # ------------------------------------------------------------------
@@ -222,10 +203,6 @@ def span(name: str, **attrs: object):
 
 def current_id() -> Optional[int]:
     return _TRACER.current_id()
-
-
-def attach(parent_id: Optional[int]):
-    return _TRACER.attach(parent_id)
 
 
 def spans() -> List[Span]:

@@ -470,7 +470,6 @@ def default_catalog(
     shards: int = 1,
     key_space: int = 1 << 20,
     wal: bool = False,
-    scatter_threads: int = 1,
 ) -> Dict[str, StoreConfig]:
     """A uniform catalog: every named tenant gets the same store shape.
 
@@ -481,13 +480,7 @@ def default_catalog(
     """
     from repro.api.store import ShardSpec
 
-    spec = (
-        ShardSpec.for_int_keys(
-            shards, key_space=key_space, scatter_threads=scatter_threads
-        )
-        if shards > 1
-        else None
-    )
+    spec = ShardSpec.for_int_keys(shards, key_space=key_space) if shards > 1 else None
     config = StoreConfig(
         engine=engine,
         wal=wal and engine == "tsb",

@@ -4,7 +4,7 @@ The tier-1 tests here are quick smokes: a handful of writer and reader
 threads on a sharded, WAL-enabled store, with every applied write checked
 against the PR 3 dict-of-sorted-version-lists oracle.  The ``stress``-marked
 variants run the same machinery at nightly scale (more threads, more
-operations, background maintenance and background group commit all on at
+operations, shard splits under load and background group commit on at
 once) and are deselected from tier-1 by ``pytest.ini``.
 """
 
@@ -18,21 +18,8 @@ from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.workload import run_concurrent
 
 
-def sharded_wal_config(
-    shards=4,
-    key_space=400,
-    scatter_threads=1,
-    maintenance_interval=0.0,
-    group_commit_interval=0.0,
-    **spec_overrides,
-):
-    spec = ShardSpec.for_int_keys(
-        shards,
-        key_space=key_space,
-        scatter_threads=scatter_threads,
-        maintenance_interval=maintenance_interval,
-        **spec_overrides,
-    )
+def sharded_wal_config(shards=4, key_space=400, group_commit_interval=0.0):
+    spec = ShardSpec.for_int_keys(shards, key_space=key_space)
     return StoreConfig(
         engine="tsb",
         page_size=512,
@@ -77,7 +64,7 @@ def verify_against_oracle(store, result):
 
 class TestConcurrentSmoke:
     def test_writers_and_readers_produce_an_oracle_consistent_history(self):
-        with VersionStore.open(sharded_wal_config(scatter_threads=4)) as store:
+        with VersionStore.open(sharded_wal_config()) as store:
             pairs = workload_pairs(400, key_space=400, seed=7)
             result = run_concurrent(
                 store, pairs, threads=4, reader_threads=4, batch_size=5
@@ -126,91 +113,6 @@ class TestConcurrentSmoke:
             verify_against_oracle(store, result)
 
 
-class TestParallelScatterGather:
-    def test_parallel_and_sequential_modes_agree(self):
-        with VersionStore.open(sharded_wal_config(shards=8, scatter_threads=1)) as store:
-            store.put_many(workload_pairs(600, key_space=800, seed=3))
-            engine = store.sharded_engine
-            sequential = {
-                "range": [(r.key, r.timestamp, r.value) for r in store.range_search()],
-                "snapshot": sorted(
-                    (k, r.timestamp, r.value) for k, r in store.snapshot(store.now).items()
-                ),
-                "slice": sorted(
-                    (key, tuple((r.timestamp, r.value) for r in records))
-                    for key, records in store.time_slice(0, store.now + 1).items()
-                ),
-            }
-            engine.configure_scatter(4)
-            assert engine.scatter_threads == 4
-            parallel = {
-                "range": [(r.key, r.timestamp, r.value) for r in store.range_search()],
-                "snapshot": sorted(
-                    (k, r.timestamp, r.value) for k, r in store.snapshot(store.now).items()
-                ),
-                "slice": sorted(
-                    (key, tuple((r.timestamp, r.value) for r in records))
-                    for key, records in store.time_slice(0, store.now + 1).items()
-                ),
-            }
-            assert parallel == sequential
-            # Range answers stay key-sorted after the parallel merge.
-            keys = [row[0] for row in parallel["range"]]
-            assert keys == sorted(keys)
-
-    def test_parallel_put_many_matches_sequential_stamps(self):
-        pairs = workload_pairs(300, key_space=400, seed=5)
-        with VersionStore.open(sharded_wal_config(shards=4, scatter_threads=1)) as seq:
-            seq_stamps = seq.put_many(pairs)
-            seq_rows = [(r.key, r.timestamp, r.value) for r in seq.range_search()]
-        with VersionStore.open(sharded_wal_config(shards=4, scatter_threads=4)) as par:
-            par_stamps = par.put_many(pairs)
-            par_rows = [(r.key, r.timestamp, r.value) for r in par.range_search()]
-        assert par_stamps == seq_stamps  # the pre-assigned stamp blocks match
-        assert par_rows == seq_rows
-
-
-class TestBackgroundMaintenance:
-    def aggressive_config(self, interval):
-        spec = ShardSpec.for_int_keys(
-            2,
-            key_space=512,
-            split_utilization=0.05,
-            shard_page_budget=64,
-            max_shards=8,
-            maintenance_interval=interval,
-        )
-        return StoreConfig(engine="tsb", page_size=512, shards=spec)
-
-    def test_splits_happen_on_the_maintenance_thread_not_inline(self):
-        store = VersionStore.open(self.aggressive_config(interval=0.02))
-        try:
-            assert store._maintenance_thread is not None
-            for index in range(512):
-                store.insert(index, b"x" * 64)
-            deadline = time.monotonic() + 10.0
-            while store.shard_count == 2 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert store.shard_count > 2  # the background thread split shards
-            assert len(store.range_search()) == 512  # no data lost by the split
-        finally:
-            store.close()
-        assert store._maintenance_thread is None  # close() stopped the thread
-
-    def test_run_maintenance_is_available_for_deterministic_passes(self):
-        store = VersionStore.open(self.aggressive_config(interval=0.02))
-        try:
-            store.stop_maintenance()
-            for index in range(256):
-                store.insert(index, b"x" * 64)
-            before = store.shard_count
-            performed = store.run_maintenance()
-            assert performed >= 1
-            assert store.shard_count > before
-        finally:
-            store.close()
-
-
 class TestBackgroundGroupCommit:
     def test_commits_become_durable_without_an_explicit_force(self):
         config = sharded_wal_config(shards=2, group_commit_interval=0.005)
@@ -229,14 +131,12 @@ class TestBackgroundGroupCommit:
 
 @pytest.mark.stress
 class TestConcurrentStress:
-    def test_heavy_mixed_load_with_all_background_machinery_on(self):
+    def test_heavy_mixed_load_with_splits_and_background_group_commit(self):
         spec = ShardSpec.for_int_keys(
             4,
             key_space=2_000,
-            scatter_threads=4,
-            maintenance_interval=0.05,
             split_utilization=0.5,
-            shard_page_budget=256,
+            shard_page_budget=128,
             max_shards=16,
         )
         config = StoreConfig(
@@ -253,6 +153,8 @@ class TestConcurrentStress:
                 store, pairs, threads=6, reader_threads=6, batch_size=8
             )
             assert result.writes == len(pairs)
+            # The splits ran inline, on the writers' threads, under load.
+            assert store.sharded_engine.splits_performed > 0
             verify_against_oracle(store, result)
 
     def test_sustained_single_insert_contention(self):

@@ -56,6 +56,9 @@ class TestShardSpec:
             ShardSpec(split_utilization=0.0)
         with pytest.raises(ValueError, match="max_shards"):
             ShardSpec(boundaries=(1, 2, 3), max_shards=2)
+        for shards in (0, -2):
+            with pytest.raises(ValueError, match="at least one shard"):
+                ShardSpec(shards=shards)
 
 
 class TestConstruction:

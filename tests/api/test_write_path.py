@@ -282,14 +282,13 @@ class TestStampsDidNotMove:
     """Literals recorded from the parent commit (PR 17): the fold changed who
     assigns a sharded batch's stamps, not what they are."""
 
-    @pytest.mark.parametrize("threads", [1, 4], ids=["sequential", "scatter4"])
     @pytest.mark.parametrize(
         "wal, expected",
         [(True, (1365668541, 30, 821154208)), (False, (2279837371, 156, 363382226))],
         ids=["wal", "logless"],
     )
-    def test_sharded_put_many_stamps_and_digest(self, wal, expected, threads):
-        spec = ShardSpec.for_int_keys(4, key_space=40, scatter_threads=threads)
+    def test_sharded_put_many_stamps_and_digest(self, wal, expected):
+        spec = ShardSpec.for_int_keys(4, key_space=40)
         config = StoreConfig(
             engine="tsb", page_size=256, wal=wal, group_commit_size=2, shards=spec
         )

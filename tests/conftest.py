@@ -34,21 +34,24 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 @pytest.fixture(autouse=True)
 def no_leaked_service_threads():
-    """Fail any test that leaves a server, primary or replica thread alive.
+    """Fail any test that leaves a server, primary, replica or store thread alive.
 
     ``ReproServer.stop()`` must wake and join its accept loop
     (``repro-server``) and every connection thread
     (``repro-server-conn-N``), ``ReplicationPrimary.stop()`` / ``.kill()``
     the same two kinds and the streamers (``repl-*``), and
-    ``Replica.stop()`` its tailers (``replica-*``); a thread that outlives
-    its test is a stop that timed out (or never ran) and keeps a socket and
-    a store alive behind the suite's back.
+    ``Replica.stop()`` its tailers (``replica-*``).  A store owns one kind
+    of background thread, a WAL's group-commit flusher
+    (``wal-group-commit``), which ``close()`` must join.  A thread that
+    outlives its test is a stop that timed out (or never ran) and keeps a
+    socket or a store alive behind the suite's back.
     """
     yield
     leaked = [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith(("repro-server", "repl-", "replica-")) and thread.is_alive()
+        if thread.name.startswith(("repro-server", "repl-", "replica-", "wal-group-commit"))
+        and thread.is_alive()
     ]
     assert not leaked, f"service threads still alive after the test: {leaked}"
 

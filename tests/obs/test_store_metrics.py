@@ -126,8 +126,8 @@ class TestVersionStoreSnapshot:
         assert snapshot["metrics"]["histograms"] == {}
 
 
-def open_sharded_store(shards=4, scatter_threads=4):
-    spec = ShardSpec.for_int_keys(shards, key_space=400, scatter_threads=scatter_threads)
+def open_sharded_store(shards=4):
+    spec = ShardSpec.for_int_keys(shards, key_space=400)
     return VersionStore.open(
         StoreConfig(engine="tsb", page_size=1024, wal=True, group_commit_size=2, shards=spec)
     )

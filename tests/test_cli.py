@@ -170,8 +170,7 @@ class TestCommands:
     def test_trace_exports_one_span_per_shard(self, capsys, tmp_path):
         out = tmp_path / "slice.json"
         assert main(
-            ["trace", "time_slice", "--ops", "400", "--shards", "2",
-             "--threads", "2", "--out", str(out)]
+            ["trace", "time_slice", "--ops", "400", "--shards", "2", "--out", str(out)]
         ) == 0
         assert not trace.enabled()  # the command restored the switch
         assert str(out) in capsys.readouterr().out

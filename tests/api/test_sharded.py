@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import (
@@ -13,6 +15,7 @@ from repro.api import (
     VersionStore,
     VersionStoreError,
 )
+from repro.obs import trace
 from repro.storage.magnetic import MagneticDisk
 from repro.workload import WorkloadSpec, apply_to, concurrent_clients, generate
 
@@ -313,6 +316,118 @@ class TestSplitting:
         for index in range(300):
             store.insert(index, b"x" * 32)
         assert store.shard_count <= 2
+
+
+class TestCallerThread:
+    """A sharded store owns no thread: fan-outs, ``put_many`` groups and
+    split checks all run on the calling thread, visiting shards in key order."""
+
+    @pytest.fixture
+    def tracing(self):
+        previous = trace.set_enabled(True)
+        trace.clear()
+        yield
+        trace.clear()
+        trace.set_enabled(previous)
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["logless", "wal"])
+    def test_reads_writes_and_splits_start_no_thread(self, monkeypatch, wal):
+        spec = ShardSpec(split_utilization=0.5, shard_page_budget=8, max_shards=6)
+        store = VersionStore.open(
+            StoreConfig(engine="tsb", page_size=512, wal=wal, shards=spec)
+        )
+
+        def refuse(thread):
+            raise AssertionError(f"a sharded store started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        store.put_many([(index, b"x" * 32) for index in range(200)])
+        for index in range(200, 300):
+            store.insert(index, b"x" * 32)
+        assert store.shard_count > 1  # the splits ran, inline
+        assert len(store.range_search()) == 300
+        assert len(store.snapshot(store.now)) == 300
+        assert len(store.time_slice(0, store.now + 1)) == 300
+        monkeypatch.undo()
+        store.close()
+
+    def test_shard_visits_run_on_the_calling_thread_in_key_order(self, tracing):
+        store = open_sharded(shards=4, key_space=100)
+        store.put_many([(key, b"v") for key in range(100)])
+        trace.clear()
+        store.range_search()
+        visits = [span for span in trace.spans() if span.name == "shard.range_search"]
+        # Spans are recorded as they finish: one visit ends before the next starts.
+        assert [span.attrs["shard"] for span in visits] == [0, 1, 2, 3]
+        assert {span.thread for span in visits} == {threading.get_ident()}
+        for earlier, later in zip(visits, visits[1:]):
+            assert earlier.start + earlier.duration <= later.start
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["logless", "wal"])
+    def test_put_many_stops_at_the_first_failing_shard(self, monkeypatch, wal):
+        store = open_sharded(shards=4, key_space=100, wal=wal)
+        failing = store.shard_stores[1]
+
+        def fail(writes, timestamp=None):
+            raise RuntimeError("shard 1 refused the write")
+
+        monkeypatch.setattr(failing, "_write", fail)
+        with pytest.raises(RuntimeError, match="shard 1 refused"):
+            store.put_many([(key, b"v") for key in range(100)])
+        # Shard 0's group landed; shard 1 failed; shards 2 and 3 were never reached.
+        assert [len(inner.engine.keys()) for inner in store.shard_stores] == [25, 0, 0, 0]
+        assert [record.key for record in store.range_search()] == list(range(25))
+        monkeypatch.undo()
+        store.put_many([(key, b"w") for key in range(25, 100)])  # still usable
+        assert len(store.range_search()) == 100
+
+    def test_fanout_is_recorded_only_when_more_than_one_shard_is_visited(self):
+        store = open_sharded(shards=4, key_space=100)
+        for key in range(100):
+            store.insert(key, b"v")
+        store.range_search(0, 10)  # inside shard 0
+        assert "scatter.fanout" not in store.metrics.histograms()
+        store.range_search()
+        fanout = store.metrics.histograms()["scatter.fanout"].snapshot()
+        assert (fanout["count"], fanout["sum"]) == (1, 4)
+        store.range_search(30, 60)  # shards 1 and 2
+        fanout = store.metrics.histograms()["scatter.fanout"].snapshot()
+        assert (fanout["count"], fanout["sum"]) == (2, 6)
+
+    def test_each_visit_is_timed_into_its_own_shards_histogram(self):
+        store = open_sharded(shards=4, key_space=100)
+        for key in range(100):
+            store.insert(key, b"v")
+        store.snapshot(store.now)
+        store.range_search(30, 60)
+        snapshot_counts = [
+            inner.metrics.histograms()["shard.snapshot"].count
+            for inner in store.shard_stores
+        ]
+        range_counts = [
+            inner.metrics.histograms()["shard.range_search"].count
+            if "shard.range_search" in inner.metrics.histograms()
+            else 0
+            for inner in store.shard_stores
+        ]
+        assert snapshot_counts == [1, 1, 1, 1]
+        assert range_counts == [0, 1, 1, 0]
+
+    def test_put_many_splits_before_it_returns(self):
+        spec = ShardSpec(split_utilization=0.5, shard_page_budget=8, max_shards=6)
+        store = VersionStore.open(StoreConfig(engine="tsb", page_size=512, shards=spec))
+        assert store.shard_count == 1
+        store.put_many([(index, b"x" * 32) for index in range(300)])
+        assert store.shard_count > 1
+        assert store.sharded_engine.splits_performed == store.shard_count - 1
+        assert [record.key for record in store.range_search()] == list(range(300))
+
+    def test_describe_shards_and_metrics_snapshot_print_the_same_ranges(self):
+        store = open_sharded(shards=4, key_space=100)
+        expected = ["[-inf, 25)", "[25, 50)", "[50, 75)", "[75, +inf)"]
+        assert [row["range"] for row in store.describe_shards()] == expected
+        per_shard = store.metrics_snapshot()["per_shard"]
+        assert [row["range"] for row in per_shard] == expected
 
 
 class TestAccountingAndLifecycle:

@@ -43,6 +43,20 @@ class TestSpans:
             assert trace.current_id() == outer_id
         assert trace.current_id() is None
 
+    def test_a_span_on_another_thread_starts_its_own_tree(self, tracing):
+        def worker():
+            with trace.span("task"):
+                pass
+
+        with trace.span("query"):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        task = next(span for span in trace.spans() if span.name == "task")
+        query = next(span for span in trace.spans() if span.name == "query")
+        assert task.parent_id is None  # parent links never cross threads
+        assert task.thread != query.thread
+
     def test_span_survives_exceptions(self, tracing):
         with pytest.raises(RuntimeError):
             with trace.span("doomed"):

@@ -741,6 +741,11 @@ class IndexNode:
     def region(self, region: Rectangle) -> None:
         self._own()
         self._region = region
+        # The key table holds the node's own bounds, as the page does.
+        for key in (region.keys.low, region.keys.high):
+            if key is not None:
+                self._ref(key)
+        self._current = None
 
     @property
     def level(self) -> int:
@@ -798,6 +803,40 @@ class IndexNode:
             region = _referenced_rectangle(self._table, *bounds)
             entry = self._made[slot] = IndexEntry(child=self._child(slot), region=region)
         return entry
+
+    def child_ids(self) -> list:
+        """Each slot's child as plain ints, in slot order, building no
+        ``Address``: its :attr:`~repro.storage.device.Address.identity`, the
+        page number of a magnetic child or the ``(region id, sector start,
+        length, platter)`` of a historical one."""
+        if self._image is None:
+            return [entry.child.identity for entry in self._made]
+        pages, tiers = self._pages, self._tiers
+        historical = tiers.count(1)
+        if not historical:
+            return list(pages)
+        # The historical triples end the image, in slot order.
+        triples = _HISTORICAL_CHILD.iter_unpack(self._image[-20 * historical :])
+        return [(page, *next(triples)) if tier else page for page, tier in zip(pages, tiers)]
+
+    def columns(self) -> tuple:
+        """The key table and the low ref, high ref, start word, end word and
+        tier runs of the node's page image: one entry per child, in slot
+        order (see the page layout)."""
+        return (
+            tuple(self._table), tuple(self._lows), tuple(self._highs),
+            tuple(self._starts), tuple(self._ends), bytes(self._tiers),
+        )  # fmt: skip
+
+    def region_refs(self) -> Tuple[int, int, int, int]:
+        """The node's own region as its page header holds it: low and high
+        refs into the key table, start and end words."""
+        if self._image is not None:
+            return _INDEX_HEADER.unpack_from(self._image)[5:]
+        table, keys, times = self._table, self._region.keys, self._region.times
+        low = 0 if keys.low is None else bisect_left(table, keys.low) + 1
+        high = _NO_HIGH if keys.high is None else bisect_left(table, keys.high) + 1
+        return low, high, times.start, _end_word(times.end)
 
     # -- search -----------------------------------------------------------
     def find_child(self, key: Key, timestamp: int) -> IndexEntry:
@@ -902,16 +941,14 @@ class IndexNode:
             return self._image
         # A fresh build's key table holds just the bounds in use, as the page does.
         node = IndexNode(self.address, self._region, self._made, self._level)
-        table, keys, times = node._table, self._region.keys, self._region.times
+        table = node._table
         kind, count = _key_kind(table), len(node._lows)
         if len(table) >= _NO_HIGH:
             raise SerializationError(f"index node {self.address} has too many distinct keys")
-        low = 0 if keys.low is None else bisect_left(table, keys.low) + 1
-        high = _NO_HIGH if keys.high is None else bisect_left(table, keys.high) + 1
         children = [entry.child for entry in self._made]
         try:
-            header = (_NODE_TAG_INDEX, kind, self._level, count, len(table), low, high)
-            buf = bytearray(_INDEX_HEADER.pack(*header, times.start, _end_word(times.end)))
+            header = (_NODE_TAG_INDEX, kind, self._level, count, len(table))
+            buf = bytearray(_INDEX_HEADER.pack(*header, *node.region_refs()))
             _append_keys(buf, table, kind)
             buf += _run("H", count).pack(*node._lows)
             buf += _run("H", count).pack(*node._highs)

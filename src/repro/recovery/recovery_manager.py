@@ -211,20 +211,20 @@ class RecoveryManager:
         crash caused by a full disk could never be recovered on that disk.
 
         Only the current tree is walked: a historical node points only at
-        historical pages, so no magnetic page hangs below one.
+        historical pages, so no magnetic page hangs below one.  Children are
+        page numbers read from the index columns (``child_ids()``, where a
+        historical child is a tuple), so the walk builds no entry.
         """
         reachable = {self.superblock_page}
-        stack = [tree.root_address]
+        stack = [tree.root_address.page_id]
         while stack:
-            address = stack.pop()
-            if address.page_id in reachable:
+            page_id = stack.pop()
+            if page_id in reachable:
                 continue
-            reachable.add(address.page_id)
-            node = tree.cache.read(address)
+            reachable.add(page_id)
+            node = tree.cache.read(Address.magnetic(page_id))
             if isinstance(node, IndexNode):
-                stack.extend(
-                    entry.child for entry in node.entries if entry.child.is_magnetic
-                )
+                stack.extend(child for child in node.child_ids() if type(child) is int)
         reclaimed = 0
         for page_id in self.magnetic.allocated_page_ids():
             if page_id not in reachable:

@@ -50,8 +50,8 @@ alive, or it raises ``RuntimeError`` naming the ones that are.
 :meth:`Listener.kill` is the same shutdown with no patience: peers see their
 streams end mid-frame, as they would on a machine loss.
 
-A simulated transport (ROADMAP item 7) has these two classes and
-:func:`connect` to implement, and nothing else.
+A simulated transport — in memory, under a seeded fault schedule — has
+these two classes and :func:`connect` to implement, and nothing else.
 """
 
 from __future__ import annotations

@@ -126,6 +126,22 @@ class Address:
     def is_historical(self) -> bool:
         return self.tier is Tier.HISTORICAL
 
+    @property
+    def identity(self):
+        """The address as plain ints, equal exactly when the addresses are:
+        the page number of a magnetic page, the ``(region id, sector start,
+        length, platter)`` of a historical region."""
+        if self.tier is Tier.MAGNETIC:
+            return self.page_id
+        return (self.page_id, self.sector_start, self.length, self.platter)
+
+    @staticmethod
+    def of_identity(identity) -> "Address":
+        """The address whose :attr:`identity` is ``identity``."""
+        if type(identity) is int:
+            return Address.magnetic(identity)
+        return Address.historical(*identity)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_magnetic:
             return f"M:{self.page_id}"

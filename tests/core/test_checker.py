@@ -355,7 +355,7 @@ def split_index_nodes(draw):
 @given(node=split_index_nodes())
 def test_the_tiling_sweep_agrees_with_a_brute_force_cell_count(node):
     violations = []
-    _check_index_node(SimpleNamespace(page_size=4096), node, {}, violations)
+    _check_index_node(SimpleNamespace(page_size=4096), node, node.child_ids(), {}, violations)
     tiling = [violation for violation in violations if violation.invariant == "tiling"]
     assert bool(tiling) == oracle_finds_a_bad_cell(node)
 
@@ -451,11 +451,41 @@ def test_a_data_node_reports_the_same_violations_opened_or_built(case, as_key, m
     assert {violation.invariant for violation in violations} == expected
 
 
-def test_checking_a_tree_builds_no_version(monkeypatch):
-    tree = build_tree(operations=1500)
+def spread_tree():
+    """A tree of four levels whose history holds index nodes as well as data."""
+    tree = TSBTree(page_size=512, policy=ThresholdPolicy(0.5))
+    for step in range(4000):
+        tree.insert(step * 37 % 600, b"value-%d" % step, timestamp=step + 1)
+    return tree
+
+
+@pytest.mark.parametrize("grow, preload", [
+    (lambda: build_tree(operations=1500), True),
+    (spread_tree, False),
+], ids=["current tree loaded", "multi-level with history"])  # fmt: skip
+def test_checking_a_tree_builds_no_version(grow, preload, monkeypatch):
+    """Checking a tree reopened from its images, then sweeping it for orphan
+    pages, builds no version and no index entry, and one region per node at
+    most: the child's own, to compare with its entry's columns."""
+    from repro.core import nodes
+    from repro.core.checker import _reachable_nodes
+    from repro.recovery.recovery_manager import RecoveryManager
+
+    tree = grow()
     tree.checkpoint()
     reopened = TSBTree.open(tree.magnetic, tree.historical, cache_pages=4096)
-    assert reopened.current_keys()  # loads the current tree
+    if preload:
+        assert reopened.current_keys()  # loads the current tree
     versions = count_built_versions(monkeypatch)
+    entries, regions, decoded_rectangle = [], [], nodes.decoded_rectangle
+    monkeypatch.setattr(IndexNode, "_entry", lambda node, slot: entries.append(slot))
+    monkeypatch.setattr(nodes, "decoded_rectangle", lambda *f: regions.append(f) or decoded_rectangle(*f))
     assert check_tree(reopened) == []
-    assert versions == []
+    sweep = RecoveryManager(reopened.magnetic, reopened.historical, log_device=None)
+    assert sweep._reclaim_orphan_pages(reopened) == 0
+    assert versions == [] and entries == []
+    checked = _reachable_nodes(reopened, [])[0].values()
+    assert len(regions) <= len(checked)
+    if not preload:
+        assert reopened.height >= 3
+        assert any(isinstance(node, IndexNode) and node.address.is_historical for node in checked)

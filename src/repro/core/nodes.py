@@ -213,12 +213,13 @@ def _append_region(buf: bytearray, region: Rectangle, kind: int) -> None:
     buf += _U64_PAIR.pack(region.times.start, _end_word(region.times.end))
 
 
-def _region_at(data: bytes, offset: int, kind: int) -> Rectangle:
+def _bounds_at(data: bytes, offset: int, kind: int) -> tuple:
+    """The region stored at ``offset`` as ``(low, high, start, end)``."""
     present = data[offset]
     bounds, offset = _keys_at(data, offset + 1, (present & 1) + (present >> 1 & 1), kind)
     start, end = _U64_PAIR.unpack_from(data, offset)
     low, high = bounds[0] if present & 1 else None, bounds[-1] if present & 2 else None
-    return decoded_rectangle(low, high, start, None if end == _U64_MAX else end)
+    return low, high, start, None if end == _U64_MAX else end
 
 
 def _slot_sizes(keys: Iterable[Key], txns: Iterable[Optional[int]], lengths: Iterable[int]):
@@ -323,13 +324,20 @@ class DataNode:
     def region(self) -> Rectangle:
         region = self._region
         if region is None:
-            at = self._heap + (self._values[-1] if self._values else 0)
-            try:
-                region = _region_at(self._image, at, self._image[1])
-            except _MALFORMED as exc:
-                raise SerializationError("malformed data-page image") from exc
-            self._region = region
+            region = self._region = decoded_rectangle(*self.bounds())
         return region
+
+    def bounds(self) -> tuple:
+        """The region as ``(low key, high key, start, end)`` (``None``:
+        unbounded, or still open), read from the image without building it."""
+        region = self._region
+        if region is not None:
+            return region.keys.low, region.keys.high, region.times.start, region.times.end
+        at = self._heap + (self._values[-1] if self._values else 0)
+        try:
+            return _bounds_at(self._image, at, self._image[1])
+        except _MALFORMED as exc:
+            raise SerializationError("malformed data-page image") from exc
 
     @region.setter
     def region(self, region: Rectangle) -> None:
@@ -585,7 +593,7 @@ class DataNode:
         return True
 
     def serialized_size(self) -> int:
-        low, high = self.region.keys.low, self.region.keys.high
+        low, high = self.bounds()[:2]
         bounds = (0 if low is None else key_size(low)) + (0 if high is None else key_size(high))
         return _NODE_HEADER_SIZE + 19 + bounds + self._content
 
@@ -654,11 +662,12 @@ class IndexEntry:
         return f"IndexEntry({self.region} -> {self.child})"
 
 
-def _referenced_rectangle(table: Sequence, low: int, high: int, start: int, end: int) -> Rectangle:
-    """The rectangle an index page describes by key references and time words."""
+def _referenced_bounds(table: Sequence, low: int, high: int, start: int, end: int) -> tuple:
+    """``(low, high, start, end)`` of a region an index page describes by key
+    references and time words."""
     low_key = table[low - 1] if low else None
     high_key = None if high == _NO_HIGH else table[high - 1]
-    return decoded_rectangle(low_key, high_key, start, None if end == _U64_MAX else end)
+    return low_key, high_key, start, None if end == _U64_MAX else end
 
 
 class IndexNode:
@@ -729,13 +738,19 @@ class IndexNode:
     def region(self) -> Rectangle:
         region = self._region
         if region is None:
-            refs = _INDEX_HEADER.unpack_from(self._image)[5:]
-            try:
-                region = _referenced_rectangle(self._table, *refs)
-            except IndexError as exc:
-                raise SerializationError("malformed index-page image") from exc
-            self._region = region
+            region = self._region = decoded_rectangle(*self.bounds())
         return region
+
+    def bounds(self) -> tuple:
+        """The region as ``(low key, high key, start, end)`` (``None``:
+        unbounded, or still open), read from the image without building it."""
+        region = self._region
+        if region is not None:
+            return region.keys.low, region.keys.high, region.times.start, region.times.end
+        try:
+            return _referenced_bounds(self._table, *self.region_refs())
+        except IndexError as exc:
+            raise SerializationError("malformed index-page image") from exc
 
     @region.setter
     def region(self, region: Rectangle) -> None:
@@ -799,8 +814,8 @@ class IndexNode:
         """The entry in ``slot``, built on first use and then shared."""
         entry = self._made[slot]
         if entry is None:
-            bounds = self._lows[slot], self._highs[slot], self._starts[slot], self._ends[slot]
-            region = _referenced_rectangle(self._table, *bounds)
+            refs = self._lows[slot], self._highs[slot], self._starts[slot], self._ends[slot]
+            region = decoded_rectangle(*_referenced_bounds(self._table, *refs))
             entry = self._made[slot] = IndexEntry(child=self._child(slot), region=region)
         return entry
 

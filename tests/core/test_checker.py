@@ -189,7 +189,7 @@ class TestCorruptionDetection:
         from repro.core.checker import _check_data_node  # noqa: PLC0415
 
         violations = []
-        _check_data_node(tree, victim, violations)
+        _check_data_node(tree, victim, victim.bounds(), violations)
         assert any(v.invariant == "transactions" for v in violations)
 
     def test_detects_a_root_that_does_not_cover_the_plane(self):
@@ -355,7 +355,7 @@ def split_index_nodes(draw):
 @given(node=split_index_nodes())
 def test_the_tiling_sweep_agrees_with_a_brute_force_cell_count(node):
     violations = []
-    _check_index_node(SimpleNamespace(page_size=4096), node, node.child_ids(), {}, violations)
+    _check_index_node(SimpleNamespace(page_size=4096), node, node.child_ids(), {}, {}, violations)
     tiling = [violation for violation in violations if violation.invariant == "tiling"]
     assert bool(tiling) == oracle_finds_a_bad_cell(node)
 
@@ -370,7 +370,7 @@ HISTORICAL = Address.historical(3, 0, 64)
 def data_node_violations(node, page_size=512):
     """What ``check_tree`` reports of ``node`` as one of a tree's data nodes."""
     violations = []
-    _check_data_node(SimpleNamespace(page_size=page_size), node, violations)
+    _check_data_node(SimpleNamespace(page_size=page_size), node, node.bounds(), violations)
     return violations
 
 

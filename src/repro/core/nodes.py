@@ -593,7 +593,7 @@ class DataNode:
         return True
 
     def serialized_size(self) -> int:
-        low, high = self.bounds()[:2]
+        low, high = self.region.keys.low, self.region.keys.high
         bounds = (0 if low is None else key_size(low)) + (0 if high is None else key_size(high))
         return _NODE_HEADER_SIZE + 19 + bounds + self._content
 

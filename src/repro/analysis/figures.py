@@ -18,9 +18,9 @@ from repro.core.policy import AlwaysKeySplitPolicy
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.core.split import (
     SlotColumns,
-    find_local_index_split_time,
-    index_key_split,
-    index_time_split,
+    index_key_split_slots,
+    index_time_split_slots,
+    local_index_split_time,
     time_split_slots,
 )
 from repro.core.tsb_tree import TSBTree
@@ -293,25 +293,24 @@ def figure_7() -> FigureResult:
         IndexEntry(child=right_child, region=Rectangle(KeyRange(100, None), TimeRange(8, None))),
         IndexEntry(child=historical_child, region=Rectangle(KeyRange(50, None), TimeRange(1, 8))),
     ]
-    split = index_key_split(entries, 100)
+    node = IndexNode(Address.magnetic(0), Rectangle.full(), entries)
+    left, right, copied = index_key_split_slots(node, 100)
 
     return FigureResult(
         figure="Figure 7",
         description="index keyspace split duplicates the historical entry spanning the split value",
         details={
-            "left_entries": len(split.left),
-            "right_entries": len(split.right),
-            "copied_entries": len(split.copied),
+            "left_entries": len(left),
+            "right_entries": len(right),
+            "copied_entries": copied,
         },
         checks={
-            "exactly one entry was copied to both halves": len(split.copied) == 1,
+            "exactly one entry was copied to both halves": copied == 1,
             "the copied entry references the historical database": all(
-                entry.is_historical for entry in split.copied
+                entries[slot].is_historical for slot in set(left) & set(right)
             ),
-            "left half keeps the low-key current child": entries[0] in split.left
-            and entries[0] not in split.right,
-            "right half keeps the high-key current child": entries[1] in split.right
-            and entries[1] not in split.left,
+            "left half keeps the low-key current child": 0 in left and 0 not in right,
+            "right half keeps the high-key current child": 1 in right and 1 not in left,
         },
     )
 
@@ -339,8 +338,11 @@ def figure_8() -> FigureResult:
             region=Rectangle(KeyRange(80, None), TimeRange(4, None)),
         ),
     ]
-    split_time = find_local_index_split_time(entries)
-    split = index_time_split(entries, split_time) if split_time is not None else None
+    node = IndexNode(Address.magnetic(0), Rectangle.full(), entries)
+    split_time = local_index_split_time(node)
+    historical, current, copied = (
+        index_time_split_slots(node, split_time) if split_time is not None else ([], [], None)
+    )
 
     return FigureResult(
         figure="Figure 8",
@@ -348,11 +350,11 @@ def figure_8() -> FigureResult:
         details={"split_time": split_time},
         checks={
             "a local split time exists": split_time == 4,
-            "only historical entries migrate": split is not None
-            and all(entry.is_historical for entry in split.historical),
-            "current entries stay behind": split is not None
-            and all(entry.is_current for entry in split.current),
-            "nothing needed to be copied to both": split is not None and split.copied == (),
+            "only historical entries migrate": bool(historical)
+            and all(entries[slot].is_historical for slot in historical),
+            "current entries stay behind": bool(current)
+            and all(entries[slot].is_current for slot in current),
+            "nothing needed to be copied to both": copied == 0,
         },
     )
 
@@ -378,7 +380,7 @@ def figure_9() -> FigureResult:
             region=Rectangle(KeyRange(60, None), TimeRange(5, None)),
         ),
     ]
-    split_time = find_local_index_split_time(entries)
+    split_time = local_index_split_time(IndexNode(Address.magnetic(0), Rectangle.full(), entries))
 
     return FigureResult(
         figure="Figure 9",

@@ -35,8 +35,6 @@ from repro.core.split import (
     SplitDecision,
     SplitError,
     SplitKind,
-    index_key_split,
-    index_time_split,
     key_split_slots,
     time_split_slots,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "collect_space_stats",
     "composite_key",
     "decode_node",
-    "index_key_split",
-    "index_time_split",
     "key_split_slots",
     "latest_committed",
     "make_policy",

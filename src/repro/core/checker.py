@@ -174,7 +174,7 @@ def _check_index_node(tree: TSBTree, node: IndexNode, children: Sequence, loaded
                 violations.append(
                     Violation(
                         "tier",
-                        f"entry {node._entry(slot)} has {span} time range but points at "
+                        f"entry {node.entry(slot)} has {span} time range but points at "
                         f"the {device} device",
                     )
                 )
@@ -187,7 +187,7 @@ def _check_index_node(tree: TSBTree, node: IndexNode, children: Sequence, loaded
                 violations.append(
                     Violation(
                         "entry_region",
-                        f"entry {node._entry(slot)} in index node {node.address} disagrees "
+                        f"entry {node.entry(slot)} in index node {node.address} disagrees "
                         f"with its child's own region {child.region}",
                     )
                 )
@@ -244,7 +244,7 @@ def _check_tiling(node: IndexNode, columns: tuple, violations: List[Violation]) 
             violations.append(
                 Violation(
                     "tiling",
-                    f"entry {node._entry(slot)} does not intersect its node's region "
+                    f"entry {node.entry(slot)} does not intersect its node's region "
                     f"{node.region}",
                 )
             )

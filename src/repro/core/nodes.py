@@ -81,15 +81,18 @@ unmodified.  The first mutation turns the columns into lists in place and
 drops the image.  The mutators then insert, delete or patch slots — a data
 node keeps its order column and content size current, an index node enters
 a new bound into its key table — and ``encode()`` packs the columns (an
-index node re-derives its key table, so the page holds just the bounds in
-use).  A data-node split reads the full node's columns, and ``carve``
+index node keeps only the table keys its refs use, so the page holds just
+the bounds in use).  A split reads the full node's columns, and ``carve``
 builds each half from the slots a split rule selects (:mod:`repro.core.split`).
 
-A per-slot memo builds a ``Version`` / :class:`IndexEntry` the first time a
-caller gets one and shares it after that, so a caller can remove or replace
-the object it was handed by identity.  ``versions`` and ``entries`` are
-read-only tuples in list order; assigning them is the one way to replace a
-node's contents.  Readers under a shared latch may race on a memo slot, a
+A data node's per-slot memo builds a ``Version`` the first time a caller
+gets one and shares it after that, so a caller can remove the object it was
+handed by identity.  An index node is addressed by slot: its searches return
+one, ``child(slot)`` is that slot's ``Address`` (built on first use and
+kept), and ``replace(slot, rows)`` splices in the ``(child, region)`` rows of
+the child's split.  ``versions`` and ``entries`` are read-only tuples in list
+order, ``entries`` built on demand; assigning them is the one way to replace
+a node's contents.  Readers under a shared latch may race on a memo slot, a
 region read on first use or an index node's current-entry table: each is a
 pure function of the columns, published by one store, so a race at worst
 builds it twice.
@@ -644,7 +647,8 @@ class IndexEntry:
     store the extent explicitly as a rectangle, which is the information the
     search rule derives (see DESIGN.md section 5).  ``child`` carries the
     device tier, so "does this entry reference the historical database?" is
-    simply :attr:`is_historical`.
+    simply :attr:`is_historical`.  An entry unpacks as the ``(child, region)``
+    row an index node is built from.
     """
 
     child: Address
@@ -658,8 +662,15 @@ class IndexEntry:
     def is_current(self) -> bool:
         return self.child.is_magnetic
 
+    def __iter__(self):
+        return iter((self.child, self.region))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"IndexEntry({self.region} -> {self.child})"
+
+
+#: One child of an index node as a caller hands it in: ``(child, region)``.
+Row = Tuple[Address, Rectangle]
 
 
 def _referenced_bounds(table: Sequence, low: int, high: int, start: int, end: int) -> tuple:
@@ -674,9 +685,11 @@ class IndexNode:
     """An internal node mapping key x time rectangles to child addresses."""
 
     __slots__ = ("address", "_level", "_region", "_image", "_table", "_lows", "_highs", "_starts",
-                 "_ends", "_tiers", "_pages", "_made", "_current", "_content")  # fmt: skip
+                 "_ends", "_tiers", "_pages", "_children", "_current", "_content")  # fmt: skip
 
-    def __init__(self, address: Address, region: Rectangle, entries=(), level: int = 1):
+    def __init__(
+        self, address: Address, region: Rectangle, entries: Iterable[Row] = (), level: int = 1
+    ):
         self.address = address
         self._level = level
         self._region = region
@@ -711,27 +724,30 @@ class IndexNode:
         node._ends = words.unpack_from(image, at + 12 * count)
         node._tiers = tiers
         node._pages = words.unpack_from(image, at + 20 * count)
-        node._made = [None] * count
+        node._children = [None] * count
         node._current = node._content = None
         return node
 
     # -- the columns --------------------------------------------------------
     @property
     def entries(self) -> Tuple[IndexEntry, ...]:
-        """The node's entries in list order (assign to replace them)."""
-        return tuple(map(self._entry, range(len(self._lows))))
+        """The node's entries in list order, built on demand (assign rows to
+        replace them)."""
+        return tuple(map(self.entry, range(len(self._lows))))
 
     @entries.setter
-    def entries(self, entries: Iterable[IndexEntry]) -> None:
-        entries = list(entries)
+    def entries(self, rows: Iterable[Row]) -> None:
+        rows = list(rows)
         region = self._region = self.region  # read from the image before it goes
-        bounds = {bound for e in entries for bound in (e.region.keys.low, e.region.keys.high)}
+        bounds = {
+            key for _child, rectangle in rows for key in (rectangle.keys.low, rectangle.keys.high)
+        }
         self._table = sorted(bounds.union((region.keys.low, region.keys.high)) - {None})
-        self._lows, self._highs, self._starts, self._ends, self._made = [], [], [], [], []
+        self._lows, self._highs, self._starts, self._ends, self._children = [], [], [], [], []
         self._tiers = bytearray()
         self._image = None
-        for slot, entry in enumerate(entries):
-            self._put(slot, entry)
+        for slot, (child, rectangle) in enumerate(rows):
+            self._put(slot, child, rectangle)
         self._current = self._content = None
 
     @property
@@ -770,7 +786,7 @@ class IndexNode:
         """Turn image columns into lists (the first mutation): the image goes."""
         if self._image is not None:
             self._region = self.region
-            self._made = list(self.entries)
+            self._children = self.children()
             self._table, self._lows = list(self._table), list(self._lows)
             self._highs, self._starts = list(self._highs), list(self._starts)
             self._ends, self._tiers = list(self._ends), bytearray(self._tiers)
@@ -778,7 +794,7 @@ class IndexNode:
 
     def _columns(self) -> tuple:
         """Every per-slot column, for a slot insert or delete."""
-        return self._lows, self._highs, self._starts, self._ends, self._tiers, self._made
+        return self._lows, self._highs, self._starts, self._ends, self._tiers, self._children
 
     def _ref(self, key: Key) -> int:
         """The table reference of ``key``; a key new to the table joins it,
@@ -791,33 +807,38 @@ class IndexNode:
             self._highs = [ref + (at < ref < _NO_HIGH) for ref in self._highs]
         return at + 1
 
-    def _put(self, slot: int, entry: IndexEntry) -> None:
-        keys, times = entry.region.keys, entry.region.times
+    def _put(self, slot: int, child: Address, region: Rectangle) -> None:
+        keys, times = region.keys, region.times
         low = 0 if keys.low is None else self._ref(keys.low)
         high = _NO_HIGH if keys.high is None else self._ref(keys.high)
-        row = (low, high, times.start, _end_word(times.end), entry.child.is_historical, entry)
+        row = (low, high, times.start, _end_word(times.end), child.is_historical, child)
         for column, value in zip(self._columns(), row):
             column.insert(slot, value)
 
-    def _child(self, slot: int) -> Address:
-        entry = self._made[slot]
-        if entry is not None:
-            return entry.child
-        page, tiers = self._pages[slot], self._tiers
-        if not tiers[slot]:
-            return Address.magnetic(page)
-        # The historical triples end the image, in slot order.
-        at = len(self._image) - 20 * tiers.count(1, slot)
-        return Address.historical(page, *_HISTORICAL_CHILD.unpack_from(self._image, at))
+    def child(self, slot: int) -> Address:
+        """The child in ``slot``, built on first use and then kept."""
+        child = self._children[slot]
+        if child is None:
+            page, tiers = self._pages[slot], self._tiers
+            if tiers[slot]:
+                # The historical triples end the image, in slot order.
+                at = len(self._image) - 20 * tiers.count(1, slot)
+                child = Address.historical(page, *_HISTORICAL_CHILD.unpack_from(self._image, at))
+            else:
+                child = Address.magnetic(page)
+            self._children[slot] = child
+        return child
 
-    def _entry(self, slot: int) -> IndexEntry:
-        """The entry in ``slot``, built on first use and then shared."""
-        entry = self._made[slot]
-        if entry is None:
-            refs = self._lows[slot], self._highs[slot], self._starts[slot], self._ends[slot]
-            region = decoded_rectangle(*_referenced_bounds(self._table, *refs))
-            entry = self._made[slot] = IndexEntry(child=self._child(slot), region=region)
-        return entry
+    def children(self) -> List[Address]:
+        """Every slot's child, in slot order."""
+        return list(map(self.child, range(len(self._lows))))
+
+    def entry(self, slot: int) -> IndexEntry:
+        """The entry in ``slot``, built on demand: searches and splits read
+        the columns, so this is for tests, figures and violation messages."""
+        refs = self._lows[slot], self._highs[slot], self._starts[slot], self._ends[slot]
+        region = decoded_rectangle(*_referenced_bounds(self._table, *refs))
+        return IndexEntry(child=self.child(slot), region=region)
 
     def child_ids(self) -> list:
         """Each slot's child as plain ints, in slot order, building no
@@ -825,7 +846,7 @@ class IndexNode:
         page number of a magnetic child or the ``(region id, sector start,
         length, platter)`` of a historical one."""
         if self._image is None:
-            return [entry.child.identity for entry in self._made]
+            return [child.identity for child in self._children]
         pages, tiers = self._pages, self._tiers
         historical = tiers.count(1)
         if not historical:
@@ -837,7 +858,8 @@ class IndexNode:
     def columns(self) -> tuple:
         """The key table and the low ref, high ref, start word, end word and
         tier runs of the node's page image: one entry per child, in slot
-        order (see the page layout)."""
+        order (see the page layout).  Refs keep key order: 0 is an unbounded
+        low and ``_NO_HIGH`` an unbounded high."""
         return (
             tuple(self._table), tuple(self._lows), tuple(self._highs),
             tuple(self._starts), tuple(self._ends), bytes(self._tiers),
@@ -854,8 +876,8 @@ class IndexNode:
         return low, high, times.start, _end_word(times.end)
 
     # -- search -----------------------------------------------------------
-    def find_child(self, key: Key, timestamp: int) -> IndexEntry:
-        """The unique entry whose rectangle contains ``(key, timestamp)``: the
+    def find_child(self, key: Key, timestamp: int) -> int:
+        """The unique slot whose rectangle contains ``(key, timestamp)``: the
         rectangle form of the paper's search rule (section 2.2 / 2.5)."""
         reach = bisect_right(self._table, key)
         # The all-ones end word is "still current", whatever the search time.
@@ -874,14 +896,15 @@ class IndexNode:
                 f"{len(matches)} children cover ({key!r}, {timestamp}) in index "
                 f"node {self.address}: regions overlap"
             )
-        return self._entry(matches[0])
+        return matches[0]
 
-    def find_current_child(self, key: Key) -> IndexEntry:
-        """The unique *current* child whose key range contains ``key``: the
-        current entry with the greatest low bound not above it, one bisect in
-        the current entries sorted by low bound (built on first use).  The one
-        below is checked for double coverage, and anything but a plain tiling
-        is counted as a scan would, so a corrupt node still fails loudly."""
+    def find_current_child(self, key: Key) -> int:
+        """The unique slot of a *current* child whose key range contains
+        ``key``: the current slot with the greatest low bound not above it,
+        one bisect in the current slots sorted by low bound (built on first
+        use).  The one below is checked for double coverage, and anything but
+        a plain tiling is counted as a scan would, so a corrupt node still
+        fails loudly."""
         lows, highs = self._lows, self._highs
         current = self._current
         if current is None:
@@ -895,14 +918,14 @@ class IndexNode:
         at = bisect_right(sorted_lows, reach) - 1
         if at >= 0 and reach < highs[slots[at]]:
             if not (at and reach < highs[slots[at - 1]]):
-                return self._entry(slots[at])
+                return slots[at]
         matches = [slot for slot in slots if lows[slot] <= reach < highs[slot]]
         if len(matches) != 1:
             raise NodeError(
                 f"expected exactly one current child for key {key!r} in "
                 f"{self.address}, found {len(matches)}"
             )
-        return self._entry(matches[0])
+        return matches[0]
 
     def children_overlapping(self, region: Rectangle) -> List[Address]:
         """The child of every entry whose rectangle intersects ``region``, in
@@ -914,7 +937,7 @@ class IndexNode:
         first = min(times.start, _U64_MAX - 1)
         last = float("inf") if times.end is None else times.end
         return [
-            self._child(slot)
+            self.child(slot)
             for slot, (low, high, start, end) in enumerate(
                 zip(self._lows, self._highs, self._starts, self._ends)
             )
@@ -922,19 +945,32 @@ class IndexNode:
         ]
 
     # -- mutation ----------------------------------------------------------
-    def replace_entry(self, old: IndexEntry, new_entries: Sequence[IndexEntry]) -> None:
-        """Replace one child entry by the entries produced by its split."""
+    def replace(self, slot: int, rows: Iterable[Row]) -> None:
+        """Replace the child in ``slot`` by the rows its split produced."""
         self._own()
-        # The caller's own object first: no `__eq__` on the entries around it.
-        found = [at for at, entry in enumerate(self._made) if entry is old]
-        found = found or [at for at, entry in enumerate(self._made) if entry == old]
-        if not found:
-            raise NodeError(f"entry {old} not present in index node")
         for column in self._columns():
-            del column[found[0]]
-        for slot, entry in enumerate(new_entries, found[0]):
-            self._put(slot, entry)
+            del column[slot]
+        for at, (child, region) in enumerate(rows, slot):
+            self._put(at, child, region)
         self._current = self._content = None
+
+    def carve(self, slots: Sequence[int], region: Rectangle) -> "IndexNode":
+        """A node at this node's address and level over ``region`` holding
+        ``slots``, ascending: the columns are sliced, the key table copied
+        and no entry is built."""
+        lows, highs, starts, ends = self._lows, self._highs, self._starts, self._ends
+        node = IndexNode.__new__(IndexNode)
+        node.address, node._level, node._image = self.address, self._level, None
+        node._table = list(self._table)
+        node._lows = [lows[slot] for slot in slots]
+        node._highs = [highs[slot] for slot in slots]
+        node._starts = [starts[slot] for slot in slots]
+        node._ends = [ends[slot] for slot in slots]
+        node._tiers = bytearray([self._tiers[slot] for slot in slots])
+        node._children = [self.child(slot) for slot in slots]
+        node._content = None
+        node.region = region  # its bounds join the key table
+        return node
 
     def serialized_size(self) -> int:
         content = self._content
@@ -951,26 +987,28 @@ class IndexNode:
         return self.serialized_size() <= page_size
 
     def encode(self) -> bytes:
-        """The page image: the one opened while unmodified, else packed."""
+        """The page image: the one opened while unmodified, else packed,
+        the key table cut down to the keys the refs use."""
         if self._image is not None:
             return self._image
-        # A fresh build's key table holds just the bounds in use, as the page does.
-        node = IndexNode(self.address, self._region, self._made, self._level)
-        table = node._table
-        kind, count = _key_kind(table), len(node._lows)
+        low, high, start, end = self.region_refs()
+        used = sorted({*self._lows, *self._highs, low, high} - {0, _NO_HIGH})
+        renumber = {0: 0, _NO_HIGH: _NO_HIGH, **dict(zip(used, range(1, len(used) + 1)))}
+        table = [self._table[ref - 1] for ref in used]
+        kind, count = _key_kind(table), len(self._lows)
         if len(table) >= _NO_HIGH:
             raise SerializationError(f"index node {self.address} has too many distinct keys")
-        children = [entry.child for entry in self._made]
+        children = self._children
         try:
             header = (_NODE_TAG_INDEX, kind, self._level, count, len(table))
-            buf = bytearray(_INDEX_HEADER.pack(*header, *node.region_refs()))
+            buf = bytearray(_INDEX_HEADER.pack(*header, renumber[low], renumber[high], start, end))
             _append_keys(buf, table, kind)
-            buf += _run("H", count).pack(*node._lows)
-            buf += _run("H", count).pack(*node._highs)
-            buf += _run("Q", count).pack(*node._starts)
-            buf += _run("Q", count).pack(*node._ends)
+            buf += _run("H", count).pack(*map(renumber.__getitem__, self._lows))
+            buf += _run("H", count).pack(*map(renumber.__getitem__, self._highs))
+            buf += _run("Q", count).pack(*self._starts)
+            buf += _run("Q", count).pack(*self._ends)
             buf += _run("Q", count).pack(*[child.page_id for child in children])
-            buf += node._tiers
+            buf += self._tiers
             for child in children:
                 if not child.is_magnetic:
                     buf += _HISTORICAL_CHILD.pack(

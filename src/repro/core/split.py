@@ -7,13 +7,13 @@ historical regions and updating parents; the policies
 (:mod:`repro.core.policy`) are responsible for *choosing* between the splits
 computed here.
 
-A data-node split reads the full node's slot columns (:class:`SlotColumns`:
-keys, stamp words, flags and list order, in slot order, where one key's
-versions are one run, committed oldest first, then provisional) and builds no
-``Version``.  The rules select slots, and :meth:`DataNode.carve` builds each
-half from them, values sliced from the page image.  Each half's slots are
-written in its own list order, which is the version list the rule would
-produce:
+A split reads the full node's slot columns and builds no ``Version`` and no
+``IndexEntry``.  A data-node split reads :class:`SlotColumns` (keys, stamp
+words, flags and list order, in slot order, where one key's versions are one
+run, committed oldest first, then provisional).  The rules select slots, and
+:meth:`DataNode.carve` builds each half from them, values sliced from the
+page image.  Each half's slots are written in its own list order, which is
+the version list the rule would produce:
 
 * a time split's halves list their keys in the order each key first appears
   in the node's list; a key's historical slots oldest first, and its current
@@ -22,7 +22,12 @@ produce:
 * a key split's halves keep the node's list order.
 
 A half's slot order is the node's restricted to its slots, so both halves
-encode byte for byte as a node built from those version lists.
+encode byte for byte as a node built from those version lists.  An
+index-node split reads :meth:`IndexNode.columns` — key refs, time words and
+tier bytes, one per child in list order — and :meth:`IndexNode.carve` builds
+each half from the slots a rule selects, in list order.  Refs keep key
+order (0 is an unbounded low, ``_NO_HIGH`` an unbounded high), so the
+section 3.5 rules compare small integers.
 
 Implemented rules, each quoted from the paper:
 
@@ -48,12 +53,21 @@ Implemented rules, each quoted from the paper:
   lies at or below the split value go left, those at or above go right, and
   entries whose key range *strictly contains* the split value — which are
   guaranteed to reference historical nodes — are copied into both halves.
+  On refs: a slot whose low bound is below the split value goes left, one
+  whose high bound is above it goes right, and a slot doing both is copied.
 
 * **Index node time split** (section 3.5, Figures 8 and 9): allowed only when
   a time T exists such that no entry responsible for any time before T
   references a current node; then entries wholly before T move to the
   historical index node, entries crossing T (all historical) are copied to
-  both, and entries at or after T stay current.
+  both, and entries at or after T stay current.  On words: a slot whose
+  start word is before T goes to the historical node, one whose end word is
+  after T stays current, and a slot doing both must have tier byte 1.
+
+An index split is decided in full before anything is written
+(:func:`carve_index_split`): a half too large for a page is split again, on
+its carved columns, and a node no sequence of splits fits raises
+:class:`SplitError` with nothing written.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.nodes import _PROVISIONAL, DataNode, IndexEntry
+from repro.core.nodes import _NO_HIGH, _PROVISIONAL, _U64_MAX, DataNode, IndexNode
 from repro.core.records import Rectangle, RecordError
 from repro.storage.serialization import Key
 
@@ -309,14 +323,16 @@ def min_redundancy_split_time(columns: SlotColumns) -> Optional[int]:
 
 @dataclass(frozen=True)
 class CarvedSplit:
-    """A data-node split decided and carved but not written: ``halves`` are
-    the new nodes in the parent's entry order — ``(historical, current)`` or
+    """A split decided and carved but not written: ``halves`` are the new
+    nodes in the parent's entry order — ``(historical, current)`` or
     ``(left, right)`` — each at the split node's address until the tree
-    places it; ``at`` is the split time or key."""
+    places it; ``at`` is the split time or key, and ``redundant`` counts the
+    versions or entries stored in both halves.  An index split's current
+    half too large for a page is the ``CarvedSplit`` of that half."""
 
     kind: SplitKind
     at: Union[int, Key]
-    halves: Tuple[DataNode, DataNode]
+    halves: tuple
     redundant: int = 0
 
     def half_for(self, key: Key) -> int:
@@ -367,153 +383,128 @@ def carve_data_split(context: SlotColumns, policy) -> CarvedSplit:
 # ----------------------------------------------------------------------
 # Index-node splits
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IndexKeySplit:
-    """Result of the Index Node Keyspace Split Rule."""
-
-    split_key: Key
-    left: Tuple[IndexEntry, ...]
-    right: Tuple[IndexEntry, ...]
-    copied: Tuple[IndexEntry, ...]
-
-
-def index_key_split(entries: Sequence[IndexEntry], split_key: Key) -> IndexKeySplit:
-    """Apply the section 3.5 keyspace split rule to index entries.
-
-    Entries whose key range strictly contains the split value are copied into
-    both halves; the paper proves these always reference historical nodes,
-    which :func:`repro.core.checker.check_tree` asserts.
-    """
-    left: List[IndexEntry] = []
-    right: List[IndexEntry] = []
-    copied: List[IndexEntry] = []
-    for entry in entries:
-        keys = entry.region.keys
-        upper_at_or_below = keys.high is not None and not split_key < keys.high
-        lower_at_or_above = keys.low is not None and not keys.low < split_key
-        if upper_at_or_below:
-            left.append(entry)
-        elif lower_at_or_above:
-            right.append(entry)
-        else:
-            # Key range strictly contains the split value: copy to both.
-            copied.append(entry)
-            left.append(entry)
-            right.append(entry)
-    if not left or not right:
-        raise SplitError(f"index key split at {split_key!r} leaves one half empty")
-    return IndexKeySplit(
-        split_key=split_key,
-        left=tuple(left),
-        right=tuple(right),
-        copied=tuple(copied),
-    )
-
-
-def choose_index_split_key(entries: Sequence[IndexEntry]) -> Key:
+def index_split_key(node: IndexNode) -> Key:
     """Pick a split value for an index keyspace split.
 
     Section 3.5: "The split value may be any key value actually used in an
-    index entry in the node."  We take the median of the distinct lower
-    bounds, excluding the overall minimum (which would leave the left half
-    empty).
+    index entry in the node."  We take the median of the distinct low bounds
+    that leave both halves non-empty: those with some high bound at or below
+    them (the lowest low bound never has one).
     """
-    bounds = sorted(
-        {entry.region.keys.low for entry in entries if entry.region.keys.low is not None}
-    )
-    if not bounds:
-        raise SplitError("index node has no finite key bounds to split at")
-    candidates = [
-        bound
-        for bound in bounds
-        if any(
-            entry.region.keys.high is not None
-            and not bound < entry.region.keys.high
-            for entry in entries
-        )
-        and any(
-            entry.region.keys.low is not None and not entry.region.keys.low < bound
-            for entry in entries
-        )
-    ]
+    table, lows, highs = node.columns()[:3]
+    lowest_high = min(highs, default=_NO_HIGH)
+    candidates = sorted(ref for ref in set(lows) if ref >= lowest_high)
     if not candidates:
         raise SplitError("no key value splits this index node into two non-empty halves")
-    return candidates[len(candidates) // 2]
+    return table[candidates[len(candidates) // 2] - 1]
 
 
-@dataclass(frozen=True)
-class IndexTimeSplit:
-    """Result of a (local) index-node time split."""
+def index_key_split_slots(node: IndexNode, split_key: Key) -> Tuple[List[int], List[int], int]:
+    """Apply the section 3.5 keyspace split rule to ``node``'s slots:
+    ``(left, right, copied)``, each half in list order.
 
-    split_time: int
-    historical: Tuple[IndexEntry, ...]
-    current: Tuple[IndexEntry, ...]
-    copied: Tuple[IndexEntry, ...]
+    A slot whose key range strictly contains the split value is in both
+    halves; the paper proves these always reference historical nodes, which
+    :func:`repro.core.checker.check_tree` asserts.
+    """
+    table, lows, highs = node.columns()[:3]
+    # A low ref at or below `below` is a key below the split value; a high
+    # ref above `above` a key above it.
+    below, above = bisect_left(table, split_key), bisect_right(table, split_key)
+    left = [slot for slot, low in enumerate(lows) if low <= below]
+    right = [slot for slot, high in enumerate(highs) if high > above]
+    if not left or not right:
+        raise SplitError(f"index key split at {split_key!r} leaves one half empty")
+    copied = sum(low <= below and high > above for low, high in zip(lows, highs))
+    return left, right, copied
 
 
-def find_local_index_split_time(entries: Sequence[IndexEntry]) -> Optional[int]:
-    """Largest time T at which this index node can be *locally* time split.
+def local_index_split_time(node: IndexNode) -> Optional[int]:
+    """Largest time T at which ``node`` can be *locally* time split.
 
     The constraint (section 3.5): no entry referencing a current node may be
     placed in the historical index node, because current children can still
     split and their parent entries must remain updatable.  Therefore T must
-    not exceed the start time of any current entry's region, and at least one
-    entry must end at or before T (otherwise nothing would migrate).
+    not exceed the start time of any current slot, and at least one slot must
+    end at or before T (otherwise nothing would migrate).
 
     Returns ``None`` when no such T exists — the Figure 9 situation, where an
     old data node that has never been time split blocks the index split.
     """
-    if not entries:
-        return None
-    current_starts = [
-        entry.region.times.start for entry in entries if entry.is_current
-    ]
-    limit: Optional[int] = min(current_starts) if current_starts else None
-    candidate: Optional[int] = None
-    for entry in entries:
-        end = entry.region.times.end
-        if end is None:
-            continue
-        if limit is not None and end > limit:
-            continue
-        if candidate is None or end > candidate:
-            candidate = end
-    return candidate
+    starts, ends, tiers = node.columns()[3:]
+    limit = min((start for start, tier in zip(starts, tiers) if not tier), default=_U64_MAX)
+    return max((end for end in ends if end <= limit and end != _U64_MAX), default=None)
 
 
-def index_time_split(entries: Sequence[IndexEntry], split_time: int) -> IndexTimeSplit:
-    """Split index entries at ``split_time`` (which must be local — see above)."""
-    historical: List[IndexEntry] = []
-    current: List[IndexEntry] = []
-    copied: List[IndexEntry] = []
-    for entry in entries:
-        times = entry.region.times
-        if times.end is not None and times.end <= split_time:
-            historical.append(entry)
-        elif times.start >= split_time:
-            current.append(entry)
-        else:
-            # The entry's time range crosses the split time.
-            if entry.is_current:
-                raise SplitError(
-                    f"index time split at {split_time} is not local: entry "
-                    f"{entry} references a current node and spans the split time"
-                )
-            copied.append(entry)
-            historical.append(entry)
-            current.append(entry)
+def index_time_split_slots(node: IndexNode, split_time: int) -> Tuple[List[int], List[int], int]:
+    """Split ``node``'s slots at ``split_time`` (which must be local — see
+    above): ``(historical, current, copied)``, each half in list order."""
+    starts, ends, tiers = node.columns()[3:]
+    historical = [slot for slot, start in enumerate(starts) if start < split_time]
+    current = [slot for slot, end in enumerate(ends) if end > split_time]
+    # The slots whose time range crosses the split time.
+    crossing = [slot for slot in historical if ends[slot] > split_time]
+    if not all(tiers[slot] for slot in crossing):
+        raise SplitError(
+            f"index time split at {split_time} is not local: a slot references "
+            "a current node and spans the split time"
+        )
     if not historical:
         raise SplitError(f"index time split at {split_time} would migrate nothing")
     if not current:
-        raise SplitError(
-            f"index time split at {split_time} would leave no current entries"
-        )
-    return IndexTimeSplit(
-        split_time=split_time,
-        historical=tuple(historical),
-        current=tuple(current),
-        copied=tuple(copied),
+        raise SplitError(f"index time split at {split_time} would leave no current entries")
+    return historical, current, len(crossing)
+
+
+def carve_index_split(node: IndexNode, page_size: int, time_first: bool) -> CarvedSplit:
+    """The split of the full index ``node``, decided and carved: a local
+    time split first when ``time_first`` and a legal one exists, else a key
+    split, falling back to the other kind when the first cannot be made.  A
+    current half too large for ``page_size`` is carved into a split of its
+    own, the same way, and stands in ``halves`` in its place."""
+    split_time = local_index_split_time(node)
+    kinds = [SplitKind.KEY]
+    if split_time is not None and split_time > node.region.times.start:
+        kinds.insert(0 if time_first else 1, SplitKind.TIME)
+    for kind in kinds:
+        try:
+            if kind is SplitKind.TIME:
+                return _carve_index_time_split(node, split_time, page_size, time_first)
+            return _carve_index_key_split(node, page_size, time_first)
+        except SplitError as error:
+            failure = error
+    raise failure
+
+
+def _fitted(half: IndexNode, page_size: int, time_first: bool) -> Union[IndexNode, CarvedSplit]:
+    """``half``, or its split when it does not fit a page."""
+    return half if half.fits(page_size) else carve_index_split(half, page_size, time_first)
+
+
+def _carve_index_time_split(
+    node: IndexNode, split_time: int, page_size: int, time_first: bool
+) -> CarvedSplit:
+    """Local index time split (section 3.5, Figure 8): the historical half,
+    bound for the optical disk, and the current half."""
+    historical_region, current_region = split_region_by_time(node.region, split_time)
+    historical, current, copied = index_time_split_slots(node, split_time)
+    halves = (
+        node.carve(historical, historical_region),
+        _fitted(node.carve(current, current_region), page_size, time_first),
     )
+    return CarvedSplit(SplitKind.TIME, split_time, halves, copied)
+
+
+def _carve_index_key_split(node: IndexNode, page_size: int, time_first: bool) -> CarvedSplit:
+    """Index keyspace split (section 3.5 rule), duplicating straddling entries."""
+    split_key = index_split_key(node)
+    left_region, right_region = split_region_by_key(node.region, split_key)
+    left, right, copied = index_key_split_slots(node, split_key)
+    halves = (
+        _fitted(node.carve(left, left_region), page_size, time_first),
+        _fitted(node.carve(right, right_region), page_size, time_first),
+    )
+    return CarvedSplit(SplitKind.KEY, split_key, halves, copied)
 
 
 # ----------------------------------------------------------------------

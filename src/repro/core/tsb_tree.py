@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, decode_node
+from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, Row, decode_node
 from repro.core.policy import SplitContext, SplitPolicy, ThresholdPolicy
 from repro.obs import trace
 from repro.core.records import (
@@ -44,15 +44,9 @@ from repro.core.records import (
 )
 from repro.core.split import (
     CarvedSplit,
-    SplitError,
     SplitKind,
     carve_data_split,
-    choose_index_split_key,
-    find_local_index_split_time,
-    index_key_split,
-    index_time_split,
-    split_region_by_key,
-    split_region_by_time,
+    carve_index_split,
 )
 from repro.storage.device import Address, Tier
 from repro.storage.magnetic import MagneticDisk
@@ -548,7 +542,7 @@ class TSBTree:
             node = self._load_node(address)
             yield node
             if isinstance(node, IndexNode):
-                stack.extend(entry.child for entry in node.entries)
+                stack.extend(node.children())
 
     def data_nodes(self) -> List[DataNode]:
         return [node for node in self.iter_nodes() if isinstance(node, DataNode)]
@@ -730,15 +724,14 @@ class TSBTree:
         read = self.cache.read
         node = read(self._root_address)
         while isinstance(node, IndexNode):
-            node = read(node.find_current_child(key).child)
+            node = read(node.child(node.find_current_child(key)))
         assert isinstance(node, DataNode)
         return node
 
     def _descend_to_leaf(self, key: Key, timestamp: int) -> DataNode:
         node = self._load_node(self._root_address)
         while isinstance(node, IndexNode):
-            entry = node.find_child(key, timestamp)
-            node = self._load_node(entry.child)
+            node = self._load_node(node.child(node.find_child(key, timestamp)))
         assert isinstance(node, DataNode)
         return node
 
@@ -793,9 +786,7 @@ class TSBTree:
         if replacements is not None:
             self._grow_root(replacements)
 
-    def _insert_recursive(
-        self, address: Address, version: Version
-    ) -> Optional[List[IndexEntry]]:
+    def _insert_recursive(self, address: Address, version: Version) -> Optional[List[Row]]:
         node = self.cache.read(address)  # the current path is all magnetic
         if isinstance(node, DataNode):
             # A rewrite inside a transaction replaces its earlier version of
@@ -813,33 +804,27 @@ class TSBTree:
                 return None
             return self._split_data_node(node if earlier is None else node.without(earlier), version)
 
-        entry = node.find_current_child(version.key)
-        child_replacements = self._insert_recursive(entry.child, version)
-        if child_replacements is None:
+        slot = node.find_current_child(version.key)
+        rows = self._insert_recursive(node.child(slot), version)
+        if rows is None:
             return None
-        node.replace_entry(entry, child_replacements)
+        node.replace(slot, rows)
         if node.fits(self.page_size):
             self._store_node(node)
             return None
         return self._split_index_node(node)
 
-    def _grow_root(self, entries: Sequence[IndexEntry]) -> None:
-        """Create a new index root above the entries produced by a root split."""
-        new_root_address = self.magnetic.allocate_page()
-        new_root = IndexNode(
-            address=new_root_address,
-            region=Rectangle.full(),
-            entries=list(entries),
-            level=self._height,
-        )
-        self._store_node(new_root)
-        self._root_address = new_root_address
+    def _grow_root(self, rows: Sequence[Row]) -> None:
+        """Create a new index root above the rows produced by a root split.
+        A root too full for them (a lower split produced many) is split, and
+        grown over, before it is stored."""
+        root = IndexNode(self.magnetic.allocate_page(), Rectangle.full(), rows, level=self._height)
         self._height += 1
-        # The brand-new root might itself be too full when a lower split
-        # produced many replacement entries; split it immediately if so.
-        if not new_root.fits(self.page_size):
-            replacements = self._split_index_node(new_root)
-            self._grow_root(replacements)
+        if root.fits(self.page_size):
+            self._store_node(root)
+            self._root_address = root.address
+        else:
+            self._grow_root(self._split_index_node(root))
 
     # -- data nodes ---------------------------------------------------------
     def _split_data_node(self, node: DataNode, incoming: Version) -> List[IndexEntry]:
@@ -914,94 +899,43 @@ class TSBTree:
             ]
 
     # -- index nodes ----------------------------------------------------------
-    def _split_index_node(self, node: IndexNode) -> List[IndexEntry]:
-        """Split a full index node, preferring a local time split when allowed."""
-        replacements = self._perform_index_split(node)
-        expanded: List[IndexEntry] = []
-        for entry in replacements:
-            if entry.is_current:
-                child = self._load_node(entry.child)
-                if isinstance(child, IndexNode) and not child.fits(self.page_size):
-                    expanded.extend(self._split_index_node(child))
-                    continue
-            expanded.append(entry)
-        return expanded
+    def _split_index_node(self, node: IndexNode) -> List[Row]:
+        """Split a full index node, preferring a local time split when the
+        policy does, and return its rows for the parent.  Every split it
+        needs — a half still too full is split again — is decided and carved
+        (:func:`~repro.core.split.carve_index_split`) before the first is
+        written, so a node no split can fit raises ``SplitError`` with
+        nothing of its split written."""
+        split = carve_index_split(node, self.page_size, self.policy.prefers_index_time_splits)
+        return self._write_index_split(split, node.address)
 
-    def _perform_index_split(self, node: IndexNode) -> List[IndexEntry]:
-        if self.policy.prefers_index_time_splits:
-            split_time = find_local_index_split_time(node.entries)
-            if split_time is not None and split_time > node.region.times.start:
-                try:
-                    return self._perform_index_time_split(node, split_time)
-                except SplitError:
-                    pass
-        try:
-            split_key = choose_index_split_key(node.entries)
-            return self._perform_index_key_split(node, split_key)
-        except SplitError:
-            # No usable key split (e.g. every entry spans the full key range);
-            # fall back to a time split if one is possible at all.
-            split_time = find_local_index_split_time(node.entries)
-            if split_time is None or split_time <= node.region.times.start:
-                raise
-            return self._perform_index_time_split(node, split_time)
-
-    def _perform_index_time_split(self, node: IndexNode, split_time: int) -> List[IndexEntry]:
-        """Local index time split (section 3.5, Figure 8)."""
-        with trace.span("tsb.index_time_split", time=split_time):
-            historical_region, current_region = split_region_by_time(node.region, split_time)
-            split = index_time_split(node.entries, split_time)
-            historical_node = IndexNode(
-                address=Address.magnetic(0),
-                region=historical_region,
-                entries=list(split.historical),
-                level=node.level,
-            )
-            historical_address = self._append_historical(historical_node.encode())
-            node.entries = list(split.current)
-            node.region = current_region
-            self.counters.index_time_splits += 1
-            self.counters.redundant_index_entries_written += len(split.copied)
-            return [
-                IndexEntry(child=historical_address, region=historical_region),
-                *self._store_or_resplit_index(node),
-            ]
-
-    def _perform_index_key_split(self, node: IndexNode, split_key: Key) -> List[IndexEntry]:
-        """Index keyspace split (section 3.5 rule), duplicating straddling entries."""
-        with trace.span("tsb.index_key_split", key=split_key):
-            left_region, right_region = split_region_by_key(node.region, split_key)
-            split = index_key_split(node.entries, split_key)
-            # Allocate before mutating, as in the data-node key split.
-            right_address = self.magnetic.allocate_page()
-            node.entries = list(split.left)
-            node.region = left_region
-            right_node = IndexNode(
-                address=right_address,
-                region=right_region,
-                entries=list(split.right),
-                level=node.level,
-            )
+    def _write_index_split(self, split: CarvedSplit, address: Address) -> List[Row]:
+        """Write a carved split of the index node at ``address`` (section
+        3.5): a time split's historical half to the optical disk and its
+        current half in the node's place, a key split's left half in its
+        place and its right half on a new page."""
+        self.counters.redundant_index_entries_written += split.redundant
+        if split.kind is SplitKind.TIME:
+            historical, current = split.halves
+            with trace.span("tsb.index_time_split", time=split.at):
+                self.counters.index_time_splits += 1
+                historical_address = self._append_historical(historical.encode())
+                rows = self._write_index_half(current, address)
+                return [(historical_address, historical.region), *rows]
+        left, right = split.halves
+        with trace.span("tsb.index_key_split", key=split.at):
             self.counters.index_key_splits += 1
-            self.counters.redundant_index_entries_written += len(split.copied)
-            return [
-                *self._store_or_resplit_index(node),
-                *self._store_or_resplit_index(right_node),
-            ]
+            right_address = self.magnetic.allocate_page()
+            rows = self._write_index_half(left, address)
+            return rows + self._write_index_half(right, right_address)
 
-    def _store_or_resplit_index(self, node: IndexNode) -> List[IndexEntry]:
-        """Store one split half, or split it again if it still overflows.
-
-        A key split copies straddling entries into both halves and a time
-        split keeps every still-alive entry on the current side, so on small
-        pages a single split does not guarantee both halves fit.  Splitting
-        the oversized half again (strictly narrowing its region each round)
-        converges; ``_store_node`` would refuse the oversized page image.
-        """
-        if node.fits(self.page_size):
-            self._store_node(node)
-            return [IndexEntry(child=node.address, region=node.region)]
-        return self._perform_index_split(node)
+    def _write_index_half(self, half: Union[IndexNode, CarvedSplit], address: Address) -> List[Row]:
+        """Store one half at ``address``, or write the split it was carved into."""
+        if isinstance(half, CarvedSplit):
+            return self._write_index_split(half, address)
+        half.address = address
+        self._store_node(half)
+        return [(address, half.region)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

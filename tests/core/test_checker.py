@@ -89,7 +89,7 @@ class TestCorruptionDetection:
             if entry.region.keys.low == node.region.keys.low
         )
         widened = Rectangle(KeyRange(None, victim.region.keys.high), victim.region.times)
-        node.replace_entry(victim, [IndexEntry(child=victim.child, region=widened)])
+        node.replace(node.entries.index(victim), [IndexEntry(child=victim.child, region=widened)])
         tree._store_node(node)
         assert violated_invariants(tree) == {"entry_region"}
         assert len(check_tree(tree)) == 1
@@ -106,7 +106,7 @@ class TestCorruptionDetection:
             child=type(victim.child).historical(9999, 0, 64),
             region=victim.region,
         )
-        node.replace_entry(victim, [forged])
+        node.replace(node.entries.index(victim), [forged])
         tree._store_node(node)
         problems = violated_invariants(tree)
         assert "tier" in problems or "reachability" in problems
@@ -147,7 +147,7 @@ class TestCorruptionDetection:
         node = find_current_index_node(tree)
         victim = node.entries[0]
         forged = IndexEntry(child=type(victim.child).magnetic(987654), region=victim.region)
-        node.replace_entry(victim, [forged])
+        node.replace(node.entries.index(victim), [forged])
         tree._store_node(node)
         assert "reachability" in violated_invariants(tree)
 
@@ -478,7 +478,7 @@ def test_checking_a_tree_builds_no_version(grow, preload, monkeypatch):
         assert reopened.current_keys()  # loads the current tree
     versions = count_built_versions(monkeypatch)
     entries, regions, decoded_rectangle = [], [], nodes.decoded_rectangle
-    monkeypatch.setattr(IndexNode, "_entry", lambda node, slot: entries.append(slot))
+    monkeypatch.setattr(IndexNode, "entry", lambda node, slot: entries.append(slot))
     monkeypatch.setattr(nodes, "decoded_rectangle", lambda *f: regions.append(f) or decoded_rectangle(*f))
     assert check_tree(reopened) == []
     sweep = RecoveryManager(reopened.magnetic, reopened.historical, log_device=None)

@@ -17,43 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import TSBTree, check_tree
+from repro.core import check_tree
 from repro.core.nodes import _HISTORICAL_CHILD, _INDEX_HEADER, _NO_HIGH, _U64_MAX, IndexNode, _keys_at
-from repro.core.policy import make_policy
 from tests.core import checker_reference
-from tests.core.test_split_columns import POLICIES
+from tests.core.test_split_columns import POLICIES, build_tree
 
 CORRUPTIONS = ("none", "bound", "time", "tier", "page", "drop")
-
-
-def build_tree(policy, page_size, as_key, operations, reopen, cache_pages, rng):
-    """A tree grown by ``operations`` random writes, perhaps checkpointed,
-    reopened from its devices and grown further; some transactions stay open."""
-    name, kwargs = POLICIES[policy]
-    tree = TSBTree(page_size=page_size, policy=make_policy(name, **kwargs), cache_pages=cache_pages)
-    open_txns = {}  # txn id -> keys written provisionally
-    for step in range(operations):
-        if reopen and step == operations // 2:
-            tree.checkpoint()
-            tree = TSBTree.open(
-                tree.magnetic, tree.historical, policy=tree.policy, cache_pages=cache_pages
-            )
-        key = as_key(rng.randrange(40))
-        roll = rng.random()
-        if roll < 0.08 and len(open_txns) < 3:
-            txn_id = 1000 + step
-            if all(key not in keys for keys in open_txns.values()):
-                tree.insert_provisional(key, b"p%d" % step, txn_id)
-                open_txns[txn_id] = [key]
-        elif roll < 0.12 and open_txns:
-            txn_id = rng.choice(sorted(open_txns))
-            tree.commit_provisional(txn_id, open_txns.pop(txn_id), tree.now + 1)
-        elif roll < 0.18 and tree.search_current(key) is not None:
-            if all(key not in keys for keys in open_txns.values()):
-                tree.delete(key)
-        elif all(key not in keys for keys in open_txns.values()):
-            tree.insert(key, bytes(rng.randrange(4, 24)))
-    return tree
 
 
 def corrupt(tree, kind, rng):

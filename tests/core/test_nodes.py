@@ -220,10 +220,10 @@ def tiling_entries():
 class TestIndexNode:
     def test_find_child_unique_containment(self):
         node = make_index_node(tiling_entries())
-        assert node.find_child(10, 5).child == Address.historical(0, 0, 64)
-        assert node.find_child(10, 10).child == Address.magnetic(5)
-        assert node.find_child(60, 3).child == Address.historical(1, 1, 64)
-        assert node.find_child(60, 99).child == Address.magnetic(6)
+        assert node.child(node.find_child(10, 5)) == Address.historical(0, 0, 64)
+        assert node.child(node.find_child(10, 10)) == Address.magnetic(5)
+        assert node.child(node.find_child(60, 3)) == Address.historical(1, 1, 64)
+        assert node.child(node.find_child(60, 99)) == Address.magnetic(6)
 
     def test_find_child_no_cover_raises(self):
         node = make_index_node(tiling_entries()[:2])  # only historical halves
@@ -244,22 +244,22 @@ class TestIndexNode:
         assert {child.page_id for child in overlapping} == {5, 6}
 
     def test_replace_entry(self):
-        entries = tiling_entries()
-        node = make_index_node(entries)
+        node = make_index_node(tiling_entries())
         replacement = [
-            IndexEntry(Address.magnetic(7), Rectangle(KeyRange(None, 20), TimeRange(10, None))),
+            (Address.magnetic(7), Rectangle(KeyRange(None, 20), TimeRange(10, None))),
             IndexEntry(Address.magnetic(8), Rectangle(KeyRange(20, 50), TimeRange(10, None))),
         ]
-        node.replace_entry(entries[2], replacement)
+        node.replace(2, replacement)
         assert len(node.entries) == 5
-        assert node.find_child(5, 50).child == Address.magnetic(7)
-        assert node.find_child(30, 50).child == Address.magnetic(8)
+        assert node.child(node.find_child(5, 50)) == Address.magnetic(7)
+        assert node.child(node.find_child(30, 50)) == Address.magnetic(8)
 
     def test_replace_missing_entry_raises(self):
         node = make_index_node(tiling_entries())
         stranger = IndexEntry(Address.magnetic(99), Rectangle.full())
-        with pytest.raises(NodeError):
-            node.replace_entry(stranger, [stranger])
+        with pytest.raises(IndexError):
+            node.replace(4, [stranger])
+        assert node.entries == tuple(tiling_entries())
 
     def test_roundtrip(self):
         node = make_index_node(tiling_entries(), level=3)
@@ -299,7 +299,9 @@ class TestDecodeDispatch:
 def linear_find_child(node, key, timestamp):
     """The pre-bisect reference: exhaustive containment scan."""
     matches = [
-        entry for entry in node.entries if entry.region.contains_point(key, timestamp)
+        slot
+        for slot, entry in enumerate(node.entries)
+        if entry.region.contains_point(key, timestamp)
     ]
     if len(matches) != 1:
         raise NodeError(f"expected one child, found {len(matches)}")
@@ -309,8 +311,8 @@ def linear_find_child(node, key, timestamp):
 def linear_find_current_child(node, key):
     """The pre-bisect reference for the current-child search rule."""
     matches = [
-        entry
-        for entry in node.entries
+        slot
+        for slot, entry in enumerate(node.entries)
         if entry.is_current and entry.region.keys.contains(key)
     ]
     if len(matches) != 1:
@@ -365,9 +367,9 @@ class TestBisectSearchAgainstLinearReference:
     def test_single_entry_node_boundaries(self):
         entry = IndexEntry(Address.magnetic(3), Rectangle(KeyRange(10, 20), TimeRange(0, None)))
         node = make_index_node([entry])
-        assert node.find_current_child(10) is entry          # low edge inclusive
-        assert node.find_current_child(19) is entry
-        assert node.find_child(10, 0) is entry
+        assert node.find_current_child(10) == 0              # low edge inclusive
+        assert node.find_current_child(19) == 0
+        assert node.find_child(10, 0) == 0
         with pytest.raises(NodeError):
             node.find_current_child(20)                      # high edge exclusive
         with pytest.raises(NodeError):
@@ -377,9 +379,9 @@ class TestBisectSearchAgainstLinearReference:
         node = grid_index_node(key_cuts=(10, 50, 90), time_cuts=(5, 9))
         # The unbounded first and last stripes, probed at their seams.
         for key in (0, 9, 10, 49, 50, 89, 90, 10_000):
-            assert node.find_current_child(key) is linear_find_current_child(node, key)
+            assert node.find_current_child(key) == linear_find_current_child(node, key)
             for timestamp in (0, 4, 5, 8, 9, 10_000):
-                assert node.find_child(key, timestamp) is linear_find_child(
+                assert node.find_child(key, timestamp) == linear_find_child(
                     node, key, timestamp
                 )
 
@@ -390,18 +392,18 @@ class TestBisectSearchAgainstLinearReference:
         node = grid_index_node(key_cuts=(50,), time_cuts=(3, 7, 11))
         for key in (0, 49, 50, 99):
             current = node.find_current_child(key)
-            assert current.is_current
+            assert node.child(current).is_magnetic
             for timestamp in (0, 2, 3, 6, 7, 10, 11, 12):
-                entry = node.find_child(key, timestamp)
-                assert entry is linear_find_child(node, key, timestamp)
-                assert entry.region.contains_point(key, timestamp)
+                slot = node.find_child(key, timestamp)
+                assert slot == linear_find_child(node, key, timestamp)
+                assert node.entry(slot).region.contains_point(key, timestamp)
 
     def test_replacing_an_entry_taken_from_the_node_compares_no_others(self, monkeypatch):
         node = grid_index_node(key_cuts=(10, 50, 90), time_cuts=(5, 9))
         old = node.find_current_child(95)  # the last entry of the list
         compared = []
         monkeypatch.setattr(IndexEntry, "__eq__", lambda a, b: compared.append(a) or a is b)
-        node.replace_entry(old, [])
+        node.replace(old, [])
         assert compared == []
         assert len(node.entries) == 11
 
@@ -424,10 +426,10 @@ class TestBisectSearchAgainstLinearReference:
     def test_property_bisect_equals_linear_scan(self, key_cuts, time_cuts, probes):
         node = grid_index_node(sorted(key_cuts), sorted(time_cuts))
         for key, timestamp in probes:
-            assert node.find_child(key, timestamp) is linear_find_child(
+            assert node.find_child(key, timestamp) == linear_find_child(
                 node, key, timestamp
             )
-            assert node.find_current_child(key) is linear_find_current_child(node, key)
+            assert node.find_current_child(key) == linear_find_current_child(node, key)
 
 
 class TestDataNodeLookupBoundaries:

@@ -522,12 +522,12 @@ def scanned(matches):
 def all_forms(node, filler):
     """The node as built, as opened from its image, and as opened from the
     image of a node holding just ``filler`` and then spliced into shape by
-    ``replace_entry`` — bounds enter its key table in any order, and the
+    ``replace`` — bounds enter its key table in any order, and the
     filler's leave stale ones behind.  All three must encode alike."""
     opened = IndexNode.decode(node.address, node.encode())
     seed = IndexNode(node.address, node.region, [filler], node.level)
     spliced = IndexNode.decode(seed.address, seed.encode())
-    spliced.replace_entry(spliced.entries[0], node.entries)
+    spliced.replace(0, node.entries)
     forms = [node, opened, spliced]
     assert [form.encode() for form in forms] == [node.encode()] * 3
     return forms
@@ -556,8 +556,8 @@ class TestIndexSearchesAgainstLinearScans:
         for form in all_forms(node, filler):
             for key in keys:
                 for stamp in (0, 1, 25, 49, 50, 99, 2**64 - 1, 2**70):
-                    expected = scanned([e for e in entries if e.region.contains_point(key, stamp)])
-                    assert outcome(lambda: form.find_child(key, stamp)) == expected
+                    expected = scanned([e.child for e in entries if e.region.contains_point(key, stamp)])
+                    assert outcome(lambda: form.child(form.find_child(key, stamp))) == expected
             for query in queries:
                 assert form.children_overlapping(query) == [
                     e.child for e in entries if e.region.overlaps(query)
@@ -592,12 +592,12 @@ class TestIndexSearchesAgainstLinearScans:
         for form in all_forms(node, filler):
             for key in [-5, 0, 1000] + [cut + step for cut in key_cuts for step in (-1, 0, 1)]:
                 current = [
-                    e for e in entries if e.region.times.is_current and e.region.keys.contains(key)
+                    e.child for e in entries if e.region.times.is_current and e.region.keys.contains(key)
                 ]
-                assert outcome(lambda: form.find_current_child(key)) == scanned(current)
+                assert outcome(lambda: form.child(form.find_current_child(key))) == scanned(current)
                 for stamp in [0, 100] + time_cuts:
-                    expected = scanned([e for e in entries if e.region.contains_point(key, stamp)])
-                    assert outcome(lambda: form.find_child(key, stamp)) == expected
+                    expected = scanned([e.child for e in entries if e.region.contains_point(key, stamp)])
+                    assert outcome(lambda: form.child(form.find_child(key, stamp))) == expected
 
     def test_overlapping_and_uncovered_points_fail_with_the_same_words(self):
         cell = Rectangle(KeyRange(10, 20), TimeRange(0, None))
@@ -618,15 +618,17 @@ class TestIndexSearchesAgainstLinearScans:
                 form.find_current_child(5)
 
     def test_a_followed_entry_is_built_once(self):
+        """A followed slot's child ``Address`` is built once and kept; the
+        entry view hands out the same one."""
         node = IndexNode(
-            Address.magnetic(4),
+            Address.historical(4, 40, 64),
             Rectangle.full(),
-            [IndexEntry(Address.magnetic(1), Rectangle(KeyRange(None, None), TimeRange(0, None)))],
+            [IndexEntry(Address.historical(1, 10, 64), Rectangle(KeyRange(None, None), TimeRange(0, 9)))],
         )
         opened = IndexNode.decode(node.address, node.encode())
-        entry = opened.find_current_child(3)
-        assert opened.find_child(3, 9) is entry
-        assert opened.entries[0] is entry  # and shared by the entry tuple
+        child = opened.child(opened.find_child(3, 2))
+        assert opened.child(opened.find_child(3, 8)) is child  # the slot's Address is kept
+        assert opened.entries[0].child is child
 
 
 # ----------------------------------------------------------------------
@@ -693,10 +695,10 @@ class TestMutationGivesUpTheImage:
         extra = IndexEntry(Address.magnetic(2), Rectangle(KeyRange(50, None), TimeRange(5, None)))
         node, image = self.opened_index_node()
         old = node.find_current_child(1)
-        narrowed = IndexEntry(old.child, Rectangle(KeyRange(None, 50), TimeRange(5, None)))
-        node.replace_entry(old, [narrowed, extra])
+        narrowed = IndexEntry(node.child(old), Rectangle(KeyRange(None, 50), TimeRange(5, None)))
+        node.replace(old, [narrowed, extra])
         self.assert_encodes_what_it_holds(node, image)
-        assert node.find_current_child(60) is extra
+        assert node.entry(node.find_current_child(60)) == extra
 
         node, image = self.opened_index_node()
         node.entries = node.entries[:1]

@@ -1,14 +1,14 @@
 """Unit and property tests for the splitting rules of paper section 3.
 
-The data-node rules read a node's slot columns; each test builds the node
-from a version list and reads the halves back as versions.
+The rules read a node's slot columns; each test builds the node from a
+version or entry list and reads the halves back as slots of that list.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nodes import DataNode, IndexEntry
+from repro.core.nodes import DataNode, IndexEntry, IndexNode
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.core.split import (
     SlotColumns,
@@ -16,13 +16,13 @@ from repro.core.split import (
     SplitError,
     SplitKind,
     candidate_split_times,
-    choose_index_split_key,
     choose_key_split_value,
     evaluate_time_split,
-    find_local_index_split_time,
-    index_key_split,
-    index_time_split,
+    index_key_split_slots,
+    index_split_key,
+    index_time_split_slots,
     key_split_slots,
+    local_index_split_time,
     last_update_time,
     min_redundancy_split_time,
     split_region_by_key,
@@ -254,6 +254,10 @@ def entry(child_id, key_low, key_high, time_low, time_high, historical=False):
     )
 
 
+def index_node(entries):
+    return IndexNode(Address.magnetic(90), Rectangle.full(), entries)
+
+
 class TestIndexKeySplit:
     def test_straddling_historical_entry_copied_to_both(self):
         entries = [
@@ -261,11 +265,9 @@ class TestIndexKeySplit:
             entry(2, 50, None, 5, None),
             entry(3, None, None, 0, 5, historical=True),
         ]
-        split = index_key_split(entries, 50)
-        assert entries[0] in split.left and entries[0] not in split.right
-        assert entries[1] in split.right and entries[1] not in split.left
-        assert entries[2] in split.left and entries[2] in split.right
-        assert split.copied == (entries[2],)
+        left, right, copied = index_key_split_slots(index_node(entries), 50)
+        assert left == [0, 2] and right == [1, 2]
+        assert copied == 1
 
     def test_no_copy_when_ranges_align_with_split(self):
         entries = [
@@ -274,14 +276,20 @@ class TestIndexKeySplit:
             entry(3, None, 50, 5, None),
             entry(4, 50, None, 5, None),
         ]
-        split = index_key_split(entries, 50)
-        assert split.copied == ()
-        assert len(split.left) == 2 and len(split.right) == 2
+        left, right, copied = index_key_split_slots(index_node(entries), 50)
+        assert copied == 0
+        assert left == [0, 2] and right == [1, 3]
 
     def test_empty_half_rejected(self):
         entries = [entry(1, 50, None, 0, None), entry(2, 60, None, 0, None)]
         with pytest.raises(SplitError):
-            index_key_split(entries, 50)
+            index_key_split_slots(index_node(entries), 50)
+
+    def test_a_split_value_outside_the_key_table(self):
+        entries = [entry(1, None, 50, 0, None), entry(2, 50, None, 0, None)]
+        # Each split value falls inside one entry's key range: it is copied.
+        assert index_key_split_slots(index_node(entries), 40) == ([0], [0, 1], 1)
+        assert index_key_split_slots(index_node(entries), 60) == ([0, 1], [1], 1)
 
     def test_choose_index_split_key_returns_usable_value(self):
         entries = [
@@ -290,9 +298,10 @@ class TestIndexKeySplit:
             entry(3, 40, 60, 0, None),
             entry(4, 60, None, 0, None),
         ]
-        split_key = choose_index_split_key(entries)
-        split = index_key_split(entries, split_key)
-        assert split.left and split.right
+        split_key = index_split_key(index_node(entries))
+        left, right, _copied = index_key_split_slots(index_node(entries), split_key)
+        assert split_key == 40
+        assert left and right
 
     def test_choose_index_split_key_rejects_unsplittable_node(self):
         entries = [
@@ -300,7 +309,7 @@ class TestIndexKeySplit:
             entry(2, None, None, 5, None),
         ]
         with pytest.raises(SplitError):
-            choose_index_split_key(entries)
+            index_split_key(index_node(entries))
 
 
 class TestIndexTimeSplit:
@@ -312,7 +321,7 @@ class TestIndexTimeSplit:
             entry(4, 50, None, 6, None),
         ]
         # The earliest current entry starts at 4, so 4 is the latest legal T.
-        assert find_local_index_split_time(entries) == 4
+        assert local_index_split_time(index_node(entries)) == 4
 
     def test_no_local_split_when_current_child_spans_everything(self):
         entries = [
@@ -320,10 +329,10 @@ class TestIndexTimeSplit:
             entry(2, 50, None, 0, 5, historical=True),
             entry(3, 50, None, 5, None),
         ]
-        assert find_local_index_split_time(entries) is None
+        assert local_index_split_time(index_node(entries)) is None
 
     def test_empty_entry_list(self):
-        assert find_local_index_split_time([]) is None
+        assert local_index_split_time(index_node([])) is None
 
     def test_index_time_split_partitions_and_copies(self):
         entries = [
@@ -332,12 +341,10 @@ class TestIndexTimeSplit:
             entry(3, None, 50, 4, None),
             entry(4, 50, None, 8, None),
         ]
-        split = index_time_split(entries, 4)
-        assert entries[0] in split.historical and entries[0] not in split.current
-        assert entries[1] in split.historical and entries[1] in split.current
-        assert split.copied == (entries[1],)
-        assert entries[2] in split.current and entries[2] not in split.historical
-        assert entries[3] in split.current
+        historical, current, copied = index_time_split_slots(index_node(entries), 4)
+        assert historical == [0, 1]
+        assert current == [1, 2, 3]
+        assert copied == 1
 
     def test_non_local_split_rejected(self):
         entries = [
@@ -345,12 +352,12 @@ class TestIndexTimeSplit:
             entry(2, None, None, 0, 3, historical=True),
         ]
         with pytest.raises(SplitError):
-            index_time_split(entries, 5)
+            index_time_split_slots(index_node(entries), 5)
 
     def test_split_that_migrates_nothing_rejected(self):
         entries = [entry(1, None, None, 5, None)]
         with pytest.raises(SplitError):
-            index_time_split(entries, 6)
+            index_time_split_slots(index_node(entries), 6)
 
 
 class TestRegionSplitting:

@@ -1,4 +1,4 @@
-"""The column split against the version-list reference (``split_reference``).
+"""The column splits against the list-form reference (``split_reference``).
 
 For generated data nodes — int and str keys, equal stamps, tombstones,
 provisional versions and committed ones still carrying a txn id, in any list
@@ -8,21 +8,51 @@ columns as from its version list, and both halves must encode byte for byte
 as the reference's.  ``TestColumnSplitFull`` is the property at the nightly
 Hypothesis budget; ``TestColumnSplitSmoke`` is a small fixed-seed run of it
 in tier-1.
+
+For index nodes the same holds of every index split a generated tree makes
+(every policy, page sizes 256 to 1024, int and str keys, transactions left
+open, nodes reopened from their images and then mutated): the carve picks
+the kind and split value the entry-list reference picks, re-splits the same
+oversized halves, and every half encodes as a node built from the
+reference's entry list; the section 3.5 rules agree at every bound of the
+node too.  ``TestIndexSplitFull`` runs nightly, ``TestIndexSplitSmoke`` in
+tier-1.
 """
+
+import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.nodes import DataNode
+from repro.core import split as column_split
+from repro.core import tsb_tree
+from repro.core.nodes import DataNode, IndexEntry
 from repro.core.policy import SplitContext, make_policy
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
-from repro.core.split import SplitError, carve_data_split, time_split_slots
+from repro.core.split import (
+    CarvedSplit,
+    SplitError,
+    carve_data_split,
+    index_key_split_slots,
+    index_split_key,
+    index_time_split_slots,
+    local_index_split_time,
+    time_split_slots,
+)
 from repro.core.tsb_tree import TSBTree
 from repro.storage.costmodel import CostModel
 from repro.storage.device import Address
 from tests.core.split_reference import (
+    ReferenceIndexSplit,
     VersionListContext,
+    choose_index_split_key,
+    find_local_index_split_time,
+    index_key_split,
+    index_time_split,
+    reference_index_split,
     reference_split,
     time_split_versions,
 )
@@ -167,6 +197,10 @@ def count_built_versions(monkeypatch):
 
 @pytest.mark.parametrize("name, kwargs", POLICIES, ids=POLICY_IDS)
 def test_a_split_builds_no_version(name, kwargs, monkeypatch):
+    """Splitting a data node builds no ``Version``; and across the inserts
+    of a tree whose index nodes split by key, by time and again (a half too
+    large), ``IndexEntry`` is built only for the rows of data splits, and no
+    index slot's rectangle is decoded: index splits read columns."""
     tree = TSBTree(page_size=512)
     for step in range(400):
         tree.insert(step % 9, f"value-{step}".encode(), timestamp=step + 1)
@@ -181,3 +215,194 @@ def test_a_split_builds_no_version(name, kwargs, monkeypatch):
         for half in split.halves:
             half.encode()
     assert versions == []
+
+    from repro.core import nodes
+
+    entries, rectangles, carved = [], [], []
+    entry_init, decoded_rectangle = IndexEntry.__init__, nodes.decoded_rectangle
+    carve = column_split.carve_index_split
+
+    def counting_entry(entry, *fields, **named):
+        entries.append(fields or named)
+        entry_init(entry, *fields, **named)
+
+    def counting_rectangle(*bounds):
+        rectangles.append(sys._getframe(1).f_code.co_name)  # who asked
+        return decoded_rectangle(*bounds)
+
+    monkeypatch.setattr(IndexEntry, "__init__", counting_entry)
+    monkeypatch.setattr(nodes, "decoded_rectangle", counting_rectangle)
+    monkeypatch.setattr(tsb_tree, "carve_index_split", lambda *a: carved.append(carve(*a)) or carved[-1])
+    tree = churn(policy)
+    counters = tree.counters
+    assert counters.index_key_splits and counters.index_time_splits
+    assert sum(map(resplits, carved)) > 0
+    assert len(entries) == 2 * (counters.data_key_splits + counters.data_time_splits)
+    assert set(rectangles) <= {"region"}  # a node's own region, never a slot's
+
+
+# ----------------------------------------------------------------------
+# Index-node splits
+# ----------------------------------------------------------------------
+def outcome(call):
+    """What ``call`` returns, or ``SplitError`` when it raises that."""
+    try:
+        return call()
+    except SplitError:
+        return SplitError
+
+
+def carved_form(split):
+    """A carved index split as the reference gives one: kind, split value,
+    entries copied, and each half's page image, or its own split."""
+    halves = tuple(carved_form(h) if isinstance(h, CarvedSplit) else h.encode() for h in split.halves)
+    return split.kind, split.at, split.redundant, halves
+
+
+def reference_form(split):
+    halves = tuple(reference_form(h) if isinstance(h, ReferenceIndexSplit) else h for h in split.halves)
+    return split.kind, split.at, split.copied, halves
+
+
+def resplits(split):
+    """How many halves of a carved split, at any depth, were split again."""
+    return sum(1 + resplits(half) for half in split.halves if isinstance(half, CarvedSplit))
+
+
+def assert_index_rules_match_reference(node):
+    """The section 3.5 rules on ``node``'s columns against the entry-list
+    forms, at every bound of the node and one time unit past each."""
+    entries = node.entries
+
+    def listed(cut):
+        first, second, copied = cut
+        return tuple(entries[slot] for slot in first), tuple(entries[slot] for slot in second), copied
+
+    assert local_index_split_time(node) == find_local_index_split_time(entries)
+    assert outcome(lambda: index_split_key(node)) == outcome(lambda: choose_index_split_key(entries))
+    times = {time for e in entries for time in (e.region.times.start, e.region.times.end)} - {None}
+    for split_time in sorted(times | {at + 1 for at in times}):
+        expected = outcome(lambda: index_time_split(entries, split_time))
+        if expected is not SplitError:
+            expected = expected.historical, expected.current, len(expected.copied)
+        assert outcome(lambda: listed(index_time_split_slots(node, split_time))) == expected
+    keys = {key for e in entries for key in (e.region.keys.low, e.region.keys.high)} - {None}
+    for split_key in sorted(keys):
+        expected = outcome(lambda: index_key_split(entries, split_key))
+        if expected is not SplitError:
+            expected = expected.left, expected.right, len(expected.copied)
+        assert outcome(lambda: listed(index_key_split_slots(node, split_key))) == expected
+
+
+def check_index_splits(grow):
+    """``grow()`` a tree with every index split it makes held to the
+    reference; the tree and the carved splits."""
+    checked = []
+
+    def checking(node, page_size, time_first):
+        assert_index_rules_match_reference(node)
+        try:
+            expected = reference_index_split(node.entries, node.region, node.level, page_size, time_first)
+        except SplitError:
+            with pytest.raises(SplitError):
+                column_split.carve_index_split(node, page_size, time_first)
+            raise
+        split = column_split.carve_index_split(node, page_size, time_first)
+        assert carved_form(split) == reference_form(expected)
+        checked.append(split)
+        return split
+
+    with mock.patch.object(tsb_tree, "carve_index_split", checking):
+        tree = grow()
+    return tree, checked
+
+
+def build_tree(policy, page_size, as_key, operations, reopen, cache_pages, rng):
+    """A tree grown by ``operations`` random writes, perhaps checkpointed,
+    reopened from its devices and grown further; some transactions stay open."""
+    name, kwargs = POLICIES[policy]
+    tree = TSBTree(page_size=page_size, policy=make_policy(name, **kwargs), cache_pages=cache_pages)
+    open_txns = {}  # txn id -> keys written provisionally
+    for step in range(operations):
+        if reopen and step == operations // 2:
+            tree.checkpoint()
+            tree = TSBTree.open(
+                tree.magnetic, tree.historical, policy=tree.policy, cache_pages=cache_pages
+            )
+        key = as_key(rng.randrange(40))
+        roll = rng.random()
+        if roll < 0.08 and len(open_txns) < 3:
+            txn_id = 1000 + step
+            if all(key not in keys for keys in open_txns.values()):
+                tree.insert_provisional(key, b"p%d" % step, txn_id)
+                open_txns[txn_id] = [key]
+        elif roll < 0.12 and open_txns:
+            txn_id = rng.choice(sorted(open_txns))
+            tree.commit_provisional(txn_id, open_txns.pop(txn_id), tree.now + 1)
+        elif roll < 0.18 and tree.search_current(key) is not None:
+            if all(key not in keys for keys in open_txns.values()):
+                tree.delete(key)
+        elif all(key not in keys for keys in open_txns.values()):
+            tree.insert(key, bytes(rng.randrange(4, 24)))
+    return tree
+
+
+@st.composite
+def index_splitting_trees(draw):
+    """The arguments of :func:`build_tree`: a policy, a page size, a key
+    kind, the writes (transactions left open, the tree perhaps reopened from
+    its devices half way) and the pool size."""
+    return dict(
+        policy=draw(st.integers(0, len(POLICIES) - 1)),
+        page_size=draw(st.integers(256, 1024)),
+        as_key=int if draw(st.booleans()) else (lambda at: f"k{at:03d}"),
+        operations=draw(st.integers(200, 800)),
+        reopen=draw(st.booleans()),
+        cache_pages=draw(st.sampled_from([2, 16, 128])),
+        rng=random.Random(draw(st.integers(0, 2**32 - 1))),
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.differential
+class TestIndexSplitFull:
+    @given(case=index_splitting_trees())
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    def test_index_split_matches_the_entry_list_reference(self, case):
+        check_index_splits(lambda: build_tree(**case))
+
+
+@pytest.mark.differential
+class TestIndexSplitSmoke:
+    @given(case=index_splitting_trees())
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_index_split_matches_the_entry_list_reference(self, case):
+        check_index_splits(lambda: build_tree(**case))
+
+
+def churn(policy, writes=600):
+    """A 256-byte tree taking tombstone churn on 30 keys: under every policy
+    its index nodes split by key and by time, and some halves must be split
+    again.  Its pool is small, so most nodes are opened from their images
+    before they are mutated."""
+    rng = random.Random(5)
+    tree = TSBTree(page_size=256, policy=policy, cache_pages=4)
+    for timestamp in range(1, writes + 1):
+        key = rng.randrange(30)
+        if rng.random() < 0.4:
+            tree.delete(key, timestamp=timestamp)
+        else:
+            tree.insert(key, bytes(rng.randrange(4)), timestamp=timestamp)
+    return tree
+
+
+@pytest.mark.parametrize("name, kwargs", POLICIES, ids=POLICY_IDS)
+def test_every_index_split_of_a_churned_small_page_tree_matches_the_reference(name, kwargs):
+    _tree, checked = check_index_splits(lambda: churn(make_policy(name, **kwargs)))
+    kinds = {split.kind for split in checked}
+    assert len(kinds) == 2 and sum(map(resplits, checked)) > 0

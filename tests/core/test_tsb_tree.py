@@ -438,9 +438,10 @@ class TestReadCounts:
                 built[counter] = [] if counter == "versions" else 0
             assert tree.search_as_of(key, stamp).timestamp == stamp
             assert built["versions"] == [key]
-            # One entry, with its rectangle, per index level; no node's own
-            # region and no sibling entry.
-            assert built["entries"] == built["rectangles"] == tree.height - 1
+            # Each index level is searched on its columns and gives up only
+            # the followed child's address: no entry, no rectangle, not even
+            # a node's own region.
+            assert built["entries"] == built["rectangles"] == 0
 
     def test_a_range_walk_visits_exactly_the_overlapping_nodes_once(self, monkeypatch):
         """The two multi-key walks trust the index entries: the data nodes

@@ -381,9 +381,10 @@ def run_query_io_study(
     I/O counters uniformly, and every query class starts from a cold cache,
     so the same five query classes are priced on the TSB-tree, the WOBT and
     the naive baseline alike.  (Within a class the engines warm what they
-    have: a bounded buffer pool for tsb/naive, the unbounded decoded-view
-    cache for the WOBT.)  Sharded stores price the scatter-gather fan-out
-    over every shard's devices.
+    have: a bounded buffer pool for tsb/naive, and every write-once node
+    opened kept for good — the TSB-tree's historical nodes, the WOBT's
+    decoded views.)  Sharded stores price the scatter-gather fan-out over
+    every shard's devices.
     """
     spec = spec or WorkloadSpec(operations=6_000, update_fraction=0.6, seed=1989)
     cost_model = cost_model or CostModel()

@@ -186,8 +186,9 @@ class TSBEngine(_BackendEngine):
         self.backend.checkpoint()
 
     def drop_cache(self, capacity: Optional[int] = None) -> None:
-        """Go cold: flush, then empty the tree's buffer pool (the one cache
-        there is), so the IO studies' next query reads the device."""
+        """Go cold: flush, then empty the tree's buffer pool and forget its
+        kept historical nodes, so the IO studies' next query reads the
+        devices."""
         self.backend.drop_caches(capacity)
 
 

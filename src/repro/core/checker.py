@@ -134,7 +134,7 @@ def _reachable_nodes(tree: TSBTree, violations: List[Violation]):
         seen.add(identity)
         address = Address.of_identity(identity)
         try:
-            node = tree._load_node(address)
+            node = tree._read_node(address)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the checker
             violations.append(
                 Violation("reachability", f"node at {address} cannot be read: {exc}")

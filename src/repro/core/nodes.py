@@ -241,6 +241,14 @@ def _flag_of(version: Version) -> int:
     return (0 if version.txn_id is None else _STAMP_AND_TXN) | version.is_tombstone
 
 
+def _refuse_write_once(node) -> None:
+    """Raise for a node opened from an image at a historical address: that
+    region is write-once, and the tree keeps the node it opened from it, so a
+    change would outlive every reader's view of the device."""
+    if node.address.is_historical:
+        raise NodeError(f"historical node {node.address} is write-once")
+
+
 # ----------------------------------------------------------------------
 # Data nodes
 # ----------------------------------------------------------------------
@@ -290,7 +298,9 @@ class DataNode:
         node._image = image
         node._keys = keys
         node._txns = txns
-        node._made = [None] * count
+        # A node opened at a historical address is never mutated, so it keeps
+        # no memo: the tree keeps the node itself (``TSBTree._load_node``).
+        node._made = [None] * count if address.is_magnetic else None
         # The versions' serialized_size(): per version a key, a 9-byte stamp or 1-byte
         # "none", a flag byte, a 9- or 1-byte txn id and a length-prefixed value.
         node._content = key_bytes + 15 * count + 8 * txn_count + heap_bytes
@@ -348,8 +358,10 @@ class DataNode:
         self._region = region
 
     def _own(self) -> None:
-        """Turn image columns into lists (the first mutation): the image goes."""
+        """Turn image columns into lists (the first mutation): the image goes.
+        A node opened at a historical address refuses (:func:`_refuse_write_once`)."""
         if self._image is not None:
+            _refuse_write_once(self)
             self._region = self.region
             self._values = [self._value(slot) for slot in range(len(self._keys))]
             self._keys = list(self._keys)
@@ -376,17 +388,21 @@ class DataNode:
         return self._words[slot] if self._flags[slot] & _PROVISIONAL else self._txns[slot]
 
     def _version(self, slot: int) -> Version:
-        """The version in ``slot``, built on first use and then shared."""
-        version = self._made[slot]
+        """The version in ``slot``, built on first use and then shared (built
+        per call on a node opened at a historical address, which has no memo)."""
+        made = self._made
+        version = None if made is None else made[slot]
         if version is None:
             flag = self._flags[slot]
-            version = self._made[slot] = decoded_version(
+            version = decoded_version(
                 self._keys[slot],
                 None if flag & _PROVISIONAL else self._words[slot],
                 self._value(slot),
                 self._txn_id(slot),
                 bool(flag & _TOMBSTONE),
             )
+            if made is not None:
+                made[slot] = version
         return version
 
     def _run_of(self, key: Key) -> Tuple[int, int, int]:
@@ -575,8 +591,8 @@ class DataNode:
         return found[0]
 
     def remove_version(self, version: Version) -> None:
-        slot = self._slot_of(version)
         self._own()
+        slot = self._slot_of(version)
         position = self._take(slot)
         self._order = [at - (at > position) for at in self._order]
         self._content -= version.serialized_size()
@@ -783,8 +799,10 @@ class IndexNode:
         return self._level
 
     def _own(self) -> None:
-        """Turn image columns into lists (the first mutation): the image goes."""
+        """Turn image columns into lists (the first mutation): the image goes.
+        A node opened at a historical address refuses (:func:`_refuse_write_once`)."""
         if self._image is not None:
+            _refuse_write_once(self)
             self._region = self.region
             self._children = self.children()
             self._table, self._lows = list(self._table), list(self._lows)

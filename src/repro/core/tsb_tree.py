@@ -26,6 +26,7 @@ byte-accurate, not estimates.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -178,6 +179,21 @@ class TreeCounters:
         }
 
 
+@dataclass
+class KeptNodeStats:
+    """Visits to historical nodes (:meth:`TSBTree._load_node`): ``opens``
+    read the historical device, ``hits`` found the node kept.  Not persisted:
+    unlike :class:`TreeCounters` they describe one process, as
+    ``PageCache.stats`` does."""
+
+    hits: int = 0
+    opens: int = 0
+
+    @property
+    def visits(self) -> int:
+        return self.hits + self.opens
+
+
 def merge_tree_counters(counters: Iterable[TreeCounters]) -> TreeCounters:
     """Sum structural-event counters across trees (shards)."""
     merged = TreeCounters()
@@ -227,6 +243,9 @@ class TSBTree:
             raise ValueError("magnetic page size smaller than tree page size")
         self.historical = historical or WormDisk(sector_size=min(1024, page_size))
         self.cache = PageCache(self.magnetic, capacity=cache_pages, opener=_open_page)
+        self._kept: Dict[tuple, Union[DataNode, IndexNode]] = {}
+        self._kept_lock = threading.Lock()
+        self.kept_stats = KeptNodeStats()
         self.counters = TreeCounters()
         self._max_committed_ts = 0
         self._next_auto_ts = 1
@@ -531,7 +550,8 @@ class TSBTree:
         return self._log_anchor_offset
 
     def iter_nodes(self) -> Iterator[Union[DataNode, IndexNode]]:
-        """Yield every reachable node exactly once (current and historical)."""
+        """Yield every reachable node exactly once (current and historical),
+        as the devices hold it: a walk of the whole history keeps nothing."""
         seen: Set[Address] = set()
         stack: List[Address] = [self._root_address]
         while stack:
@@ -539,7 +559,7 @@ class TSBTree:
             if address in seen:
                 continue
             seen.add(address)
-            node = self._load_node(address)
+            node = self._read_node(address)
             yield node
             if isinstance(node, IndexNode):
                 stack.extend(node.children())
@@ -560,12 +580,14 @@ class TSBTree:
             self.cache.flush()
 
     def drop_caches(self, cache_pages: Optional[int] = None) -> None:
-        """Flush, then forget every clean page; optionally resize the pool.
+        """Flush, then forget every clean page and every kept historical
+        node; optionally resize the pool.
 
         Used by benchmarks to measure cold-cache behaviour.
         """
         self.flush()
         self.cache.drop_clean(cache_pages)
+        self._kept.clear()
 
     # ------------------------------------------------------------------
     # Durability: superblock checkpointing and reopening
@@ -660,6 +682,9 @@ class TSBTree:
         tree.magnetic = magnetic
         tree.historical = historical
         tree.cache = PageCache(magnetic, capacity=cache_pages, opener=_open_page)
+        tree._kept = {}
+        tree._kept_lock = threading.Lock()
+        tree.kept_stats = KeptNodeStats()
         tree.counters = TreeCounters.from_field_values(counter_values)
         tree._max_committed_ts = max_committed_ts
         tree._next_auto_ts = next_auto_ts
@@ -687,12 +712,32 @@ class TSBTree:
     # Internal: node I/O
     #
     # Current (magnetic) nodes are residents of the buffer pool `self.cache`
-    # (see `repro.storage.pagecache`); historical (WORM) reads are opened
-    # afresh each time so the historical device's I/O accounting stays
-    # byte-accurate.  `self.cache.read` is looked up at every call: the
-    # benchmark's span recorder swaps `PageCache.read` on the class.
+    # (see `repro.storage.pagecache`).  A historical node is write-once, so
+    # the tree keeps every one it opens, by address identity, and reads the
+    # historical device only on the first visit: nothing ever makes a kept
+    # node stale, and only `drop_caches` forgets them.  `self.cache.read` is
+    # looked up at every call: the benchmark's span recorder swaps
+    # `PageCache.read` on the class.
     # ------------------------------------------------------------------
     def _load_node(self, address: Address) -> Union[DataNode, IndexNode]:
+        if address.tier is _MAGNETIC:
+            return self.cache.read(address)
+        identity = address.identity
+        node = self._kept.get(identity)
+        if node is not None:
+            with self._kept_lock:  # readers run concurrently under the shared latch
+                self.kept_stats.hits += 1
+            return node
+        node = self._read_node(address)
+        with self._kept_lock:
+            self.kept_stats.opens += 1
+            # Two readers opening one node at once both read it; one is kept.
+            return self._kept.setdefault(identity, node)
+
+    def _read_node(self, address: Address) -> Union[DataNode, IndexNode]:
+        """The node at ``address`` as the devices hold it: from the pool, or
+        read and opened from the historical device (what ``check_tree``
+        proves, where ``_load_node`` would answer from the kept nodes)."""
         if address.tier is _MAGNETIC:
             return self.cache.read(address)
         return decode_node(address, self.historical.read(address))

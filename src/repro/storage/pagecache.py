@@ -53,9 +53,9 @@ adopts the first's resident.  A write that lands while a miss is between its
 device read and its install bumps the pool's write generation, and the miss
 reads the device again rather than install an image older than that write.
 
-Historical (WORM) pages are not held here: historical accesses are rare and
-pay full optical latency, as the paper assumes, and their I/O accounting
-stays byte-accurate.
+Historical (WORM) pages are not held here.  A historical region is
+write-once, so its owner keeps what it opened from one for good, outside any
+capacity (``TSBTree._load_node``); the pool bounds only what can change.
 """
 
 from __future__ import annotations

@@ -381,7 +381,8 @@ class TestReadCounts:
 
     @staticmethod
     def node_loads(tree):
-        return tree.cache.stats.accesses + tree.historical.stats.reads
+        """Pool accesses plus historical visits, kept or read."""
+        return tree.cache.stats.accesses + tree.kept_stats.visits
 
     def test_a_point_read_loads_height_nodes(self):
         tree, probes = self.cold_tree()

@@ -78,7 +78,7 @@ def _wal_catalog():
 def run_lag_cell(replica_count: int, ops: int) -> dict:
     registry = StoreRegistry(_wal_catalog())
     store = registry.get("bench")
-    primary = ReplicationPrimary(store, poll_interval=0.001).start()
+    primary = ReplicationPrimary(store).start()
     replicas = [
         Replica(primary.host, primary.port, tenant="bench", name=f"r{i}").start()
         for i in range(replica_count)
@@ -123,7 +123,7 @@ def run_follower_cell(readers: int, reads: int, key_space: int = 512) -> dict:
     store = registry.get("bench")
     server = ReproServer(registry, port=0, workers=4)
     server.start()
-    primary = ReplicationPrimary(store, poll_interval=0.001).start()
+    primary = ReplicationPrimary(store).start()
     replica = Replica(primary.host, primary.port, tenant="bench", name="f0")
     try:
         replica.start()

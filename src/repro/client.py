@@ -16,7 +16,9 @@ is one line naming its row of the operation table
 :class:`Pipeline` and :class:`~repro.replication.cluster.ClusterClient` the
 same one-liners.  What a call does is the class's ``_call`` — here: route,
 send, wait, decode; on a pipeline: send now, decode at ``result()`` — which
-reads the codecs, follower eligibility and the watermark wait off the row.
+reads the codecs and follower eligibility off the row.  A follower read as-of
+a stamp needs nothing from the client: the follower's server waits for the
+stamp to be applied before it answers (the row's ``wait_on``).
 
 Concurrency model: **request pipelining over demultiplexed channels**.
 The client keeps up to ``pool_size`` sockets; each socket (a
@@ -372,12 +374,13 @@ class ReproClient:
         ``"follower"`` routes read operations round-robin across the
         ``followers``.  Staleness contract: a follower answers from a
         consistent prefix of the primary's commit history.  Untimestamped
-        reads (``get``, plain ``range_search``) may trail the primary;
-        timestamped reads (``get_as_of``, ``snapshot``, ``time_slice``,
-        ``history_between``) first wait for the follower's watermark to
-        reach the requested timestamp, and then return exactly the
-        primary's answer for that time — bounded staleness, never a torn
-        transaction.  Writes always go to the primary.
+        reads (``get``, plain ``range_search``, ``key_history``) may trail
+        the primary; reads as-of a stamp (``get_as_of``, ``snapshot``,
+        ``range_search(as_of=)``) wait *at the follower* until it has
+        applied that stamp, and then return exactly the primary's answer
+        for that time — one round trip, never a torn transaction.  The
+        windowed reads (``history_between``, ``time_slice``) do not wait.
+        Writes always go to the primary.
     """
 
     def __init__(
@@ -571,12 +574,9 @@ class ReproClient:
     def _call(self, op: Op, *args):
         """One synchronous operation, straight from its table row: a
         ``read`` goes wherever :meth:`_reader` says (a follower under
-        ``read_preference="follower"``, once its watermark reaches the row's
-        ``wait_on`` argument); the addressed server answers everything else."""
-        target = self
-        if op.kind == protocol.READ:
-            wait_index = op.wait_index
-            target = self._reader(None if wait_index is None else args[wait_index])
+        ``read_preference="follower"``); the addressed server answers
+        everything else."""
+        target = self._reader() if op.kind == protocol.READ else self
         return target._exchange(op, protocol.encode_args(op, args))
 
     # ------------------------------------------------------------------
@@ -598,20 +598,12 @@ class ReproClient:
     # ------------------------------------------------------------------
     # Follower read routing
     # ------------------------------------------------------------------
-    def _reader(self, timestamp: Optional[int] = None) -> "ReproClient":
+    def _reader(self) -> "ReproClient":
         """The client a read should go to: a follower (round-robin) under
-        ``read_preference="follower"``, else this client itself.
-
-        For a timestamped read, the chosen follower first waits for its
-        replication watermark to reach ``timestamp`` — the read then sees
-        the same committed prefix the primary would answer from.
-        """
+        ``read_preference="follower"``, else this client itself."""
         if self.read_preference != "follower" or not self._followers:
             return self
-        follower = self._followers[next(self._follower_rr) % len(self._followers)]
-        if timestamp is not None:
-            follower.wait_for_watermark(timestamp, timeout=self.timeout or 10.0)
-        return follower
+        return self._followers[next(self._follower_rr) % len(self._followers)]
 
     def watermark(self) -> Tuple[int, int]:
         """``(durable_lsn, watermark_ts)`` of the addressed server.
@@ -620,16 +612,6 @@ class ReproClient:
         replication watermark — the prefix its reads are served from.
         """
         return self._call(OPS[Opcode.WATERMARK])
-
-    def wait_for_watermark(self, timestamp: int, timeout: float = 10.0) -> bool:
-        """Block until this server's watermark reaches ``timestamp``."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if self.watermark()[1] >= timestamp:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.001)
 
     # ------------------------------------------------------------------
     # The façade surface, over the wire: one table row each (``insert`` …

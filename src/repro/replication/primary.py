@@ -24,6 +24,12 @@ Only *durable* bytes ever ship: the volatile tail a crash would lose is
 invisible to subscribers, so an acknowledged record can never be lost by a
 primary crash that its own durable log would survive.
 
+Nothing here polls.  A shard's streamer waits on its log's force
+(:meth:`~repro.recovery.log_manager.LogManager.wait_durable` past the last
+LSN it shipped) and :meth:`ReplicationPrimary.wait_caught_up` on the ACKs;
+both waits are bounded by :data:`_NOTICE_S` only to notice a closed store
+or a shut connection, which signal nothing.
+
 Observability: per-shard gauges ``repl.shard<i>.durable_lsn`` /
 ``.min_acked`` / ``.lag_lsn`` and histograms ``repl.batch_bytes`` /
 ``repl.batch_records`` land in the wrapped store's metrics registry.
@@ -34,7 +40,7 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.api.sharded import ShardedVersionStore
 from repro.api.store import VersionStore
@@ -55,6 +61,11 @@ from repro.server.protocol import (
 )
 from repro.server.transport import Connection, Listener
 from repro.replication.apply import scan_offset
+
+#: How long a wait may go before it looks again for a closed store or a
+#: shut connection — the two ends nothing notifies.  Shipping and ACKs wake
+#: the waits themselves.
+_NOTICE_S = 0.05
 
 
 class ReplicationError(Exception):
@@ -79,11 +90,9 @@ class ReplicationPrimary:
         store: VersionStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        poll_interval: float = 0.002,
         batch_bytes: int = STREAM_CHUNK_BYTES,
     ) -> None:
         self.store = store
-        self.poll_interval = poll_interval
         self.batch_bytes = batch_bytes
         if isinstance(store, ShardedVersionStore):
             self._shards = list(store.shard_stores)
@@ -107,6 +116,8 @@ class ReplicationPrimary:
         self._killed = False
         self._subscribers: List[_Subscriber] = []
         self._lock = threading.Lock()
+        #: Notified by every ACK and every subscriber that leaves.
+        self._acked = threading.Condition()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -153,12 +164,14 @@ class ReplicationPrimary:
         except (OSError, ProtocolError, struct.error):
             pass  # dead or misbehaving peer: drop the connection
         finally:
-            connection.close()  # what every streamer of this connection polls
+            connection.close()  # every streamer of this connection notices and ends
             for stream in subscriber.streams:
                 stream.join()
             with self._lock:
                 self._subscribers.remove(subscriber)
-            self._refresh_gauges()
+            with self._acked:
+                self._acked.notify_all()
+            self._refresh_gauges(range(len(self._shards)))
 
     def _dispatch(self, subscriber: _Subscriber, request) -> None:
         opcode = request.opcode
@@ -192,7 +205,9 @@ class ReplicationPrimary:
             # concurrently with our sends); the vector is monotone.
             if lsn > subscriber.acked.get(shard, 0):
                 subscriber.acked[shard] = lsn
-            self._refresh_gauges()
+            with self._acked:
+                self._acked.notify_all()
+            self._refresh_gauges((shard,))
         else:
             send(
                 encode_refusal(
@@ -221,6 +236,7 @@ class ReplicationPrimary:
         store = self._shards[shard]
         device = store.log_device
         offset = scan_offset(device.durable_contents(), from_lsn)
+        shipped = from_lsn  # the last LSN this stream has sent (or skipped)
         try:
             while not connection.shut:
                 if device.durable_bytes <= offset:
@@ -236,7 +252,7 @@ class ReplicationPrimary:
                             )
                         )
                         return
-                    time.sleep(self.poll_interval)
+                    store.log.wait_durable(shipped + 1, _NOTICE_S)
                     continue
                 data = device.durable_suffix(offset)
                 for raw, last_lsn, count in self._cut_batches(data):
@@ -248,10 +264,11 @@ class ReplicationPrimary:
                         )
                     )
                     offset += len(raw)
+                    shipped = last_lsn
                     self.metrics.inc("repl.batches_sent")
                     self.metrics.observe("repl.batch_bytes", len(raw))
                     self.metrics.observe("repl.batch_records", count)
-                self._refresh_gauges()
+                self._refresh_gauges((shard,))
         except OSError:
             connection.shutdown()  # the subscriber is gone: wake its connection's thread
 
@@ -260,7 +277,7 @@ class ReplicationPrimary:
 
         Yields ``(raw, last_lsn, record_count)``.  Bytes past the last whole
         record (none in practice: appends and forces are whole-record) are
-        left for the next poll.
+        left for the next force.
         """
         start = 0
         end = 0
@@ -292,9 +309,9 @@ class ReplicationPrimary:
             ]
         return min(acks) if acks else None
 
-    def _refresh_gauges(self) -> None:
-        for index, shard_store in enumerate(self._shards):
-            durable = shard_store.durable_lsn()
+    def _refresh_gauges(self, shards: Iterable[int]) -> None:
+        for index in shards:
+            durable = self._shards[index].durable_lsn()
             self.metrics.set_gauge(f"repl.shard{index}.durable_lsn", durable)
             acked = self.min_acked(index)
             if acked is not None:
@@ -303,31 +320,30 @@ class ReplicationPrimary:
                     f"repl.shard{index}.lag_lsn", max(0, durable - acked)
                 )
 
-    def replication_lag(self) -> int:
-        """Worst-case LSN lag across shards and subscribers (0 when caught up)."""
-        lag = 0
+    def _lags(self) -> List[Optional[int]]:
+        """Per shard, its durable LSN less the slowest subscriber's ACK
+        (None for a shard nobody subscribes to)."""
+        lags = []
         for index, shard_store in enumerate(self._shards):
             acked = self.min_acked(index)
-            if acked is None:
-                continue
-            lag = max(lag, shard_store.durable_lsn() - acked)
-        return lag
+            lags.append(None if acked is None else shard_store.durable_lsn() - acked)
+        return lags
+
+    def replication_lag(self) -> int:
+        """Worst-case LSN lag across shards and subscribers (0 when caught up)."""
+        return max([0] + [lag for lag in self._lags() if lag is not None])
 
     def wait_caught_up(self, timeout: float = 10.0) -> bool:
         """Block until every subscriber has acknowledged every shard's
         current durable LSN (False on timeout, with no subscribers, or once
         a shard store this primary tails has been closed or replaced)."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if any(shard_store.closed for shard_store in self._shards):
-                return False
-            caught_up = True
-            for index, shard_store in enumerate(self._shards):
-                acked = self.min_acked(index)
-                if acked is None or acked < shard_store.durable_lsn():
-                    caught_up = False
+        with self._acked:
+            while not any(shard_store.closed for shard_store in self._shards):
+                if all(lag is not None and lag <= 0 for lag in self._lags()):
+                    return True
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     break
-            if caught_up:
-                return True
-            time.sleep(self.poll_interval)
+                self._acked.wait(min(remaining, _NOTICE_S))
         return False

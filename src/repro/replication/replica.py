@@ -29,9 +29,13 @@ Staleness contract: a follower read is a *consistent prefix* — exactly the
 transactions whose commits the replica has applied, in the primary's
 commit order.  ``WATERMARK`` reports ``(durable_lsn, watermark_ts)``;
 a read as-of ``t <= watermark_ts`` returns the primary's own answer for
-``t``, byte for byte.  Reads above the watermark are answered from the
-same prefix (they may miss the newest commits) — clients needing
-read-your-writes poll :meth:`ReproClient.wait_for_watermark` first.
+``t``, byte for byte.  A served read as-of a later ``t`` (the op table's
+``wait_on`` argument: ``get_as_of``, ``range_search(as_of=)``,
+``snapshot``) first waits in :meth:`Replica.wait_for_watermark` — woken by
+every applied batch, released at once by :meth:`Replica.stop` or a detach,
+and after its bound answered from the prefix — so a client that writes at
+``t`` and reads as-of ``t`` here reads its write.  Untimestamped reads
+answer from the current prefix at once.
 
 Failover: :meth:`promote` stops the tailers, replays any mirrored-but-
 unapplied records, then hands each follower tree and its mirror device to
@@ -120,6 +124,8 @@ class Replica:
         self._group_commit_size = 1
         self._boundaries: List = []
         self._running = False
+        #: Notified by every applied batch and by :meth:`stop` or a detach.
+        self._applied = threading.Condition()
         self._request_ids = iter(range(1, 1 << 62))
         self._server: Optional[ReproServer] = None
         self.promoted: Optional[VersionStore] = None
@@ -164,9 +170,10 @@ class Replica:
         ]
         self._store = self._build_follower_store()
         # The follower store has no WAL of its own — its replication state
-        # lives on this Replica — so the served WATERMARK answer must come
-        # from here, not from the (absent) log manager.
+        # lives on this Replica — so the served WATERMARK answer, and the
+        # wait a served timestamped read makes, must come from here.
         self._store.watermark = self.watermark  # type: ignore[method-assign]
+        self._store.wait_for_watermark = self.wait_for_watermark  # type: ignore[attr-defined]
         self._running = True
         for state in self._states:
             state.thread = threading.Thread(
@@ -206,7 +213,9 @@ class Replica:
         return self._store
 
     def _close_subscriptions(self) -> None:
-        self._running = False
+        with self._applied:
+            self._running = False
+            self._applied.notify_all()  # nothing more will be applied
         for state in self._states:
             connection = state.connection  # the tailer clears the attribute as it exits
             if connection is not None:
@@ -318,6 +327,8 @@ class Replica:
         started = time.perf_counter()
         with store.write_latched():
             applied = state.replayer.replay(records)
+        with self._applied:
+            self._applied.notify_all()
         self.metrics.observe("repl.apply_batch_records", applied)
         self.metrics.observe("repl.apply_seconds", time.perf_counter() - started)
         self.metrics.set_gauge(
@@ -354,14 +365,13 @@ class Replica:
         return durable, watermark
 
     def wait_for_watermark(self, timestamp: int, timeout: float = 10.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.watermark()[1] >= timestamp:
-                return True
-            if self.detached:
-                return False  # nothing more will ever be applied
-            time.sleep(0.001)
-        return False
+        """Block until the watermark reaches ``timestamp``; False on timeout,
+        or at once when stopped or detached (nothing more will be applied)."""
+        with self._applied:
+            self._applied.wait_for(
+                lambda: not self._running or self.watermark()[1] >= timestamp, timeout
+            )
+            return self.watermark()[1] >= timestamp
 
     # ------------------------------------------------------------------
     # Serving follower reads

@@ -933,8 +933,9 @@ class Op:
         #: A ``read`` that is not keyed *spans keys*: each node clips the
         #: answer to what it owns; ``ClusterClient`` merges every node's.
         self.spans_keys = kind == READ and not keyed
-        #: Position of the timestamp argument (``wait_on``) a follower read
-        #: waits for the replication watermark to reach; ``None`` = no wait.
+        #: Position of the timestamp argument (``wait_on``) a follower's
+        #: server waits for its replica to apply before it answers the read
+        #: (``ReproServer._apply``); ``None`` = no wait.
         self.wait_index = None if wait_on is None else list(fields).index(wait_on)
         self.pack_args, self.unpack_args = _compile_args(fields)
 

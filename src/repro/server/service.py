@@ -27,13 +27,19 @@ connection.
   answered this one.
 * **Dispatch** — no per-opcode code: :meth:`ReproServer._apply` runs any
   row of :data:`repro.server.protocol.OPS` (writable check → ownership
-  check → call → clip-to-owned → pack), writes included — an auto-stamped
-  ``INSERT`` is ``store.insert``, a ``PUT_MANY`` is ``store.put_many``, each
-  its own commit in the order the log wrote down.
+  check → follower wait → call → clip-to-owned → pack), writes included —
+  an auto-stamped ``INSERT`` is ``store.insert``, a ``PUT_MANY`` is
+  ``store.put_many``, each its own commit in the order the log wrote down.
 * **Execution slots** — at most ``workers`` bursts execute store work at
   once (a semaphore): the bound that keeps many writers from convoying on
   a store's write latch.  A slot is held while a burst executes and
-  encodes, never while it waits on the socket.
+  encodes, never while it waits on the socket or on a follower.
+* **Follower reads** — on a read-only (follower) tenant, a read as-of a
+  stamp (its row's ``wait_on`` argument) first waits for the replica to
+  apply that stamp (``store.wait_for_watermark``, which a
+  :class:`~repro.replication.replica.Replica` binds), its slot handed back
+  meanwhile: the follower is the one place that knows when the answer is
+  determined.
 * **Streaming** — scan answers too large for one frame (``range_search``,
   ``snapshot``, ``key_history``, ``time_slice``) leave as bounded
   ``[PARTIAL]* [OK]`` chunk runs under the request's id instead of
@@ -383,7 +389,7 @@ class ReproServer:
 
     def _apply(self, tenant: str, op: Op, args: tuple) -> Union[bytes, List[bytes]]:
         """One operation, straight from its table row: writable check →
-        ownership check → call → clip-to-owned → pack.
+        ownership check → follower wait → call → clip-to-owned → pack.
 
         A streamed row packs to a *list* of chunk payloads (length 1 when
         the answer fits one chunk — byte-identical to the unstreamed
@@ -419,6 +425,15 @@ class ReproServer:
                         node.check_key(key)
                 elif op.spans_keys:
                     node.check_unfrozen()
+            stamp = None if op.wait_index is None else args[op.wait_index]
+            if stamp is not None and self.registry.is_read_only(tenant):
+                # A follower waits for its replica to apply ``stamp``, holding
+                # no slot meanwhile (the caller, ``_answer``, holds one).
+                self._slots.release()
+                try:
+                    store.wait_for_watermark(stamp)
+                finally:
+                    self._slots.acquire()
             method = getattr(store, op.method)
             # A property (``now``) is its own answer.
             value = method(*args) if callable(method) else method

@@ -198,7 +198,7 @@ def test_a_follower_and_its_promoted_store_follow_the_rule():
     checkpoints by the same rule, and a crash after that recovers exactly
     what a replay of its mirrors holds."""
     store = open_store(2)
-    primary = ReplicationPrimary(store, poll_interval=0.001).start()
+    primary = ReplicationPrimary(store).start()
     replica = Replica(primary.host, primary.port, name="rule").start()
     try:
         acked: Dict[int, bytes] = {}

@@ -218,7 +218,7 @@ class TestMigratedRangeIsInTheTargetsLog:
     def test_a_replica_of_the_target_holds_the_range(self, cluster):
         _, node_b, client = cluster
         keys = _seed(client)
-        with ReplicationPrimary(node_b.store, poll_interval=0.001) as primary:
+        with ReplicationPrimary(node_b.store) as primary:
             primary.start()
             with Replica(primary.host, primary.port) as replica:
                 replica.start()

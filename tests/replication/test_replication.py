@@ -39,7 +39,7 @@ def sharded_setup():
         {"default": _wal_config(shards=ShardSpec(boundaries=("g", "p")))}
     )
     store = registry.get("default")
-    primary = ReplicationPrimary(store, poll_interval=0.001).start()
+    primary = ReplicationPrimary(store).start()
     yield registry, store, primary
     primary.stop()
     registry.close_all()
@@ -153,7 +153,7 @@ class TestLifecycle:
             {"default": _wal_config(shards=ShardSpec(boundaries=("g", "p")))}
         )
         store = registry.get("default")
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         try:
             _write(store, 12)
             for name in ("first", "second"):  # connections come and go
@@ -188,7 +188,7 @@ class TestFollowerReads:
         store = registry.get("default")
         server = ReproServer(registry, port=0)
         server.start()
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         replica = Replica(
             primary.host, primary.port, name="slow", apply_delay=0.005
         )
@@ -220,7 +220,7 @@ class TestFollowerReads:
         registry = StoreRegistry({"default": _wal_config(shards, group_commit_size=1)})
         store = registry.get("default")
         server = ReproServer(registry, port=0).start()
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="same").start()
         try:
             with ReproClient(server.host, server.port) as client:
@@ -249,7 +249,7 @@ class TestFollowerReads:
         follower at the logged stamps: same snapshot digest, same history."""
         registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
         store = registry.get("default")
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="apply").start()
         try:
             store.put_many([(key, b"batch-%d" % key) for key in range(12)])
@@ -287,7 +287,7 @@ class TestFollowerReads:
     def test_follower_refuses_writes(self):
         registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="ro")
         try:
             replica.start()
@@ -300,6 +300,127 @@ class TestFollowerReads:
             replica.stop()
             primary.stop()
             registry.close_all()
+
+
+class TestWaitsAreEvents:
+    """Every replication wait is woken by the event it waits for: a force
+    ships, an ACK ends ``wait_caught_up``, an applied batch (or a stop)
+    ends ``wait_for_watermark``, and a served read as-of a stamp waits at
+    the follower."""
+
+    def test_stop_wakes_a_watermark_waiter(self, sharded_setup):
+        """A waiter used to look only at ``detached``, so one that outlived
+        ``stop()`` slept out its whole timeout."""
+        _, _, primary = sharded_setup
+        replica = Replica(primary.host, primary.port, name="stopped").start()
+        outcome = []
+        waiter = threading.Thread(
+            target=lambda: outcome.append(replica.wait_for_watermark(1 << 40, timeout=30))
+        )
+        try:
+            waiter.start()
+            waiter.join(0.2)
+            assert waiter.is_alive()  # no stamp will ever reach 2**40
+            stopped = time.monotonic()
+            replica.stop()
+            waiter.join(1.0)
+            assert not waiter.is_alive() and outcome == [False]
+            assert time.monotonic() - stopped < 1.0
+        finally:
+            replica.stop()
+            waiter.join(30)
+
+    def test_a_follower_read_as_of_a_stamp_waits_at_the_follower(self):
+        """A plain client pointed straight at a follower: the server there
+        waits for the stamp to be applied, so the answer is the primary's;
+        an untimestamped read answers from the prefix at once."""
+        registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
+        store = registry.get("default")
+        primary = ReplicationPrimary(store).start()
+        replica = Replica(primary.host, primary.port, name="lagging", apply_delay=0.5)
+        try:
+            host, port = replica.start().serve().address
+            with ReproClient(host, port) as follower:
+                reads = {
+                    b"get_as_of": lambda stamp: follower.get_as_of("k", stamp),
+                    b"range_search": lambda stamp: follower.range_search("a", "z", as_of=stamp)[0],
+                    b"snapshot": lambda stamp: follower.snapshot(stamp)["k"],
+                }
+                applied = None
+                for value, read in reads.items():
+                    stamp = store.insert("k", value)
+                    # The batch carrying ``stamp`` is half a second from applied.
+                    prefix = follower.get("k")
+                    assert (prefix and prefix.value) == applied
+                    assert read(stamp).value == value
+                    applied = value
+        finally:
+            replica.stop()
+            primary.stop()
+            registry.close_all()
+
+    def test_a_waiting_read_holds_no_execution_slot(self, sharded_setup):
+        _, store, primary = sharded_setup
+        _write(store, 5)
+        replica = Replica(primary.host, primary.port, name="slots").start()
+        try:
+            assert primary.wait_caught_up(timeout=10)
+            follower = replica.serve(workers=1)
+            answers = []
+            with ReproClient(*follower.address) as waiting, ReproClient(
+                *follower.address
+            ) as other:
+                reader = threading.Thread(
+                    target=lambda: answers.append(waiting.get_as_of("k0001", 1 << 40))
+                )
+                reader.start()
+                until(
+                    lambda: follower.metrics.gauges().get("server.inflight") == 1,
+                    "the read to be admitted",
+                )
+                assert reader.is_alive()  # waiting at the follower for 2**40 ...
+                assert other.get("k0001").value == b"v1"  # ... in no slot of one
+                assert reader.is_alive()
+                replica.stop()  # releases the wait: the answer is the prefix's
+                reader.join(5)
+                assert not reader.is_alive() and answers[0].value == b"v1"
+        finally:
+            replica.stop()
+
+    def test_the_replication_path_never_sleeps(self, monkeypatch):
+        shards = ShardSpec.for_int_keys(2, key_space=100)
+        registry = StoreRegistry({"default": _wal_config(shards, group_commit_size=1)})
+        store = registry.get("default")
+        server = ReproServer(registry, port=0).start()
+        primary = ReplicationPrimary(store).start()
+        replica = Replica(primary.host, primary.port, name="awake").start()
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s on the replication path")
+
+        try:
+            follower_server = replica.serve()
+            assert primary.wait_caught_up(timeout=10)  # every shard subscribed
+            with ReproClient(
+                server.host,
+                server.port,
+                followers=[follower_server.address],
+                read_preference="follower",
+            ) as client:
+                with monkeypatch.context() as patch:
+                    patch.setattr(time, "sleep", no_sleep)
+                    # One shard's keys: the watermark is the max over shards.
+                    stamp = max(client.put_many([(key, b"v%d" % key) for key in range(10, 20)]))
+                    assert client.get_as_of(12, stamp).value == b"v12"
+                    rows = client.range_search(10, 20, as_of=stamp)
+                    assert [(r.key, r.value) for r in rows] == [
+                        (key, b"v%d" % key) for key in range(10, 20)
+                    ]
+                    assert primary.wait_caught_up(timeout=10)
+        finally:
+            replica.stop()
+            primary.stop()
+            server.stop()
 
 
 class TestFailover:
@@ -394,7 +515,7 @@ class TestSplitUnderReplication:
         layout — is the routing-table item; this only makes it loud.)"""
         spec = ShardSpec.for_int_keys(2, key_space=600, shard_page_budget=8)
         store = VersionStore.open(_wal_config(spec, group_commit_size=1))
-        primary = ReplicationPrimary(store, poll_interval=0.001).start()
+        primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="split").start()
         try:
             stamps = []

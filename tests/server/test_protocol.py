@@ -438,7 +438,7 @@ class TestOperationTable:
             if op.kind != protocol.ADMIN:
                 for cls in (ReproClient, Pipeline, ClusterClient):
                     assert inspect.isfunction(vars(cls).get(op.method)), (cls, op)
-        for name in ("ping", "stats", "watermark", "wait_for_watermark", "route",
+        for name in ("ping", "stats", "watermark", "route",
                      "migrate_read", "migrate_apply", "cutover", "pipeline"):
             assert inspect.isfunction(vars(ReproClient).get(name)), name
         for name in ("now", "ping", "gather"):

@@ -138,7 +138,7 @@ class TestServerConnection:
 def primary():
     config = StoreConfig(engine="tsb", wal=True, group_commit_size=1)
     with VersionStore.open(config) as store:
-        with ReplicationPrimary(store, poll_interval=0.001).start() as primary:
+        with ReplicationPrimary(store).start() as primary:
             yield primary
 
 

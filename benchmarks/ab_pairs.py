@@ -22,7 +22,10 @@ shape says so in its evidence file without being asked.
 ``--hold NAME[,NAME...]`` names per-layer counts of that traced pair
 that the change must not move: both sides' values go under ``"held_counts"``
 in the evidence file and the script exits non-zero if one differs or is
-missing on either side.
+missing on either side.  Every run's ``correct``, ``attempted`` and
+``failed`` go under ``"runs"`` (by workload, side and seed, ``"traced"`` for
+the traced run), and the script exits non-zero if any run failed an
+operation or answered wrong.
 """
 
 from __future__ import annotations
@@ -36,12 +39,38 @@ import sys
 from typing import Dict, List, Sequence
 
 
-def run_benchmark(checkout: str, spec: dict, workload: str, seed: int, trace: int, out: str) -> None:
+def run_benchmark(
+    checkout: str, spec: dict, workload: str, seed: int, trace: int, out: str
+) -> Dict[str, object]:
+    """One run of the registered command; its ``correct``, ``attempted`` and
+    ``failed``, read from the result file it wrote.  A run whose answers
+    were wrong exits non-zero and still counts; one that wrote no result
+    file raises."""
     command = spec["command"] + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(spec["run_seconds"]), "--trace", str(trace), "--out", out,
     ]  # fmt: skip
-    subprocess.run(command, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    path = os.path.join(out, f"{'trace' if trace else 'e2e'}_{workload}_seed{seed}.json")
+    if os.path.exists(path):
+        os.remove(path)
+    completed = subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL)
+    if not os.path.exists(path):
+        raise subprocess.CalledProcessError(completed.returncode, command)
+    with open(path, encoding="utf-8") as handle:
+        result = json.load(handle)
+    return {name: result[name] for name in ("correct", "attempted", "failed")}
+
+
+def failed_runs(runs: Dict[str, Dict[str, Dict[str, Dict[str, object]]]]) -> List[str]:
+    """``"workload side seed"`` of every run that was not correct or failed
+    an operation (``runs`` is the evidence file's, by workload, side, seed)."""
+    return [
+        f"{workload} {side} {seed}"
+        for workload, sides in runs.items()
+        for side, by_seed in sides.items()
+        for seed, run in by_seed.items()
+        if not run["correct"] or run["failed"]
+    ]
 
 
 def load_compare(checkout: str):
@@ -154,18 +183,25 @@ def main(argv: Sequence[str]) -> int:
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
     plan = dict(item.split("=") for item in args.pairs)
+    runs: Dict[str, Dict[str, Dict[str, Dict[str, object]]]] = {}
+
+    def run(workload: str, side: str, seed: int, trace: int) -> None:
+        record = run_benchmark(checkouts[side], spec, workload, seed, trace, outs[side])
+        label = "traced" if trace else str(seed)
+        runs.setdefault(workload, {}).setdefault(side, {})[label] = record
+
     for workload, count in plan.items():
         for seed in range(1, int(count) + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
                 print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
-                run_benchmark(checkouts[side], spec, workload, seed, 0, outs[side])
+                run(workload, side, seed, 0)
     traced, counts_moved, held, moved = {}, {}, {}, []
     names = [name for name in args.hold.split(",") if name]
     for workload in args.traced:
         for side in ("parent", "change"):
             print(f"{workload} traced: {side}", file=sys.stderr, flush=True)
-            run_benchmark(checkouts[side], spec, workload, 1, 1, outs[side])
+            run(workload, side, 1, 1)
         results = {side: traced_result(outs[side], workload) for side in ("parent", "change")}
         traced[workload] = {side: layer_view(result) for side, result in results.items()}
         counts_moved[workload] = moved_counts(results["parent"], results["change"])
@@ -182,6 +218,7 @@ def main(argv: Sequence[str]) -> int:
         "pairs": {workload: int(count) for workload, count in plan.items()},
         "run_seconds": spec["run_seconds"],
         "verdicts": rows,
+        "runs": runs,
         "traced": traced,
         "moved_counts": counts_moved,
         "held_counts": held,
@@ -197,8 +234,11 @@ def main(argv: Sequence[str]) -> int:
         )
     for name in moved:
         print(f"held count moved or missing: {name}", file=sys.stderr)
+    wrong = failed_runs(runs)
+    for name in wrong:
+        print(f"run with a wrong or failed operation: {name}", file=sys.stderr)
     held_up = all(row["verdict"] in ("better", "within-bound") for row in rows)
-    return 0 if held_up and not moved else 1
+    return 0 if held_up and not moved and not wrong else 1
 
 
 if __name__ == "__main__":

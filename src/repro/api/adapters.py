@@ -10,16 +10,11 @@ protocol.  Construction from a declarative config happens one layer up, in
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, Optional
 
-from repro.api.engine import (
-    Capability,
-    RecordView,
-    VersionedEngine,
-    VersionEvent,
-    make_view,
-)
+from repro.api.engine import Capability, RecordView, VersionedEngine, VersionEvent
 from repro.core.stats import collect_space_stats
 from repro.storage.iostats import IOStats
 from repro.storage.serialization import Key
@@ -40,8 +35,8 @@ class _BackendEngine(VersionedEngine):
     """The mandatory reads, stated once over the native method names the
     three backends share (``search_current``, ``search_as_of``,
     ``range_search``, ``snapshot``, ``key_history``, ``history_between``,
-    ``now``).  An engine supplies :meth:`_view`, its record →
-    :class:`RecordView` conversion, and what only it can do."""
+    ``now``).  An engine supplies :meth:`_view`, which builds the
+    :class:`RecordView` row of one of its records, and what only it can do."""
 
     def __init__(self, backend) -> None:
         #: The raw structure (TSBTree, WOBT or naive index).
@@ -53,8 +48,7 @@ class _BackendEngine(VersionedEngine):
         raise NotImplementedError  # pragma: no cover - adapters override
 
     def _views(self, records, key: Optional[Key] = None) -> List[RecordView]:
-        views = (self._view(record, key) for record in records)
-        return [view for view in views if view is not None]
+        return [view for view in map(self._view, records, repeat(key)) if view is not None]
 
     def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
         return self.backend.insert(key, value, timestamp=timestamp)
@@ -76,12 +70,8 @@ class _BackendEngine(VersionedEngine):
         return self._views(self.backend.range_search(low, high, as_of=as_of))
 
     def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
-        result: Dict[Key, RecordView] = {}
-        for key, record in self.backend.snapshot(timestamp).items():
-            view = self._view(record, key)
-            if view is not None:
-                result[key] = view
-        return result
+        records = self.backend.snapshot(timestamp)
+        return {view.key: view for view in map(self._view, records.values(), records) if view}
 
     def key_history(self, key: Key) -> List[RecordView]:
         return self._views(self.backend.key_history(key), key)
@@ -112,9 +102,16 @@ class TSBEngine(_BackendEngine):
     def _view(self, version, key=None) -> Optional[RecordView]:
         if version is None or version.is_tombstone or version.timestamp is None:
             return None
-        return make_view(version.key, version.timestamp, version.value)
+        return tuple.__new__(RecordView, (version.key, version.timestamp, version.value))
 
     # -- what only the tree can do --------------------------------------
+    def range_search(self, low=None, high=None, as_of=None) -> List[RecordView]:
+        """The as-of walk's rows, handed on as the tree built them."""
+        return [] if _no_keys_between(low, high) else self.backend.range_search(low, high, as_of)
+
+    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
+        return self.backend.snapshot(timestamp)
+
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
         return self.backend.delete(key, timestamp=timestamp)
 
@@ -206,7 +203,7 @@ class WOBTEngine(_BackendEngine):
     def _view(self, record, key=None) -> Optional[RecordView]:
         if record is None:
             return None
-        return make_view(record.key, record.timestamp, record.value)
+        return tuple.__new__(RecordView, (record.key, record.timestamp, record.value))
 
     # -- accounting ---------------------------------------------------
     def space_summary(self) -> Dict[str, float]:
@@ -244,7 +241,7 @@ class NaiveEngine(_BackendEngine):
             return None
         if key is None:  # a range_search row is a (key, record) pair
             key, record = record
-        return make_view(key, record.timestamp, record.value)
+        return tuple.__new__(RecordView, (key, record.timestamp, record.value))
 
     # -- accounting ---------------------------------------------------
     def space_summary(self) -> Dict[str, float]:

@@ -6,9 +6,10 @@ structures that each answer (some of) those queries — the TSB-tree, Easton's
 WOBT and the naive all-magnetic multiversion index — but they grew up with
 incompatible ad-hoc surfaces.  This module defines the common contract:
 
-* :class:`RecordView` — the normalized query answer: ``(key, timestamp,
-  value)`` regardless of which engine produced it, so cross-engine results
-  are directly comparable.
+* :class:`RecordView` — the normalized query answer: an immutable
+  ``(key, timestamp, value)`` tuple regardless of which engine produced it,
+  so cross-engine results are directly comparable (defined beside
+  ``Version`` in :mod:`repro.core.records`, where the as-of walk builds it).
 * :class:`VersionedEngine` — the abstract engine protocol: point lookup,
   as-of lookup, range scan, snapshot, key history, time-slice history,
   space and I/O accounting, and flush/checkpoint lifecycle hooks.
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.records import RecordView
 from repro.storage.iostats import IOStats
 from repro.storage.serialization import Key
 
@@ -71,42 +72,6 @@ class Capability(enum.Enum):
     TIERED_STORAGE = "tiered-storage"
     #: Versioned secondary indexes over record attributes (section 3.6).
     SECONDARY_INDEXES = "secondary-indexes"
-
-
-@dataclass(frozen=True)
-class RecordView:
-    """One committed record version, normalized across engines.
-
-    Whatever an engine returns internally (:class:`~repro.core.records.Version`,
-    :class:`~repro.wobt.nodes.WOBTRecord`, a naive ``(timestamp, value)``
-    record), the API layer presents it as this immutable triple, so two
-    engines agree on a query exactly when their ``RecordView`` answers are
-    equal.
-    """
-
-    key: Key
-    timestamp: int
-    value: bytes
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{self.key!r} @T={self.timestamp}: {self.value!r}>"
-
-
-def make_view(key: Key, timestamp: int, value: bytes) -> RecordView:
-    """Build a :class:`RecordView` without the frozen-dataclass ceremony.
-
-    The adapters construct one view per record returned by every read, and
-    a frozen dataclass pays an ``object.__setattr__`` call per field; bulk
-    reads (range scans, snapshots, time slices) build thousands.  Fields go
-    straight into ``__dict__`` — equality and hashing are unaffected, they
-    read the same attributes.
-    """
-    view = RecordView.__new__(RecordView)
-    fields_dict = view.__dict__
-    fields_dict["key"] = key
-    fields_dict["timestamp"] = timestamp
-    fields_dict["value"] = value
-    return view
 
 
 class VersionedEngine(abc.ABC):

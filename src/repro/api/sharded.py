@@ -364,9 +364,7 @@ class ShardedEngine(VersionedEngine):
             "range_search", self._shards_overlapping(low, high), low, high, as_of
         )
         merge_started = perf_counter()
-        results: List[RecordView] = []
-        for rows in per_shard:
-            results.extend(rows)
+        results = [row for rows in per_shard for row in rows]
         self._record_merge(merge_started)
         return results
 

@@ -68,15 +68,17 @@ The read path
 Every read is the paper's one search rule — ignore what was stamped after
 ``T``, take the last entry before it — over a rectangle of the key x time
 plane, under the latch held shared.  A point read is one descent.  Every
-multi-key read of a TSB store is one of two walks of the tree
+multi-key read of a TSB store is one walk of the tree
 (:mod:`repro.core.tsb_tree`): the *as-of walk* (``range_search``,
-``snapshot``, ``keys``; each node answers for the keys it owns at that time,
-nothing is de-duplicated) and the *history gather* (``key_history``,
-``history_between``, ``time_slice``, ``export_range``; a version a time split
-copied is de-duplicated by identity).  Above the backends one adapter base
-(:mod:`repro.api.adapters`) states the reads once and normalizes records to
-:class:`~repro.api.engine.RecordView`; a sharded store asks only the shards
-a bounded read overlaps.  :class:`ReadView` is the one pinned-read handle:
+``snapshot``; each node answers for the keys it owns at that time, nothing is
+de-duplicated, and each row is built once, from the node's columns, as the
+:class:`~repro.api.engine.RecordView` the caller gets), the key listing
+(``keys``) and the *history gather* (``key_history``, ``history_between``,
+``time_slice``, ``export_range``; a version a time split copied is
+de-duplicated by identity).  Above the backends one adapter base
+(:mod:`repro.api.adapters`) states the reads once and builds the
+``RecordView`` rows of the records it gets; a sharded store asks only the
+shards a bounded read overlaps.  :class:`ReadView` is the one pinned-read handle:
 ``read_view(as_of)`` pins any engine at any time, ``begin_readonly()`` pins a
 TSB store at its commit clock — the paper's read-only transaction (section
 4.1), which takes no record lock because a reader in the past conflicts with

@@ -73,7 +73,7 @@ from repro.server.protocol import (
     Status,
 )
 from repro.server.transport import connect
-from repro.storage.serialization import ByteReader, Key
+from repro.storage.serialization import ByteReader, Key, SerializationError
 
 
 class ClientError(Exception):
@@ -89,8 +89,9 @@ class ServerBusyError(ClientError):
 
 
 class ClientProtocolError(ClientError, ProtocolError):
-    """The byte stream violated the wire protocol (a clean protocol error,
-    still catchable as :exc:`ClientError`); the carrying socket is poisoned."""
+    """The byte stream or an answer's payload violated the wire protocol (a
+    clean protocol error, still catchable as :exc:`ClientError`); a fault in
+    the stream poisons the carrying socket."""
 
 
 class WrongShardError(ClientError):
@@ -250,10 +251,7 @@ class PipelinedResult:
     def result(self):
         if self._outcome is None:
             try:
-                chunks, final = self._client._resolve(
-                    self._op.opcode, self._payload, self._issued
-                )
-                answer = protocol.decode_answer(self._op, chunks, final)
+                answer = self._client._resolve(self._op, self._payload, self._issued)
                 self._outcome = (True, answer)
             except Exception as exc:  # noqa: BLE001 - cached and re-raised
                 self._outcome = (False, exc)
@@ -302,10 +300,15 @@ class Pipeline:
 
     # -- mechanics ------------------------------------------------------
     def _call(self, op: Op, *args) -> PipelinedResult:
-        """Send the request now; its answer is decoded at ``result()``."""
+        """Send the request now; its answer is decoded at ``result()`` (an
+        answer known without asking is ready at once, and sends nothing)."""
+        self._submitted += 1
+        if protocol.answers_nothing(op, args):
+            ready = PipelinedResult(self._client, op, b"", None, self._pending)
+            ready._outcome = (True, op.answer.empty())
+            return ready
         payload = protocol.encode_args(op, args)
         issued = self._client._issue(op.opcode, payload)
-        self._submitted += 1
         return PipelinedResult(self._client, op, payload, issued, self._pending)
 
     @property
@@ -528,20 +531,20 @@ class ReproClient:
         assert waiter.status is not None and waiter.reader is not None
         return waiter.status, waiter.chunks, waiter.reader
 
-    def _resolve(
-        self,
-        opcode: Opcode,
-        payload: bytes,
-        issued: Tuple[_Channel, int, _Waiter],
-    ) -> Tuple[List[ByteReader], ByteReader]:
+    def _resolve(self, op: Op, payload: bytes, issued: Tuple[_Channel, int, _Waiter]):
         """Wait out one issued request, retrying ``SERVER_BUSY`` re-sends
-        under the capped backoff; returns ``(chunks, final_reader)``."""
+        under the capped backoff; returns its decoded answer (a payload that
+        is not one, truncated or with bytes left over, raises
+        :exc:`ClientProtocolError`)."""
         attempt = 0
         slept = 0.0
         while True:
             status, chunks, reader = self._await(issued)
             if status is Status.OK:
-                return chunks, reader
+                try:
+                    return protocol.decode_answer(op, chunks, reader)
+                except (ProtocolError, SerializationError) as exc:
+                    raise ClientProtocolError(f"malformed {op.opcode.name} answer: {exc}") from exc
             if status is Status.WRONG_SHARD:
                 # The payload is a routing table, not an error string: hand
                 # the fresh routes to the caller for re-route-and-retry.
@@ -558,7 +561,7 @@ class ReproClient:
                 self._count("client.busy_retries")
                 time.sleep(delay)
                 slept += delay
-                issued = self._issue(opcode, payload)
+                issued = self._issue(op.opcode, payload)
                 continue
             message = protocol.unpack_error(reader)
             if status is Status.BAD_REQUEST:
@@ -567,15 +570,16 @@ class ReproClient:
 
     def _exchange(self, op: Op, payload: bytes):
         """Send one already-encoded request of ``op``; wait; decode its answer."""
-        opcode = op.opcode
-        chunks, final = self._resolve(opcode, payload, self._issue(opcode, payload))
-        return protocol.decode_answer(op, chunks, final)
+        return self._resolve(op, payload, self._issue(op.opcode, payload))
 
     def _call(self, op: Op, *args):
         """One synchronous operation, straight from its table row: a
         ``read`` goes wherever :meth:`_reader` says (a follower under
         ``read_preference="follower"``); the addressed server answers
-        everything else."""
+        everything else.  A read before time zero is answered here
+        (:func:`~repro.server.protocol.answers_nothing`)."""
+        if protocol.answers_nothing(op, args):
+            return op.answer.empty()
         target = self._reader() if op.kind == protocol.READ else self
         return target._exchange(op, protocol.encode_args(op, args))
 

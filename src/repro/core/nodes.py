@@ -48,8 +48,11 @@ keys and one over that run's stamps; ``order`` gives the list order back.  A
 key *range* is one contiguous run too: the two range lookups a scan asks a
 data node — ``versions_as_of`` (the version valid at ``t`` of every key in
 ``[low, high)``) and ``committed_versions`` (every committed version of those
-keys) — clip the key run with two bisects, read the clipped stamps and flags
-once, and build a ``Version`` only for the slots they return.
+keys) — clip the key run with two bisects and read the clipped stamps and
+flags once.  ``versions_as_of`` answers each row as the ``RecordView`` a read
+returns, built from the key, the stamp word and the value's slice of the
+image; ``committed_versions`` builds a ``Version`` only for the slots it
+returns.
 
 Index page, ``n`` entries over ``m`` distinct key bounds::
 
@@ -104,10 +107,10 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.records import Rectangle, Version, decoded_rectangle, decoded_version
+from repro.core.records import Rectangle, RecordView, Version, decoded_rectangle, decoded_version
 from repro.storage.device import Address
 from repro.storage.serialization import (
     Key,
@@ -149,6 +152,10 @@ _CHILD_SIZES = (address_size(Address.magnetic(0)), address_size(Address.historic
 
 #: what a malformed image can make the column readers raise
 _MALFORMED = (struct.error, IndexError, ValueError, StopIteration)
+
+#: ``_row(RecordView, (key, stamp, value))``: a read's answer row, built by
+#: the C tuple constructor with no Python-level ``__new__``
+_row = tuple.__new__
 
 
 class NodeError(Exception):
@@ -458,31 +465,35 @@ class DataNode:
         return None
 
     def versions_as_of(
-        self, low: Optional[Key], high: Optional[Key], timestamp: int, tombstones: bool = False
-    ) -> List[Version]:
-        """The version valid at ``timestamp`` of each key in ``[low, high)``,
-        key-sorted: ``version_as_of`` over a key range.  ``tombstones`` keeps
-        the keys whose valid version is a logical delete."""
+        self, low: Optional[Key], high: Optional[Key], timestamp: int
+    ) -> List[RecordView]:
+        """The live version valid at ``timestamp`` of each key in ``[low,
+        high)``, key-sorted: ``version_as_of`` over a key range, each answered
+        as the :class:`RecordView` row a read returns — built from the key,
+        stamp and value columns, with no ``Version``."""
         first, end = self._clip(low, high)
-        keys = self._keys[first:end]
-        stamps = self._words[first:end]
-        flags = self._flags[first:end]
-        committed = [
-            at
-            for at, (stamp, flag) in enumerate(zip(stamps, flags))
-            if stamp <= timestamp and not flag & _PROVISIONAL
-        ]
+        keys, words, flags = self._keys, self._words, self._flags
+        stamped = compress(range(first, end), map(timestamp.__ge__, words[first:end]))
+        slots = [slot for slot in stamped if not flags[slot] & _PROVISIONAL]
         # A key's committed slots are in stamp order, so the last one that
         # qualifies is its newest; a dict keeps the last value per key, and
         # its keys in slot order, which is key order.
-        found = []
-        for key, at in dict(zip(map(keys.__getitem__, committed), committed)).items():
+        rows = []
+        for key, slot in dict(zip(map(keys.__getitem__, slots), slots)).items():
+            stamp = words[slot]
             # Equal stamps: the first in slot order wins, as in a scan of the list.
-            while at and stamps[at - 1] == stamps[at] and keys[at - 1] == key:
-                at -= 1
-            if tombstones or not flags[at] & _TOMBSTONE:
-                found.append(self._version(first + at))
-        return found
+            while slot > first and words[slot - 1] == stamp and keys[slot - 1] == key:
+                slot -= 1
+            if not flags[slot] & _TOMBSTONE:
+                rows.append(_row(RecordView, (key, stamp, self._value(slot))))
+        return rows
+
+    def committed_keys(self, low: Optional[Key], high: Optional[Key]) -> List[Key]:
+        """The distinct keys in ``[low, high)`` with a committed version
+        (logically deleted ones included), sorted."""
+        first, end = self._clip(low, high)
+        committed = [not flag & _PROVISIONAL for flag in self._flags[first:end]]
+        return list(dict.fromkeys(compress(self._keys[first:end], committed)))
 
     def committed_versions(self, low: Optional[Key], high: Optional[Key]) -> List[Version]:
         """Every committed version (tombstones included) of every key in

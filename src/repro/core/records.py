@@ -6,9 +6,10 @@ remains valid until the next version of the same key is created.  A record
 version is therefore a point in key space and a half-open interval in time;
 TSB-tree nodes and index entries are rectangles in the same key x time plane.
 
-This module defines the three value types everything else is built from:
+This module defines the value types everything else is built from:
 
 * :class:`Version` — one committed (or provisional) record version.
+* :class:`RecordView` — the ``(key, timestamp, value)`` row a read answers.
 * :class:`KeyRange` — a half-open interval of keys, possibly unbounded.
 * :class:`TimeRange` — a half-open interval of commit times, possibly open
   ended (``end=None`` means "still current").
@@ -17,7 +18,7 @@ This module defines the three value types everything else is built from:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.storage.serialization import Key, key_size, timestamp_size, value_size
 
@@ -107,6 +108,18 @@ class Version:
         stamp = "uncommitted" if self.timestamp is None else f"T={self.timestamp}"
         suffix = " (tombstone)" if self.is_tombstone else ""
         return f"<{self.key} {stamp}{suffix}>"
+
+
+class RecordView(NamedTuple):
+    """One committed record version as a read answers it, normalized across
+    engines: an immutable ``(key, timestamp, value)`` tuple, so two engines
+    agree on a query exactly when their answers are equal, and a row equals
+    the plain triple.  Every layer hands the same row on; the builders on
+    the read path make one with ``tuple.__new__(RecordView, (k, t, v))``."""
+
+    key: Key
+    timestamp: int
+    value: bytes
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,15 @@ write-once historical device.  One tree answers:
 
 * current and as-of lookups (``search_current``, ``search_as_of``) — one
   descent to the leaf whose rectangle owns ``(key, time)``,
-* snapshots, range scans and key listings at one time (``snapshot``,
-  ``range_search``, ``keys``) — the as-of walk, ``_versions_as_of``,
+* snapshots and range scans at one time (``snapshot``, ``range_search``) —
+  the as-of walk, ``_versions_as_of``, whose rows are the answer's
+  ``RecordView`` rows, and key listings (``keys``) from the current nodes'
+  key columns,
 * version histories over a time span (``key_history``, ``history_between``,
   ``time_slice``) — the history gather, ``_gather_history``,
 
-every multi-key read being one of those two walks of a rectangle of the key x
-time plane, and supports the transaction-processing features of section 4:
+every multi-key read being one walk of a rectangle of the key x time
+plane, and supports the transaction-processing features of section 4:
 provisional (uncommitted) versions that are never migrated and can be erased
 on abort, and commit stamping.
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, Row, decode_node
@@ -36,12 +37,12 @@ from repro.core.policy import SplitContext, SplitPolicy, ThresholdPolicy
 from repro.obs import trace
 from repro.core.records import (
     KeyRange,
+    RecordView,
     Rectangle,
     TimeRange,
     Version,
     group_by_key,
     records_valid_between,
-    version_as_of,
 )
 from repro.core.split import (
     CarvedSplit,
@@ -432,25 +433,28 @@ class TSBTree:
                 sliced[key] = records
         return sliced
 
-    def snapshot(self, timestamp: int) -> Dict[Key, Version]:
+    def snapshot(self, timestamp: int) -> Dict[Key, RecordView]:
         """The state of the database as of ``timestamp`` (paper section 2.5)."""
-        return {v.key: v for v in self._versions_as_of(None, None, timestamp)}
+        return {row[0]: row for row in self._versions_as_of(None, None, timestamp)}
 
     def range_search(
         self,
         low: Optional[Key] = None,
         high: Optional[Key] = None,
         as_of: Optional[int] = None,
-    ) -> List[Version]:
+    ) -> List[RecordView]:
         """Versions of keys in ``[low, high)`` valid at ``as_of`` (default: now)."""
         timestamp = self._max_committed_ts if as_of is None else as_of
         return self._versions_as_of(low, high, timestamp)
 
     def keys(self, low: Optional[Key] = None, high: Optional[Key] = None) -> List[Key]:
         """Sorted keys in ``[low, high)`` with a committed version, logically
-        deleted ones included."""
-        newest = self._versions_as_of(low, high, self._max_committed_ts, tombstones=True)
-        return [version.key for version in newest]
+        deleted ones included: the current data nodes' clipped key columns
+        (a time split copies every key's valid version, tombstones too, into
+        the current node, and the current nodes partition the keys)."""
+        now = self._max_committed_ts
+        nodes = self._iter_data_nodes(Rectangle(KeyRange(low, high), TimeRange(now, now + 1)))
+        return sorted(key for node in nodes for key in node.committed_keys(low, high))
 
     def current_keys(self) -> List[Key]:
         """Sorted keys with a live (non-tombstoned) current version."""
@@ -460,29 +464,29 @@ class TSBTree:
     # The two walks under every multi-key read
     # ------------------------------------------------------------------
     def _versions_as_of(
-        self, low: Optional[Key], high: Optional[Key], timestamp: int, tombstones: bool = False
-    ) -> List[Version]:
-        """The as-of walk: the version valid at ``timestamp`` of each key in
-        ``[low, high)``, key-sorted — the paper's search rule ("ignore entries
-        stamped after T, take the last one before it") over a key range.
+        self, low: Optional[Key], high: Optional[Key], timestamp: int
+    ) -> List[RecordView]:
+        """The as-of walk: the live version valid at ``timestamp`` of each key
+        in ``[low, high)``, key-sorted — the paper's search rule ("ignore
+        entries stamped after T, take the last one before it") over a key
+        range — as the :class:`RecordView` rows a read returns.
 
         The data nodes' rectangles partition the key x time plane and a time
         split copies the versions alive at the split time into the newer
         node, so each visited node answers for its own keys and nothing is
         de-duplicated across nodes.  Who filters what: an index entry's
         rectangle selects the node (``_iter_data_nodes``), the node's columns
-        select the rows (``DataNode.versions_as_of``, once per node); the
-        walk only concatenates and sorts.  ``tombstones`` keeps logically
-        deleted keys; it is offered at ``now`` only (``keys``).
+        select the rows and build them (``DataNode.versions_as_of``, once per
+        node); the walk orders the nodes' key-sorted runs by their first key
+        and concatenates them.
         """
         if timestamp < 0:
             return []  # nothing is valid before time zero
         region = Rectangle(KeyRange(low, high), TimeRange(timestamp, timestamp + 1))
-        found: List[Version] = []
-        for node in self._iter_data_nodes(region):
-            found.extend(node.versions_as_of(low, high, timestamp, tombstones))
-        found.sort(key=attrgetter("key"))
-        return found
+        nodes = self._iter_data_nodes(region)
+        found = [node.versions_as_of(low, high, timestamp) for node in nodes]
+        found.sort(key=lambda rows: rows[:1])
+        return [row for rows in found for row in rows]
 
     def _gather_history(
         self, low: Optional[Key], high: Optional[Key], start: int, end: Optional[int]

@@ -37,8 +37,10 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -51,7 +53,7 @@ from typing import (
     Union,
 )
 
-from repro.api.engine import RecordView, make_view
+from repro.api.engine import RecordView
 from repro.api.store import VersionEvent
 from repro.storage.serialization import (
     ByteReader,
@@ -443,22 +445,22 @@ def _read_items(reader: ByteReader) -> List[Tuple[Key, bytes]]:
 #: answers are lists of these, so they are packed and read in one call each.
 _INT_RECORD = struct.Struct(">BqQI")
 _INT_KEY_TAG = _pack(write_key, 0)[0]
+#: ``_row(RecordView, (key, timestamp, value))``: one answer row, built by
+#: the C tuple constructor
+_row = tuple.__new__
 
 
 def _encode_record(record: RecordView) -> bytes:
     """One record's wire bytes: ``[key][u64 timestamp][value]``."""
-    key, value = record.key, record.value
-    if type(key) is int and type(value) is bytes:
+    key, timestamp, value = record
+    if type(key) is int:
         try:
-            return (
-                _INT_RECORD.pack(_INT_KEY_TAG, key, record.timestamp, len(value))
-                + value
-            )
-        except struct.error:
-            pass  # an int outside its field: the generic codec reports it
+            return _INT_RECORD.pack(_INT_KEY_TAG, key, timestamp, len(value)) + value
+        except (struct.error, TypeError):
+            pass  # an int outside its field, or no bytes: the generic codec reports it
     writer = ByteWriter()
     write_key(writer, key)
-    writer.put_u64(record.timestamp)
+    writer.put_u64(timestamp)
     write_value(writer, value)
     return writer.getvalue()
 
@@ -467,13 +469,31 @@ def _write_record(writer: ByteWriter, record: RecordView) -> None:
     writer.put_raw(_encode_record(record))
 
 
+def _read_rows(reader: ByteReader, count: int, rows: List[RecordView]) -> List[RecordView]:
+    """Append the ``count`` records at ``reader``'s cursor to ``rows`` (and
+    return them), read in one pass over the buffer: an int-keyed record is
+    one ``unpack_from`` and a slice, any other goes through the generic
+    codec.  A buffer cut short raises :exc:`SerializationError`."""
+    data, at = reader.buffer()
+    try:
+        for _ in range(count):
+            if data[at] == _INT_KEY_TAG:
+                _tag, key, timestamp, length = _INT_RECORD.unpack_from(data, at)
+                at += _INT_RECORD.size + length
+                rows.append(_row(RecordView, (key, timestamp, data[at - length : at])))
+            else:
+                record = ByteReader(data, at)
+                key, timestamp = read_key(record), record.get_u64()
+                rows.append(_row(RecordView, (key, timestamp, read_value(record))))
+                at = record.buffer()[1]
+    except (struct.error, IndexError) as exc:
+        raise SerializationError("truncated record") from exc
+    reader.seek(at)
+    return rows
+
+
 def _read_record(reader: ByteReader) -> RecordView:
-    if reader.peek_u8() == _INT_KEY_TAG:
-        _, key, timestamp, length = reader.get_struct(_INT_RECORD)
-        return make_view(key, timestamp, reader.get_raw(length))
-    key = read_key(reader)
-    timestamp = reader.get_u64()
-    return make_view(key, timestamp, read_value(reader))
+    return _read_rows(reader, 1, [])[0]
 
 
 #: One migration event: the store's ``(timestamp, key, is_tombstone, value)``.
@@ -524,6 +544,8 @@ OPT_KEY = _optional(write_key, read_key)
 VALUE = Codec(write_value, read_value)
 #: An optional commit timestamp (``None`` = let the store stamp it / current).
 OPT_TS = Codec(write_timestamp, read_timestamp)
+#: A window's start: nothing is valid before time zero, so one below it reads from zero.
+START = Codec(lambda writer, start: writer.put_u64(max(start, 0)), ByteReader.get_u64)
 U8 = Codec(ByteWriter.put_u8, ByteReader.get_u8)
 U32 = Codec(ByteWriter.put_u32, ByteReader.get_u32)
 U64 = Codec(ByteWriter.put_u64, ByteReader.get_u64)
@@ -592,17 +614,15 @@ def _chunk_list(
     chunk); every chunk except possibly a single-item one stays at or
     under ``chunk_bytes``.
     """
+    encoded = list(map(encode_item, items))
+    ends = list(accumulate(map(len, encoded)))  # each chunk's cut is one bisect
     chunks: List[bytes] = []
-    parts: List[bytes] = []
-    size = 0
-    for item in items:
-        encoded = encode_item(item)
-        if parts and size + len(encoded) > chunk_bytes:
-            chunks.append(_U32.pack(len(parts)) + b"".join(parts))
-            parts, size = [], 0
-        parts.append(encoded)
-        size += len(encoded)
-    chunks.append(_U32.pack(len(parts)) + b"".join(parts))
+    first = 0
+    while first < len(encoded) or not chunks:
+        base = ends[first - 1] if first else 0
+        end = max(bisect_right(ends, base + chunk_bytes, first), first + 1) if encoded else 0
+        chunks.append(_U32.pack(end - first) + b"".join(encoded[first:end]))
+        first = end
     return chunks
 
 
@@ -672,8 +692,12 @@ def chunk_history_map(
 
 
 def merge_record_chunks(readers: Sequence[ByteReader]) -> List[RecordView]:
-    """Reassemble a streamed record list (one reader per chunk, in order)."""
-    return [record for reader in readers for record in unpack_records(reader)]
+    """Reassemble a streamed record list (one reader per chunk, in order),
+    each chunk's records read in one pass over its buffer."""
+    rows: List[RecordView] = []
+    for reader in readers:
+        _read_rows(reader, reader.get_u32(), rows)
+    return rows
 
 
 def merge_history_chunks(
@@ -684,7 +708,7 @@ def merge_history_chunks(
     for reader in readers:
         for _ in range(reader.get_u32()):
             key = read_key(reader)
-            result.setdefault(key, []).extend(_RECORDS.read(reader))
+            _read_rows(reader, reader.get_u32(), result.setdefault(key, []))
     return result
 
 
@@ -817,6 +841,7 @@ class Answer(NamedTuple):
     as ``[PARTIAL]* [OK]`` and ``unpack(readers)`` reassembles them.
     ``clip(value, owns)`` keeps the part of a spans-keys answer this node
     owns; ``merge(answers)`` unions the per-node clipped answers.
+    ``empty()`` is the answer that holds nothing (a read before time zero).
     """
 
     pack: Callable[[Any], Union[bytes, List[bytes]]]
@@ -824,6 +849,7 @@ class Answer(NamedTuple):
     streamed: bool = False
     clip: Optional[Callable[[Any, Callable[[Key], bool]], Any]] = None
     merge: Optional[Callable[[Sequence], Any]] = None
+    empty: Callable[[], Any] = lambda: None
 
 
 def _merge_record_map(readers: Sequence[ByteReader]) -> Dict[Key, RecordView]:
@@ -862,9 +888,9 @@ NOTHING = Answer(lambda value: b"", lambda reader: None)
 STAMP = Answer(pack_timestamp_u64, unpack_timestamp_u64)
 STAMPS = Answer(pack_timestamps, unpack_timestamps)
 MAYBE_RECORD = Answer(pack_optional_record, unpack_optional_record)
-RECORD_LIST = Answer(chunk_records, merge_record_chunks, True, _clip_records, _union_records)
-RECORD_MAP = Answer(chunk_record_map, _merge_record_map, True, _clip_map, _union_maps)
-HISTORY_MAP = Answer(chunk_history_map, merge_history_chunks, True, _clip_map, _union_maps)
+RECORD_LIST = Answer(chunk_records, merge_record_chunks, True, _clip_records, _union_records, list)
+RECORD_MAP = Answer(chunk_record_map, _merge_record_map, True, _clip_map, _union_maps, dict)
+HISTORY_MAP = Answer(chunk_history_map, merge_history_chunks, True, _clip_map, _union_maps, dict)
 BLOB = Answer(pack_blob, unpack_blob)
 LSN_AND_STAMP = Answer(lambda pair: pack_watermark(*pair), unpack_watermark)
 ROUTES = Answer(pack_routing, unpack_routing)
@@ -937,6 +963,11 @@ class Op:
         #: server waits for its replica to apply before it answers the read
         #: (``ReproServer._apply``); ``None`` = no wait.
         self.wait_index = None if wait_on is None else list(fields).index(wait_on)
+        #: Nothing is valid before time zero: a read whose as-of stamp or
+        #: window ``end`` (these positions) is below zero answers
+        #: ``answer.empty()`` without asking (:func:`answers_nothing`).
+        names = list(fields) if kind == READ else []
+        self.empty_below_zero = [names.index(name) for name in (wait_on, "end") if name in names]
         self.pack_args, self.unpack_args = _compile_args(fields)
 
 
@@ -957,8 +988,8 @@ OPS: Dict[Opcode, Op] = {
         # No watermark wait on the two windowed reads: ``end`` is routinely
         # an open upper bound (now + 1), which a follower's watermark may
         # never reach while writes are idle.
-        Op(Opcode.HISTORY_BETWEEN, "history_between", dict(key=KEY, start=U64, end=U64), RECORD_LIST, READ, keyed=True),
-        Op(Opcode.TIME_SLICE, "time_slice", dict(start=U64, end=U64, **_RANGE), HISTORY_MAP, READ),
+        Op(Opcode.HISTORY_BETWEEN, "history_between", dict(key=KEY, start=START, end=U64), RECORD_LIST, READ, keyed=True),
+        Op(Opcode.TIME_SLICE, "time_slice", dict(start=START, end=U64, **_RANGE), HISTORY_MAP, READ),
         Op(Opcode.NOW, "now", {}, STAMP, ADMIN),
         Op(Opcode.STATS, None, dict(fmt=TEXT), BLOB, ADMIN, target=SERVER),
         Op(Opcode.SNAPSHOT_CHUNK, "apply_chunk", dict(events=EVENTS), NOTHING, ADMIN, target=NODE),
@@ -972,6 +1003,13 @@ OPS: Dict[Opcode, Op] = {
     )
 }
 # fmt: on
+
+
+def answers_nothing(op: Op, args: Sequence) -> bool:
+    """Whether ``op``'s answer for ``args`` is ``op.answer.empty()`` without
+    asking: a stamp below zero in one of :attr:`Op.empty_below_zero`, which
+    the store answers with nothing and the wire (unsigned) cannot carry."""
+    return any(args[at] is not None and args[at] < 0 for at in op.empty_below_zero)
 
 
 def encode_args(op: Op, args: Sequence) -> bytes:
@@ -1002,6 +1040,11 @@ def encode_answer(op: Op, value) -> Union[bytes, List[bytes]]:
 
 
 def decode_answer(op: Op, chunks: Sequence[ByteReader], final: ByteReader):
-    """``op``'s answer from its ``PARTIAL`` chunk readers and final frame."""
+    """``op``'s answer from its ``PARTIAL`` chunk readers and final frame,
+    checked as :func:`decode_args` checks a request: truncation raises
+    :exc:`SerializationError`, bytes left over :exc:`ProtocolError`."""
     answer = op.answer
-    return answer.unpack([*chunks, final]) if answer.streamed else answer.unpack(final)
+    value = answer.unpack([*chunks, final]) if answer.streamed else answer.unpack(final)
+    if final.remaining or any(chunk.remaining for chunk in chunks):
+        raise ProtocolError(f"{op.opcode.name} answer carries bytes past its value")
+    return value

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.storage.device import Address, Tier
 
@@ -130,20 +130,6 @@ class ByteReader:
         self._offset = offset + 1
         return self._data[offset]
 
-    def peek_u8(self) -> int:
-        """The next byte, without consuming it."""
-        if self._offset >= self._length:
-            raise SerializationError("truncated page image")
-        return self._data[self._offset]
-
-    def get_struct(self, codec: struct.Struct) -> tuple:
-        """Several fixed-width fields in one call: one precompiled struct."""
-        offset = self._offset
-        if offset + codec.size > self._length:
-            raise SerializationError("truncated page image")
-        self._offset = offset + codec.size
-        return codec.unpack_from(self._data, offset)
-
     def get_u32(self) -> int:
         return self._unpack(_U32)
 
@@ -164,6 +150,17 @@ class ByteReader:
         data = self._data[offset : offset + length]
         self._offset = offset + length
         return data
+
+    def buffer(self) -> Tuple[bytes, int]:
+        """``(data, cursor)``: for a decoder that reads a run in one pass over
+        the buffer, then moves the cursor past it with :meth:`seek`."""
+        return self._data, self._offset
+
+    def seek(self, offset: int) -> None:
+        """Move the cursor to ``offset``; past the end is a truncation."""
+        if offset > self._length:
+            raise SerializationError("truncated page image")
+        self._offset = offset
 
     @property
     def remaining(self) -> int:

@@ -418,14 +418,14 @@ def assert_answers_like(node, region, listed, data):
         within = [key for key in pool if span.contains(key)]
         committed = [v for key in within for v in group(key) if v.timestamp is not None]
         assert node.committed_versions(span.low, span.high) == committed
+        assert node.committed_keys(span.low, span.high) == sorted({v.key for v in committed})
         for stamp in probes:
             newest = [
                 latest_committed(v for v in committed if v.key == key and v.timestamp <= stamp)
                 for key in within
             ]
             newest = [version for version in newest if version is not None]
-            assert node.versions_as_of(span.low, span.high, stamp, tombstones=True) == newest
-            live = [version for version in newest if not version.is_tombstone]
+            live = [(v.key, v.timestamp, v.value) for v in newest if not v.is_tombstone]
             assert node.versions_as_of(span.low, span.high, stamp) == live
 
 
@@ -500,7 +500,7 @@ def test_a_commit_stamps_each_provisional_slot_once():
         assert not node.stamp_provisional(5, 9, 4)  # nothing provisional left
         assert node.latest_for_key(5) == Version(key=5, timestamp=4, value=b"p")
         assert node.version_as_of(6, 4) is None and node.latest_for_key(6).is_tombstone
-        assert node.versions_as_of(None, None, 3) == [Version(key=5, timestamp=3, value=b"a")]
+        assert node.versions_as_of(None, None, 3) == [(5, 3, b"a")]
     assert built.encode() == opened.encode()
 
 

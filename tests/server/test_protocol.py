@@ -239,6 +239,27 @@ class TestRecordFastPath:
             [_reader(chunk) for chunk in protocol.chunk_history_map({"k": records})]
         ) == {"k": decoded}
 
+    EDGE_KEYS = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0]), KEYS)
+
+    @given(st.lists(st.tuples(EDGE_KEYS, STAMPS, VALUES), max_size=10))
+    def test_every_chunking_merges_in_one_pass_like_the_reference_decoder(self, rows):
+        records = [RecordView(key=k, timestamp=t, value=v) for k, t, v in rows]
+        encoded = [_generic_record_bytes(*row) for row in rows]
+        reference = _reader(b"".join(encoded))
+        expected = [_generic_read_record(reference) for _ in rows]
+        # The chunking changes only where a chunk budget equals the size of a
+        # run of consecutive records: trying each such budget tries every cut.
+        sizes = list(map(len, encoded))
+        runs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes) + 1)]
+        budgets = {0} | {sum(sizes[i:j]) for i, j in runs}
+        for budget in sorted(budgets):
+            chunks = protocol.chunk_records(records, budget)
+            merged = protocol.merge_record_chunks([_reader(chunk) for chunk in chunks])
+            assert merged == expected
+            assert all(type(row) is RecordView and type(row.value) is bytes for row in merged)
+        empty = protocol.chunk_records([])
+        assert protocol.merge_record_chunks([_reader(chunk) for chunk in empty * 3]) == []
+
     @given(KEYS, STAMPS, st.binary(max_size=16), st.data())
     def test_every_truncation_raises(self, key, timestamp, value, data):
         packed = protocol.pack_optional_record(RecordView(key, timestamp, value))

@@ -1,8 +1,29 @@
 """``benchmarks/ab_pairs.py --traced``: the comparison that fails a perf
-claim when a count it named as unmoved (``--hold``) moved, and the list of
-every count that moved (no benchmark run needed)."""
+claim when a count it named as unmoved (``--hold``) moved, the list of
+every count that moved, and every run's correctness carried into the
+evidence (no benchmark run needed: a stand-in command writes the result)."""
 
-from benchmarks.ab_pairs import held_counts, moved_counts
+import subprocess
+import sys
+
+import pytest
+
+from benchmarks.ab_pairs import failed_runs, held_counts, moved_counts, run_benchmark
+
+#: A stand-in for the benchmark command: writes the result file the real one
+#: would (``correct``/``attempted``/``failed`` from the seed) and exits as it
+#: would; seed 0 writes nothing.
+FAKE_RUN = """
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+if seed:
+    mode = "trace" if args["--trace"] == "1" else "e2e"
+    name = f"{mode}_{args['--workload']}_seed{seed}.json"
+    with open(os.path.join(args["--out"], name), "w") as handle:
+        json.dump({"correct": seed == 1, "attempted": 100, "failed": seed - 1}, handle)
+sys.exit(0 if seed == 1 else 1)
+"""
 
 
 def traced(unit="count", **counts):
@@ -60,3 +81,27 @@ def test_a_count_that_differs_or_is_missing_on_either_side_has_moved():
     assert held["a.count"] == {"parent": 5, "change": 6}
     assert held["b.count"] == {"parent": 0, "change": 0}  # a zero is a value, not an absence
     assert held["only.parent"] == {"parent": 1, "change": None}
+
+
+def test_each_run_reports_its_correctness_and_a_run_without_a_result_raises(tmp_path):
+    spec = {"command": [sys.executable, "-c", FAKE_RUN], "run_seconds": 1}
+    right = run_benchmark(str(tmp_path), spec, "served_mixed", 1, 0, str(tmp_path))
+    assert right == {"correct": True, "attempted": 100, "failed": 0}
+    wrong = run_benchmark(str(tmp_path), spec, "served_mixed", 3, 1, str(tmp_path))
+    assert wrong == {"correct": False, "attempted": 100, "failed": 2}
+    with pytest.raises(subprocess.CalledProcessError):
+        run_benchmark(str(tmp_path), spec, "served_mixed", 0, 0, str(tmp_path))
+
+
+def test_a_run_that_failed_an_operation_is_named():
+    ok = {"correct": True, "attempted": 9, "failed": 0}
+    runs = {
+        "served_mixed": {"parent": {"1": ok, "traced": ok}, "change": {"1": ok, "2": ok}},
+        "txn_recovery": {
+            "parent": {"1": ok},
+            "change": {"1": {"correct": False, "attempted": 9, "failed": 1}},
+        },
+    }
+    assert failed_runs(runs) == ["txn_recovery change 1"]
+    runs["txn_recovery"]["change"]["1"] = ok
+    assert failed_runs(runs) == []

@@ -7,7 +7,8 @@ crashes: everything in memory and the unforced tail of the log are gone.
 Reopening the store from the three devices it was built on runs restart
 recovery, and the recovered store holds exactly the durably committed
 prefix — the forced commits survive, the commit still sitting in the
-volatile log tail is lost, the provisional write is discarded.
+volatile log tail is lost, and the uncommitted write, which only a commit
+would have logged, leaves no trace.
 
 Run with::
 
@@ -41,11 +42,11 @@ def main() -> None:
     print(f"T1 commits alice=50          : durable={durable(t1)} (waiting for the batch to fill)")
     t4 = store.begin()
     t4.write("alice", b"balance=9999")
-    print("T4 writes alice=9999         : provisional, never commits")
+    print("T4 writes alice=9999         : provisional, never commits (nothing logged)")
     t2 = commit("bob", b"balance=200")
     print(
         f"T2 commits bob=200           : durable={durable(t2)}, T1 durable={durable(t1)}"
-        " (the batch filled; one force covered both, and T4's write record)"
+        " (the batch filled; one force covered both)"
     )
     t3 = commit("carol", b"balance=75")
     print(
@@ -65,7 +66,7 @@ def main() -> None:
     print(f"alice after recovery         : {recovered.get('alice').value.decode()} (T1, forced)")
     print(f"bob after recovery           : {recovered.get('bob').value.decode()} (T2, forced)")
     print(f"carol after recovery         : {recovered.get('carol')!r} (T3's commit was never forced)")
-    print("T4's provisional alice=9999  : discarded (logged, never committed: a loser)")
+    print("T4's provisional alice=9999  : gone (only a commit is logged, and T4 never made one)")
     print()
 
     with recovered.begin() as t5:

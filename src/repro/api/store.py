@@ -41,14 +41,14 @@ stamp or the clock's next.  Whether the store has a log picks its branch:
 * **with a log**, one logged transaction (:meth:`TransactionManager.
   run_transaction <repro.txn.manager.TransactionManager.run_transaction>`):
   record locks, then one exclusive latch hold in which the stamp is drawn
-  and each key is logged and written as a *committed* version at it — one
-  descent per key, because a writer that knows its commit stamp has no use
-  for the paper's provisional versions (section 4 gives them to the
-  interactive ``begin()``/``write()``/``commit()``, which does not know it)
-  — then the commit record.  Acknowledged means the commit record is in the
-  log, forced per ``group_commit_size``; restart recovery, followers and a
-  promoted replica replay it the same way, at the logged stamp
-  (:mod:`repro.recovery.replay`).
+  and each key is written as a *committed* version at it — one descent per
+  key, because a writer that knows its commit stamp has no use for the
+  paper's provisional versions (section 4 gives them to the interactive
+  ``begin()``/``write()``/``commit()``, which does not know it) — then the
+  one ``COMMIT`` record that carries the writes.  Acknowledged means that
+  record is in the log, forced per ``group_commit_size``; restart recovery,
+  followers and a promoted replica replay it the same way, at the logged
+  stamp (:mod:`repro.recovery.replay`).
 * **without one**, the engine is written directly under the store's
   exclusive latch — one descent per write, not two — durable at the next
   ``checkpoint()``.
@@ -296,9 +296,10 @@ class StoreConfig:
     platter_capacity_sectors:
         Platter size when ``historical="jukebox"``.
     wal:
-        Attach a write-ahead log and group commit (tsb only): transactions
-        opened with :meth:`VersionStore.begin` are then logged before they
-        touch the tree, and :meth:`VersionStore.close` takes a logged
+        Attach a write-ahead log and group commit (tsb only): every
+        committed transaction, a façade write or one opened with
+        :meth:`VersionStore.begin`, is then one ``COMMIT`` record carrying
+        its writes, and :meth:`VersionStore.close` takes a logged
         checkpoint.
     group_commit_size:
         Commit records per log force when ``wal=True``.

@@ -4,11 +4,16 @@ The manager owns one :class:`~repro.storage.logdevice.LogDevice` and is the
 only writer to it.  It enforces the two WAL disciplines the transaction
 layer relies on:
 
-**Log-before-stamp.**  Every operation record is appended before the tree is
-touched, and a transaction's commit record is appended before its versions
-are stamped.  Because the tree's pages only reach the magnetic device at a
-checkpoint — which forces the log first — no durable page can ever describe
-an unlogged change.
+**One record per transaction, before anyone can see it.**  A transaction
+appends exactly one record, its ``COMMIT`` (:meth:`log_commit`), carrying
+every write; nothing is logged before it, and an abort logs nothing.  The
+record is appended under the exclusive latch: by a writer that knows its
+stamp after its tree writes, in the same latch hold; by an interactive
+transaction before it stamps its provisional versions.  The tree's pages
+only reach the magnetic device at a checkpoint — which takes that latch and
+forces the log first — so no durable page can describe a committed change
+the log lacks, and an uncommitted one reaches the disk only inside a
+checkpoint whose record names it (:mod:`repro.recovery.replay`).
 
 **Group commit.**  Forcing the log is the expensive, per-commit device
 access; batching amortises it.  With ``group_commit_size = N``, commit
@@ -41,7 +46,7 @@ analysis pass without stalling on a full buffer-pool flush.
 
 **The checkpoint rule.**  Besides ``close()`` and an explicit ``checkpoint()``,
 a full checkpoint is taken whenever the log holds
-:data:`CHECKPOINT_EVERY_BYTES` (512 KiB) or more past the tree's anchor:
+:data:`CHECKPOINT_EVERY_BYTES` (352 KiB) or more past the tree's anchor:
 every logged commit asks :meth:`LogManager.checkpoint_due` once it has left
 the latch (``TransactionManager._settle``).  The trigger counts log bytes —
 no timer, no thread, no option — so checkpoints land at the same place in the
@@ -63,17 +68,19 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.obs.registry import COUNT_BUCKETS
 from repro.obs.registry import enabled as metrics_enabled
 from repro.recovery.log_records import (
     ActiveTransaction,
     LogRecord,
+    Write,
+    encode_commit,
     encode_record,
+    encode_writes,
 )
 from repro.storage.logdevice import LogDevice
-from repro.storage.serialization import Key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tsb_tree import TSBTree
@@ -82,10 +89,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The checkpoint rule's N: a full checkpoint is due once the log holds this
 #: many bytes past the tree's anchor (see "The checkpoint rule" above).
-#: Sized by measurement (``BENCH_checkpoint_rule.json``, ``n_sweep``): at
-#: 256 KiB writers lost throughput for no faster restart, at 1 MiB restart
-#: took about twice as long.
-CHECKPOINT_EVERY_BYTES = 512 * 1024
+#: Sized by measurement: N trades restart time (the log a restart replays)
+#: against writer throughput (how often a writer pays for a checkpoint).
+#: ``BENCH_one_record.json``'s ``n_sweep`` ran 256, 352 and 512 KiB on the
+#: one-record log: at 352 KiB ``served_mixed`` restarted in 0.20 s against
+#: 0.27 and 0.30 s, with ``txn_recovery`` throughput within 5 % of 512 KiB's.
+CHECKPOINT_EVERY_BYTES = 352 * 1024
 
 
 class RecoveryRequiredError(Exception):
@@ -186,28 +195,17 @@ class LogManager:
     # ------------------------------------------------------------------
     # Record appends
     # ------------------------------------------------------------------
-    def log_begin(self, txn_id: int) -> int:
-        with self._cond:
-            return self._append(LogRecord.begin(self._take_lsn(), txn_id))
-
-    def log_insert(self, txn_id: int, key: Key, value: bytes) -> int:
-        with self._cond:
-            return self._append(LogRecord.insert(self._take_lsn(), txn_id, key, value))
-
-    def log_delete(self, txn_id: int, key: Key) -> int:
-        with self._cond:
-            return self._append(LogRecord.delete(self._take_lsn(), txn_id, key))
-
-    def log_abort(self, txn_id: int) -> int:
-        with self._cond:
-            return self._append(LogRecord.abort(self._take_lsn(), txn_id))
-
     def log_commit(
-        self, txn_id: int, commit_timestamp: int, wait_for_durability: bool = True
+        self,
+        txn_id: int,
+        commit_timestamp: int,
+        writes: Collection[Write] = (),
+        wait_for_durability: bool = True,
     ) -> int:
-        """Append a commit record; force when the group-commit batch is full.
+        """Append a transaction's one record, its ``COMMIT`` carrying
+        ``writes``; force when the group-commit batch is full.
 
-        Returns the commit record's LSN.  The commit is durable once
+        Returns the record's LSN.  The commit is durable once
         ``flushed_lsn`` reaches that LSN — immediately when
         ``group_commit_size == 1``, at the batch-filling (or next explicit)
         force otherwise.  With a background flusher the batch-filling force
@@ -218,8 +216,12 @@ class LogManager:
         ``wait_for_durability=False`` and do the strict-durability wait via
         :meth:`wait_durable` after releasing them.
         """
+        payload = encode_writes(writes)
         with self._cond:
-            lsn = self._append(LogRecord.commit(self._take_lsn(), txn_id, commit_timestamp))
+            lsn = self._take_lsn()
+            self._append(
+                lsn, encode_commit(lsn, txn_id, commit_timestamp, len(writes), payload)
+            )
             self._pending_commits += 1
             if self._flusher is None:
                 if self._pending_commits >= self.group_commit_size:
@@ -355,15 +357,11 @@ class LogManager:
             high_water = max(high_water, txn_manager.clock.latest)
             next_txn_id = txn_manager.next_txn_id
         with self._cond:
-            lsn = self._append(
-                LogRecord.checkpoint(
-                    self._take_lsn(),
-                    high_water=high_water,
-                    next_txn_id=next_txn_id,
-                    active=active,
-                    fuzzy=fuzzy,
-                )
+            lsn = self._take_lsn()
+            record = LogRecord.checkpoint(
+                lsn, high_water=high_water, next_txn_id=next_txn_id, active=active, fuzzy=fuzzy
             )
+            self._append(lsn, encode_record(record))
             anchor_offset = self._last_append_offset
         self.force()
         if not fuzzy:
@@ -378,10 +376,9 @@ class LogManager:
         self._next_lsn += 1
         return lsn
 
-    def _append(self, record: LogRecord) -> int:
-        self._last_append_offset = self.device.append(encode_record(record))
-        self._last_lsn = record.lsn
-        return record.lsn
+    def _append(self, lsn: int, frame: bytes) -> None:
+        self._last_append_offset = self.device.append(frame)
+        self._last_lsn = lsn
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

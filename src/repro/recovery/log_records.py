@@ -1,35 +1,28 @@
 """Binary write-ahead-log record format.
 
 Every record the :class:`~repro.recovery.log_manager.LogManager` appends is
-one framed, checksummed unit built with the same
-:class:`~repro.storage.serialization.ByteWriter` codecs the page images use::
+one framed, checksummed unit::
 
     [u32 body length][u32 crc32(body)][body]
     body = [u64 lsn][u8 kind][kind-specific fields]
 
-Record kinds (paper section 4 vocabulary):
+There are two record kinds:
 
-``BEGIN``
-    A transaction started.
-``INSERT`` / ``DELETE``
-    The transaction wrote a version (value or tombstone) of a key: a
-    provisional one in an interactive transaction, a committed one at its
-    stamp in a transaction that knows it (the write path's); replay writes
-    it at the ``COMMIT`` record's stamp either way.  Logged *before* the
-    tree is touched, so the log is always at least as new as any page that
-    could reach the disk.
 ``COMMIT``
-    The transaction received its commit timestamp from the
-    :class:`~repro.txn.clock.TimestampOracle`.  A transaction is durably
-    committed exactly when this record is inside the forced log prefix.
-``ABORT``
-    The transaction's provisional versions were (or, after a crash, must be)
-    erased.
+    One transaction, whole: ``[u64 txn id][u64 commit stamp][u32 n]``, then
+    per write ``[u8 delete][key][value unless delete]`` in the page codecs'
+    key and value encodings (:mod:`repro.storage.serialization`).  It is the
+    only record a transaction appends: nothing is logged before it, and a
+    transaction that aborts or never finishes logs nothing at all
+    (:mod:`repro.recovery.replay` says why that is enough).  A transaction
+    is durably committed exactly when its record is inside the forced log
+    prefix.  An int-keyed write is encoded by one precompiled ``Struct``.
 ``CHECKPOINT``
     A recovery anchor: the timestamp-oracle high-water mark, the next
     transaction id, and the active-transaction table — each in-flight
-    transaction with the keys it has written so far.  Full checkpoints also
-    flush the tree and stamp the superblock with this record's LSN; fuzzy
+    transaction with the keys it has written so far, whose provisional
+    versions a full checkpoint's image holds.  Full checkpoints also flush
+    the tree and stamp the superblock with this record's LSN; fuzzy
     checkpoints write only the record (see
     :meth:`~repro.recovery.log_manager.LogManager.checkpoint`).
 
@@ -41,9 +34,10 @@ of the log, never corrupt its durable prefix silently.
 from __future__ import annotations
 
 import enum
+import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Collection, Iterator, List, Optional, Tuple
 
 from repro.storage.serialization import (
     ByteReader,
@@ -51,7 +45,6 @@ from repro.storage.serialization import (
     Key,
     SerializationError,
     read_key,
-    read_value,
     write_key,
     write_value,
 )
@@ -64,12 +57,19 @@ class LogRecordError(Exception):
 class LogRecordType(enum.IntEnum):
     """Discriminator byte stored in every record body."""
 
-    BEGIN = 1
-    INSERT = 2
-    DELETE = 3
     COMMIT = 4
-    ABORT = 5
     CHECKPOINT = 6
+
+
+#: One write of a transaction: ``(key, value)``, a ``None`` value a tombstone.
+Write = Tuple[Key, Optional[bytes]]
+
+_FRAME = struct.Struct(">II")
+_COMMIT_HEAD = struct.Struct(">QBQQI")
+# An int-keyed write: [u8 delete][write_key's int tag 0][i64 key], then a
+# value's u32 length prefix unless it is a delete.
+_INT_WRITE = struct.Struct(">BBqI")
+_INT_DELETE = struct.Struct(">BBq")
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,15 @@ class LogRecord:
     """A decoded write-ahead-log record.
 
     Only the fields relevant to ``kind`` are meaningful; the rest keep their
-    defaults (this mirrors how variant records are usually modelled in log
-    implementations — one flat struct, a kind tag, and per-kind fields).
+    defaults (one flat struct, a kind tag, and per-kind fields).
     """
 
     lsn: int
     kind: LogRecordType
+    # commit-only fields
     txn_id: int = 0
-    key: Optional[Key] = None
-    value: bytes = b""
     commit_timestamp: int = 0
+    writes: Tuple[Write, ...] = ()
     # checkpoint-only fields
     high_water: int = 0
     next_txn_id: int = 0
@@ -102,31 +101,16 @@ class LogRecord:
     active: Tuple[ActiveTransaction, ...] = ()
 
     @staticmethod
-    def begin(lsn: int, txn_id: int) -> "LogRecord":
-        return LogRecord(lsn=lsn, kind=LogRecordType.BEGIN, txn_id=txn_id)
-
-    @staticmethod
-    def insert(lsn: int, txn_id: int, key: Key, value: bytes) -> "LogRecord":
-        return LogRecord(
-            lsn=lsn, kind=LogRecordType.INSERT, txn_id=txn_id, key=key, value=bytes(value)
-        )
-
-    @staticmethod
-    def delete(lsn: int, txn_id: int, key: Key) -> "LogRecord":
-        return LogRecord(lsn=lsn, kind=LogRecordType.DELETE, txn_id=txn_id, key=key)
-
-    @staticmethod
-    def commit(lsn: int, txn_id: int, commit_timestamp: int) -> "LogRecord":
+    def commit(
+        lsn: int, txn_id: int, commit_timestamp: int, writes: Tuple[Write, ...] = ()
+    ) -> "LogRecord":
         return LogRecord(
             lsn=lsn,
             kind=LogRecordType.COMMIT,
             txn_id=txn_id,
             commit_timestamp=commit_timestamp,
+            writes=tuple(writes),
         )
-
-    @staticmethod
-    def abort(lsn: int, txn_id: int) -> "LogRecord":
-        return LogRecord(lsn=lsn, kind=LogRecordType.ABORT, txn_id=txn_id)
 
     @staticmethod
     def checkpoint(
@@ -149,77 +133,90 @@ class LogRecord:
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
+def encode_writes(writes: Collection[Write]) -> bytes:
+    """A ``COMMIT`` body past its header: every write, in order.  Needs no
+    LSN, so a committer encodes it before it takes the log's lock."""
+    out = bytearray()
+    pack_write, pack_delete = _INT_WRITE.pack, _INT_DELETE.pack
+    for key, value in writes:
+        if type(key) is int:
+            if value is None:
+                out += pack_delete(1, 0, key)
+            else:
+                out += pack_write(0, 0, key, len(value))
+                out += value
+            continue
+        writer = ByteWriter()
+        writer.put_u8(value is None)
+        write_key(writer, key)
+        if value is not None:
+            write_value(writer, value)
+        out += writer.getvalue()
+    return bytes(out)
+
+
+def encode_commit(
+    lsn: int, txn_id: int, commit_timestamp: int, count: int, payload: bytes
+) -> bytes:
+    """Frame a ``COMMIT`` of ``count`` writes encoded as ``payload``."""
+    head = _COMMIT_HEAD.pack(lsn, LogRecordType.COMMIT, txn_id, commit_timestamp, count)
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return _FRAME.pack(len(head) + len(payload), crc) + head + payload
+
+
 def encode_record(record: LogRecord) -> bytes:
     """Frame ``record`` as length + crc32 + body."""
-    body = _encode_body(record)
-    frame = ByteWriter()
-    frame.put_u32(len(body))
-    frame.put_u32(zlib.crc32(body) & 0xFFFFFFFF)
-    frame.put_raw(body)
-    return frame.getvalue()
-
-
-def _encode_body(record: LogRecord) -> bytes:
+    if record.kind is LogRecordType.COMMIT:
+        return encode_commit(
+            record.lsn,
+            record.txn_id,
+            record.commit_timestamp,
+            len(record.writes),
+            encode_writes(record.writes),
+        )
     writer = ByteWriter()
     writer.put_u64(record.lsn)
-    writer.put_u8(int(record.kind))
-    kind = record.kind
-    if kind in (LogRecordType.BEGIN, LogRecordType.ABORT):
-        writer.put_u64(record.txn_id)
-    elif kind is LogRecordType.INSERT:
-        writer.put_u64(record.txn_id)
-        if record.key is None:
-            raise LogRecordError("INSERT records need a key")
-        write_key(writer, record.key)
-        write_value(writer, record.value)
-    elif kind is LogRecordType.DELETE:
-        writer.put_u64(record.txn_id)
-        if record.key is None:
-            raise LogRecordError("DELETE records need a key")
-        write_key(writer, record.key)
-    elif kind is LogRecordType.COMMIT:
-        writer.put_u64(record.txn_id)
-        writer.put_u64(record.commit_timestamp)
-    elif kind is LogRecordType.CHECKPOINT:
-        writer.put_u64(record.high_water)
-        writer.put_u64(record.next_txn_id)
-        writer.put_u8(1 if record.fuzzy else 0)
-        writer.put_u32(len(record.active))
-        for entry in record.active:
-            writer.put_u64(entry.txn_id)
-            writer.put_u32(len(entry.keys))
-            for key in entry.keys:
-                write_key(writer, key)
-    else:  # pragma: no cover - enum is exhaustive
-        raise LogRecordError(f"unknown record kind {kind!r}")
-    return writer.getvalue()
+    writer.put_u8(LogRecordType.CHECKPOINT)
+    writer.put_u64(record.high_water)
+    writer.put_u64(record.next_txn_id)
+    writer.put_u8(1 if record.fuzzy else 0)
+    writer.put_u32(len(record.active))
+    for entry in record.active:
+        writer.put_u64(entry.txn_id)
+        writer.put_u32(len(entry.keys))
+        for key in entry.keys:
+            write_key(writer, key)
+    body = writer.getvalue()
+    return _FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
 def decode_body(body: bytes) -> LogRecord:
-    """Decode one record body (the framed part after length and CRC)."""
+    """Decode one record body (the framed part after length and CRC), in
+    one pass."""
     reader = ByteReader(body)
     lsn = reader.get_u64()
     try:
         kind = LogRecordType(reader.get_u8())
     except ValueError as exc:
         raise LogRecordError(f"unknown log record kind in record {lsn}") from exc
-    if kind in (LogRecordType.BEGIN, LogRecordType.ABORT):
-        return LogRecord(lsn=lsn, kind=kind, txn_id=reader.get_u64())
-    if kind is LogRecordType.INSERT:
-        txn_id = reader.get_u64()
-        key = read_key(reader)
-        value = read_value(reader)
-        return LogRecord.insert(lsn, txn_id, key, value)
-    if kind is LogRecordType.DELETE:
-        txn_id = reader.get_u64()
-        return LogRecord.delete(lsn, txn_id, read_key(reader))
     if kind is LogRecordType.COMMIT:
         txn_id = reader.get_u64()
-        return LogRecord.commit(lsn, txn_id, reader.get_u64())
-    # CHECKPOINT
+        commit_timestamp = reader.get_u64()
+        writes: List[Write] = []
+        for _ in range(reader.get_u32()):
+            delete = reader.get_u8()
+            key = read_key(reader)
+            writes.append((key, None if delete else reader.get_bytes()))
+        return LogRecord(
+            lsn=lsn,
+            kind=kind,
+            txn_id=txn_id,
+            commit_timestamp=commit_timestamp,
+            writes=tuple(writes),
+        )
     high_water = reader.get_u64()
     next_txn_id = reader.get_u64()
     fuzzy = reader.get_u8() != 0
@@ -248,7 +245,7 @@ def decode_stream(data: bytes) -> Iterator[LogRecord]:
         if reader.remaining < length:
             return  # torn tail: the final frame never fully reached the disk
         body = reader.get_raw(length)
-        if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
+        if zlib.crc32(body) != crc:
             return  # corrupt tail record: stop replay here
         try:
             yield decode_body(body)

@@ -12,15 +12,16 @@ superblock anchors to the end, through one
 
 The replayer seeds itself from the anchored CHECKPOINT record (whose
 active-transaction table names the provisional versions inside the image).
-At each COMMIT it writes the transaction's keys as committed versions at the
-logged timestamp through the tree's ordinary ``insert``/``delete`` — the
-calls the forward write path makes — and stamps the carried provisional
-versions in place; at an ABORT it erases those.  Splits, migration and all
-tree invariants are therefore maintained by the same code that maintained
-them before the crash.  Nothing is applied
-before a COMMIT arrives, so there is no undo pass; when the log ends, the
-transactions still in flight are the losers, and the only trace they can
-have left is what the checkpoint image carried, which is erased then.
+A transaction's one log record is its COMMIT, carrying its writes: replay
+writes them as committed versions at the logged timestamp through the
+tree's ordinary ``insert``/``delete`` — the calls the forward write path
+makes — and rewrites and stamps the carried provisional versions in place.
+Splits, migration and all tree invariants are therefore maintained by the
+same code that maintained them before the crash.  Nothing is logged but
+commits, so there is no undo pass: when the log ends, the carried
+transactions that never committed — whether they aborted or were still in
+flight — are the losers, and what the checkpoint image holds of them is all
+they left, which is erased then (``losers_discarded``).
 
 Two housekeeping steps bracket the replay: magnetic pages that were
 allocated after the checkpoint but never linked into the anchored tree are
@@ -72,8 +73,8 @@ class RecoveryReport:
     records_scanned: int = 0
     winners_replayed: int = 0
     operations_replayed: int = 0
+    #: transactions the anchored checkpoint carried that never committed
     losers_discarded: int = 0
-    aborts_discarded: int = 0
     orphan_pages_reclaimed: int = 0
     high_water: int = 0
     next_txn_id: int = 1
@@ -97,8 +98,8 @@ class RecoveryReport:
             f"{self.records_scanned} log records scanned, "
             f"{self.winners_replayed} committed transactions replayed "
             f"({self.operations_replayed} operations), "
-            f"{self.losers_discarded} losers and {self.aborts_discarded} aborts "
-            f"discarded, {self.orphan_pages_reclaimed} orphan pages reclaimed, "
+            f"{self.losers_discarded} losers discarded, "
+            f"{self.orphan_pages_reclaimed} orphan pages reclaimed, "
             f"high water {self.high_water}; "
             f"{self.suffix_bytes} log bytes from the anchor: "
             f"reclaim {self.reclaim_s:.3f} s, replay {self.replay_s:.3f} s, "
@@ -182,7 +183,6 @@ class RecoveryManager:
             losers_discarded=losers,
             winners_replayed=replayer.commits_applied,
             operations_replayed=replayer.operations_applied,
-            aborts_discarded=replayer.aborts_applied,
             orphan_pages_reclaimed=reclaimed,
             high_water=max(replayer.high_water, tree.now),
             next_txn_id=replayer.next_txn_id,

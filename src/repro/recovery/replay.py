@@ -3,10 +3,9 @@
 The forward path (:mod:`repro.txn.manager`) is the only writer of a store
 under a log (the write path, :mod:`repro.api.store`), so the log determines
 the run.  :class:`LogReplayer` is the only other code that turns WAL records
-into tree writes.  Records arrive one at a time, in log order; each
-transaction's operations are buffered until its ``COMMIT`` arrives.  That
-record carries the stamp, so replay is a writer that knows its commit stamp:
-it writes each key's last logged value (or tombstone) as a committed version
+into tree writes.  A transaction is one ``COMMIT`` record carrying its
+writes and its stamp, so replay is a writer that knows its commit stamp: it
+writes each key's last word (a value or a tombstone) as a committed version
 at the logged timestamp — one descent per key, the forward path's
 known-stamp writes over again.  The paper's provisional versions appear in
 replay only where a checkpoint image already holds them (below).  Because the
@@ -15,22 +14,32 @@ serialization order, so replay is deterministic: the many serial orders
 concurrent transactions admit collapse to the one the log wrote down — the
 log as the *determination* of the run.
 
+Why one record per transaction is enough:
+
+* A WAL tree is **no-steal**: its pages reach the magnetic device only when
+  a checkpoint flushes them.
+* A checkpoint **forces the log before it flushes**, and its record names
+  every active transaction's keys.
+* So a page can hold an uncommitted version only through a checkpoint, and
+  that checkpoint's active table is the undo information.  Everything else a
+  restart or a follower needs — what committed, when, and with which writes —
+  is in the commits.  An abort, a begin or a write that no ``COMMIT`` follows
+  left nothing to redo and nothing outside such a table to undo.
+
 Restart recovery, a follower's apply loop, a promoted replica and the
 promotion oracle are all this one replayer; they differ only in the tree
 they start from:
 
 * an **empty tree** (follower, :func:`replay_device`): every version comes
-  from the log, and aborted or in-flight transactions leave no trace — their
-  buffered operations are dropped or still pending, so no undo ever runs;
+  from the log, and a transaction that never committed leaves no trace;
 * a **checkpoint image** (restart): the tree already holds provisional
   versions of the transactions that were active at the checkpoint.  The
   replayer reads the image's anchor LSN off the tree, skips everything below
   it, and seeds itself from the anchored ``CHECKPOINT`` record's
-  active-transaction table; such a transaction's carried keys are stamped
-  in place at its ``COMMIT`` (a carried key it rewrote after the checkpoint
-  is rewritten in place first, so it stays one version), erased at its
-  ``ABORT``, and erased by :meth:`LogReplayer.discard_in_flight` when the
-  log is finished and the transaction never decided.
+  active-transaction table; such a transaction's carried keys are rewritten
+  in place with their last word and stamped at its ``COMMIT``, so each stays
+  one version, and :meth:`LogReplayer.discard_in_flight` erases the carried
+  keys of every transaction that never committed once the log is finished.
 
 Key properties:
 
@@ -45,45 +54,11 @@ Key properties:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.tsb_tree import TSBTree
 from repro.recovery.log_records import LogRecord, LogRecordType, decode_stream
 from repro.storage.serialization import Key
-
-#: One buffered write: ``(is_delete, key, value)``.
-Operation = Tuple[bool, Key, bytes]
-
-
-class TransactionBuffer:
-    """Holds each transaction's logged operations until its fate is logged."""
-
-    def __init__(self) -> None:
-        #: ``txn_id -> operations`` of the transactions still undecided.
-        self.pending: Dict[int, List[Operation]] = {}
-
-    def feed(self, record: LogRecord) -> Optional[List[Operation]]:
-        """Consume one record.
-
-        Returns the transaction's operations, in log order, when ``record``
-        is its ``COMMIT`` (an empty list for a transaction that wrote
-        nothing) and ``None`` for every other record; an ``ABORT`` drops
-        what was buffered.
-        """
-        kind = record.kind
-        if kind is LogRecordType.INSERT:
-            self.pending.setdefault(record.txn_id, []).append(
-                (False, record.key, record.value)
-            )
-        elif kind is LogRecordType.DELETE:
-            self.pending.setdefault(record.txn_id, []).append((True, record.key, b""))
-        elif kind is LogRecordType.BEGIN:
-            self.pending[record.txn_id] = []
-        elif kind is LogRecordType.COMMIT:
-            return self.pending.pop(record.txn_id, [])
-        elif kind is LogRecordType.ABORT:
-            self.pending.pop(record.txn_id, None)
-        return None
 
 
 class LogReplayer:
@@ -103,7 +78,6 @@ class LogReplayer:
         tree.cache.no_steal = True
         self.shard = shard
         self._metrics = metrics
-        self._buffer = TransactionBuffer()
         #: Provisional versions already inside the tree image, per
         #: transaction active at the anchored checkpoint: ``txn_id -> keys``.
         self._carried: Dict[int, Tuple[Key, ...]] = {}
@@ -119,30 +93,23 @@ class LogReplayer:
         #: Where the commit clock stood: every commit timestamp seen
         #: (write-less commits included) and every checkpoint's high water.
         self.high_water = 0
-        #: The transaction id the log's writer would have assigned next.
+        #: Above every transaction id the log holds a trace of: a ``COMMIT``
+        #: or a checkpoint's active table (and its next id).
         self.next_txn_id = 1
         self.records_applied = 0
         self.commits_applied = 0
-        self.aborts_applied = 0
         self.operations_applied = 0
 
     def apply(self, record: LogRecord) -> None:
         """Consume one record; commits become visible atomically."""
         if record.lsn <= self.applied_lsn:
             return  # duplicate delivery (resubscribe overlap): already applied
-        kind = record.kind
-        if kind is LogRecordType.CHECKPOINT:
+        if record.kind is LogRecordType.CHECKPOINT:
             self._note_checkpoint(record)
         if not self.anchored:
             return  # not this image's log (yet): touch nothing
-        operations = self._buffer.feed(record)
-        if operations is not None:
-            self._commit(record.txn_id, record.commit_timestamp, operations)
-        elif kind is LogRecordType.ABORT:
-            self._erase_carried(record.txn_id)
-            self.aborts_applied += 1
-        elif kind is LogRecordType.BEGIN and record.txn_id >= self.next_txn_id:
-            self.next_txn_id = record.txn_id + 1
+        if record.kind is LogRecordType.COMMIT:
+            self._commit(record)
         self.applied_lsn = record.lsn
         self.records_applied += 1
 
@@ -156,57 +123,55 @@ class LogReplayer:
         self.high_water = max(self.high_water, record.high_water)
         self.next_txn_id = max(self.next_txn_id, record.next_txn_id)
 
-    def _commit(
-        self, txn_id: int, commit_timestamp: int, operations: List[Operation]
-    ) -> None:
-        """Write the transaction's operations as committed versions at its
-        logged stamp, the last word per key only: the tree keeps the *first*
-        of two versions of a key at one stamp, and the writer kept the last.
-        A key the checkpoint image carried as this transaction's provisional
-        version is rewritten in place and stamped instead, so it too ends up
-        as one version."""
+    def _commit(self, record: LogRecord) -> None:
+        """Write the transaction's writes as committed versions at its
+        logged stamp, in log order (one word per key: the writer kept the
+        last).  A key the checkpoint image carried as this transaction's
+        provisional version is rewritten in place and stamped instead, so it
+        too ends up as one version."""
         tree = self.tree
+        txn_id, commit_timestamp, writes = record.txn_id, record.commit_timestamp, record.writes
         carried = self._carried.pop(txn_id, ())
-        final = {key: (is_delete, value) for is_delete, key, value in operations}
-        for key, (is_delete, value) in final.items():
-            if key in carried:
-                if is_delete:
+        in_image = frozenset(carried)
+        for key, value in writes:
+            if key in in_image:
+                if value is None:
                     tree.delete_provisional(key, txn_id)
                 else:
                     tree.insert_provisional(key, value, txn_id)
-            elif is_delete:
+            elif value is None:
                 tree.delete(key, commit_timestamp)
             else:
                 tree.insert(key, value, commit_timestamp)
         if carried:
             tree.commit_provisional(txn_id, carried, commit_timestamp)
-        keys = final.keys() | carried
-        if keys:  # else committed but wrote nothing: only the clock moved
+        if writes:  # else committed but wrote nothing: only the clock moved
             self.watermark = max(self.watermark, commit_timestamp)
         self.high_water = max(self.high_water, commit_timestamp)
+        self.next_txn_id = max(self.next_txn_id, txn_id + 1)
         self.commits_applied += 1
-        self.operations_applied += len(operations)
+        self.operations_applied += len(writes)
         if self._metrics is not None:
             self._metrics.inc(f"repl.shard{self.shard}.commits_applied")
-            self._metrics.observe(f"repl.shard{self.shard}.commit_keys", len(keys))
-
-    def _erase_carried(self, txn_id: int) -> None:
-        keys = self._carried.pop(txn_id, ())
-        if keys:
-            self.tree.abort_provisional(txn_id, keys)
+            self._metrics.observe(f"repl.shard{self.shard}.commit_keys", len(writes))
 
     def discard_in_flight(self) -> int:
-        """The log is finished: whoever has not decided by now never will.
+        """The log is finished: whoever has not committed by now never will.
 
-        Erases the provisional versions such transactions left inside the
-        image (operations logged past the anchor were only ever buffered)
-        and returns how many transactions were in flight.
+        Erases from the image the provisional versions of every transaction
+        the anchored checkpoint carried and no ``COMMIT`` has decided since,
+        and returns how many transactions that was.  One that aborted is
+        among them: aborts are not logged, so replay may already have written
+        later commits of its keys beside its provisional versions, which
+        every read skips.
         """
-        in_flight = set(self._buffer.pending).union(self._carried)
-        for txn_id in list(self._carried):
-            self._erase_carried(txn_id)
-        self._buffer.pending.clear()
-        return len(in_flight)
+        tree = self.tree
+        for txn_id, keys in self._carried.items():
+            if keys:
+                tree.abort_provisional(txn_id, keys)
+        losers = len(self._carried)
+        self._carried.clear()
+        return losers
 
     def replay(self, data: bytes) -> int:
         """Apply every intact record in ``data``; return the count applied."""

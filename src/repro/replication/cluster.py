@@ -56,8 +56,7 @@ from repro.client import (
     WrongShardError as ClientWrongShardError,
     attach_surface,
 )
-from repro.recovery.log_records import decode_stream
-from repro.recovery.replay import TransactionBuffer
+from repro.recovery.log_records import LogRecordType, decode_stream
 from repro.server import protocol
 from repro.server.protocol import CUTOVER_COMMIT, CUTOVER_PREPARE, Event, Op
 from repro.server.registry import StoreRegistry
@@ -248,18 +247,17 @@ def _committed_events(
 ) -> List[Event]:
     """Committed in-range events from a WAL byte slice, in commit order.
 
-    Transactions whose COMMIT is not in the slice contribute nothing (the
-    slice boundaries fall between whole transactions: the source logs each
-    transaction under one latch hold, and the cut is taken under the same
-    latch).
+    Each transaction is one COMMIT record carrying its writes (the slice
+    boundaries fall between whole records: the source logs each under one
+    latch hold, and the cut is taken under the same latch).
     """
-    buffer = TransactionBuffer()
-    events: List[Event] = []
-    for record in decode_stream(data):
-        for is_delete, key, value in buffer.feed(record) or ():
-            if _contains(low, high, key):
-                events.append((record.commit_timestamp, key, is_delete, value))
-    return events
+    return [
+        (record.commit_timestamp, key, value is None, value or b"")
+        for record in decode_stream(data)
+        if record.kind is LogRecordType.COMMIT
+        for key, value in record.writes
+        if _contains(low, high, key)
+    ]
 
 
 class ClusterNode:

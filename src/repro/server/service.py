@@ -490,8 +490,8 @@ def default_catalog(
 
     ``shards > 1`` key-range-partitions each tenant over the integer key
     domain ``[0, key_space)``; ``wal`` attaches per-shard write-ahead logs
-    with group commit (``tsb`` only), so concurrent connections' commits
-    share log forces.
+    (``tsb`` only) that force every commit before it is answered, so an
+    acknowledged served write survives a crash.
     """
     from repro.api.store import ShardSpec
 
@@ -499,7 +499,6 @@ def default_catalog(
     config = StoreConfig(
         engine=engine,
         wal=wal and engine == "tsb",
-        group_commit_size=8 if (wal and engine == "tsb") else 1,
         shards=spec,
     )
     return {tenant: config for tenant in tenants}

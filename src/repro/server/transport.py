@@ -36,7 +36,8 @@ before anything runs) and owns two kinds of thread, the only ones that touch
 its sockets: the accept loop (``accept_name``) and one thread per accepted
 connection (``<connection_name>-N``), which runs the user's ``handler`` on a
 :class:`Connection` and closes it when the handler returns.  The connection
-table holds live connections only.  Threads a handler starts are the
+table holds a connection until its thread has closed it; ``stop`` joins
+every connection thread that can still run, in the table or not.  Threads a handler starts are the
 handler's to join before it returns (the primary's ``repl-stream-*`` are);
 the client's ``repro-client-demux`` and a replica's ``replica-*-tail*``
 belong to the connecting side.
@@ -59,6 +60,7 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+import weakref
 from time import monotonic
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -162,6 +164,9 @@ class Listener:
         )
         self._lock = threading.Lock()
         self._connections: Dict[Connection, threading.Thread] = {}
+        #: Every connection thread that may still run, including one that has
+        #: left the table and not yet exited; a finished one drops out.
+        self._threads: "weakref.WeakSet[threading.Thread]" = weakref.WeakSet()
         self._stopping = False
 
     def start(self) -> None:
@@ -192,15 +197,16 @@ class Listener:
             )
             with self._lock:
                 self._connections[connection] = thread
+                self._threads.add(thread)
             thread.start()
 
     def _serve(self, connection: Connection) -> None:
         try:
             self._handler(connection)
         finally:
+            connection.close()
             with self._lock:
                 del self._connections[connection]
-            connection.close()
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown (the module docstring says what it promises).
@@ -218,19 +224,18 @@ class Listener:
         self._sock.close()
         with self._lock:
             connections = dict(self._connections)
+            threads = list(self._threads)
         for connection in connections:
             # A handler blocked in ``read_frames`` sees the clean end and
             # leaves; one in the middle of a burst can still answer it.
             connection.shutdown(socket.SHUT_RD)
-        for thread in connections.values():
+        for thread in threads:
             thread.join(max(0.0, deadline - monotonic()))
         for connection, thread in connections.items():
             if thread.is_alive():  # e.g. sending to a peer that never reads
                 connection.shutdown()
                 thread.join(CUT_GRACE_S)
-        alive = [
-            thread.name for thread in (self._thread, *connections.values()) if thread.is_alive()
-        ]
+        alive = [thread.name for thread in (self._thread, *threads) if thread.is_alive()]
         if alive:
             raise RuntimeError(f"{self._thread.name} did not shut down in time: {alive}")
 

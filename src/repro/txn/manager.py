@@ -19,26 +19,27 @@ describes:
   of that: it draws the stamp under the same exclusive latch hold as its
   writes, so nobody could observe a provisional state, and it writes each
   key as a committed version at that stamp — one descent per key.  A record
-  too large for a page is refused before anything is logged or written.
+  too large for a page is refused before anything is written.
 * **Read-only transactions** need nothing from this manager but its clock:
   a reader pinned at :meth:`TimestampOracle.read_timestamp
   <repro.txn.clock.TimestampOracle.read_timestamp>` reads the tree without
   any locks (:meth:`VersionStore.begin_readonly
   <repro.api.store.VersionStore.begin_readonly>` hands out the one handle).
 
-When a :class:`~repro.recovery.log_manager.LogManager` is attached, the
-manager additionally enforces write-ahead logging: every operation appends
-its log record *before* the tree is touched, and an interactive commit
-record is appended (and, per the group-commit policy, forced) *before* the
-versions are stamped.  Both kinds of transaction log the same records —
-``BEGIN``, an ``INSERT``/``DELETE`` per write, ``COMMIT`` — and a
-transaction is durably committed exactly when its commit record lies inside
-the forced log prefix, which is what restart recovery
-(:mod:`repro.recovery`) reconstructs after a crash.  Every logged commit, of
-either kind, also applies the log's checkpoint rule once it has left the
-latch: a full checkpoint when the log holds ``CHECKPOINT_EVERY_BYTES`` past
-the tree's anchor, so what a restart replays stays bounded however long the
-store runs.
+When a :class:`~repro.recovery.log_manager.LogManager` is attached, a
+transaction appends exactly one record: its ``COMMIT``, which carries the
+last word of every key it wrote.  ``begin``, ``write``, ``delete`` and
+``abort`` log nothing (a :class:`Transaction` keeps its writes in
+``write_set`` until then).  A writer that knows its stamp appends the record
+after its tree writes and before it releases the latch; an interactive
+commit appends it (and, per the group-commit policy, forces it) *before*
+the versions are stamped.  A transaction is durably committed exactly when
+its record lies inside the forced log prefix, which is what restart
+recovery (:mod:`repro.recovery`) reconstructs after a crash.  Every logged
+commit, of either kind, also applies the log's checkpoint rule once it has
+left the latch: a full checkpoint when the log holds
+``CHECKPOINT_EVERY_BYTES`` past the tree's anchor, so what a restart
+replays stays bounded however long the store runs.
 
 The manager is safe for concurrent clients, with three coordination layers
 that mirror a real system's:
@@ -62,7 +63,7 @@ import enum
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from time import perf_counter
 
@@ -94,9 +95,11 @@ class Transaction:
     txn_id: int
     manager: "TransactionManager"
     state: TransactionState = TransactionState.ACTIVE
-    #: Keys holding one of this transaction's provisional versions (what a
-    #: checkpoint lists as active; always empty for ``run_transaction``).
-    write_set: Set[Key] = field(default_factory=set)
+    #: The last word per key this transaction wrote (``None``: a tombstone).
+    #: Its keys hold the transaction's provisional versions (what a
+    #: checkpoint lists as active); its items are what the ``COMMIT`` record
+    #: carries.  Always empty for ``run_transaction``.
+    write_set: Dict[Key, Optional[bytes]] = field(default_factory=dict)
     commit_timestamp: Optional[int] = None
     #: LSN of this transaction's commit record (None until commit, or when
     #: the manager runs without a write-ahead log).
@@ -186,16 +189,15 @@ class TransactionManager:
             self._transactions[txn.txn_id] = txn
         if self.metrics is not None:
             self.metrics.inc("txn.begins")
-        if self.log is not None:
-            self.log.log_begin(txn.txn_id)
         return txn
 
     def commit(self, txn_id: int) -> int:
         """Stamp the transaction's versions with a fresh commit timestamp.
 
-        With a write-ahead log attached, the commit record is appended (and
-        group-commit-forced) *before* any version is stamped, so a crash can
-        never leave stamped versions whose commit is not in the log.
+        With a write-ahead log attached, the ``COMMIT`` record, carrying the
+        transaction's writes, is appended (and group-commit-forced) *before*
+        any version is stamped, so a crash can never leave stamped versions
+        whose commit is not in the log.
         """
         txn = self._active(txn_id)
         commit_started = perf_counter()
@@ -214,21 +216,22 @@ class TransactionManager:
         commit, as one transaction — the logged branch of the store's write
         path (:mod:`repro.api.store`).
 
-        Logs what ``begin()`` + ``write()``/``delete()`` per item +
-        ``commit()`` logs, under the same lock discipline (every record lock
-        is acquired before the latch), but everything after the locks happens
-        under a *single* exclusive latch hold: ``admit`` (whatever it raises,
-        like a version already at the stamp, aborts the transaction cleanly),
-        the stamp order check and the size of every record, then the stamp —
-        ``commit_timestamp`` when the caller has chosen it (the clock moves up
-        to it), else the clock's next — and then each write, its log record
-        first, as a committed version at that stamp.  Nobody can see the tree
-        between the first write and the ``COMMIT`` record, so no write needs
-        to be provisional.  A batch refused by those checks leaves only
-        ``BEGIN`` + ``ABORT`` in the log and moves neither the clock nor the
-        tree; a tree write that fails half-way logs ``ABORT`` and flags the
-        manager as requiring recovery (:meth:`_fail_logged`), because the
-        keys before it are already committed versions.
+        Logs what an interactive transaction with these writes logs — one
+        ``COMMIT`` record carrying them — under the same lock discipline
+        (every record lock is acquired before the latch), but everything
+        after the locks happens under a *single* exclusive latch hold:
+        ``admit`` (whatever it raises, like a version already at the stamp,
+        aborts the transaction cleanly), the stamp order check and the size
+        of every record, then the stamp — ``commit_timestamp`` when the
+        caller has chosen it (the clock moves up to it), else the clock's
+        next — then each write as a committed version at that stamp, then the
+        ``COMMIT`` record.  Nobody can see the tree between the first write
+        and the record, so no write needs to be provisional.  A batch refused
+        by those checks logs nothing and moves neither the clock nor the
+        tree; a tree write (or the append) that fails after a write landed
+        logs nothing and flags the manager as requiring recovery
+        (:meth:`_fail`), because the keys before it are already committed
+        versions that only a restart removes.
 
         Returns the committed transaction — ``commit_timestamp`` carries the
         shared stamp, ``commit_lsn`` feeds durability checks.
@@ -256,17 +259,18 @@ class TransactionManager:
                 self.abort(txn.txn_id)
                 raise
             stamp = self._draw(commit_timestamp)
-            for written, (key, value) in enumerate(writes):
-                self._log_write(txn, key, value)
-                try:
+            written = 0
+            try:
+                for key, value in writes:
                     if value is None:
                         tree.delete(key, stamp)
                     else:
                         tree.insert(key, value, stamp)
-                except Exception as exc:
-                    self._fail_logged(txn, exc, landed=written > 0)
-                    raise
-            self._log_commit(txn, stamp)
+                    written += 1
+                self._log_commit(txn, stamp, writes)
+            except Exception as exc:
+                self._fail(txn, exc, landed=written > 0)
+                raise
             self._finish(txn, TransactionState.COMMITTED)
             txn.commit_timestamp = stamp
         self._settle(txn, commit_started)
@@ -281,17 +285,23 @@ class TransactionManager:
         self.clock.advance_to(commit_timestamp)
         return commit_timestamp
 
-    def _log_commit(self, txn: Transaction, commit_timestamp: int) -> None:
+    def _log_commit(
+        self,
+        txn: Transaction,
+        commit_timestamp: int,
+        writes: Collection[Tuple[Key, Optional[bytes]]],
+    ) -> None:
         if self.log is not None:
             txn.commit_lsn = self.log.log_commit(
-                txn.txn_id, commit_timestamp, wait_for_durability=False
+                txn.txn_id, commit_timestamp, writes, wait_for_durability=False
             )
 
     def _stamp(self, txn: Transaction) -> None:
         """An interactive commit under the exclusive latch: draw the stamp,
-        log the commit, then stamp the provisional versions."""
+        log the commit with the transaction's writes, then stamp the
+        provisional versions."""
         commit_timestamp = self._draw(None)
-        self._log_commit(txn, commit_timestamp)
+        self._log_commit(txn, commit_timestamp, txn.write_set.items())
         if txn.write_set:
             try:
                 self.tree.commit_provisional(
@@ -361,11 +371,10 @@ class TransactionManager:
         self.clock.advance_to(timestamp)
 
     def abort(self, txn_id: int) -> None:
-        """Erase every provisional version the transaction wrote."""
+        """Erase every provisional version the transaction wrote.  Nothing is
+        logged: a transaction without a ``COMMIT`` record never happened."""
         txn = self._active(txn_id)
         with self.latch.write():
-            if self.log is not None:
-                self.log.log_abort(txn_id)
             if txn.write_set:
                 self.tree.abort_provisional(txn_id, sorted(txn.write_set))
             self._finish(txn, TransactionState.ABORTED)
@@ -391,49 +400,40 @@ class TransactionManager:
         with self.latch.write():
             self._apply(txn, key, value)
 
-    def _log_write(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
-        if self.log is not None:
-            if value is None:
-                self.log.log_delete(txn.txn_id, key)
-            else:
-                self.log.log_insert(txn.txn_id, key, value)
-
     def _apply(self, txn: Transaction, key: Key, value: Optional[bytes]) -> None:
-        """One provisional write (``None``: a tombstone), its log record
-        first.  The caller holds the key's record lock and the latch."""
-        self._log_write(txn, key, value)
+        """One provisional write (``None``: a tombstone), remembered as the
+        key's last word for the ``COMMIT`` record; nothing is logged.  The
+        caller holds the key's record lock and the latch."""
         try:
             if value is None:
                 self.tree.delete_provisional(key, txn.txn_id)
             else:
                 self.tree.insert_provisional(key, value, txn.txn_id)
         except Exception as exc:
-            self._fail_logged(txn, exc)
+            self._fail(txn, exc)
             raise
-        txn.write_set.add(key)
+        txn.write_set[key] = value
 
-    def _fail_logged(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
+    def _fail(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
         """Doom a logged transaction whose tree write blew up mid-operation.
 
-        The operation record is already in the log but its effect never
-        (fully) reached the tree, so the transaction must not be allowed to
-        commit — redo would replay the phantom operation.  An abort record
-        makes it a durable loser.  A clean rejection (a record too large for
-        a page, alone or beside its key's versions, is refused before the
-        tree is touched) leaves the tree intact, so the transaction's earlier
-        provisional versions are erased immediately like any abort.  Any
-        other failure may have broken the tree mid-structure-modification —
-        erasing from it could make things worse — so the versions are left
-        for restart recovery to undo and the manager is flagged as requiring
-        recovery: full checkpoints refuse until a restart rebuilds from the
-        last good image.  A ``run_transaction`` batch fails the second way
-        whenever its earlier writes ``landed``: those keys are committed
-        versions only that restart removes.  Without a log the old contract
-        stands: the error propagates and the transaction stays active.
+        Nothing of it is in the log, and nothing will be: it is aborted.  A
+        clean rejection (a record too large for a page, alone or beside its
+        key's versions, is refused before the tree is touched) leaves the
+        tree intact, so the transaction's earlier provisional versions are
+        erased immediately like any abort.  Any other failure may have broken
+        the tree mid-structure-modification — erasing from it could make
+        things worse — so the versions are left for restart recovery to undo
+        and the manager is flagged as requiring recovery: full checkpoints
+        refuse until a restart rebuilds from the last good image and the
+        log, where the transaction is at most a loser a checkpoint carried.
+        A ``run_transaction`` batch fails the second way whenever its earlier
+        writes ``landed``: those keys are committed versions only that
+        restart removes.  Without a log the old contract stands: the error
+        propagates and the transaction stays active.
         """
         if self.log is None:
             return
-        self.log.log_abort(txn.txn_id)
         self._finish(txn, TransactionState.ABORTED)
         if isinstance(exc, RecordTooLargeError) and not landed:
             if txn.write_set:

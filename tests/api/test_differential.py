@@ -19,8 +19,10 @@ Layout:
   tsb) with tombstone writes in the mix.
 * ``WalDifferential`` — a WAL store and a splitting sharded WAL store, with
   stamped and auto-stamped inserts and deletes, multi-key batches at one
-  stamp, interactive transactions that rewrite keys and commit or abort, a
-  batch refused for an oversized record and, in the interleaving, a crash:
+  stamp, interactive transactions that rewrite keys and commit or abort,
+  one left open across a full checkpoint (committed, aborted or in flight
+  at the next crash after it), a batch refused for an oversized record and,
+  in the interleaving, a crash:
   everything volatile is lost and each store restarts from its devices and
   logs alone, still answering like the oracle and like a replay of its
   durable log into an empty tree.
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import event, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
 from repro.core.tsb_tree import RecordTooLargeError
@@ -53,6 +55,10 @@ from tests.strategies import small_values
 #: A small closed key pool so puts, updates, deletes and queries collide.
 KEY_POOL = list(range(24))
 keys = st.sampled_from(KEY_POOL)
+
+#: Keys only ``WalDifferential.carried_transaction`` writes, so no other rule
+#: waits on the record locks of the transaction it leaves open.
+carried_keys = st.sampled_from(range(100, 106))
 
 #: Clock jumps between writes (always forward: every engine rejects
 #: backdated commits, uniformly).
@@ -346,6 +352,9 @@ class WalDifferential(DeleteDifferential):
     """Stores under a log: every façade mutation is a logged transaction,
     so a crash anywhere in the interleaving loses nothing acknowledged."""
 
+    #: The interactive transaction ``carried_transaction`` left in flight.
+    open_txn = None
+
     def stores(self) -> Dict[str, VersionStore]:
         splitty = ShardSpec(
             boundaries=(12,),
@@ -418,14 +427,52 @@ class WalDifferential(DeleteDifferential):
         if not commit:
             txn.abort()
             return
+        self.commit_interactive(txn, dict(writes))
+
+    def commit_interactive(self, txn, last):
+        """Commit ``txn``, whose last word per key is ``last``; the sharded
+        store imports the same effect at the same stamp."""
         stamp = txn.commit()
         assert stamp == self.clock + 1
-        last = dict(writes)
         events = [(stamp, key, value is None, value or b"") for key, value in last.items()]
         self.fleet["sharded-tsb-wal-splitting"].import_events(events)
         for key, value in last.items():
             self.oracle.write(key, stamp, value)
         self.clock = stamp
+
+    @precondition(lambda self: self.open_txn is None)
+    @rule(
+        writes=st.lists(
+            st.tuples(carried_keys, st.none() | small_values), min_size=1, max_size=4
+        ),
+        rewrite=st.none() | small_values,
+        fate=st.sampled_from(["commit", "abort", "in flight"]),
+    )
+    def carried_transaction(self, writes, rewrite, fate):
+        """An interactive transaction open across a full checkpoint, so the
+        image carries its provisional versions; one of its keys is rewritten
+        after the checkpoint.  Then it commits, aborts, or stays in flight
+        until the next ``crash``, whose restart must erase it."""
+        event(f"wal rule: carried transaction, {fate}")
+        store = self.fleet["tsb-wal"]
+        txn = store.begin()
+        for key, value in writes:
+            if value is None:
+                txn.delete(key)
+            else:
+                txn.write(key, value)
+        store.checkpoint()
+        rewritten = writes[0][0]
+        if rewrite is None:
+            txn.delete(rewritten)
+        else:
+            txn.write(rewritten, rewrite)
+        if fate == "commit":
+            self.commit_interactive(txn, {**dict(writes), rewritten: rewrite})
+        elif fate == "abort":
+            txn.abort()
+        else:
+            self.open_txn = txn
 
     @rule(batch=st.lists(keys, min_size=3, max_size=3, unique=True), value=small_values)
     def refused_batch(self, batch, value):
@@ -446,10 +493,14 @@ class WalDifferential(DeleteDifferential):
         """Everything volatile is lost; each store restarts from its devices
         and must equal a replay of its durable log into an empty tree."""
         event("wal rule: crash")
+        self.open_txn = None  # dies with the crash: a loser the restart erases
         self.fleet = {name: crash_and_reopen(store) for name, store in self.fleet.items()}
         for name, store in self.fleet.items():
             for inner in store.shard_stores if isinstance(store, ShardedVersionStore) else [store]:
                 tree = inner.backend
+                assert not [
+                    v for node in tree.data_nodes() for v in node.versions if v.timestamp is None
+                ], name
                 rebuilt = replay_device(inner.log_device).tree
                 assert rebuilt.keys() == tree.keys(), name
                 for key in tree.keys():

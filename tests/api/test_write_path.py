@@ -126,8 +126,11 @@ class TestRecoveredEqualsAcknowledged:
             assert not [v for node in tree.data_nodes() for v in node.versions if v.key in (1, 2, 3)]
             shard.log.force()
             logged = [
-                r for r in decode_stream(shard.log_device.durable_contents())
-                if r.kind is LogRecordType.INSERT and r.key in (1, 2, 3)
+                key
+                for r in decode_stream(shard.log_device.durable_contents())
+                if r.kind is LogRecordType.COMMIT
+                for key, _ in r.writes
+                if key in (1, 2, 3)
             ]
             assert logged == []
         assert not any(shard.txns.requires_recovery for shard in inner)

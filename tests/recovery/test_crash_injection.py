@@ -130,7 +130,8 @@ def test_automatic_checkpoints_carry_open_transactions(monkeypatch):
     """The rule's checkpoints land mid-script with transactions open across
     them, whose provisional versions the image carries; those then commit or
     abort (and are in flight at the crash points between)."""
-    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES)
+    # Small enough that each 60-step script's log crosses the rule twice.
+    monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES * 5 // 8)
     decided = set()
     for seed, group_commit_size in ((1989, 3), (7, 4), (23, 2)):
         script = generate_script(steps=60, key_space=KEY_SPACE, seed=seed, **ABORTING)

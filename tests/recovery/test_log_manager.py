@@ -84,19 +84,23 @@ class TestGroupCommit:
         log.force()
         assert log.is_durable(lsns[6])
 
-    def test_operation_records_do_not_trigger_forces(self):
+    def test_a_commit_carries_its_writes_in_one_record(self):
         log = LogManager(LogDevice(), group_commit_size=2)
-        log.log_begin(1)
-        log.log_insert(1, "k", b"v")
-        log.log_delete(1, "k2")
-        log.log_abort(1)
-        assert log.device.forces == 0
-        assert log.flushed_lsn == 0
+        writes = [("k", b"v"), ("k2", None)]
+        lsn = log.log_commit(1, 5, writes)
+        assert log.device.forces == 0 and log.flushed_lsn == 0
+        log.log_commit(2, 6)  # fills the batch of two
+        assert log.device.forces == 1 and log.is_durable(lsn)
+        records = list(decode_stream(log.device.durable_contents()))
+        assert [(r.kind, r.txn_id, r.writes) for r in records] == [
+            (LogRecordType.COMMIT, 1, tuple(writes)),
+            (LogRecordType.COMMIT, 2, ()),
+        ]
 
     def test_lsns_are_contiguous_and_start_where_asked(self):
         log = LogManager(LogDevice(), next_lsn=10)
-        assert log.log_begin(1) == 10
-        assert log.log_insert(1, "k", b"v") == 11
+        assert log.log_commit(1, 1) == 10
+        assert log.log_commit(2, 2, [("k", b"v")]) == 11
         assert log.last_lsn == 11
 
     def test_rejects_bad_parameters(self):

@@ -52,7 +52,8 @@ class TestBasicOutcomes:
         txn.abort()
         system.log.force()
         report = system.crash()
-        assert report.aborts_discarded == 1
+        # Nothing logs an abort: the image carried it and no COMMIT followed.
+        assert report.losers_discarded == 1
         assert system.tree.search_current("draft") is None
 
     def test_commit_in_volatile_tail_is_correctly_lost(self):
@@ -122,9 +123,9 @@ class TestCheckpointInteraction:
         report = system.crash()
         assert report.winners_replayed == 3
         # The scan starts at the anchor's byte offset: one checkpoint record
-        # plus BEGIN/INSERT/COMMIT for each post-checkpoint transaction —
-        # the ten pre-checkpoint transactions are never even decoded.
-        assert report.records_scanned == 1 + 3 * 3
+        # plus one COMMIT for each post-checkpoint transaction — the ten
+        # pre-checkpoint transactions are never even decoded.
+        assert report.records_scanned == 1 + 3
         for index in range(10):
             assert system.tree.search_current(index).value == b"pre"
         for index in range(3):
@@ -173,6 +174,95 @@ class TestCheckpointInteraction:
         assert commits_before > 0
         system.crash()
         assert system.tree.counters.commits >= commits_before
+
+
+class TestCarriedTransactions:
+    """A log of commits only: a checkpoint's active table is the one trace
+    an unfinished transaction leaves, and the restart erases what it names."""
+
+    @staticmethod
+    def provisional(tree):
+        return [v for node in tree.data_nodes() for v in node.versions if v.timestamp is None]
+
+    def test_no_provisional_version_survives_a_restart(self):
+        system = RecoverableSystem(page_size=512)
+        committed, aborted, in_flight = system.begin(), system.begin(), system.begin()
+        committed.write("c", b"1")
+        aborted.write("a", b"1")
+        in_flight.write("f", b"1")
+        system.checkpoint()  # the image carries all three
+        assert len(self.provisional(system.tree)) == 3
+        committed.write("c", b"2")
+        committed.write("c2", b"x")
+        committed.commit()
+        aborted.write("a", b"2")
+        aborted.abort()
+        in_flight.delete("f")
+        in_flight.write("f2", b"y")
+        report = system.crash()
+        assert self.provisional(system.tree) == []
+        assert report.winners_replayed == 1 and report.losers_discarded == 2
+        assert system.tree.search_current("c").value == b"2"
+        assert system.tree.search_current("c2").value == b"x"
+        assert [v.value for v in system.tree.key_history("c")] == [b"2"]
+        for key in ("a", "f", "f2"):
+            assert system.tree.search_current(key) is None
+        assert_tree_valid(system.tree)
+
+    def test_keys_an_aborted_carrier_held_are_committed_over(self):
+        """Nothing marks where a carried transaction aborted, so replay
+        writes the commits that followed it beside its provisional versions
+        (time splits included) and erases those only at the end."""
+        system = RecoverableSystem(page_size=256)
+        expected = {}
+        for key in range(30):
+            with system.begin() as txn:
+                txn.write(key, b"base")
+            expected[key] = b"base"
+        carrier = system.begin()
+        for key in range(0, 30, 2):
+            carrier.write(key, b"P" * (key + 1))
+        system.checkpoint()
+        carrier.abort()
+        for step in range(300):
+            key = step * 7 % 30
+            with system.begin() as txn:
+                if step % 5 == 0:
+                    txn.delete(key)
+                    expected.pop(key, None)
+                else:
+                    txn.write(key, b"v%d" % step)
+                    expected[key] = b"v%d" % step
+        report = system.crash()
+        assert report.losers_discarded == 1
+        assert system.tree.counters.data_time_splits > 0
+        assert {v.key: v.value for v in system.tree.range_search()} == expected
+        assert self.provisional(system.tree) == []
+        assert_tree_valid(system.tree)
+
+    def test_no_traced_transaction_id_is_handed_out_again(self):
+        """Ids on a durable COMMIT or in the anchored checkpoint's active
+        table are never reused; ids that left no durable trace may be."""
+        from repro.recovery import LogRecordType, decode_stream
+
+        system = RecoverableSystem(page_size=512)
+        for key in range(3):
+            with system.begin() as txn:
+                txn.write(key, b"v")
+        carried = system.begin()
+        carried.write(10, b"open")
+        system.checkpoint()
+        with system.begin() as txn:
+            txn.write(11, b"v")
+        system.begin().write(12, b"traceless")  # begun after the checkpoint
+        report = system.crash()
+        records = list(decode_stream(system.log_device.durable_contents()))
+        traced = {r.txn_id for r in records if r.kind is LogRecordType.COMMIT}
+        (anchored,) = [r for r in records if r.lsn == report.checkpoint_lsn]
+        traced |= {entry.txn_id for entry in anchored.active}
+        assert carried.txn_id in traced
+        fresh = [system.begin().txn_id for _ in range(3)]
+        assert min(fresh) > max(traced)
 
 
 def versions_of(tree, key):
@@ -398,7 +488,8 @@ class TestFacadeReopen:
 
         reopened = self._reopen(store)
         report = reopened.recovery_report
-        assert report.winners_replayed == 2 and report.losers_discarded == 1
+        # The in-flight transaction logged nothing and no checkpoint carried it.
+        assert report.winners_replayed == 2 and report.losers_discarded == 0
         assert reopened.get("a").value == b"2"
         assert reopened.get("b").value == b"1"  # the tail commit is gone
         assert reopened.get("c") is None
@@ -423,8 +514,9 @@ class TestFacadeReopen:
         records = list(decode_stream(log_device.durable_contents()))
         lsns = [record.lsn for record in records]
         assert lsns == sorted(set(lsns)), "LSNs repeat or go backwards in the durable log"
-        begun = [r.txn_id for r in records if r.kind is LogRecordType.BEGIN]
-        assert len(begun) == len(set(begun)), "a transaction id was reused"
+        # The lost tail's id may be handed out again: it left no durable trace.
+        traced = [r.txn_id for r in records if r.kind is LogRecordType.COMMIT]
+        assert len(traced) == len(set(traced)), "a durably committed id was reused"
         commits = [r.commit_timestamp for r in records if r.kind is LogRecordType.COMMIT]
         assert commits == sorted(set(commits)), "commit timestamps repeat or go backwards"
         assert_tree_valid(again.backend)

@@ -15,20 +15,11 @@ from repro.server.protocol import ByteReader, ChecksumError, ProtocolError
 
 
 def _batch_records(lsns):
-    """Concatenated WAL frames: BEGIN/INSERT/COMMIT cycles at the given LSNs."""
+    """Concatenated WAL frames: one COMMIT, carrying its writes, per LSN."""
     frames = []
-    txn_id = 7
     for index, lsn in enumerate(lsns):
-        phase = index % 3
-        if phase == 0:
-            frames.append(encode_record(LogRecord.begin(lsn, txn_id)))
-        elif phase == 1:
-            frames.append(
-                encode_record(LogRecord.insert(lsn, txn_id, index, b"v" * index))
-            )
-        else:
-            frames.append(encode_record(LogRecord.commit(lsn, txn_id, lsn)))
-            txn_id += 1
+        writes = ((index, b"v" * index), (index + 100, None))
+        frames.append(encode_record(LogRecord.commit(lsn, 7 + index, lsn, writes)))
     return b"".join(frames)
 
 

@@ -17,7 +17,8 @@ from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.client import ClientError, ReproClient, ServerBusyError, ServerError
 from repro.server import protocol
 from repro.server.protocol import FRAME_HEADER, MAX_BODY_BYTES, Opcode, Status
-from repro.server.service import ReproServer
+from repro.recovery.replay import replay_device
+from repro.server.service import ReproServer, default_catalog
 from repro.workload.concurrent import run_concurrent
 from tests.wire import Wire
 
@@ -319,6 +320,25 @@ class TestWireEdgeCases:
         )
 
 
+class TestServedDurability:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_an_acknowledged_wal_write_is_already_forced(self, shards):
+        """``repro serve --wal``'s catalog: once the client has its answer,
+        the write is in the durable log — a crash now loses nothing, and a
+        replay of the forced bytes alone holds every acknowledged key."""
+        with ReproServer(default_catalog(wal=True, shards=shards), port=0) as server:
+            with ReproClient(server.host, server.port) as cli:
+                stamps = {key: cli.insert(key, b"v%d" % key) for key in (1, 2, 3)}
+            store = server.registry.get("default")
+            inner = store.shard_stores if shards > 1 else [store]
+            replayed = {}
+            for shard in inner:
+                assert shard.log_device.lose_volatile_tail() == 0
+                for version in replay_device(shard.log_device).tree.range_search():
+                    replayed[version.key] = (version.timestamp, version.value)
+        assert replayed == {key: (stamp, b"v%d" % key) for key, stamp in stamps.items()}
+
+
 class TestShutdown:
     def test_connects_during_shutdown_never_hang(self):
         catalog = {"default": StoreConfig(engine="tsb")}
@@ -361,3 +381,32 @@ class TestShutdown:
         server = ReproServer({"default": StoreConfig(engine="tsb")}, port=0).start()
         server.stop()
         server.stop()
+
+    def test_stop_joins_a_connection_thread_still_closing(self, monkeypatch):
+        """A connection thread whose handler has returned but whose socket is
+        not closed yet is still running: ``stop()`` must join it too."""
+        from repro.server import transport
+
+        closing = threading.Event()
+        close = transport.Connection.close
+
+        def slow_close(connection):
+            if threading.current_thread().name.startswith("repro-server-conn"):
+                closing.set()
+                time.sleep(0.3)
+            close(connection)
+
+        monkeypatch.setattr(transport.Connection, "close", slow_close)
+        server = ReproServer({"default": StoreConfig(engine="tsb")}, port=0).start()
+        try:
+            with ReproClient(server.host, server.port) as cli:
+                assert cli.ping()
+            assert closing.wait(5.0)
+        finally:
+            server.stop()
+        alive = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-server") and thread.is_alive()
+        ]
+        assert alive == []

@@ -65,7 +65,7 @@ class TestRecoveryAfterExhaustion:
 
     Where the bare tree can orphan the most recently split leaf when a
     parent split dies on a full disk, the logged stack loses *nothing*
-    committed: the doomed operation becomes a durable loser, restart
+    committed: the doomed transaction never logged anything, restart
     recovery sweeps the half-finished split's pages back to the free list
     and replays the committed prefix onto the reclaimed space.
     """
@@ -105,9 +105,8 @@ class TestRecoveryAfterExhaustion:
             page_size=512, policy=AlwaysKeySplitPolicy(), magnetic=magnetic
         )
         committed = self._exhaust(system)
-        # The doomed transaction was auto-aborted when the device filled;
-        # force its abort record out of the volatile tail so recovery sees a
-        # durable abort rather than nothing at all.
+        # The doomed transaction was auto-aborted when the device filled; it
+        # logged nothing, so the forced log holds the committed ones only.
         system.log.force()
         report = system.crash()
         # Replay needs the crashed run's pages back: relative to the last
@@ -115,7 +114,8 @@ class TestRecoveryAfterExhaustion:
         # root is unreachable and must have been swept to the free list.
         assert report.orphan_pages_reclaimed > 0
         assert magnetic.allocated_pages <= 6
-        assert report.aborts_discarded >= 1
+        assert report.winners_replayed == len(committed)
+        assert report.losers_discarded == 0
         assert len(system.tree.current_keys()) == len(committed)
 
     @pytest.mark.parametrize("force_abort", [False, True])

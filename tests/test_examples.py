@@ -43,7 +43,7 @@ def test_crash_recovery_keeps_exactly_the_forced_commits(capsys):
     runpy.run_path(str(EXAMPLES_DIR / "crash_recovery.py"), run_name="__main__")
     output = capsys.readouterr().out
     assert "recovered from checkpoint LSN" in output
-    assert "2 committed transactions replayed" in output and "1 losers" in output
+    assert "2 committed transactions replayed" in output and "0 losers" in output
     assert "alice after recovery         : balance=50" in output
     assert "carol after recovery         : None" in output
     assert "alice balance=120" in output

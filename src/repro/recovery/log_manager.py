@@ -68,17 +68,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Collection, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.obs.registry import COUNT_BUCKETS
 from repro.obs.registry import enabled as metrics_enabled
 from repro.recovery.log_records import (
     ActiveTransaction,
     LogRecord,
-    Write,
     encode_commit,
     encode_record,
-    encode_writes,
 )
 from repro.storage.logdevice import LogDevice
 
@@ -91,9 +89,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: many bytes past the tree's anchor (see "The checkpoint rule" above).
 #: Sized by measurement: N trades restart time (the log a restart replays)
 #: against writer throughput (how often a writer pays for a checkpoint).
-#: ``BENCH_one_record.json``'s ``n_sweep`` ran 256, 352 and 512 KiB on the
-#: one-record log: at 352 KiB ``served_mixed`` restarted in 0.20 s against
-#: 0.27 and 0.30 s, with ``txn_recovery`` throughput within 5 % of 512 KiB's.
+#: 352 KiB of one-record log holds about as many writes as the 512 KiB the
+#: rule was sized at when every operation was its own record.  In
+#: ``BENCH_one_record.json``'s ``n_sweep_shifted`` (256, 352 and 512 KiB at
+#: three run lengths, so crashes land at different points between
+#: checkpoints) restart time follows the log replayed, 0.47-0.67 ms per KiB,
+#: and the median restart at 352 KiB was 9-10 % below 512 KiB's on both
+#: workloads swept, for about 3 % of ``txn_recovery``'s throughput.
 CHECKPOINT_EVERY_BYTES = 352 * 1024
 
 
@@ -199,11 +201,13 @@ class LogManager:
         self,
         txn_id: int,
         commit_timestamp: int,
-        writes: Collection[Write] = (),
+        writes: Sequence[bytes] = (),
         wait_for_durability: bool = True,
     ) -> int:
         """Append a transaction's one record, its ``COMMIT`` carrying
-        ``writes``; force when the group-commit batch is full.
+        ``writes``; force when the group-commit batch is full.  Each write
+        comes encoded (:func:`~repro.storage.serialization.encode_write`),
+        so a key the log cannot hold was refused before the tree took it.
 
         Returns the record's LSN.  The commit is durable once
         ``flushed_lsn`` reaches that LSN — immediately when
@@ -216,12 +220,9 @@ class LogManager:
         ``wait_for_durability=False`` and do the strict-durability wait via
         :meth:`wait_durable` after releasing them.
         """
-        payload = encode_writes(writes)
         with self._cond:
             lsn = self._take_lsn()
-            self._append(
-                lsn, encode_commit(lsn, txn_id, commit_timestamp, len(writes), payload)
-            )
+            self._append(lsn, encode_commit(lsn, txn_id, commit_timestamp, writes))
             self._pending_commits += 1
             if self._flusher is None:
                 if self._pending_commits >= self.group_commit_size:

@@ -16,7 +16,8 @@ There are two record kinds:
     transaction that aborts or never finishes logs nothing at all
     (:mod:`repro.recovery.replay` says why that is enough).  A transaction
     is durably committed exactly when its record is inside the forced log
-    prefix.  An int-keyed write is encoded by one precompiled ``Struct``.
+    prefix.  Each write is encoded once, by
+    :func:`~repro.storage.serialization.encode_write`, as its writer makes it.
 ``CHECKPOINT``
     A recovery anchor: the timestamp-oracle high-water mark, the next
     transaction id, and the active-transaction table — each in-flight
@@ -37,16 +38,17 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Collection, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.storage.serialization import (
     ByteReader,
     ByteWriter,
     Key,
     SerializationError,
+    encode_write,
     read_key,
+    read_write,
     write_key,
-    write_value,
 )
 
 
@@ -66,10 +68,6 @@ Write = Tuple[Key, Optional[bytes]]
 
 _FRAME = struct.Struct(">II")
 _COMMIT_HEAD = struct.Struct(">QBQQI")
-# An int-keyed write: [u8 delete][write_key's int tag 0][i64 key], then a
-# value's u32 length prefix unless it is a delete.
-_INT_WRITE = struct.Struct(">BBqI")
-_INT_DELETE = struct.Struct(">BBq")
 
 
 @dataclass(frozen=True)
@@ -133,33 +131,15 @@ class LogRecord:
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def encode_writes(writes: Collection[Write]) -> bytes:
-    """A ``COMMIT`` body past its header: every write, in order.  Needs no
-    LSN, so a committer encodes it before it takes the log's lock."""
-    out = bytearray()
-    pack_write, pack_delete = _INT_WRITE.pack, _INT_DELETE.pack
-    for key, value in writes:
-        if type(key) is int:
-            if value is None:
-                out += pack_delete(1, 0, key)
-            else:
-                out += pack_write(0, 0, key, len(value))
-                out += value
-            continue
-        writer = ByteWriter()
-        writer.put_u8(value is None)
-        write_key(writer, key)
-        if value is not None:
-            write_value(writer, value)
-        out += writer.getvalue()
-    return bytes(out)
-
-
 def encode_commit(
-    lsn: int, txn_id: int, commit_timestamp: int, count: int, payload: bytes
+    lsn: int, txn_id: int, commit_timestamp: int, writes: Sequence[bytes]
 ) -> bytes:
-    """Frame a ``COMMIT`` of ``count`` writes encoded as ``payload``."""
-    head = _COMMIT_HEAD.pack(lsn, LogRecordType.COMMIT, txn_id, commit_timestamp, count)
+    """Frame a ``COMMIT`` of ``writes``, each already encoded by
+    :func:`~repro.storage.serialization.encode_write`."""
+    payload = b"".join(writes)
+    head = _COMMIT_HEAD.pack(
+        lsn, LogRecordType.COMMIT, txn_id, commit_timestamp, len(writes)
+    )
     crc = zlib.crc32(payload, zlib.crc32(head))
     return _FRAME.pack(len(head) + len(payload), crc) + head + payload
 
@@ -171,8 +151,7 @@ def encode_record(record: LogRecord) -> bytes:
             record.lsn,
             record.txn_id,
             record.commit_timestamp,
-            len(record.writes),
-            encode_writes(record.writes),
+            [encode_write(key, value) for key, value in record.writes],
         )
     writer = ByteWriter()
     writer.put_u64(record.lsn)
@@ -205,17 +184,13 @@ def decode_body(body: bytes) -> LogRecord:
     if kind is LogRecordType.COMMIT:
         txn_id = reader.get_u64()
         commit_timestamp = reader.get_u64()
-        writes: List[Write] = []
-        for _ in range(reader.get_u32()):
-            delete = reader.get_u8()
-            key = read_key(reader)
-            writes.append((key, None if delete else reader.get_bytes()))
+        writes = tuple(read_write(reader) for _ in range(reader.get_u32()))
         return LogRecord(
             lsn=lsn,
             kind=kind,
             txn_id=txn_id,
             commit_timestamp=commit_timestamp,
-            writes=tuple(writes),
+            writes=writes,
         )
     high_water = reader.get_u64()
     next_txn_id = reader.get_u64()

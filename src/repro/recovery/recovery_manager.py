@@ -18,10 +18,11 @@ tree's ordinary ``insert``/``delete`` — the calls the forward write path
 makes — and rewrites and stamps the carried provisional versions in place.
 Splits, migration and all tree invariants are therefore maintained by the
 same code that maintained them before the crash.  Nothing is logged but
-commits, so there is no undo pass: when the log ends, the carried
-transactions that never committed — whether they aborted or were still in
-flight — are the losers, and what the checkpoint image holds of them is all
-they left, which is erased then (``losers_discarded``).
+commits, so there is no undo pass: the carried transactions that never
+committed are the losers, and what the checkpoint image holds of them is all
+they left.  One that aborted is erased at the first commit that writes one
+of its keys (a record lock proves it had ended by then); one still in flight
+when the log ends, there (``losers_discarded`` counts both).
 
 Two housekeeping steps bracket the replay: magnetic pages that were
 allocated after the checkpoint but never linked into the anchored tree are

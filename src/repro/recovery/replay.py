@@ -38,8 +38,13 @@ they start from:
   it, and seeds itself from the anchored ``CHECKPOINT`` record's
   active-transaction table; such a transaction's carried keys are rewritten
   in place with their last word and stamped at its ``COMMIT``, so each stays
-  one version, and :meth:`LogReplayer.discard_in_flight` erases the carried
-  keys of every transaction that never committed once the log is finished.
+  one version.  A carried transaction that aborted left no record, but
+  record locks leave a proof: a ``COMMIT`` of another transaction that
+  writes one of its keys could only take that key's lock after it ended
+  without committing.  So that ``COMMIT`` first erases the carried keys,
+  where the forward run's abort had erased them before it, and
+  :meth:`LogReplayer.discard_in_flight` erases those of every carried
+  transaction still undecided once the log is finished.
 
 Key properties:
 
@@ -81,6 +86,8 @@ class LogReplayer:
         #: Provisional versions already inside the tree image, per
         #: transaction active at the anchored checkpoint: ``txn_id -> keys``.
         self._carried: Dict[int, Tuple[Key, ...]] = {}
+        #: The same, inverted: ``key -> txn_id`` of the carrier holding it.
+        self._carrier_of: Dict[Key, int] = {}
         self._anchor = tree.log_anchor
         #: Whether the image's own checkpoint record has been seen; nothing
         #: is applied before it (trivially true for a never-checkpointed tree).
@@ -99,6 +106,8 @@ class LogReplayer:
         self.records_applied = 0
         self.commits_applied = 0
         self.operations_applied = 0
+        #: Carried transactions erased because no ``COMMIT`` decided them.
+        self.losers_discarded = 0
 
     def apply(self, record: LogRecord) -> None:
         """Consume one record; commits become visible atomically."""
@@ -119,6 +128,9 @@ class LogReplayer:
         never-anchored full) one only tightens the recovered bounds."""
         if record.lsn == self._anchor:
             self._carried = {entry.txn_id: entry.keys for entry in record.active}
+            self._carrier_of = {
+                key: entry.txn_id for entry in record.active for key in entry.keys
+            }
             self.anchored = True
         self.high_water = max(self.high_water, record.high_water)
         self.next_txn_id = max(self.next_txn_id, record.next_txn_id)
@@ -128,10 +140,19 @@ class LogReplayer:
         logged stamp, in log order (one word per key: the writer kept the
         last).  A key the checkpoint image carried as this transaction's
         provisional version is rewritten in place and stamped instead, so it
-        too ends up as one version."""
+        too ends up as one version.  A key another carried transaction held
+        proves that one aborted: its carried versions go first."""
         tree = self.tree
         txn_id, commit_timestamp, writes = record.txn_id, record.commit_timestamp, record.writes
         carried = self._carried.pop(txn_id, ())
+        carrier_of = self._carrier_of
+        for key in carried:
+            del carrier_of[key]
+        if carrier_of:
+            for key, _value in writes:
+                loser = carrier_of.get(key)
+                if loser is not None:
+                    self._discard(loser)
         in_image = frozenset(carried)
         for key, value in writes:
             if key in in_image:
@@ -155,23 +176,26 @@ class LogReplayer:
             self._metrics.inc(f"repl.shard{self.shard}.commits_applied")
             self._metrics.observe(f"repl.shard{self.shard}.commit_keys", len(writes))
 
+    def _discard(self, txn_id: int) -> None:
+        """Erase a carried transaction's provisional versions from the image."""
+        keys = self._carried.pop(txn_id)
+        for key in keys:
+            del self._carrier_of[key]
+        if keys:
+            self.tree.abort_provisional(txn_id, keys)
+        self.losers_discarded += 1
+
     def discard_in_flight(self) -> int:
         """The log is finished: whoever has not committed by now never will.
 
         Erases from the image the provisional versions of every transaction
-        the anchored checkpoint carried and no ``COMMIT`` has decided since,
-        and returns how many transactions that was.  One that aborted is
-        among them: aborts are not logged, so replay may already have written
-        later commits of its keys beside its provisional versions, which
-        every read skips.
+        the anchored checkpoint carried and nothing has decided since, and
+        returns :attr:`losers_discarded`: those, plus the carriers a later
+        commit of one of their keys proved aborted.
         """
-        tree = self.tree
-        for txn_id, keys in self._carried.items():
-            if keys:
-                tree.abort_provisional(txn_id, keys)
-        losers = len(self._carried)
-        self._carried.clear()
-        return losers
+        for txn_id in list(self._carried):
+            self._discard(txn_id)
+        return self.losers_discarded
 
     def replay(self, data: bytes) -> int:
         """Apply every intact record in ``data``; return the count applied."""

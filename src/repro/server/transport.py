@@ -36,11 +36,11 @@ before anything runs) and owns two kinds of thread, the only ones that touch
 its sockets: the accept loop (``accept_name``) and one thread per accepted
 connection (``<connection_name>-N``), which runs the user's ``handler`` on a
 :class:`Connection` and closes it when the handler returns.  The connection
-table holds a connection until its thread has closed it; ``stop`` joins
-every connection thread that can still run, in the table or not.  Threads a handler starts are the
-handler's to join before it returns (the primary's ``repl-stream-*`` are);
-the client's ``repro-client-demux`` and a replica's ``replica-*-tail*``
-belong to the connecting side.
+table holds live connections only, and ``stop`` joins every connection
+thread that can still run, in the table or not.  Threads a handler starts
+are the handler's to join before it returns (the primary's
+``repl-stream-*`` are); the client's ``repro-client-demux`` and a replica's
+``replica-*-tail*`` belong to the connecting side.
 
 :meth:`Listener.stop` promises: no new connection is accepted; every handler
 sees a clean end instead of its next burst and may finish answering the one it
@@ -204,9 +204,9 @@ class Listener:
         try:
             self._handler(connection)
         finally:
-            connection.close()
             with self._lock:
                 del self._connections[connection]
+            connection.close()
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown (the module docstring says what it promises).

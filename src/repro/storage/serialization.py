@@ -13,6 +13,8 @@ the low-level codecs both trees build their page images from:
 * value codec — opaque length-prefixed byte payloads.
 * address codec — :class:`~repro.storage.device.Address` values stored inside
   index entries.
+* write codec — one write of a key (a value or a tombstone) in the key and
+  value codecs, as the write-ahead log's ``COMMIT`` record carries it.
 
 All integers are big-endian and fixed width so that sizes are deterministic
 and independent of the values stored.
@@ -42,6 +44,10 @@ _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 _U32 = struct.Struct(">I")
 _U8 = struct.Struct(">B")
+# An int-keyed write: [u8 delete][int key tag][i64 key], then the value's
+# u32 length prefix unless it is a delete.
+_INT_WRITE = struct.Struct(">BBqI")
+_INT_DELETE = struct.Struct(">BBq")
 
 
 class SerializationError(Exception):
@@ -291,3 +297,32 @@ def address_size(address: Address) -> int:
     if address.tier is Tier.MAGNETIC:
         return 1 + 8
     return 1 + 8 + 8 + 8 + 4
+
+
+# ----------------------------------------------------------------------
+# Write codec: [u8 delete][key][value unless delete]
+# ----------------------------------------------------------------------
+def encode_write(key: Key, value: Optional[bytes]) -> bytes:
+    """One write of ``key`` (a ``None`` value is a tombstone), an int-keyed
+    one in a single precompiled pack.  A key the key codec cannot hold
+    raises :class:`SerializationError` here, before anything is written."""
+    if type(key) is int:
+        try:
+            if value is None:
+                return _INT_DELETE.pack(1, _TAG_INT_KEY, key)
+            return _INT_WRITE.pack(0, _TAG_INT_KEY, key, len(value)) + value
+        except struct.error as exc:
+            raise SerializationError(f"int key {key} is outside the i64 range") from exc
+    writer = ByteWriter()
+    writer.put_u8(value is None)
+    write_key(writer, key)
+    if value is not None:
+        write_value(writer, value)
+    return writer.getvalue()
+
+
+def read_write(reader: ByteReader) -> Tuple[Key, Optional[bytes]]:
+    """Inverse of :func:`encode_write`: ``(key, value or None)``."""
+    delete = reader.get_u8()
+    key = read_key(reader)
+    return key, None if delete else reader.get_bytes()

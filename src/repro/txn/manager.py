@@ -63,13 +63,13 @@ import enum
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from time import perf_counter
 
 from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError, TSBTree
 from repro.storage.latches import ReadWriteLatch
-from repro.storage.serialization import Key
+from repro.storage.serialization import Key, encode_write
 from repro.txn.clock import TimestampOracle
 from repro.txn.locks import LockManager
 
@@ -95,10 +95,10 @@ class Transaction:
     txn_id: int
     manager: "TransactionManager"
     state: TransactionState = TransactionState.ACTIVE
-    #: The last word per key this transaction wrote (``None``: a tombstone).
-    #: Its keys hold the transaction's provisional versions (what a
-    #: checkpoint lists as active); its items are what the ``COMMIT`` record
-    #: carries.  Always empty for ``run_transaction``.
+    #: The keys holding this transaction's provisional versions (what a
+    #: checkpoint lists as active), each with its last word encoded as the
+    #: ``COMMIT`` record carries it (``None`` without a log).  Always empty
+    #: for ``run_transaction``.
     write_set: Dict[Key, Optional[bytes]] = field(default_factory=dict)
     commit_timestamp: Optional[int] = None
     #: LSN of this transaction's commit record (None until commit, or when
@@ -221,8 +221,8 @@ class TransactionManager:
         (every record lock is acquired before the latch), but everything
         after the locks happens under a *single* exclusive latch hold:
         ``admit`` (whatever it raises, like a version already at the stamp,
-        aborts the transaction cleanly), the stamp order check and the size
-        of every record, then the stamp — ``commit_timestamp`` when the
+        aborts the transaction cleanly), the stamp order check, the size of
+        every record and its log encoding, then the stamp — ``commit_timestamp`` when the
         caller has chosen it (the clock moves up to it), else the clock's
         next — then each write as a committed version at that stamp, then the
         ``COMMIT`` record.  Nobody can see the tree between the first write
@@ -255,6 +255,9 @@ class TransactionManager:
                         f"committed timestamp {tree.now}"
                     )
                 tree.refuse_oversized(writes)
+                encoded = (
+                    () if self.log is None else [encode_write(key, value) for key, value in writes]
+                )
             except Exception:
                 self.abort(txn.txn_id)
                 raise
@@ -267,7 +270,7 @@ class TransactionManager:
                     else:
                         tree.insert(key, value, stamp)
                     written += 1
-                self._log_commit(txn, stamp, writes)
+                self._log_commit(txn, stamp, encoded)
             except Exception as exc:
                 self._fail(txn, exc, landed=written > 0)
                 raise
@@ -289,7 +292,7 @@ class TransactionManager:
         self,
         txn: Transaction,
         commit_timestamp: int,
-        writes: Collection[Tuple[Key, Optional[bytes]]],
+        writes: Sequence[bytes],
     ) -> None:
         if self.log is not None:
             txn.commit_lsn = self.log.log_commit(
@@ -301,7 +304,7 @@ class TransactionManager:
         log the commit with the transaction's writes, then stamp the
         provisional versions."""
         commit_timestamp = self._draw(None)
-        self._log_commit(txn, commit_timestamp, txn.write_set.items())
+        self._log_commit(txn, commit_timestamp, tuple(txn.write_set.values()))
         if txn.write_set:
             try:
                 self.tree.commit_provisional(
@@ -404,6 +407,7 @@ class TransactionManager:
         """One provisional write (``None``: a tombstone), remembered as the
         key's last word for the ``COMMIT`` record; nothing is logged.  The
         caller holds the key's record lock and the latch."""
+        encoded = None if self.log is None else encode_write(key, value)
         try:
             if value is None:
                 self.tree.delete_provisional(key, txn.txn_id)
@@ -412,7 +416,7 @@ class TransactionManager:
         except Exception as exc:
             self._fail(txn, exc)
             raise
-        txn.write_set[key] = value
+        txn.write_set[key] = encoded
 
     def _fail(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
         """Doom a logged transaction whose tree write blew up mid-operation.

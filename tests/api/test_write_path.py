@@ -23,6 +23,7 @@ from repro.core.checker import check_tree
 from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError
 from repro.recovery.log_records import LogRecordType, decode_stream
 from repro.recovery.replay import replay_device
+from repro.storage.serialization import SerializationError
 from tests.api.test_differential import DictOracle
 from tests.crash_harness import crash_and_reopen
 
@@ -279,6 +280,26 @@ class TestOneClock:
         reopened = crash_and_reopen(store)
         assert [(r.timestamp, r.value) for r in reopened.key_history(1)] == [(5, b"first")]
         assert reopened.get(2).value == b"next"
+
+
+    def test_a_key_the_log_cannot_hold_is_refused_before_the_tree(self):
+        """An int key outside i64 has no log encoding: a façade insert and
+        an interactive write of one are refused with the tree and the clock
+        untouched, so full checkpoints still run."""
+        store = VersionStore.open(wal_config(sharded=False))
+        store.insert(1, b"first")
+        now = store.now
+        with pytest.raises(SerializationError):
+            store.insert(2**63, b"v")
+        txn = store.txns.begin()
+        with pytest.raises(SerializationError):
+            txn.write(-(2**63) - 1, b"v")
+        txn.abort()
+        assert store.now == now and not store.txns.requires_recovery
+        assert [r.key for r in store.range_search()] == [1]
+        store.checkpoint()
+        reopened = crash_and_reopen(store)
+        assert [(r.key, r.value) for r in reopened.range_search()] == [(1, b"first")]
 
 
 class TestStampsDidNotMove:

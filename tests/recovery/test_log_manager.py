@@ -6,6 +6,7 @@ from repro.core import TSBTree
 from repro.recovery import LogManager, LogRecordType, decode_stream
 from repro.storage.device import InvalidAddressError, OutOfSpaceError
 from repro.storage.logdevice import LogDevice
+from repro.storage.serialization import encode_write
 from repro.txn.manager import TransactionManager
 
 
@@ -87,7 +88,7 @@ class TestGroupCommit:
     def test_a_commit_carries_its_writes_in_one_record(self):
         log = LogManager(LogDevice(), group_commit_size=2)
         writes = [("k", b"v"), ("k2", None)]
-        lsn = log.log_commit(1, 5, writes)
+        lsn = log.log_commit(1, 5, [encode_write(key, value) for key, value in writes])
         assert log.device.forces == 0 and log.flushed_lsn == 0
         log.log_commit(2, 6)  # fills the batch of two
         assert log.device.forces == 1 and log.is_durable(lsn)
@@ -100,7 +101,7 @@ class TestGroupCommit:
     def test_lsns_are_contiguous_and_start_where_asked(self):
         log = LogManager(LogDevice(), next_lsn=10)
         assert log.log_commit(1, 1) == 10
-        assert log.log_commit(2, 2, [("k", b"v")]) == 11
+        assert log.log_commit(2, 2, [encode_write("k", b"v")]) == 11
         assert log.last_lsn == 11
 
     def test_rejects_bad_parameters(self):

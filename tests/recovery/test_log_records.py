@@ -16,7 +16,12 @@ from repro.recovery.log_records import (
     decode_stream,
     encode_record,
 )
-from repro.storage.serialization import ByteWriter, write_key, write_value
+from repro.storage.serialization import (
+    ByteWriter,
+    SerializationError,
+    write_key,
+    write_value,
+)
 
 I64_EDGES = [-(2**63), 2**63 - 1, -1, 0]
 KEYS = st.one_of(
@@ -127,6 +132,11 @@ class TestRoundTrip:
         assert decoded[0].writes[1] == ("alice", None)
         assert decoded[2].fuzzy is True
         assert decoded[2].active[0].keys == ("alice", "bob")
+
+    @pytest.mark.parametrize("key", [2**63, -(2**63) - 1])
+    def test_a_key_outside_i64_is_refused_by_the_codec(self, key):
+        with pytest.raises(SerializationError, match="i64"):
+            encode_record(LogRecord.commit(1, 1, 1, ((key, b"v"),)))
 
     def test_the_log_has_two_record_kinds(self):
         assert {kind.name for kind in LogRecordType} == {"COMMIT", "CHECKPOINT"}

@@ -210,9 +210,9 @@ class TestCarriedTransactions:
         assert_tree_valid(system.tree)
 
     def test_keys_an_aborted_carrier_held_are_committed_over(self):
-        """Nothing marks where a carried transaction aborted, so replay
-        writes the commits that followed it beside its provisional versions
-        (time splits included) and erases those only at the end."""
+        """Nothing marks where a carried transaction aborted: the first
+        commit of one of its keys proves it, and replay erases its carried
+        versions there, whatever splits follow."""
         system = RecoverableSystem(page_size=256)
         expected = {}
         for key in range(30):
@@ -237,6 +237,28 @@ class TestCarriedTransactions:
         assert report.losers_discarded == 1
         assert system.tree.counters.data_time_splits > 0
         assert {v.key: v.value for v in system.tree.range_search()} == expected
+        assert self.provisional(system.tree) == []
+        assert_tree_valid(system.tree)
+
+    def test_a_carrier_aborted_over_large_values_does_not_crowd_replay(self):
+        """Versions of about 40 % of a page: the forward run holds a key's
+        committed and provisional version, never a third beside them.  The
+        restart erases the aborted carrier's version at the first commit of
+        its key, as the forward abort did, so replay fits too."""
+        system = RecoverableSystem(page_size=256)
+        value = lambda step: bytes([65 + step]) * 75  # a 99-byte version
+        with system.begin() as txn:
+            txn.write(1, value(0))
+        carrier = system.begin()
+        carrier.write(1, b"P" * 75)
+        system.checkpoint()
+        carrier.abort()
+        for step in range(1, 6):
+            with system.begin() as txn:
+                txn.write(1, value(step))
+        report = system.crash()
+        assert report.losers_discarded == 1
+        assert system.tree.search_current(1).value == value(5)
         assert self.provisional(system.tree) == []
         assert_tree_valid(system.tree)
 

@@ -66,7 +66,6 @@ def _wal_catalog():
         "bench": StoreConfig(
             engine="tsb",
             wal=True,
-            group_commit_size=8,
             shards=ShardSpec.for_int_keys(4, key_space=1 << 20),
         )
     }
@@ -187,7 +186,6 @@ def run_migration_study(seed_keys: int = 300) -> dict:
     config = StoreConfig(
         engine="tsb",
         wal=True,
-        group_commit_size=4,
         shards=ShardSpec(boundaries=("m",)),
     )
     from repro.replication.cluster import RoutingTable
@@ -271,7 +269,7 @@ def main(argv=None) -> int:
         "replication",
         lag_rows,
         study="write throughput and shipping lag at 0/1/2 replicas",
-        extra={"ops_per_cell": ops, "catalog": "tsb, 4 shards, wal group_commit=8"},
+        extra={"ops_per_cell": ops, "catalog": "tsb, 4 shards, wal"},
     )
 
     follower_rows = [run_follower_cell(count, reads) for count in READER_COUNTS]

@@ -31,8 +31,8 @@ boundaries and its shards' devices and nothing else.
 
 A sharded store owns no thread: every fan-out, every ``put_many`` group
 and every split check runs on the calling thread, visiting shards in key
-order.  Concurrency comes from the callers' own threads, each shard's own
-latch, and each WAL shard's group-commit flusher.
+order.  Concurrency comes from the callers' own threads and each shard's
+own latch; a WAL shard's committers share its log forces on those threads.
 
 Timestamps stay globally consistent: the sharded engine's clock is the
 newest commit any shard holds, it stamps every write itself, and it rejects
@@ -97,10 +97,6 @@ class ShardBatch:
     shard: int
     keys: Tuple[Key, ...]
     timestamps: Tuple[int, ...]
-    #: Commit durability at return time: under a WAL, True iff every commit
-    #: record of this batch (one per distinct-key run) is already in the
-    #: forced log prefix; None without a WAL.
-    durable: Optional[bool] = None
 
     @property
     def count(self) -> int:
@@ -290,20 +286,17 @@ class ShardedEngine(VersionedEngine):
         for index in shard_order:  # fail-stop: an error leaves later shards untouched
             store, group = self.stores[index], groups[index]
             self._dirty.add(index)
-            durable: Optional[bool] = None
             with self._shard_task("put_many", index):
                 for start, end in runs_per_shard[index]:
-                    _, forced = store._write(
+                    store._write(
                         [(key, value) for _, key, value in group[start:end]],
                         timestamps[group[start][0]],
                     )
-                    durable = forced if durable is None else durable and forced
             batches.append(
                 ShardBatch(
                     shard=index,
                     keys=tuple(key for _, key, _ in group),
                     timestamps=tuple(timestamps[position] for position, _, _ in group),
-                    durable=durable,
                 )
             )
         return PutManyReport(timestamps=timestamps, batches=batches)

@@ -45,13 +45,15 @@ stamp or the clock's next.  Whether the store has a log picks its branch:
   key, because a writer that knows its commit stamp has no use for the
   paper's provisional versions (section 4 gives them to the interactive
   ``begin()``/``write()``/``commit()``, which does not know it) — then the
-  one ``COMMIT`` record that carries the writes.  Acknowledged means that
-  record is in the log, forced per ``group_commit_size``; restart recovery,
+  one ``COMMIT`` record that carries the writes.  The write is visible once
+  that record is appended and acknowledged once the log is forced through
+  it (:mod:`repro.recovery.log_manager`, "Group commit"); restart recovery,
   followers and a promoted replica replay it the same way, at the logged
   stamp (:mod:`repro.recovery.replay`).
 * **without one**, the engine is written directly under the store's
   exclusive latch — one descent per write, not two — durable at the next
-  ``checkpoint()``.
+  ``checkpoint()``; a key the page codec cannot hold is refused first, as
+  the log's encoding refuses it in the logged branch.
 
 *One clock.*  A TSB store's commit clock is its transaction manager's
 :class:`~repro.txn.clock.TimestampOracle`: the logged branch draws from it
@@ -122,7 +124,7 @@ from repro.storage.latches import ReadWriteLatch
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.optical_library import OpticalLibrary
-from repro.storage.serialization import ByteReader, Key
+from repro.storage.serialization import ByteReader, Key, check_key
 from repro.storage.worm import WormDisk
 from repro.wobt.wobt_tree import WOBT
 from repro.txn.clock import TimestampOracle
@@ -296,20 +298,16 @@ class StoreConfig:
     platter_capacity_sectors:
         Platter size when ``historical="jukebox"``.
     wal:
-        Attach a write-ahead log and group commit (tsb only): every
-        committed transaction, a façade write or one opened with
-        :meth:`VersionStore.begin`, is then one ``COMMIT`` record carrying
-        its writes, and :meth:`VersionStore.close` takes a logged
+        Attach a write-ahead log (tsb only): every committed transaction, a
+        façade write or one opened with :meth:`VersionStore.begin`, is then
+        one ``COMMIT`` record carrying its writes, forced before the commit
+        is acknowledged, and :meth:`VersionStore.close` takes a logged
         checkpoint.
-    group_commit_size:
-        Commit records per log force when ``wal=True``.
-    group_commit_interval:
-        ``0.0`` (the default) keeps group commit synchronous: the committer
-        that fills a batch forces the log inline.  A positive value starts
-        the :class:`~repro.recovery.log_manager.LogManager`'s background
-        flusher thread with that batching window, so concurrent committers
-        are batched by arrival rather than by any one caller; requires
-        ``wal=True``.
+    group_commit_size, group_commit_interval:
+        Retired: every acknowledged commit is forced, and committers that
+        wait together share one force (:mod:`repro.recovery.log_manager`).
+        Each accepts only its old default (``1``, ``0.0``) and refuses any
+        other value.
     shards:
         A :class:`ShardSpec` to key-range-partition the store across several
         independent inner stores (each with its own devices, cache and WAL);
@@ -342,12 +340,12 @@ class StoreConfig:
             raise ValueError("cache_pages must be positive")
         if self.historical not in {"worm", "jukebox"}:
             raise ValueError("historical must be 'worm' or 'jukebox'")
-        if self.group_commit_size < 1:
-            raise ValueError("group_commit_size must be positive")
-        if self.group_commit_interval < 0:
-            raise ValueError("group_commit_interval cannot be negative")
-        if self.group_commit_interval > 0 and not self.wal:
-            raise ValueError("group_commit_interval requires wal=True")
+        if self.group_commit_size != 1 or self.group_commit_interval != 0.0:
+            raise ValueError(
+                "group_commit_size and group_commit_interval are retired: every "
+                "acknowledged commit is forced, and committers waiting together "
+                "share one force"
+            )
         if self.wal and self.engine != "tsb":
             raise ValueError("wal=True requires the 'tsb' engine")
         if self.split_policy is not None and self.engine != "tsb":
@@ -382,7 +380,6 @@ class StoreConfig:
             updates.update(
                 split_policy=None,
                 wal=False,
-                group_commit_interval=0.0,
                 historical="worm",
                 platter_capacity_sectors=4096,
             )
@@ -635,13 +632,7 @@ class VersionStore:
             log_device = log_device or LogDevice()
             log_manager = LogManager(
                 log_device,
-                group_commit_size=config.group_commit_size,
                 next_lsn=(replayed.applied_lsn if replayed else tree.log_anchor) + 1,
-                flush_interval=(
-                    config.group_commit_interval
-                    if config.group_commit_interval > 0
-                    else None
-                ),
                 metrics=metrics,
             )
         txns = TransactionManager(
@@ -785,9 +776,8 @@ class VersionStore:
         self,
         writes: Sequence[Tuple[Key, Optional[bytes]]],
         timestamp: Optional[int] = None,
-    ) -> Tuple[List[int], Optional[bool]]:
-        """The write path (module docstring).  Returns each write's stamp
-        and, under a log, whether the commit record is already forced."""
+    ) -> List[int]:
+        """The write path (module docstring).  Returns each write's stamp."""
 
         def admit() -> None:
             # Under the exclusive latch: a thread that blocked on it while
@@ -810,8 +800,9 @@ class VersionStore:
 
         if self._log is not None:
             txn = self._txns.run_transaction(writes, timestamp, admit)
-            stamps = [txn.commit_timestamp] * len(writes)
-            return stamps, self._log.is_durable(txn.commit_lsn)
+            return [txn.commit_timestamp] * len(writes)
+        for key, _ in writes:
+            check_key(key)  # refused before the tree, as the logged branch does
         with self._latch.write():
             admit()
             engine = self._engine
@@ -823,15 +814,15 @@ class VersionStore:
             ]
             if self._txns is not None:
                 self._txns.observe_commit(stamps[-1])
-        return stamps, None
+        return stamps
 
     def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
         with self.metrics.timer("op.insert"):
-            return self._write([(key, value)], timestamp)[0][0]
+            return self._write([(key, value)], timestamp)[0]
 
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
         with self.metrics.timer("op.delete"):
-            return self._write([(key, None)], timestamp)[0][0]
+            return self._write([(key, None)], timestamp)[0]
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
         """Write a batch of ``(key, value)`` pairs; return their timestamps.
@@ -839,7 +830,7 @@ class VersionStore:
         Each distinct-key run (:func:`distinct_key_run_end`) is one call of
         the write path: without a WAL, sequential auto-stamped inserts under
         one latch hold (each item its own timestamp); with one, a logged
-        transaction riding group commit whose items share the commit
+        transaction whose items share the commit
         timestamp — a repeated key starts a new transaction so every version
         survives.  The sharded store overrides this with a per-shard grouped
         implementation with the same two modes.
@@ -855,7 +846,7 @@ class VersionStore:
             start = 0
             while start < len(items):
                 end = distinct_key_run_end(items, start)
-                timestamps.extend(self._write(items[start:end])[0])
+                timestamps.extend(self._write(items[start:end]))
                 start = end
         return timestamps
 
@@ -1047,7 +1038,6 @@ class VersionStore:
                 "flushed_lsn": self._log.flushed_lsn,
                 "durable_lsn": self.durable_lsn(),
                 "pending_commits": self._log.pending_commits,
-                "group_commit_size": self._log.group_commit_size,
             }
         return snapshot
 
@@ -1088,8 +1078,6 @@ class VersionStore:
         elif self._engine.supports(Capability.FLUSH):
             with self._latch.write():
                 self._engine.flush()
-        if self._log is not None and hasattr(self._log, "close"):
-            self._log.close()  # stop the background flusher after a final force
         self.metrics.retire()  # fold this store's histograms into the session
         self._closed = True
 

@@ -252,7 +252,6 @@ def _open_observed_store(engine: str, ops: int, shards: int):
         engine=engine,
         page_size=1024,
         wal=(engine == "tsb"),
-        group_commit_size=4 if engine == "tsb" else 1,
         shards=_shard_spec(shards, operations=ops),
     )
     return VersionStore.open(config)
@@ -353,9 +352,11 @@ def _print_stats_table(snapshot: Dict[str, object]) -> None:
         )
     wal = snapshot.get("wal")
     if wal:
+        batches = histograms.get("wal.batch_size")
+        commits_per_force = f"{batches['avg']:.2f}" if batches else "n/a"
         print(
             f"wal: last_lsn={wal['last_lsn']} flushed_lsn={wal['flushed_lsn']} "
-            f"group_commit_size={wal['group_commit_size']}"
+            f"commits_per_force={commits_per_force}"
         )
     locks = snapshot.get("locks")
     if isinstance(locks, list):

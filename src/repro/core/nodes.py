@@ -711,8 +711,9 @@ def _referenced_bounds(table: Sequence, low: int, high: int, start: int, end: in
 class IndexNode:
     """An internal node mapping key x time rectangles to child addresses."""
 
-    __slots__ = ("address", "_level", "_region", "_image", "_table", "_lows", "_highs", "_starts",
-                 "_ends", "_tiers", "_pages", "_children", "_current", "_content")  # fmt: skip
+    __slots__ = ("address", "_level", "_region", "_image", "_table", "_sizes", "_lows", "_highs",
+                 "_starts", "_ends", "_tiers", "_pages", "_children", "_current",
+                 "_content")  # fmt: skip
 
     def __init__(
         self, address: Address, region: Rectangle, entries: Iterable[Row] = (), level: int = 1
@@ -745,6 +746,7 @@ class IndexNode:
         node._region = None  # read on first use
         node._image = image
         node._table = table
+        node._sizes = None
         node._lows = refs.unpack_from(image, at)
         node._highs = refs.unpack_from(image, at + 2 * count)
         node._starts = words.unpack_from(image, at + 4 * count)
@@ -770,6 +772,7 @@ class IndexNode:
             key for _child, rectangle in rows for key in (rectangle.keys.low, rectangle.keys.high)
         }
         self._table = sorted(bounds.union((region.keys.low, region.keys.high)) - {None})
+        self._sizes = None
         self._lows, self._highs, self._starts, self._ends, self._children = [], [], [], [], []
         self._tiers = bytearray()
         self._image = None
@@ -826,12 +829,15 @@ class IndexNode:
         return self._lows, self._highs, self._starts, self._ends, self._tiers, self._children
 
     def _ref(self, key: Key) -> int:
-        """The table reference of ``key``; a key new to the table joins it,
-        and the references above it move up."""
+        """The table reference of ``key``; a key new to the table joins it
+        (with its size, once sizes are kept), and the references above it
+        move up."""
         table = self._table
         at = bisect_left(table, key)
         if at == len(table) or table[at] != key:
             table.insert(at, key)
+            if self._sizes is not None:
+                self._sizes.insert(at + 1, key_size(key))
             self._lows = [ref + (ref > at) for ref in self._lows]
             self._highs = [ref + (at < ref < _NO_HIGH) for ref in self._highs]
         return at + 1
@@ -991,6 +997,7 @@ class IndexNode:
         node = IndexNode.__new__(IndexNode)
         node.address, node._level, node._image = self.address, self._level, None
         node._table = list(self._table)
+        node._sizes = None if self._sizes is None else list(self._sizes)
         node._lows = [lows[slot] for slot in slots]
         node._highs = [highs[slot] for slot in slots]
         node._starts = [starts[slot] for slot in slots]
@@ -1004,7 +1011,11 @@ class IndexNode:
     def serialized_size(self) -> int:
         content = self._content
         if content is None:
-            sizes = [0, *map(key_size, self._table)]
+            # Each table key's size, by reference (0: an unbounded low),
+            # kept beside the table so an edit sizes only the keys it adds.
+            sizes = self._sizes
+            if sizes is None:
+                sizes = self._sizes = [0, *map(key_size, self._table)]
             content = self._content = sum(
                 _INDEX_ENTRY_OVERHEAD + sizes[low] + (0 if high == _NO_HIGH else sizes[high])
                 + _CHILD_SIZES[tier]

@@ -15,25 +15,19 @@ forces the log first — so no durable page can describe a committed change
 the log lacks, and an uncommitted one reaches the disk only inside a
 checkpoint whose record names it (:mod:`repro.recovery.replay`).
 
-**Group commit.**  Forcing the log is the expensive, per-commit device
-access; batching amortises it.  With ``group_commit_size = N``, commit
-records accumulate in the device's volatile tail and a single force makes
-the whole batch durable, so commit throughput scales with ``N`` at the cost
-of the last ``< N`` commits being vulnerable until the next force.  This is
-the classic throughput lever the repo benchmark's ``txn_recovery`` workload
-measures (``recovery.wal_forces``, ``recovery.commits_per_force``).
-
-With ``flush_interval`` set, group commit additionally runs a *background
-flusher thread*: committers append their commit record, wake the flusher
-and return; the flusher forces once per batching window, covering every
-commit that arrived meanwhile — so concurrent committers are batched by
-**arrival**, not by any single caller filling a batch.  ``force()`` stays
-synchronous (an explicit force always makes everything durable before it
-returns), and with ``group_commit_size == 1`` a committer still waits for
-its record to become durable, preserving the strict-durability contract at
-the cost of one batching-window latency.  The manager's public surface is
-thread-safe in both modes: LSN assignment, appends and forces are
-serialized by one internal lock.
+**Group commit.**  Every acknowledged commit is forced, and committers
+that wait together share one force.  :meth:`log_commit` only appends; once
+the committer has left the store latch it calls :meth:`force_through` with
+its record's LSN, which returns at once if an earlier force already covered
+the record and otherwise forces everything appended so far — so every
+committer that appended while another was forcing finds its record covered
+when it gets the log's lock: the classic leader/follower group commit,
+batched by **arrival**, on the committers' own threads, with no option,
+timer or thread.  A commit is therefore visible to readers once appended
+and acknowledged once forced; a crash in between loses only a commit nobody
+was told about.  The repo benchmark's ``txn_recovery`` workload measures
+the batching (``recovery.wal_forces``, ``recovery.commits_per_force``).
+LSN assignment, appends and forces are serialized by one internal lock.
 
 **Checkpoints.**  :meth:`checkpoint` writes a CHECKPOINT record carrying the
 timestamp-oracle high-water mark, the next transaction id and the
@@ -113,50 +107,31 @@ class RecoveryRequiredError(Exception):
 
 
 class LogManager:
-    """Appends WAL records, assigns LSNs and batches commit forces.
+    """Appends WAL records, assigns LSNs and forces commits by group.
 
     Parameters
     ----------
     device:
         The append-only log device; a fresh :class:`LogDevice` by default.
-    group_commit_size:
-        Number of commit records that triggers a force.  ``1`` forces on
-        every commit (strict durability); larger values trade the tail of
-        unforced commits for throughput.
     next_lsn:
         First LSN to assign.  After restart recovery, a new manager on the
         same device continues the sequence so LSNs stay unique log-wide.
-    flush_interval:
-        ``None`` (the default) keeps the original synchronous policy: the
-        committer that fills a batch forces inline.  A non-negative float
-        starts a daemon flusher thread instead; the value is the batching
-        window in seconds (how long the flusher lingers after being woken,
-        letting concurrent committers pile into the same force).  ``0.0``
-        forces as soon as the flusher wakes.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When given,
         every force counts ``wal.forces``, times the device force into
-        ``wal.fsync`` and records the commit batch it covered in the
-        ``wal.batch_size`` histogram — the group-commit lever made visible.
+        ``wal.fsync`` and records the commits it covered in the
+        ``wal.batch_size`` histogram — group commit made visible.
     """
 
     def __init__(
         self,
         device: Optional[LogDevice] = None,
-        group_commit_size: int = 1,
         next_lsn: int = 1,
-        flush_interval: Optional[float] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
-        if group_commit_size <= 0:
-            raise ValueError("group_commit_size must be positive")
         if next_lsn <= 0:
             raise ValueError("LSNs start at 1")
-        if flush_interval is not None and flush_interval < 0:
-            raise ValueError("flush_interval cannot be negative")
         self.device = device or LogDevice()
-        self.group_commit_size = group_commit_size
-        self.flush_interval = flush_interval
         self.metrics = metrics
         self._next_lsn = next_lsn
         self._last_lsn = next_lsn - 1
@@ -164,13 +139,6 @@ class LogManager:
         self._last_append_offset = 0
         self._pending_commits = 0
         self._cond = threading.Condition()
-        self._stop_flusher = False
-        self._flusher: Optional[threading.Thread] = None
-        if flush_interval is not None:
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="wal-group-commit", daemon=True
-            )
-            self._flusher.start()
 
     # ------------------------------------------------------------------
     # LSN bookkeeping
@@ -195,46 +163,37 @@ class LogManager:
         return 0 < lsn <= self._flushed_lsn
 
     # ------------------------------------------------------------------
-    # Record appends
+    # Record appends and forces
     # ------------------------------------------------------------------
     def log_commit(
         self,
         txn_id: int,
         commit_timestamp: int,
         writes: Sequence[bytes] = (),
-        wait_for_durability: bool = True,
     ) -> int:
         """Append a transaction's one record, its ``COMMIT`` carrying
-        ``writes``; force when the group-commit batch is full.  Each write
-        comes encoded (:func:`~repro.storage.serialization.encode_write`),
-        so a key the log cannot hold was refused before the tree took it.
+        ``writes``.  Each write comes encoded
+        (:func:`~repro.storage.serialization.encode_write`), so a key the log
+        cannot hold was refused before the tree took it.
 
-        Returns the record's LSN.  The commit is durable once
-        ``flushed_lsn`` reaches that LSN — immediately when
-        ``group_commit_size == 1``, at the batch-filling (or next explicit)
-        force otherwise.  With a background flusher the batch-filling force
-        happens on the flusher thread; a strict-durability committer
-        (``group_commit_size == 1``) waits for it instead of forcing inline,
-        so simultaneous committers still share one force.  Callers that
-        hold latches readers need (the transaction manager) pass
-        ``wait_for_durability=False`` and do the strict-durability wait via
-        :meth:`wait_durable` after releasing them.
+        Returns the record's LSN.  The record is not forced here: the
+        committer calls :meth:`force_through` with it once it has released
+        the latches readers need.
         """
         with self._cond:
             lsn = self._take_lsn()
             self._append(lsn, encode_commit(lsn, txn_id, commit_timestamp, writes))
             self._pending_commits += 1
-            if self._flusher is None:
-                if self._pending_commits >= self.group_commit_size:
-                    self._force_locked()
-            else:
-                self._cond.notify_all()  # wake the flusher (and any waiters)
-                if self.group_commit_size == 1 and wait_for_durability:
-                    while self._flushed_lsn < lsn and self._flusher_alive():
-                        self._cond.wait(0.05)
-                    if self._flushed_lsn < lsn:  # flusher died: force inline
-                        self._force_locked()
         return lsn
+
+    def force_through(self, lsn: int) -> None:
+        """Make the record at ``lsn`` durable: at once if an earlier force
+        covered it, else by forcing everything appended so far — which
+        covers every committer that appended meanwhile, so those find their
+        record durable when they get here (group commit by arrival)."""
+        with self._cond:  # re-entrant: force() takes it again
+            if self._flushed_lsn < lsn:
+                self.force()
 
     def force(self) -> None:
         """Force the log synchronously: every appended record becomes durable."""
@@ -257,56 +216,10 @@ class LogManager:
         self._cond.notify_all()
 
     def wait_durable(self, lsn: int, timeout: Optional[float] = None) -> bool:
-        """Block until the record at ``lsn`` is durable (or ``timeout`` expires).
-
-        Loops to the deadline: appends notify this condition too (to wake
-        the flusher), so a single wait could be woken early and give up
-        with most of its budget unspent.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """Block until the record at ``lsn`` is durable (or ``timeout``
+        expires); every force wakes the waiters.  A log shipper's wait."""
         with self._cond:
-            while self._flushed_lsn < lsn:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
-            return True
-
-    # ------------------------------------------------------------------
-    # Background flusher
-    # ------------------------------------------------------------------
-    def _flusher_alive(self) -> bool:
-        return self._flusher is not None and self._flusher.is_alive()
-
-    def _flush_loop(self) -> None:
-        with self._cond:
-            while True:
-                while not self._stop_flusher and self._pending_commits == 0:
-                    self._cond.wait()
-                if self._stop_flusher and self._pending_commits == 0:
-                    return
-                if self.flush_interval and not self._stop_flusher:
-                    # The batching window: sleep with the lock released so
-                    # concurrent committers append into this very batch.
-                    # Skipped once stop is signalled — drain immediately.
-                    self._cond.wait(self.flush_interval)
-                self._force_locked()
-
-    def close(self) -> None:
-        """Stop the background flusher (if any) after a final force."""
-        flusher = self._flusher
-        if flusher is None:
-            self.force()
-            return
-        with self._cond:
-            self._stop_flusher = True
-            self._cond.notify_all()
-        flusher.join(timeout=5.0)
-        self._flusher = None
-        self.force()  # anything appended after the flusher drained
+            return self._cond.wait_for(lambda: self._flushed_lsn >= lsn, timeout)
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -382,7 +295,4 @@ class LogManager:
         self._last_lsn = lsn
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LogManager(last_lsn={self._last_lsn}, flushed_lsn={self._flushed_lsn}, "
-            f"group_commit_size={self.group_commit_size})"
-        )
+        return f"LogManager(last_lsn={self._last_lsn}, flushed_lsn={self._flushed_lsn})"

@@ -196,8 +196,9 @@ class NodeRole:
                     new_offsets.append((shard, device.appended_bytes))
                     events.extend(engine.export_events(shard, low, high))
                     continue
-                # A delta: push any group-commit tail out so it covers every
-                # committed transaction up to this instant.
+                # A delta: a commit can be appended and applied while its
+                # committer has not reached its force yet; force it here so
+                # the delta covers every transaction applied by this instant.
                 device.force()
                 data = device.durable_suffix(offset)
                 new_offsets.append((shard, offset + len(data)))
@@ -213,15 +214,12 @@ class NodeRole:
         on the target is skipped, and an event the target cannot take (its
         commit clock is already past the event's timestamp) fails the chunk
         — and with it the migration, before any cutover — instead of
-        vanishing.  The chunk is acknowledged only once forced: after
-        COMMIT the source no longer answers for the range, so no
-        group-commit tail may be left to a crash of the target.
+        vanishing.  The chunk is acknowledged only once forced — every
+        commit of the write path is forced before it returns — so after
+        COMMIT, when the source no longer answers for the range, a crash of
+        the target loses none of it.
         """
         store.import_events(events)
-        shards = store.shard_stores if isinstance(store, ShardedVersionStore) else [store]
-        for shard in shards:
-            if shard.log is not None:
-                shard.log.force()
 
     # -- cutover -------------------------------------------------------
     def cutover(

@@ -8,7 +8,8 @@ a framing fault drops that subscriber only, and each connection's thread
 joins the ``repl-stream-*`` threads its subscriptions started):
 
 * ``TOPOLOGY`` — the shard layout a fresh replica needs to build matching
-  follower trees (sharded flag, boundaries, page size, group-commit size);
+  follower trees (sharded flag, boundaries, page size, and a field that
+  once carried the group-commit size and now always reads 1);
 * ``WATERMARK`` — the primary's ``(durable_lsn, timestamp)`` pair;
 * ``SUBSCRIBE(shard, from_lsn)`` — starts an unbounded stream of ``PARTIAL``
   frames whose payloads are ``LOG_BATCH`` bodies: raw, whole WAL record
@@ -222,10 +223,8 @@ class ReplicationPrimary:
         boundaries = (
             list(self.store.sharded_engine.boundaries) if sharded else []
         )
-        config = self._shards[0].config
-        return pack_topology(
-            sharded, boundaries, config.page_size, config.group_commit_size
-        )
+        # The last field keeps its wire place: every commit is forced.
+        return pack_topology(sharded, boundaries, self._shards[0].config.page_size, 1)
 
     # ------------------------------------------------------------------
     # Streaming

@@ -121,7 +121,6 @@ class Replica:
         self._store: Optional[VersionStore] = None
         self._sharded = False
         self._page_size = 0
-        self._group_commit_size = 1
         self._boundaries: List = []
         self._running = False
         #: Notified by every applied batch and by :meth:`stop` or a detach.
@@ -158,11 +157,10 @@ class Replica:
     def start(self) -> "Replica":
         """Fetch the topology, build follower stores, start the tailers."""
         body = self._rpc(Opcode.TOPOLOGY)
-        sharded, boundaries, page_size, group_commit_size = unpack_topology(body)
+        sharded, boundaries, page_size, _ = unpack_topology(body)
         self._sharded = sharded
         self._boundaries = boundaries
         self._page_size = page_size
-        self._group_commit_size = group_commit_size
         shard_count = len(boundaries) + 1 if sharded else 1
         self._states = [
             _ShardState(index, page_size, self.metrics)
@@ -409,12 +407,7 @@ class Replica:
             # and apply) replay here; the replayer skips what it already
             # has, so this is idempotent.
             state.replayer.replay(state.mirror.durable_contents())
-        inner_wal = StoreConfig(
-            engine="tsb",
-            page_size=self._page_size,
-            wal=True,
-            group_commit_size=self._group_commit_size,
-        )
+        inner_wal = StoreConfig(engine="tsb", page_size=self._page_size, wal=True)
         promoted_inner: List[VersionStore] = []
         for state in self._states:
             assert state.store is not None

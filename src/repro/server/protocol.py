@@ -811,7 +811,7 @@ def pack_topology(
     sharded: bool,
     boundaries: Sequence[Key],
     page_size: int,
-    group_commit_size: int,
+    group_size: int,
 ) -> bytes:
     writer = ByteWriter()
     writer.put_u8(1 if sharded else 0)
@@ -819,7 +819,7 @@ def pack_topology(
     for key in boundaries:
         write_key(writer, key)
     writer.put_u32(page_size)
-    writer.put_u32(group_commit_size)
+    writer.put_u32(group_size)
     return writer.getvalue()
 
 

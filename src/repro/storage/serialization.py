@@ -321,6 +321,12 @@ def encode_write(key: Key, value: Optional[bytes]) -> bytes:
     return writer.getvalue()
 
 
+def check_key(key: Key) -> None:
+    """Raise :class:`SerializationError` unless the key codec can hold
+    ``key``: :func:`encode_write`'s refusal, for a write nobody logs."""
+    encode_write(key, None)
+
+
 def read_write(reader: ByteReader) -> Tuple[Key, Optional[bytes]]:
     """Inverse of :func:`encode_write`: ``(key, value or None)``."""
     delete = reader.get_u8()

@@ -32,12 +32,13 @@ last word of every key it wrote.  ``begin``, ``write``, ``delete`` and
 ``abort`` log nothing (a :class:`Transaction` keeps its writes in
 ``write_set`` until then).  A writer that knows its stamp appends the record
 after its tree writes and before it releases the latch; an interactive
-commit appends it (and, per the group-commit policy, forces it) *before*
-the versions are stamped.  A transaction is durably committed exactly when
-its record lies inside the forced log prefix, which is what restart
-recovery (:mod:`repro.recovery`) reconstructs after a crash.  Every logged
-commit, of either kind, also applies the log's checkpoint rule once it has
-left the latch: a full checkpoint when the log holds
+commit appends it *before* the versions are stamped.  A transaction is
+durably committed exactly when its record lies inside the forced log
+prefix, which is what restart recovery (:mod:`repro.recovery`)
+reconstructs after a crash.  Every logged commit, of either kind, is forced
+through its record once it has left the latch — sharing the force of any
+committer that appended beside it — before it is acknowledged, and then
+applies the log's checkpoint rule: a full checkpoint when the log holds
 ``CHECKPOINT_EVERY_BYTES`` past the tree's anchor, so what a restart
 replays stays bounded however long the store runs.
 
@@ -195,9 +196,10 @@ class TransactionManager:
         """Stamp the transaction's versions with a fresh commit timestamp.
 
         With a write-ahead log attached, the ``COMMIT`` record, carrying the
-        transaction's writes, is appended (and group-commit-forced) *before*
-        any version is stamped, so a crash can never leave stamped versions
-        whose commit is not in the log.
+        transaction's writes, is appended *before* any version is stamped
+        and forced before this returns, so a crash can never leave stamped
+        versions whose commit is not in the log, nor lose an acknowledged
+        commit.
         """
         txn = self._active(txn_id)
         commit_started = perf_counter()
@@ -295,9 +297,7 @@ class TransactionManager:
         writes: Sequence[bytes],
     ) -> None:
         if self.log is not None:
-            txn.commit_lsn = self.log.log_commit(
-                txn.txn_id, commit_timestamp, writes, wait_for_durability=False
-            )
+            txn.commit_lsn = self.log.log_commit(txn.txn_id, commit_timestamp, writes)
 
     def _stamp(self, txn: Transaction) -> None:
         """An interactive commit under the exclusive latch: draw the stamp,
@@ -312,11 +312,12 @@ class TransactionManager:
                 )
             except Exception:
                 if self.log is not None:
-                    # The durable commit record is authoritative: the
+                    # The commit record is authoritative once forced: the
                     # transaction *is* committed even though in-memory
                     # stamping failed.  Marking it committed here blocks a
                     # contradictory abort(); restart recovery will replay
                     # the stamping from the log.
+                    self.log.force_through(txn.commit_lsn)
                     self._finish(txn, TransactionState.COMMITTED)
                     txn.commit_timestamp = commit_timestamp
                     self.locks.release_all(txn.txn_id)
@@ -327,21 +328,14 @@ class TransactionManager:
 
     def _settle(self, txn: Transaction, commit_started: float) -> None:
         """The commit tail once the latch is released: drop the record locks,
-        do the strict-durability wait (``group_commit_size == 1`` with a
-        background flusher), so readers are never stalled on log I/O, and
-        take the checkpoint the log's rule calls for.  Every logged commit
-        ends here, the write path's and an interactive one alike."""
+        force the log through the commit record — readers are never stalled
+        on log I/O, and a committer that appended while another forced
+        shares that force — and take the checkpoint the log's rule calls
+        for.  Every logged commit ends here, the write path's and an
+        interactive one alike."""
         self.locks.release_all(txn.txn_id)
-        if (
-            self.log is not None
-            and self.log.group_commit_size == 1
-            and txn.commit_lsn is not None
-        ):
-            # With synchronous group commit this returns immediately (the
-            # append forced inline); with a background flusher it blocks only
-            # this committer until its record is in the forced prefix.
-            if not self.log.wait_durable(txn.commit_lsn, timeout=5.0):
-                self.log.force()  # flusher wedged or died: force inline
+        if self.log is not None:
+            self.log.force_through(txn.commit_lsn)
         if self.metrics is not None:
             self.metrics.inc("txn.commits")
             self.metrics.observe("txn.commit", perf_counter() - commit_started)

@@ -8,7 +8,7 @@ façade exists for.  :func:`run_concurrent`:
 * splits a batch of ``(key, value)`` writes round-robin across
   ``threads`` writer threads (each applies them through ``store.insert``,
   or through ``store.put_many`` in chunks when ``batch_size > 1`` — the
-  logged, group-commit-riding path on a WAL store);
+  logged path on a WAL store, whose committers share log forces);
 * runs ``reader_threads`` readers concurrently, each issuing point
   lookups, as-of lookups and small range scans until the writers finish;
 * starts everyone on a barrier, joins everyone, and returns a

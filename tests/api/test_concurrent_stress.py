@@ -18,16 +18,9 @@ from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.workload import run_concurrent
 
 
-def sharded_wal_config(shards=4, key_space=400, group_commit_interval=0.0):
+def sharded_wal_config(shards=4, key_space=400):
     spec = ShardSpec.for_int_keys(shards, key_space=key_space)
-    return StoreConfig(
-        engine="tsb",
-        page_size=512,
-        wal=True,
-        group_commit_size=4,
-        group_commit_interval=group_commit_interval,
-        shards=spec,
-    )
+    return StoreConfig(engine="tsb", page_size=512, wal=True, shards=spec)
 
 
 def workload_pairs(operations, key_space, seed):
@@ -77,7 +70,7 @@ class TestConcurrentSmoke:
         """Regression: put_many must take record locks before latches, so a
         batch waiting on an open transaction's lock leaves readers flowing
         (and resolves when the transaction commits, not via timeout)."""
-        config = StoreConfig(engine="tsb", page_size=512, wal=True, group_commit_size=2)
+        config = StoreConfig(engine="tsb", page_size=512, wal=True)
         with VersionStore.open(config) as store:
             store.insert("warm", b"seed")
             txn = store.begin()
@@ -113,25 +106,21 @@ class TestConcurrentSmoke:
             verify_against_oracle(store, result)
 
 
-class TestBackgroundGroupCommit:
+class TestGroupCommit:
     def test_commits_become_durable_without_an_explicit_force(self):
-        config = sharded_wal_config(shards=2, group_commit_interval=0.005)
-        with VersionStore.open(config) as store:
+        with VersionStore.open(sharded_wal_config(shards=2)) as store:
             report = store.put_many_detailed(workload_pairs(40, key_space=64, seed=9))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if all(
-                    inner.log.pending_commits == 0 for inner in store.shard_stores
-                ):
-                    break
-                time.sleep(0.01)
+            # Every commit was forced before put_many returned.
             assert all(inner.log.pending_commits == 0 for inner in store.shard_stores)
+            assert all(
+                inner.log.flushed_lsn == inner.log.last_lsn for inner in store.shard_stores
+            )
             assert report.timestamps  # the batch really committed
 
 
 @pytest.mark.stress
 class TestConcurrentStress:
-    def test_heavy_mixed_load_with_splits_and_background_group_commit(self):
+    def test_heavy_mixed_load_with_splits_and_group_commit(self):
         spec = ShardSpec.for_int_keys(
             4,
             key_space=2_000,
@@ -143,8 +132,6 @@ class TestConcurrentStress:
             engine="tsb",
             page_size=512,
             wal=True,
-            group_commit_size=8,
-            group_commit_interval=0.002,
             shards=spec,
         )
         with VersionStore.open(config) as store:

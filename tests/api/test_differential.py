@@ -362,8 +362,8 @@ class WalDifferential(DeleteDifferential):
             shard_page_budget=3,
             max_shards=6,
         )
-        # group_commit_size=1: an acknowledgement follows a log force.
-        wal = StoreConfig(engine="tsb", page_size=256, wal=True, group_commit_size=1)
+        # An acknowledgement follows a log force.
+        wal = StoreConfig(engine="tsb", page_size=256, wal=True)
         return {
             "tsb-wal": VersionStore.open(wal),
             "sharded-tsb-wal-splitting": VersionStore.open(wal, shards=splitty),

@@ -161,17 +161,16 @@ class TestWritesAndPutMany:
         assert report.timestamps == [1, 2, 3, 4, 5, 6]
         assert {batch.shard for batch in report.batches} == {0, 1, 2, 3}
         assert sum(batch.count for batch in report.batches) == len(items)
-        assert all(batch.durable is None for batch in report.batches)
         for key, value in items:
             assert store.get(key).value == value
 
     def test_put_many_with_wal_commits_one_transaction_per_shard(self):
         store = open_sharded(
-            shards=2, key_space=10, wal=True, group_commit_size=1, cache_pages=4096
+            shards=2, key_space=10, wal=True, cache_pages=4096
         )
         report = store.put_many_detailed([(1, b"a"), (8, b"b"), (2, b"c")])
         assert len(report.batches) == 2
-        assert all(batch.durable is True for batch in report.batches)
+        assert all(inner.log.pending_commits == 0 for inner in store.shard_stores)
         # One commit timestamp per shard group, globally ordered.
         stamps = [batch.timestamps[0] for batch in report.batches]
         assert stamps == sorted(stamps) and len(set(stamps)) == 2
@@ -183,7 +182,7 @@ class TestWritesAndPutMany:
         # repeating a key must chunk into multiple commits — not silently
         # collapse the earlier version (regression: WAL vs non-WAL parity).
         store = open_sharded(
-            shards=2, key_space=10, wal=True, group_commit_size=1, cache_pages=4096
+            shards=2, key_space=10, wal=True, cache_pages=4096
         )
         stamps = store.put_many([(1, b"a"), (1, b"b"), (8, b"c")])
         assert [r.value for r in store.key_history(1)] == [b"a", b"b"]

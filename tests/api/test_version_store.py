@@ -42,8 +42,10 @@ class TestStoreConfig:
             StoreConfig(node_sectors=1)
         with pytest.raises(ValueError):
             StoreConfig(historical="tape")
-        with pytest.raises(ValueError):
-            StoreConfig(group_commit_size=0)
+        with pytest.raises(ValueError, match="every acknowledged commit is forced"):
+            StoreConfig(wal=True, group_commit_size=4)
+        with pytest.raises(ValueError, match="every acknowledged commit is forced"):
+            StoreConfig(wal=True, group_commit_interval=0.005)
 
     def test_engine_specific_knobs_are_checked(self):
         with pytest.raises(ValueError, match="wal"):
@@ -180,7 +182,7 @@ class TestTransactions:
 
     def test_wal_backed_store(self):
         store = VersionStore.open(
-            StoreConfig(engine="tsb", page_size=512, wal=True, group_commit_size=1)
+            StoreConfig(engine="tsb", page_size=512, wal=True)
         )
         assert store.log is not None
         txn = store.begin()
@@ -198,7 +200,7 @@ class TestTransactions:
         plain = VersionStore.open(StoreConfig(engine="tsb", page_size=512))
         plain.put_many(items)
         walled = VersionStore.open(
-            StoreConfig(engine="tsb", page_size=512, wal=True, group_commit_size=1)
+            StoreConfig(engine="tsb", page_size=512, wal=True)
         )
         stamps = walled.put_many(items)
         for store in (plain, walled):

@@ -35,7 +35,6 @@ def wal_config(sharded: bool) -> StoreConfig:
         engine="tsb",
         page_size=256,
         wal=True,
-        group_commit_size=1,  # an acknowledgement follows a log force
         shards=ShardSpec.for_int_keys(3, key_space=KEY_SPACE) if sharded else None,
     )
 
@@ -301,6 +300,33 @@ class TestOneClock:
         reopened = crash_and_reopen(store)
         assert [(r.key, r.value) for r in reopened.range_search()] == [(1, b"first")]
 
+    @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "two-shard"])
+    def test_a_logless_store_refuses_a_key_outside_the_codec(self, shards):
+        """Without a log, nothing encodes the key before the tree takes it:
+        the direct branch asks the codec, so a later checkpoint still writes
+        every page and the devices reopen."""
+        spec = None if shards is None else ShardSpec(boundaries=(10,))
+        store = VersionStore.open(StoreConfig(engine="tsb", shards=spec))
+        store.insert(1, b"first")
+        now = store.now
+        for key in (2**63, -(2**63) - 1):
+            with pytest.raises(SerializationError):
+                store.insert(key, b"v")
+            with pytest.raises(SerializationError):
+                store.put_many([(key, b"v")])
+            with pytest.raises(SerializationError):
+                store.delete(key)
+        assert store.now == now
+        store.checkpoint()
+        store.flush()
+        shard_stores = [store] if shards is None else store.shard_stores
+        for inner in shard_stores:
+            magnetic, historical = inner.devices
+            reopened = VersionStore.open(inner.config, magnetic=magnetic, historical=historical)
+            assert [r.key for r in reopened.range_search()] == (
+                [1] if inner.get(1) is not None else []
+            )
+
 
 class TestStampsDidNotMove:
     """Literals recorded from the parent commit (PR 17): the fold changed who
@@ -314,7 +340,7 @@ class TestStampsDidNotMove:
     def test_sharded_put_many_stamps_and_digest(self, wal, expected):
         spec = ShardSpec.for_int_keys(4, key_space=40)
         config = StoreConfig(
-            engine="tsb", page_size=256, wal=wal, group_commit_size=2, shards=spec
+            engine="tsb", page_size=256, wal=wal, shards=spec
         )
         with VersionStore.open(config) as store:
             stamps = []
@@ -330,7 +356,7 @@ class TestSplitLandsInTheLog:
     def test_each_half_is_rebuilt_by_its_own_log_alone(self):
         spec = ShardSpec(boundaries=(500,), shard_page_budget=6, split_utilization=0.8)
         config = StoreConfig(
-            engine="tsb", page_size=256, wal=True, group_commit_size=4, shards=spec
+            engine="tsb", page_size=256, wal=True, shards=spec
         )
         store = VersionStore.open(config)
         for i in range(240):

@@ -40,17 +40,15 @@ def no_leaked_service_threads():
     (``repro-server``) and every connection thread
     (``repro-server-conn-N``), ``ReplicationPrimary.stop()`` / ``.kill()``
     the same two kinds and the streamers (``repl-*``), and
-    ``Replica.stop()`` its tailers (``replica-*``).  A store owns one kind
-    of background thread, a WAL's group-commit flusher
-    (``wal-group-commit``), which ``close()`` must join.  A thread that
-    outlives its test is a stop that timed out (or never ran) and keeps a
+    ``Replica.stop()`` its tailers (``replica-*``).  A store owns no
+    thread (``tests/test_threads.py``).  A thread that outlives its test is a stop that timed out (or never ran) and keeps a
     socket or a store alive behind the suite's back.
     """
     yield
     leaked = [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith(("repro-server", "repl-", "replica-", "wal-group-commit"))
+        if thread.name.startswith(("repro-server", "repl-", "replica-"))
         and thread.is_alive()
     ]
     assert not leaked, f"service threads still alive after the test: {leaked}"

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.nodes import (
+    _INDEX_ENTRY_OVERHEAD,
+    _NODE_HEADER_SIZE,
     DataNode,
     IndexEntry,
     IndexNode,
@@ -14,7 +16,7 @@ from repro.core.nodes import (
 )
 from repro.core.records import KeyRange, Rectangle, TimeRange, Version
 from repro.storage.device import Address
-from repro.storage.serialization import SerializationError
+from repro.storage.serialization import SerializationError, address_size, key_size
 
 
 def make_data_node(versions=None, region=None, address=None):
@@ -462,3 +464,74 @@ class TestDataNodeLookupBoundaries:
             expected = max(previous) if previous else None
             got = node.version_as_of(9, stamp - 1)
             assert (got.timestamp if got else None) == expected
+
+
+def reference_index_size(node):
+    """An index page's size recomputed in full, every entry's bounds sized
+    afresh: the reference the node's kept key sizes must match."""
+    total = _NODE_HEADER_SIZE
+    for entry in node.entries:
+        low, high = entry.region.keys.low, entry.region.keys.high
+        total += _INDEX_ENTRY_OVERHEAD + address_size(entry.child)
+        total += (0 if low is None else key_size(low)) + (0 if high is None else key_size(high))
+    return total
+
+
+@st.composite
+def index_edit_scripts(draw):
+    """A starting node plus a list of edits, over int or (variably sized)
+    string keys: ``replace`` a slot by new rows, move the ``region``,
+    ``carve`` some slots out, or ``reopen`` the node from its image."""
+    keys = st.integers(-1000, 1000) if draw(st.booleans()) else st.text("abcxyz", max_size=7)
+    bound = st.none() | keys
+
+    def rectangles():
+        return st.builds(
+            lambda bounds, start, end: Rectangle(
+                KeyRange(*bounds), TimeRange(start, None if end is None else start + end)
+            ),
+            st.tuples(bound, bound).filter(lambda b: None in b or b[0] < b[1]),
+            st.integers(0, 50),
+            st.none() | st.integers(1, 50),
+        )
+
+    def rows(min_size):
+        children = st.integers(0, 99).map(Address.magnetic) | st.integers(0, 99).map(
+            lambda page: Address.historical(page, page, 64)
+        )
+        return st.lists(st.tuples(children, rectangles()), min_size=min_size, max_size=5)
+
+    start = draw(rows(1))
+    edits = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("replace"), st.integers(0, 100), rows(0)),
+                st.tuples(st.just("region"), rectangles()),
+                st.tuples(st.just("carve"), st.lists(st.integers(0, 100), max_size=6), rectangles()),
+                st.tuples(st.just("reopen")),
+            ),
+            max_size=12,
+        )
+    )
+    return start, edits
+
+
+class TestIndexSizeAgainstFullRecomputation:
+    @settings(max_examples=100, deadline=None)
+    @given(script=index_edit_scripts())
+    def test_kept_key_sizes_match_a_full_recomputation(self, script):
+        start, edits = script
+        node = make_index_node(start)
+        assert node.serialized_size() == reference_index_size(node)
+        for edit in edits:
+            count = len(node.children())
+            if edit[0] == "replace" and count:
+                node.replace(edit[1] % count, edit[2])
+            elif edit[0] == "region":
+                node.region = edit[1]
+            elif edit[0] == "carve":
+                slots = sorted({slot % count for slot in edit[1]}) if count else []
+                node = node.carve(slots, edit[2])
+            elif edit[0] == "reopen":
+                node = IndexNode.decode(node.address, node.encode())
+            assert node.serialized_size() == reference_index_size(node), edit[0]

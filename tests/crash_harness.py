@@ -11,16 +11,18 @@ events filtered by what the log had forced at the crash — so if the tree and
 the oracle disagree, recovery is wrong.
 
 The *committed prefix* a crash must preserve is defined by the log, not by
-the API: a transaction whose ``commit()`` returned but whose commit record
-sat in the unforced tail (group commit!) is correctly lost, and a
+the API: a transaction whose commit record was appended but not yet forced
+— a crash between a commit's append and its force, which
+:func:`forces_held` stands the test at — is correctly lost, and a
 transaction whose commit record was forced must be fully present.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.api import ShardedVersionStore, StoreConfig, VersionStore
 from repro.core.policy import SplitPolicy
@@ -30,6 +32,26 @@ from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.serialization import Key
 from repro.txn.manager import Transaction, TransactionState
+
+
+def _logs(store: VersionStore):
+    if isinstance(store, ShardedVersionStore):
+        return [inner.log for inner in store.shard_stores]
+    return [store.log]
+
+
+@contextmanager
+def forces_held(store: VersionStore) -> Iterator[None]:
+    """Stand the test at the crash point between a commit's append and its
+    force: inside the block, every commit on ``store`` (each shard, if
+    sharded) appends its record and returns with the force through it held
+    back, so its record sits in the unforced tail a crash loses.  An
+    explicit ``force()`` or a checkpoint still forces everything."""
+    with ExitStack() as stack:
+        for log in _logs(store):
+            stack.callback(vars(log).pop, "force_through")
+            log.force_through = lambda lsn: None
+        yield
 
 
 def crash_and_reopen(store: VersionStore) -> VersionStore:
@@ -68,7 +90,6 @@ class RecoverableSystem:
         self,
         page_size: int = 512,
         policy: Optional[SplitPolicy] = None,
-        group_commit_size: int = 1,
         magnetic: Optional[MagneticDisk] = None,
         cache_pages: int = 128,
     ) -> None:
@@ -78,7 +99,6 @@ class RecoverableSystem:
             split_policy=policy,
             cache_pages=cache_pages,
             wal=True,
-            group_commit_size=group_commit_size,
         )
         self._adopt(VersionStore.open(config, magnetic=magnetic))
 
@@ -338,8 +358,8 @@ class ReplicatedCrashHarness:
     def ship(self, replica: int, max_bytes: Optional[int] = None) -> int:
         """Ship up to ``max_bytes`` new durable log bytes to ``replica``.
 
-        Only the primary's *durable* prefix ships (unforced group-commit
-        tails are invisible to subscribers).  A ``max_bytes`` cut may land
+        Only the primary's *durable* prefix ships (an appended commit not
+        yet forced is invisible to subscribers).  A ``max_bytes`` cut may land
         mid-record — that is the point: it is the wire state at the instant
         a kill lands.  Returns the bytes shipped.
         """

@@ -15,6 +15,7 @@ import pytest
 from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.obs import trace
 from repro.obs.registry import set_enabled
+from tests.crash_harness import forces_held
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ def metrics_on():
 
 
 def open_wal_store(**overrides):
-    settings = dict(engine="tsb", page_size=1024, wal=True, group_commit_size=2)
+    settings = dict(engine="tsb", page_size=1024, wal=True)
     settings.update(overrides)
     return VersionStore.open(StoreConfig(**settings))
 
@@ -56,21 +57,25 @@ class TestVersionStoreSnapshot:
                 "waiting": 0,
                 "locked_keys": 0,
             }
-            assert snapshot["wal"]["group_commit_size"] == 2
-            assert snapshot["wal"]["flushed_lsn"] <= snapshot["wal"]["last_lsn"]
+            assert "group_commit_size" not in snapshot["wal"]
+            assert snapshot["wal"]["flushed_lsn"] == snapshot["wal"]["last_lsn"]
 
     def test_group_commit_batches_land_in_the_histogram(self, metrics_on):
-        with open_wal_store(group_commit_size=3) as store:
+        with open_wal_store() as store:
             for round_ in range(3):
                 transactions = [store.begin() for _ in range(3)]
                 for index, txn in enumerate(transactions):
                     txn.write(round_ * 3 + index, b"batched")
-                for txn in transactions:
-                    txn.commit()
+                # The first two appended before the third's force, which
+                # covers all three.
+                with forces_held(store):
+                    for txn in transactions[:2]:
+                        txn.commit()
+                transactions[2].commit()
             snapshot = store.metrics_snapshot()
         batch = snapshot["metrics"]["histograms"]["wal.batch_size"]
         assert batch["count"] >= 3
-        assert batch["max"] == 3.0  # a full batch triggered each force
+        assert batch["max"] == 3.0  # each third commit's force covered three
 
     def test_lock_wait_is_measured(self, metrics_on):
         with open_wal_store() as store:
@@ -129,7 +134,7 @@ class TestVersionStoreSnapshot:
 def open_sharded_store(shards=4):
     spec = ShardSpec.for_int_keys(shards, key_space=400)
     return VersionStore.open(
-        StoreConfig(engine="tsb", page_size=1024, wal=True, group_commit_size=2, shards=spec)
+        StoreConfig(engine="tsb", page_size=1024, wal=True, shards=spec)
     )
 
 

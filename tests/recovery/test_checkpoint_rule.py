@@ -39,7 +39,7 @@ def rule_bytes(monkeypatch):
 def open_store(shards: int) -> VersionStore:
     spec = ShardSpec.for_int_keys(shards, key_space=SPAN * shards) if shards > 1 else None
     return VersionStore.open(
-        StoreConfig(engine="tsb", page_size=1024, wal=True, group_commit_size=1, shards=spec)
+        StoreConfig(engine="tsb", page_size=1024, wal=True, shards=spec)
     )
 
 

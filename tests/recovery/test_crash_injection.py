@@ -1,6 +1,7 @@
 """Crash-injection model test (the acceptance criterion of the subsystem).
 
-For a randomized transactional workload, crash at *every* step boundary,
+For a randomized transactional workload, crash at *every* step boundary —
+and, where that step is a commit, also between its append and its force —
 recover, and require that the visible state equals exactly the committed
 prefix the durable log defines — no lost durable commits, no surviving
 provisional versions — and that the recovered tree passes every structural
@@ -8,12 +9,19 @@ invariant (``RecoverableSystem.crash`` runs the checker and raises on any
 violation).
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.recovery import log_manager
 from repro.replication import replay_device
 from repro.storage.logdevice import LogDevice
-from tests.crash_harness import RecoverableSystem, ScriptRunner, generate_script
+from tests.crash_harness import (
+    RecoverableSystem,
+    ScriptRunner,
+    forces_held,
+    generate_script,
+)
 
 KEY_SPACE = 8
 
@@ -59,50 +67,52 @@ def expected_histories(runner):
 
 
 @pytest.mark.parametrize(
-    "seed,group_commit_size,shape,cache_pages,rule_bytes",
+    "seed,held,shape,cache_pages,rule_bytes",
     [
-        pytest.param(1989, 1, {}, 128, None, id="1989-1"),
-        pytest.param(1989, 3, {}, 128, None, id="1989-3"),
-        pytest.param(7, 1, {}, 128, None, id="7-1"),
-        pytest.param(7, 4, {}, 128, None, id="7-4"),
-        pytest.param(23, 2, {}, 128, None, id="23-2"),
-        pytest.param(22, 1, CHECKPOINTED, 128, None, id="22-1-checkpointed"),
-        pytest.param(22, 3, CHECKPOINTED, 128, None, id="22-3-checkpointed"),
-        pytest.param(34, 2, CHECKPOINTED, 128, None, id="34-2-checkpointed"),
+        pytest.param(1989, False, {}, 128, None, id="1989"),
+        pytest.param(1989, True, {}, 128, None, id="1989-held"),
+        pytest.param(7, False, {}, 128, None, id="7"),
+        pytest.param(7, True, {}, 128, None, id="7-held"),
+        pytest.param(23, True, {}, 128, None, id="23-held"),
+        pytest.param(22, False, CHECKPOINTED, 128, None, id="22-checkpointed"),
+        pytest.param(22, True, CHECKPOINTED, 128, None, id="22-held-checkpointed"),
+        pytest.param(34, True, CHECKPOINTED, 128, None, id="34-held-checkpointed"),
         # A one-page pool: every script dirties more pages than that, so a
         # pool that wrote one back between checkpoints would be caught here.
-        pytest.param(7, 4, {}, 1, None, id="7-4-one-page-pool"),
-        pytest.param(34, 2, CHECKPOINTED, 1, None, id="34-2-checkpointed-one-page-pool"),
+        pytest.param(7, True, {}, 1, None, id="7-held-one-page-pool"),
+        pytest.param(34, True, CHECKPOINTED, 1, None, id="34-held-checkpointed-one-page-pool"),
         # The checkpoint rule firing: with N this small every script's log
         # crosses it several times, so automatic checkpoints land between
         # the steps.
-        pytest.param(1989, 3, {}, 128, RULE_BYTES, id="1989-3-rule"),
-        pytest.param(7, 4, ABORTING, 128, RULE_BYTES, id="7-4-aborting-rule"),
-        pytest.param(7, 4, {}, 1, RULE_BYTES, id="7-4-one-page-pool-rule"),
+        pytest.param(1989, True, {}, 128, RULE_BYTES, id="1989-held-rule"),
+        pytest.param(7, True, ABORTING, 128, RULE_BYTES, id="7-held-aborting-rule"),
+        pytest.param(7, True, {}, 1, RULE_BYTES, id="7-held-one-page-pool-rule"),
         pytest.param(
-            34, 2, CHECKPOINTED, 1, RULE_BYTES, id="34-2-checkpointed-one-page-pool-rule"
+            34, True, CHECKPOINTED, 1, RULE_BYTES, id="34-held-checkpointed-one-page-pool-rule"
         ),
     ],
 )
 def test_crash_at_every_point_recovers_the_committed_prefix(
-    seed, group_commit_size, shape, cache_pages, rule_bytes, monkeypatch
+    seed, held, shape, cache_pages, rule_bytes, monkeypatch
 ):
     """Three derivations of the post-crash state must agree at every crash
     point: restart recovery (checkpoint image + seeded replay), the same
     durable log replayed from its first byte into an empty tree, and the
     script oracle — on the visible state and on every key's history.
-    ``rule_bytes`` patches the checkpoint rule's N down (None keeps it)."""
+    ``held`` crashes a prefix that ends in a commit between that commit's
+    append and its force (:func:`forces_held`), so its record is in the
+    unforced tail; ``rule_bytes`` patches the checkpoint rule's N down
+    (None keeps it)."""
     if rule_bytes is not None:
         monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", rule_bytes)
     script = generate_script(**{"steps": 60, "key_space": KEY_SPACE, "seed": seed, **shape})
     for crash_at in range(len(script) + 1):
-        runner = ScriptRunner(
-            RecoverableSystem(
-                page_size=384, group_commit_size=group_commit_size, cache_pages=cache_pages
-            )
-        )
-        runner.run(script[:crash_at])
-        where = f"seed={seed} batch={group_commit_size} crash_at={crash_at}"
+        runner = ScriptRunner(RecoverableSystem(page_size=384, cache_pages=cache_pages))
+        last = max(crash_at - 1, 0)
+        runner.run(script[:last])
+        with forces_held(runner.system.store) if held else nullcontext():
+            runner.run(script[last:crash_at])
+        where = f"seed={seed} held={held} crash_at={crash_at}"
         expected = runner.expected_visible()
         expected_history = expected_histories(runner)
         expected_high_water = runner.durable_high_water()
@@ -133,11 +143,9 @@ def test_automatic_checkpoints_carry_open_transactions(monkeypatch):
     # Small enough that each 60-step script's log crosses the rule twice.
     monkeypatch.setattr(log_manager, "CHECKPOINT_EVERY_BYTES", RULE_BYTES * 5 // 8)
     decided = set()
-    for seed, group_commit_size in ((1989, 3), (7, 4), (23, 2)):
+    for seed in (1989, 7, 23):
         script = generate_script(steps=60, key_space=KEY_SPACE, seed=seed, **ABORTING)
-        runner = ScriptRunner(
-            RecoverableSystem(page_size=384, group_commit_size=group_commit_size)
-        )
+        runner = ScriptRunner(RecoverableSystem(page_size=384))
         anchor, automatic, carried = runner.system.tree.log_anchor, 0, set()
         for step in script:
             runner.apply(step)
@@ -180,8 +188,10 @@ def test_checkpointed_scripts_carry_state_across_the_anchor():
 def test_system_remains_usable_after_every_mid_script_crash():
     """Crash midway, recover, then finish the script's committed work anew."""
     script = generate_script(steps=50, key_space=6, seed=11)
-    runner = ScriptRunner(RecoverableSystem(page_size=384, group_commit_size=2))
-    runner.run(script[:25])
+    runner = ScriptRunner(RecoverableSystem(page_size=384))
+    runner.run(script[:20])
+    with forces_held(runner.system.store):  # the crash loses any commit here
+        runner.run(script[20:25])
     # The oracle must be pinned before crash(): recovery takes a fresh
     # checkpoint, which moves the durable horizon past any lost-tail commit.
     expected = runner.expected_visible()

@@ -67,30 +67,32 @@ class TestLogDevice:
 
 
 class TestGroupCommit:
-    def test_batch_size_one_forces_every_commit(self):
-        log = LogManager(LogDevice(), group_commit_size=1)
+    def test_a_commit_is_durable_once_forced_through(self):
+        log = LogManager(LogDevice())
         for txn_id in range(1, 6):
             lsn = log.log_commit(txn_id, txn_id)
+            assert not log.is_durable(lsn)  # appending never forces
+            log.force_through(lsn)
             assert log.is_durable(lsn)
         assert log.device.forces == 5
 
-    def test_batch_size_three_forces_every_third_commit(self):
-        log = LogManager(LogDevice(), group_commit_size=3)
+    def test_one_force_covers_every_commit_appended_before_it(self):
+        log = LogManager(LogDevice())
         lsns = [log.log_commit(txn_id, txn_id) for txn_id in range(1, 8)]
-        # 7 commits, batch 3 -> forces after commits 3 and 6 only.
-        assert log.device.forces == 2
-        assert log.is_durable(lsns[5])
-        assert not log.is_durable(lsns[6])
-        assert log.pending_commits == 1
-        log.force()
-        assert log.is_durable(lsns[6])
+        assert log.device.forces == 0 and log.pending_commits == 7
+        log.force_through(lsns[0])  # forces everything appended so far
+        assert log.device.forces == 1 and log.pending_commits == 0
+        for lsn in lsns[1:]:
+            log.force_through(lsn)  # already covered: returns at once
+        assert log.device.forces == 1
+        assert all(log.is_durable(lsn) for lsn in lsns)
 
     def test_a_commit_carries_its_writes_in_one_record(self):
-        log = LogManager(LogDevice(), group_commit_size=2)
+        log = LogManager(LogDevice())
         writes = [("k", b"v"), ("k2", None)]
         lsn = log.log_commit(1, 5, [encode_write(key, value) for key, value in writes])
         assert log.device.forces == 0 and log.flushed_lsn == 0
-        log.log_commit(2, 6)  # fills the batch of two
+        log.force_through(log.log_commit(2, 6))
         assert log.device.forces == 1 and log.is_durable(lsn)
         records = list(decode_stream(log.device.durable_contents()))
         assert [(r.kind, r.txn_id, r.writes) for r in records] == [
@@ -106,59 +108,49 @@ class TestGroupCommit:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            LogManager(LogDevice(), group_commit_size=0)
-        with pytest.raises(ValueError):
             LogManager(LogDevice(), next_lsn=0)
 
 
-class TestBackgroundGroupCommit:
-    def test_strict_durability_still_holds_with_a_background_flusher(self):
-        log = LogManager(LogDevice(), group_commit_size=1, flush_interval=0.0)
-        try:
-            for txn_id in range(1, 4):
-                lsn = log.log_commit(txn_id, txn_id)
-                assert log.is_durable(lsn)  # the committer waited for the force
-        finally:
-            log.close()
-
-    def test_concurrent_committers_are_batched_by_arrival(self):
+class TestSharedForce:
+    def test_committers_that_append_together_share_one_force(self):
+        """A barrier between append and force (ordering, not timing): all
+        eight records are appended before anyone forces, so the first force
+        covers them all and the other seven return at once."""
         import threading
 
-        log = LogManager(LogDevice(), group_commit_size=64, flush_interval=0.02)
-        try:
-            lsns = []
-            lock = threading.Lock()
+        log = LogManager(LogDevice())
+        appended = threading.Barrier(8)
 
-            def committer(txn_id):
-                lsn = log.log_commit(txn_id, txn_id)
-                with lock:
-                    lsns.append(lsn)
+        def committer(txn_id):
+            lsn = log.log_commit(txn_id, txn_id)
+            appended.wait(timeout=5.0)
+            log.force_through(lsn)
+            assert log.is_durable(lsn)
 
-            threads = [
-                threading.Thread(target=committer, args=(txn_id,))
-                for txn_id in range(1, 9)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=5.0)
-            # Nobody filled the 64-commit batch, yet everything becomes
-            # durable: the flusher forces by arrival, not by batch count.
-            assert all(log.wait_durable(lsn, timeout=5.0) for lsn in lsns)
-            # Eight commits shared far fewer forces than eight.
-            assert 1 <= log.device.forces < 8
-        finally:
-            log.close()
+        threads = [threading.Thread(target=committer, args=(n,)) for n in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert log.device.forces == 1 and log.flushed_lsn == 8
 
-    def test_close_stops_the_flusher_and_forces_the_tail(self):
-        log = LogManager(LogDevice(), group_commit_size=64, flush_interval=5.0)
+    def test_wait_durable_returns_once_a_force_covers_the_record(self):
+        import threading
+
+        log = LogManager(LogDevice())
         lsn = log.log_commit(1, 1)
-        log.close()  # long batching window: close must not wait for it
-        assert log.is_durable(lsn)
+        assert not log.wait_durable(lsn, timeout=0.0)
+        forcer = threading.Thread(target=log.force_through, args=(lsn,))
+        forcer.start()
+        assert log.wait_durable(lsn, timeout=5.0)
+        forcer.join(timeout=5.0)
 
-    def test_rejects_negative_interval(self):
-        with pytest.raises(ValueError):
-            LogManager(LogDevice(), flush_interval=-0.1)
+    def test_checkpoint_forces_an_appended_commit(self):
+        tree = TSBTree(page_size=512)
+        log = LogManager(LogDevice())
+        lsn = log.log_commit(1, 1)
+        log.checkpoint(tree)
+        assert log.is_durable(lsn) and log.pending_commits == 0
 
 
 class TestCheckpoint:

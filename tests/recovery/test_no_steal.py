@@ -23,14 +23,14 @@ def wal_config(cache_pages=None):
     sizing = {} if cache_pages is None else {"cache_pages": cache_pages}
     # Small pages: ~300 current pages after the writes below, well over the
     # default pool of 128 (and so over 8 and 1).
-    return StoreConfig(engine="tsb", page_size=256, wal=True, group_commit_size=1, **sizing)
+    return StoreConfig(engine="tsb", page_size=256, wal=True, **sizing)
 
 
 def write_stream(store, start, count, acked):
     for index in range(start, start + count):
         key = (index * 7919) % KEYS
         value = b"value-%d" % index
-        store.put_many([(key, value)])  # group_commit_size=1: acked means durable
+        store.put_many([(key, value)])  # acked means durable
         acked[key] = value
 
 

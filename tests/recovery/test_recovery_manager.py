@@ -10,7 +10,7 @@ from repro.recovery.replay import replay_device
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.worm import WormDisk
-from tests.crash_harness import RecoverableSystem
+from tests.crash_harness import RecoverableSystem, forces_held
 
 
 class TestBasicOutcomes:
@@ -57,14 +57,15 @@ class TestBasicOutcomes:
         assert system.tree.search_current("draft") is None
 
     def test_commit_in_volatile_tail_is_correctly_lost(self):
-        system = RecoverableSystem(page_size=512, group_commit_size=4)
+        system = RecoverableSystem(page_size=512)
         durable = system.begin()
         durable.write("a", b"1")
         durable.commit()
         system.log.force()
         tail = system.begin()
         tail.write("b", b"2")
-        tail.commit()
+        with forces_held(system.store):  # the crash lands before its force
+            tail.commit()
         assert system.commit_is_durable(durable)
         assert not system.commit_is_durable(tail)
         system.crash()
@@ -491,20 +492,21 @@ class TestFacadeReopen:
 
         magnetic, historical, log_device = self._devices()
         store = VersionStore.open(
-            StoreConfig(group_commit_size=2, **self.CONFIG),
+            StoreConfig(**self.CONFIG),
             magnetic=magnetic,
             historical=historical,
             log_device=log_device,
         )
         assert store.recovery_report is None  # formatted fresh: nothing to recover
         assert store.log_device is log_device
-        stamps = store.put_many([("a", b"1"), ("b", b"1")])  # commit 1 of a batch of 2
+        with forces_held(store):
+            stamps = store.put_many([("a", b"1"), ("b", b"1")])  # commit 1: appended
         in_flight = store.begin()
         in_flight.write("c", b"never")
         with store.begin() as txn:
-            txn.write("a", b"2")  # commit 2: fills the batch, forces the log
+            txn.write("a", b"2")  # commit 2: its force covers commit 1 too
         durable_stamp = txn.commit_timestamp
-        with store.begin() as tail:
+        with forces_held(store), store.begin() as tail:
             tail.write("b", b"lost")  # commit 3: sits in the unforced tail
         assert store.commit_is_durable(txn) and not store.commit_is_durable(tail)
 

@@ -1,9 +1,10 @@
 """Crash recovery for the sharded store: every shard recovers independently.
 
 A :class:`~repro.api.ShardedVersionStore` over WAL-enabled TSB-tree shards
-gives each shard its own log device, log manager and group-commit batch.
-These tests kill the store mid-``put_many`` (and with unforced group-commit
-tails) using the recovery subsystem's crash model — the volatile log tail
+gives each shard its own log device and log manager, whose forces its
+committers share.  These tests kill the store mid-``put_many`` (and with
+commits appended but not yet forced, :func:`~tests.crash_harness.forces_held`)
+using the recovery subsystem's crash model — the volatile log tail
 vanishes, the buffer pool dies, and each shard is reopened through the
 façade from its own surviving devices (``VersionStore.open(config,
 magnetic=, historical=, log_device=)`` runs restart recovery) — and assert that every shard independently recovers to a
@@ -14,11 +15,13 @@ state that mixes a later commit with a missing earlier one.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List
 
 import pytest
 
 from repro.api import ShardSpec, StoreConfig, VersionStore
+from tests.crash_harness import forces_held
 
 #: A two-page pool per shard, far below any shard's working set: a logged
 #: tree's pool is no-steal at any size, so recovery may not depend on it.
@@ -28,7 +31,7 @@ KEY_SPACE = 30
 SHARDS = 3
 
 
-def open_sharded_wal(group_commit_size: int) -> VersionStore:
+def open_sharded_wal() -> VersionStore:
     # Default page budget: no automatic splits at this data volume, so
     # ShardBatch.shard indices stay valid against shard_stores throughout.
     spec = ShardSpec.for_int_keys(SHARDS, key_space=KEY_SPACE)
@@ -37,7 +40,6 @@ def open_sharded_wal(group_commit_size: int) -> VersionStore:
             engine="tsb",
             page_size=512,
             wal=True,
-            group_commit_size=group_commit_size,
             cache_pages=CACHE_PAGES,
             shards=spec,
         )
@@ -79,7 +81,7 @@ class TestKilledMidPutMany:
     ):
         """put_many commits shard groups in shard order; dying between two
         shard commits must leave every shard prefix-consistent."""
-        store = open_sharded_wal(group_commit_size=1)
+        store = open_sharded_wal()
         seed = [(key, f"seed-{key}".encode()) for key in range(KEY_SPACE)]
         store.put_many(seed)
 
@@ -102,7 +104,7 @@ class TestKilledMidPutMany:
             seed_state = {key: f"seed-{key}".encode() for key in keys}
             batch_state = {key: f"batch-{key}".encode() for key in keys}
             if index == 0:
-                # Committed and forced (group_commit_size=1) before the kill.
+                # Committed and forced before the kill.
                 assert recovered == batch_state
             else:
                 # The batch never reached these shards; the seed prefix
@@ -110,9 +112,10 @@ class TestKilledMidPutMany:
                 assert recovered == seed_state
 
     def test_unforced_group_commit_tail_rolls_back_to_a_batch_boundary(self):
-        """With group commit batching, the lost tail is whole transactions:
-        each shard recovers to exactly a prefix of its batch sequence."""
-        store = open_sharded_wal(group_commit_size=3)
+        """The last rounds crash between their appends and their forces: the
+        lost tail is whole transactions, and each shard recovers to exactly
+        a prefix of its batch sequence."""
+        store = open_sharded_wal()
         expected_prefixes: List[Dict[int, Dict[object, bytes]]] = []
         durable_batches = {index: 0 for index in range(SHARDS)}
         cumulative: Dict[int, Dict[object, bytes]] = {
@@ -125,11 +128,13 @@ class TestKilledMidPutMany:
             items = [
                 (key, f"r{round_index}-{key}".encode()) for key in range(KEY_SPACE)
             ]
-            report = store.put_many_detailed(items)
+            held = round_index >= 3
+            with forces_held(store) if held else nullcontext():
+                report = store.put_many_detailed(items)
             for batch in report.batches:
                 for key, stamp in zip(batch.keys, batch.timestamps):
                     cumulative[batch.shard][key] = f"r{round_index}-{key}".encode()
-                if batch.durable:
+                if not held:  # acknowledged, so forced
                     durable_batches[batch.shard] = round_index + 1
             expected_prefixes.append({i: dict(cumulative[i]) for i in range(SHARDS)})
 
@@ -148,11 +153,13 @@ class TestKilledMidPutMany:
     def test_shards_recover_to_independent_prefixes(self):
         """One shard's force must not drag another shard's tail to disk:
         recovery points genuinely differ per shard."""
-        store = open_sharded_wal(group_commit_size=2)
-        # Batch 1 touches every shard: commit #1 per shard, unforced.
-        store.put_many([(key, b"one") for key in range(KEY_SPACE)])
-        # Batch 2 touches only shard 0: its commit #2 fills the group and
-        # forces, making *both* of shard 0's commits durable.
+        store = open_sharded_wal()
+        # Batch 1 touches every shard: commit #1 per shard, appended and
+        # not yet forced.
+        with forces_held(store):
+            store.put_many([(key, b"one") for key in range(KEY_SPACE)])
+        # Batch 2 touches only shard 0: its commit #2's force covers
+        # everything shard 0 appended, making *both* its commits durable.
         shard0_key = next(
             key for key in range(KEY_SPACE) if store.shard_for(key) == 0
         )

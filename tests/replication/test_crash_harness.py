@@ -14,6 +14,7 @@ from tests.crash_harness import (
     RecoverableSystem,
     ReplicatedCrashHarness,
     ScriptRunner,
+    forces_held,
     generate_script,
 )
 
@@ -29,7 +30,7 @@ def _run_with_ships(harness, script, ship_plan):
 
 class TestPrimaryKill:
     def test_survivors_are_prefix_consistent_at_their_own_lsns(self):
-        harness = ReplicatedCrashHarness.fresh(replicas=3, group_commit_size=3)
+        harness = ReplicatedCrashHarness.fresh(replicas=3)
         script = generate_script(160, seed=11)
         # Replica 0 tracks closely; 1 lags with torn cuts; 2 barely ships.
         _run_with_ships(
@@ -46,7 +47,7 @@ class TestPrimaryKill:
             )
 
     def test_converge_brings_all_survivors_to_the_leader(self):
-        harness = ReplicatedCrashHarness.fresh(replicas=3, group_commit_size=2)
+        harness = ReplicatedCrashHarness.fresh(replicas=3)
         script = generate_script(140, seed=29)
         _run_with_ships(
             harness, script, {0: (3, None), 1: (5, 41), 2: (9, 7)}
@@ -63,12 +64,14 @@ class TestPrimaryKill:
             assert harness.mirrors[replica].durable_contents() == leader_bytes
 
     def test_unforced_group_commit_tail_never_ships(self):
-        # With a large group-commit size, recent commits sit in the
-        # volatile tail; ship() must not leak them to any replica.
-        harness = ReplicatedCrashHarness.fresh(replicas=1, group_commit_size=64)
+        # Commits appended but not yet forced sit in the volatile tail;
+        # ship() must not leak them to any replica.
+        harness = ReplicatedCrashHarness.fresh(replicas=1)
         runner = harness.runner
         script = generate_script(60, seed=5)
-        runner.run(script)
+        runner.run(script[:30])
+        with forces_held(harness.system.store):
+            runner.run(script[30:])
         assert harness.system.log.flushed_lsn < harness.system.log.last_lsn
         harness.ship(0)
         replayer = harness.replayer(0)
@@ -134,10 +137,12 @@ class TestDeadPrimary:
         """The replica's prefix stays valid across the primary's own
         crash-recovery cycle: recovery never rewrites durable history —
         whatever the primary's pool had room for."""
-        system = RecoverableSystem(group_commit_size=2, cache_pages=cache_pages)
+        system = RecoverableSystem(cache_pages=cache_pages)
         harness = ReplicatedCrashHarness(system, ScriptRunner(system), replicas=1)
         script = generate_script(80, seed=23)
-        harness.runner.run(script)
+        harness.runner.run(script[:70])
+        with forces_held(system.store):  # an unforced tail for the crash
+            harness.runner.run(script[70:])
         harness.ship(0)
         expected_before = harness.runner.expected_visible(
             harness.replayer(0).applied_lsn

@@ -30,7 +30,6 @@ def _node_config():
     return StoreConfig(
         engine="tsb",
         wal=True,
-        group_commit_size=2,
         shards=ShardSpec(boundaries=("m",)),
     )
 
@@ -208,7 +207,7 @@ class TestMigratedRangeIsInTheTargetsLog:
         report = migrate_range(client, "k0050", None, "A", "B")
         assert report.snapshot_events == 70 + 20 + 1
 
-        # group_commit_size=2: a crash has a real unforced tail to lose.
+        # A crash loses the unforced log tail; the migrated range is not in it.
         recovered = crash_and_reopen(node_b.store)
         expected = {k: f"seed{i}".encode() for i, k in enumerate(keys) if i >= 50}
         expected.update((k, b"second") for k in keys[60:80])

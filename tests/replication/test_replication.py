@@ -23,13 +23,8 @@ from repro.server.service import ReproServer
 from tests.wire import Wire, until
 
 
-def _wal_config(shards=None, group_commit_size=2):
-    return StoreConfig(
-        engine="tsb",
-        wal=True,
-        group_commit_size=group_commit_size,
-        shards=shards,
-    )
+def _wal_config(shards=None):
+    return StoreConfig(engine="tsb", wal=True, shards=shards)
 
 
 @pytest.fixture()
@@ -182,9 +177,8 @@ class TestLifecycle:
 
 class TestFollowerReads:
     def test_follower_read_waits_for_watermark(self):
-        # group_commit_size=1: a lone commit must be durable immediately,
-        # or it would sit in the unforced tail and never ship.
-        registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
+        # A lone commit is durable once acknowledged, so it ships.
+        registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")
         server = ReproServer(registry, port=0)
         server.start()
@@ -217,7 +211,7 @@ class TestFollowerReads:
         server's batcher); a served DELETE or stamped INSERT was acknowledged
         and never shipped, so a follower answered differently for ever."""
         shards = ShardSpec.for_int_keys(4, key_space=40)
-        registry = StoreRegistry({"default": _wal_config(shards, group_commit_size=1)})
+        registry = StoreRegistry({"default": _wal_config(shards)})
         store = registry.get("default")
         server = ReproServer(registry, port=0).start()
         primary = ReplicationPrimary(store).start()
@@ -247,7 +241,7 @@ class TestFollowerReads:
         interactive transaction that rewrites a key and deletes then rewrites
         another, one that straddles a checkpoint, an abort — replayed by the
         follower at the logged stamps: same snapshot digest, same history."""
-        registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
+        registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")
         primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="apply").start()
@@ -334,7 +328,7 @@ class TestWaitsAreEvents:
         """A plain client pointed straight at a follower: the server there
         waits for the stamp to be applied, so the answer is the primary's;
         an untimestamped read answers from the prefix at once."""
-        registry = StoreRegistry({"default": _wal_config(group_commit_size=1)})
+        registry = StoreRegistry({"default": _wal_config()})
         store = registry.get("default")
         primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="lagging", apply_delay=0.5)
@@ -389,7 +383,7 @@ class TestWaitsAreEvents:
 
     def test_the_replication_path_never_sleeps(self, monkeypatch):
         shards = ShardSpec.for_int_keys(2, key_space=100)
-        registry = StoreRegistry({"default": _wal_config(shards, group_commit_size=1)})
+        registry = StoreRegistry({"default": _wal_config(shards)})
         store = registry.get("default")
         server = ReproServer(registry, port=0).start()
         primary = ReplicationPrimary(store).start()
@@ -514,7 +508,7 @@ class TestSplitUnderReplication:
         the follower fell behind for ever.  (Healing — shipping the new
         layout — is the routing-table item; this only makes it loud.)"""
         spec = ShardSpec.for_int_keys(2, key_space=600, shard_page_budget=8)
-        store = VersionStore.open(_wal_config(spec, group_commit_size=1))
+        store = VersionStore.open(_wal_config(spec))
         primary = ReplicationPrimary(store).start()
         replica = Replica(primary.host, primary.port, name="split").start()
         try:

@@ -41,7 +41,6 @@ def _catalog():
         "sharded": StoreConfig(
             engine="tsb",
             wal=True,
-            group_commit_size=4,
             shards=ShardSpec.for_int_keys(4, key_space=1 << 16),
         ),
         # Pages big enough for multi-KiB values: the streaming tests push

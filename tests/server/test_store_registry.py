@@ -22,7 +22,6 @@ def _sharded_config(shards: int = 4, wal: bool = True) -> StoreConfig:
     return StoreConfig(
         engine="tsb",
         wal=wal,
-        group_commit_size=4 if wal else 1,
         shards=ShardSpec.for_int_keys(shards, key_space=1 << 16),
     )
 

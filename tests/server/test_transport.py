@@ -136,7 +136,7 @@ class TestServerConnection:
 
 @pytest.fixture()
 def primary():
-    config = StoreConfig(engine="tsb", wal=True, group_commit_size=1)
+    config = StoreConfig(engine="tsb", wal=True)
     with VersionStore.open(config) as store:
         with ReplicationPrimary(store).start() as primary:
             yield primary
@@ -189,7 +189,7 @@ class TestClientChannel:
 
 def _log_batches():
     """Two ``LOG_BATCH`` payloads cut from a real log, and the log's bytes."""
-    config = StoreConfig(engine="tsb", wal=True, group_commit_size=1)
+    config = StoreConfig(engine="tsb", wal=True)
     with VersionStore.open(config) as store:
         for key in range(6):
             store.insert(key, b"value")

@@ -148,6 +148,11 @@ class TestCommands:
         assert "cache: hit_ratio=" in output
         assert "per-shard op latency p99 (ms):" in output
 
+    def test_stats_table_prints_commits_per_force(self, capsys):
+        assert main(["stats", "--ops", "300", "--shards", "1", "--threads", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "commits_per_force=" in output and "group_commit_size" not in output
+
     def test_stats_json_is_parseable(self, capsys):
         assert main(
             ["stats", "--ops", "300", "--shards", "1", "--threads", "2",
@@ -156,7 +161,7 @@ class TestCommands:
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["engine"] == "tsb"
         assert snapshot["metrics"]["counters"]["lock.waits"] >= 1
-        assert snapshot["wal"]["group_commit_size"] == 4
+        assert snapshot["wal"]["flushed_lsn"] == snapshot["wal"]["last_lsn"]
 
     def test_stats_prometheus_exposition(self, capsys):
         assert main(

@@ -262,12 +262,13 @@ def _refuse_write_once(node) -> None:
 class DataNode:
     """A leaf node holding record versions for one key x time rectangle."""
 
-    __slots__ = ("address", "_region", "_image", "_heap", "_keys", "_words", "_flags", "_order",
-                 "_values", "_txns", "_made", "_content")  # fmt: skip
+    __slots__ = ("address", "_region", "_bound_bytes", "_image", "_heap", "_keys", "_words",
+                 "_flags", "_order", "_values", "_txns", "_made", "_content")  # fmt: skip
 
     def __init__(self, address: Address, region: Rectangle, versions: Iterable[Version] = ()):
         self.address = address
         self._region = region
+        self._bound_bytes = None
         self._image = None
         self.versions = versions
 
@@ -301,7 +302,7 @@ class DataNode:
         except _MALFORMED as exc:
             raise SerializationError("malformed data-page image") from exc
         node.address = address
-        node._region = None  # read on first use
+        node._region = node._bound_bytes = None  # read on first use
         node._image = image
         node._keys = keys
         node._txns = txns
@@ -363,6 +364,7 @@ class DataNode:
     def region(self, region: Rectangle) -> None:
         self._own()
         self._region = region
+        self._bound_bytes = None
 
     def _own(self) -> None:
         """Turn image columns into lists (the first mutation): the image goes.
@@ -538,6 +540,7 @@ class DataNode:
         node = DataNode.__new__(DataNode)
         node.address = self.address
         node._region = region
+        node._bound_bytes = None
         node._image = None
         node._keys = [keys[slot] for slot in slots]
         node._words = [words[slot] for slot in slots]
@@ -609,23 +612,47 @@ class DataNode:
         self._content -= version.serialized_size()
 
     def stamp_provisional(self, key: Key, txn_id: int, commit_timestamp: int) -> bool:
-        """Swap ``txn_id``'s provisional version of ``key`` for its committed
-        twin at ``commit_timestamp``, in the provisional version's list
-        position; ``False`` when there is none.  The twin is as large as the
-        version it replaces (a stamp for a txn id), so sizes do not move."""
-        _first, committed, end = self._run_of(key)
+        """Commit ``txn_id``'s provisional version of ``key`` at
+        ``commit_timestamp`` where it lies; ``False`` when there is none.
+
+        The slot's word becomes the stamp and its flag loses the provisional
+        bit (a provisional slot's txn id is its word, so its txn-id cell is
+        already empty), and the committed twin is memoized.  The slot keeps
+        its index and its list position when it is the key's first
+        provisional slot and the stamp sorts after every committed slot of
+        the key — always, for a stamp the commit clock draws.  Otherwise
+        (another provisional slot of the key before it, or an explicit stamp
+        older than a committed one, or equal to one listed after it) the
+        twin is moved to where slot order puts it.  The twin is as large
+        as the version it replaces (a stamp for a txn id), so sizes do not
+        move."""
+        first, committed, end = self._run_of(key)
         slot = next((at for at in range(committed, end) if self._words[at] == txn_id), None)
         if slot is None:
             return False
-        twin = self._version(slot).committed(commit_timestamp)
         self._own()
-        self._put(twin, self._take(slot))
+        words, flags, order = self._words, self._flags, self._order
+        flag = flags[slot] & _TOMBSTONE
+        twin = decoded_version(key, commit_timestamp, self._values[slot], None, bool(flag))
+        newest = words[committed - 1] if committed > first else -1
+        if slot == committed and (
+            newest < commit_timestamp
+            or newest == commit_timestamp and order[committed - 1] < order[slot]
+        ):
+            words[slot] = commit_timestamp
+            flags[slot] = flag
+            self._made[slot] = twin
+        else:
+            self._put(twin, self._take(slot))
         return True
 
     def serialized_size(self) -> int:
-        low, high = self.region.keys.low, self.region.keys.high
-        bounds = (0 if low is None else key_size(low)) + (0 if high is None else key_size(high))
-        return _NODE_HEADER_SIZE + 19 + bounds + self._content
+        bound_bytes = self._bound_bytes
+        if bound_bytes is None:  # the region's two key bounds, sized once per region
+            low, high = self.bounds()[:2]
+            bound_bytes = (0 if low is None else key_size(low)) + (0 if high is None else key_size(high))
+            self._bound_bytes = bound_bytes
+        return _NODE_HEADER_SIZE + 19 + bound_bytes + self._content
 
     def fits(self, page_size: int, extra: Optional[Version] = None) -> bool:
         return self.serialized_size() + (extra.serialized_size() if extra else 0) <= page_size

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.nodes import DataNode, IndexEntry, IndexNode, NodeError, Row, decode_node
 from repro.core.policy import SplitContext, SplitPolicy, ThresholdPolicy
@@ -316,36 +316,50 @@ class TSBTree:
             else:
                 self._require_fits(Version(key=key, timestamp=0, value=value))
 
-    def insert_provisional(self, key: Key, value: bytes, txn_id: int) -> None:
+    def insert_provisional(self, key: Key, value: bytes, txn_id: int) -> DataNode:
         """Write an uncommitted version on behalf of transaction ``txn_id``.
 
         Provisional versions carry no timestamp, are invisible to ordinary
         reads, never migrate to the historical database and can be erased by
         :meth:`abort_provisional` (paper section 4).  Re-writing a key inside
         the same transaction replaces the earlier provisional version.
+        Returns the leaf the version landed in (the node itself, or the split
+        half that took it): the hint :meth:`commit_provisional` and
+        :meth:`abort_provisional` take in ``leaves``.
         """
         version = Version(key=key, timestamp=None, value=bytes(value), txn_id=txn_id)
-        self._insert_version(version)
+        leaf = self._insert_version(version)
         self.counters.provisional_writes += 1
+        return leaf
 
-    def delete_provisional(self, key: Key, txn_id: int) -> None:
-        """Write an uncommitted tombstone on behalf of ``txn_id``."""
+    def delete_provisional(self, key: Key, txn_id: int) -> DataNode:
+        """Write an uncommitted tombstone on behalf of ``txn_id``; returns
+        the leaf it landed in, as :meth:`insert_provisional` does."""
         version = Version(
             key=key, timestamp=None, value=b"", txn_id=txn_id, is_tombstone=True
         )
-        self._insert_version(version)
+        leaf = self._insert_version(version)
         self.counters.provisional_writes += 1
+        return leaf
 
-    def commit_provisional(self, txn_id: int, keys: Iterable[Key], commit_timestamp: int) -> None:
+    def commit_provisional(
+        self,
+        txn_id: int,
+        keys: Iterable[Key],
+        commit_timestamp: int,
+        leaves: Optional[Mapping[Key, DataNode]] = None,
+    ) -> None:
         """Stamp transaction ``txn_id``'s provisional versions with its commit
-        time, each in its slot (:meth:`DataNode.stamp_provisional`)."""
+        time, each in its slot (:meth:`DataNode.stamp_provisional`), in the
+        leaf ``leaves`` kept for its key while that leaf is still current
+        (:meth:`_current_leaf`), else in the leaf a descent finds."""
         if commit_timestamp < self._max_committed_ts:
             raise TimestampOrderError(
                 f"commit timestamp {commit_timestamp} precedes the latest committed "
                 f"timestamp {self._max_committed_ts}"
             )
         for key in keys:
-            node = self._descend_to_current_leaf(key)
+            node = self._current_leaf(key, leaves)
             if not node.stamp_provisional(key, txn_id, commit_timestamp):
                 raise ProvisionalVersionError(
                     f"transaction {txn_id} has no provisional version for key {key!r}"
@@ -355,10 +369,13 @@ class TSBTree:
         self._next_auto_ts = max(self._next_auto_ts, commit_timestamp + 1)
         self.counters.commits += 1
 
-    def abort_provisional(self, txn_id: int, keys: Iterable[Key]) -> None:
-        """Erase transaction ``txn_id``'s provisional versions (abort path)."""
+    def abort_provisional(
+        self, txn_id: int, keys: Iterable[Key], leaves: Optional[Mapping[Key, DataNode]] = None
+    ) -> None:
+        """Erase transaction ``txn_id``'s provisional versions (abort path),
+        finding each leaf as :meth:`commit_provisional` does."""
         for key in keys:
-            node = self._descend_to_current_leaf(key)
+            node = self._current_leaf(key, leaves)
             provisional = node.provisional_for_key(key, txn_id)
             if provisional is not None:
                 node.remove_version(provisional)
@@ -768,6 +785,17 @@ class TSBTree:
     # ------------------------------------------------------------------
     # Internal: descent
     # ------------------------------------------------------------------
+    def _current_leaf(self, key: Key, leaves: Optional[Mapping[Key, DataNode]]) -> DataNode:
+        """The current leaf of ``key``: the one ``leaves`` kept for it while
+        it is still the pool's resident at its address, else a descent's.
+        A split carves new node objects for every page it writes, and only
+        restart recovery frees a page, so a kept leaf that is still resident
+        was never split and still owns the key."""
+        leaf = leaves.get(key) if leaves else None
+        if leaf is not None and self.cache.read(leaf.address) is leaf:
+            return leaf
+        return self._descend_to_current_leaf(key)
+
     def _descend_to_current_leaf(self, key: Key) -> DataNode:
         # Current children are magnetic: no tier test, straight to the pool.
         read = self.cache.read
@@ -816,9 +844,14 @@ class TSBTree:
     # ------------------------------------------------------------------
     # Internal: insertion and splitting
     # ------------------------------------------------------------------
-    def _note_superseded(self, node: DataNode, version: Version) -> None:
+    def _land(self, node: DataNode, version: Version) -> None:
+        """Add ``version`` to the leaf that takes it and store that leaf,
+        noting whether it superseded a live version and which leaf it was."""
         latest = node.latest_for_key(version.key)
         self._last_insert_superseded = latest is not None and not latest.is_tombstone
+        node.add_version(version)
+        self._store_node(node)
+        self._landed = node
 
     def _require_fits(self, version: Version) -> None:
         size = _EMPTY_DATA_PAGE + version.serialized_size()
@@ -828,12 +861,14 @@ class TSBTree:
                 f"{size} bytes but pages hold {self.page_size}"
             )
 
-    def _insert_version(self, version: Version) -> None:
+    def _insert_version(self, version: Version) -> DataNode:
+        """Insert ``version``; the leaf it landed in."""
         self._last_insert_superseded = False
         self._require_fits(version)
         replacements = self._insert_recursive(self._root_address, version)
         if replacements is not None:
             self._grow_root(replacements)
+        return self._landed
 
     def _insert_recursive(self, address: Address, version: Version) -> Optional[List[Row]]:
         node = self.cache.read(address)  # the current path is all magnetic
@@ -847,9 +882,7 @@ class TSBTree:
             if node.fits(room, extra=version):
                 if earlier is not None:
                     node.remove_version(earlier)
-                self._note_superseded(node, version)
-                node.add_version(version)
-                self._store_node(node)
+                self._land(node, version)
                 return None
             return self._split_data_node(node if earlier is None else node.without(earlier), version)
 
@@ -912,9 +945,7 @@ class TSBTree:
             held = split.half_for(incoming.key)
             entries[at : at + 1] = written
             at, address = at + held, written[held].child
-        self._note_superseded(target, incoming)
-        target.add_version(incoming)
-        self._store_node(target)
+        self._land(target, incoming)
         return entries
 
     def _perform_data_time_split(self, split: CarvedSplit, address: Address) -> List[IndexEntry]:

@@ -20,11 +20,13 @@ Design constraints, in order:
 
 Percentiles come from linear interpolation inside the bucket that contains
 the requested rank — the standard fixed-bucket estimate (what Prometheus'
-``histogram_quantile`` computes server-side), good to a bucket's width.
+``histogram_quantile`` computes server-side), good to a bucket's width —
+clamped to the smallest and largest sample recorded.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import weakref
@@ -108,7 +110,7 @@ class Histogram:
     per-histogram lock, so one histogram can be shared by many threads.
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "total", "max_value", "_lock")
+    __slots__ = ("name", "bounds", "counts", "count", "total", "min_value", "max_value", "_lock")
 
     def __init__(self, name: str, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
         if not bounds or list(bounds) != sorted(bounds):
@@ -118,6 +120,7 @@ class Histogram:
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
+        self.min_value = math.inf
         self.max_value = 0.0
         self._lock = threading.Lock()
 
@@ -127,6 +130,8 @@ class Histogram:
             self.counts[index] += 1
             self.count += 1
             self.total += value
+            if value < self.min_value:
+                self.min_value = value
             if value > self.max_value:
                 self.max_value = value
 
@@ -144,12 +149,15 @@ class Histogram:
             counts = list(other.counts)
             count = other.count
             total = other.total
+            min_value = other.min_value
             max_value = other.max_value
         with self._lock:
             for index, bucket in enumerate(counts):
                 self.counts[index] += bucket
             self.count += count
             self.total += total
+            if min_value < self.min_value:
+                self.min_value = min_value
             if max_value > self.max_value:
                 self.max_value = max_value
 
@@ -158,8 +166,8 @@ class Histogram:
         with self._lock:
             counts = list(self.counts)
             count = self.count
-            max_value = self.max_value
-        return _interpolate(self.bounds, counts, count, max_value, quantile)
+            extremes = self.min_value, self.max_value
+        return _interpolate(self.bounds, counts, count, extremes, quantile)
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready summary: count, sum, avg, max, p50/p95/p99, buckets."""
@@ -167,7 +175,7 @@ class Histogram:
             counts = list(self.counts)
             count = self.count
             total = self.total
-            max_value = self.max_value
+            extremes = self.min_value, self.max_value
         buckets = [
             [self.bounds[index] if index < len(self.bounds) else "+Inf", bucket]
             for index, bucket in enumerate(counts)
@@ -177,10 +185,10 @@ class Histogram:
             "count": count,
             "sum": round(total, 9),
             "avg": round(total / count, 9) if count else 0.0,
-            "max": round(max_value, 9),
-            "p50": round(_interpolate(self.bounds, counts, count, max_value, 0.50), 9),
-            "p95": round(_interpolate(self.bounds, counts, count, max_value, 0.95), 9),
-            "p99": round(_interpolate(self.bounds, counts, count, max_value, 0.99), 9),
+            "max": round(extremes[1], 9),
+            "p50": round(_interpolate(self.bounds, counts, count, extremes, 0.50), 9),
+            "p95": round(_interpolate(self.bounds, counts, count, extremes, 0.95), 9),
+            "p99": round(_interpolate(self.bounds, counts, count, extremes, 0.99), 9),
             "buckets": buckets,
         }
 
@@ -189,11 +197,15 @@ def _interpolate(
     bounds: Sequence[float],
     counts: Sequence[int],
     count: int,
-    max_value: float,
+    extremes: Tuple[float, float],
     quantile: float,
 ) -> float:
+    """The interpolated value at ``quantile``, clamped to the samples'
+    ``(min, max)``: a bucket's edges can lie beyond every sample in it (all
+    batches of size 1 fill the bucket ``(0, 1]``, whose midpoint is 0.5)."""
     if count == 0:
         return 0.0
+    min_value, max_value = extremes
     target = max(1e-12, quantile) * count
     cumulative = 0
     for index, bucket in enumerate(counts):
@@ -201,9 +213,9 @@ def _interpolate(
             lower = bounds[index - 1] if index > 0 else 0.0
             upper = bounds[index] if index < len(bounds) else max(max_value, lower)
             fraction = (target - cumulative) / bucket
-            # The bucket's upper edge can lie above every sample in it, and
-            # rounding can carry the interpolation one ulp past that edge.
-            return min(lower + (upper - lower) * fraction, upper, max_value)
+            # Rounding can also carry the interpolation one ulp past an edge.
+            estimate = min(lower + (upper - lower) * fraction, upper, max_value)
+            return max(estimate, min_value)
         cumulative += bucket
     return max_value
 

@@ -11,7 +11,12 @@ describes:
   split, so they can always be erased if the transaction aborts.
 * **Commit** obtains a commit timestamp from the
   :class:`~repro.txn.clock.TimestampOracle` and stamps every provisional
-  version with it in its slot, making the versions visible to readers.
+  version with it where it lies, making the versions visible to readers:
+  each write kept the leaf its version landed in, and the commit stamps the
+  slot there, descending from the root only for a leaf a split has since
+  replaced (:meth:`TSBTree.commit_provisional
+  <repro.core.tsb_tree.TSBTree.commit_provisional>`).  Abort finds its
+  versions the same way.
 * **Abort** erases the provisional versions and releases the locks; nothing
   of the transaction remains in either database.
 * **A writer that knows its stamp** (:meth:`TransactionManager.
@@ -75,6 +80,7 @@ from repro.txn.clock import TimestampOracle
 from repro.txn.locks import LockManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.nodes import DataNode
     from repro.obs.registry import MetricsRegistry
     from repro.recovery.log_manager import LogManager
 
@@ -101,6 +107,10 @@ class Transaction:
     #: ``COMMIT`` record carries it (``None`` without a log).  Always empty
     #: for ``run_transaction``.
     write_set: Dict[Key, Optional[bytes]] = field(default_factory=dict)
+    #: Beside each ``write_set`` key, the leaf its provisional version landed
+    #: in: where commit and abort look first.  Dropped as the transaction
+    #: finishes, so the tree holds no per-transaction state.
+    leaves: Dict[Key, "DataNode"] = field(default_factory=dict)
     commit_timestamp: Optional[int] = None
     #: LSN of this transaction's commit record (None until commit, or when
     #: the manager runs without a write-ahead log).
@@ -308,7 +318,7 @@ class TransactionManager:
         if txn.write_set:
             try:
                 self.tree.commit_provisional(
-                    txn.txn_id, sorted(txn.write_set), commit_timestamp
+                    txn.txn_id, sorted(txn.write_set), commit_timestamp, txn.leaves
                 )
             except Exception:
                 if self.log is not None:
@@ -373,7 +383,7 @@ class TransactionManager:
         txn = self._active(txn_id)
         with self.latch.write():
             if txn.write_set:
-                self.tree.abort_provisional(txn_id, sorted(txn.write_set))
+                self.tree.abort_provisional(txn_id, sorted(txn.write_set), txn.leaves)
             self._finish(txn, TransactionState.ABORTED)
         self.locks.release_all(txn_id)
         if self.metrics is not None:
@@ -404,13 +414,14 @@ class TransactionManager:
         encoded = None if self.log is None else encode_write(key, value)
         try:
             if value is None:
-                self.tree.delete_provisional(key, txn.txn_id)
+                leaf = self.tree.delete_provisional(key, txn.txn_id)
             else:
-                self.tree.insert_provisional(key, value, txn.txn_id)
+                leaf = self.tree.insert_provisional(key, value, txn.txn_id)
         except Exception as exc:
             self._fail(txn, exc)
             raise
         txn.write_set[key] = encoded
+        txn.leaves[key] = leaf
 
     def _fail(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
         """Doom a logged transaction whose tree write blew up mid-operation.
@@ -432,10 +443,11 @@ class TransactionManager:
         """
         if self.log is None:
             return
+        leaves = txn.leaves
         self._finish(txn, TransactionState.ABORTED)
         if isinstance(exc, RecordTooLargeError) and not landed:
             if txn.write_set:
-                self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set))
+                self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set), leaves)
         else:
             self.requires_recovery = True
         self.locks.release_all(txn.txn_id)
@@ -470,6 +482,7 @@ class TransactionManager:
 
     def _finish(self, txn: Transaction, state: TransactionState) -> None:
         txn.state = state
+        txn.leaves = {}
         with self._registry_lock:
             self._transactions.pop(txn.txn_id, None)
 

@@ -4,7 +4,7 @@ The tier-1 tests here are quick smokes: a handful of writer and reader
 threads on a sharded, WAL-enabled store, with every applied write checked
 against the PR 3 dict-of-sorted-version-lists oracle.  The ``stress``-marked
 variants run the same machinery at nightly scale (more threads, more
-operations, shard splits under load and background group commit on at
+operations, shard splits under load and committers sharing log forces at
 once) and are deselected from tier-1 by ``pytest.ini``.
 """
 

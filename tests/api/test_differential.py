@@ -20,6 +20,7 @@ Layout:
 * ``WalDifferential`` — a WAL store and a splitting sharded WAL store, with
   stamped and auto-stamped inserts and deletes, multi-key batches at one
   stamp, interactive transactions that rewrite keys and commit or abort,
+  two open at once whose interleaved writes split each other's leaves,
   one left open across a full checkpoint (committed, aborted or in flight
   at the next crash after it), a batch refused for an oversized record and,
   in the interleaving, a crash:
@@ -46,6 +47,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
+from repro.core import check_tree
 from repro.core.tsb_tree import RecordTooLargeError
 from repro.recovery import log_manager
 from repro.recovery.replay import replay_device
@@ -70,6 +72,9 @@ probe_scales = st.integers(min_value=0, max_value=120)
 
 #: The checkpoint rule's N under ``WalRuleDifferential``: a few commits' log.
 RULE_BYTES = 256
+
+#: How an interactive transaction of ``WalDifferential`` ends.
+FATES = ["commit", "abort"]
 
 
 class DictOracle:
@@ -428,6 +433,41 @@ class WalDifferential(DeleteDifferential):
             txn.abort()
             return
         self.commit_interactive(txn, dict(writes))
+
+    @rule(
+        writes=st.lists(
+            st.tuples(st.booleans(), keys, st.none() | small_values), min_size=2, max_size=12
+        ),
+        fates=st.tuples(st.sampled_from(FATES), st.sampled_from(FATES)),
+        odd_first=st.booleans(),
+    )
+    def interleaved_transactions(self, writes, fates, odd_first):
+        """Two interactive transactions open at once on the single store, one
+        writing even keys and the other odd ones, their writes interleaved:
+        one's writes split the leaves the other's writes landed in, so its
+        commit or abort finds some of its kept leaves stale.  They finish in
+        either order, each committing or aborting."""
+        store = self.fleet["tsb-wal"]
+        txns = (store.begin(), store.begin())
+        last = ({}, {})
+        splits = store.backend.counters.total_splits
+        for at, (odd, key, value) in enumerate(writes):
+            side = at if at < 2 else int(odd)  # each transaction writes at least once
+            key += side - key % 2
+            if value is None:
+                txns[side].delete(key)
+            else:
+                txns[side].write(key, value)
+            last[side][key] = value
+        if store.backend.counters.total_splits != splits:
+            event("wal rule: interleaved transactions, split between their writes")
+        for position, side in enumerate((1, 0) if odd_first else (0, 1)):
+            event(f"wal rule: interleaved transactions, {('first', 'second')[position]} {fates[position]}")
+            if fates[position] == "commit":
+                self.commit_interactive(txns[side], last[side])
+            else:
+                txns[side].abort()
+        assert check_tree(store.backend) == []
 
     def commit_interactive(self, txn, last):
         """Commit ``txn``, whose last word per key is ``last``; the sharded

@@ -102,6 +102,40 @@ class TestInstruments:
             upper = bounds[bucket] if bucket < len(bounds) else ordered[-1]
             assert lower <= estimate <= upper
 
+    @pytest.mark.parametrize(
+        "bounds, value",
+        [(COUNT_BUCKETS, 1), (COUNT_BUCKETS, 3), (COUNT_BUCKETS, 2000),
+         (LATENCY_BUCKETS, 2.1e-4), (LATENCY_BUCKETS, 7e-7), (LATENCY_BUCKETS, 12.0)],
+    )  # fmt: skip
+    def test_a_single_valued_set_reports_its_value_at_every_quantile(
+        self, metrics_on, bounds, value
+    ):
+        """All batches of size 1 fill the bucket (0, 1]: interpolating from
+        its lower edge read p50 0.5 before the minimum bounded it."""
+        histogram = Histogram("h", bounds=bounds)
+        for _ in range(1200):
+            histogram.record(value)
+        snapshot = histogram.snapshot()
+        assert [snapshot[name] for name in ("p50", "p95", "p99")] == [round(value, 9)] * 3
+        assert histogram.percentile(0.5) == value
+
+    def test_quantiles_stay_within_the_merged_minimum_and_maximum(self, metrics_on):
+        left = Histogram("l", bounds=COUNT_BUCKETS)
+        right = Histogram("r", bounds=COUNT_BUCKETS)
+        empty = Histogram("e", bounds=COUNT_BUCKETS)
+        for _ in range(10):
+            left.record(3)
+        right.record(5)
+        left.merge_from(right)
+        left.merge_from(empty)  # an empty histogram moves neither extreme
+        assert left.min_value == 3 and left.max_value == 5
+        assert all(3 <= left.percentile(q) <= 5 for q in (0.0, 0.01, 0.5, 0.95, 1.0))
+        empty.merge_from(right)
+        assert empty.percentile(0.5) == 5
+        snapshot = left.snapshot()
+        assert set(snapshot) == {"count", "sum", "avg", "max", "p50", "p95", "p99", "buckets"}
+        assert (snapshot["count"], snapshot["sum"]) == (11, 35.0)
+
     def test_overflow_bucket_uses_the_observed_maximum(self, metrics_on):
         histogram = Histogram("h", bounds=(1.0,))
         histogram.record(50.0)

@@ -79,6 +79,7 @@ from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.registry import enabled as metrics_enabled
 from repro.storage.iostats import IOStats, merge_io_summaries
 from repro.storage.logdevice import LogDevice
+from repro.storage.pagecache import CacheStats
 from repro.storage.serialization import Key
 
 
@@ -709,28 +710,9 @@ class ShardedVersionStore(VersionStore):
                     for tier, stats in engine.io_summary().items()
                 },
             }
-            hits = misses = evictions = flushes = 0
-            cached = False
-            for store in stores:
-                cache = store._page_cache()
-                if cache is None:
-                    continue
-                cached = True
-                stats = cache.stats
-                hits += stats.hits
-                misses += stats.misses
-                evictions += stats.evictions
-                flushes += stats.flushes
-            if cached:
-                accesses = hits + misses
-                snapshot["cache"] = {
-                    "hits": hits,
-                    "misses": misses,
-                    "evictions": evictions,
-                    "flushes": flushes,
-                    "accesses": accesses,
-                    "hit_ratio": round(hits / accesses, 4) if accesses else 1.0,
-                }
+            caches = [cache for cache in (store._page_cache() for store in stores) if cache is not None]
+            if caches:
+                snapshot["cache"] = CacheStats.total(cache.stats for cache in caches).as_dict()
             locks = [
                 {"shard": index, **store.txns.locks.debug_state()}
                 for index, store in enumerate(stores)

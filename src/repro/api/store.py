@@ -1021,15 +1021,7 @@ class VersionStore:
         }
         cache = self._page_cache()
         if cache is not None:
-            stats = cache.stats
-            snapshot["cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "flushes": stats.flushes,
-                "accesses": stats.accesses,
-                "hit_ratio": round(stats.hit_ratio, 4),
-            }
+            snapshot["cache"] = cache.stats.as_dict()
         if self._txns is not None:
             snapshot["locks"] = self._txns.locks.debug_state()
         if self._log is not None:

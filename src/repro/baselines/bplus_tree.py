@@ -41,6 +41,12 @@ _BRANCH_TAG = 0xB2
 _HEADER_SIZE = 16
 
 
+def _is_branch_image(image: bytes) -> bool:
+    """The buffer pool keeps branch pages until no leaf is left to evict, as
+    it does the TSB-tree's index pages."""
+    return bool(image) and image[0] == _BRANCH_TAG
+
+
 class BPlusTreeError(Exception):
     """Raised on invalid B+-tree operations."""
 
@@ -158,7 +164,7 @@ class BPlusTree:
             raise ValueError("page_size must be at least 128 bytes")
         self.page_size = page_size
         self.magnetic = magnetic or MagneticDisk(page_size=page_size)
-        self.cache = PageCache(self.magnetic, capacity=cache_pages)
+        self.cache = PageCache(self.magnetic, capacity=cache_pages, is_index=_is_branch_image)
         root_address = self.magnetic.allocate_page()
         self._store(_Leaf(address=root_address))
         self._root_address = root_address

@@ -347,8 +347,9 @@ def _print_stats_table(snapshot: Dict[str, object]) -> None:
     if cache:
         print(
             f"\ncache: hit_ratio={cache['hit_ratio']:.2%} "
-            f"(hits={cache['hits']} misses={cache['misses']} "
-            f"evictions={cache['evictions']})"
+            f"(hits={cache['hits']} misses={cache['misses']}: "
+            f"index={cache['index_misses']} leaf={cache['leaf_misses']}; "
+            f"evictions={cache['evictions']} write-backs={cache['flushes']})"
         )
     wal = snapshot.get("wal")
     if wal:

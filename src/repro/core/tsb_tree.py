@@ -75,6 +75,11 @@ def _open_page(address: Address, image: bytes) -> Union[DataNode, IndexNode]:
     return decode_node(address, image)
 
 
+def _is_index_node(node: Union[DataNode, IndexNode]) -> bool:
+    """The buffer pool keeps these until no leaf is left to evict."""
+    return isinstance(node, IndexNode)
+
+
 #: What an empty data page covering the whole plane is charged: a version
 #: fits a page at all when this plus its own size is within the page.
 _EMPTY_DATA_PAGE = DataNode(address=Address.magnetic(0), region=Rectangle.full()).serialized_size()
@@ -243,7 +248,9 @@ class TSBTree:
         if self.magnetic.page_size < page_size:
             raise ValueError("magnetic page size smaller than tree page size")
         self.historical = historical or WormDisk(sector_size=min(1024, page_size))
-        self.cache = PageCache(self.magnetic, capacity=cache_pages, opener=_open_page)
+        self.cache = PageCache(
+            self.magnetic, capacity=cache_pages, opener=_open_page, is_index=_is_index_node
+        )
         self._kept: Dict[tuple, Union[DataNode, IndexNode]] = {}
         self._kept_lock = threading.Lock()
         self.kept_stats = KeptNodeStats()
@@ -702,7 +709,9 @@ class TSBTree:
         tree.policy = policy or ThresholdPolicy()
         tree.magnetic = magnetic
         tree.historical = historical
-        tree.cache = PageCache(magnetic, capacity=cache_pages, opener=_open_page)
+        tree.cache = PageCache(
+            magnetic, capacity=cache_pages, opener=_open_page, is_index=_is_index_node
+        )
         tree._kept = {}
         tree._kept_lock = threading.Lock()
         tree.kept_stats = KeptNodeStats()
@@ -733,7 +742,9 @@ class TSBTree:
     # Internal: node I/O
     #
     # Current (magnetic) nodes are residents of the buffer pool `self.cache`
-    # (see `repro.storage.pagecache`).  A historical node is write-once, so
+    # (see `repro.storage.pagecache`), which evicts data nodes before index
+    # nodes: every lookup descends through the index, and a scan's leaves
+    # must not push it out.  A historical node is write-once, so
     # the tree keeps every one it opens, by address identity, and reads the
     # historical device only on the first visit: nothing ever makes a kept
     # node stale, and only `drop_caches` forgets them.  `self.cache.read` is

@@ -492,3 +492,42 @@ class TestReadCounts:
             assert self.node_loads(tree) - before == len(paths)
             assert built == []
             assert len(visited) == len(set(visited)) and set(visited) == expected
+
+
+class TestIndexPagesStay:
+    """The buffer pool evicts leaves before index pages, so a pool smaller
+    than the tree's current pages but larger than its index keeps the whole
+    index through a pass that reads every leaf."""
+
+    def test_a_second_lookup_pass_makes_no_index_miss(self):
+        import random
+
+        from repro.core.nodes import IndexNode
+
+        rng = random.Random(42)
+        tree = TSBTree(page_size=512)
+        for stamp in range(1, 4001):
+            tree.insert(rng.randrange(800), b"value-%d" % stamp, timestamp=stamp)
+        tree.checkpoint()
+        current = [node for node in tree.iter_nodes() if node.address.is_magnetic]
+        index = {node.address.page_id for node in current if isinstance(node, IndexNode)}
+        capacity = len(index) + 4
+        assert len(index) > 1 and capacity < len(current) - len(index)
+        tree.drop_caches(capacity)
+        device_reads = []
+        read = tree.magnetic.read
+        tree.magnetic.read = lambda address: (device_reads.append(address.page_id), read(address))[1]
+        keys = tree.current_keys()
+        for key in keys:  # the first pass meets every current leaf
+            tree.search_current(key)
+        stats = tree.cache.stats
+        assert sorted(page for page in device_reads if page in index) == sorted(index)
+        assert stats.index_misses == len(index)
+        del device_reads[:]
+        for key in keys:
+            tree.search_current(key)
+        assert [page for page in device_reads if page in index] == []
+        assert stats.index_misses == len(index)
+        assert device_reads  # the leaves did not all fit
+        assert stats.leaf_misses == stats.misses - len(index)
+        assert len(tree.cache._residents) == capacity

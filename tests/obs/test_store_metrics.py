@@ -49,8 +49,10 @@ class TestVersionStoreSnapshot:
             assert counters["txn.begins"] == counters["txn.commits"] == 1
             assert counters["wal.forces"] >= 1
             assert histograms["wal.fsync"]["count"] == counters["wal.forces"]
-            assert snapshot["cache"]["accesses"] > 0
-            assert 0.0 <= snapshot["cache"]["hit_ratio"] <= 1.0
+            cache = snapshot["cache"]
+            assert cache["accesses"] > 0
+            assert 0.0 <= cache["hit_ratio"] <= 1.0
+            assert cache["index_misses"] + cache["leaf_misses"] == cache["misses"]
             assert snapshot["locks"] == {
                 "holders": {},
                 "waits_for": {},
@@ -147,6 +149,9 @@ class TestShardedSnapshot:
             store.snapshot(max(1, final // 2))
             store.time_slice(max(1, final // 2), final, 0, 400)  # meets all four shards
             snapshot = store.metrics_snapshot()
+            index_misses = sum(
+                shard._page_cache().stats.index_misses for shard in store.sharded_engine.stores
+            )
 
         assert snapshot["engine"] == "sharded-tsb"
         assert snapshot["shards"] == 4
@@ -164,6 +169,7 @@ class TestShardedSnapshot:
             assert row["ops"]["shard.time_slice"]["count"] == 1
             assert "p99" in row["ops"]["shard.time_slice"]
         assert snapshot["cache"]["accesses"] > 0
+        assert snapshot["cache"]["index_misses"] == index_misses
 
     def test_scatter_gather_traces_one_span_per_shard(self, metrics_on):
         previous = trace.set_enabled(True)

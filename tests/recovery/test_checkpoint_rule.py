@@ -60,8 +60,7 @@ def write_round(store, shards: int, first_key: int, number: int, acked: Dict[int
 
 
 def dirty_pages(store: VersionStore) -> int:
-    cache = store.backend.cache
-    return len(cache._residents) - len(cache._clean)
+    return store.backend.cache.dirty_count
 
 
 def state_of(store) -> Dict[int, bytes]:

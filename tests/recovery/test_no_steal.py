@@ -79,8 +79,7 @@ def test_no_page_reaches_the_device_between_two_checkpoints_of_a_logged_tree():
     assert {key: store.get(key).value for key in acked} == acked  # from memory
     store.checkpoint()
     assert tree.magnetic.stats.writes > writes_at_checkpoint
-    clean = len(tree.cache._clean)
-    assert (clean, len(tree.cache._residents)) == (1, 1)  # trimmed to capacity again
+    assert (tree.cache.dirty_count, len(tree.cache._residents)) == (0, 1)  # trimmed to capacity again
 
 
 def test_flush_on_a_wal_store_is_a_checkpoint():

@@ -157,7 +157,12 @@ class TestLifecycle:
             until(lambda: not primary._subscribers, "both subscribers to be forgotten")
             # Nothing finished is remembered: only the accept loop is left.
             assert primary._subscribers == [] and primary._listener._connections == {}
-            assert _repl_threads() == ["repl-primary-accept"]
+            # A connection's thread forgets its connection just before it
+            # exits, so wait for the thread itself to be gone.
+            until(
+                lambda: _repl_threads() == ["repl-primary-accept"],
+                "the connection threads to exit",
+            )
         finally:
             getattr(primary, end)()
             registry.close_all()

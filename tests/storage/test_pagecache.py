@@ -36,11 +36,14 @@ def seeded_pages(disk, count):
 
 
 def resident_ids(cache):
-    return list(cache._residents)
+    """Every resident's page id, in the order the write path would evict
+    them: leaves least recently used first, then index pages."""
+    return list(cache._leaves[0]) + list(cache._index[0])
 
 
 def dirty_ids(cache):
-    return [page_id for page_id in cache._residents if page_id not in cache._clean]
+    clean = set(cache._leaves[1]) | set(cache._index[1])
+    return [page_id for page_id in resident_ids(cache) if page_id not in clean]
 
 
 class TestReadPath:

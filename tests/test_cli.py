@@ -146,6 +146,7 @@ class TestCommands:
         assert "op.put_many" in output
         assert "wal.batch_size" in output
         assert "cache: hit_ratio=" in output
+        assert " index=" in output and " leaf=" in output
         assert "per-shard op latency p99 (ms):" in output
 
     def test_stats_table_prints_commits_per_force(self, capsys):

@@ -42,7 +42,8 @@ class Oracle:
 def resident(tree, leaf):
     """Whether ``leaf`` is still the pool's resident at its address (a peek
     that moves no counter and no LRU order)."""
-    return tree.cache._residents.get(leaf.address.page_id) is leaf
+    entry = tree.cache._residents.get(leaf.address.page_id)
+    return entry is not None and entry[0] is leaf
 
 
 def finish(txn, fate, oracle, writes):

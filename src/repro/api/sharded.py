@@ -13,12 +13,13 @@ exposing the same query surface as a single store:
   out to the overlapping shards and merge their answers (shards are ordered
   by key range, so concatenating per-shard range results is already
   key-sorted);
-* **writes** — every write enters its shard through the inner store's one
-  write path (``VersionStore._write``, described in :mod:`repro.api.store`)
-  at a stamp the sharded engine has drawn; :meth:`ShardedVersionStore.put_many`
-  groups a batch of records per shard first, one logged transaction per
-  distinct-key run when the inner stores run a WAL (so a batch rides each
-  shard's group commit);
+* **writes** — the façade only routes: every write enters its shard through
+  the inner store's one write path (``VersionStore._write``, described in
+  :mod:`repro.api.store`) at a stamp the sharded engine has drawn, and only
+  the shard admits it; :meth:`ShardedVersionStore.put_many` groups a batch
+  per shard first and hands each shard its group in one call — one commit
+  per distinct-key run when the inner stores run a WAL (one force per
+  shard), one per item when they do not;
 * **splitting** — when a shard's current-device utilization crosses the
   :class:`~repro.api.store.ShardSpec` threshold, the shard is split at its
   median key into two fresh stores — export, then import through that same
@@ -230,23 +231,26 @@ class ShardedEngine(VersionedEngine):
         return self._write_one(key, None, timestamp)
 
     def _write_one(self, key: Key, value: Optional[bytes], timestamp: Optional[int]) -> int:
+        """Route one write to its shard's write path at the global stamp."""
         timestamp = self._stamp(timestamp)
         index = self.shard_index(key)
-        self.stores[index]._write([(key, value)], timestamp)
+        self.stores[index]._write([([(key, value)], timestamp)])
         self._dirty.add(index)
         return timestamp
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> PutManyReport:
-        """Group a batch per shard, then apply each shard's group in one go.
+        """Group a batch per shard, then apply each shard's group in one
+        call of that shard's write path.
 
-        Every stamp is assigned here, up front, from the global clock.
-        Without a WAL every item keeps its own timestamp, in input order —
+        Every stamp is assigned here, up front, from the global clock, by
+        the rule :meth:`VersionStore.put_many` follows.  Without a WAL every
+        item is its own commit at its own timestamp, in input order —
         byte-identical answers to the same items inserted one by one.  With a
         WAL each distinct-key run of a shard's group (the shared batching
         rule of :func:`distinct_key_run_end`: a repeated key starts a new
-        transaction so no version is silently collapsed) commits as one
-        logged transaction, and shard i's runs get the contiguous block of
-        stamps after shard i-1's.  The groups are applied in shard order and
+        commit so no version is silently collapsed) is one commit, shard i's
+        runs get the contiguous block of stamps after shard i-1's, and each
+        shard forces its log once.  The groups are applied in shard order and
         the walk is fail-stop: a shard whose write fails ends it, and later
         shards are never reached.
         """
@@ -259,15 +263,15 @@ class ShardedEngine(VersionedEngine):
         shard_order = sorted(groups)
 
         timestamps: List[int] = [0] * len(items)
-        #: Per shard, the ``(start, end)`` slices of its group that are one
-        #: commit each; every item of a slice carries the slice's stamp.
-        runs_per_shard: Dict[int, List[Tuple[int, int]]] = {}
+        #: Per shard, its commits: the items of a slice of its group and the
+        #: slice's stamp, which every item of it carries.
+        commits_per_shard: Dict[int, List[Tuple[List[Tuple[Key, bytes]], int]]] = {}
         wal = self.inner_config.wal
         first_stamp = self.now + 1
         commits = 0
         for index in shard_order:
             group = groups[index]
-            runs = runs_per_shard[index] = []
+            shard_commits = commits_per_shard[index] = []
             start = 0
             while start < len(group):
                 if wal:  # a distinct-key run at the next stamp of the block
@@ -279,7 +283,9 @@ class ShardedEngine(VersionedEngine):
                     stamp = first_stamp + group[start][0]
                 for position, _, _ in group[start:end]:
                     timestamps[position] = stamp
-                runs.append((start, end))
+                shard_commits.append(
+                    ([(key, value) for _, key, value in group[start:end]], stamp)
+                )
                 start = end
 
         batches: List[ShardBatch] = []
@@ -288,11 +294,7 @@ class ShardedEngine(VersionedEngine):
             store, group = self.stores[index], groups[index]
             self._dirty.add(index)
             with self._shard_task("put_many", index):
-                for start, end in runs_per_shard[index]:
-                    store._write(
-                        [(key, value) for _, key, value in group[start:end]],
-                        timestamps[group[start][0]],
-                    )
+                store._write(commits_per_shard[index])
             batches.append(
                 ShardBatch(
                     shard=index,
@@ -557,6 +559,11 @@ class ShardedVersionStore(VersionStore):
         super().__init__(engine, config)
         engine.metrics = self.metrics  # fan-out/merge metrics land on the façade
 
+    def _manager(self) -> None:
+        """None: the façade only routes, and each shard commits through its
+        own store's manager."""
+        return None
+
     @classmethod
     def open_sharded(cls, config: StoreConfig) -> "ShardedVersionStore":
         """Open one inner store per shard range described by ``config``."""
@@ -749,13 +756,20 @@ class ShardedVersionStore(VersionStore):
     # ------------------------------------------------------------------
     # Writes (a split check after every write)
     # ------------------------------------------------------------------
-    def _write(self, writes, timestamp=None):
-        """``insert`` and ``delete``: the façade's write path over the
-        sharded engine, which hands the write to its shard's own."""
+    def _write(self, commits):
+        """``insert`` and ``delete``: route each write to its shard's own
+        write path at the stamp the sharded engine draws — the shard admits
+        it, the façade only routes — then check for a split."""
         with self._latch.write():
-            result = super()._write(writes, timestamp)
-            self.sharded_engine.maybe_split()
-        return result
+            self._ensure_open()
+            engine = self.sharded_engine
+            stamps = [
+                engine._write_one(key, value, timestamp)
+                for writes, timestamp in commits
+                for key, value in writes
+            ]
+            engine.maybe_split()
+        return stamps
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         with self._latch.write():

@@ -3,8 +3,8 @@
 A store is described declaratively by :class:`StoreConfig` (engine name,
 split policy, page size, device tier, cache size, WAL on/off) and opened
 with :meth:`VersionStore.open`.  The façade wires together the storage
-devices, the chosen engine and — for the TSB-tree — the transaction and log
-managers, and exposes:
+devices, the chosen engine, its transaction manager and — for a WAL
+TSB-tree — the log manager, and exposes:
 
 * the uniform read/write surface of :class:`~repro.api.engine.VersionedEngine`
   (normalized :class:`~repro.api.engine.RecordView` answers);
@@ -31,39 +31,43 @@ against a different access method.
 The write path
 --------------
 Every façade mutation — ``insert`` and ``delete`` (auto-stamped or at the
-caller's timestamp), each distinct-key run of ``put_many``, each group of
-same-timestamp events of ``import_events``, and through those a sharded
-store's writes, a shard split and a migrated range — reaches the engine
-through one function, :meth:`VersionStore._write`: ``(key, value)`` pairs
-over distinct keys (``None`` a tombstone) committed together, at an explicit
-stamp or the clock's next.  Whether the store has a log picks its branch:
+caller's timestamp), a ``put_many``, an ``import_events``, and through those
+a sharded store's writes, a shard split and a migrated range — is one call
+of :meth:`VersionStore._write`, on every engine, with a log or without, and
+that is one call of the store's transaction manager: :meth:`TransactionManager.
+run_transaction <repro.txn.manager.TransactionManager.run_transaction>`.  A
+call carries *commits* — each its ``(key, value)`` pairs over distinct keys
+(``None`` a tombstone) and an explicit stamp or ``None`` for the clock's
+next.  It takes every record lock it needs in one total order, then one
+exclusive latch hold, in which every check runs before anything is written
+(the store still open, a delete only where the engine supports it, one
+version per ``(key, timestamp)``, no stamp before the clock, a key the codec
+can hold, a record that fits a page) and each commit is written as
+*committed* versions at its stamp — one descent per key, because a writer
+that knows its commit stamp has no use for the paper's provisional versions
+(section 4 gives them to the interactive ``begin()``/``write()``/``commit()``,
+which does not know it).  The call settles once: it drops its locks and,
+with a log, forces it.
 
-* **with a log**, one logged transaction (:meth:`TransactionManager.
-  run_transaction <repro.txn.manager.TransactionManager.run_transaction>`):
-  record locks, then one exclusive latch hold in which the stamp is drawn
-  and each key is written as a *committed* version at it — one descent per
-  key, because a writer that knows its commit stamp has no use for the
-  paper's provisional versions (section 4 gives them to the interactive
-  ``begin()``/``write()``/``commit()``, which does not know it) — then the
-  one ``COMMIT`` record that carries the writes.  The write is visible once
-  that record is appended and acknowledged once the log is forced through
-  it (:mod:`repro.recovery.log_manager`, "Group commit"); restart recovery,
-  followers and a promoted replica replay it the same way, at the logged
-  stamp (:mod:`repro.recovery.replay`).
-* **without one**, the engine is written directly under the store's
-  exclusive latch — one descent per write, not two — durable at the next
-  ``checkpoint()``; a key the page codec cannot hold is refused first, as
-  the log's encoding refuses it in the logged branch.
+What a log changes is durability, not the path:
 
-*One clock.*  A TSB store's commit clock is its transaction manager's
-:class:`~repro.txn.clock.TimestampOracle`: the logged branch draws from it
-(or moves it up to the explicit stamp) and the direct branch moves it up to
-what the engine stamped, so transactions and façade writes share a timeline.
-*Locks before the latch.*  The logged branch takes the latch only once it
-holds every record lock, and the checks that need a quiescent store (still
-open; one version per ``(key, timestamp)``) run inside that latch hold, not
-around it — a façade write to a key an open transaction holds waits for the
-commit without holding the tree hostage.
+* **with a log**, each commit appends one ``COMMIT`` record carrying its
+  writes, and a distinct-key run of ``put_many`` is one commit.  A write is
+  visible once its record is appended and acknowledged once the log is
+  forced through it (:mod:`repro.recovery.log_manager`, "Group commit");
+  restart recovery, followers and a promoted replica replay it the same way,
+  at the logged stamp (:mod:`repro.recovery.replay`).
+* **without one**, each item of a ``put_many`` or ``import_events`` is its
+  own commit, so a batch answers exactly like the same writes made one by
+  one; what is written is durable at the next ``checkpoint()``.
+
+*One clock.*  Every store's commit clock is its transaction manager's
+:class:`~repro.txn.clock.TimestampOracle`: every commit draws from it or
+moves it up to the caller's stamp, so transactions and façade writes share a
+timeline.  *Locks before the latch.*  A façade write to a key an open
+transaction holds waits for its commit without holding the tree hostage, on
+a store with a log or without.  A sharded store only routes: each write
+reaches its shard's write path at the stamp the sharded engine drew.
 
 The read path
 -------------
@@ -124,11 +128,11 @@ from repro.storage.latches import ReadWriteLatch
 from repro.storage.logdevice import LogDevice
 from repro.storage.magnetic import MagneticDisk
 from repro.storage.optical_library import OpticalLibrary
-from repro.storage.serialization import ByteReader, Key, check_key
+from repro.storage.serialization import ByteReader, Key
 from repro.storage.worm import WormDisk
 from repro.wobt.wobt_tree import WOBT
 from repro.txn.clock import TimestampOracle
-from repro.txn.manager import Transaction, TransactionManager
+from repro.txn.manager import Commit, Transaction, TransactionManager
 
 
 class StoreClosedError(VersionStoreError):
@@ -458,7 +462,6 @@ class VersionStore:
     ) -> None:
         self._engine = engine
         self._config = config
-        self._txns = txns
         self._log = log_manager
         self._log_device = log_device
         self._closed = False
@@ -475,6 +478,14 @@ class VersionStore:
         #: manager shares this very latch, so transactional writes and
         #: façade reads coordinate too.
         self._latch = latch or ReadWriteLatch(metrics=self.metrics)
+        #: Every write of the store commits through its transaction manager
+        #: (module docstring, "The write path").
+        self._txns = txns or self._manager()
+
+    def _manager(self) -> Optional[TransactionManager]:
+        """A transaction manager over the engine's backend, on the store's
+        latch and registry: every engine's writes commit through one."""
+        return TransactionManager(self._engine.backend, latch=self._latch, metrics=self.metrics)
 
     # ------------------------------------------------------------------
     # Construction
@@ -687,6 +698,8 @@ class VersionStore:
 
     @property
     def txns(self) -> Optional[TransactionManager]:
+        """The manager every write commits through (``None`` only on a
+        sharded store, whose shards each have their own)."""
         return self._txns
 
     @property
@@ -772,93 +785,86 @@ class VersionStore:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def _write(
-        self,
-        writes: Sequence[Tuple[Key, Optional[bytes]]],
-        timestamp: Optional[int] = None,
-    ) -> List[int]:
-        """The write path (module docstring).  Returns each write's stamp."""
+    def _write(self, commits: Sequence[Commit]) -> List[int]:
+        """The write path (module docstring): ``commits`` in one call of the
+        transaction manager.  Returns each write's stamp."""
+        return self._txns.run_transaction(commits, self._admit)
 
-        def admit() -> None:
-            # Under the exclusive latch: a thread that blocked on it while
-            # close() ran must observe _closed.  One version per (key,
-            # timestamp), uniformly: the backends disagree on equal-timestamp
-            # re-inserts (the TSB-tree keeps the first version, the WOBT and
-            # the naive index overwrite), which would break the
-            # identical-answers guarantee and mutate pinned ReadViews.  Only
-            # a backdated-or-equal stamp can conflict, so the common
-            # increasing path pays nothing.
-            self._ensure_open()
-            engine = self._engine
-            if timestamp is not None and timestamp <= engine.now:
-                for key, _ in writes:
-                    if engine.has_version_at(key, timestamp):
-                        raise VersionStoreError(
-                            f"key {key!r} already has a version at timestamp "
-                            f"{timestamp}"
-                        )
+    def _admit(self, commits: Sequence[Commit]) -> None:
+        """The write path's checks that belong to the façade, under the
+        exclusive latch and before anything is written.  A thread that
+        blocked on the latch while close() ran must observe _closed.  A
+        delete needs an engine that supports it.  One version per ``(key,
+        timestamp)``, uniformly: the backends disagree on equal-timestamp
+        re-inserts (the TSB-tree keeps the first version, the WOBT and the
+        naive index overwrite), which would break the identical-answers
+        guarantee and mutate pinned ReadViews.  Only a backdated-or-equal
+        stamp can conflict, so the common increasing path pays nothing."""
+        self._ensure_open()
+        engine = self._engine
+        for writes, timestamp in commits:
+            backdated = timestamp is not None and timestamp <= engine.now
+            for key, value in writes:
+                if value is None:
+                    engine.require(Capability.DELETE)
+                if backdated and engine.has_version_at(key, timestamp):
+                    raise VersionStoreError(
+                        f"key {key!r} already has a version at timestamp {timestamp}"
+                    )
 
+    def _commits(self, groups: List[Commit]) -> List[Commit]:
+        """What ``put_many`` and ``import_events`` commit together.  With a
+        log each group is one commit, one ``COMMIT`` record; without one
+        each write is its own commit, so a batch answers exactly like the
+        same writes made one by one — the groups' stamps do not move."""
         if self._log is not None:
-            txn = self._txns.run_transaction(writes, timestamp, admit)
-            return [txn.commit_timestamp] * len(writes)
-        for key, _ in writes:
-            check_key(key)  # refused before the tree, as the logged branch does
-        with self._latch.write():
-            admit()
-            engine = self._engine
-            stamps = [
-                engine.delete(key, timestamp=timestamp)
-                if value is None
-                else engine.insert(key, value, timestamp=timestamp)
-                for key, value in writes
-            ]
-            if self._txns is not None:
-                self._txns.observe_commit(stamps[-1])
-        return stamps
+            return groups
+        return [([write], stamp) for writes, stamp in groups for write in writes]
 
     def insert(self, key: Key, value: bytes, timestamp: Optional[int] = None) -> int:
         with self.metrics.timer("op.insert"):
-            return self._write([(key, value)], timestamp)[0]
+            return self._write([([(key, value)], timestamp)])[0]
 
     def delete(self, key: Key, timestamp: Optional[int] = None) -> int:
         with self.metrics.timer("op.delete"):
-            return self._write([(key, None)], timestamp)[0]
+            return self._write([([(key, None)], timestamp)])[0]
 
     def put_many(self, items: Sequence[Tuple[Key, bytes]]) -> List[int]:
-        """Write a batch of ``(key, value)`` pairs; return their timestamps.
+        """Write a batch of ``(key, value)`` pairs in one call of the write
+        path; return their timestamps.
 
-        Each distinct-key run (:func:`distinct_key_run_end`) is one call of
-        the write path: without a WAL, sequential auto-stamped inserts under
-        one latch hold (each item its own timestamp); with one, a logged
-        transaction whose items share the commit
-        timestamp — a repeated key starts a new transaction so every version
-        survives.  The sharded store overrides this with a per-shard grouped
-        implementation with the same two modes.
+        With a log each distinct-key run (:func:`distinct_key_run_end`) is
+        one commit whose items share its stamp — a repeated key starts a new
+        commit so every version survives — and the call forces the log once;
+        without one each item is its own commit at its own stamp
+        (:meth:`_commits`).  The sharded store overrides this with a
+        per-shard grouped implementation of the same rule.
         """
         self._ensure_open()
         items = list(items)
-        timestamps: List[int] = []
         if not items:
-            return timestamps
+            return []
         with self.metrics.timer("op.put_many"), trace.span(
             "store.put_many", items=len(items)
         ):
+            runs: List[Commit] = []
             start = 0
             while start < len(items):
                 end = distinct_key_run_end(items, start)
-                timestamps.extend(self._write(items[start:end]))
+                runs.append((items[start:end], None))
                 start = end
-        return timestamps
+            return self._write(self._commits(runs))
 
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         """Re-insert exported versions at their original timestamps.
 
         The receiving end of :meth:`ShardedEngine.export_events
         <repro.api.sharded.ShardedEngine.export_events>`: a shard split fills
-        its halves and a migration target takes delivery through here.  The
-        events (time-ordered) that share a timestamp are one call of the
-        write path — what was one transaction where it came from is one
-        here, in this store's log when it has one.  An event whose version
+        its halves and a migration target takes delivery through here.  All
+        of it is one call of the write path, in which the events
+        (time-ordered) that share a timestamp are one group — what was one
+        transaction where it came from is one commit here, in this store's
+        log when it has one (:meth:`_commits`).  An event whose version
         is already present (a retried chunk, a range coming home to a node
         that kept its history) is skipped, and *only* that: one the engine
         refuses for any other reason — above all, one backdated against this
@@ -866,22 +872,24 @@ class VersionStore:
         while its history fell on the floor.  Returns how many events were
         written.
         """
-        imported = 0
-        for timestamp, group in groupby(events, key=itemgetter(0)):
-            with self._latch.read():
-                self._ensure_open()
-                engine = self._engine
-                present = timestamp <= engine.now
+        groups: List[Commit] = []
+        with self._latch.read():
+            self._ensure_open()
+            engine = self._engine
+            now = engine.now
+            for timestamp, group in groupby(events, key=itemgetter(0)):
+                present = timestamp <= now
                 # Keyed by key: the last word a transaction had on a key wins.
                 writes = {
                     key: None if is_tombstone else value
                     for _, key, is_tombstone, value in group
                     if not (present and engine.has_version_at(key, timestamp))
                 }
-            if writes:
-                self._write(list(writes.items()), timestamp)
-                imported += len(writes)
-        return imported
+                if writes:
+                    groups.append((list(writes.items()), timestamp))
+        if groups:
+            self._write(self._commits(groups))
+        return sum(len(writes) for writes, _ in groups)
 
     # ------------------------------------------------------------------
     # Reads
@@ -953,7 +961,6 @@ class VersionStore:
         """Start an updating transaction (context manager: commit/abort on exit)."""
         self._ensure_open()
         self._engine.require(Capability.TRANSACTIONS)
-        assert self._txns is not None
         return self._txns.begin()
 
     def begin_readonly(self) -> ReadView:
@@ -962,7 +969,6 @@ class VersionStore:
         sees a provisional version and no later commit can precede it."""
         self._ensure_open()
         self._engine.require(Capability.TRANSACTIONS)
-        assert self._txns is not None
         return self.read_view(self._txns.clock.read_timestamp())
 
     def commit_is_durable(self, txn: Transaction) -> bool:
@@ -992,7 +998,7 @@ class VersionStore:
         percentiles, latch/lock/txn/WAL counters); ``io`` the per-tier device
         counters including simulated service time; ``cache`` the buffer-pool
         hit statistics (engines with a page cache); ``locks`` the lock
-        manager's holders and wait-for graph (transactional stores); ``wal``
+        manager's holders and wait-for graph; ``wal``
         the log manager's LSN watermarks (WAL stores).
         """
         with self._latch.read():
@@ -1022,8 +1028,7 @@ class VersionStore:
         cache = self._page_cache()
         if cache is not None:
             snapshot["cache"] = cache.stats.as_dict()
-        if self._txns is not None:
-            snapshot["locks"] = self._txns.locks.debug_state()
+        snapshot["locks"] = self._txns.locks.debug_state()
         if self._log is not None:
             snapshot["wal"] = {
                 "last_lsn": self._log.last_lsn,
@@ -1051,7 +1056,7 @@ class VersionStore:
             "store.checkpoint"
         ), self._latch.write():
             self._ensure_open()
-            if self._log is not None and self._txns is not None:
+            if self._log is not None:
                 self._log.checkpoint(self.backend, self._txns)
             else:
                 self._engine.checkpoint()

@@ -27,9 +27,13 @@ There are two record kinds:
     checkpoints write only the record (see
     :meth:`~repro.recovery.log_manager.LogManager.checkpoint`).
 
-The CRC plus length framing lets :func:`decode_stream` stop cleanly at a
-torn tail instead of replaying garbage: a crash may lose the unforced suffix
-of the log, never corrupt its durable prefix silently.
+The CRC plus length framing lets a reader stop cleanly at a torn tail
+instead of replaying garbage: a crash may lose the unforced suffix of the
+log, never corrupt its durable prefix silently.  :func:`iter_frames` is the
+one walk of that framing: :func:`decode_stream` (restart recovery, log
+replay) decodes each body it yields, and the replication tier's
+``iter_wal_records`` (:mod:`repro.server.protocol`) reads only each body's
+LSN.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ class LogRecordType(enum.IntEnum):
 Write = Tuple[Key, Optional[bytes]]
 
 _FRAME = struct.Struct(">II")
+#: Every body starts with its u64 LSN: a shorter frame is no record.
+_LSN_SIZE = 8
 _COMMIT_HEAD = struct.Struct(">QBQQI")
 
 
@@ -205,23 +211,36 @@ def decode_body(body: bytes) -> LogRecord:
     )
 
 
-def decode_stream(data: bytes) -> Iterator[LogRecord]:
-    """Yield every intact record from ``data``, stopping at a torn tail.
+def iter_frames(data: bytes) -> Iterator[Tuple[int, bytes, int]]:
+    """Walk the record frames of ``data``: ``(start, body, end)`` of each
+    intact one, in order, as offsets into ``data``.
 
-    A record whose frame is truncated or whose CRC does not match marks the
-    end of the usable log — everything before it is trusted, everything from
-    it on is discarded.  This is exactly how restart recovery finds the end
-    of the log after a crash mid-force.
+    The walk stops at the first frame that is torn (its header or body runs
+    past the data: the final frame never fully reached the disk), too short
+    to hold an LSN, or fails its CRC (a corrupt tail record) — the end of
+    the usable log.  Everything before it is trusted, everything from it on
+    is discarded.
     """
-    reader = ByteReader(data)
-    while reader.remaining >= 8:
-        length = reader.get_u32()
-        crc = reader.get_u32()
-        if reader.remaining < length:
-            return  # torn tail: the final frame never fully reached the disk
-        body = reader.get_raw(length)
+    position, limit = 0, len(data)
+    while position + _FRAME.size <= limit:
+        length, crc = _FRAME.unpack_from(data, position)
+        start = position + _FRAME.size
+        end = start + length
+        if length < _LSN_SIZE or end > limit:
+            return
+        body = data[start:end]
         if zlib.crc32(body) != crc:
-            return  # corrupt tail record: stop replay here
+            return
+        yield position, body, end
+        position = end
+
+
+def decode_stream(data: bytes) -> Iterator[LogRecord]:
+    """Yield every intact record from ``data``, stopping at a torn tail
+    (:func:`iter_frames`) or at the first body that does not decode.  This
+    is exactly how restart recovery finds the end of the log after a crash
+    mid-force."""
+    for _, body, _ in iter_frames(data):
         try:
             yield decode_body(body)
         except (LogRecordError, SerializationError):

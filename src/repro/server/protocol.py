@@ -55,6 +55,7 @@ from typing import (
 
 from repro.api.engine import RecordView
 from repro.api.store import VersionEvent
+from repro.recovery.log_records import iter_frames
 from repro.storage.serialization import (
     ByteReader,
     ByteWriter,
@@ -738,24 +739,14 @@ STREAM_OPCODES = frozenset(
 def iter_wal_records(data: bytes, base: int = 0):
     """Walk WAL record frames in ``data``; yield ``(offset, lsn, end)``.
 
-    Offsets are absolute (``base`` + position in ``data``).  Stops cleanly
-    at a torn or corrupt tail, exactly like the recovery scan — the caller
-    decides whether a short walk is an error (wire) or normal (crash).
+    Offsets are absolute (``base`` + position in ``data``).  The walk is the
+    recovery scan's own (:func:`~repro.recovery.log_records.iter_frames`),
+    reading only each body's leading LSN, so it stops cleanly at a torn or
+    corrupt tail exactly where that scan does — the caller decides whether a
+    short walk is an error (wire) or normal (crash).
     """
-    position = 0
-    limit = len(data)
-    while position + FRAME_HEADER.size <= limit:
-        length, crc = FRAME_HEADER.unpack_from(data, position)
-        body_start = position + FRAME_HEADER.size
-        end = body_start + length
-        if length < _U64.size or end > limit:
-            return
-        body = data[body_start:end]
-        if zlib.crc32(body) != crc:
-            return
-        (lsn,) = _U64.unpack_from(body, 0)
-        yield base + position, lsn, base + end
-        position = end
+    for start, body, end in iter_frames(data):
+        yield base + start, _U64.unpack_from(body, 0)[0], base + end
 
 
 def wal_batch_end(data: bytes) -> Tuple[int, int]:

@@ -61,6 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 EDGE_REFRESH_INTERVAL = 0.05
 
 
+def _lock_order(key: Key) -> Tuple[bool, Key]:
+    """:meth:`LockManager.acquire_all`'s total order over keys: the key
+    codec's tag (an int key's is the lower), then the key."""
+    return type(key) is str, key
+
+
 class LockMode(enum.Enum):
     """Lock modes, ordered by strength."""
 
@@ -142,7 +148,11 @@ class LockManager:
     ) -> None:
         self.timeout = timeout
         self._metrics = metrics
-        self._cond = threading.Condition()
+        #: Every method holds ``_mutex`` (a plain lock: entered at C speed,
+        #: never re-entered); waits and notifies go through ``_cond``, the
+        #: condition over that same lock.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         #: key -> {txn_id: strongest mode held}
         self._holders: Dict[Key, Dict[int, LockMode]] = {}
         self._held_by_txn: Dict[int, Set[Key]] = {}
@@ -171,76 +181,122 @@ class LockManager:
         """
         if timeout is ...:
             timeout = self.timeout
+        with self._mutex:
+            self._txn_thread[txn_id] = threading.get_ident()
+            self._acquire_locked(txn_id, key, mode, timeout)
+
+    def acquire_all(
+        self, txn_id: int, keys: Sequence[Key], timeout: Optional[float] = ...  # type: ignore[assignment]
+    ) -> None:
+        """Take the exclusive lock on every one of ``keys`` for ``txn_id``, in
+        one total order: the key codec's tag (every int key before every str
+        key), then the key.  Two callers that lock overlapping key sets this
+        way can never wait for each other in a cycle.  Uncontended keys are
+        granted under one hold of the manager's mutex; a contended one waits
+        as :meth:`acquire` does (``timeout`` is per key).  On an error the
+        keys granted so far stay held: the caller releases them with
+        :meth:`release_all`.
+
+        For a caller that takes all its locks in this one call and releases
+        them before its thread does anything else (the write path): nobody
+        can ever wait for it on its own thread, so it is left out of the
+        same-thread table.
+        """
+        if timeout is ...:
+            timeout = self.timeout
+        with self._mutex:
+            if len(keys) > 1:
+                keys = sorted(set(keys), key=_lock_order)
+            holders, held = self._holders, self._held_by_txn.setdefault(txn_id, set())
+            for key in keys:
+                if key in holders:
+                    self._acquire_locked(txn_id, key, LockMode.EXCLUSIVE, timeout)
+                else:  # unheld: _grant's common case, inline
+                    holders[key] = {txn_id: LockMode.EXCLUSIVE}
+                    held.add(key)
+            if self._waits_for:
+                self._cond.notify_all()
+
+    def _acquire_locked(
+        self, txn_id: int, key: Key, mode: LockMode, timeout: Optional[float]
+    ) -> None:
+        """:meth:`acquire`'s body, with ``self._mutex`` held."""
+        blockers = self._blockers(txn_id, key, mode)
+        if blockers:
+            self._wait_out(txn_id, key, mode, timeout, blockers)
+        self._grant(txn_id, key, mode)
+
+    def _wait_out(
+        self,
+        txn_id: int,
+        key: Key,
+        mode: LockMode,
+        timeout: Optional[float],
+        blockers: List[int],
+    ) -> None:
+        """Block until ``blockers`` — and whoever holds ``key`` after them —
+        are gone, or raise: same-thread conflict, deadlock or timeout."""
         me = threading.get_ident()
         deadline = None if timeout is None else time.monotonic() + timeout
         record = self._metrics is not None and metrics_enabled()
-        waited_from: Optional[float] = None
-        with self._cond:
-            self._txn_thread[txn_id] = me
-            try:
-                while True:
-                    blockers = self._blockers(txn_id, key, mode)
-                    if not blockers:
-                        self._grant(txn_id, key, mode)
-                        if record and waited_from is not None:
-                            self._metrics.inc("lock.waits")
-                            self._metrics.observe(
-                                "lock.wait", time.perf_counter() - waited_from
-                            )
-                        return
-                    first = blockers[0]
-                    same_thread = [
-                        blocker
-                        for blocker in blockers
-                        if self._txn_thread.get(blocker) == me
-                    ]
-                    if same_thread:
+        waited_from = time.perf_counter()
+        try:
+            while blockers:
+                first = blockers[0]
+                same_thread = [
+                    blocker
+                    for blocker in blockers
+                    if self._txn_thread.get(blocker) == me
+                ]
+                if same_thread:
+                    if record:
+                        self._metrics.inc("lock.conflicts")
+                    raise LockConflictError(
+                        key=key,
+                        holder=same_thread[0],
+                        requester=txn_id,
+                        holders=blockers,
+                        reason="conflict",
+                    )
+                self._waits_for[txn_id] = set(blockers)
+                cycle = self._find_cycle(txn_id)
+                if cycle is not None:
+                    if record:
+                        self._metrics.inc("lock.deadlocks")
+                    raise LockConflictError(
+                        key=key,
+                        holder=first,
+                        requester=txn_id,
+                        holders=blockers,
+                        cycle=cycle,
+                        reason="deadlock",
+                    )
+                # Sliced waits: wake at least every EDGE_REFRESH_INTERVAL
+                # to refresh the wait-for edges against holders granted
+                # while asleep and re-run the cycle check above.  Only
+                # the caller's deadline — never a slice expiry — times
+                # the request out.
+                if deadline is None:
+                    self._cond.wait(EDGE_REFRESH_INTERVAL)
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
                         if record:
-                            self._metrics.inc("lock.conflicts")
-                        raise LockConflictError(
-                            key=key,
-                            holder=same_thread[0],
-                            requester=txn_id,
-                            holders=blockers,
-                            reason="conflict",
-                        )
-                    self._waits_for[txn_id] = set(blockers)
-                    cycle = self._find_cycle(txn_id)
-                    if cycle is not None:
-                        if record:
-                            self._metrics.inc("lock.deadlocks")
+                            self._metrics.inc("lock.timeouts")
                         raise LockConflictError(
                             key=key,
                             holder=first,
                             requester=txn_id,
                             holders=blockers,
-                            cycle=cycle,
-                            reason="deadlock",
+                            reason="timeout",
                         )
-                    # Sliced waits: wake at least every EDGE_REFRESH_INTERVAL
-                    # to refresh the wait-for edges against holders granted
-                    # while asleep and re-run the cycle check above.  Only
-                    # the caller's deadline — never a slice expiry — times
-                    # the request out.
-                    if waited_from is None:
-                        waited_from = time.perf_counter()
-                    if deadline is None:
-                        self._cond.wait(EDGE_REFRESH_INTERVAL)
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            if record:
-                                self._metrics.inc("lock.timeouts")
-                            raise LockConflictError(
-                                key=key,
-                                holder=first,
-                                requester=txn_id,
-                                holders=blockers,
-                                reason="timeout",
-                            )
-                        self._cond.wait(min(remaining, EDGE_REFRESH_INTERVAL))
-            finally:
-                self._waits_for.pop(txn_id, None)
+                    self._cond.wait(min(remaining, EDGE_REFRESH_INTERVAL))
+                blockers = self._blockers(txn_id, key, mode)
+        finally:
+            self._waits_for.pop(txn_id, None)
+        if record:
+            self._metrics.inc("lock.waits")
+            self._metrics.observe("lock.wait", time.perf_counter() - waited_from)
 
     def acquire_exclusive(
         self, txn_id: int, key: Key, timeout: Optional[float] = ...  # type: ignore[assignment]
@@ -259,22 +315,24 @@ class LockManager:
     # ------------------------------------------------------------------
     def release_all(self, txn_id: int) -> None:
         """Drop every lock held by ``txn_id`` (commit or abort)."""
-        with self._cond:
-            for key in self._held_by_txn.pop(txn_id, set()):
-                holders = self._holders.get(key)
+        with self._mutex:
+            all_holders = self._holders
+            for key in self._held_by_txn.pop(txn_id, ()):
+                holders = all_holders.get(key)
                 if holders is not None and holders.pop(txn_id, None) is not None:
                     if not holders:
-                        del self._holders[key]
+                        del all_holders[key]
             self._waits_for.pop(txn_id, None)
             self._txn_thread.pop(txn_id, None)
-            self._cond.notify_all()
+            if self._waits_for:  # only a waiter can use the news
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def holder_of(self, key: Key) -> Optional[int]:
         """The transaction holding ``key`` exclusively, if any."""
-        with self._cond:
+        with self._mutex:
             for txn_id, mode in self._holders.get(key, {}).items():
                 if mode is LockMode.EXCLUSIVE:
                     return txn_id
@@ -282,25 +340,25 @@ class LockManager:
 
     def holders_of(self, key: Key) -> Dict[int, LockMode]:
         """Every holder of ``key`` and the mode it holds."""
-        with self._cond:
+        with self._mutex:
             return dict(self._holders.get(key, {}))
 
     def mode_held(self, txn_id: int, key: Key) -> Optional[LockMode]:
-        with self._cond:
+        with self._mutex:
             return self._holders.get(key, {}).get(txn_id)
 
     def locks_held(self, txn_id: int) -> Set[Key]:
-        with self._cond:
+        with self._mutex:
             return set(self._held_by_txn.get(txn_id, set()))
 
     @property
     def locked_key_count(self) -> int:
-        with self._cond:
+        with self._mutex:
             return len(self._holders)
 
     def waiting_transactions(self) -> Dict[int, Set[int]]:
         """A snapshot of the wait-for graph (tests and diagnostics)."""
-        with self._cond:
+        with self._mutex:
             return {txn: set(edges) for txn, edges in self._waits_for.items()}
 
     def debug_state(self) -> Dict[str, object]:
@@ -313,7 +371,7 @@ class LockManager:
         values).  A consistent snapshot taken under the manager's condition;
         nothing is mutated.
         """
-        with self._cond:
+        with self._mutex:
             holders = {
                 repr(key): {txn: mode.value for txn, mode in sorted(txn_modes.items())}
                 for key, txn_modes in sorted(self._holders.items(), key=lambda kv: repr(kv[0]))
@@ -329,11 +387,13 @@ class LockManager:
             }
 
     # ------------------------------------------------------------------
-    # Internal helpers (all called with self._cond held)
+    # Internal helpers (all called with self._mutex held)
     # ------------------------------------------------------------------
     def _blockers(self, txn_id: int, key: Key, mode: LockMode) -> List[int]:
         """Holders (other than the requester) incompatible with ``mode``."""
-        holders = self._holders.get(key, {})
+        holders = self._holders.get(key)
+        if not holders:
+            return []
         if mode is LockMode.SHARED:
             return sorted(
                 other

@@ -1,7 +1,10 @@
-"""Transaction manager over a TSB-tree (paper section 4).
+"""Transaction manager over a versioned backend (paper section 4).
 
-The manager implements the versioning-based concurrency scheme the paper
-describes:
+Every store's writes commit here, whatever its engine: the manager needs of
+its backend only ``insert(key, value, timestamp)``, ``now``, and — for what
+only the TSB-tree offers — ``delete``, ``refuse_oversized`` and the
+provisional versions of interactive transactions.  It implements the
+versioning-based concurrency scheme the paper describes:
 
 * **Interactive updaters** (:meth:`TransactionManager.begin`, then
   ``write``/``delete`` and ``commit``) write *provisional* versions — no
@@ -20,11 +23,12 @@ describes:
 * **Abort** erases the provisional versions and releases the locks; nothing
   of the transaction remains in either database.
 * **A writer that knows its stamp** (:meth:`TransactionManager.
-  run_transaction`, the logged branch of the store's write path) needs none
-  of that: it draws the stamp under the same exclusive latch hold as its
-  writes, so nobody could observe a provisional state, and it writes each
-  key as a committed version at that stamp — one descent per key.  A record
-  too large for a page is refused before anything is written.
+  run_transaction`, the store's one write path, with a log or without)
+  needs none of that: one call takes its record locks in one total order,
+  draws each commit's stamp under one exclusive latch hold with its writes,
+  so nobody could observe a provisional state, and writes each key as a
+  committed version at that stamp — one descent per key.  Every check runs
+  before anything is written.
 * **Read-only transactions** need nothing from this manager but its clock:
   a reader pinned at :meth:`TimestampOracle.read_timestamp
   <repro.txn.clock.TimestampOracle.read_timestamp>` reads the tree without
@@ -32,18 +36,19 @@ describes:
   <repro.api.store.VersionStore.begin_readonly>` hands out the one handle).
 
 When a :class:`~repro.recovery.log_manager.LogManager` is attached, a
-transaction appends exactly one record: its ``COMMIT``, which carries the
+commit appends exactly one record: its ``COMMIT``, which carries the
 last word of every key it wrote.  ``begin``, ``write``, ``delete`` and
 ``abort`` log nothing (a :class:`Transaction` keeps its writes in
-``write_set`` until then).  A writer that knows its stamp appends the record
-after its tree writes and before it releases the latch; an interactive
-commit appends it *before* the versions are stamped.  A transaction is
-durably committed exactly when its record lies inside the forced log
-prefix, which is what restart recovery (:mod:`repro.recovery`)
+``write_set`` until then).  A writer that knows its stamp appends each
+commit's record after that commit's tree writes and before it releases the
+latch; an interactive commit appends it *before* the versions are stamped.
+A transaction is durably committed exactly when its record lies inside the
+forced log prefix, which is what restart recovery (:mod:`repro.recovery`)
 reconstructs after a crash.  Every logged commit, of either kind, is forced
-through its record once it has left the latch — sharing the force of any
-committer that appended beside it — before it is acknowledged, and then
-applies the log's checkpoint rule: a full checkpoint when the log holds
+through its record once it has left the latch — one force for all the
+commits of a write-path call, shared with any committer that appended
+beside it — before it is acknowledged, and then applies the log's
+checkpoint rule: a full checkpoint when the log holds
 ``CHECKPOINT_EVERY_BYTES`` past the tree's anchor, so what a restart
 replays stays bounded however long the store runs.
 
@@ -60,7 +65,9 @@ that mirror a real system's:
   shared — so read-only transactions still never wait on record locks, per
   section 4.1;
 * a small registry mutex makes transaction-id assignment and the
-  active-transaction table safe.
+  active-transaction table safe.  A write-path call is never in that table:
+  it holds no provisional version, and no checkpoint can run inside its
+  latch hold.
 """
 
 from __future__ import annotations
@@ -78,6 +85,10 @@ from repro.storage.latches import ReadWriteLatch
 from repro.storage.serialization import Key, encode_write
 from repro.txn.clock import TimestampOracle
 from repro.txn.locks import LockManager
+
+#: One commit of the write path: its writes over distinct keys (a ``None``
+#: value a tombstone) and the caller's stamp, or ``None`` for the clock's next.
+Commit = Tuple[Sequence[Tuple[Key, Optional[bytes]]], Optional[int]]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.nodes import DataNode
@@ -104,8 +115,9 @@ class Transaction:
     state: TransactionState = TransactionState.ACTIVE
     #: The keys holding this transaction's provisional versions (what a
     #: checkpoint lists as active), each with its last word encoded as the
-    #: ``COMMIT`` record carries it (``None`` without a log).  Always empty
-    #: for ``run_transaction``.
+    #: ``COMMIT`` record carries it — encoded with or without a log, so a key
+    #: the codec cannot hold is refused before the tree takes it.  The write
+    #: path (``run_transaction``) makes no Transaction.
     write_set: Dict[Key, Optional[bytes]] = field(default_factory=dict)
     #: Beside each ``write_set`` key, the leaf its provisional version landed
     #: in: where commit and abort look first.  Dropped as the transaction
@@ -194,13 +206,20 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
         """Start an updating transaction."""
+        txn = Transaction(txn_id=self._reserve(1), manager=self)
         with self._registry_lock:
-            txn = Transaction(txn_id=self._next_txn_id, manager=self)
-            self._next_txn_id += 1
             self._transactions[txn.txn_id] = txn
-        if self.metrics is not None:
-            self.metrics.inc("txn.begins")
         return txn
+
+    def _reserve(self, count: int) -> int:
+        """The first of ``count`` fresh transaction ids, each counted as a
+        begin."""
+        with self._registry_lock:
+            first = self._next_txn_id
+            self._next_txn_id += count
+        if self.metrics is not None:
+            self.metrics.inc("txn.begins", count)
+        return first
 
     def commit(self, txn_id: int) -> int:
         """Stamp the transaction's versions with a fresh commit timestamp.
@@ -215,106 +234,115 @@ class TransactionManager:
         commit_started = perf_counter()
         with self.latch.write():
             self._stamp(txn)
-        self._settle(txn, commit_started)
+        self._settle(txn_id, txn.commit_lsn, started=commit_started)
         return txn.commit_timestamp
 
     def run_transaction(
         self,
-        writes: Sequence[Tuple[Key, Optional[bytes]]],
-        commit_timestamp: Optional[int] = None,
-        admit: Optional[Callable[[], None]] = None,
-    ) -> Transaction:
-        """Apply ``writes`` (distinct keys; a ``None`` value deletes) and
-        commit, as one transaction — the logged branch of the store's write
-        path (:mod:`repro.api.store`).
+        commits: Sequence[Commit],
+        admit: Optional[Callable[[Sequence[Commit]], None]] = None,
+    ) -> List[int]:
+        """Apply and commit ``commits`` — each ``(writes, stamp)``: writes
+        over distinct keys (a ``None`` value deletes) and the caller's stamp,
+        or ``None`` for the clock's next — in one call: the store's write
+        path (:mod:`repro.api.store`).  Returns each write's stamp.
 
-        Logs what an interactive transaction with these writes logs — one
-        ``COMMIT`` record carrying them — under the same lock discipline
-        (every record lock is acquired before the latch), but everything
-        after the locks happens under a *single* exclusive latch hold:
-        ``admit`` (whatever it raises, like a version already at the stamp,
-        aborts the transaction cleanly), the stamp order check, the size of
-        every record and its log encoding, then the stamp — ``commit_timestamp`` when the
-        caller has chosen it (the clock moves up to it), else the clock's
-        next — then each write as a committed version at that stamp, then the
-        ``COMMIT`` record.  Nobody can see the tree between the first write
-        and the record, so no write needs to be provisional.  A batch refused
-        by those checks logs nothing and moves neither the clock nor the
-        tree; a tree write (or the append) that fails after a write landed
-        logs nothing and flags the manager as requiring recovery
-        (:meth:`_fail`), because the keys before it are already committed
-        versions that only a restart removes.
+        The call takes the record locks of every key it writes, in one
+        call and one total order (:meth:`LockManager.acquire_all
+        <repro.txn.locks.LockManager.acquire_all>`), then one exclusive
+        latch hold.  In it, before anything is written: ``admit`` (whatever
+        it raises, like a version already at a stamp, refuses the call), a
+        caller's stamp that precedes the clock, a key the log codec cannot
+        hold, and a record too large for a page among a commit's several
+        writes (the tree refuses a lone one before it touches a node) are
+        refused.  Then each commit in turn is written as committed versions
+        at its stamp — one descent per key: nobody can see the tree before
+        the latch is released, so no write needs to be provisional — and,
+        with a log, appends its ``COMMIT`` record.  The call settles once
+        (:meth:`_settle`).
 
-        Returns the committed transaction — ``commit_timestamp`` carries the
-        shared stamp, ``commit_lsn`` feeds durability checks.
+        A commit that fails leaves the ones before it committed, and forced
+        before the error reaches the caller.  With a log, one that failed
+        after a write of it landed (or for any reason but a record too
+        large) flags the manager as requiring recovery (:meth:`_fail`): its
+        landed keys are committed versions only a restart removes.
         """
-        txn = self.begin()
-        commit_started = perf_counter()
+        owner = self._reserve(len(commits))
+        stamps: List[int] = []
+        lsn = committed = 0
+        latch = self.latch
         try:
-            for key, _value in writes:
-                self.locks.acquire_exclusive(txn.txn_id, key)
-        except Exception:
-            self.abort(txn.txn_id)
-            raise
-        tree = self.tree
-        with self.latch.write():
+            self.locks.acquire_all(owner, [key for writes, _ in commits for key, _ in writes])
+            latch.acquire_write()
             try:
                 if admit is not None:
-                    admit()
-                if commit_timestamp is not None and commit_timestamp < tree.now:
-                    raise TimestampOrderError(
-                        f"commit timestamp {commit_timestamp} precedes the latest "
-                        f"committed timestamp {tree.now}"
-                    )
-                tree.refuse_oversized(writes)
-                encoded = (
-                    () if self.log is None else [encode_write(key, value) for key, value in writes]
-                )
-            except Exception:
-                self.abort(txn.txn_id)
-                raise
-            stamp = self._draw(commit_timestamp)
-            written = 0
-            try:
-                for key, value in writes:
-                    if value is None:
-                        tree.delete(key, stamp)
-                    else:
-                        tree.insert(key, value, stamp)
-                    written += 1
-                self._log_commit(txn, stamp, encoded)
-            except Exception as exc:
-                self._fail(txn, exc, landed=written > 0)
-                raise
-            self._finish(txn, TransactionState.COMMITTED)
-            txn.commit_timestamp = stamp
-        self._settle(txn, commit_started)
-        return txn
+                    admit(commits)
+                encoded = self._refuse(commits)
+                tree, clock = self.tree, self.clock
+                for (writes, stamp), records in zip(commits, encoded):
+                    if stamp is None:
+                        stamp = clock.latest + 1
+                    written = 0
+                    try:
+                        for key, value in writes:
+                            if value is None:
+                                tree.delete(key, stamp)
+                            else:
+                                tree.insert(key, value, stamp)
+                            written += 1
+                        lsn = self._log_commit(owner + committed, stamp, records)
+                    except Exception as exc:
+                        self._fail(exc, landed=written > 0)
+                        raise
+                    finally:
+                        if written:
+                            clock.advance_to(stamp)
+                    stamps.extend([stamp] * written)
+                    committed += 1
+            finally:
+                latch.release_write()
+        finally:
+            self._settle(owner, lsn, committed)
+            if committed < len(commits) and self.metrics is not None:
+                self.metrics.inc("txn.aborts", len(commits) - committed)
+        return stamps
 
-    def _draw(self, commit_timestamp: Optional[int]) -> int:
-        """The commit stamp, drawn inside the exclusive latch hold so that
-        stamping order equals timestamp order: a later stamp can never reach
-        the tree before an earlier one."""
-        if commit_timestamp is None:
-            return self.clock.next_commit_timestamp()
-        self.clock.advance_to(commit_timestamp)
-        return commit_timestamp
+    def _refuse(self, commits: Sequence[Commit]) -> List[List[bytes]]:
+        """The write path's checks that need the latch, for every commit
+        before any is written: a stamp before the clock (or before an earlier
+        commit's), a record too large among several writes, a key the log
+        codec cannot hold.  Returns each commit's writes encoded as its
+        ``COMMIT`` record carries them."""
+        floor = self.clock.latest
+        encoded = []
+        for writes, stamp in commits:
+            if stamp is not None:
+                if stamp < floor:
+                    raise TimestampOrderError(
+                        f"commit timestamp {stamp} precedes the latest committed "
+                        f"timestamp {floor}"
+                    )
+                floor = stamp
+            if len(writes) > 1:
+                self.tree.refuse_oversized(writes)
+            encoded.append([encode_write(key, value) for key, value in writes])
+        return encoded
 
     def _log_commit(
-        self,
-        txn: Transaction,
-        commit_timestamp: int,
-        writes: Sequence[bytes],
-    ) -> None:
-        if self.log is not None:
-            txn.commit_lsn = self.log.log_commit(txn.txn_id, commit_timestamp, writes)
+        self, txn_id: int, commit_timestamp: int, writes: Sequence[bytes]
+    ) -> Optional[int]:
+        """Append a commit's one ``COMMIT`` record; its LSN (``None``
+        without a log)."""
+        return None if self.log is None else self.log.log_commit(txn_id, commit_timestamp, writes)
 
     def _stamp(self, txn: Transaction) -> None:
         """An interactive commit under the exclusive latch: draw the stamp,
         log the commit with the transaction's writes, then stamp the
         provisional versions."""
-        commit_timestamp = self._draw(None)
-        self._log_commit(txn, commit_timestamp, tuple(txn.write_set.values()))
+        commit_timestamp = self.clock.next_commit_timestamp()
+        txn.commit_lsn = self._log_commit(
+            txn.txn_id, commit_timestamp, tuple(txn.write_set.values())
+        )
         if txn.write_set:
             try:
                 self.tree.commit_provisional(
@@ -336,20 +364,27 @@ class TransactionManager:
         self._finish(txn, TransactionState.COMMITTED)
         txn.commit_timestamp = commit_timestamp
 
-    def _settle(self, txn: Transaction, commit_started: float) -> None:
-        """The commit tail once the latch is released: drop the record locks,
-        force the log through the commit record — readers are never stalled
-        on log I/O, and a committer that appended while another forced
-        shares that force — and take the checkpoint the log's rule calls
-        for.  Every logged commit ends here, the write path's and an
-        interactive one alike."""
-        self.locks.release_all(txn.txn_id)
-        if self.log is not None:
-            self.log.force_through(txn.commit_lsn)
-        if self.metrics is not None:
-            self.metrics.inc("txn.commits")
-            self.metrics.observe("txn.commit", perf_counter() - commit_started)
-        if self.log is not None:
+    def _settle(
+        self, owner: int, lsn: int, committed: int = 1, started: Optional[float] = None
+    ) -> None:
+        """The commit tail once the latch is released: drop ``owner``'s
+        record locks, force the log through ``lsn`` — readers are never
+        stalled on log I/O, and a committer that appended while another
+        forced shares that force — count the ``committed`` commits, and take
+        the checkpoint the log's rule calls for.  Every call of the write
+        path ends here, failed or not, and so does every interactive commit,
+        which also times itself from ``started`` (a write-path call is timed
+        once, by the store's ``op.*`` timer)."""
+        self.locks.release_all(owner)
+        log = self.log
+        if log is not None:
+            log.force_through(lsn)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.inc("txn.commits", committed)
+            if started is not None:
+                metrics.observe("txn.commit", perf_counter() - started)
+        if log is not None:
             self._checkpoint_if_due()
 
     def _checkpoint_if_due(self) -> None:
@@ -371,11 +406,6 @@ class TransactionManager:
             metrics = self.metrics
             with metrics.timer("op.checkpoint") if metrics is not None else nullcontext():
                 log.checkpoint(tree, self)
-
-    def observe_commit(self, timestamp: int) -> None:
-        """The tree took a commit at ``timestamp`` without this manager (the
-        direct branch of the store's write path): the clock moves up to it."""
-        self.clock.advance_to(timestamp)
 
     def abort(self, txn_id: int) -> None:
         """Erase every provisional version the transaction wrote.  Nothing is
@@ -411,46 +441,49 @@ class TransactionManager:
         """One provisional write (``None``: a tombstone), remembered as the
         key's last word for the ``COMMIT`` record; nothing is logged.  The
         caller holds the key's record lock and the latch."""
-        encoded = None if self.log is None else encode_write(key, value)
+        encoded = encode_write(key, value)
         try:
             if value is None:
                 leaf = self.tree.delete_provisional(key, txn.txn_id)
             else:
                 leaf = self.tree.insert_provisional(key, value, txn.txn_id)
         except Exception as exc:
-            self._fail(txn, exc)
+            self._fail(exc, txn=txn)
             raise
         txn.write_set[key] = encoded
         txn.leaves[key] = leaf
 
-    def _fail(self, txn: Transaction, exc: Exception, landed: bool = False) -> None:
-        """Doom a logged transaction whose tree write blew up mid-operation.
+    def _fail(
+        self, exc: Exception, landed: bool = False, txn: Optional[Transaction] = None
+    ) -> None:
+        """Doom a logged commit whose tree write blew up mid-operation.
 
-        Nothing of it is in the log, and nothing will be: it is aborted.  A
-        clean rejection (a record too large for a page, alone or beside its
-        key's versions, is refused before the tree is touched) leaves the
-        tree intact, so the transaction's earlier provisional versions are
-        erased immediately like any abort.  Any other failure may have broken
-        the tree mid-structure-modification — erasing from it could make
-        things worse — so the versions are left for restart recovery to undo
-        and the manager is flagged as requiring recovery: full checkpoints
-        refuse until a restart rebuilds from the last good image and the
-        log, where the transaction is at most a loser a checkpoint carried.
-        A ``run_transaction`` batch fails the second way whenever its earlier
-        writes ``landed``: those keys are committed versions only that
-        restart removes.  Without a log the old contract stands: the error
-        propagates and the transaction stays active.
+        Nothing of it is in the log, and nothing will be.  A clean rejection
+        (a record too large for a page, alone or beside its key's versions,
+        is refused before the tree is touched) leaves the tree intact: an
+        interactive ``txn``'s earlier provisional versions are erased at once
+        like any abort.  Any other failure may have broken the tree
+        mid-structure-modification — erasing from it could make things
+        worse — so the manager is flagged as requiring recovery: full
+        checkpoints refuse until a restart rebuilds from the last good image
+        and the log, where the transaction is at most a loser a checkpoint
+        carried.  A write-path commit fails the second way whenever its
+        earlier writes ``landed``: those keys are committed versions only
+        that restart removes.  Without a log the old contract stands: the
+        error propagates, what landed stays, and an interactive transaction
+        stays active.
         """
         if self.log is None:
             return
-        leaves = txn.leaves
-        self._finish(txn, TransactionState.ABORTED)
-        if isinstance(exc, RecordTooLargeError) and not landed:
-            if txn.write_set:
-                self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set), leaves)
-        else:
+        clean = isinstance(exc, RecordTooLargeError) and not landed
+        if not clean:
             self.requires_recovery = True
-        self.locks.release_all(txn.txn_id)
+        if txn is not None:
+            leaves = txn.leaves
+            self._finish(txn, TransactionState.ABORTED)
+            if clean and txn.write_set:
+                self.tree.abort_provisional(txn.txn_id, sorted(txn.write_set), leaves)
+            self.locks.release_all(txn.txn_id)
 
     def read(self, txn_id: int, key: Key) -> Optional[bytes]:
         """Read inside an updating transaction (sees its own provisional writes)."""

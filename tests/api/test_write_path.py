@@ -1,11 +1,13 @@
-"""The one write path: every façade mutation is in the log and on one clock.
+"""The one write path: every façade mutation is one call of the manager.
 
-A store with a log runs every mutation — auto-stamped or stamped, a delete,
-a batch, an imported range — as one logged transaction; a store without one
-writes the engine directly and moves the same commit clock.  These tests
-hold the path to what that buys: *recovered ≡ acknowledged* after a crash
-on every way in, transactions and façade writes that share one timeline and
-one set of record locks, and ``put_many`` stamps that did not move.
+Every store runs every mutation — auto-stamped or stamped, a delete, a
+batch, an imported range — as one call of its transaction manager's
+``run_transaction``, on every engine, with a log or without; with a log each
+of the call's commits is one ``COMMIT`` record.  These tests hold the path
+to what that buys: *recovered ≡ acknowledged* after a crash on every way
+in, transactions and façade writes that share one timeline and one set of
+record locks, batches that cannot deadlock each other, and ``put_many``
+stamps that did not move.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.analysis.experiment import answers_digest
 from repro.api import ShardSpec, StoreConfig, VersionStore
-from repro.api.engine import VersionStoreError
+from repro.api.engine import Capability, CapabilityError, VersionStoreError
 from repro.core.checker import check_tree
 from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError
 from repro.recovery.log_records import LogRecordType, decode_stream
@@ -235,8 +237,9 @@ class TestOneClock:
         assert store.insert(6, b"facade-again") == 13
         assert store.begin_readonly().timestamp == 13
 
-    def test_facade_insert_waits_for_the_transaction_holding_its_key(self):
-        store = VersionStore.open(StoreConfig(engine="tsb", wal=True))
+    @pytest.mark.parametrize("wal", [False, True], ids=["logless", "wal"])
+    def test_facade_insert_waits_for_the_transaction_holding_its_key(self, wal):
+        store = VersionStore.open(StoreConfig(engine="tsb", wal=wal))
         txn = store.begin()
         txn.write(5, b"held")
         stamps = []
@@ -253,17 +256,6 @@ class TestOneClock:
         assert [(r.timestamp, r.value) for r in store.key_history(5)] == [
             (1, b"held"),
             (2, b"facade"),
-        ]
-
-    def test_logless_facade_insert_beside_an_open_transaction_keeps_both(self):
-        store = VersionStore.open(StoreConfig(engine="tsb"))
-        txn = store.begin()
-        txn.write(5, b"held")
-        assert store.insert(5, b"facade") == 1
-        assert txn.commit() == 2
-        assert [(r.timestamp, r.value) for r in store.key_history(5)] == [
-            (1, b"facade"),
-            (2, b"held"),
         ]
 
     def test_a_refused_stamped_write_leaves_no_trace_in_the_log(self):
@@ -302,9 +294,9 @@ class TestOneClock:
 
     @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "two-shard"])
     def test_a_logless_store_refuses_a_key_outside_the_codec(self, shards):
-        """Without a log, nothing encodes the key before the tree takes it:
-        the direct branch asks the codec, so a later checkpoint still writes
-        every page and the devices reopen."""
+        """Without a log, nothing logs the key, yet the write path still
+        asks the codec before the tree takes it, so a later checkpoint still
+        writes every page and the devices reopen."""
         spec = None if shards is None else ShardSpec(boundaries=(10,))
         store = VersionStore.open(StoreConfig(engine="tsb", shards=spec))
         store.insert(1, b"first")
@@ -374,3 +366,146 @@ class TestSplitLandsInTheLog:
         before = {r.key: r.value for r in store.range_search()}
         reopened = crash_and_reopen(store)
         assert {r.key: r.value for r in reopened.range_search()} == before
+
+
+#: One store per engine, and the TSB-tree with and without a log.
+EVERY_STORE = {
+    "tsb-logless": StoreConfig(engine="tsb", page_size=256),
+    "tsb-wal": StoreConfig(engine="tsb", page_size=256, wal=True),
+    "wobt": StoreConfig(engine="wobt", page_size=256),
+    "naive": StoreConfig(engine="naive", page_size=256),
+}
+
+
+@pytest.mark.parametrize("config", EVERY_STORE.values(), ids=EVERY_STORE.keys())
+class TestOneCallPerWrite:
+    def spy(self, store):
+        calls = []
+        run_transaction = store.txns.run_transaction
+
+        def counted(commits, admit=None):
+            calls.append(commits)
+            return run_transaction(commits, admit)
+
+        store.txns.run_transaction = counted
+        return calls
+
+    def test_every_facade_write_is_one_call_of_run_transaction(self, config):
+        store = VersionStore.open(config)
+        calls = self.spy(store)
+        expected = 0
+        for write in (
+            lambda: store.insert(1, b"auto"),
+            lambda: store.insert(2, b"stamped", timestamp=store.now + 3),
+            lambda: store.put_many([(3, b"c"), (4, b"d"), (3, b"again")]),
+            lambda: store.import_events(
+                [
+                    (store.now + 1, 5, False, b"e"),
+                    (store.now + 1, 6, False, b"f"),
+                    (store.now + 2, 5, False, b"g"),
+                ]
+            ),
+        ):
+            write()
+            expected += 1
+            assert len(calls) == expected
+        if store.engine.supports(Capability.DELETE):
+            store.delete(1)
+            store.delete(2, timestamp=store.now + 1)
+            assert len(calls) == expected + 2
+        else:
+            with pytest.raises(CapabilityError):
+                store.delete(1)
+            assert store.txns.locks.locked_key_count == 0
+
+    def test_a_batch_takes_the_latch_once_and_keeps_its_stamps(self, config):
+        store = VersionStore.open(config)
+        store.insert(0, b"first")
+        holds = []
+        acquire_write = store.latch.acquire_write
+
+        def counted():
+            holds.append(1)
+            acquire_write()
+
+        store.latch.acquire_write = counted
+        items = [(key % 5, b"v%d" % key) for key in range(12)]
+        stamps = store.put_many(items)
+        assert len(holds) == 1
+        if config.wal:  # a distinct-key run shares its commit's stamp
+            assert stamps == [2] * 5 + [3] * 5 + [4] * 2
+        else:
+            assert stamps == list(range(2, 14))
+        assert store.now == stamps[-1]
+
+
+class TestFailedCalls:
+    def test_a_logless_batch_keeps_the_items_before_an_oversized_one(self):
+        store = VersionStore.open(StoreConfig(engine="tsb", page_size=256))
+        with pytest.raises(RecordTooLargeError):
+            store.put_many([(1, b"a"), (2, b"b"), (3, b"x" * 1000), (4, b"d")])
+        assert [(r.key, r.timestamp) for r in store.range_search()] == [(1, 1), (2, 2)]
+        assert store.txns.locks.locked_key_count == 0
+        assert store.txns.active_transactions() == []
+        # The refused item moved neither the tree nor the clock.
+        assert store.put_many([(4, b"d")]) == [3]
+        assert check_tree(store.backend) == []
+
+    def test_a_wal_batch_forces_the_commits_before_the_one_that_failed(self):
+        """Key 1's second value opens a second commit, a lone version too
+        large for a page: the tree refuses it untouched, and the first
+        commit is durable by the time the error arrives."""
+        store = VersionStore.open(wal_config(sharded=False))
+        with pytest.raises(RecordTooLargeError):
+            store.put_many([(1, b"kept"), (2, b"kept"), (1, b"x" * 1000)])
+        assert store.log.is_durable(store.log.last_lsn)
+        assert store.txns.locks.locked_key_count == 0
+        assert not store.txns.requires_recovery
+        reopened = crash_and_reopen(store)
+        assert [(r.key, r.timestamp, r.value) for r in reopened.range_search()] == [
+            (1, 1, b"kept"),
+            (2, 1, b"kept"),
+        ]
+
+
+class TestBatchesCannotDeadlock:
+    def test_opposite_orders_over_the_same_keys_both_commit(self):
+        """Each batch pauses after its first record lock until the other has
+        taken one too (or half a second passed).  Locking in input order,
+        A would hold 1 and B 2, and one of them would die in a deadlock
+        cycle; in the one total order B waits for 1 and both commit."""
+        store = VersionStore.open(StoreConfig(engine="tsb", wal=True))
+        locks = store.txns.locks
+        grant = locks._grant
+        first_locked = set()
+
+        def pause_after_first_lock(txn_id, key, mode):
+            grant(txn_id, key, mode)
+            me = threading.get_ident()
+            if me not in first_locked:
+                first_locked.add(me)
+                locks._cond.notify_all()
+                # Waiting on the lock manager's own condition lets the other
+                # batch in to take its first lock.
+                locks._cond.wait_for(lambda: len(first_locked) == 2, timeout=0.5)
+
+        locks._grant = pause_after_first_lock
+        stamps, errors = {}, []
+
+        def batch(name, items):
+            try:
+                stamps[name] = store.put_many(items)
+            except Exception as exc:  # noqa: BLE001 - the assertion below shows it
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=batch, args=("a", [(1, b"a1"), (2, b"a2")])),
+            threading.Thread(target=batch, args=("b", [(2, b"b2"), (1, b"b1")])),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert errors == []
+        assert sorted(stamps.values()) == [[1, 1], [2, 2]]
+        assert locks.locked_key_count == 0

@@ -89,10 +89,10 @@ class TestKilledMidPutMany:
         # shard 1's transaction never starts, shard 2 is never reached.
         victim = store.shard_stores[1]
 
-        def killed():
+        def killed(*_call):
             raise RuntimeError("process killed mid-put_many")
 
-        monkeypatch.setattr(victim._txns, "begin", killed)
+        monkeypatch.setattr(victim._txns, "run_transaction", killed)
         batch = [(key, f"batch-{key}".encode()) for key in range(KEY_SPACE)]
         with pytest.raises(RuntimeError, match="mid-put_many"):
             store.put_many(batch)

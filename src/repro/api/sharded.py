@@ -559,11 +559,6 @@ class ShardedVersionStore(VersionStore):
         super().__init__(engine, config)
         engine.metrics = self.metrics  # fan-out/merge metrics land on the façade
 
-    def _manager(self) -> None:
-        """None: the façade only routes, and each shard commits through its
-        own store's manager."""
-        return None
-
     @classmethod
     def open_sharded(cls, config: StoreConfig) -> "ShardedVersionStore":
         """Open one inner store per shard range described by ``config``."""
@@ -698,7 +693,7 @@ class ShardedVersionStore(VersionStore):
         and merge times, latch contention) with every shard's registry;
         ``per_shard`` keeps each shard's own op/scatter latency percentiles
         so skew between shards stays visible; ``locks`` lists each
-        transactional shard's lock-manager state.
+        shard's lock-manager state.
         """
         with self._latch.read():
             self._ensure_open()
@@ -720,13 +715,10 @@ class ShardedVersionStore(VersionStore):
             caches = [cache for cache in (store._page_cache() for store in stores) if cache is not None]
             if caches:
                 snapshot["cache"] = CacheStats.total(cache.stats for cache in caches).as_dict()
-            locks = [
+            snapshot["locks"] = [
                 {"shard": index, **store.txns.locks.debug_state()}
                 for index, store in enumerate(stores)
-                if store.txns is not None
             ]
-            if locks:
-                snapshot["locks"] = locks
             per_shard: List[Dict[str, object]] = []
             for index, store in enumerate(stores):
                 ops: Dict[str, Dict[str, float]] = {}

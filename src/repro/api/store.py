@@ -479,13 +479,10 @@ class VersionStore:
         #: façade reads coordinate too.
         self._latch = latch or ReadWriteLatch(metrics=self.metrics)
         #: Every write of the store commits through its transaction manager
-        #: (module docstring, "The write path").
-        self._txns = txns or self._manager()
-
-    def _manager(self) -> Optional[TransactionManager]:
-        """A transaction manager over the engine's backend, on the store's
-        latch and registry: every engine's writes commit through one."""
-        return TransactionManager(self._engine.backend, latch=self._latch, metrics=self.metrics)
+        #: (module docstring, "The write path"), built with the store
+        #: (:meth:`open`, :meth:`over_tree`).  A sharded store has none: it
+        #: only routes, and each shard commits through its own.
+        self._txns = txns
 
     # ------------------------------------------------------------------
     # Construction
@@ -540,11 +537,15 @@ class VersionStore:
                 worm=WormDisk(sector_size=min(1024, config.page_size)),
                 node_sectors=config.node_sectors,
             )
-            return cls(WOBTEngine(wobt), config)
-        index = NaiveMultiversionIndex(
-            page_size=config.page_size, cache_pages=config.cache_pages
-        )
-        return cls(NaiveEngine(index), config)
+            engine: VersionedEngine = WOBTEngine(wobt)
+        else:
+            engine = NaiveEngine(
+                NaiveMultiversionIndex(page_size=config.page_size, cache_pages=config.cache_pages)
+            )
+        metrics = MetricsRegistry(name=engine.name)
+        latch = ReadWriteLatch(metrics=metrics)
+        txns = TransactionManager(engine.backend, latch=latch, metrics=metrics)
+        return cls(engine, config, txns=txns, latch=latch, metrics=metrics)
 
     @classmethod
     def _open_tsb(

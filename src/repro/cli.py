@@ -62,6 +62,7 @@ from repro.analysis.figures import run_all_figures
 from repro.analysis.report import render_comparison
 from repro.api import (
     ENGINE_NAMES,
+    Capability,
     CapabilityError,
     ShardSpec,
     ShardedVersionStore,
@@ -289,7 +290,7 @@ def _provoke_lock_conflict(store) -> None:
     provably non-zero.
     """
     target = store.shard_stores[0] if isinstance(store, ShardedVersionStore) else store
-    if target.txns is None:
+    if not target.engine.supports(Capability.TRANSACTIONS):
         return
     t1 = target.begin()
     t1.write(0, b"held")

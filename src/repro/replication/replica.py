@@ -54,7 +54,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.adapters import TSBEngine
 from repro.api.sharded import ShardedEngine, ShardedVersionStore
 from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.core.tsb_tree import TSBTree
@@ -186,10 +185,8 @@ class Replica:
     def _build_follower_store(self) -> VersionStore:
         inner_config = StoreConfig(engine="tsb", page_size=self._page_size)
         for state in self._states:
-            state.store = VersionStore(
-                TSBEngine(state.tree),
-                inner_config,
-                metrics=None if self._sharded else self.metrics,
+            state.store = VersionStore.over_tree(
+                inner_config, state.tree, metrics=None if self._sharded else self.metrics
             )
         return self._assemble([state.store for state in self._states], inner_config)
 
@@ -430,7 +427,7 @@ class Replica:
         inner_config = StoreConfig(engine="tsb", page_size=self._page_size)
         return self._assemble(
             [
-                VersionStore(TSBEngine(replay_device(state.mirror).tree), inner_config)
+                VersionStore.over_tree(inner_config, replay_device(state.mirror).tree)
                 for state in self._states
             ],
             inner_config,

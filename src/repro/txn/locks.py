@@ -61,12 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 EDGE_REFRESH_INTERVAL = 0.05
 
 
-def _lock_order(key: Key) -> Tuple[bool, Key]:
-    """:meth:`LockManager.acquire_all`'s total order over keys: the key
-    codec's tag (an int key's is the lower), then the key."""
-    return type(key) is str, key
-
-
 class LockMode(enum.Enum):
     """Lock modes, ordered by strength."""
 
@@ -185,37 +179,26 @@ class LockManager:
             self._txn_thread[txn_id] = threading.get_ident()
             self._acquire_locked(txn_id, key, mode, timeout)
 
-    def acquire_all(
-        self, txn_id: int, keys: Sequence[Key], timeout: Optional[float] = ...  # type: ignore[assignment]
-    ) -> None:
+    def acquire_all(self, txn_id: int, keys: Sequence[Key]) -> None:
         """Take the exclusive lock on every one of ``keys`` for ``txn_id``, in
         one total order: the key codec's tag (every int key before every str
         key), then the key.  Two callers that lock overlapping key sets this
-        way can never wait for each other in a cycle.  Uncontended keys are
-        granted under one hold of the manager's mutex; a contended one waits
-        as :meth:`acquire` does (``timeout`` is per key).  On an error the
-        keys granted so far stay held: the caller releases them with
-        :meth:`release_all`.
+        way can never wait for each other in a cycle.  Every key is taken
+        under one hold of the manager's mutex; a contended one waits as
+        :meth:`acquire` does, up to the manager's timeout per key.  On an
+        error the keys granted so far stay held: the caller releases them
+        with :meth:`release_all`.
 
         For a caller that takes all its locks in this one call and releases
         them before its thread does anything else (the write path): nobody
         can ever wait for it on its own thread, so it is left out of the
         same-thread table.
         """
-        if timeout is ...:
-            timeout = self.timeout
+        if len(keys) > 1:  # the codec's tag (an int key's is the lower), then the key
+            keys = sorted(set(keys), key=lambda key: (type(key) is str, key))
         with self._mutex:
-            if len(keys) > 1:
-                keys = sorted(set(keys), key=_lock_order)
-            holders, held = self._holders, self._held_by_txn.setdefault(txn_id, set())
             for key in keys:
-                if key in holders:
-                    self._acquire_locked(txn_id, key, LockMode.EXCLUSIVE, timeout)
-                else:  # unheld: _grant's common case, inline
-                    holders[key] = {txn_id: LockMode.EXCLUSIVE}
-                    held.add(key)
-            if self._waits_for:
-                self._cond.notify_all()
+                self._acquire_locked(txn_id, key, LockMode.EXCLUSIVE, self.timeout)
 
     def _acquire_locked(
         self, txn_id: int, key: Key, mode: LockMode, timeout: Optional[float]
@@ -227,12 +210,7 @@ class LockManager:
         self._grant(txn_id, key, mode)
 
     def _wait_out(
-        self,
-        txn_id: int,
-        key: Key,
-        mode: LockMode,
-        timeout: Optional[float],
-        blockers: List[int],
+        self, txn_id: int, key: Key, mode: LockMode, timeout: Optional[float], blockers: List[int]
     ) -> None:
         """Block until ``blockers`` — and whoever holds ``key`` after them —
         are gone, or raise: same-thread conflict, deadlock or timeout."""
@@ -251,26 +229,13 @@ class LockManager:
                 if same_thread:
                     if record:
                         self._metrics.inc("lock.conflicts")
-                    raise LockConflictError(
-                        key=key,
-                        holder=same_thread[0],
-                        requester=txn_id,
-                        holders=blockers,
-                        reason="conflict",
-                    )
+                    raise LockConflictError(key, same_thread[0], txn_id, blockers)
                 self._waits_for[txn_id] = set(blockers)
                 cycle = self._find_cycle(txn_id)
                 if cycle is not None:
                     if record:
                         self._metrics.inc("lock.deadlocks")
-                    raise LockConflictError(
-                        key=key,
-                        holder=first,
-                        requester=txn_id,
-                        holders=blockers,
-                        cycle=cycle,
-                        reason="deadlock",
-                    )
+                    raise LockConflictError(key, first, txn_id, blockers, cycle, "deadlock")
                 # Sliced waits: wake at least every EDGE_REFRESH_INTERVAL
                 # to refresh the wait-for edges against holders granted
                 # while asleep and re-run the cycle check above.  Only
@@ -283,13 +248,7 @@ class LockManager:
                     if remaining <= 0:
                         if record:
                             self._metrics.inc("lock.timeouts")
-                        raise LockConflictError(
-                            key=key,
-                            holder=first,
-                            requester=txn_id,
-                            holders=blockers,
-                            reason="timeout",
-                        )
+                        raise LockConflictError(key, first, txn_id, blockers, reason="timeout")
                     self._cond.wait(min(remaining, EDGE_REFRESH_INTERVAL))
                 blockers = self._blockers(txn_id, key, mode)
         finally:
@@ -316,12 +275,11 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """Drop every lock held by ``txn_id`` (commit or abort)."""
         with self._mutex:
-            all_holders = self._holders
             for key in self._held_by_txn.pop(txn_id, ()):
-                holders = all_holders.get(key)
+                holders = self._holders.get(key)
                 if holders is not None and holders.pop(txn_id, None) is not None:
                     if not holders:
-                        del all_holders[key]
+                        del self._holders[key]
             self._waits_for.pop(txn_id, None)
             self._txn_thread.pop(txn_id, None)
             if self._waits_for:  # only a waiter can use the news

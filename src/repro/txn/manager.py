@@ -82,7 +82,7 @@ from time import perf_counter
 
 from repro.core.tsb_tree import RecordTooLargeError, TimestampOrderError, TSBTree
 from repro.storage.latches import ReadWriteLatch
-from repro.storage.serialization import Key, encode_write
+from repro.storage.serialization import Key, check_key, encode_write
 from repro.txn.clock import TimestampOracle
 from repro.txn.locks import LockManager
 
@@ -270,10 +270,9 @@ class TransactionManager:
         owner = self._reserve(len(commits))
         stamps: List[int] = []
         lsn = committed = 0
-        latch = self.latch
         try:
             self.locks.acquire_all(owner, [key for writes, _ in commits for key, _ in writes])
-            latch.acquire_write()
+            self.latch.acquire_write()
             try:
                 if admit is not None:
                     admit(commits)
@@ -300,21 +299,22 @@ class TransactionManager:
                     stamps.extend([stamp] * written)
                     committed += 1
             finally:
-                latch.release_write()
+                self.latch.release_write()
         finally:
             self._settle(owner, lsn, committed)
             if committed < len(commits) and self.metrics is not None:
                 self.metrics.inc("txn.aborts", len(commits) - committed)
         return stamps
 
-    def _refuse(self, commits: Sequence[Commit]) -> List[List[bytes]]:
+    def _refuse(self, commits: Sequence[Commit]) -> List[Sequence[bytes]]:
         """The write path's checks that need the latch, for every commit
         before any is written: a stamp before the clock (or before an earlier
         commit's), a record too large among several writes, a key the log
         codec cannot hold.  Returns each commit's writes encoded as its
-        ``COMMIT`` record carries them."""
+        ``COMMIT`` record carries them; without a log, where no record is
+        appended, only the keys are checked."""
         floor = self.clock.latest
-        encoded = []
+        encoded: List[Sequence[bytes]] = []
         for writes, stamp in commits:
             if stamp is not None:
                 if stamp < floor:
@@ -325,7 +325,12 @@ class TransactionManager:
                 floor = stamp
             if len(writes) > 1:
                 self.tree.refuse_oversized(writes)
-            encoded.append([encode_write(key, value) for key, value in writes])
+            if self.log is None:
+                for key, _ in writes:
+                    check_key(key)
+                encoded.append(())
+            else:
+                encoded.append([encode_write(key, value) for key, value in writes])
         return encoded
 
     def _log_commit(

@@ -154,6 +154,16 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "commits_per_force=" in output and "group_commit_size" not in output
 
+    @pytest.mark.parametrize("engine", ["wobt", "naive"])
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_stats_runs_on_engines_without_transactions(self, capsys, engine, shards):
+        assert main(
+            ["stats", "--engine", engine, "--ops", "200", "--shards", shards, "--threads", "2"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert f"engine: {engine}" in output or f"engine: sharded-{engine}" in output
+        assert "txn.commits" in output and "lock.waits" not in output
+
     def test_stats_json_is_parseable(self, capsys):
         assert main(
             ["stats", "--ops", "300", "--shards", "1", "--threads", "2",

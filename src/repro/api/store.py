@@ -624,8 +624,8 @@ class VersionStore:
         """Wire a live TSB-tree to its WAL and transaction manager.
 
         The one composition root of the transactional stack: a freshly
-        formatted tree, one restart recovery just rebuilt, and a follower
-        tree a promoting replica has finished applying all become a store
+        formatted tree, one restart recovery just rebuilt, a follower's tree
+        and one a promoting replica has finished applying all become a store
         here.  ``replayed`` is the log replayer that brought the tree to its
         state, if one did: LSNs, commit timestamps and transaction ids then
         continue from where that log stopped.  Without one, LSNs continue

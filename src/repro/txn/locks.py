@@ -210,7 +210,12 @@ class LockManager:
         self._grant(txn_id, key, mode)
 
     def _wait_out(
-        self, txn_id: int, key: Key, mode: LockMode, timeout: Optional[float], blockers: List[int]
+        self,
+        txn_id: int,
+        key: Key,
+        mode: LockMode,
+        timeout: Optional[float],
+        blockers: List[int],
     ) -> None:
         """Block until ``blockers`` — and whoever holds ``key`` after them —
         are gone, or raise: same-thread conflict, deadlock or timeout."""
@@ -229,13 +234,26 @@ class LockManager:
                 if same_thread:
                     if record:
                         self._metrics.inc("lock.conflicts")
-                    raise LockConflictError(key, same_thread[0], txn_id, blockers)
+                    raise LockConflictError(
+                        key=key,
+                        holder=same_thread[0],
+                        requester=txn_id,
+                        holders=blockers,
+                        reason="conflict",
+                    )
                 self._waits_for[txn_id] = set(blockers)
                 cycle = self._find_cycle(txn_id)
                 if cycle is not None:
                     if record:
                         self._metrics.inc("lock.deadlocks")
-                    raise LockConflictError(key, first, txn_id, blockers, cycle, "deadlock")
+                    raise LockConflictError(
+                        key=key,
+                        holder=first,
+                        requester=txn_id,
+                        holders=blockers,
+                        cycle=cycle,
+                        reason="deadlock",
+                    )
                 # Sliced waits: wake at least every EDGE_REFRESH_INTERVAL
                 # to refresh the wait-for edges against holders granted
                 # while asleep and re-run the cycle check above.  Only
@@ -248,7 +266,13 @@ class LockManager:
                     if remaining <= 0:
                         if record:
                             self._metrics.inc("lock.timeouts")
-                        raise LockConflictError(key, first, txn_id, blockers, reason="timeout")
+                        raise LockConflictError(
+                            key=key,
+                            holder=first,
+                            requester=txn_id,
+                            holders=blockers,
+                            reason="timeout",
+                        )
                     self._cond.wait(min(remaining, EDGE_REFRESH_INTERVAL))
                 blockers = self._blockers(txn_id, key, mode)
         finally:

@@ -93,7 +93,6 @@ from repro.storage.latches import ReadWriteLatch
 from repro.txn import (
     LockConflictError,
     LockManager,
-    LockMode,
     TimestampOracle,
     Transaction,
     TransactionManager,
@@ -116,7 +115,6 @@ __all__ = [
     "ENGINE_NAMES",
     "LockConflictError",
     "LockManager",
-    "LockMode",
     "LogManager",
     "MagneticDisk",
     "OpticalLibrary",

@@ -22,7 +22,6 @@ from repro.api import (
     Capability,
     CapabilityError,
     ShardSpec,
-    ShardedVersionStore,
     StoreConfig,
     VersionStore,
 )
@@ -79,8 +78,7 @@ def build_store(
     """Open a :class:`VersionStore` the way the studies configure engines.
 
     Passing a :class:`~repro.api.ShardSpec` routes the study's workload
-    through a key-range-partitioned :class:`~repro.api.ShardedVersionStore`
-    instead of one store.
+    through a key-range-partitioned store instead of one store.
     """
     config = StoreConfig(
         engine=engine,
@@ -93,11 +91,8 @@ def build_store(
 
 
 def _store_split_counters(store: VersionStore) -> Dict[str, float]:
-    """The per-policy split counters, rolled up across shards when sharded."""
-    if isinstance(store, ShardedVersionStore):
-        counters = store.tree_counters()
-    else:
-        counters = store.backend.counters
+    """The per-policy split counters, summed over the store's shards."""
+    counters = store.tree_counters()
     return {
         "data_time_splits": counters.data_time_splits,
         "data_key_splits": counters.data_key_splits,
@@ -665,6 +660,6 @@ def run_engine_matrix(
             metrics = dict(store.space_summary())
             metrics["answers_digest"] = answers_digest(store, sample, probe_times)
             result.rows.append(
-                ExperimentRow(label=f"sharded-tsb×{store.shard_count}", metrics=metrics)
+                ExperimentRow(label=f"sharded-tsb×{len(store.shard_stores)}", metrics=metrics)
             )
     return result

@@ -42,20 +42,26 @@ every single-store engine enforces — so a workload replayed through a
 sharded store gives the same logical answers as the same workload on one
 store.
 
-Construction goes through the ordinary front door::
+Every store answers in one shard vocabulary (:mod:`repro.api.store`,
+"Shards"): a plain store is one shard — ``shard_stores == [store]``, no
+boundaries — and a sharded store overrides each word with its shards'
+answer.  Only this package builds a sharded store, in one place:
+:meth:`VersionStore.over_shards <repro.api.store.VersionStore.over_shards>`,
+over fresh shard stores, resumed ones or a follower's.  Callers go through
+the ordinary front door and never name the class::
 
     from repro import ShardSpec, StoreConfig, VersionStore
 
     spec = ShardSpec.for_int_keys(shards=4, key_space=100_000)
     config = StoreConfig(engine="tsb", shards=spec)
-    store = VersionStore.open(config)       # a ShardedVersionStore
+    store = VersionStore.open(config)       # four shards behind one façade
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -74,12 +80,11 @@ from repro.api.store import (
     distinct_key_run_end,
 )
 from repro.core.stats import merge_space_summaries
-from repro.core.tsb_tree import TSBTree, TreeCounters, merge_tree_counters
+from repro.core.tsb_tree import TSBTree
 from repro.obs import trace
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.registry import enabled as metrics_enabled
 from repro.storage.iostats import IOStats, merge_io_summaries
-from repro.storage.logdevice import LogDevice
 from repro.storage.pagecache import CacheStats
 from repro.storage.serialization import Key
 
@@ -421,14 +426,6 @@ class ShardedEngine(VersionedEngine):
         """
         return merge_io_summaries([store.io_summary() for store in self.stores])
 
-    def tree_counters(self) -> TreeCounters:
-        """Structural-event counters rolled up across TSB-tree shards."""
-        return merge_tree_counters(
-            store.backend.counters
-            for store in self.stores
-            if isinstance(store.backend, TSBTree)
-        )
-
     def drop_cache(self, capacity: Optional[int] = None) -> None:
         """Drop every shard's cache.
 
@@ -514,7 +511,7 @@ class ShardedEngine(VersionedEngine):
             return False
         left = VersionStore.open(self.inner_config)
         right = VersionStore.open(self.inner_config)
-        events = self.export_events(index)
+        events = old.engine.export_range()
         left.import_events([event for event in events if event[1] < median])
         right.import_events([event for event in events if not event[1] < median])
         if self.inner_config.wal:
@@ -525,21 +522,6 @@ class ShardedEngine(VersionedEngine):
         self.boundaries.insert(index, median)
         self.splits_performed += 1
         return True
-
-    def export_events(
-        self, index: int, low: Optional[Key] = None, high: Optional[Key] = None
-    ) -> List[VersionEvent]:
-        """Every committed version shard ``index`` holds of the keys in
-        ``[low, high)``, as time-ordered ``(timestamp, key, tombstone, value)``.
-
-        The one way a key range's history leaves a store (a shard split, an
-        online migration); :meth:`VersionStore.import_events` is the one way
-        it arrives.  One walk of the shard's structure — the engine's
-        :meth:`~repro.api.engine.VersionedEngine.export_range`: tombstones
-        are kept, provisional versions are not.  The caller holds the
-        store's latch.
-        """
-        return self.stores[index].engine.export_range(low, high)
 
 
 class ShardedVersionStore(VersionStore):
@@ -559,61 +541,6 @@ class ShardedVersionStore(VersionStore):
         super().__init__(engine, config)
         engine.metrics = self.metrics  # fan-out/merge metrics land on the façade
 
-    @classmethod
-    def open_sharded(cls, config: StoreConfig) -> "ShardedVersionStore":
-        """Open one inner store per shard range described by ``config``."""
-        spec = config.shards
-        if spec is None:
-            raise VersionStoreError("StoreConfig.shards is required for a sharded store")
-        inner_config = replace(config, shards=None)
-        boundaries = list(spec.boundaries or ())
-        stores = [VersionStore.open(inner_config) for _ in range(len(boundaries) + 1)]
-        return cls(ShardedEngine(stores, boundaries, spec, inner_config), config)
-
-    @classmethod
-    def resume_sharded(
-        cls,
-        config: StoreConfig,
-        *,
-        shard_devices: Sequence[Tuple[object, object, Optional[LogDevice]]],
-        boundaries: Sequence[Key],
-    ) -> "ShardedVersionStore":
-        """Reopen a previously closed sharded store on its own devices.
-
-        ``shard_devices`` is one ``(magnetic, historical, log device or
-        None)`` triple per shard — what a closed store's shards left behind,
-        each pair holding a checkpointed TSB-tree image (only the ``tsb``
-        inner engine persists a resumable root, so only it can be resumed)
-        and each log the WAL that shard goes on writing.  ``boundaries`` is
-        the key-range layout *at close time* (splits may have grown it past
-        the original :class:`~repro.api.store.ShardSpec`).  That is all a
-        sharded store is: a shard's keys are what its tree holds.  The
-        server's tenant registry snapshots both when it closes a tenant,
-        precisely so a reopen reuses the tenant's devices instead of
-        formatting fresh ones.
-        """
-        spec = config.shards
-        if spec is None:
-            raise VersionStoreError("StoreConfig.shards is required for a sharded store")
-        inner_config = replace(config, shards=None)
-        if inner_config.engine != "tsb":
-            raise VersionStoreError(
-                f"engine {inner_config.engine!r} cannot be resumed from devices; "
-                "only the TSB-tree persists a checkpointed root"
-            )
-        if len(shard_devices) != len(boundaries) + 1:
-            raise VersionStoreError(
-                f"{len(shard_devices)} shards' devices need exactly "
-                f"{len(shard_devices) - 1} boundaries"
-            )
-        stores = [
-            VersionStore.open(
-                inner_config, magnetic=magnetic, historical=historical, log_device=log_device
-            )
-            for magnetic, historical, log_device in shard_devices
-        ]
-        return cls(ShardedEngine(stores, list(boundaries), spec, inner_config), config)
-
     # ------------------------------------------------------------------
     # Shard introspection
     # ------------------------------------------------------------------
@@ -630,37 +557,29 @@ class ShardedVersionStore(VersionStore):
         """The inner stores, ordered by key range."""
         return list(self.sharded_engine.stores)
 
+    @property
+    def boundaries(self) -> List[Key]:
+        """The keys between the shards' ranges, as they stand now (splits
+        grow the list past the :class:`~repro.api.store.ShardSpec`'s)."""
+        return list(self.sharded_engine.boundaries)
+
+    @property
+    def metrics_registries(self) -> List[MetricsRegistry]:
+        """The façade's registry (fan-out, merge, latch) and every shard's."""
+        return [self.metrics] + [store.metrics for store in self.sharded_engine.stores]
+
     def shard_for(self, key: Key) -> int:
         return self.sharded_engine.shard_index(key)
-
-    def tree_counters(self) -> TreeCounters:
-        """Merged :class:`TreeCounters` across all TSB-tree shards."""
-        return self.sharded_engine.tree_counters()
-
-    def durable_lsns(self) -> List[int]:
-        """Per-shard durable LSNs (``0`` for shards without a WAL).
-
-        Each shard logs independently, so a replication subscriber resumes
-        per shard — ``SUBSCRIBE(shard, from_lsn=durable_lsns()[shard])``.
-        """
-        return [store.durable_lsn() for store in self.sharded_engine.stores]
 
     def durable_lsn(self) -> int:
         """The *replicated-prefix* durable LSN: the minimum across shards.
 
         Every shard has forced at least this LSN, so a subscriber set that
         has acknowledged it holds a durable prefix of every shard's log.
+        The watermark (:meth:`VersionStore.watermark`) pairs it with ``now``:
+        every commit is applied locally the instant it is stamped.
         """
-        lsns = self.durable_lsns()
-        return min(lsns) if lsns else 0
-
-    def watermark(self) -> Tuple[int, int]:
-        """``(durable_lsn, timestamp)``: the replicated-prefix LSN and the
-        store clock.  Every commit is applied locally the instant it is
-        stamped, so the primary's watermark timestamp is simply ``now`` —
-        a shard that has seen no writes imposes no bound (there is nothing
-        of it to wait for)."""
-        return self.durable_lsn(), self.now
+        return min(self.durable_lsns())
 
     def describe_shards(self) -> List[Dict[str, object]]:
         """One row per shard: key range, keys ever written (tombstoned keys
@@ -700,8 +619,7 @@ class ShardedVersionStore(VersionStore):
             engine = self.sharded_engine
             stores = engine.stores
             aggregate = MetricsRegistry.aggregate(
-                [self.metrics] + [store.metrics for store in stores],
-                name=self._engine.name,
+                self.metrics_registries, name=self._engine.name
             )
             snapshot: Dict[str, object] = {
                 "engine": self._engine.name,

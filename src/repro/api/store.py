@@ -28,6 +28,19 @@ Example::
 Swapping ``engine="tsb"`` for ``"wobt"`` or ``"naive"`` runs the same code
 against a different access method.
 
+Shards
+------
+Every store is one or more shards behind one façade, and every store
+answers in one shard vocabulary: :attr:`~VersionStore.shard_stores`,
+:attr:`~VersionStore.boundaries`, :meth:`~VersionStore.durable_lsns`,
+:meth:`~VersionStore.tree_counters` and
+:attr:`~VersionStore.metrics_registries`.  A plain store is its own one
+shard (``[self]``, no boundaries).  A :class:`StoreConfig` carrying a
+:class:`ShardSpec` opens as a sharded store (:mod:`repro.api.sharded`), and
+only this package builds one, in one place: :meth:`VersionStore.over_shards`,
+the sibling of :meth:`VersionStore.over_tree`.  Code above ``repro.api``
+never asks which kind of store it was handed.
+
 The write path
 --------------
 Every façade mutation — ``insert`` and ``delete`` (auto-stamped or at the
@@ -116,7 +129,7 @@ from repro.core.policy import (
     ThresholdPolicy,
     WOBTEmulationPolicy,
 )
-from repro.core.tsb_tree import _SUPERBLOCK_MAGIC, TSBTree
+from repro.core.tsb_tree import _SUPERBLOCK_MAGIC, TSBTree, TreeCounters, merge_tree_counters
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
 from repro.recovery.log_manager import LogManager
@@ -515,14 +528,16 @@ class VersionStore:
             config = replace(config, **overrides)
 
         if config.shards is not None:
-            from repro.api.sharded import ShardedVersionStore
-
             if magnetic is not None or historical is not None or log_device is not None:
                 raise VersionStoreError(
                     "a sharded store owns one device pair (and log) per shard "
                     "and cannot be reopened from a single one"
                 )
-            return ShardedVersionStore.open_sharded(config)
+            boundaries = list(config.shards.boundaries or ())
+            shard_config = replace(config, shards=None)
+            return cls.over_shards(
+                config, [cls.open(shard_config) for _ in range(len(boundaries) + 1)], boundaries
+            )
         if log_device is not None and not config.wal:
             raise VersionStoreError("a log device needs wal=True to be written to")
         if config.engine == "tsb":
@@ -669,6 +684,34 @@ class VersionStore:
             metrics=metrics,
         )
 
+    @classmethod
+    def over_shards(
+        cls,
+        config: StoreConfig,
+        stores: Sequence["VersionStore"],
+        boundaries: Sequence[Key] = (),
+    ) -> "VersionStore":
+        """One store over its shards, ordered by key range: the one place a
+        sharded store is built, the sibling of :meth:`over_tree`.
+
+        ``stores`` are shard stores opened with ``config`` less its
+        :class:`ShardSpec` — fresh, resumed from their devices
+        (:attr:`shard_stores`, :attr:`boundaries` and each shard's
+        :attr:`devices` and :attr:`log_device` are all a reopen needs), or
+        a follower's.  Without ``config.shards`` the one store is the store;
+        with it, ``boundaries`` (the layout the shards were written under,
+        which splits may have grown past the spec's) routes keys to them.
+        """
+        if config.shards is None:
+            (store,) = stores
+            return store
+        from repro.api.sharded import ShardedEngine, ShardedVersionStore
+
+        engine = ShardedEngine(
+            list(stores), list(boundaries), config.shards, replace(config, shards=None)
+        )
+        return ShardedVersionStore(engine, config)
+
     @staticmethod
     def _has_superblock(magnetic: MagneticDisk) -> bool:
         """Whether magnetic page 0 holds a TSB-tree superblock to resume from."""
@@ -745,6 +788,40 @@ class VersionStore:
         per-tenant high-water mark ``repro stats`` reports.
         """
         return self._log.flushed_lsn if self._log is not None else 0
+
+    # ------------------------------------------------------------------
+    # The shard vocabulary: a plain store is its own one shard
+    # ------------------------------------------------------------------
+    @property
+    def shard_stores(self) -> List["VersionStore"]:
+        """The shard stores, ordered by key range: ``[self]`` here."""
+        return [self]
+
+    @property
+    def boundaries(self) -> List[Key]:
+        """The keys between :attr:`shard_stores`' ranges: none here."""
+        return []
+
+    def durable_lsns(self) -> List[int]:
+        """Each shard's durable LSN (``0`` for one without a WAL).
+
+        Each shard logs independently, so a replication subscriber resumes
+        per shard — ``SUBSCRIBE(shard, from_lsn=durable_lsns()[shard])``.
+        """
+        return [store.durable_lsn() for store in self.shard_stores]
+
+    @property
+    def metrics_registries(self) -> List[MetricsRegistry]:
+        """Every registry a report over this store aggregates."""
+        return [self.metrics]
+
+    def tree_counters(self) -> TreeCounters:
+        """Structural-event counters summed over the TSB-tree shards."""
+        return merge_tree_counters(
+            store.backend.counters
+            for store in self.shard_stores
+            if isinstance(store.backend, TSBTree)
+        )
 
     def watermark(self) -> Tuple[int, int]:
         """``(durable_lsn, timestamp)`` — the store's replication watermark.
@@ -859,8 +936,8 @@ class VersionStore:
     def import_events(self, events: Sequence[VersionEvent]) -> int:
         """Re-insert exported versions at their original timestamps.
 
-        The receiving end of :meth:`ShardedEngine.export_events
-        <repro.api.sharded.ShardedEngine.export_events>`: a shard split fills
+        The receiving end of :meth:`VersionedEngine.export_range
+        <repro.api.engine.VersionedEngine.export_range>`: a shard split fills
         its halves and a migration target takes delivery through here.  All
         of it is one call of the write path, in which the events
         (time-ordered) that share a timestamp are one group — what was one

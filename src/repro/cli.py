@@ -65,7 +65,6 @@ from repro.api import (
     Capability,
     CapabilityError,
     ShardSpec,
-    ShardedVersionStore,
     StoreConfig,
     VersionStore,
 )
@@ -178,13 +177,9 @@ def command_demo(args: argparse.Namespace) -> int:
         shards=shards,
     )
     with VersionStore.open(config) as store:
-        if isinstance(store, ShardedVersionStore):
-            print(
-                f"engine                 : {args.engine} "
-                f"(ShardedVersionStore, {store.shard_count} shards)"
-            )
-        else:
-            print(f"engine                 : {args.engine} ({type(store.backend).__name__})")
+        layout = f"{args.shards} shards of " if shards is not None else ""
+        backend = type(store.shard_stores[0].backend).__name__
+        print(f"engine                 : {args.engine} ({layout}{backend})")
         print("insert  alice -> balance=50   @ T=1")
         store.insert("alice", b"balance=50", timestamp=1)
         print("insert  bob   -> balance=200  @ T=2")
@@ -203,7 +198,7 @@ def command_demo(args: argparse.Namespace) -> int:
             f"storage                : {space['magnetic_bytes']} B magnetic, "
             f"{space['historical_bytes']} B historical"
         )
-        if isinstance(store, ShardedVersionStore):
+        if shards is not None:
             print()
             print("shard layout (scatter-gather answers merged the rows above):")
             for row in store.describe_shards():
@@ -277,8 +272,7 @@ def _run_observed_workload(store, ops: int, threads: int) -> None:
     final = store.now
     store.range_search()
     store.snapshot(max(1, final // 2))
-    if isinstance(store, ShardedVersionStore):
-        store.time_slice(max(1, final // 2), final, 0, key_space // 2)
+    store.time_slice(max(1, final // 2), final, 0, key_space // 2)
 
 
 def _provoke_lock_conflict(store) -> None:
@@ -289,7 +283,7 @@ def _provoke_lock_conflict(store) -> None:
     snapshot's ``lock.waits`` counter and ``lock.wait`` histogram are
     provably non-zero.
     """
-    target = store.shard_stores[0] if isinstance(store, ShardedVersionStore) else store
+    target = store.shard_stores[0]
     if not target.engine.supports(Capability.TRANSACTIONS):
         return
     t1 = target.begin()
@@ -391,13 +385,7 @@ def _print_stats_table(snapshot: Dict[str, object]) -> None:
 
 def _render_stats(store, fmt: str) -> None:
     if fmt == "prometheus":
-        if isinstance(store, ShardedVersionStore):
-            registry = MetricsRegistry.aggregate(
-                [store.metrics] + [inner.metrics for inner in store.shard_stores],
-                name=store.engine.name,
-            )
-        else:
-            registry = store.metrics
+        registry = MetricsRegistry.aggregate(store.metrics_registries, name=store.engine.name)
         print(render_prometheus(registry), end="")
     elif fmt == "json":
         print(json.dumps(store.metrics_snapshot(), indent=2, sort_keys=True, default=str))

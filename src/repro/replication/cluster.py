@@ -1,9 +1,9 @@
 """Multi-node routing and online shard migration.
 
 A *cluster* here is a set of :class:`ClusterNode`\\ s — each an ordinary
-:class:`~repro.server.service.ReproServer` over a WAL-enabled sharded
-store, plus a :class:`NodeRole` that knows which key ranges this node
-owns.  Ownership lives in a :class:`RoutingTable` of
+:class:`~repro.server.service.ReproServer` over a WAL-enabled store (one
+shard or several), plus a :class:`NodeRole` that knows which key ranges
+this node owns.  Ownership lives in a :class:`RoutingTable` of
 ``(low, high, owner, epoch)`` entries; every node holds its own copy, and
 a request for a key the node does not own answers ``WRONG_SHARD`` with
 the node's current table, so stale clients self-correct without any
@@ -49,7 +49,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.sharded import ShardedVersionStore
 from repro.api.store import StoreConfig, VersionStore
 from repro.client import (
     ReproClient,
@@ -173,28 +172,24 @@ class NodeRole:
         atomic cut: every committed transaction is either in the events or
         past the returned positions, never both, never neither.
         """
-        if not isinstance(store, ShardedVersionStore):
-            raise protocol.ProtocolError(
-                "online migration requires a sharded WAL store"
-            )
-        engine = store.sharded_engine
         events: List[Event] = []
         new_offsets: Offsets = []
         copying = not offsets
-        if copying:
-            offsets = [(shard, 0) for shard in range(len(engine.stores))]
         # Exclusive hold: it pins every shard's WAL position to the same
         # instant as the events read beside it.
         with store.write_latched():
+            shards = store.shard_stores
+            if copying:
+                offsets = [(shard, 0) for shard in range(len(shards))]
             for shard, offset in offsets:
-                device = engine.stores[shard].log_device
+                device = shards[shard].log_device
                 if device is None:
                     raise protocol.ProtocolError(
                         f"shard {shard} has no WAL; migration needs wal=True"
                     )
                 if copying:  # every version the shard holds, as of right now
                     new_offsets.append((shard, device.appended_bytes))
-                    events.extend(engine.export_events(shard, low, high))
+                    events.extend(shards[shard].engine.export_range(low, high))
                     continue
                 # A delta: a commit can be appended and applied while its
                 # committer has not reached its force yet; force it here so
@@ -259,7 +254,7 @@ def _committed_events(
 
 
 class ClusterNode:
-    """One live node: a served sharded WAL store plus its cluster role."""
+    """One live node: a served WAL store plus its cluster role."""
 
     def __init__(
         self,

@@ -43,7 +43,6 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.api.sharded import ShardedVersionStore
 from repro.api.store import VersionStore
 from repro.server.protocol import (
     Opcode,
@@ -95,10 +94,7 @@ class ReplicationPrimary:
     ) -> None:
         self.store = store
         self.batch_bytes = batch_bytes
-        if isinstance(store, ShardedVersionStore):
-            self._shards = list(store.shard_stores)
-        else:
-            self._shards = [store]
+        self._shards = store.shard_stores
         for index, shard_store in enumerate(self._shards):
             if shard_store.log is None or shard_store.log_device is None:
                 raise ReplicationError(
@@ -219,12 +215,11 @@ class ReplicationPrimary:
             )
 
     def _topology_payload(self) -> bytes:
-        sharded = isinstance(self.store, ShardedVersionStore)
-        boundaries = (
-            list(self.store.sharded_engine.boundaries) if sharded else []
-        )
+        sharded = self.store.config.shards is not None
         # The last field keeps its wire place: every commit is forced.
-        return pack_topology(sharded, boundaries, self._shards[0].config.page_size, 1)
+        return pack_topology(
+            sharded, self.store.boundaries, self._shards[0].config.page_size, 1
+        )
 
     # ------------------------------------------------------------------
     # Streaming

@@ -18,12 +18,13 @@ lockstep:
 * an **ACK cursor**: after a batch is durable on the mirror *and* applied,
   ``ACK(shard, lsn)`` flows back on the same connection.
 
-The assembled follower store (a plain :class:`~repro.api.VersionStore`, or
-a :class:`~repro.api.sharded.ShardedVersionStore` mirroring the primary's
-boundaries) serves the whole read surface; :meth:`serve` exposes it through
-an ordinary :class:`~repro.server.service.ReproServer` with the tenant
-installed read-only, so ``ReproClient(read_preference="follower")`` reads
-it over the same wire protocol as the primary.
+The assembled follower store (its shards behind
+:meth:`VersionStore.over_shards <repro.api.store.VersionStore.over_shards>`,
+laid out on the primary's boundaries) serves the whole read surface;
+:meth:`serve` exposes it through an ordinary
+:class:`~repro.server.service.ReproServer` with the tenant installed
+read-only, so ``ReproClient(read_preference="follower")`` reads it over the
+same wire protocol as the primary.
 
 Staleness contract: a follower read is a *consistent prefix* — exactly the
 transactions whose commits the replica has applied, in the primary's
@@ -54,7 +55,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.sharded import ShardedEngine, ShardedVersionStore
 from repro.api.store import ShardSpec, StoreConfig, VersionStore
 from repro.core.tsb_tree import TSBTree
 from repro.obs.registry import MetricsRegistry
@@ -194,11 +194,10 @@ class Replica:
         self, inner: List[VersionStore], inner_config: StoreConfig
     ) -> VersionStore:
         """One store over the per-shard stores, laid out like the primary's."""
-        if not self._sharded:
-            return inner[0]
-        spec = ShardSpec(boundaries=tuple(self._boundaries))
-        engine = ShardedEngine(inner, list(self._boundaries), spec, inner_config)
-        return ShardedVersionStore(engine, replace(inner_config, shards=spec))
+        spec = ShardSpec(boundaries=tuple(self._boundaries)) if self._sharded else None
+        return VersionStore.over_shards(
+            replace(inner_config, shards=spec), inner, self._boundaries
+        )
 
     @property
     def store(self) -> VersionStore:
@@ -322,6 +321,9 @@ class Replica:
         started = time.perf_counter()
         with store.write_latched():
             applied = state.replayer.replay(records)
+            # The shard store's one clock moves with what it applied, so a
+            # read-only transaction on the follower pins its newest commit.
+            state.store.txns.clock.advance_to(state.replayer.watermark)
         with self._applied:
             self._applied.notify_all()
         self.metrics.observe("repl.apply_batch_records", applied)

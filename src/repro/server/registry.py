@@ -27,11 +27,10 @@ only open/close/resume transitions are serialized here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import VersionStoreError
-from repro.api.sharded import ShardedVersionStore
 from repro.api.store import StoreConfig, VersionStore
 from repro.storage.serialization import Key
 
@@ -159,25 +158,20 @@ class StoreRegistry:
         no WAL is attached.  This is the resume vector a replication
         subscriber presents as ``SUBSCRIBE(shard, from_lsn)``.
         """
-        store = self.get(tenant)
-        if isinstance(store, ShardedVersionStore):
-            return store.durable_lsns()
-        return [store.durable_lsn()]
+        return self.get(tenant).durable_lsns()
 
     @staticmethod
     def _open(config: StoreConfig, resume: Optional[_ResumeState]) -> VersionStore:
         if resume is None:
             return VersionStore.open(config)
-        if config.shards is not None:
-            return ShardedVersionStore.resume_sharded(
-                config,
-                shard_devices=resume.shard_devices,
-                boundaries=resume.boundaries,
+        shard_config = replace(config, shards=None)
+        shards = [
+            VersionStore.open(
+                shard_config, magnetic=magnetic, historical=historical, log_device=log_device
             )
-        magnetic, historical, log_device = resume.shard_devices[0]
-        return VersionStore.open(
-            config, magnetic=magnetic, historical=historical, log_device=log_device
-        )
+            for magnetic, historical, log_device in resume.shard_devices
+        ]
+        return VersionStore.over_shards(config, shards, resume.boundaries)
 
     def close_tenant(self, tenant: str) -> None:
         """Close one tenant's store, retaining its devices for a resume.
@@ -212,17 +206,13 @@ class StoreRegistry:
         on its engine, and capturing it afterwards would race a concurrent
         split.
         """
-        sharded = isinstance(store, ShardedVersionStore)
         triples: List[Tuple[object, object, Optional[object]]] = []
-        for inner in store.sharded_engine.stores if sharded else [store]:
+        for inner in store.shard_stores:
             devices = inner.devices
             if devices is None:
                 return None
             triples.append((*devices, inner.log_device))
-        return _ResumeState(
-            shard_devices=triples,
-            boundaries=list(store.sharded_engine.boundaries) if sharded else [],
-        )
+        return _ResumeState(shard_devices=triples, boundaries=store.boundaries)
 
     def close_all(self) -> None:
         """Close every open store (clean shutdown), retaining resume state

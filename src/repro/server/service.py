@@ -73,7 +73,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.engine import VersionStoreError
-from repro.api.sharded import ShardedVersionStore
 from repro.api.store import StoreConfig
 from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
@@ -454,10 +453,7 @@ class ReproServer:
     def _tenant_registries(self) -> List[MetricsRegistry]:
         registries: List[MetricsRegistry] = []
         for tenant in self.registry.open_tenants():
-            store = self.registry.get(tenant)
-            registries.append(store.metrics)
-            if isinstance(store, ShardedVersionStore):
-                registries.extend(inner.metrics for inner in store.shard_stores)
+            registries.extend(self.registry.get(tenant).metrics_registries)
         return registries
 
     def _render_stats(self, fmt: str) -> bytes:

@@ -1,7 +1,7 @@
 """Transaction-processing support for the TSB-tree (paper section 4)."""
 
 from repro.txn.clock import TimestampOracle
-from repro.txn.locks import LockConflictError, LockManager, LockMode
+from repro.txn.locks import LockConflictError, LockManager
 from repro.txn.manager import (
     Transaction,
     TransactionError,
@@ -12,7 +12,6 @@ from repro.txn.manager import (
 __all__ = [
     "LockConflictError",
     "LockManager",
-    "LockMode",
     "TimestampOracle",
     "Transaction",
     "TransactionError",

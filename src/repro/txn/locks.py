@@ -5,23 +5,20 @@ transactions run entirely without them (section 4.1).  This module provides
 the record-lock manager the transaction manager needs, grown from the
 original fail-fast stub into a real concurrent lock manager:
 
-* **Modes.**  :attr:`LockMode.SHARED` is compatible with other shared
-  holders; :attr:`LockMode.EXCLUSIVE` is compatible with nothing.  The
-  transaction manager takes exclusive locks on every key an updater writes
-  and holds them until commit or abort (strict two-phase locking on write
-  sets); shared locks are available for updaters that want repeatable reads
-  of keys they do not write.  An exclusive holder may re-request either
-  mode for free, and a transaction that is the *sole* shared holder may
-  upgrade to exclusive.
+* **One mode.**  Every record lock is exclusive: a key has at most one
+  holder.  The transaction manager locks every key an updater writes and
+  holds it until commit or abort (strict two-phase locking on write sets);
+  nothing else takes a record lock, because a reader in the past conflicts
+  with nothing (section 4.1).  The holder may re-request its lock for free.
 
 * **Blocking with timeout.**  A conflicting request blocks until the
-  holders release, the per-call (or manager-default) timeout expires, or a
+  holder releases, the per-call (or manager-default) timeout expires, or a
   deadlock is detected.  Timeouts raise :class:`LockConflictError` with
   ``reason="timeout"``.
 
-* **Deadlock detection.**  While blocked, a transaction registers
-  wait-for edges to the current incompatible holders.  Each new waiter runs
-  a depth-first search over the wait-for graph; if the search returns to
+* **Deadlock detection.**  While blocked, a transaction registers a
+  wait-for edge to the current holder.  Each new waiter runs a
+  depth-first search over the wait-for graph; if the search returns to
   the requester, the requester is the victim and its
   :class:`LockConflictError` carries the cycle (``reason="deadlock"``,
   ``cycle=(requester, ..., last)``).  Sleeping waiters refresh their edges
@@ -44,7 +41,6 @@ original fail-fast stub into a real concurrent lock manager:
 
 from __future__ import annotations
 
-import enum
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -59,17 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 #: wait-for edges and re-running its cycle check.  Grants notify sleepers
 #: immediately; the slice is the backstop for notify/schedule races.
 EDGE_REFRESH_INTERVAL = 0.05
-
-
-class LockMode(enum.Enum):
-    """Lock modes, ordered by strength."""
-
-    SHARED = "shared"
-    EXCLUSIVE = "exclusive"
-
-    def covers(self, other: "LockMode") -> bool:
-        """Whether holding this mode already satisfies a request for ``other``."""
-        return self is LockMode.EXCLUSIVE or other is LockMode.SHARED
 
 
 class LockConflictError(Exception):
@@ -118,13 +103,13 @@ class LockConflictError(Exception):
 
 
 class LockManager:
-    """Shared/exclusive per-key locks with blocking, timeout and deadlock
+    """Exclusive per-key locks with blocking, timeout and deadlock
     detection.
 
     Parameters
     ----------
     timeout:
-        Default seconds a conflicting :meth:`acquire` waits before raising
+        Default seconds a conflicting request waits before raising
         :class:`LockConflictError` (``reason="timeout"``).  Per-call
         ``timeout=`` overrides it; ``None`` means wait forever (deadlock
         detection still applies).
@@ -147,8 +132,8 @@ class LockManager:
         #: condition over that same lock.
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
-        #: key -> {txn_id: strongest mode held}
-        self._holders: Dict[Key, Dict[int, LockMode]] = {}
+        #: key -> the transaction holding it
+        self._holders: Dict[Key, int] = {}
         self._held_by_txn: Dict[int, Set[Key]] = {}
         #: txn_id -> txns it is currently blocked on (wait-for graph edges)
         self._waits_for: Dict[int, Set[int]] = {}
@@ -158,26 +143,22 @@ class LockManager:
     # ------------------------------------------------------------------
     # Acquisition
     # ------------------------------------------------------------------
-    def acquire(
-        self,
-        txn_id: int,
-        key: Key,
-        mode: LockMode = LockMode.EXCLUSIVE,
-        timeout: Optional[float] = ...,  # type: ignore[assignment]
+    def acquire_exclusive(
+        self, txn_id: int, key: Key, timeout: Optional[float] = ...  # type: ignore[assignment]
     ) -> None:
-        """Take (or strengthen) the lock on ``key`` for ``txn_id``.
+        """Take (or re-take) the lock on ``key`` for ``txn_id``.
 
-        Blocks while incompatible holders exist; raises
+        Blocks while another transaction holds it; raises
         :class:`LockConflictError` on timeout, on a wait-for-graph cycle
         (the requester is the victim and the error carries the cycle), or
-        immediately when a blocking holder was acquired by this very
-        thread, which could therefore never be released.
+        immediately when the holder was acquired by this very thread, which
+        could therefore never release it.
         """
         if timeout is ...:
             timeout = self.timeout
         with self._mutex:
             self._txn_thread[txn_id] = threading.get_ident()
-            self._acquire_locked(txn_id, key, mode, timeout)
+            self._acquire_locked(txn_id, key, timeout)
 
     def acquire_all(self, txn_id: int, keys: Sequence[Key]) -> None:
         """Take the exclusive lock on every one of ``keys`` for ``txn_id``, in
@@ -185,9 +166,9 @@ class LockManager:
         key), then the key.  Two callers that lock overlapping key sets this
         way can never wait for each other in a cycle.  Every key is taken
         under one hold of the manager's mutex; a contended one waits as
-        :meth:`acquire` does, up to the manager's timeout per key.  On an
-        error the keys granted so far stay held: the caller releases them
-        with :meth:`release_all`.
+        :meth:`acquire_exclusive` does, up to the manager's timeout per
+        key.  On an error the keys granted so far stay held: the caller
+        releases them with :meth:`release_all`.
 
         For a caller that takes all its locks in this one call and releases
         them before its thread does anything else (the write path): nobody
@@ -198,24 +179,17 @@ class LockManager:
             keys = sorted(set(keys), key=lambda key: (type(key) is str, key))
         with self._mutex:
             for key in keys:
-                self._acquire_locked(txn_id, key, LockMode.EXCLUSIVE, self.timeout)
+                self._acquire_locked(txn_id, key, self.timeout)
 
-    def _acquire_locked(
-        self, txn_id: int, key: Key, mode: LockMode, timeout: Optional[float]
-    ) -> None:
-        """:meth:`acquire`'s body, with ``self._mutex`` held."""
-        blockers = self._blockers(txn_id, key, mode)
+    def _acquire_locked(self, txn_id: int, key: Key, timeout: Optional[float]) -> None:
+        """:meth:`acquire_exclusive`'s body, with ``self._mutex`` held."""
+        blockers = self._blockers(txn_id, key)
         if blockers:
-            self._wait_out(txn_id, key, mode, timeout, blockers)
-        self._grant(txn_id, key, mode)
+            self._wait_out(txn_id, key, timeout, blockers)
+        self._grant(txn_id, key)
 
     def _wait_out(
-        self,
-        txn_id: int,
-        key: Key,
-        mode: LockMode,
-        timeout: Optional[float],
-        blockers: List[int],
+        self, txn_id: int, key: Key, timeout: Optional[float], blockers: List[int]
     ) -> None:
         """Block until ``blockers`` — and whoever holds ``key`` after them —
         are gone, or raise: same-thread conflict, deadlock or timeout."""
@@ -274,24 +248,12 @@ class LockManager:
                             reason="timeout",
                         )
                     self._cond.wait(min(remaining, EDGE_REFRESH_INTERVAL))
-                blockers = self._blockers(txn_id, key, mode)
+                blockers = self._blockers(txn_id, key)
         finally:
             self._waits_for.pop(txn_id, None)
         if record:
             self._metrics.inc("lock.waits")
             self._metrics.observe("lock.wait", time.perf_counter() - waited_from)
-
-    def acquire_exclusive(
-        self, txn_id: int, key: Key, timeout: Optional[float] = ...  # type: ignore[assignment]
-    ) -> None:
-        """Take (or re-take) the exclusive lock on ``key`` for ``txn_id``."""
-        self.acquire(txn_id, key, LockMode.EXCLUSIVE, timeout=timeout)
-
-    def acquire_shared(
-        self, txn_id: int, key: Key, timeout: Optional[float] = ...  # type: ignore[assignment]
-    ) -> None:
-        """Take a shared lock on ``key`` for ``txn_id``."""
-        self.acquire(txn_id, key, LockMode.SHARED, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Release
@@ -300,10 +262,7 @@ class LockManager:
         """Drop every lock held by ``txn_id`` (commit or abort)."""
         with self._mutex:
             for key in self._held_by_txn.pop(txn_id, ()):
-                holders = self._holders.get(key)
-                if holders is not None and holders.pop(txn_id, None) is not None:
-                    if not holders:
-                        del self._holders[key]
+                del self._holders[key]
             self._waits_for.pop(txn_id, None)
             self._txn_thread.pop(txn_id, None)
             if self._waits_for:  # only a waiter can use the news
@@ -313,21 +272,9 @@ class LockManager:
     # Introspection
     # ------------------------------------------------------------------
     def holder_of(self, key: Key) -> Optional[int]:
-        """The transaction holding ``key`` exclusively, if any."""
+        """The transaction holding ``key``, if any."""
         with self._mutex:
-            for txn_id, mode in self._holders.get(key, {}).items():
-                if mode is LockMode.EXCLUSIVE:
-                    return txn_id
-            return None
-
-    def holders_of(self, key: Key) -> Dict[int, LockMode]:
-        """Every holder of ``key`` and the mode it holds."""
-        with self._mutex:
-            return dict(self._holders.get(key, {}))
-
-    def mode_held(self, txn_id: int, key: Key) -> Optional[LockMode]:
-        with self._mutex:
-            return self._holders.get(key, {}).get(txn_id)
+            return self._holders.get(key)
 
     def locks_held(self, txn_id: int) -> Set[Key]:
         with self._mutex:
@@ -349,14 +296,14 @@ class LockManager:
         Until now a deadlock's ``.cycle`` was the only visibility into who
         blocks whom; this exposes the same structures on demand — for
         ``metrics_snapshot()`` and the ``repro stats`` CLI — as plain
-        JSON-serialisable data (keys are ``repr``-ed, modes are their string
-        values).  A consistent snapshot taken under the manager's condition;
+        JSON-serialisable data (keys are ``repr``-ed, each mapped to its
+        holder).  A consistent snapshot taken under the manager's condition;
         nothing is mutated.
         """
         with self._mutex:
             holders = {
-                repr(key): {txn: mode.value for txn, mode in sorted(txn_modes.items())}
-                for key, txn_modes in sorted(self._holders.items(), key=lambda kv: repr(kv[0]))
+                repr(key): holder
+                for key, holder in sorted(self._holders.items(), key=lambda kv: repr(kv[0]))
             }
             waits_for = {
                 txn: sorted(edges) for txn, edges in sorted(self._waits_for.items())
@@ -371,24 +318,13 @@ class LockManager:
     # ------------------------------------------------------------------
     # Internal helpers (all called with self._mutex held)
     # ------------------------------------------------------------------
-    def _blockers(self, txn_id: int, key: Key, mode: LockMode) -> List[int]:
-        """Holders (other than the requester) incompatible with ``mode``."""
-        holders = self._holders.get(key)
-        if not holders:
-            return []
-        if mode is LockMode.SHARED:
-            return sorted(
-                other
-                for other, held in holders.items()
-                if other != txn_id and held is LockMode.EXCLUSIVE
-            )
-        return sorted(other for other in holders if other != txn_id)
+    def _blockers(self, txn_id: int, key: Key) -> List[int]:
+        """The holder of ``key``, unless it is the requester."""
+        holder = self._holders.get(key)
+        return [] if holder is None or holder == txn_id else [holder]
 
-    def _grant(self, txn_id: int, key: Key, mode: LockMode) -> None:
-        holders = self._holders.setdefault(key, {})
-        current = holders.get(txn_id)
-        if current is None or not current.covers(mode):
-            holders[txn_id] = mode
+    def _grant(self, txn_id: int, key: Key) -> None:
+        self._holders[key] = txn_id
         self._held_by_txn.setdefault(txn_id, set()).add(key)
         if self._waits_for:
             # Wake sleeping waiters so they refresh their wait-for edges:

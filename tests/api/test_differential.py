@@ -46,7 +46,7 @@ from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
+from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.core import check_tree
 from repro.core.tsb_tree import RecordTooLargeError
 from repro.recovery import log_manager
@@ -525,7 +525,7 @@ class WalDifferential(DeleteDifferential):
         for name, store in self.fleet.items():
             with pytest.raises(RecordTooLargeError):
                 store.put_many(pairs)
-            for inner in store.shard_stores if isinstance(store, ShardedVersionStore) else [store]:
+            for inner in store.shard_stores:
                 assert not inner.txns.requires_recovery, name
 
     @rule()
@@ -536,7 +536,7 @@ class WalDifferential(DeleteDifferential):
         self.open_txn = None  # dies with the crash: a loser the restart erases
         self.fleet = {name: crash_and_reopen(store) for name, store in self.fleet.items()}
         for name, store in self.fleet.items():
-            for inner in store.shard_stores if isinstance(store, ShardedVersionStore) else [store]:
+            for inner in store.shard_stores:
                 tree = inner.backend
                 assert not [
                     v for node in tree.data_nodes() for v in node.versions if v.timestamp is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -484,6 +485,46 @@ class TestAccountingAndLifecycle:
         assert rows[0]["range"].startswith("[-inf")
         assert rows[-1]["range"].endswith("+inf)")
         assert sum(row["keys_written"] for row in rows) == 90
+
+
+class TestShardVocabulary:
+    """Every store answers as its shards: a plain store is its own one shard
+    and reads exactly as a one-shard sharded store fed the same writes."""
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["logless", "wal"])
+    def test_a_plain_store_reads_as_one_shard(self, wal):
+        config = StoreConfig(engine="tsb", page_size=512, wal=wal)
+        plain = VersionStore.open(config)
+        one_shard = VersionStore.open(replace(config, shards=ShardSpec()))
+        for store in (plain, one_shard):
+            for index in range(60):
+                store.insert(index % 23, b"v%d" % index)
+        assert plain.shard_stores == [plain]
+        assert len(one_shard.shard_stores) == 1
+        assert plain.boundaries == one_shard.boundaries == []
+        assert plain.durable_lsns() == one_shard.durable_lsns() == [plain.durable_lsn()]
+        assert plain.tree_counters() == one_shard.tree_counters() == plain.backend.counters
+        assert plain.metrics_registries == [plain.metrics]
+        assert one_shard.metrics_registries == [
+            one_shard.metrics,
+            one_shard.shard_stores[0].metrics,
+        ]
+
+    def test_boundaries_are_the_live_layout_by_copy(self):
+        store = open_sharded(shards=4, key_space=100)
+        boundaries = store.boundaries
+        assert boundaries == [25, 50, 75]
+        boundaries.append(99)
+        assert store.boundaries == [25, 50, 75]
+        assert store.durable_lsns() == [0, 0, 0, 0]
+
+    def test_over_shards_is_the_one_store_without_a_spec(self):
+        config = StoreConfig(engine="tsb", page_size=512)
+        inner = VersionStore.open(config)
+        assert VersionStore.over_shards(config, [inner]) is inner
+        spec = ShardSpec(boundaries=(10,))
+        with pytest.raises(VersionStoreError, match="boundaries"):
+            VersionStore.over_shards(replace(config, shards=spec), [inner], [10])
 
 
 class TestConcurrentClientsScenario:

@@ -479,8 +479,8 @@ class TestBatchesCannotDeadlock:
         grant = locks._grant
         first_locked = set()
 
-        def pause_after_first_lock(txn_id, key, mode):
-            grant(txn_id, key, mode)
+        def pause_after_first_lock(txn_id, key):
+            grant(txn_id, key)
             me = threading.get_ident()
             if me not in first_locked:
                 first_locked.add(me)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.api import ShardedVersionStore, StoreConfig, VersionStore
+from repro.api import StoreConfig, VersionStore
 from repro.core.policy import SplitPolicy
 from repro.recovery import RecoveryReport
 from repro.recovery.replay import replay_device
@@ -35,9 +35,7 @@ from repro.txn.manager import Transaction, TransactionState
 
 
 def _logs(store: VersionStore):
-    if isinstance(store, ShardedVersionStore):
-        return [inner.log for inner in store.shard_stores]
-    return [store.log]
+    return [inner.log for inner in store.shard_stores]
 
 
 @contextmanager
@@ -57,21 +55,19 @@ def forces_held(store: VersionStore) -> Iterator[None]:
 def crash_and_reopen(store: VersionStore) -> VersionStore:
     """Crash a WAL store honestly — the unforced log tail and everything in
     memory are gone — and reopen it from its devices alone."""
-    if isinstance(store, ShardedVersionStore):
-        triples = []
-        for inner in store.shard_stores:
-            inner.log_device.lose_volatile_tail()
-            triples.append((*inner.devices, inner.log_device))
-        return ShardedVersionStore.resume_sharded(
-            store.config,
-            shard_devices=triples,
-            boundaries=store.sharded_engine.boundaries,
+    for inner in store.shard_stores:
+        inner.log_device.lose_volatile_tail()
+    shard_config = replace(store.config, shards=None)
+    shards = [
+        VersionStore.open(
+            shard_config,
+            magnetic=inner.devices[0],
+            historical=inner.devices[1],
+            log_device=inner.log_device,
         )
-    store.log_device.lose_volatile_tail()
-    magnetic, historical = store.devices
-    return VersionStore.open(
-        store.config, magnetic=magnetic, historical=historical, log_device=store.log_device
-    )
+        for inner in store.shard_stores
+    ]
+    return VersionStore.over_shards(store.config, shards, store.boundaries)
 
 
 class RecoverableSystem:

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.api import ShardedVersionStore, ShardSpec, StoreConfig, VersionStore
+from repro.api import ShardSpec, StoreConfig, VersionStore
 from repro.recovery import log_manager
 from repro.replication import Replica, ReplicationPrimary
 from tests.crash_harness import crash_and_reopen
@@ -43,10 +43,6 @@ def open_store(shards: int) -> VersionStore:
     )
 
 
-def shard_stores(store: VersionStore) -> List[VersionStore]:
-    return store.shard_stores if isinstance(store, ShardedVersionStore) else [store]
-
-
 def write_round(store, shards: int, first_key: int, number: int, acked: Dict[int, bytes]) -> None:
     """One transaction on every shard, keys ``first_key .. first_key + 3`` of
     its span, every value the same size."""
@@ -70,7 +66,7 @@ def state_of(store) -> Dict[int, bytes]:
 def write_past(store, shards: int, number: int, acked: Dict[int, bytes]) -> int:
     """Write rounds from round ``number`` on until every shard's log has
     grown by 2N and taken an automatic checkpoint; the next round's number."""
-    inner = shard_stores(store)
+    inner = store.shard_stores
     anchors = [shard.backend.log_anchor for shard in inner]
     began = [shard.log_device.appended_bytes for shard in inner]
     while any(
@@ -91,7 +87,7 @@ def run_and_crash(shards: int, checkpoints: int):
     Returns each shard's recovery report, its dirty pages at the crash and
     its log length, and one transaction's log bytes."""
     store = open_store(shards)
-    inner = shard_stores(store)
+    inner = store.shard_stores
     anchors = [shard.backend.log_anchor for shard in inner]
     taken = [0] * len(inner)
     acked: Dict[int, bytes] = {}
@@ -117,7 +113,7 @@ def run_and_crash(shards: int, checkpoints: int):
     logged = [shard.log_device.appended_bytes for shard in inner]
     recovered = crash_and_reopen(store)
     assert state_of(recovered) == acked
-    reports = [shard.recovery_report for shard in shard_stores(recovered)]
+    reports = [shard.recovery_report for shard in recovered.shard_stores]
     return reports, dirty, logged, txn_bytes
 
 

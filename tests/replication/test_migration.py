@@ -34,12 +34,16 @@ def _node_config():
     )
 
 
-@pytest.fixture()
-def cluster():
-    """Two live nodes; node A initially owns the whole keyspace."""
-    with ClusterNode("A", _node_config()) as node_a:
+@pytest.fixture(
+    params=[_node_config(), StoreConfig(engine="tsb", wal=True)], ids=["sharded", "plain"]
+)
+def cluster(request):
+    """Two live nodes; node A initially owns the whole keyspace.  Each node's
+    store is sharded, or one plain WAL store: a migration reads either
+    through the same shard vocabulary."""
+    with ClusterNode("A", request.param) as node_a:
         table_b = RoutingTable([(None, None, "A", 0)])
-        with ClusterNode("B", _node_config(), table=table_b) as node_b:
+        with ClusterNode("B", request.param, table=table_b) as node_b:
             client = ClusterClient(
                 {"A": node_a.address, "B": node_b.address}
             )

@@ -56,6 +56,7 @@ class _StubStore:
     def __init__(self, get) -> None:
         self.get = get
         self.closed = False
+        self.shard_stores = [self]  # one shard, as every plain store is
 
     def close(self) -> None:
         self.closed = True

@@ -5,6 +5,11 @@ reads it from there.  A package may import only from rungs to its left, so
 every package edge points down and none can close a cycle.  Function-local
 imports count (they are how a cycle gets hidden); ``if TYPE_CHECKING:``
 blocks do not (nothing is imported at run time).  There is no allow-list.
+
+Inside ``repro.api`` one more line is drawn: only that package (and the
+face) names ``ShardedVersionStore`` or ``ShardedEngine``.  Every other module
+speaks the store's shard vocabulary, so none asks which kind of store it
+was handed.
 """
 
 from __future__ import annotations
@@ -101,3 +106,36 @@ def test_the_ladder_names_exactly_the_packages_in_src():
 def test_no_upward_or_cyclic_package_edge():
     edges = upward_edges()
     assert not edges, "imports that climb the ladder:\n  " + "\n  ".join(edges)
+
+
+#: The classes only ``repro.api`` may name: every other module speaks the
+#: store's shard vocabulary (``shard_stores``, ``boundaries``, …) instead.
+SHARDED_CLASSES = {"ShardedVersionStore", "ShardedEngine"}
+
+
+def sharded_class_uses(src: Path = SRC) -> List[str]:
+    """``file:line: name`` for every import, ``isinstance``, construction or
+    other reference of a sharded class outside ``repro/api/`` and the face."""
+    uses = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src)
+        if relative == Path("__init__.py") or relative.parts[0] == "api":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module == "repro.api.sharded" or names & SHARDED_CLASSES:
+                    uses.append((relative, node.lineno, f"from {node.module} import"))
+            elif isinstance(node, ast.Import):
+                if any(alias.name == "repro.api.sharded" for alias in node.names):
+                    uses.append((relative, node.lineno, "repro.api.sharded"))
+            elif isinstance(node, ast.Name) and node.id in SHARDED_CLASSES:
+                uses.append((relative, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in SHARDED_CLASSES:
+                uses.append((relative, node.lineno, node.attr))
+    return [f"src/repro/{file}:{line}: {name}" for file, line, name in uses]
+
+
+def test_only_the_api_names_the_sharded_classes():
+    uses = sharded_class_uses()
+    assert not uses, "sharded classes named outside repro.api:\n  " + "\n  ".join(uses)

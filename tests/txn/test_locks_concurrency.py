@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core import TSBTree
-from repro.txn.locks import LockConflictError, LockManager, LockMode
+from repro.txn.locks import LockConflictError, LockManager
 from repro.txn.manager import TransactionManager
 
 
@@ -20,34 +20,12 @@ def wait_until(predicate, timeout=5.0, interval=0.005):
 
 
 class TestLockModes:
-    def test_shared_locks_are_compatible(self):
-        locks = LockManager()
-        locks.acquire_shared(1, "k")
-        locks.acquire_shared(2, "k")
-        assert locks.holders_of("k") == {1: LockMode.SHARED, 2: LockMode.SHARED}
-        assert locks.holder_of("k") is None  # nobody holds it exclusively
-
-    def test_shared_blocks_exclusive_and_vice_versa(self):
-        locks = LockManager()
-        locks.acquire_shared(1, "k")
-        with pytest.raises(LockConflictError):
-            locks.acquire_exclusive(2, "k")  # same thread: fail-fast
-        locks.release_all(1)
-        locks.acquire_exclusive(2, "k")
-        with pytest.raises(LockConflictError):
-            locks.acquire_shared(3, "k")
-
-    def test_sole_shared_holder_upgrades(self):
-        locks = LockManager()
-        locks.acquire_shared(1, "k")
-        locks.acquire_exclusive(1, "k")
-        assert locks.mode_held(1, "k") is LockMode.EXCLUSIVE
-
     def test_exclusive_holder_rerequests_for_free(self):
         locks = LockManager()
         locks.acquire_exclusive(1, "k")
-        locks.acquire_shared(1, "k")  # weaker request is already covered
-        assert locks.mode_held(1, "k") is LockMode.EXCLUSIVE
+        locks.acquire_exclusive(1, "k")  # its own lock: granted at once
+        assert locks.holder_of("k") == 1
+        assert locks.locks_held(1) == {"k"}
 
 
 class TestBlockingAcquire:
